@@ -1,7 +1,7 @@
 //! Per-record update cost of the correlated sketches (experiment E7) and of
 //! the exact baseline, on the paper's workloads.
 
-use cora_core::{correlated_f2_seeded, CorrelatedF0, ExactCorrelated};
+use cora_core::{correlated_f2_seeded, CorrelatedF0, CorrelatedHeavyHitters, ExactCorrelated};
 use cora_sketch::{FastAmsBatch, FastAmsSketch, SharedUpdate};
 use cora_stream::{DatasetGenerator, UniformGenerator, ZipfGenerator};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -52,6 +52,35 @@ fn bench_updates(c: &mut Criterion) {
                 |mut sketch| {
                     for t in tuples {
                         sketch.insert(t.x, t.y).unwrap();
+                    }
+                    sketch
+                },
+                BatchSize::LargeInput,
+            );
+        });
+        // Correlated heavy hitters at the serving node's accuracy (ε = 0.25,
+        // φ = 0.05): per-tuple inserts, and the batch entry point the server
+        // feeds (identical structure).
+        let fresh_hh =
+            || CorrelatedHeavyHitters::with_seed(0.25, 0.1, 0.05, 1_000_000, 1_000_000, 3).unwrap();
+        group.bench_function(format!("correlated_hh/{name}"), |b| {
+            b.iter_batched(
+                fresh_hh,
+                |mut sketch| {
+                    for t in tuples {
+                        sketch.insert(t.x, t.y).unwrap();
+                    }
+                    sketch
+                },
+                BatchSize::LargeInput,
+            );
+        });
+        group.bench_function(format!("correlated_hh_batch/{name}"), |b| {
+            b.iter_batched(
+                fresh_hh,
+                |mut sketch| {
+                    for chunk in pairs.chunks(1024) {
+                        sketch.update_batch(chunk).unwrap();
                     }
                     sketch
                 },

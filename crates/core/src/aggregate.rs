@@ -206,9 +206,7 @@ impl<A: CorrelatedAggregate> BucketStore<A> {
     pub fn convert(&mut self, agg: &A) {
         if let BucketStore::Exact(freqs) = self {
             let mut sketch = agg.new_sketch();
-            for (item, f) in freqs.iter() {
-                sketch.update(item, f);
-            }
+            sketch.update_all(freqs.iter());
             *self = BucketStore::Sketched(sketch);
         }
     }
@@ -238,9 +236,7 @@ impl<A: CorrelatedAggregate> BucketStore<A> {
                 Ok(())
             }
             (BucketStore::Sketched(a), BucketStore::Exact(b)) => {
-                for (item, f) in b.iter() {
-                    a.update(item, f);
-                }
+                a.update_all(b.iter());
                 Ok(())
             }
             (BucketStore::Exact(_), BucketStore::Sketched(_)) => {

@@ -4,13 +4,36 @@
 //! parameters ε, φ, we wish to return all x for which
 //! `|{(x_i, y_i) | x_i = x ∧ y_i ≤ c}|² ≥ φ F2(c)` and no x for which the
 //! squared frequency is at most `(φ − ε) F2(c)`." The construction reuses the
-//! correlated `F_2` structure and augments every bucket with a CountSketch
-//! whose point estimates, composed over the buckets selected for threshold
-//! `c`, give each candidate's frequency up to a small additive error.
+//! correlated `F_2` structure: each bucket's CountSketch-style counter array
+//! serves both the bucket's `F_2` estimate and the point estimate of every
+//! item inserted into it, and the point estimates, composed over the buckets
+//! selected for threshold `c`, give each candidate's frequency up to a small
+//! additive error.
 //!
-//! The per-bucket summary here is a pair (fast-AMS `F_2` sketch, CountSketch
-//! with a bounded candidate set); the framework treats it as a single sketch
-//! whose `estimate()` is the `F_2` estimate.
+//! The per-bucket summary ([`HhBucketSketch`]) is therefore **one** fast-AMS
+//! counter lane plus a bounded candidate tracker that remembers which items
+//! are worth point-querying; the framework treats it as a single sketch whose
+//! `estimate()` is the `F_2` estimate. An insert hashes the item once (the
+//! framework's shared coordinates), adds it to the lane, reads its point
+//! estimate back from the counters just written, and offers it to the
+//! tracker — which rejects it with one comparison unless the estimate beats
+//! the weakest tracked candidate.
+//!
+//! # Candidate tracker
+//!
+//! At most `⌈4/φ⌉` `(item, recorded estimate)` pairs in a flat `Vec`. While
+//! there is room every offered item is tracked; once full, an offer at or
+//! below the *floor* (the smallest recorded estimate) is dropped without a
+//! scan, and a stronger one either refreshes its own record or replaces the
+//! minimum under the total order `(estimate, item)`. Items are unique, so
+//! that minimum is unique and the tracker is a deterministic function of the
+//! update sequence — two processes fed the same stream hold the same
+//! candidates in the same order and emit the same snapshot bytes. Bulk loads
+//! (merges, exact→sketched conversion, query-time composition) do not depend
+//! on the order their inputs arrive in: they re-score the union of candidates
+//! against the merged lane and keep the top `⌈4/φ⌉` by the same order.
+//! Recorded estimates only rank candidates for admission; queries always
+//! re-estimate from the (composed) lane.
 
 use crate::aggregate::{BucketStore, CorrelatedAggregate};
 use crate::compose::{self, GenCache};
@@ -18,65 +41,137 @@ use crate::config::{CorrelatedConfig, DEFAULT_SEED};
 use crate::error::Result;
 use crate::framework::CorrelatedSketch;
 use crate::snapshot::{self, SnapshotKind};
-use cora_sketch::codec::{ByteReader, ByteWriter, CodecResult, StateCodec};
-use cora_sketch::error::Result as SketchResult;
+use cora_sketch::codec::{ByteReader, ByteWriter, CodecError, CodecResult, StateCodec};
+use cora_sketch::error::{Result as SketchResult, SketchError};
 use cora_sketch::{
-    CountSketch, Estimate, ExactFrequencies, FastAmsBatch, FastAmsPrepared, FastAmsSketch,
-    MergeableSketch, PointQuery, SharedUpdate, SpaceUsage, StreamSketch,
+    Estimate, ExactFrequencies, FastAmsBatch, FastAmsPrepared, FastAmsSketch, MergeableSketch,
+    SharedUpdate, SpaceUsage, StreamSketch,
 };
 
-/// Per-bucket summary for correlated heavy hitters: an `F_2` sketch plus a
-/// CountSketch for per-item (squared) frequency estimates.
+/// The admission rank of a point estimate: its rounded magnitude.
+fn rank_of(estimate: f64) -> i64 {
+    estimate.abs().round() as i64
+}
+
+/// Per-bucket summary for correlated heavy hitters: one fast-AMS counter
+/// lane answering both the bucket's `F_2` estimate and per-item point
+/// queries, plus the bounded candidate tracker (see the module docs).
 #[derive(Debug, Clone)]
 pub struct HhBucketSketch {
-    f2: FastAmsSketch,
-    counts: CountSketch,
+    lane: FastAmsSketch,
+    /// Tracked `(item, recorded rank)` pairs: unique items, at most `cap`.
+    candidates: Vec<(u64, i64)>,
+    cap: usize,
+    /// The smallest recorded rank once `candidates` is full; `-1` (below
+    /// every rank) while there is still room.
+    floor: i64,
 }
 
 impl HhBucketSketch {
-    fn new(width: usize, depth: usize, candidates: usize, seed: u64) -> Self {
+    fn new(width: usize, depth: usize, cap: usize, seed: u64) -> Self {
         Self {
-            f2: FastAmsSketch::with_dimensions(width, depth, seed),
-            counts: CountSketch::with_dimensions(width, depth, candidates, seed ^ 0x4848),
+            lane: FastAmsSketch::with_dimensions(width, depth, seed),
+            candidates: Vec::with_capacity(cap),
+            cap,
+            floor: -1,
         }
     }
 
     /// Point estimate of the frequency of `item` among the summarised tuples.
     pub fn frequency_estimate(&self, item: u64) -> f64 {
-        self.counts.frequency_estimate(item)
+        self.lane.frequency_estimate(item)
     }
 
-    /// Candidate heavy items recorded by the CountSketch.
+    /// The tracked candidate heavy items with their current point estimates.
     pub fn candidates(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.counts.candidates()
+        self.candidates
+            .iter()
+            .map(|&(item, _)| (item, self.lane.frequency_estimate(item)))
+    }
+
+    /// Offer `item`, whose point estimate just became `estimate`, to the
+    /// candidate tracker.
+    #[inline]
+    fn offer(&mut self, item: u64, estimate: f64) {
+        let rank = rank_of(estimate);
+        if rank <= self.floor {
+            return;
+        }
+        if let Some(tracked) = self.candidates.iter_mut().find(|c| c.0 == item) {
+            tracked.1 = rank;
+        } else if self.candidates.len() < self.cap {
+            self.candidates.push((item, rank));
+        } else if let Some(weakest) = self.candidates.iter_mut().min_by_key(|c| (c.1, c.0)) {
+            *weakest = (item, rank);
+        }
+        self.refresh_floor();
+    }
+
+    fn refresh_floor(&mut self) {
+        self.floor = if self.candidates.len() < self.cap {
+            -1
+        } else {
+            self.candidates.iter().map(|c| c.1).min().unwrap_or(-1)
+        };
+    }
+
+    /// Re-rank the tracked candidates together with `extra` items against
+    /// the current lane and keep the strongest `cap` — the order-independent
+    /// bulk counterpart of [`Self::offer`], run after the lane absorbed a
+    /// whole summary at once.
+    fn retrack(&mut self, extra: impl Iterator<Item = u64>) {
+        let mut items: Vec<u64> = self.candidates.iter().map(|c| c.0).chain(extra).collect();
+        items.sort_unstable();
+        items.dedup();
+        let mut ranked: Vec<(u64, i64)> = items
+            .into_iter()
+            .map(|item| (item, rank_of(self.lane.frequency_estimate(item))))
+            .collect();
+        ranked.sort_unstable_by_key(|&(item, rank)| std::cmp::Reverse((rank, item)));
+        ranked.truncate(self.cap);
+        // Copy into the tracker's own `cap`-sized buffer: the scratch list
+        // can be as long as a whole exact bucket and must not outlive this.
+        self.candidates.clear();
+        self.candidates.extend_from_slice(&ranked);
+        self.refresh_floor();
     }
 }
 
 impl StreamSketch for HhBucketSketch {
     fn update(&mut self, item: u64, weight: i64) {
-        self.f2.update(item, weight);
-        self.counts.update(item, weight);
+        if weight != 0 {
+            self.lane.update(item, weight);
+            self.offer(item, self.lane.frequency_estimate(item));
+        }
+    }
+
+    fn update_all(&mut self, entries: impl Iterator<Item = (u64, i64)>) {
+        let items: Vec<u64> = entries
+            .map(|(item, weight)| {
+                self.lane.update(item, weight);
+                item
+            })
+            .collect();
+        self.retrack(items.into_iter());
     }
 }
 
-/// Precomputed coordinates of one heavy-hitters bucket update: the fast-AMS
-/// part is shareable; the CountSketch part re-hashes (its candidate tracking
-/// is stateful).
+/// Precomputed coordinates of one heavy-hitters bucket update: the lane
+/// coordinates, plus the raw `(item, weight)` the candidate tracker needs.
 #[derive(Debug, Clone, Default)]
 pub struct HhPrepared {
-    f2: FastAmsPrepared,
+    lane: FastAmsPrepared,
     item: u64,
     weight: i64,
 }
 
 /// Precomputed coordinates for a batch of heavy-hitters bucket updates: the
-/// fast-AMS side uses its flat row-major layout; the CountSketch side keeps
-/// the raw `(item, weight)` pairs (its candidate tracking is stateful).
+/// lane's flat row-major coordinates, plus the raw `(item, weight)` pairs the
+/// candidate tracker needs.
 #[derive(Debug, Clone, Default)]
 pub struct HhBatch {
-    f2: FastAmsBatch,
-    items: Vec<u64>,
-    weights: Vec<i64>,
+    lane: FastAmsBatch,
+    items: Vec<(u64, i64)>,
 }
 
 impl SharedUpdate for HhBucketSketch {
@@ -84,64 +179,108 @@ impl SharedUpdate for HhBucketSketch {
     type PreparedBatch = HhBatch;
 
     fn prepare_into(&self, item: u64, weight: i64, out: &mut HhPrepared) {
-        self.f2.prepare_into(item, weight, &mut out.f2);
+        self.lane.prepare_into(item, weight, &mut out.lane);
         out.item = item;
         out.weight = weight;
     }
 
     fn apply_prepared(&mut self, prepared: &HhPrepared) {
-        self.f2.apply_prepared(&prepared.f2);
-        self.counts.update(prepared.item, prepared.weight);
+        if prepared.weight != 0 {
+            let estimate = self
+                .lane
+                .apply_prepared_estimating(&prepared.lane, prepared.weight);
+            self.offer(prepared.item, estimate);
+        }
     }
 
     fn prepare_batch_into(&self, items: &[(u64, i64)], out: &mut HhBatch) {
-        self.f2.prepare_batch_into(items, &mut out.f2);
+        self.lane.prepare_batch_into(items, &mut out.lane);
         out.items.clear();
-        out.weights.clear();
-        out.items.extend(items.iter().map(|&(item, _)| item));
-        out.weights.extend(items.iter().map(|&(_, weight)| weight));
+        out.items.extend_from_slice(items);
     }
 
     fn apply_prepared_range(&mut self, batch: &HhBatch, range: std::ops::Range<usize>) {
-        self.f2.apply_prepared_range(&batch.f2, range.clone());
+        // Apply → estimate → track one item at a time, in stream order: the
+        // tracker sees exactly the estimates the scalar path would show it.
         for i in range {
-            self.counts.update(batch.items[i], batch.weights[i]);
+            let (item, weight) = batch.items[i];
+            if weight != 0 {
+                let estimate = self.lane.apply_batch_item_estimating(&batch.lane, i, weight);
+                self.offer(item, estimate);
+            }
         }
     }
 }
 
 impl Estimate for HhBucketSketch {
     fn estimate(&self) -> f64 {
-        self.f2.estimate()
+        self.lane.estimate()
     }
 }
 
 impl MergeableSketch for HhBucketSketch {
     fn merge_from(&mut self, other: &Self) -> SketchResult<()> {
-        self.f2.merge_from(&other.f2)?;
-        self.counts.merge_from(&other.counts)
+        if self.cap != other.cap {
+            return Err(SketchError::IncompatibleMerge {
+                detail: format!(
+                    "heavy-hitter candidate capacities differ: {} vs {}",
+                    self.cap, other.cap
+                ),
+            });
+        }
+        self.lane.merge_from(&other.lane)?;
+        self.retrack(other.candidates.iter().map(|c| c.0));
+        Ok(())
     }
 }
 
 impl SpaceUsage for HhBucketSketch {
     fn stored_tuples(&self) -> usize {
-        self.f2.stored_tuples() + self.counts.stored_tuples()
+        self.lane.stored_tuples() + self.candidates.len()
     }
 
     fn space_bytes(&self) -> usize {
-        self.f2.space_bytes() + self.counts.space_bytes()
+        self.lane.space_bytes() + self.candidates.len() * std::mem::size_of::<(u64, i64)>()
     }
 }
 
 impl StateCodec for HhBucketSketch {
+    /// The lane, then the candidate list **in tracker order** (the order is
+    /// state: it decides nothing by itself, but equal states must be equal
+    /// bytes and a restored tracker must continue exactly as the original).
     fn encode_state(&self, w: &mut ByteWriter) {
-        self.f2.encode_state(w);
-        self.counts.encode_state(w);
+        self.lane.encode_state(w);
+        w.put_len(self.cap);
+        w.put_len(self.candidates.len());
+        for &(item, rank) in &self.candidates {
+            w.put_u64(item);
+            w.put_i64(rank);
+        }
     }
 
     fn decode_state(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
-        self.f2.decode_state(r)?;
-        self.counts.decode_state(r)
+        self.lane.decode_state(r)?;
+        let cap = r.get_len()?;
+        let n = r.get_count(16)?;
+        if cap != self.cap || n > cap {
+            return Err(CodecError::Corrupt(format!(
+                "heavy-hitter candidate list of {n} with capacity {cap}, receiving sketch holds {}",
+                self.cap
+            )));
+        }
+        self.candidates.clear();
+        for _ in 0..n {
+            self.candidates.push((r.get_u64()?, r.get_i64()?));
+        }
+        let mut items: Vec<u64> = self.candidates.iter().map(|c| c.0).collect();
+        items.sort_unstable();
+        if items.windows(2).any(|pair| pair[0] == pair[1]) {
+            return Err(CodecError::Corrupt(
+                "heavy-hitter candidate list repeats an item".into(),
+            ));
+        }
+        self.refresh_floor();
+        Ok(())
     }
 }
 
@@ -201,6 +340,8 @@ impl CorrelatedAggregate for F2HeavyAggregate {
     }
 
     fn sketch_size_hint(&self) -> usize {
+        // An exact entry is two words, a counter one: the exact form stays
+        // the cheaper one until it holds about two entries per counter.
         2 * self.width * self.depth
     }
 
@@ -283,8 +424,9 @@ impl CorrelatedHeavyHitters {
     }
 
     /// Merge `other` into `self` (Property V lifted to the heavy-hitters
-    /// structure): per-bucket `F_2` sketches and CountSketches both merge
-    /// counter-wise, so the merged structure summarises the union stream.
+    /// structure): per-bucket counter lanes merge counter-wise and the
+    /// candidate trackers re-rank their union against the merged lane, so the
+    /// merged structure summarises the union stream.
     /// Requires identical construction parameters and seed — including
     /// `phi`, which sizes the per-bucket candidate sets: a shard built for a
     /// coarser `phi` never tracked the finer one's candidates, so merging it
@@ -325,9 +467,25 @@ impl CorrelatedHeavyHitters {
         self.inner.config()
     }
 
+    /// Read-only view of the underlying framework sketch, for diagnostics:
+    /// [`CorrelatedSketch::stats`], [`CorrelatedSketch::query_level`], the
+    /// composed store of a threshold.
+    pub fn framework(&self) -> &CorrelatedSketch<F2HeavyAggregate> {
+        &self.inner
+    }
+
     /// Process a stream element.
     pub fn insert(&mut self, x: u64, y: u64) -> Result<()> {
         self.inner.insert(x, y)
+    }
+
+    /// Process a batch of unit-weight stream elements: exactly the structure
+    /// [`insert`](Self::insert) on each tuple in order would build (see
+    /// [`CorrelatedSketch::update_batch`]), with every element hashed once up
+    /// front and each level walked once for the whole batch. If any `y` is
+    /// out of range an error is returned and no tuple is applied.
+    pub fn update_batch(&mut self, tuples: &[(u64, u64)]) -> Result<()> {
+        self.inner.update_batch(tuples)
     }
 
     /// Estimate `F_2({x : y ≤ c})`.
@@ -341,7 +499,7 @@ impl CorrelatedHeavyHitters {
     /// Candidate point estimates are memoized per `(threshold, generation)`:
     /// a repeated query against a quiescent sketch filters a cached,
     /// pre-sorted candidate list (any `phi`) instead of cloning the composed
-    /// store and re-running the CountSketch median for every candidate.
+    /// store and re-running the point-estimate median for every candidate.
     pub fn query_heavy_hitters(&self, c: u64, phi: f64) -> Result<Vec<HeavyHitter>> {
         let c = c.min(self.inner.config().padded_y_max());
         compose::cached_query(
@@ -630,6 +788,98 @@ mod tests {
             Err(crate::error::CoreError::Snapshot { .. })
         ));
         assert!(CorrelatedHeavyHitters::restore_from(&bytes[..bytes.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn tracker_rejects_at_the_floor_and_evicts_by_estimate_then_item() {
+        // Wide lane, few items: point estimates are exact, so the tracker's
+        // decisions can be spelled out.
+        let mut s = HhBucketSketch::new(4096, 3, 3, 9);
+        for item in [30u64, 10, 20] {
+            s.update(item, 5);
+        }
+        assert_eq!(s.candidates, vec![(30, 5), (10, 5), (20, 5)]);
+        assert_eq!(s.floor, 5);
+        // Equal to the floor: rejected, whatever the item.
+        s.update(1, 5);
+        assert_eq!(s.candidates, vec![(30, 5), (10, 5), (20, 5)]);
+        // Stronger: replaces the minimum under (estimate, item) — item 10.
+        s.update(40, 6);
+        assert_eq!(s.candidates, vec![(30, 5), (40, 6), (20, 5)]);
+        // A tracked item refreshes its own record in place.
+        s.update(20, 3);
+        assert_eq!(s.candidates, vec![(30, 5), (40, 6), (20, 8)]);
+        assert_eq!(s.floor, 5);
+        // Zero-weight updates touch nothing.
+        s.update(99, 0);
+        assert_eq!(s.candidates.len(), 3);
+        assert_eq!(s.frequency_estimate(99), 0.0);
+    }
+
+    #[test]
+    fn bulk_loads_do_not_depend_on_arrival_order() {
+        // Exact→sketched conversion and query-time composition hand the
+        // sketch a hash map's entries in table order; the resulting state
+        // must be a function of the entry *set*.
+        let entries: Vec<(u64, i64)> = (0..500u64).map(|x| (x * 7919 % 10_007, (x % 4) as i64 + 1)).collect();
+        let mut forward = HhBucketSketch::new(64, 3, 16, 5);
+        let mut backward = forward.clone();
+        forward.update_all(entries.iter().copied());
+        backward.update_all(entries.iter().rev().copied());
+        let bytes = |s: &HhBucketSketch| {
+            let mut w = ByteWriter::new();
+            s.encode_state(&mut w);
+            w.into_bytes()
+        };
+        assert!(bytes(&forward) == bytes(&backward));
+        assert_eq!(forward.candidates.len(), 16);
+        // Merging is the same routine: a ⊕ b and b ⊕ a agree.
+        let mut a = HhBucketSketch::new(64, 3, 16, 5);
+        let mut b = a.clone();
+        a.update_all(entries[..300].iter().copied());
+        b.update_all(entries[300..].iter().copied());
+        let (ab, ba) = (a.merged(&b).unwrap(), b.merged(&a).unwrap());
+        assert!(bytes(&ab) == bytes(&ba));
+        // A capacity mismatch is refused.
+        assert!(a.merged(&HhBucketSketch::new(64, 3, 8, 5)).is_err());
+    }
+
+    #[test]
+    fn independently_built_sketches_agree_byte_for_byte_on_ties() {
+        // 20k items that each occur once, over 16 y values: every singleton
+        // bucket spills to its sketch holding ~1 250 equal estimates, far
+        // more distinct items than the 40-slot trackers keep. Which of the
+        // tied items a bucket tracks must depend on nothing but the stream.
+        let build = || {
+            let mut hh = CorrelatedHeavyHitters::with_seed(0.25, 0.1, 0.1, 15, 100_000, 11).unwrap();
+            let mut state = 99u64;
+            for i in 0..20_000u64 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                hh.insert(i, (state >> 20) % 16).unwrap();
+            }
+            // A few repeated items so the answers below are not empty.
+            for i in 0..900u64 {
+                hh.insert(1_000_000 + i % 3, i % 16).unwrap();
+            }
+            hh
+        };
+        let (a, b) = (build(), build());
+        let sketched = a.inner.with_composed(15, |store| !store.is_exact()).unwrap();
+        assert!(sketched, "the stream must reach sketched buckets");
+        assert!(a.snapshot() == b.snapshot(), "snapshots differ");
+        for c in 0..16u64 {
+            for phi in [0.0001, 0.001, 0.01, 0.1] {
+                assert_eq!(
+                    a.query_heavy_hitters(c, phi).unwrap(),
+                    b.query_heavy_hitters(c, phi).unwrap(),
+                    "c={c} phi={phi}"
+                );
+            }
+        }
+        let reported = a.query_heavy_hitters(15, 0.01).unwrap();
+        for item in 1_000_000..1_000_003u64 {
+            assert!(reported.iter().any(|h| h.item == item), "{item} missing: {reported:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"CORA"
-//! 4       2     format version (little-endian u16, currently 1)
+//! 4       2     format version (little-endian u16, currently 2)
 //! 6       1     kind tag (which structure the payload describes)
 //! 7       8     payload length (little-endian u64)
 //! 15      n     payload (structure-specific, see the snapshot methods)
@@ -51,7 +51,12 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CORA";
 
 /// The current snapshot format version. Bumped on any incompatible payload
 /// change; decoders reject snapshots from other versions.
-pub const SNAPSHOT_VERSION: u16 = 1;
+///
+/// * 1 — heavy-hitters buckets carried an `F_2` sketch plus a separately
+///   seeded CountSketch with an item-sorted candidate set.
+/// * 2 — heavy-hitters buckets carry one counter lane plus the candidate
+///   list in tracker order.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Which structure a snapshot frame describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -386,6 +391,15 @@ mod tests {
         future[4] = 0xFF;
         let e = open_frame(&future, SnapshotKind::F0).unwrap_err();
         assert!(e.to_string().contains("version"), "{e}");
+        // A version-1 frame (the pre-lane-merge heavy-hitters payload) is
+        // refused outright, never mis-decoded.
+        let mut stale = frame.clone();
+        stale[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let e = open_frame(&stale, SnapshotKind::F0).unwrap_err();
+        assert!(
+            e.to_string().contains("unsupported snapshot version 1"),
+            "{e}"
+        );
         // Unknown kind tag.
         let mut unknown = frame;
         unknown[6] = 99;

@@ -5,7 +5,8 @@
 //! surface, so they run as integration tests against the real crate build.
 
 use cora_core::{
-    AlphaPolicy, CoreError, CorrelatedConfig, CorrelatedSketch, F2Aggregate,
+    AlphaPolicy, CoreError, CorrelatedConfig, CorrelatedHeavyHitters, CorrelatedSketch,
+    F2Aggregate,
 };
 use cora_core::sum::{CountAggregate, SumAggregate};
 use cora_sketch::StreamSketch as _;
@@ -260,6 +261,104 @@ fn update_batch_matches_scalar_on_low_entropy_streams() {
     for c in (0..512u64).step_by(64) {
         assert_eq!(scalar.query(c).unwrap(), batched.query(c).unwrap(), "c={c}");
     }
+}
+
+fn lcg(state: &mut u64) -> u64 {
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state >> 16
+}
+
+/// Heavy-hitters scalar ≡ batch: per-tuple `insert`, one whole-stream
+/// `update_batch`, uneven sub-batches, and snapshot → restore → continue all
+/// build the same structure — equal stats, equal `query_f2`, equal
+/// `query_heavy_hitters` on a `(c, φ)` grid, equal snapshot bytes. The y
+/// domain is tiny, so every singleton and unit-interval bucket holds far more
+/// than the 768 distinct items at which an ε = 0.25 bucket spills from its
+/// exact store to its sketch: the comparison runs on sketched buckets.
+fn assert_hh_routes_identical(name: &str, y_max: u64, tuples: &[(u64, u64)]) {
+    let fresh = || CorrelatedHeavyHitters::with_seed(0.25, 0.1, 0.05, y_max, 1_000_000, 7).unwrap();
+    let mut scalar = fresh();
+    for &(x, y) in tuples {
+        scalar.insert(x, y).unwrap();
+    }
+    let sketched = scalar
+        .framework()
+        .with_composed(y_max, |store| !store.is_exact())
+        .unwrap();
+    assert!(sketched, "[{name}] the stream must spill buckets to their sketches");
+
+    let mut whole = fresh();
+    whole.update_batch(tuples).unwrap();
+
+    let mut uneven = fresh();
+    let mut rest = tuples;
+    for len in [1usize, 7, 300, 1024, 2, 4097, 33].iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (head, tail) = rest.split_at((*len).min(rest.len()));
+        uneven.update_batch(head).unwrap();
+        rest = tail;
+    }
+
+    // Interrupted: scalar prefix, snapshot, restore, batched suffix.
+    let (prefix, suffix) = tuples.split_at(tuples.len() * 2 / 5);
+    let mut interrupted = fresh();
+    for &(x, y) in prefix {
+        interrupted.insert(x, y).unwrap();
+    }
+    let mut interrupted = CorrelatedHeavyHitters::restore_from(&interrupted.snapshot()).unwrap();
+    for chunk in suffix.chunks(777) {
+        interrupted.update_batch(chunk).unwrap();
+    }
+
+    let reference = scalar.snapshot();
+    for (route, other) in [("whole batch", &whole), ("uneven batches", &uneven), ("restored", &interrupted)] {
+        assert_eq!(scalar.framework().stats(), other.framework().stats(), "[{name}] {route}");
+        for c in 0..=y_max {
+            assert_eq!(scalar.query_f2(c).unwrap(), other.query_f2(c).unwrap(), "[{name}] {route} c={c}");
+            for phi in [0.001, 0.01, 0.05, 0.2] {
+                assert_eq!(
+                    scalar.query_heavy_hitters(c, phi).unwrap(),
+                    other.query_heavy_hitters(c, phi).unwrap(),
+                    "[{name}] {route} c={c} phi={phi}"
+                );
+            }
+        }
+        assert!(reference == other.snapshot(), "[{name}] {route}: snapshot bytes differ");
+    }
+}
+
+#[test]
+fn heavy_hitters_batch_matches_scalar_on_uniform_streams() {
+    let mut state = 11u64;
+    let tuples: Vec<(u64, u64)> = (0..32_000)
+        .map(|_| (lcg(&mut state) % 50_000, lcg(&mut state) % 32))
+        .collect();
+    assert_hh_routes_identical("uniform", 31, &tuples);
+}
+
+#[test]
+fn heavy_hitters_batch_matches_scalar_on_zipf_streams() {
+    // Log-uniform x is Zipf(1): P(x = k) ∝ 1/k over 20 000 ids.
+    let mut state = 12u64;
+    let tuples: Vec<(u64, u64)> = (0..24_000)
+        .map(|_| {
+            let u = (lcg(&mut state) % (1 << 24)) as f64 / (1u64 << 24) as f64;
+            (20_000f64.powf(u) as u64, lcg(&mut state) % 8)
+        })
+        .collect();
+    assert_hh_routes_identical("zipf", 7, &tuples);
+}
+
+#[test]
+fn heavy_hitters_batch_matches_scalar_on_low_entropy_streams() {
+    // Long same-y runs: the batch path applies them as contiguous
+    // prepared-batch ranges to one sketched leaf per level.
+    let tuples: Vec<(u64, u64)> = (0..60u64)
+        .flat_map(|block| (0..400u64).map(move |i| ((block * 400 + i) * 7919 % 5_000, block * 5 % 8)))
+        .collect();
+    assert_hh_routes_identical("low entropy", 7, &tuples);
 }
 
 #[test]

@@ -1101,7 +1101,6 @@ impl ServerCore {
                     .f0
                     .insert(x, y)
                     .and_then(|()| aux.rarity.insert(x, y))
-                    .and_then(|()| aux.hh.insert(x, y))
                     .and_then(|()| match aux.f0_delta.as_mut() {
                         Some(d) => d.insert(x, y),
                         None => Ok(()),
@@ -1110,13 +1109,15 @@ impl ServerCore {
                         Some(d) => d.insert(x, y),
                         None => Ok(()),
                     })
-                    .and_then(|()| match aux.hh_delta.as_mut() {
-                        Some(d) => d.insert(x, y),
-                        None => Ok(()),
-                    })
                 {
                     return fail(format!("auxiliary sketch rejected a tuple: {e}"));
                 }
+            }
+            if let Err(e) = aux.hh.update_batch(tuples).and_then(|()| match aux.hh_delta.as_mut() {
+                Some(d) => d.update_batch(tuples),
+                None => Ok(()),
+            }) {
+                return fail(format!("auxiliary sketch rejected a tuple: {e}"));
             }
             // Windowed structures: explicit per-tuple timestamps when the
             // client sent them, the arrival counter otherwise.

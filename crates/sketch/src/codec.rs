@@ -15,7 +15,6 @@
 //! `cora_core::snapshot`; this module is only the byte-level vocabulary
 //! shared by every crate that persists state.
 
-use crate::count_sketch::CountSketch;
 use crate::exact::ExactFrequencies;
 use crate::fast_ams::FastAmsSketch;
 use crate::traits::{SpaceUsage, StreamSketch};
@@ -402,68 +401,10 @@ impl StateCodec for FastAmsSketch {
     }
 }
 
-impl StateCodec for CountSketch {
-    fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_u64(self.width() as u64);
-        w.put_u64(self.depth() as u64);
-        w.put_u64(self.seed());
-        w.put_u64(self.candidate_capacity() as u64);
-        let counters = self.raw_counters();
-        let empty = counters.iter().all(|&c| c == 0);
-        w.put_bool(empty);
-        if !empty {
-            for &c in counters {
-                w.put_i64(c);
-            }
-        }
-        let mut cands: Vec<(u64, i64)> = self.raw_candidates();
-        cands.sort_unstable_by_key(|&(item, _)| item);
-        w.put_len(cands.len());
-        for (item, est) in cands {
-            w.put_u64(item);
-            w.put_i64(est);
-        }
-    }
-
-    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
-        check_dim("CountSketch width", r.get_u64()?, self.width() as u64)?;
-        check_dim("CountSketch depth", r.get_u64()?, self.depth() as u64)?;
-        check_dim("CountSketch seed", r.get_u64()?, self.seed())?;
-        check_dim(
-            "CountSketch candidate capacity",
-            r.get_u64()?,
-            self.candidate_capacity() as u64,
-        )?;
-        let n = self.width() * self.depth();
-        let counters = if r.get_bool()? {
-            vec![0i64; n]
-        } else {
-            let mut counters = Vec::with_capacity(n);
-            for _ in 0..n {
-                counters.push(r.get_i64()?);
-            }
-            counters
-        };
-        let cap = self.candidate_capacity();
-        let m = r.get_len()?;
-        if m > cap {
-            return Err(CodecError::Corrupt(format!(
-                "CountSketch candidate set size {m} exceeds capacity {cap}"
-            )));
-        }
-        let mut cands = Vec::with_capacity(m);
-        for _ in 0..m {
-            cands.push((r.get_u64()?, r.get_i64()?));
-        }
-        self.load_state(counters, cands);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traits::{Estimate, PointQuery};
+    use crate::traits::Estimate;
 
     fn round_trip<T: StateCodec>(src: &T, dst: &mut T) {
         let mut w = ByteWriter::new();
@@ -591,27 +532,5 @@ mod tests {
         assert!(wrong_seed.decode_state(&mut ByteReader::new(&bytes)).is_err());
         let mut wrong_width = FastAmsSketch::with_dimensions(32, 5, 11);
         assert!(wrong_width.decode_state(&mut ByteReader::new(&bytes)).is_err());
-    }
-
-    #[test]
-    fn count_sketch_round_trip_preserves_candidates() {
-        let mut src = CountSketch::with_dimensions(256, 5, 8, 21);
-        for _ in 0..200 {
-            src.update(10, 10);
-            src.update(20, 7);
-        }
-        for x in 100..400u64 {
-            src.update(x, 1);
-        }
-        let mut dst = CountSketch::with_dimensions(256, 5, 8, 21);
-        round_trip(&src, &mut dst);
-        for item in [10u64, 20, 150, 9999] {
-            assert_eq!(src.frequency_estimate(item), dst.frequency_estimate(item));
-        }
-        let mut a: Vec<(u64, i64)> = src.raw_candidates();
-        let mut b: Vec<(u64, i64)> = dst.raw_candidates();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
     }
 }

@@ -247,6 +247,36 @@ fn lane_sumsq(lane: &[i64]) -> i128 {
     lane.iter().map(|&c| (c as i128) * (c as i128)).sum()
 }
 
+/// Add `delta` to one counter, keeping its row's exact `Σ c²` in step, and
+/// return the counter's new value.
+#[inline]
+fn bump(counter: &mut i64, sumsq: &mut i128, delta: i64) -> i64 {
+    let old = *counter;
+    *counter = old + delta;
+    // (c + d)² − c² = (2c + d)·d, evaluated in i128 so it is exact.
+    *sumsq += (2 * old as i128 + delta as i128) * delta as i128;
+    old + delta
+}
+
+/// Median of `value(0), …, value(n − 1)` through a stack buffer: the
+/// correlated framework estimates on every insert and the heavy-hitters path
+/// point-queries on every insert, so the common small-depth case must not
+/// allocate.
+#[inline]
+fn median_of_rows(n: usize, mut value: impl FnMut(usize) -> f64) -> f64 {
+    const STACK: usize = 32;
+    if n <= STACK {
+        let mut buf = [0.0f64; STACK];
+        for (r, slot) in buf[..n].iter_mut().enumerate() {
+            *slot = value(r);
+        }
+        median_mut(&mut buf[..n]).unwrap_or(0.0)
+    } else {
+        let mut per_row: Vec<f64> = (0..n).map(value).collect();
+        median_mut(&mut per_row).unwrap_or(0.0)
+    }
+}
+
 /// Fast AMS / CountSketch-bucketed estimator for `F_2`.
 #[derive(Debug, Clone)]
 pub struct FastAmsSketch {
@@ -345,30 +375,56 @@ impl FastAmsSketch {
     /// structure reuses the same counters for both `F_2` estimation and
     /// per-item frequency estimation, exactly as described in Section 3.3.
     pub fn frequency_estimate(&self, item: u64) -> f64 {
-        // Small stack buffer: this sits on the heavy-hitters query path,
-        // which probes every candidate — no per-call allocation.
-        const STACK: usize = 32;
         let x = reduce_key(item);
         let w = self.width as u64;
-        let point = |r: usize, h: &RowHashes| {
+        median_of_rows(self.active, |r| {
+            let h = &self.hashes[r];
             let b = h.bucket_of(x, w) as usize;
             (h.sign_of(x) * self.lane[r * self.width + b]) as f64
-        };
-        let n = self.active;
-        if n <= STACK {
-            let mut buf = [0.0f64; STACK];
-            for (r, (slot, h)) in buf[..n].iter_mut().zip(&self.hashes[..n]).enumerate() {
-                *slot = point(r, h);
-            }
-            median_mut(&mut buf[..n]).unwrap_or(0.0)
-        } else {
-            let mut per_row: Vec<f64> = self.hashes[..n]
-                .iter()
-                .enumerate()
-                .map(|(r, h)| point(r, h))
-                .collect();
-            median_mut(&mut per_row).unwrap_or(0.0)
-        }
+        })
+    }
+
+    /// Apply one update given as per-row `(bucket, signed delta)` coordinates
+    /// and return the point estimate of the updated item — the median over
+    /// rows of `sign · counter`, read from the counters just written, so it
+    /// equals [`Self::frequency_estimate`] of that item without hashing it
+    /// again. `weight` is the non-zero weight the coordinates were prepared
+    /// with: a row's delta is `sign · weight`, so the row's sign is `+1`
+    /// exactly when delta and weight agree in sign.
+    #[inline]
+    fn apply_estimating(&mut self, coord: impl Fn(usize) -> (u32, i64), weight: i64) -> f64 {
+        debug_assert_ne!(weight, 0, "a zero weight leaves the row signs unrecoverable");
+        let rows = self.active;
+        median_of_rows(rows, |r| {
+            let (b, delta) = coord(r);
+            let slot = &mut self.lane[r * self.width + b as usize];
+            let counter = bump(slot, &mut self.sumsq[r], delta);
+            (if (delta ^ weight) < 0 { -counter } else { counter }) as f64
+        })
+    }
+
+    /// [`SharedUpdate::apply_prepared`] that also returns the updated item's
+    /// point estimate from the counters it just touched. `weight` must be the
+    /// non-zero weight `prepared` was built with.
+    pub fn apply_prepared_estimating(&mut self, prepared: &FastAmsPrepared, weight: i64) -> f64 {
+        debug_assert_eq!(prepared.rows.len(), self.active);
+        self.apply_estimating(|r| prepared.rows[r], weight)
+    }
+
+    /// Apply tuple `i` of a prepared batch and return that item's point
+    /// estimate, as [`Self::apply_prepared_estimating`] does for one prepared
+    /// update. `weight` must be tuple `i`'s non-zero weight.
+    pub fn apply_batch_item_estimating(&mut self, batch: &FastAmsBatch, i: usize, weight: i64) -> f64 {
+        assert!(i < batch.len, "prepared-batch index out of bounds");
+        // Buckets are only valid lane offsets for the width they were
+        // reduced into.
+        assert_eq!(
+            batch.width as usize, self.width,
+            "prepared batch width does not match sketch width"
+        );
+        debug_assert_eq!(batch.rows, self.active);
+        let at = |r: usize| r * batch.len + i;
+        self.apply_estimating(|r| (batch.buckets[at(r)], batch.deltas[at(r)]), weight)
     }
 
     /// True iff no update has ever been applied (all counters zero).
@@ -409,13 +465,8 @@ impl StreamSketch for FastAmsSketch {
         let x = reduce_key(item);
         let w = self.width as u64;
         for (r, h) in self.hashes[..self.active].iter().enumerate() {
-            let b = h.bucket_of(x, w) as usize;
-            let delta = h.sign_of(x) * weight;
-            let slot = &mut self.lane[r * self.width + b];
-            let old = *slot;
-            *slot = old + delta;
-            // (c + d)² − c² = (2c + d)·d, evaluated in i128 so it is exact.
-            self.sumsq[r] += (2 * old as i128 + delta as i128) * delta as i128;
+            let slot = &mut self.lane[r * self.width + h.bucket_of(x, w) as usize];
+            bump(slot, &mut self.sumsq[r], h.sign_of(x) * weight);
         }
     }
 }
@@ -577,10 +628,7 @@ impl SharedUpdate for FastAmsSketch {
     fn apply_prepared(&mut self, prepared: &FastAmsPrepared) {
         debug_assert_eq!(prepared.rows.len(), self.active);
         for (r, &(b, delta)) in prepared.rows.iter().enumerate() {
-            let slot = &mut self.lane[r * self.width + b as usize];
-            let old = *slot;
-            *slot = old + delta;
-            self.sumsq[r] += (2 * old as i128 + delta as i128) * delta as i128;
+            bump(&mut self.lane[r * self.width + b as usize], &mut self.sumsq[r], delta);
         }
     }
 
@@ -633,21 +681,8 @@ impl SharedUpdate for FastAmsSketch {
 impl Estimate for FastAmsSketch {
     fn estimate(&self) -> f64 {
         // The per-row sums of squares are maintained incrementally, so this is
-        // O(depth). A stack buffer keeps the common small-depth case (the
-        // correlated framework checks bucket estimates on every insert)
-        // allocation-free.
-        const STACK: usize = 32;
-        let n = self.active;
-        if n <= STACK {
-            let mut buf = [0.0f64; STACK];
-            for (slot, &s) in buf[..n].iter_mut().zip(&self.sumsq[..n]) {
-                *slot = s as f64;
-            }
-            median_mut(&mut buf[..n]).unwrap_or(0.0)
-        } else {
-            let mut per_row: Vec<f64> = self.sumsq[..n].iter().map(|&s| s as f64).collect();
-            median_mut(&mut per_row).unwrap_or(0.0)
-        }
+        // O(depth).
+        median_of_rows(self.active, |r| self.sumsq[r] as f64)
     }
 }
 
@@ -835,18 +870,89 @@ mod tests {
     }
 
     #[test]
-    fn point_estimates_track_heavy_items() {
-        let mut s = FastAmsSketch::with_dimensions(512, 7, 33);
-        // One heavy item among light noise.
-        s.update(999, 10_000);
-        for x in 0..200u64 {
-            s.update(x, 5);
+    fn point_estimates_are_exact_for_isolated_items() {
+        // With width much larger than the number of items, collisions are
+        // unlikely and the estimate should be exact, whatever the sign.
+        let mut s = FastAmsSketch::with_dimensions(4096, 5, 7);
+        s.update(1, 100);
+        s.update(2, -40);
+        assert_eq!(s.frequency_estimate(1), 100.0);
+        assert_eq!(s.frequency_estimate(2), -40.0);
+        assert_eq!(s.frequency_estimate(3), 0.0);
+    }
+
+    #[test]
+    fn point_estimate_recovers_heavy_item_among_noise() {
+        let mut s = FastAmsSketch::with_dimensions(1024, 7, 3);
+        s.update(77, 50_000);
+        for x in 1000..3000u64 {
+            s.update(x, 3);
         }
-        let est = s.frequency_estimate(999);
-        assert!(
-            (est - 10_000.0).abs() < 500.0,
-            "heavy item frequency estimate {est} too far from 10000"
-        );
+        let est = s.frequency_estimate(77);
+        assert!((est - 50_000.0).abs() < 1_000.0, "estimate {est}");
+    }
+
+    #[test]
+    fn point_estimates_cancel_under_turnstile_updates() {
+        let mut s = FastAmsSketch::with_dimensions(256, 5, 9);
+        for x in 0..50u64 {
+            s.update(x, 6);
+        }
+        for x in 0..50u64 {
+            s.update(x, -6);
+        }
+        for x in 0..50u64 {
+            assert_eq!(s.frequency_estimate(x), 0.0);
+        }
+    }
+
+    #[test]
+    fn merged_point_estimates_match_single_pass() {
+        let seed = 5;
+        let mut full = FastAmsSketch::with_dimensions(512, 5, seed);
+        let mut a = FastAmsSketch::with_dimensions(512, 5, seed);
+        let mut b = FastAmsSketch::with_dimensions(512, 5, seed);
+        for x in 0..400u64 {
+            let w = (x % 13) as i64 + 1;
+            full.update(x, w);
+            if x % 3 == 0 {
+                a.update(x, w);
+            } else {
+                b.update(x, w);
+            }
+        }
+        let merged = a.merged(&b).unwrap();
+        for x in (0..400u64).step_by(17) {
+            assert_eq!(merged.frequency_estimate(x), full.frequency_estimate(x));
+        }
+    }
+
+    #[test]
+    fn estimating_applies_return_the_point_estimate_without_rehashing() {
+        // Both apply-and-estimate entry points must leave exactly the
+        // counters `update` leaves and return exactly what a fresh
+        // `frequency_estimate` of the item then reads — for either weight
+        // sign, on a sketch narrow enough that rows collide.
+        let items: Vec<(u64, i64)> = (0..400u64)
+            .map(|i| (i * 31 % 97, if i % 5 == 0 { -((i % 7) as i64) - 1 } else { (i % 9) as i64 + 1 }))
+            .collect();
+        let proto = FastAmsSketch::with_dimensions(16, 3, 13);
+        let mut batch = FastAmsBatch::default();
+        proto.prepare_batch_into(&items, &mut batch);
+        let mut prepared = FastAmsPrepared::default();
+        let mut reference = proto.clone();
+        let (mut single, mut batched) = (proto.clone(), proto.clone());
+        for (i, &(x, w)) in items.iter().enumerate() {
+            reference.update(x, w);
+            let expected = reference.frequency_estimate(x);
+            proto.prepare_into(x, w, &mut prepared);
+            assert_eq!(single.apply_prepared_estimating(&prepared, w), expected, "tuple {i}");
+            assert_eq!(batched.apply_batch_item_estimating(&batch, i, w), expected, "tuple {i}");
+        }
+        for s in [&single, &batched] {
+            assert_eq!(s.lane, reference.lane);
+            assert_eq!(s.sumsq, reference.sumsq);
+        }
     }
 
     #[test]

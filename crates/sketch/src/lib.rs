@@ -9,8 +9,7 @@
 //! | aggregate | sketch | module |
 //! |---|---|---|
 //! | `F_2` | classic AMS sign sketch | [`ams_f2`] |
-//! | `F_2` | fast AMS / Thorup–Zhang bucketed estimator (the paper's choice) | [`fast_ams`] |
-//! | point frequencies | CountSketch | [`count_sketch`] |
+//! | `F_2` and point frequencies | fast AMS / Thorup–Zhang bucketed estimator (the paper's choice); its counter array is a CountSketch | [`fast_ams`] |
 //! | point frequencies | Count-Min | [`count_min`] |
 //! | frequent items | SpaceSaving, Misra–Gries | [`space_saving`], [`misra_gries`] |
 //! | `F_k`, k ≥ 2 | subsampling + SpaceSaving (Indyk–Woodruff-style) | [`fk`] |
@@ -29,7 +28,6 @@
 pub mod ams_f2;
 pub mod codec;
 pub mod count_min;
-pub mod count_sketch;
 pub mod error;
 pub mod estimator_util;
 pub mod exact;
@@ -44,7 +42,6 @@ pub mod traits;
 pub use ams_f2::AmsF2Sketch;
 pub use codec::{ByteReader, ByteWriter, CodecError, StateCodec};
 pub use count_min::CountMinSketch;
-pub use count_sketch::CountSketch;
 pub use error::{Result, SketchError};
 pub use exact::ExactFrequencies;
 pub use f0::{DistinctSampler, F0Sketch, FlajoletMartin, KmvSketch};

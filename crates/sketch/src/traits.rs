@@ -25,6 +25,21 @@ pub trait StreamSketch {
     fn insert(&mut self, item: u64) {
         self.update(item, 1);
     }
+
+    /// Fold a whole frequency vector into the summary: one [`Self::update`]
+    /// per `(item, weight)` entry. The correlated framework calls this to
+    /// convert an exact bucket to its sketch and to compose exact buckets
+    /// into a sketched one, with entries in hash-map order — so a summary
+    /// whose state depends on update order overrides it with an
+    /// order-independent bulk load.
+    fn update_all(&mut self, entries: impl Iterator<Item = (u64, i64)>)
+    where
+        Self: Sized,
+    {
+        for (item, weight) in entries {
+            self.update(item, weight);
+        }
+    }
 }
 
 /// A summary that can produce a point estimate of its target aggregate.
