@@ -1,10 +1,7 @@
-//! Throughput of the whole-stream substrate sketches (ablation: the paper's
-//! choice of the Thorup–Zhang fast AMS variant vs the classic AMS sketch, and
-//! the distinct-count substrates).
+//! Throughput of the whole-stream substrate sketches: the paper's choice of
+//! the Thorup–Zhang fast AMS variant, and the distinct-count substrates.
 
-use cora_sketch::{
-    AmsF2Sketch, DistinctSampler, FastAmsSketch, FlajoletMartin, KmvSketch, StreamSketch,
-};
+use cora_sketch::{DistinctSampler, FastAmsSketch, FlajoletMartin, KmvSketch, StreamSketch};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 const N: u64 = 50_000;
@@ -16,18 +13,6 @@ fn bench_f2_substrates(c: &mut Criterion) {
     group.bench_function("fast_ams_thorup_zhang", |b| {
         b.iter_batched(
             || FastAmsSketch::with_dimensions(512, 5, 3),
-            |mut s| {
-                for x in 0..N {
-                    s.update(x % 10_000, 1);
-                }
-                s
-            },
-            BatchSize::LargeInput,
-        );
-    });
-    group.bench_function("classic_ams", |b| {
-        b.iter_batched(
-            || AmsF2Sketch::with_dimensions(64, 5, 3),
             |mut s| {
                 for x in 0..N {
                     s.update(x % 10_000, 1);

@@ -24,7 +24,7 @@
 //!   and the `accuracy_report` experiment binary (E8 in DESIGN.md).
 
 use crate::dyadic::{pad_y_max, tree_height};
-use crate::error::{CoreError, Result};
+use crate::error::{check_unit_interval, CoreError, Result};
 
 /// How to size the per-level bucket budget `α`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,18 +93,8 @@ impl CorrelatedConfig {
 
     /// Validate ranges.
     pub fn validate(&self) -> Result<()> {
-        if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "epsilon",
-                detail: format!("must be in (0,1), got {}", self.epsilon),
-            });
-        }
-        if !(self.delta > 0.0 && self.delta < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "delta",
-                detail: format!("must be in (0,1), got {}", self.delta),
-            });
-        }
+        check_unit_interval("epsilon", self.epsilon)?;
+        check_unit_interval("delta", self.delta)?;
         if self.y_max == 0 {
             return Err(CoreError::InvalidParameter {
                 name: "y_max",

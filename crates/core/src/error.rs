@@ -64,6 +64,18 @@ pub enum CoreError {
     Sketch(SketchError),
 }
 
+/// Validate that an accuracy or failure-probability parameter lies in
+/// `(0, 1)`.
+pub(crate) fn check_unit_interval(name: &'static str, value: f64) -> Result<()> {
+    if value > 0.0 && value < 1.0 {
+        return Ok(());
+    }
+    Err(CoreError::InvalidParameter {
+        name,
+        detail: format!("must be in (0,1), got {value}"),
+    })
+}
+
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -12,136 +12,21 @@
 //! analogue of `Y_ℓ`), counts the sampled identifiers with `y_min ≤ c`, and
 //! scales by `2^{level}`.
 
-use crate::compose::{first_answering, min_watermark};
 use crate::config::DEFAULT_SEED;
-use crate::error::{CoreError, Result};
+use crate::error::{check_unit_interval, CoreError, Result};
+use crate::sample_level::LevelSampler;
 use crate::snapshot::{self, SnapshotKind};
 use cora_hash::mix::derive_seed;
-use cora_hash::polynomial::PolynomialHash;
-use cora_hash::traits::HashFunction64;
 use cora_sketch::codec::{ByteReader, ByteWriter, CodecError};
-use std::collections::{BTreeSet, HashMap};
-
-/// One sampling level: identifiers sampled at this level, keyed for y-priority
-/// eviction.
-#[derive(Debug, Clone)]
-struct SampleLevel {
-    /// item -> smallest y seen for that item (at this level).
-    by_item: HashMap<u64, u64>,
-    /// (y, item) pairs ordered by y for eviction of the largest y.
-    by_y: BTreeSet<(u64, u64)>,
-    /// Smallest y ever evicted from this level (`None` = nothing evicted).
-    evicted_watermark: Option<u64>,
-}
-
-impl SampleLevel {
-    fn new() -> Self {
-        Self {
-            by_item: HashMap::new(),
-            by_y: BTreeSet::new(),
-            evicted_watermark: None,
-        }
-    }
-
-    /// Merge another level's sample into this one (Property V for the
-    /// distinct sampler): union the `(item, min-y)` maps keeping the smaller
-    /// y per item, take the lower eviction watermark, and re-enforce the
-    /// capacity (which may lower the watermark further, exactly as a
-    /// sequential overflow would).
-    fn merge_from(&mut self, other: &Self, capacity: usize) {
-        for (&item, &y) in &other.by_item {
-            self.insert(item, y, capacity);
-        }
-        self.evicted_watermark = min_watermark(self.evicted_watermark, other.evicted_watermark);
-    }
-
-    /// Insert / refresh an item with a y value, then enforce the capacity.
-    fn insert(&mut self, item: u64, y: u64, capacity: usize) {
-        match self.by_item.get(&item) {
-            Some(&existing) if existing <= y => {}
-            Some(&existing) => {
-                self.by_y.remove(&(existing, item));
-                self.by_y.insert((y, item));
-                self.by_item.insert(item, y);
-            }
-            None => {
-                self.by_item.insert(item, y);
-                self.by_y.insert((y, item));
-            }
-        }
-        while self.by_item.len() > capacity {
-            let &(largest_y, victim) = self
-                .by_y
-                .iter()
-                .next_back()
-                .expect("len > capacity >= 1, so non-empty");
-            self.by_y.remove(&(largest_y, victim));
-            self.by_item.remove(&victim);
-            self.evicted_watermark = Some(match self.evicted_watermark {
-                None => largest_y,
-                Some(w) => w.min(largest_y),
-            });
-        }
-    }
-
-    /// Number of retained identifiers with y ≤ c.
-    fn count_upto(&self, c: u64) -> usize {
-        // by_y is ordered by (y, item); range over y <= c.
-        self.by_y.range(..=(c, u64::MAX)).count()
-    }
-}
-
-/// Correlated distinct-count sketch (one hash function / one estimator
-/// instance). [`CorrelatedF0`] combines several for the (ε, δ) guarantee.
-#[derive(Debug, Clone)]
-struct CorrelatedDistinctSampler {
-    hash: PolynomialHash,
-    levels: Vec<SampleLevel>,
-    capacity: usize,
-}
-
-impl CorrelatedDistinctSampler {
-    fn new(capacity: usize, num_levels: usize, seed: u64) -> Self {
-        Self {
-            hash: PolynomialHash::new(2, derive_seed(seed, 0xC0F0)),
-            levels: (0..num_levels).map(|_| SampleLevel::new()).collect(),
-            capacity,
-        }
-    }
-
-    /// Deepest level this item belongs to (level 0 always).
-    fn item_level(&self, item: u64) -> usize {
-        let h = self.hash.hash64(item);
-        let max = self.levels.len() - 1;
-        (h.leading_zeros() as usize).min(max)
-    }
-
-    fn insert(&mut self, item: u64, y: u64) {
-        let deepest = self.item_level(item);
-        let capacity = self.capacity;
-        for level in self.levels.iter_mut().take(deepest + 1) {
-            level.insert(item, y, capacity);
-        }
-    }
-
-    fn estimate(&self, c: u64) -> Option<f64> {
-        // Level selection is the same rule as Algorithm 3's: the smallest
-        // level whose eviction watermark still covers the threshold.
-        first_answering(&self.levels, c, |level| level.evicted_watermark)
-            .map(|(i, level)| level.count_upto(c) as f64 * 2f64.powi(i as i32))
-    }
-
-    fn stored_tuples(&self) -> usize {
-        self.levels.iter().map(|l| l.by_item.len()).sum()
-    }
-}
 
 /// Correlated `F_0` sketch: estimates `|{x : (x, y) ∈ S, y ≤ c}|` for a
 /// query-time threshold `c`, using the median over independent sampler
 /// instances.
 #[derive(Debug, Clone)]
 pub struct CorrelatedF0 {
-    samplers: Vec<CorrelatedDistinctSampler>,
+    /// One sampler per independent hash function; each item's record is the
+    /// smallest y it has been seen with.
+    samplers: Vec<LevelSampler<u64>>,
     epsilon: f64,
     delta: f64,
     y_max: u64,
@@ -169,33 +54,19 @@ impl CorrelatedF0 {
         y_max: u64,
         seed: u64,
     ) -> Result<Self> {
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "epsilon",
-                detail: format!("must be in (0,1), got {epsilon}"),
-            });
-        }
-        if !(delta > 0.0 && delta < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "delta",
-                detail: format!("must be in (0,1), got {delta}"),
-            });
-        }
-        if x_domain_log2 == 0 || x_domain_log2 > 63 {
-            return Err(CoreError::InvalidParameter {
-                name: "x_domain_log2",
-                detail: format!("must be in [1, 63], got {x_domain_log2}"),
-            });
-        }
+        check_unit_interval("epsilon", epsilon)?;
+        check_unit_interval("delta", delta)?;
         // Practical sizing (see DESIGN.md): the query level retains up to
         // `capacity` sampled identifiers, giving relative error ~ 1/sqrt of
         // the retained count; a handful of independent instances are medianed.
         let capacity = ((4.0 / (epsilon * epsilon)).ceil() as usize).max(16);
         let instances = ((1.0 / delta).ln().ceil() as usize).max(3) | 1;
-        let num_levels = x_domain_log2 as usize + 1;
         let samplers = (0..instances)
-            .map(|i| CorrelatedDistinctSampler::new(capacity, num_levels, derive_seed(seed, i as u64)))
-            .collect();
+            .map(|i| {
+                let hash_seed = derive_seed(derive_seed(seed, i as u64), 0xC0F0);
+                LevelSampler::new(capacity, x_domain_log2, hash_seed)
+            })
+            .collect::<Result<_>>()?;
         Ok(Self {
             samplers,
             epsilon,
@@ -229,15 +100,7 @@ impl CorrelatedF0 {
             });
         }
         for (s, o) in self.samplers.iter_mut().zip(&other.samplers) {
-            if s.levels.len() != o.levels.len() || s.capacity != o.capacity {
-                return Err(CoreError::IncompatibleMerge {
-                    detail: "CorrelatedF0 sampler dimensions differ".into(),
-                });
-            }
-            let capacity = s.capacity;
-            for (level, other_level) in s.levels.iter_mut().zip(&o.levels) {
-                level.merge_from(other_level, capacity);
-            }
+            s.merge_from(o)?;
         }
         self.items_processed += other.items_processed;
         Ok(())
@@ -271,7 +134,7 @@ impl CorrelatedF0 {
     /// `log2` of the identifier domain this sketch was built for (one
     /// sampling level per bit, plus level 0).
     pub fn x_domain_log2(&self) -> u32 {
-        (self.samplers[0].levels.len() - 1) as u32
+        self.samplers[0].x_domain_log2()
     }
 
     /// Number of stream elements processed.
@@ -299,8 +162,8 @@ impl CorrelatedF0 {
         let c = c.min(self.y_max);
         let mut estimates: Vec<f64> = Vec::with_capacity(self.samplers.len());
         for s in &self.samplers {
-            if let Some(e) = s.estimate(c) {
-                estimates.push(e);
+            if let Some((i, level)) = s.answering(c) {
+                estimates.push(level.count_upto(c) as f64 * 2f64.powi(i as i32));
             }
         }
         if estimates.is_empty() {
@@ -313,7 +176,7 @@ impl CorrelatedF0 {
     /// Total stored tuples across all samplers and levels — the unit reported
     /// in the paper's Figures 6 and 7.
     pub fn stored_tuples(&self) -> usize {
-        self.samplers.iter().map(|s| s.stored_tuples()).sum()
+        self.samplers.iter().map(LevelSampler::stored_tuples).sum()
     }
 
     /// Serialise the sketch into a versioned, checksummed snapshot frame
@@ -334,24 +197,11 @@ impl CorrelatedF0 {
         w.put_f64(self.delta);
         w.put_u64(self.y_max);
         w.put_u64(self.seed);
-        w.put_u32((self.samplers[0].levels.len() - 1) as u32);
+        w.put_u32(self.x_domain_log2());
         w.put_u64(self.items_processed);
         w.put_len(self.samplers.len());
         for sampler in &self.samplers {
-            w.put_len(sampler.levels.len());
-            for level in &sampler.levels {
-                w.put_opt_u64(level.evicted_watermark);
-                // Entries sorted by item: map order is arbitrary, wire order
-                // must not be.
-                let mut entries: Vec<(u64, u64)> =
-                    level.by_item.iter().map(|(&item, &y)| (item, y)).collect();
-                entries.sort_unstable();
-                w.put_len(entries.len());
-                for (item, y) in entries {
-                    w.put_u64(item);
-                    w.put_u64(y);
-                }
-            }
+            sampler.write_to(&mut w);
         }
         snapshot::seal_frame_into(SnapshotKind::F0, w.as_bytes(), out);
     }
@@ -368,43 +218,15 @@ impl CorrelatedF0 {
         let x_domain_log2 = r.get_u32()?;
         let mut sketch = Self::with_seed(epsilon, delta, x_domain_log2, y_max, seed)?;
         sketch.items_processed = r.get_u64()?;
-        let corrupt = |detail: String| CoreError::from(CodecError::Corrupt(detail));
         let n = r.get_len()?;
         if n != sketch.samplers.len() {
-            return Err(corrupt(format!(
+            return Err(CoreError::from(CodecError::Corrupt(format!(
                 "snapshot has {n} sampler instances, parameters derive {}",
                 sketch.samplers.len()
-            )));
+            ))));
         }
         for sampler in &mut sketch.samplers {
-            let levels = r.get_len()?;
-            if levels != sampler.levels.len() {
-                return Err(corrupt(format!(
-                    "snapshot sampler has {levels} levels, parameters derive {}",
-                    sampler.levels.len()
-                )));
-            }
-            for level in &mut sampler.levels {
-                level.evicted_watermark = r.get_opt_u64()?;
-                let m = r.get_len()?;
-                if m > sampler.capacity {
-                    return Err(corrupt(format!(
-                        "snapshot level holds {m} entries, capacity is {}",
-                        sampler.capacity
-                    )));
-                }
-                let mut prev: Option<u64> = None;
-                for _ in 0..m {
-                    let item = r.get_u64()?;
-                    let y = r.get_u64()?;
-                    if prev.is_some_and(|p| p >= item) {
-                        return Err(corrupt("sampler entries out of order".into()));
-                    }
-                    prev = Some(item);
-                    level.by_item.insert(item, y);
-                    level.by_y.insert((y, item));
-                }
-            }
+            sampler.read_from(&mut r)?;
         }
         r.expect_end()?;
         Ok(sketch)

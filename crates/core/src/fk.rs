@@ -7,7 +7,7 @@
 
 use crate::aggregate::CorrelatedAggregate;
 use crate::config::{CorrelatedConfig, DEFAULT_SEED};
-use crate::error::{CoreError, Result};
+use crate::error::{check_unit_interval, CoreError, Result};
 use crate::framework::CorrelatedSketch;
 use cora_sketch::{ExactFrequencies, FkSketch};
 
@@ -32,12 +32,7 @@ impl FkAggregate {
                 detail: format!("correlated F_k requires k >= 2, got {k}"),
             });
         }
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "epsilon",
-                detail: format!("must be in (0,1), got {epsilon}"),
-            });
-        }
+        check_unit_interval("epsilon", epsilon)?;
         let upsilon = epsilon / 2.0;
         let capacity = ((8.0 / (upsilon * upsilon)).ceil() as usize).clamp(32, 1 << 14);
         Ok(Self {

@@ -52,6 +52,7 @@ pub mod framework;
 pub mod heavy_hitters;
 mod levels;
 pub mod rarity;
+mod sample_level;
 mod singleton;
 pub mod snapshot;
 pub mod sum;

@@ -11,15 +11,12 @@
 //! Rarity is then the ratio of the two counts over the sample at the chosen
 //! level (the `2^level` scale factors cancel).
 
-use crate::compose::{first_answering, min_watermark};
 use crate::config::DEFAULT_SEED;
-use crate::error::{CoreError, Result};
+use crate::error::{check_unit_interval, CoreError, Result};
+use crate::sample_level::{LevelSampler, SampleLevel, SampleRecord};
 use crate::snapshot::{self, SnapshotKind};
 use cora_hash::mix::derive_seed;
-use cora_hash::polynomial::PolynomialHash;
-use cora_hash::traits::HashFunction64;
 use cora_sketch::codec::{ByteReader, ByteWriter, CodecError};
-use std::collections::{BTreeSet, HashMap};
 
 /// Occurrence record: the two smallest y values seen for an identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +26,6 @@ struct TwoSmallest {
 }
 
 impl TwoSmallest {
-    fn new(y: u64) -> Self {
-        Self { y1: y, y2: None }
-    }
-
     fn observe(&mut self, y: u64) {
         if y < self.y1 {
             self.y2 = Some(self.y1);
@@ -43,16 +36,6 @@ impl TwoSmallest {
                 Some(existing) if y < existing => self.y2 = Some(y),
                 _ => {}
             }
-        }
-    }
-
-    /// Fold another record for the same identifier into this one: the two
-    /// smallest occurrences of the union are the two smallest of the (at
-    /// most four) recorded occurrences.
-    fn merge_from(&mut self, other: &Self) {
-        self.observe(other.y1);
-        if let Some(y2) = other.y2 {
-            self.observe(y2);
         }
     }
 
@@ -69,114 +52,63 @@ impl TwoSmallest {
     }
 }
 
-/// One sampling level of the rarity sketch.
-#[derive(Debug, Clone)]
-struct RarityLevel {
-    by_item: HashMap<u64, TwoSmallest>,
-    by_y: BTreeSet<(u64, u64)>,
-    evicted_watermark: Option<u64>,
+impl SampleRecord for TwoSmallest {
+    fn new(y: u64) -> Self {
+        Self { y1: y, y2: None }
+    }
+
+    /// The two smallest occurrences of the union are the two smallest of
+    /// the (at most four) recorded occurrences.
+    fn merge_from(&mut self, other: &Self) {
+        self.observe(other.y1);
+        if let Some(y2) = other.y2 {
+            self.observe(y2);
+        }
+    }
+
+    fn min_y(&self) -> u64 {
+        self.y1
+    }
+
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u64(self.y1);
+        w.put_opt_u64(self.y2);
+    }
+
+    fn decode(r: &mut ByteReader<'_>) -> Result<Self> {
+        let y1 = r.get_u64()?;
+        let y2 = r.get_opt_u64()?;
+        if y2.is_some_and(|y2| y2 < y1) {
+            return Err(CoreError::from(CodecError::Corrupt(format!(
+                "occurrence record is unordered: y1 {y1} > y2 {y2:?}"
+            ))));
+        }
+        Ok(Self { y1, y2 })
+    }
 }
 
-impl RarityLevel {
-    fn new() -> Self {
-        Self {
-            by_item: HashMap::new(),
-            by_y: BTreeSet::new(),
-            evicted_watermark: None,
+/// `(distinct items with ≥1 occurrence, items with exactly 1 occurrence)`
+/// among a level's retained sample, restricted to `y ≤ c`.
+fn counts_upto(level: &SampleLevel<TwoSmallest>, c: u64) -> (usize, usize) {
+    let mut present = 0usize;
+    let mut singletons = 0usize;
+    for record in level.records_upto(c) {
+        match record.occurrences_upto(c) {
+            0 => {}
+            1 => {
+                present += 1;
+                singletons += 1;
+            }
+            _ => present += 1,
         }
     }
-
-    fn insert(&mut self, item: u64, y: u64, capacity: usize) {
-        match self.by_item.get_mut(&item) {
-            Some(record) => {
-                let old_y1 = record.y1;
-                record.observe(y);
-                if record.y1 != old_y1 {
-                    self.by_y.remove(&(old_y1, item));
-                    self.by_y.insert((record.y1, item));
-                }
-            }
-            None => {
-                self.by_item.insert(item, TwoSmallest::new(y));
-                self.by_y.insert((y, item));
-            }
-        }
-        while self.by_item.len() > capacity {
-            let &(largest_y, victim) = self
-                .by_y
-                .iter()
-                .next_back()
-                .expect("len > capacity >= 1, so non-empty");
-            self.by_y.remove(&(largest_y, victim));
-            self.by_item.remove(&victim);
-            self.evicted_watermark = Some(match self.evicted_watermark {
-                None => largest_y,
-                Some(w) => w.min(largest_y),
-            });
-        }
-    }
-
-    /// Merge another level's sample: per-item records fold their two-smallest
-    /// occurrence lists together, the watermark drops to the lower of the
-    /// two, and the capacity is re-enforced.
-    fn merge_from(&mut self, other: &Self, capacity: usize) {
-        for (&item, record) in &other.by_item {
-            match self.by_item.get_mut(&item) {
-                Some(mine) => {
-                    let old_y1 = mine.y1;
-                    mine.merge_from(record);
-                    if mine.y1 != old_y1 {
-                        self.by_y.remove(&(old_y1, item));
-                        self.by_y.insert((mine.y1, item));
-                    }
-                }
-                None => {
-                    self.by_item.insert(item, *record);
-                    self.by_y.insert((record.y1, item));
-                }
-            }
-            while self.by_item.len() > capacity {
-                let &(largest_y, victim) = self
-                    .by_y
-                    .iter()
-                    .next_back()
-                    .expect("len > capacity >= 1, so non-empty");
-                self.by_y.remove(&(largest_y, victim));
-                self.by_item.remove(&victim);
-                self.evicted_watermark = Some(match self.evicted_watermark {
-                    None => largest_y,
-                    Some(w) => w.min(largest_y),
-                });
-            }
-        }
-        self.evicted_watermark = min_watermark(self.evicted_watermark, other.evicted_watermark);
-    }
-
-    /// `(distinct items with ≥1 occurrence, items with exactly 1 occurrence)`
-    /// among the retained sample, restricted to `y ≤ c`.
-    fn counts_upto(&self, c: u64) -> (usize, usize) {
-        let mut present = 0usize;
-        let mut singletons = 0usize;
-        for (_, item) in self.by_y.range(..=(c, u64::MAX)) {
-            match self.by_item[item].occurrences_upto(c) {
-                0 => {}
-                1 => {
-                    present += 1;
-                    singletons += 1;
-                }
-                _ => present += 1,
-            }
-        }
-        (present, singletons)
-    }
+    (present, singletons)
 }
 
 /// Correlated rarity sketch.
 #[derive(Debug, Clone)]
 pub struct CorrelatedRarity {
-    hash: PolynomialHash,
-    levels: Vec<RarityLevel>,
-    capacity: usize,
+    sampler: LevelSampler<TwoSmallest>,
     y_max: u64,
     epsilon: f64,
     seed: u64,
@@ -191,23 +123,10 @@ impl CorrelatedRarity {
 
     /// [`CorrelatedRarity::new`] with an explicit seed.
     pub fn with_seed(epsilon: f64, x_domain_log2: u32, y_max: u64, seed: u64) -> Result<Self> {
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "epsilon",
-                detail: format!("must be in (0,1), got {epsilon}"),
-            });
-        }
-        if x_domain_log2 == 0 || x_domain_log2 > 63 {
-            return Err(CoreError::InvalidParameter {
-                name: "x_domain_log2",
-                detail: format!("must be in [1, 63], got {x_domain_log2}"),
-            });
-        }
+        check_unit_interval("epsilon", epsilon)?;
         let capacity = ((8.0 / (epsilon * epsilon)).ceil() as usize).max(32);
         Ok(Self {
-            hash: PolynomialHash::new(2, derive_seed(seed, 0x4A41)),
-            levels: (0..=x_domain_log2 as usize).map(|_| RarityLevel::new()).collect(),
-            capacity,
+            sampler: LevelSampler::new(capacity, x_domain_log2, derive_seed(seed, 0x4A41))?,
             y_max,
             epsilon,
             seed,
@@ -223,22 +142,18 @@ impl CorrelatedRarity {
         if self.epsilon != other.epsilon
             || self.y_max != other.y_max
             || self.seed != other.seed
-            || self.levels.len() != other.levels.len()
-            || self.capacity != other.capacity
+            || self.x_domain_log2() != other.x_domain_log2()
         {
             return Err(CoreError::IncompatibleMerge {
                 detail: format!(
                     "CorrelatedRarity parameters differ: (eps {}, y_max {}, seed {:#x}, {} levels) \
                      vs (eps {}, y_max {}, seed {:#x}, {} levels)",
-                    self.epsilon, self.y_max, self.seed, self.levels.len(),
-                    other.epsilon, other.y_max, other.seed, other.levels.len()
+                    self.epsilon, self.y_max, self.seed, self.x_domain_log2() + 1,
+                    other.epsilon, other.y_max, other.seed, other.x_domain_log2() + 1
                 ),
             });
         }
-        let capacity = self.capacity;
-        for (level, other_level) in self.levels.iter_mut().zip(&other.levels) {
-            level.merge_from(other_level, capacity);
-        }
+        self.sampler.merge_from(&other.sampler)?;
         self.items_processed += other.items_processed;
         Ok(())
     }
@@ -249,11 +164,7 @@ impl CorrelatedRarity {
             return Err(CoreError::YOutOfRange { y, y_max: self.y_max });
         }
         self.items_processed += 1;
-        let deepest = (self.hash.hash64(x).leading_zeros() as usize).min(self.levels.len() - 1);
-        let capacity = self.capacity;
-        for level in self.levels.iter_mut().take(deepest + 1) {
-            level.insert(x, y, capacity);
-        }
+        self.sampler.insert(x, y);
         Ok(())
     }
 
@@ -262,12 +173,10 @@ impl CorrelatedRarity {
     /// an empty selection.
     pub fn query(&self, c: u64) -> Result<f64> {
         let c = c.min(self.y_max);
-        // Same level-selection rule as Algorithm 3: the smallest level whose
-        // eviction watermark still covers the threshold.
-        let Some((_, level)) = first_answering(&self.levels, c, |l| l.evicted_watermark) else {
+        let Some((_, level)) = self.sampler.answering(c) else {
             return Err(CoreError::QueryFailed { threshold: c });
         };
-        let (present, singletons) = level.counts_upto(c);
+        let (present, singletons) = counts_upto(level, c);
         if present == 0 {
             return Ok(0.0);
         }
@@ -291,12 +200,12 @@ impl CorrelatedRarity {
 
     /// `log2` of the identifier domain this sketch was built for.
     pub fn x_domain_log2(&self) -> u32 {
-        (self.levels.len() - 1) as u32
+        self.sampler.x_domain_log2()
     }
 
     /// Total stored tuples.
     pub fn stored_tuples(&self) -> usize {
-        self.levels.iter().map(|l| l.by_item.len()).sum()
+        self.sampler.stored_tuples()
     }
 
     /// Number of stream elements processed.
@@ -319,24 +228,9 @@ impl CorrelatedRarity {
         w.put_f64(self.epsilon);
         w.put_u64(self.y_max);
         w.put_u64(self.seed);
-        w.put_u32((self.levels.len() - 1) as u32);
+        w.put_u32(self.x_domain_log2());
         w.put_u64(self.items_processed);
-        w.put_len(self.levels.len());
-        for level in &self.levels {
-            w.put_opt_u64(level.evicted_watermark);
-            let mut entries: Vec<(u64, TwoSmallest)> = level
-                .by_item
-                .iter()
-                .map(|(&item, record)| (item, *record))
-                .collect();
-            entries.sort_unstable_by_key(|&(item, _)| item);
-            w.put_len(entries.len());
-            for (item, record) in entries {
-                w.put_u64(item);
-                w.put_u64(record.y1);
-                w.put_opt_u64(record.y2);
-            }
-        }
+        self.sampler.write_to(&mut w);
         snapshot::seal_frame_into(SnapshotKind::Rarity, w.as_bytes(), out);
     }
 
@@ -351,41 +245,7 @@ impl CorrelatedRarity {
         let x_domain_log2 = r.get_u32()?;
         let mut sketch = Self::with_seed(epsilon, x_domain_log2, y_max, seed)?;
         sketch.items_processed = r.get_u64()?;
-        let corrupt = |detail: String| CoreError::from(CodecError::Corrupt(detail));
-        let levels = r.get_len()?;
-        if levels != sketch.levels.len() {
-            return Err(corrupt(format!(
-                "snapshot has {levels} levels, parameters derive {}",
-                sketch.levels.len()
-            )));
-        }
-        let capacity = sketch.capacity;
-        for level in &mut sketch.levels {
-            level.evicted_watermark = r.get_opt_u64()?;
-            let m = r.get_len()?;
-            if m > capacity {
-                return Err(corrupt(format!(
-                    "snapshot level holds {m} entries, capacity is {capacity}"
-                )));
-            }
-            let mut prev: Option<u64> = None;
-            for _ in 0..m {
-                let item = r.get_u64()?;
-                if prev.is_some_and(|p| p >= item) {
-                    return Err(corrupt("rarity entries out of order".into()));
-                }
-                prev = Some(item);
-                let y1 = r.get_u64()?;
-                let y2 = r.get_opt_u64()?;
-                if y2.is_some_and(|y2| y2 < y1) {
-                    return Err(corrupt(format!(
-                        "occurrence record for item {item} is unordered: y1 {y1} > y2 {y2:?}"
-                    )));
-                }
-                level.by_item.insert(item, TwoSmallest { y1, y2 });
-                level.by_y.insert((y1, item));
-            }
-        }
+        sketch.sampler.read_from(&mut r)?;
         r.expect_end()?;
         Ok(sketch)
     }

@@ -7,16 +7,12 @@
 //! whole-stream sketches whose guarantees in turn rest on limited-independence
 //! hashing:
 //!
-//! * the classic AMS `F_2` sketch needs **4-wise independent** sign hashes,
-//! * the fast AMS variant (Thorup–Zhang, SODA 2004) uses **tabulation hashing**,
-//!   which is 3-independent but behaves like full independence for second-moment
-//!   estimation and is extremely fast per update,
+//! * the AMS `F_2` estimator needs **4-wise independent** sign hashes (the fast
+//!   variant of Thorup–Zhang, SODA 2004, adds a pairwise bucket hash per row),
 //! * distinct sampling (`F_0`) needs **pairwise independent** bucket hashes.
 //!
 //! This crate provides:
 //!
-//! * [`tabulation::TabulationHash64`] / [`tabulation::TabulationHash32`] — simple
-//!   tabulation hashing over 8-bit characters,
 //! * [`polynomial::PolynomialHash`] — degree-(k−1) polynomial hashing over the
 //!   Mersenne prime `2^61 − 1`, giving exact k-wise independence,
 //! * [`sign::FourWiseSignHash`] — ±1 valued 4-wise independent hash used by AMS,
@@ -36,13 +32,11 @@ pub mod mix;
 pub mod pairwise;
 pub mod polynomial;
 pub mod sign;
-pub mod tabulation;
 pub mod traits;
 
 pub use pairwise::PairwiseHash;
 pub use polynomial::PolynomialHash;
 pub use sign::FourWiseSignHash;
-pub use tabulation::{TabulationHash32, TabulationHash64};
 pub use traits::{HashFunction64, SignHash};
 
 /// The Mersenne prime `2^61 - 1`, the modulus used by [`polynomial::PolynomialHash`].
@@ -60,12 +54,10 @@ mod lib_tests {
 
     #[test]
     fn exported_types_are_constructible() {
-        let t = TabulationHash64::new(7);
         let p = PolynomialHash::new(4, 7);
         let s = FourWiseSignHash::new(7);
         let w = PairwiseHash::new(7, 1 << 10);
         // Smoke: all produce values without panicking.
-        let _ = t.hash64(42);
         let _ = p.hash64(42);
         let _ = s.sign(42);
         let _ = w.bucket(42);

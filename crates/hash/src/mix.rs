@@ -2,10 +2,10 @@
 //!
 //! These are *not* limited-independence families; they are deterministic
 //! bijections on `u64` used to (a) derive well-spread per-row seeds from a
-//! single user seed and (b) pre-condition keys before table lookups in
-//! tabulation hashing. Both uses only need good avalanche behaviour, not
-//! independence, so a strong finalizer (SplitMix64 / Murmur3's `fmix64`) is the
-//! right tool.
+//! single user seed and (b) break the structure of a hash value before it
+//! indexes a table or picks a level. Both uses only need good avalanche
+//! behaviour, not independence, so a strong finalizer (SplitMix64 / Murmur3's
+//! `fmix64`) is the right tool.
 
 /// The SplitMix64 output function. A bijection on `u64` with full avalanche.
 ///

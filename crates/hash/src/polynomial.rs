@@ -8,11 +8,9 @@
 //! * k = 2: bucket hashes for distinct sampling and CountSketch columns,
 //! * k = 4: sign hashes for AMS `F_2` (through [`crate::sign::FourWiseSignHash`]).
 //!
-//! Tabulation hashing is faster per evaluation but only 3-independent;
-//! polynomial hashing is the fallback whenever exact independence matters or
-//! when table memory (4 × 256 × 8 bytes per function) is too much — e.g. the
-//! per-bucket sketches inside the correlated framework instantiate many small
-//! sketches, where a 16 KiB table per hash function would dominate the very
+//! A function is `k` coefficients and no tables, which matters here: the
+//! correlated framework instantiates many small per-bucket sketches, where a
+//! table-driven family's 16 KiB per hash function would dominate the very
 //! space the paper is trying to save.
 
 use crate::mix::derive_seed;

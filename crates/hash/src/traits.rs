@@ -2,7 +2,7 @@
 //!
 //! Every sketch in `cora-sketch` is generic-free at its public surface but
 //! internally uses these traits so that the hash family backing a sketch can be
-//! swapped (e.g. tabulation vs. polynomial) without touching estimator logic.
+//! swapped (e.g. polynomial families of different degree) without touching estimator logic.
 //! This is also the seam used by the ablation benchmarks.
 
 /// A hash function from 64-bit keys to 64-bit values.

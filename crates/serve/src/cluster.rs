@@ -15,11 +15,15 @@
 //! The whole design rests on **Property V (mergeability)**: sketches built
 //! from the same seed and geometry merge into a valid sketch of the union
 //! stream, carrying the same `(ε, δ)` guarantee. An ingest node therefore
-//! replicates by feeding every tuple to a second, same-seeded *delta*
-//! sketch and periodically shipping that delta
-//! ([`crate::server::ServeConfig::replicate`]); the aggregator merges each
-//! delta into its per-stream state and answers queries with the accuracy
-//! of a server that streamed the tuples directly. (Below the framework's
+//! replicates by feeding every tuple to a second, same-seeded *delta* copy
+//! of its sketch set and periodically shipping that delta
+//! ([`crate::server::ServeConfig::replicate`]); the aggregator decodes each
+//! container into the same sketch-set type (`crate::sketches`), merges it
+//! into its per-stream state and answers queries with the accuracy of a
+//! server that streamed the tuples directly. A container is restored and
+//! checked against the aggregator's own parameters in full *before* the
+//! stream it targets is touched, so a missing section or sketches built
+//! under other parameters reject it atomically. (Below the framework's
 //! bucket-eviction threshold the merged state is even *bit-identical* to
 //! direct ingestion — the regime the integration tests pin down exactly;
 //! past it, merged and direct answers are `ε`-equivalent estimates.)
@@ -58,26 +62,24 @@
 use crate::client::{ClientError, ServeClient};
 use crate::protocol::{Reply, Request, SetOp, Value};
 use crate::server::{
-    recover, spawn_acceptor, Bundle, ReplCut, ReplicateConfig, RunningServer, ServeConfig,
-    ServeError, ServerCore, ServiceCore, REPL_SECTION_F0, REPL_SECTION_F2, REPL_SECTION_HH,
-    REPL_SECTION_RARITY,
+    recover, ReplCut, ReplicateConfig, RunningServer, ServeConfig, ServeError, ServerCore,
+    StatePoisoned,
 };
+use crate::sketches::SketchSet;
+use crate::transport::{spawn_acceptor, ServiceCore};
 use cora_core::snapshot::open_delta;
-use cora_core::{
-    CoreError, CorrelatedF0, CorrelatedHeavyHitters, CorrelatedRarity, CorrelatedSketch,
-    F2Aggregate,
-};
+use cora_core::CoreError;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// Whether `name` can label a replicated stream: 1–64 bytes of
 /// `[A-Za-z0-9_.-]` (it travels in wire frames and doubles as a map key).
-pub(crate) fn valid_stream_name(name: &str) -> bool {
+fn valid_stream_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 64
         && name
@@ -85,64 +87,20 @@ pub(crate) fn valid_stream_name(name: &str) -> bool {
             .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'.' | b'-'))
 }
 
+/// The refusal every entry point gives a name that cannot label a stream.
+pub(crate) fn check_stream_name(name: &str) -> Result<(), String> {
+    if valid_stream_name(name) {
+        return Ok(());
+    }
+    Err(format!("replication stream name {name:?} must be 1-64 bytes of [A-Za-z0-9_.-]"))
+}
+
 /// One upstream stream's merged state on the aggregator.
 struct StreamState {
-    f2: CorrelatedSketch<F2Aggregate>,
-    f0: CorrelatedF0,
-    rarity: CorrelatedRarity,
-    hh: CorrelatedHeavyHitters,
+    set: SketchSet,
     /// The replication generation this state covers; a delta must chain
     /// from exactly here. 0 = never shipped to (or seeded out-of-band).
     high_water: u64,
-    deltas_applied: u64,
-    snapshots_applied: u64,
-}
-
-impl StreamState {
-    fn fresh(config: &ServeConfig) -> Result<Self, CoreError> {
-        Ok(Self {
-            f2: config.fresh_f2_sketch()?,
-            f0: config.fresh_f0()?,
-            rarity: config.fresh_rarity()?,
-            hh: config.fresh_hh()?,
-            high_water: 0,
-            deltas_applied: 0,
-            snapshots_applied: 0,
-        })
-    }
-}
-
-/// The four structures decoded out of one replication container.
-struct Restored {
-    f2: CorrelatedSketch<F2Aggregate>,
-    f0: CorrelatedF0,
-    rarity: CorrelatedRarity,
-    hh: CorrelatedHeavyHitters,
-}
-
-/// Decode a container's sections into fresh structures; every section is
-/// required (the producer always ships all four).
-fn restore_sections(config: &ServeConfig, sections: &[(u8, &[u8])]) -> Result<Restored, String> {
-    let section = |tag: u8, name: &str| -> Result<&[u8], String> {
-        sections
-            .iter()
-            .find(|&&(t, _)| t == tag)
-            .map(|&(_, bytes)| bytes)
-            .ok_or_else(|| format!("replication container is missing its {name} section"))
-    };
-    Ok(Restored {
-        f2: CorrelatedSketch::restore_from(
-            config.f2_aggregate(),
-            section(REPL_SECTION_F2, "F2")?,
-        )
-        .map_err(|e| format!("F2 section: {e}"))?,
-        f0: CorrelatedF0::restore_from(section(REPL_SECTION_F0, "F0")?)
-            .map_err(|e| format!("F0 section: {e}"))?,
-        rarity: CorrelatedRarity::restore_from(section(REPL_SECTION_RARITY, "rarity")?)
-            .map_err(|e| format!("rarity section: {e}"))?,
-        hh: CorrelatedHeavyHitters::restore_from(section(REPL_SECTION_HH, "HH")?)
-            .map_err(|e| format!("heavy-hitters section: {e}"))?,
-    })
 }
 
 /// The cross-stream union composite, rebuilt lazily: `epoch` names the
@@ -150,10 +108,7 @@ fn restore_sections(config: &ServeConfig, sections: &[(u8, &[u8])]) -> Result<Re
 /// events reuse it without any merging.
 struct UnionCache {
     epoch: u64,
-    f2: CorrelatedSketch<F2Aggregate>,
-    f0: CorrelatedF0,
-    rarity: CorrelatedRarity,
-    hh: CorrelatedHeavyHitters,
+    set: SketchSet,
 }
 
 /// Registered streams plus the union cache, under one lock (replication
@@ -173,6 +128,7 @@ struct AggState {
 pub(crate) struct AggCore {
     config: ServeConfig,
     fingerprint: u64,
+    /// Reached only through [`AggCore::state`].
     state: Mutex<AggState>,
     requests: AtomicU64,
     deltas_applied: AtomicU64,
@@ -184,7 +140,7 @@ impl AggCore {
     fn new(config: ServeConfig) -> Result<Self, ServeError> {
         // Fail at start, not at the first handshake, if the parameters
         // cannot build the sketch family.
-        let _ = StreamState::fresh(&config)?;
+        let _ = SketchSet::fresh(&config)?;
         let fingerprint = config.replication_fingerprint();
         Ok(Self {
             config,
@@ -201,59 +157,59 @@ impl AggCore {
         })
     }
 
-    /// Run `f` against the up-to-date union composite, rebuilding it first
-    /// if any stream changed since it was cached.
-    fn with_union<T>(
-        &self,
-        f: impl FnOnce(&UnionCache) -> Result<T, CoreError>,
-    ) -> Result<T, CoreError> {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+    /// The one way to the aggregator's mutable state; a poisoned lock is
+    /// refused, never entered (see [`StatePoisoned`]).
+    fn state(&self) -> Result<MutexGuard<'_, AggState>, StatePoisoned> {
+        self.state.lock().map_err(|_| StatePoisoned)
+    }
+
+    /// Answer a sketch query against the up-to-date union composite,
+    /// rebuilding it first if any stream changed since it was cached.
+    fn union_answer(&self, request: &Request) -> Result<Reply, StatePoisoned> {
+        let mut state = self.state()?;
         let AggState { streams, epoch, union } = &mut *state;
-        let stale = union.as_ref().map(|u| u.epoch) != Some(*epoch);
-        if stale {
-            let mut fresh = UnionCache {
-                epoch: *epoch,
-                f2: self.config.fresh_f2_sketch()?,
-                f0: self.config.fresh_f0()?,
-                rarity: self.config.fresh_rarity()?,
-                hh: self.config.fresh_hh()?,
-            };
-            for stream in streams.values() {
-                fresh.f2.merge_from(&stream.f2)?;
-                fresh.f0.merge_from(&stream.f0)?;
-                fresh.rarity.merge_from(&stream.rarity)?;
-                fresh.hh.merge_from(&stream.hh)?;
+        if union.as_ref().map(|u| u.epoch) != Some(*epoch) {
+            let merged = SketchSet::fresh(&self.config).and_then(|mut set| {
+                streams
+                    .values()
+                    .try_for_each(|stream| set.merge_from(&stream.set))
+                    .map(|()| set)
+            });
+            match merged {
+                Ok(set) => *union = Some(UnionCache { epoch: *epoch, set }),
+                Err(e) => return Ok(Reply::sketch_error(e.to_string())),
             }
-            *union = Some(fresh);
         }
-        f(union.as_ref().expect("just built"))
+        let union = union.as_ref().expect("just built");
+        Ok(union.set.answer(request, self.config.y_max))
     }
 
     /// `set_f0`: inclusion–exclusion over two streams' distinct samplers
     /// (see the module docs for the accuracy caveat on intersect/diff).
-    fn set_f0(&self, a: &str, b: &str, op: SetOp, c: u64) -> Reply {
+    fn set_f0(&self, a: &str, b: &str, op: SetOp, c: u64) -> Result<Reply, StatePoisoned> {
         let cc = c.min(self.config.y_max);
-        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let state = self.state()?;
         let unknown = |name: &str| {
             Reply::request_error(format!(
                 "unknown stream {name:?}: no replica has registered it (see the streams op)"
             ))
         };
         let Some(sa) = state.streams.get(a) else {
-            return unknown(a);
+            return Ok(unknown(a));
         };
         let Some(sb) = state.streams.get(b) else {
-            return unknown(b);
+            return Ok(unknown(b));
         };
+        let (f0_a, f0_b) = (sa.set.f0(), sb.set.f0());
         let estimates = (|| -> Result<(f64, f64, f64), CoreError> {
-            let f_a = sa.f0.query(cc)?;
-            let f_b = sb.f0.query(cc)?;
-            let mut merged = self.config.fresh_f0()?;
-            merged.merge_from(&sa.f0)?;
-            merged.merge_from(&sb.f0)?;
+            let f_a = f0_a.query(cc)?;
+            let f_b = f0_b.query(cc)?;
+            // A's sampler merged into an empty one is A's sampler.
+            let mut merged = f0_a.clone();
+            merged.merge_from(f0_b)?;
             Ok((f_a, f_b, merged.query(cc)?))
         })();
-        match estimates {
+        Ok(match estimates {
             Ok((f_a, f_b, f_union)) => {
                 // Clamp the derived quantities at 0: estimation noise can
                 // push inclusion–exclusion slightly negative.
@@ -271,320 +227,202 @@ impl AggCore {
                 ])
             }
             Err(e) => Reply::sketch_error(e.to_string()),
-        }
+        })
     }
 
     /// The replication handshake: register (or re-find) the stream and tell
     /// the replica where the chain stands.
-    fn repl_hello(&self, stream: &str, fingerprint: u64) -> Reply {
-        if !valid_stream_name(stream) {
-            return Reply::request_error(format!(
-                "replication stream name {stream:?} must be 1-64 bytes of [A-Za-z0-9_.-]"
-            ));
+    fn repl_hello(&self, stream: &str, fingerprint: u64) -> Result<Reply, StatePoisoned> {
+        if let Err(refusal) = check_stream_name(stream) {
+            return Ok(Reply::request_error(refusal));
         }
         if fingerprint != self.fingerprint {
             self.repl_rejected.fetch_add(1, Ordering::Relaxed);
-            return Reply::request_error(format!(
+            return Ok(Reply::request_error(format!(
                 "configuration fingerprint mismatch (replica {fingerprint:#018x}, aggregator \
                  {:#018x}): sketches built from different parameters or seeds cannot merge",
                 self.fingerprint
-            ));
+            )));
         }
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state()?;
         if !state.streams.contains_key(stream) {
-            match StreamState::fresh(&self.config) {
+            match SketchSet::fresh(&self.config) {
                 Ok(fresh) => {
+                    let fresh = StreamState { set: fresh, high_water: 0 };
                     state.streams.insert(stream.to_string(), fresh);
                 }
-                Err(e) => return Reply::server_error(e.to_string()),
+                Err(e) => return Ok(Reply::server_error(e.to_string())),
             }
         }
         let high_water = state.streams[stream].high_water;
-        Reply::Ok(vec![("high_water", Value::U64(high_water))])
+        Ok(Reply::Ok(vec![("high_water", Value::U64(high_water))]))
     }
 
     /// Apply one sealed container to `stream`. `snapshot_op` marks frames
     /// that arrived via `repl_snapshot`, which must be full replacements.
-    fn repl_apply(&self, stream: &str, frame: &[u8], snapshot_op: bool) -> Reply {
-        let reject = |counter: &AtomicU64, message: String| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            Reply::request_error(message)
+    fn repl_apply(
+        &self,
+        stream: &str,
+        frame: &[u8],
+        snapshot_op: bool,
+    ) -> Result<Reply, StatePoisoned> {
+        let reject = |message: String| {
+            self.repl_rejected.fetch_add(1, Ordering::Relaxed);
+            Ok(Reply::request_error(message))
         };
         let (header, sections) = match open_delta(frame) {
             Ok(opened) => opened,
-            Err(e) => {
-                return reject(
-                    &self.repl_rejected,
-                    format!("unreadable replication container: {e}"),
-                )
-            }
+            Err(e) => return reject(format!("unreadable replication container: {e}")),
         };
         if header.fingerprint != self.fingerprint {
-            return reject(
-                &self.repl_rejected,
-                format!(
-                    "configuration fingerprint mismatch (container {:#018x}, aggregator \
-                     {:#018x})",
-                    header.fingerprint, self.fingerprint
-                ),
-            );
+            return reject(format!(
+                "configuration fingerprint mismatch (container {:#018x}, aggregator {:#018x})",
+                header.fingerprint, self.fingerprint
+            ));
         }
         if snapshot_op && header.g_from != 0 {
-            return reject(
-                &self.repl_rejected,
-                format!(
-                    "repl_snapshot requires a full container (g_from = 0), got g_from = {}",
-                    header.g_from
-                ),
-            );
+            return reject(format!(
+                "repl_snapshot requires a full container (g_from = 0), got g_from = {}",
+                header.g_from
+            ));
         }
         // Restore every structure before touching the stream state, so a
         // corrupt section rejects the container atomically.
-        let Restored { f2, f0, rarity, hh } = match restore_sections(&self.config, &sections) {
-            Ok(restored) => restored,
-            Err(detail) => return reject(&self.repl_rejected, detail),
+        let shipped = match SketchSet::from_sections(&self.config, &sections) {
+            Ok(shipped) => shipped,
+            Err(detail) => return reject(detail),
         };
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state()?;
         let Some(stream_state) = state.streams.get_mut(stream) else {
-            return reject(
-                &self.repl_rejected,
-                format!("unknown stream {stream:?}: send repl_hello first"),
-            );
+            return reject(format!("unknown stream {stream:?}: send repl_hello first"));
         };
         if header.g_from == 0 {
             // Full replacement: the container *is* the stream's state.
-            stream_state.f2 = f2;
-            stream_state.f0 = f0;
-            stream_state.rarity = rarity;
-            stream_state.hh = hh;
-            stream_state.snapshots_applied += 1;
+            stream_state.set = shipped;
             self.snapshots_applied.fetch_add(1, Ordering::Relaxed);
         } else {
             if header.g_from != stream_state.high_water {
-                let high_water = stream_state.high_water;
-                drop(state);
-                return reject(
-                    &self.repl_rejected,
-                    format!(
-                        "delta chains from generation {} but stream {stream:?} stands at {} — \
-                         resync with a full snapshot",
-                        header.g_from, high_water
-                    ),
-                );
+                return reject(format!(
+                    "delta chains from generation {} but stream {stream:?} stands at {} — \
+                     resync with a full snapshot",
+                    header.g_from, stream_state.high_water
+                ));
             }
-            let merged = stream_state
-                .f2
-                .merge_from(&f2)
-                .and_then(|()| stream_state.f0.merge_from(&f0))
-                .and_then(|()| stream_state.rarity.merge_from(&rarity))
-                .and_then(|()| stream_state.hh.merge_from(&hh));
-            if let Err(e) = merged {
+            if let Err(e) = stream_state.set.merge_from(&shipped) {
                 // A half-applied merge would corrupt the stream; force the
                 // replica to replace it wholesale.
                 stream_state.high_water = 0;
                 state.epoch += 1;
                 state.union = None;
-                return Reply::sketch_error(format!(
+                return Ok(Reply::sketch_error(format!(
                     "delta merge failed ({e}); stream {stream:?} reset, resync required"
-                ));
+                )));
             }
-            stream_state.deltas_applied += 1;
             self.deltas_applied.fetch_add(1, Ordering::Relaxed);
         }
         stream_state.high_water = header.g_to;
         state.epoch += 1;
         state.union = None;
-        Reply::Ok(vec![("high_water", Value::U64(header.g_to))])
+        Ok(Reply::Ok(vec![("high_water", Value::U64(header.g_to))]))
     }
 
     /// Warm-standby seeding: load `stream` from an upstream's durable
-    /// directory (newest readable snapshot + journal replay). High water
-    /// stays 0, so a returning upstream full-resyncs over this state.
+    /// directory (newest readable snapshot + journal replay; the windowed
+    /// and sequence sections do not replicate). High water stays 0, so a
+    /// returning upstream full-resyncs over this state.
     fn catch_up_from_dir(&self, stream: &str, dir: &Path) -> Result<(), ServeError> {
-        if !valid_stream_name(stream) {
-            return Err(ServeError::Invalid(format!(
-                "replication stream name {stream:?} must be 1-64 bytes of [A-Za-z0-9_.-]"
-            )));
-        }
+        check_stream_name(stream).map_err(ServeError::Invalid)?;
         let storage = crate::journal::disk_storage();
         let recovered = recover(&storage, dir)?;
+        // The fingerprint covers every mergeable parameter; a bundle from a
+        // differently-configured node must not masquerade as this stream.
         let mut seeded = match &recovered.bundle {
-            Some(bundle) => Self::stream_from_bundle(&self.config, bundle)?,
-            None => StreamState::fresh(&self.config)?,
+            Some(bundle) => SketchSet::from_bundle(&self.config, bundle)?,
+            None => SketchSet::fresh(&self.config)?,
         };
         for record in &recovered.replay {
-            for &(x, y) in &record.tuples {
-                seeded
-                    .f2
-                    .insert(x, y)
-                    .and_then(|()| seeded.f0.insert(x, y))
-                    .and_then(|()| seeded.rarity.insert(x, y))
-                    .and_then(|()| seeded.hh.insert(x, y))?;
-            }
+            seeded.insert_batch(&record.tuples)?;
         }
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state()?;
         if state.streams.contains_key(stream) {
             return Err(ServeError::Invalid(format!(
                 "stream {stream:?} is seeded twice"
             )));
         }
-        state.streams.insert(stream.to_string(), seeded);
+        state.streams.insert(stream.to_string(), StreamState { set: seeded, high_water: 0 });
         state.epoch += 1;
         state.union = None;
         Ok(())
     }
 
-    /// Rebuild a stream's sketch set from an ingest node's snapshot bundle
-    /// (the windowed and sequence sections do not replicate).
-    fn stream_from_bundle(config: &ServeConfig, bundle: &Bundle) -> Result<StreamState, ServeError> {
-        let state = StreamState {
-            f2: CorrelatedSketch::restore_from(config.f2_aggregate(), &bundle.f2)?,
-            f0: CorrelatedF0::restore_from(&bundle.f0)?,
-            rarity: CorrelatedRarity::restore_from(&bundle.rarity)?,
-            hh: CorrelatedHeavyHitters::restore_from(&bundle.hh)?,
-            high_water: 0,
-            deltas_applied: 0,
-            snapshots_applied: 0,
-        };
-        // The fingerprint covers every mergeable parameter; a bundle from a
-        // differently-configured node must not masquerade as this stream.
-        let fresh = config.fresh_f2_sketch()?;
-        if state.f2.config() != fresh.config() {
-            return Err(ServeError::Invalid(
-                "durable directory was written by a node with different F2 parameters".into(),
-            ));
-        }
-        Ok(state)
-    }
-
-    fn handle(&self, request: Request) -> (Reply, bool) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let fail = |e: CoreError| (Reply::sketch_error(e.to_string()), false);
+    /// The reply to one request; `ping`, `config`, `flush` and `shutdown`
+    /// keep answering when the state lock is poisoned.
+    fn answer(&self, request: Request) -> Result<Reply, StatePoisoned> {
         let not_here = |what: &str| {
-            (
-                Reply::request_error(format!(
-                    "{what} is an ingest-node op; an aggregator only merges replicated streams"
-                )),
-                false,
-            )
+            Reply::request_error(format!(
+                "{what} is an ingest-node op; an aggregator only merges replicated streams"
+            ))
         };
-        match request {
-            Request::Ping => (Reply::ok(), false),
-            Request::Config => {
-                let c = &self.config;
-                (
-                    Reply::Ok(vec![
-                        ("role", Value::Str("aggregator".to_string())),
-                        ("fingerprint", Value::U64(self.fingerprint)),
-                        ("epsilon", Value::F64(c.epsilon)),
-                        ("delta", Value::F64(c.delta)),
-                        ("y_max", Value::U64(c.y_max)),
-                        ("max_stream_len", Value::U64(c.max_stream_len)),
-                        ("seed", Value::U64(c.seed)),
-                        ("phi", Value::F64(c.phi)),
-                        ("x_domain_log2", Value::U64(u64::from(c.x_domain_log2))),
-                        ("max_connections", Value::U64(c.max_connections as u64)),
-                    ]),
-                    false,
-                )
-            }
+        Ok(match request {
             // Reads are always against fully-applied state; flush is the
             // no-op barrier it promises to be.
-            Request::Flush => (Reply::ok(), false),
-            Request::QueryF2 { c } => match self.with_union(|u| u.f2.query(c)) {
-                Ok(value) => (Reply::Ok(vec![("value", Value::F64(value))]), false),
-                Err(e) => fail(e),
-            },
-            Request::QueryF0 { c } => {
-                match self.with_union(|u| u.f0.query(c.min(self.config.y_max))) {
-                    Ok(value) => (Reply::Ok(vec![("value", Value::F64(value))]), false),
-                    Err(e) => fail(e),
-                }
+            Request::Ping | Request::Flush | Request::Shutdown => Reply::ok(),
+            Request::Config => {
+                let c = &self.config;
+                Reply::Ok(vec![
+                    ("role", Value::Str("aggregator".to_string())),
+                    ("fingerprint", Value::U64(self.fingerprint)),
+                    ("epsilon", Value::F64(c.epsilon)),
+                    ("delta", Value::F64(c.delta)),
+                    ("y_max", Value::U64(c.y_max)),
+                    ("max_stream_len", Value::U64(c.max_stream_len)),
+                    ("seed", Value::U64(c.seed)),
+                    ("phi", Value::F64(c.phi)),
+                    ("x_domain_log2", Value::U64(u64::from(c.x_domain_log2))),
+                    ("max_connections", Value::U64(c.max_connections as u64)),
+                ])
             }
-            Request::QueryRarity { c } => {
-                match self.with_union(|u| u.rarity.query(c.min(self.config.y_max))) {
-                    Ok(value) => (Reply::Ok(vec![("value", Value::F64(value))]), false),
-                    Err(e) => fail(e),
-                }
-            }
-            Request::QueryHeavyHitters { c, phi } => {
-                match self.with_union(|u| u.hh.query_heavy_hitters(c, phi)) {
-                    Ok(hitters) => {
-                        let items: Vec<u64> = hitters.iter().map(|h| h.item).collect();
-                        let freqs: Vec<f64> = hitters.iter().map(|h| h.frequency).collect();
-                        let shares: Vec<f64> = hitters.iter().map(|h| h.share).collect();
-                        (
-                            Reply::Ok(vec![
-                                ("items", Value::U64Array(items)),
-                                ("frequencies", Value::F64Array(freqs)),
-                                ("shares", Value::F64Array(shares)),
-                            ]),
-                            false,
-                        )
-                    }
-                    Err(e) => fail(e),
-                }
-            }
-            Request::SetF0 { a, b, op, c } => (self.set_f0(&a, &b, op, c), false),
+            Request::QueryF2 { .. }
+            | Request::QueryF0 { .. }
+            | Request::QueryRarity { .. }
+            | Request::QueryHeavyHitters { .. } => self.union_answer(&request)?,
+            Request::SetF0 { a, b, op, c } => self.set_f0(&a, &b, op, c)?,
             Request::Streams => {
-                let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+                let state = self.state()?;
                 let names: Vec<&str> = state.streams.keys().map(String::as_str).collect();
-                (
-                    Reply::Ok(vec![
-                        ("streams", Value::Str(names.join(","))),
-                        ("count", Value::U64(names.len() as u64)),
-                    ]),
-                    false,
-                )
+                Reply::Ok(vec![
+                    ("streams", Value::Str(names.join(","))),
+                    ("count", Value::U64(names.len() as u64)),
+                ])
             }
             Request::ReplHello { stream, fingerprint, g_to: _ } => {
-                (self.repl_hello(&stream, fingerprint), false)
+                self.repl_hello(&stream, fingerprint)?
             }
-            Request::ReplDelta { stream, frame } => (self.repl_apply(&stream, &frame, false), false),
-            Request::ReplSnapshot { stream, frame } => {
-                (self.repl_apply(&stream, &frame, true), false)
-            }
+            Request::ReplDelta { stream, frame } => self.repl_apply(&stream, &frame, false)?,
+            Request::ReplSnapshot { stream, frame } => self.repl_apply(&stream, &frame, true)?,
             Request::Stats => {
-                let (stream_count, epoch, high_water_sum) = {
-                    let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    let sum = state.streams.values().map(|s| s.high_water).sum::<u64>();
-                    (state.streams.len() as u64, state.epoch, sum)
-                };
-                (
-                    Reply::Ok(vec![
-                        ("requests", Value::U64(self.requests.load(Ordering::Relaxed))),
-                        ("streams", Value::U64(stream_count)),
-                        ("epoch", Value::U64(epoch)),
-                        ("high_water_sum", Value::U64(high_water_sum)),
-                        (
-                            "deltas_applied",
-                            Value::U64(self.deltas_applied.load(Ordering::Relaxed)),
-                        ),
-                        (
-                            "snapshots_applied",
-                            Value::U64(self.snapshots_applied.load(Ordering::Relaxed)),
-                        ),
-                        (
-                            "repl_rejected",
-                            Value::U64(self.repl_rejected.load(Ordering::Relaxed)),
-                        ),
-                    ]),
-                    false,
-                )
+                let state = self.state()?;
+                let high_water_sum = state.streams.values().map(|s| s.high_water).sum::<u64>();
+                let count = |counter: &AtomicU64| Value::U64(counter.load(Ordering::Relaxed));
+                Reply::Ok(vec![
+                    ("requests", count(&self.requests)),
+                    ("streams", Value::U64(state.streams.len() as u64)),
+                    ("epoch", Value::U64(state.epoch)),
+                    ("high_water_sum", Value::U64(high_water_sum)),
+                    ("deltas_applied", count(&self.deltas_applied)),
+                    ("snapshots_applied", count(&self.snapshots_applied)),
+                    ("repl_rejected", count(&self.repl_rejected)),
+                ])
             }
-            Request::Auth { .. } => (
-                Reply::request_error(
-                    "auth is handled by the connection transport before dispatch",
-                ),
-                false,
+            Request::Auth { .. } => Reply::request_error(
+                "auth is handled by the connection transport before dispatch",
             ),
             Request::Ingest { .. } => not_here("ingest"),
             Request::WindowF2 { .. } | Request::WindowF0 { .. } => {
                 not_here("a windowed query (windows do not replicate)")
             }
             Request::Snapshot { .. } => not_here("snapshot"),
-            Request::Shutdown => (Reply::ok(), true),
-        }
+        })
     }
 }
 
@@ -598,7 +436,9 @@ impl ServiceCore for AggCore {
     }
 
     fn handle(&self, request: Request) -> (Reply, bool) {
-        AggCore::handle(self, request)
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let stop = matches!(request, Request::Shutdown);
+        (self.answer(request).unwrap_or_else(Reply::from), stop)
     }
 
     fn ingest_binary(&self, _tuples: &[(u64, u64)], _ts: &[u64], _seq: Option<(u64, u64)>) -> Reply {
@@ -670,6 +510,15 @@ struct ReplShared {
     cvar: Condvar,
 }
 
+impl ReplShared {
+    /// Every critical section on the progress assigns scalars or one
+    /// message, so a panic cannot leave it half-updated and a poisoned lock
+    /// is safe to enter.
+    fn progress(&self) -> MutexGuard<'_, ReplProgress> {
+        self.progress.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Handle to a running replication thread (one per
 /// [`ServeConfig::replicate`] server).
 pub struct ReplicatorHandle {
@@ -683,11 +532,7 @@ impl ReplicatorHandle {
     /// generation. A pass that could not reach the aggregator returns its
     /// error (the thread keeps retrying in the background regardless).
     pub(crate) fn sync(&self, timeout: Duration) -> Result<u64, String> {
-        let mut progress = self
-            .shared
-            .progress
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut progress = self.shared.progress();
         progress.sync_requests += 1;
         let ticket = progress.sync_requests;
         self.shared.cvar.notify_all();
@@ -716,11 +561,7 @@ impl ReplicatorHandle {
     /// Stop the thread and wait for it to exit.
     pub(crate) fn stop_and_join(&mut self) {
         {
-            let mut progress = self
-                .shared
-                .progress
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut progress = self.shared.progress();
             progress.stop = true;
             self.shared.cvar.notify_all();
         }
@@ -813,11 +654,7 @@ impl Replicator {
                 _ => None,
             };
             let result = self.pass();
-            let mut progress = self
-                .shared
-                .progress
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut progress = self.shared.progress();
             match result {
                 Ok(()) => {
                     self.failures = 0;
@@ -849,11 +686,7 @@ impl Replicator {
 
     /// Sleep until the next tick, a sync barrier, or stop.
     fn wait(&self, wait: Duration) -> Wake {
-        let mut progress = self
-            .shared
-            .progress
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut progress = self.shared.progress();
         let deadline = Instant::now() + wait;
         loop {
             if progress.stop {
@@ -914,11 +747,7 @@ impl Replicator {
                 .expect("a full cut is never skipped as idle");
             self.pending.push_back(cut);
             self.need_full = false;
-            let mut progress = self
-                .shared
-                .progress
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut progress = self.shared.progress();
             progress.full_resyncs += 1;
         } else if let Some(cut) = self
             .core
@@ -945,11 +774,7 @@ impl Replicator {
             match result {
                 Ok(_high_water) => {
                     let acked = self.pending.pop_front().expect("front exists");
-                    let mut progress = self
-                        .shared
-                        .progress
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
+                    let mut progress = self.shared.progress();
                     progress.acked_gen = acked.g_to;
                     progress.shipped += 1;
                 }
@@ -1065,17 +890,17 @@ mod tests {
     fn hello_registers_and_rejects_mismatched_fingerprints() {
         let core = AggCore::new(test_config()).unwrap();
         let fp = test_config().replication_fingerprint();
-        let reply = core.repl_hello("node-a", fp);
+        let reply = core.repl_hello("node-a", fp).unwrap();
         assert_eq!(reply, Reply::Ok(vec![("high_water", Value::U64(0))]));
         // Same stream again: still registered, same high water.
-        let reply = core.repl_hello("node-a", fp);
+        let reply = core.repl_hello("node-a", fp).unwrap();
         assert_eq!(reply, Reply::Ok(vec![("high_water", Value::U64(0))]));
         // Wrong fingerprint: refused and counted.
-        let reply = core.repl_hello("node-a", fp ^ 1);
+        let reply = core.repl_hello("node-a", fp ^ 1).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         assert_eq!(core.repl_rejected.load(Ordering::Relaxed), 1);
         // Bad names never register.
-        let reply = core.repl_hello("no spaces", fp);
+        let reply = core.repl_hello("no spaces", fp).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
     }
 
@@ -1084,31 +909,142 @@ mod tests {
         let core = AggCore::new(test_config()).unwrap();
         let fp = test_config().replication_fingerprint();
         // Garbage container.
-        let reply = core.repl_apply("node-a", b"garbage", false);
+        let reply = core.repl_apply("node-a", b"garbage", false).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         // Unknown stream with a structurally valid (but empty) container.
         let header = cora_core::DeltaHeader { g_from: 0, g_to: 1, fingerprint: fp };
         let mut frame = Vec::new();
         cora_core::snapshot::seal_delta_into(&header, &[], &mut frame);
-        let reply = core.repl_apply("node-a", &frame, true);
+        let reply = core.repl_apply("node-a", &frame, true).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         // Registered stream, but the container is missing its sections.
-        core.repl_hello("node-a", fp);
-        let reply = core.repl_apply("node-a", &frame, true);
+        core.repl_hello("node-a", fp).unwrap();
+        let reply = core.repl_apply("node-a", &frame, true).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         // A snapshot op must carry g_from = 0.
         let header = cora_core::DeltaHeader { g_from: 3, g_to: 4, fingerprint: fp };
         let mut frame = Vec::new();
         cora_core::snapshot::seal_delta_into(&header, &[], &mut frame);
-        let reply = core.repl_apply("node-a", &frame, true);
+        let reply = core.repl_apply("node-a", &frame, true).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         assert!(core.repl_rejected.load(Ordering::Relaxed) >= 4);
+    }
+
+    /// A container holding `n` tuples' worth of sketches built under
+    /// `built_with`, sealed with `header`.
+    fn container(built_with: &ServeConfig, header: &cora_core::DeltaHeader, n: u64) -> Vec<u8> {
+        let tuples: Vec<(u64, u64)> = (0..n).map(|i| (i % 97, (i * 31) % 4096)).collect();
+        let mut f2 = cora_core::CorrelatedSketch::new(
+            built_with.f2_aggregate(),
+            built_with.f2_config().unwrap(),
+        )
+        .unwrap();
+        f2.update_batch(&tuples).unwrap();
+        let mut aux = crate::sketches::AuxSet::fresh(built_with).unwrap();
+        aux.insert_batch(&tuples).unwrap();
+        crate::sketches::seal_container(header, &f2.snapshot(), &aux.frames())
+    }
+
+    /// Every whole-stream answer the aggregator gives, rendered, plus the
+    /// stream's chain position — what a rejected container must not move.
+    fn observable(core: &AggCore, stream: &str) -> (Vec<String>, u64, u64) {
+        let answers = [
+            Request::QueryF2 { c: 4095 },
+            Request::QueryF0 { c: 2000 },
+            Request::QueryRarity { c: 4095 },
+            Request::QueryHeavyHitters { c: 4095, phi: 0.05 },
+        ]
+        .into_iter()
+        .map(|request| core.handle(request).0.render_json())
+        .collect();
+        let state = core.state().unwrap();
+        (answers, state.streams[stream].high_water, state.epoch)
+    }
+
+    #[test]
+    fn a_container_missing_any_section_or_built_under_other_parameters_changes_nothing() {
+        let config = test_config();
+        let core = AggCore::new(config.clone()).unwrap();
+        let fp = config.replication_fingerprint();
+        core.repl_hello("node-a", fp).unwrap();
+        let base = cora_core::DeltaHeader { g_from: 0, g_to: 1, fingerprint: fp };
+        let reply = core.repl_apply("node-a", &container(&config, &base, 3_000), true).unwrap();
+        assert_eq!(reply, Reply::Ok(vec![("high_water", Value::U64(1))]));
+        let before = observable(&core, "node-a");
+        let rejected_before = core.repl_rejected.load(Ordering::Relaxed);
+
+        // Drop each of the four sections in turn from an otherwise valid
+        // delta: refused, and no family of the stream has merged anything.
+        let next = cora_core::DeltaHeader { g_from: 1, g_to: 2, fingerprint: fp };
+        let whole = container(&config, &next, 500);
+        let (_, sections) = open_delta(&whole).unwrap();
+        assert_eq!(sections.len(), 4);
+        for missing in 0..sections.len() {
+            let mut partial = sections.clone();
+            partial.remove(missing);
+            // Both as a chained delta and as a full replacement.
+            for (header, snapshot_op) in [(&next, false), (&base, true)] {
+                let mut frame = Vec::new();
+                cora_core::snapshot::seal_delta_into(header, &partial, &mut frame);
+                let reply = core.repl_apply("node-a", &frame, snapshot_op).unwrap();
+                assert!(matches!(reply, Reply::Error(_)), "section {missing}: {reply:?}");
+                assert_eq!(observable(&core, "node-a"), before, "section {missing}");
+            }
+        }
+
+        // Sketches built under another phi restore cleanly (frames describe
+        // themselves) and three of the four families would merge; with the
+        // aggregator's fingerprint forged onto the container, the parameter
+        // check is what keeps the stream from being merged half-way.
+        let other = ServeConfig { phi: 0.2, ..config.clone() };
+        assert_ne!(other.replication_fingerprint(), fp);
+        let reply = core.repl_apply("node-a", &container(&other, &next, 500), false).unwrap();
+        assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
+        assert_eq!(observable(&core, "node-a"), before);
+        let reply = core.repl_apply("node-a", &container(&other, &base, 500), true).unwrap();
+        assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
+        assert_eq!(observable(&core, "node-a"), before);
+        assert_eq!(core.repl_rejected.load(Ordering::Relaxed), rejected_before + 10);
+
+        // The chain is intact: the whole delta still applies.
+        let reply = core.repl_apply("node-a", &whole, false).unwrap();
+        assert_eq!(reply, Reply::Ok(vec![("high_water", Value::U64(2))]));
+        assert_ne!(observable(&core, "node-a").0, before.0);
     }
 
     #[test]
     fn set_f0_requires_known_streams() {
         let core = AggCore::new(test_config()).unwrap();
-        let reply = core.set_f0("a", "b", SetOp::Union, 100);
+        let reply = core.set_f0("a", "b", SetOp::Union, 100).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
+    }
+
+    #[test]
+    fn a_poisoned_aggregator_refuses_state_ops_but_stays_reachable() {
+        let core = Arc::new(AggCore::new(test_config()).unwrap());
+        let fp = test_config().replication_fingerprint();
+        core.repl_hello("node-a", fp).unwrap();
+        let panicking = Arc::clone(&core);
+        let _ = thread::spawn(move || {
+            let _state = panicking.state().unwrap();
+            panic!("poison the aggregator state (expected in this test)");
+        })
+        .join();
+        for request in [
+            Request::QueryF0 { c: 10 },
+            Request::Stats,
+            Request::Streams,
+            Request::ReplHello { stream: "node-b".into(), fingerprint: fp, g_to: 0 },
+        ] {
+            let (reply, stop) = core.handle(request);
+            let rendered = reply.render_json();
+            assert!(rendered.contains("\"kind\":\"server\""), "{rendered}");
+            assert!(rendered.contains("poisoned"), "{rendered}");
+            assert!(!stop);
+        }
+        for request in [Request::Ping, Request::Config, Request::Flush] {
+            assert!(matches!(core.handle(request).0, Reply::Ok(_)));
+        }
+        assert!(core.handle(Request::Shutdown).1);
     }
 }

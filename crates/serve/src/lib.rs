@@ -36,9 +36,12 @@
 //!   a length-prefixed **binary frame protocol** ([`wire`]) with pipelined
 //!   no-ack batch ingest. Both expose the same ops — batch ingest,
 //!   `f2`/`f0`/`rarity`/heavy-hitter queries, windowed slices, flush,
-//!   snapshot, stats — with bit-identical answers. Connections are
-//!   multiplexed over a small fixed worker pool and bounded by
-//!   [`server::ServeConfig::max_connections`]. The blocking
+//!   snapshot, stats — with bit-identical answers. Everything a batch
+//!   mutates sits behind the node's one state lock (a panic under it fails
+//!   the node closed until a restart recovers from the journal); `f2`
+//!   alone is read lock-free from the merger. Connections are multiplexed
+//!   over a small fixed worker pool — the transport both node kinds share
+//!   — and bounded by [`server::ServeConfig::max_connections`]. The blocking
 //!   [`client::ServeClient`] speaks either protocol and is used by the
 //!   `serve_demo` example and the `serve_latency` bench;
 //! * [`cluster`] — **distributed fan-in**: ingest nodes replicate their
@@ -87,6 +90,8 @@ pub mod merger;
 pub mod protocol;
 pub mod retry;
 pub mod server;
+mod sketches;
+mod transport;
 pub mod wire;
 
 pub use client::ServeClient;

@@ -1,48 +1,50 @@
-//! The always-on query server: a `std::net::TcpListener` front speaking
-//! both wire protocols (newline-JSON and [binary frames](crate::wire),
-//! negotiated per connection by its first byte) over one sharded
-//! correlated-`F_2` ingest (queried through the
+//! The ingest node: one sharded correlated-`F_2` ingest (queried through the
 //! [background merger](crate::merger)) plus synchronously-updated
-//! `F_0`/rarity/heavy-hitter sketches, with snapshot persistence.
+//! `F_0`/rarity/heavy-hitter sketches and two windowed pane rings, with
+//! snapshot persistence, a write-ahead journal, and an optional replication
+//! feed. Connections reach it through the transport stack it shares with
+//! the aggregator (`crate::transport`).
 //!
 //! ## Architecture
 //!
 //! ```text
-//!      TCP clients (JSON lines or binary frames; first-byte sniff)
-//!        │ accept thread → fixed worker pool, non-blocking reads
-//!        │ ingest / flush            │ f2 queries
-//!        ▼                           ▼
-//!   Mutex<ShardedIngest<F2>>   BackgroundMerger ── epoch-published
-//!      │ SPSC rings → N shards ◄── ShardReader       composite
-//!      ▼                          (demand-bounded rebuilds off the
-//!   Mutex<{CorrelatedF0,            read path)
-//!          CorrelatedRarity, CorrelatedHeavyHitters}>
-//!      ▲ f0 / rarity / heavy_hitters queries + synchronous inserts
+//!      transport workers (JSON lines or binary frames)
+//!        │ ingest / flush / f0 / rarity / hh /      │ f2 queries
+//!        │ window_* / stats / snapshot / repl cut   │ (never take the lock)
+//!        ▼                                          ▼
+//!   Mutex<NodeState> ── the one state lock     BackgroundMerger ── epoch-
+//!     ShardedIngest<F2> ─ SPSC rings → N shards ◄── ShardReader   published
+//!     AuxSet {F0, rarity, HH}  (+ delta copy while replicating)   composite
+//!     WindowedF2, WindowedF0, tick clock
+//!     (writer, seq) high-water marks
+//!     journal + rotation state
 //! ```
 //!
-//! Connections are served by a **fixed pool of polling workers** (2–4
-//! threads) instead of one thread each: the acceptor hands sockets to
-//! workers round-robin; each worker sweeps its sockets with non-blocking
-//! reads, spinning while traffic flows and backing off to timed sleeps as
-//! they idle. [`ServeConfig::max_connections`] bounds the total; over the
-//! limit, a connection is answered with one error line and closed.
+//! Everything a batch mutates lives in one `NodeState` behind one mutex,
+//! reached through one accessor. Ingest holds it for the whole batch —
+//! dedupe, journal append, every structure's insert — so the batch is
+//! visible everywhere or nowhere, and a snapshot, a rotation or a replication
+//! cut (which take the same lock) can never see the structures at different
+//! stream prefixes. A panic under the lock poisons it, and a poisoned lock is
+//! never entered: every op that needs the state then answers a `server`
+//! error until a restart recovers the acked batches from the journal.
 //!
 //! `f2` answers come from the merger's published composite and therefore lag
 //! ingest by at most `merge_every − 1` applied batches plus one in-flight
-//! rebuild — and never block on that rebuild. The auxiliary sketches are
-//! updated inline under their own lock (they are `O(1)`-ish per insert) and
-//! answer with read-your-writes semantics. `flush` is the barrier that makes
-//! `f2` exact too.
+//! rebuild — and never block on that rebuild or on the state lock. The
+//! auxiliary sketches (`crate::sketches`) answer under the lock with
+//! read-your-writes semantics. `flush` is the barrier that makes `f2` exact
+//! too.
 //!
 //! ## Windowed structures
 //!
 //! Alongside the whole-stream sketches the server hosts two pane rings
 //! (`cora_stream::windowed`): a windowed correlated `F_2` and a windowed
-//! correlated `F_0`, updated under their own lock on every ingest. Tuples
-//! carry either client-supplied timestamps (the optional `ts` ingest array)
-//! or consecutive server-side arrival ticks; `window_f2` / `window_f0`
-//! answer sliding-window thresholds over them and report the pane-aligned
-//! resolved span alongside the value.
+//! correlated `F_0`, updated on every ingest. Tuples carry either
+//! client-supplied timestamps (the optional `ts` ingest array) or consecutive
+//! server-side arrival ticks; `window_f2` / `window_f0` answer sliding-window
+//! thresholds over them and report the pane-aligned resolved span alongside
+//! the value.
 //!
 //! ## Snapshot bundle
 //!
@@ -74,13 +76,11 @@ use crate::journal::{
     Storage,
 };
 use crate::merger::BackgroundMerger;
-use crate::protocol::{self, Reply, Request, Value};
-use crate::wire::{self, Opcode};
-use cora_core::snapshot::{open_frame, seal_delta_into, seal_frame_into, DeltaHeader};
-use cora_core::{
-    CoreError, CorrelatedConfig, CorrelatedF0, CorrelatedHeavyHitters, CorrelatedRarity,
-    F2Aggregate, SnapshotKind,
-};
+use crate::protocol::{Reply, Request, Value};
+use crate::sketches::{seal_container, value_reply, AuxSet};
+use crate::transport::{spawn_acceptor, ServiceCore, NET_TICK};
+use cora_core::snapshot::{open_frame, seal_frame_into, DeltaHeader};
+use cora_core::{CoreError, CorrelatedConfig, F2Aggregate, SnapshotKind};
 use cora_sketch::codec::{ByteReader, ByteWriter};
 use cora_stream::windowed::{
     windowed_f0, windowed_f2, PaneConfig, PaneRing, WindowPane, WindowedF0, WindowedF2,
@@ -88,11 +88,10 @@ use cora_stream::windowed::{
 use cora_stream::ShardedIngest;
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -290,50 +289,14 @@ impl ServeConfig {
         cora_sketch::codec::fnv1a64(w.as_bytes())
     }
 
-    /// A fresh correlated-`F_0` sampler with this config's parameters.
-    pub(crate) fn fresh_f0(&self) -> Result<CorrelatedF0, CoreError> {
-        CorrelatedF0::with_seed(
-            self.epsilon,
-            self.delta,
-            self.x_domain_log2,
-            self.y_max,
-            self.seed,
-        )
-    }
-
-    /// A fresh correlated-rarity sampler with this config's parameters.
-    pub(crate) fn fresh_rarity(&self) -> Result<CorrelatedRarity, CoreError> {
-        CorrelatedRarity::with_seed(self.epsilon, self.x_domain_log2, self.y_max, self.seed)
-    }
-
-    /// A fresh correlated heavy-hitters sketch with this config's
-    /// parameters.
-    pub(crate) fn fresh_hh(&self) -> Result<CorrelatedHeavyHitters, CoreError> {
-        CorrelatedHeavyHitters::with_seed(
-            self.epsilon,
-            self.delta,
-            self.phi,
-            self.y_max,
-            self.max_stream_len,
-            self.seed,
-        )
-    }
-
-    /// A fresh (empty) correlated-`F_2` framework sketch with this config's
-    /// parameters — the aggregator's per-stream and union composite shape.
-    pub(crate) fn fresh_f2_sketch(
-        &self,
-    ) -> Result<cora_core::CorrelatedSketch<F2Aggregate>, CoreError> {
-        cora_core::CorrelatedSketch::new(self.f2_aggregate(), self.f2_config()?)
-    }
-
     /// The derived correlated-`F_2` aggregate.
     pub(crate) fn f2_aggregate(&self) -> F2Aggregate {
         F2Aggregate::new(self.epsilon, self.delta, self.seed)
     }
 
-    /// The derived framework configuration for the `F_2` structure.
-    fn f2_config(&self) -> Result<CorrelatedConfig, CoreError> {
+    /// The derived framework configuration for the `F_2` structure (and for
+    /// the heavy-hitters sketch, which runs the same framework).
+    pub(crate) fn f2_config(&self) -> Result<CorrelatedConfig, CoreError> {
         use cora_core::CorrelatedAggregate;
         let agg = self.f2_aggregate();
         Ok(CorrelatedConfig::new(
@@ -364,24 +327,7 @@ struct WindowState {
     clock: u64,
 }
 
-/// The auxiliary sketches updated synchronously on every ingest, plus —
-/// while replication is enabled — since-last-cut delta copies fed the same
-/// tuples. [`ServerCore::repl_cut`] swaps the deltas for fresh ones, so each
-/// cut covers exactly the tuples between two cuts (Property V makes merging
-/// such a delta on the aggregator equivalent to having streamed the tuples
-/// there directly).
-struct AuxSketches {
-    f0: CorrelatedF0,
-    rarity: CorrelatedRarity,
-    hh: CorrelatedHeavyHitters,
-    f0_delta: Option<CorrelatedF0>,
-    rarity_delta: Option<CorrelatedRarity>,
-    hh_delta: Option<CorrelatedHeavyHitters>,
-}
-
 /// The live durability machinery: the open journal plus rotation state.
-/// `None` inside the server's `durable` slot while durability is off (and
-/// during recovery replay, which must not re-journal what it reads).
 struct DurableState {
     storage: Arc<dyn Storage>,
     dir: PathBuf,
@@ -397,22 +343,57 @@ struct DurableState {
     last_snapshot: Instant,
 }
 
-/// Shared server state.
-pub(crate) struct ServerCore {
-    config: ServeConfig,
-    sharded: Mutex<ShardedIngest<F2Aggregate>>,
-    aux: Mutex<AuxSketches>,
-    windows: Mutex<WindowState>,
-    merger: BackgroundMerger<F2Aggregate>,
+/// Everything a batch mutates, behind the core's one state lock (see the
+/// module docs); the journal receives batches in exactly apply order.
+struct NodeState {
+    sharded: ShardedIngest<F2Aggregate>,
+    /// `F_0`, rarity and heavy hitters, updated inline on every ingest.
+    aux: AuxSet,
+    /// While replication is enabled: a since-last-cut copy of `aux` fed the
+    /// same tuples. [`ServerCore::repl_cut`] swaps it for a fresh one, so
+    /// each cut covers exactly the tuples between two cuts (Property V makes
+    /// merging such a delta on the aggregator equivalent to having streamed
+    /// the tuples there directly).
+    aux_delta: Option<AuxSet>,
+    windows: WindowState,
     /// Per-writer ingest sequence high-water marks: a batch tagged
     /// `(writer, seq)` with `seq` at or below the mark is a duplicate
     /// resend and is acked without being applied (idempotent replay).
-    seqs: Mutex<HashMap<u64, u64>>,
-    /// `Some` once durability is open. Lock order: `sharded` → `aux` →
-    /// `windows` → `seqs` → `durable` (ingest and rotation both follow it).
-    durable: Mutex<Option<DurableState>>,
+    seqs: HashMap<u64, u64>,
+    /// `Some` once durability is open; `None` while it is off and during
+    /// recovery replay, which must not re-journal what it reads.
+    durable: Option<DurableState>,
+}
+
+/// A state lock was poisoned: a thread panicked while holding it, so the
+/// structures behind it may be half-updated. Nothing is served from them
+/// again — every op that needs the lock answers a `server` error, and a
+/// restart recovers every acked batch from the snapshot and journal.
+#[derive(Debug)]
+pub(crate) struct StatePoisoned;
+
+const POISONED: &str =
+    "core state poisoned by an earlier panic; restart to recover from the journal";
+
+impl From<StatePoisoned> for Reply {
+    fn from(_: StatePoisoned) -> Self {
+        Reply::server_error(POISONED)
+    }
+}
+
+impl From<StatePoisoned> for ServeError {
+    fn from(_: StatePoisoned) -> Self {
+        ServeError::Invalid(POISONED.into())
+    }
+}
+
+/// Shared server state.
+pub(crate) struct ServerCore {
+    config: ServeConfig,
+    /// Reached only through [`ServerCore::state`].
+    state: Mutex<NodeState>,
+    merger: BackgroundMerger<F2Aggregate>,
     requests: AtomicU64,
-    accepted: AtomicU64,
     snapshots: AtomicU64,
     journal_batches: AtomicU64,
     journal_bytes: AtomicU64,
@@ -423,19 +404,6 @@ pub(crate) struct ServerCore {
     /// while nothing new has arrived.
     repl_cut_items: AtomicU64,
 }
-
-/// Section tags inside a replication delta container
-/// ([`SnapshotKind::Delta`](cora_core::SnapshotKind)), one per replicated
-/// structure. The windowed pane rings and the per-writer sequence map are
-/// deliberately *not* replicated: the aggregator serves whole-stream
-/// queries over the union, and idempotency is a per-upstream concern.
-pub(crate) const REPL_SECTION_F2: u8 = 1;
-/// Delta container section tag: the `F_0` sampler frame.
-pub(crate) const REPL_SECTION_F0: u8 = 2;
-/// Delta container section tag: the rarity sampler frame.
-pub(crate) const REPL_SECTION_RARITY: u8 = 3;
-/// Delta container section tag: the heavy-hitters frame.
-pub(crate) const REPL_SECTION_HH: u8 = 4;
 
 /// One replication cut: a sealed [`SnapshotKind::Delta`] container plus the
 /// generation span `(g_from, g_to]` it covers. `g_from == 0` marks a full
@@ -516,13 +484,8 @@ pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Bundle, ServeError> {
         )));
     }
     let sections = r.get_u8().map_err(|e| invalid(e.to_string()))?;
-    let mut f2 = None;
-    let mut f0 = None;
-    let mut rarity = None;
-    let mut hh = None;
-    let mut window_f2 = None;
-    let mut window_f0 = None;
-    let mut seqs = None;
+    // One slot per section tag (tags are 1-based and dense).
+    let mut slots: [Option<Vec<u8>>; 7] = Default::default();
     for _ in 0..sections {
         let tag = r.get_u8().map_err(|e| invalid(e.to_string()))?;
         let len = r.get_len().map_err(|e| invalid(e.to_string()))?;
@@ -530,16 +493,9 @@ pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Bundle, ServeError> {
             .take(len)
             .map_err(|e| invalid(format!("bundle section {tag}: {e}")))?
             .to_vec();
-        let slot = match tag {
-            SECTION_F2 => &mut f2,
-            SECTION_F0 => &mut f0,
-            SECTION_RARITY => &mut rarity,
-            SECTION_HH => &mut hh,
-            SECTION_WINDOW_F2 => &mut window_f2,
-            SECTION_WINDOW_F0 => &mut window_f0,
-            SECTION_SEQS => &mut seqs,
-            other => return Err(invalid(format!("unknown bundle section tag {other}"))),
-        };
+        let slot = slots
+            .get_mut(usize::from(tag).wrapping_sub(1))
+            .ok_or_else(|| invalid(format!("unknown bundle section tag {tag}")))?;
         if slot.replace(frame).is_some() {
             return Err(invalid(format!("bundle holds section tag {tag} twice")));
         }
@@ -550,16 +506,10 @@ pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Bundle, ServeError> {
             r.remaining()
         )));
     }
-    match (f2, f0, rarity, hh, window_f2, window_f0, seqs) {
-        (
-            Some(f2),
-            Some(f0),
-            Some(rarity),
-            Some(hh),
-            Some(window_f2),
-            Some(window_f0),
-            Some(seqs),
-        ) => Ok(Bundle { f2, f0, rarity, hh, window_f2, window_f0, seqs }),
+    match slots {
+        [Some(f2), Some(f0), Some(rarity), Some(hh), Some(window_f2), Some(window_f0), Some(seqs)] => {
+            Ok(Bundle { f2, f0, rarity, hh, window_f2, window_f0, seqs })
+        }
         _ => Err(invalid("bundle is missing one or more structure sections".into())),
     }
 }
@@ -610,28 +560,66 @@ fn decode_seqs_frame(bytes: &[u8]) -> Result<HashMap<u64, u64>, ServeError> {
 /// Answer one window query: the estimate plus the pane-aligned resolved span
 /// `[resolved_lo, resolved_hi)` it actually covers (all zero while the ring
 /// is empty or nothing falls inside the window).
-fn window_answer<P: WindowPane>(
-    ring: &PaneRing<P>,
-    window: u64,
-    c: u64,
-) -> Result<Vec<(&'static str, Value)>, String> {
-    let empty = vec![
-        ("value", Value::F64(0.0)),
-        ("resolved_lo", Value::U64(0)),
-        ("resolved_hi", Value::U64(0)),
-    ];
+fn window_answer<P: WindowPane>(ring: &PaneRing<P>, window: u64, c: u64) -> Reply {
+    let answer = |value: f64, lo: u64, hi: u64| {
+        Reply::Ok(vec![
+            ("value", Value::F64(value)),
+            ("resolved_lo", Value::U64(lo)),
+            ("resolved_hi", Value::U64(hi)),
+        ])
+    };
     let Some(now) = ring.t_latest() else {
-        return Ok(empty);
+        return answer(0.0, 0, 0);
     };
-    let Some((lo, hi)) = ring.resolved_window(now, window).map_err(|e| e.to_string())? else {
-        return Ok(empty);
-    };
-    let value = ring.query_sliding(window, c).map_err(|e| e.to_string())?;
-    Ok(vec![
-        ("value", Value::F64(value)),
-        ("resolved_lo", Value::U64(lo)),
-        ("resolved_hi", Value::U64(hi)),
-    ])
+    let resolved = ring.resolved_window(now, window).and_then(|span| match span {
+        Some((lo, hi)) => Ok(answer(ring.query_sliding(window, c)?, lo, hi)),
+        None => Ok(answer(0.0, 0, 0)),
+    });
+    resolved.unwrap_or_else(|e| Reply::sketch_error(e.to_string()))
+}
+
+/// The refusal for restored or shipped sketch state (a snapshot bundle, a
+/// durable directory, a replication container) that is not what this config
+/// would build fresh.
+pub(crate) fn config_mismatch(what: &str) -> ServeError {
+    ServeError::Invalid(format!(
+        "sketch state was built under a different serve configuration ({what} differs) — \
+         a config plus a bundle must fully determine a server"
+    ))
+}
+
+impl NodeState {
+    /// Encode the full bundle. The caller holds the state lock, so every
+    /// section describes the same stream prefix — a bundle must fully
+    /// determine a server.
+    fn bundle_bytes(&mut self) -> Result<Vec<u8>, ServeError> {
+        let [f0, rarity, hh] = self.aux.frames();
+        let bundle = Bundle {
+            f2: self.sharded.snapshot()?,
+            f0,
+            rarity,
+            hh,
+            window_f2: self.windows.f2.snapshot(),
+            window_f0: self.windows.f0.snapshot(),
+            seqs: encode_seqs_frame(&self.seqs),
+        };
+        Ok(encode_bundle(&bundle))
+    }
+
+    /// Whether the background snapshotter should rotate now.
+    fn snapshot_due(&self, config: &DurabilityConfig) -> bool {
+        let Some(ds) = self.durable.as_ref() else {
+            return false;
+        };
+        let by_tuples = config.snapshot_every_tuples > 0
+            && ds.tuples_since >= config.snapshot_every_tuples;
+        let by_time = config.snapshot_interval_ms > 0
+            && ds.last_snapshot.elapsed() >= Duration::from_millis(config.snapshot_interval_ms)
+            && ds.journal.batches() > 0;
+        // A poisoned journal is rotated out as soon as the snapshotter
+        // notices, restoring write availability without operator action.
+        by_tuples || by_time || ds.journal.is_poisoned()
+    }
 }
 
 impl ServerCore {
@@ -648,128 +636,78 @@ impl ServerCore {
         }
         let agg = config.f2_aggregate();
         let f2_config = config.f2_config()?;
-        let fresh_windows = || -> Result<WindowState, ServeError> {
-            Ok(WindowState {
-                f2: windowed_f2(
-                    config.epsilon,
-                    config.delta,
-                    config.y_max,
-                    config.max_stream_len,
-                    config.seed,
-                    config.pane_config(),
-                )?,
-                f0: windowed_f0(
-                    config.epsilon,
-                    config.delta,
-                    config.x_domain_log2,
-                    config.y_max,
-                    config.seed,
-                    config.pane_config(),
-                )?,
-                clock: 0,
-            })
+        let fresh_windows = WindowState {
+            f2: windowed_f2(
+                config.epsilon,
+                config.delta,
+                config.y_max,
+                config.max_stream_len,
+                config.seed,
+                config.pane_config(),
+            )?,
+            f0: windowed_f0(
+                config.epsilon,
+                config.delta,
+                config.x_domain_log2,
+                config.y_max,
+                config.seed,
+                config.pane_config(),
+            )?,
+            clock: 0,
         };
-        let (sharded, aux, windows) = match bundle {
-            None => {
-                let sharded = ShardedIngest::new(agg, f2_config, config.shards)?;
-                let aux = AuxSketches {
-                    f0: config.fresh_f0()?,
-                    rarity: config.fresh_rarity()?,
-                    hh: config.fresh_hh()?,
-                    f0_delta: None,
-                    rarity_delta: None,
-                    hh_delta: None,
-                };
-                (sharded, aux, fresh_windows()?)
-            }
+        let (sharded, aux, windows, seqs) = match bundle {
+            None => (
+                ShardedIngest::new(agg, f2_config, config.shards)?,
+                AuxSet::fresh(&config)?,
+                fresh_windows,
+                HashMap::new(),
+            ),
             Some(bundle) => {
-                let mismatch = |what: &str| {
-                    Err(ServeError::Invalid(format!(
-                        "snapshot bundle was taken under a different serve configuration \
-                         ({what} differs) — a config plus a bundle must fully determine \
-                         a server"
-                    )))
-                };
+                // Every restored structure must match what this config
+                // would build fresh.
                 let sharded = ShardedIngest::restore_from(agg, config.shards, &bundle.f2)?;
                 if *sharded.config() != f2_config {
-                    return mismatch("F2 accuracy, domain, stream bound, or seed");
+                    return Err(config_mismatch("F2 accuracy, domain, stream bound, or seed"));
                 }
-                let aux = AuxSketches {
-                    f0: CorrelatedF0::restore_from(&bundle.f0)?,
-                    rarity: CorrelatedRarity::restore_from(&bundle.rarity)?,
-                    hh: CorrelatedHeavyHitters::restore_from(&bundle.hh)?,
-                    f0_delta: None,
-                    rarity_delta: None,
-                    hh_delta: None,
-                };
-                // Every restored structure must match what this config would
-                // build fresh — including the fields the F2 check cannot see
-                // (x_domain_log2 sizes the samplers, phi the candidate sets).
-                if aux.f0.epsilon() != config.epsilon
-                    || aux.f0.delta() != config.delta
-                    || aux.f0.y_max() != config.y_max
-                    || aux.f0.seed() != config.seed
-                    || aux.f0.x_domain_log2() != config.x_domain_log2
-                {
-                    return mismatch("F0 parameters");
-                }
-                if aux.rarity.epsilon() != config.epsilon
-                    || aux.rarity.y_max() != config.y_max
-                    || aux.rarity.seed() != config.seed
-                    || aux.rarity.x_domain_log2() != config.x_domain_log2
-                {
-                    return mismatch("rarity parameters");
-                }
-                if *aux.hh.aggregate()
-                    != cora_core::heavy_hitters::F2HeavyAggregate::new(
-                        config.epsilon,
-                        config.phi,
-                        config.seed,
-                    )
-                    || *aux.hh.config() != f2_config
-                {
-                    return mismatch("heavy-hitter parameters (phi, accuracy, or seed)");
-                }
+                let aux = AuxSet::from_bundle(bundle)?;
+                aux.matches(&config)?;
                 let wf2 = WindowedF2::restore_from(config.f2_aggregate(), &bundle.window_f2)?;
                 let wf0 = WindowedF0::restore_from(&bundle.window_f0)?;
-                let fresh = fresh_windows()?;
-                if wf2.template().config() != fresh.f2.template().config()
-                    || wf2.pane_config() != fresh.f2.pane_config()
+                if wf2.template().config() != fresh_windows.f2.template().config()
+                    || wf2.pane_config() != fresh_windows.f2.pane_config()
                 {
-                    return mismatch("windowed F2 parameters or pane geometry");
+                    return Err(config_mismatch("windowed F2 parameters or pane geometry"));
                 }
                 let f0t = wf0.template();
-                let fresh_f0t = fresh.f0.template();
+                let fresh_f0t = fresh_windows.f0.template();
                 if f0t.epsilon() != fresh_f0t.epsilon()
                     || f0t.delta() != fresh_f0t.delta()
                     || f0t.y_max() != fresh_f0t.y_max()
                     || f0t.seed() != fresh_f0t.seed()
                     || f0t.x_domain_log2() != fresh_f0t.x_domain_log2()
-                    || wf0.pane_config() != fresh.f0.pane_config()
+                    || wf0.pane_config() != fresh_windows.f0.pane_config()
                 {
-                    return mismatch("windowed F0 parameters or pane geometry");
+                    return Err(config_mismatch("windowed F0 parameters or pane geometry"));
                 }
                 // The arrival clock resumes one past the newest restored tick.
                 let clock = wf2.t_latest().map_or(0, |t| t.saturating_add(1));
                 let windows = WindowState { f2: wf2, f0: wf0, clock };
-                (sharded, aux, windows)
+                (sharded, aux, windows, decode_seqs_frame(&bundle.seqs)?)
             }
-        };
-        let seqs = match bundle {
-            None => HashMap::new(),
-            Some(bundle) => decode_seqs_frame(&bundle.seqs)?,
         };
         let merger = BackgroundMerger::spawn(sharded.reader(), config.merge_every.max(1))?;
         Ok(Self {
             config,
-            sharded: Mutex::new(sharded),
-            aux: Mutex::new(aux),
-            windows: Mutex::new(windows),
+            state: Mutex::new(NodeState {
+                sharded,
+                aux,
+                aux_delta: None,
+                windows,
+                seqs,
+                durable: None,
+            }),
             merger,
-            seqs: Mutex::new(seqs),
-            durable: Mutex::new(None),
             requests: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
             journal_batches: AtomicU64::new(0),
             journal_bytes: AtomicU64::new(0),
@@ -779,32 +717,60 @@ impl ServerCore {
         })
     }
 
+    /// The core a server starts with: restored from `bundle`, empty, or —
+    /// with [`ServeConfig::durability`] set — recovered from the durable
+    /// directory with its next generation opened.
+    fn open(
+        config: ServeConfig,
+        bundle: Option<&Bundle>,
+        storage: Option<Arc<dyn Storage>>,
+    ) -> Result<Self, ServeError> {
+        let Some(durability) = config.durability.clone() else {
+            return Self::build(config, bundle);
+        };
+        let storage = storage.unwrap_or_else(crate::journal::disk_storage);
+        let recovered = recover(&storage, &durability.dir)?;
+        let core = Self::build(config, bundle.or(recovered.bundle.as_ref()))?;
+        // Replay the journal tail through the normal ingest path (the
+        // durable slot is still None, so nothing is re-journaled). Errors
+        // cannot occur for batches that were validated before being
+        // journaled; a reply is still produced and ignored deliberately.
+        for record in &recovered.replay {
+            let _ = core.ingest_tuples(&record.tuples, &record.ts, record.seq);
+        }
+        core.open_durable(&storage, &durability, &recovered)?;
+        Ok(core)
+    }
+
     /// This server's construction parameters (the replicator reads the
     /// replication target and fingerprint from here).
     pub(crate) fn config(&self) -> &ServeConfig {
         &self.config
     }
 
+    /// The one way to the node's mutable state. A poisoned lock is refused,
+    /// never entered: see [`StatePoisoned`].
+    fn state(&self) -> Result<MutexGuard<'_, NodeState>, StatePoisoned> {
+        self.state.lock().map_err(|_| StatePoisoned)
+    }
+
     /// Turn on replication tracking: per-shard `F_2` deltas in the sharded
-    /// ingest plus delta copies of the auxiliary sketches. Everything
+    /// ingest plus a delta copy of the auxiliary sketches. Everything
     /// already ingested stays out of the deltas (the first shipped cut is a
     /// full snapshot, so nothing is lost). Idempotent; called once at start
     /// when [`ServeConfig::replicate`] is set.
     pub(crate) fn enable_replication(&self) -> Result<(), ServeError> {
-        let mut sharded = self.sharded.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut aux = self.aux.lock().unwrap_or_else(PoisonError::into_inner);
-        sharded.enable_delta_tracking()?;
-        if aux.f0_delta.is_none() {
-            aux.f0_delta = Some(self.config.fresh_f0()?);
-            aux.rarity_delta = Some(self.config.fresh_rarity()?);
-            aux.hh_delta = Some(self.config.fresh_hh()?);
+        let mut state = self.state()?;
+        state.sharded.enable_delta_tracking()?;
+        if state.aux_delta.is_none() {
+            state.aux_delta = Some(AuxSet::fresh(&self.config)?);
         }
         Ok(())
     }
 
-    /// Cut one replication unit under the ingest lock order (`sharded` →
-    /// `aux`), so the cut is atomic with respect to batches: every tuple
-    /// lands entirely in this cut or entirely in the next one.
+    /// Cut one replication unit under the state lock, so the cut is atomic
+    /// with respect to batches: every tuple lands entirely in this cut or
+    /// entirely in the next one.
     ///
     /// `full` builds a replacement snapshot of the live structures
     /// (`g_from = 0`); otherwise an incremental delta covering exactly the
@@ -813,8 +779,8 @@ impl ServerCore {
     /// advance, so an idle server never creates a hole in the delta chain.
     pub(crate) fn repl_cut(&self, full: bool) -> Result<Option<ReplCut>, ServeError> {
         let fingerprint = self.config.replication_fingerprint();
-        let mut sharded = self.sharded.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut aux = self.aux.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state()?;
+        let NodeState { sharded, aux, aux_delta, .. } = &mut *state;
         if !sharded.delta_tracking_enabled() {
             return Err(ServeError::Invalid(
                 "replication tracking is not enabled on this server".into(),
@@ -826,109 +792,57 @@ impl ServerCore {
         if !full && sharded.items_accepted() == self.repl_cut_items.load(Ordering::Acquire) {
             return Ok(None);
         }
-        // Build every replacement before swapping anything, so a failed
+        // Build the replacement before swapping anything, so a failed
         // allocation leaves the trackers untouched and consistent.
-        let fresh_f0 = self.config.fresh_f0()?;
-        let fresh_rarity = self.config.fresh_rarity()?;
-        let fresh_hh = self.config.fresh_hh()?;
+        let fresh = AuxSet::fresh(&self.config)?;
         let (g_from_cut, g_to, f2_delta) = sharded.take_delta()?;
-        let f0_delta = aux.f0_delta.replace(fresh_f0).expect("replication enabled");
-        let rarity_delta = aux.rarity_delta.replace(fresh_rarity).expect("replication enabled");
-        let hh_delta = aux.hh_delta.replace(fresh_hh).expect("replication enabled");
+        let cut_aux = aux_delta.replace(fresh).expect("replication enabled");
         self.repl_cut_items.store(sharded.items_accepted(), Ordering::Release);
-        let (g_from, f2, f0, rarity, hh) = if full {
+        let (g_from, f2, aux_frames) = if full {
             // Replacement cut: snapshot the live structures. The delta
             // trackers were still reset above, so the next incremental cut
             // chains cleanly from `g_to`.
-            (
-                0,
-                sharded.snapshot()?,
-                aux.f0.snapshot(),
-                aux.rarity.snapshot(),
-                aux.hh.snapshot(),
-            )
+            (0, sharded.snapshot()?, aux.frames())
         } else {
-            (
-                g_from_cut,
-                f2_delta.snapshot(),
-                f0_delta.snapshot(),
-                rarity_delta.snapshot(),
-                hh_delta.snapshot(),
-            )
+            (g_from_cut, f2_delta.snapshot(), cut_aux.frames())
         };
-        drop(aux);
-        drop(sharded);
+        drop(state);
         let header = DeltaHeader { g_from, g_to, fingerprint };
-        let mut frame = Vec::new();
-        seal_delta_into(
-            &header,
-            &[
-                (REPL_SECTION_F2, f2.as_slice()),
-                (REPL_SECTION_F0, f0.as_slice()),
-                (REPL_SECTION_RARITY, rarity.as_slice()),
-                (REPL_SECTION_HH, hh.as_slice()),
-            ],
-            &mut frame,
-        );
+        let frame = seal_container(&header, &f2, &aux_frames);
         Ok(Some(ReplCut { g_from, g_to, frame }))
     }
 
-    /// Encode the full bundle from already-locked structures, so the caller
-    /// chooses the consistency scope (the plain `snapshot` op versus a
-    /// durable rotation that must also swap the journal atomically).
-    fn bundle_bytes_locked(
-        sharded: &mut ShardedIngest<F2Aggregate>,
-        aux: &AuxSketches,
-        windows: &WindowState,
-        seqs: &HashMap<u64, u64>,
-    ) -> Result<Vec<u8>, ServeError> {
-        let bundle = Bundle {
-            f2: sharded.snapshot()?,
-            f0: aux.f0.snapshot(),
-            rarity: aux.rarity.snapshot(),
-            hh: aux.hh.snapshot(),
-            window_f2: windows.f2.snapshot(),
-            window_f0: windows.f0.snapshot(),
-            seqs: encode_seqs_frame(seqs),
-        };
-        Ok(encode_bundle(&bundle))
-    }
-
-    fn snapshot_bundle(&self) -> Result<Vec<u8>, ServeError> {
-        // Hold the locks (sharded before aux before windows before seqs,
-        // like the ingest path) across the whole bundle, so every section
-        // describes the same stream prefix — a bundle must fully determine
-        // a server.
-        let mut sharded = self.sharded.lock().unwrap_or_else(PoisonError::into_inner);
-        let aux = self.aux.lock().unwrap_or_else(PoisonError::into_inner);
-        let windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
-        let seqs = self.seqs.lock().unwrap_or_else(PoisonError::into_inner);
-        let bytes = Self::bundle_bytes_locked(&mut sharded, &aux, &windows, &seqs)?;
+    /// The plain `snapshot` op's bundle (a durable rotation encodes its own,
+    /// because it must also swap the journal under the same lock hold).
+    fn snapshot_bundle(&self, state: &mut NodeState) -> Result<Vec<u8>, ServeError> {
+        let bytes = state.bundle_bytes()?;
         self.snapshots.fetch_add(1, Ordering::Relaxed);
         Ok(bytes)
     }
 
-    /// Install the durability machinery: open the journal for `generation`,
-    /// publish the matching snapshot of the current (recovered) state, and
-    /// prune generations older than the `retain_from` fallback. Called once
-    /// at start, after recovery replay and before any connection is served.
+    /// Install the durability machinery: open the journal for the generation
+    /// past everything recovery found, publish the matching snapshot of the
+    /// current (recovered) state, and prune generations older than the
+    /// restored fallback. Called once at start, after recovery replay and
+    /// before any connection is served.
     fn open_durable(
         &self,
         storage: &Arc<dyn Storage>,
         config: &DurabilityConfig,
-        generation: u64,
-        retain_from: Option<u64>,
+        recovered: &Recovered,
     ) -> Result<(), ServeError> {
+        let generation = recovered.open_generation;
+        let mut state = self.state()?;
         // Journal before snapshot: if we crash between the two, recovery
         // restores the previous snapshot and replays straight through this
         // (empty) journal — no batch can land in a file recovery won't read.
         let journal = JournalWriter::create(storage.as_ref(), &config.dir, generation)?;
-        let bytes = self.snapshot_bundle()?;
+        let bytes = self.snapshot_bundle(&mut state)?;
         storage.write_atomic(&snapshot_path(&config.dir, generation), &bytes)?;
-        if let Some(floor) = retain_from {
+        if let Some(floor) = recovered.restored_generation {
             Self::prune_generations(storage, &config.dir, floor);
         }
-        let state = DurableState {
+        state.durable = Some(DurableState {
             storage: Arc::clone(storage),
             dir: config.dir.clone(),
             fsync: config.fsync_each_batch,
@@ -936,8 +850,7 @@ impl ServerCore {
             last_good: generation,
             tuples_since: 0,
             last_snapshot: Instant::now(),
-        };
-        *self.durable.lock().unwrap_or_else(PoisonError::into_inner) = Some(state);
+        });
         Ok(())
     }
 
@@ -959,75 +872,49 @@ impl ServerCore {
     /// state and start a fresh journal for the batches after it. Returns
     /// the new generation and the snapshot's size in bytes.
     ///
-    /// Failure leaves the previous generation fully in charge (the old
-    /// journal keeps absorbing batches unless it was already poisoned) and
-    /// is counted in `snapshot_errors`.
-    fn durable_snapshot(&self, auto: bool) -> Result<(u64, u64), ServeError> {
-        // Same lock order as ingest; holding all of them across the
-        // journal swap means every batch lands either before the snapshot
-        // (in its bytes) or after it (in the new journal), never both.
-        let mut sharded = self.sharded.lock().unwrap_or_else(PoisonError::into_inner);
-        let aux = self.aux.lock().unwrap_or_else(PoisonError::into_inner);
-        let windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
-        let seqs = self.seqs.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut durable = self.durable.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(ds) = durable.as_mut() else {
+    /// The caller's hold on the state lock spans the journal swap, so every
+    /// batch lands either before the snapshot (in its bytes) or after it
+    /// (in the new journal), never both. Failure leaves the previous
+    /// generation fully in charge (the old journal keeps absorbing batches
+    /// unless it was already poisoned) and is counted in `snapshot_errors`.
+    fn durable_snapshot(&self, state: &mut NodeState, auto: bool) -> Result<(u64, u64), ServeError> {
+        if state.durable.is_none() {
             return Err(ServeError::Invalid(
                 "durability is not configured on this server".into(),
             ));
-        };
-        let fail = |this: &Self, e: ServeError| {
-            this.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-            Err(e)
-        };
+        }
+        let rotated = Self::rotate(state);
+        if rotated.is_ok() {
+            self.snapshots.fetch_add(1, Ordering::Relaxed);
+            if auto {
+                self.auto_snapshots.fetch_add(1, Ordering::Relaxed);
+            }
+        } else {
+            self.snapshot_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        rotated
+    }
+
+    fn rotate(state: &mut NodeState) -> Result<(u64, u64), ServeError> {
+        let bytes = state.bundle_bytes()?;
+        let ds = state.durable.as_mut().expect("checked by durable_snapshot");
         let new_gen = ds.journal.generation() + 1;
         let prev_good = ds.last_good;
-        let bytes = match Self::bundle_bytes_locked(&mut sharded, &aux, &windows, &seqs) {
-            Ok(bytes) => bytes,
-            Err(e) => return fail(self, e),
-        };
         // Fresh journal first, snapshot second: a crash between the two
         // leaves snap-(prev) + a full journal-(old) + an empty
         // journal-(new), which recovery replays losslessly. The reverse
         // order would strand post-snapshot batches in a journal older than
         // the restored snapshot.
-        let journal = match JournalWriter::create(ds.storage.as_ref(), &ds.dir, new_gen) {
-            Ok(journal) => journal,
-            Err(e) => return fail(self, ServeError::Io(e)),
-        };
-        if let Err(e) =
-            ds.storage.write_atomic(&snapshot_path(&ds.dir, new_gen), &bytes)
-        {
-            // The unused journal-(new) file stays behind; recovery replays
-            // it as empty and the next rotation attempt recreates it.
-            return fail(self, ServeError::Io(e));
-        }
+        let journal = JournalWriter::create(ds.storage.as_ref(), &ds.dir, new_gen)?;
+        // On failure the unused journal-(new) file stays behind; recovery
+        // replays it as empty and the next rotation attempt recreates it.
+        ds.storage.write_atomic(&snapshot_path(&ds.dir, new_gen), &bytes)?;
         ds.journal = journal;
         ds.last_good = new_gen;
         ds.tuples_since = 0;
         ds.last_snapshot = Instant::now();
         Self::prune_generations(&ds.storage, &ds.dir, prev_good);
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        if auto {
-            self.auto_snapshots.fetch_add(1, Ordering::Relaxed);
-        }
         Ok((new_gen, bytes.len() as u64))
-    }
-
-    /// Whether the background snapshotter should rotate now.
-    fn snapshot_due(&self, config: &DurabilityConfig) -> bool {
-        let durable = self.durable.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(ds) = durable.as_ref() else {
-            return false;
-        };
-        let by_tuples = config.snapshot_every_tuples > 0
-            && ds.tuples_since >= config.snapshot_every_tuples;
-        let by_time = config.snapshot_interval_ms > 0
-            && ds.last_snapshot.elapsed() >= Duration::from_millis(config.snapshot_interval_ms)
-            && ds.journal.batches() > 0;
-        // A poisoned journal is rotated out as soon as the snapshotter
-        // notices, restoring write availability without operator action.
-        by_tuples || by_time || ds.journal.is_poisoned()
     }
 
     /// Ingest one validated batch into every hosted structure — the shared
@@ -1053,352 +940,209 @@ impl ServerCore {
                 self.config.y_max
             ));
         }
-        {
-            // All locks are held across the whole batch (sharded before aux
-            // before windows before seqs before durable, the order the
-            // snapshot paths use too), so a concurrent snapshot can never
-            // capture the structures at different stream prefixes, and the
-            // journal receives batches in exactly apply order.
-            let mut sharded = self.sharded.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut aux = self.aux.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut seqs = self.seqs.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some((writer, s)) = seq {
-                if seqs.get(&writer).is_some_and(|&high| s <= high) {
-                    return Reply::Ok(vec![
-                        ("accepted", Value::U64(0)),
-                        ("duplicate", Value::U64(1)),
-                    ]);
-                }
-            }
-            {
-                // Write-ahead: the batch reaches stable storage before any
-                // in-memory structure sees it, so the Ok ack below is a
-                // durability receipt. A journal failure (including a
-                // poisoned journal awaiting rotation) refuses the batch
-                // with a structured io error and applies nothing.
-                let mut durable = self.durable.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(ds) = durable.as_mut() {
-                    let before = ds.journal.bytes();
-                    if let Err(e) = ds.journal.append_batch(tuples, ts, seq, ds.fsync) {
-                        return Reply::io_error(format!("journal append failed: {e}"));
-                    }
-                    ds.tuples_since += tuples.len() as u64;
-                    self.journal_batches.fetch_add(1, Ordering::Relaxed);
-                    self.journal_bytes
-                        .fetch_add(ds.journal.bytes() - before, Ordering::Relaxed);
-                }
-            }
-            if let Err(e) = sharded.ingest(tuples) {
-                return fail(e.to_string());
-            }
-            let aux = &mut *aux;
-            for &(x, y) in tuples {
-                // The replication deltas (present while replication is on)
-                // see exactly the tuples the live sketches see, under the
-                // same lock — a cut can never split a batch.
-                if let Err(e) = aux
-                    .f0
-                    .insert(x, y)
-                    .and_then(|()| aux.rarity.insert(x, y))
-                    .and_then(|()| match aux.f0_delta.as_mut() {
-                        Some(d) => d.insert(x, y),
-                        None => Ok(()),
-                    })
-                    .and_then(|()| match aux.rarity_delta.as_mut() {
-                        Some(d) => d.insert(x, y),
-                        None => Ok(()),
-                    })
-                {
-                    return fail(format!("auxiliary sketch rejected a tuple: {e}"));
-                }
-            }
-            if let Err(e) = aux.hh.update_batch(tuples).and_then(|()| match aux.hh_delta.as_mut() {
-                Some(d) => d.update_batch(tuples),
-                None => Ok(()),
-            }) {
-                return fail(format!("auxiliary sketch rejected a tuple: {e}"));
-            }
-            // Windowed structures: explicit per-tuple timestamps when the
-            // client sent them, the arrival counter otherwise.
-            let windows = &mut *windows;
-            for (i, &(x, y)) in tuples.iter().enumerate() {
-                let t = match ts.get(i) {
-                    Some(&t) => {
-                        windows.clock = windows.clock.max(t.saturating_add(1));
-                        t
-                    }
-                    None => {
-                        let t = windows.clock;
-                        windows.clock = windows.clock.saturating_add(1);
-                        t
-                    }
-                };
-                if let Err(e) = windows
-                    .f2
-                    .observe(x, y, t)
-                    .and_then(|()| windows.f0.observe(x, y, t))
-                {
-                    return fail(format!("windowed structure rejected a tuple: {e}"));
-                }
-            }
-            // Raise the high-water mark only after the batch is journaled
-            // and applied, so a failed batch can be retried with the same
-            // sequence number.
-            if let Some((writer, s)) = seq {
-                seqs.insert(writer, s);
+        // The state lock is held across the whole batch.
+        let mut state = match self.state() {
+            Ok(state) => state,
+            Err(poisoned) => return poisoned.into(),
+        };
+        let NodeState { sharded, aux, aux_delta, windows, seqs, durable } = &mut *state;
+        if let Some((writer, s)) = seq {
+            if seqs.get(&writer).is_some_and(|&high| s <= high) {
+                return Reply::Ok(vec![
+                    ("accepted", Value::U64(0)),
+                    ("duplicate", Value::U64(1)),
+                ]);
             }
         }
-        let n = tuples.len() as u64;
-        self.accepted.fetch_add(n, Ordering::Relaxed);
-        Reply::Ok(vec![("accepted", Value::U64(n))])
+        // Write-ahead: the batch reaches stable storage before any
+        // in-memory structure sees it, so the Ok ack below is a durability
+        // receipt. A journal failure (including a poisoned journal awaiting
+        // rotation) refuses the batch with a structured io error and
+        // applies nothing.
+        if let Some(ds) = durable.as_mut() {
+            let before = ds.journal.bytes();
+            if let Err(e) = ds.journal.append_batch(tuples, ts, seq, ds.fsync) {
+                return Reply::io_error(format!("journal append failed: {e}"));
+            }
+            ds.tuples_since += tuples.len() as u64;
+            self.journal_batches.fetch_add(1, Ordering::Relaxed);
+            self.journal_bytes
+                .fetch_add(ds.journal.bytes() - before, Ordering::Relaxed);
+        }
+        if let Err(e) = sharded.ingest(tuples) {
+            return fail(e.to_string());
+        }
+        // The replication delta (present while replication is on) sees
+        // exactly the tuples the live sketches see, under the same lock — a
+        // cut can never split a batch.
+        for set in std::iter::once(aux).chain(aux_delta) {
+            if let Err(e) = set.insert_batch(tuples) {
+                return fail(format!("auxiliary sketch rejected a tuple: {e}"));
+            }
+        }
+        // Windowed structures: explicit per-tuple timestamps when the
+        // client sent them, the arrival counter otherwise.
+        for (i, &(x, y)) in tuples.iter().enumerate() {
+            let t = match ts.get(i) {
+                Some(&t) => {
+                    windows.clock = windows.clock.max(t.saturating_add(1));
+                    t
+                }
+                None => {
+                    let t = windows.clock;
+                    windows.clock = windows.clock.saturating_add(1);
+                    t
+                }
+            };
+            if let Err(e) = windows
+                .f2
+                .observe(x, y, t)
+                .and_then(|()| windows.f0.observe(x, y, t))
+            {
+                return fail(format!("windowed structure rejected a tuple: {e}"));
+            }
+        }
+        // Raise the high-water mark only after the batch is journaled and
+        // applied, so a failed batch can be retried with the same sequence
+        // number.
+        if let Some((writer, s)) = seq {
+            seqs.insert(writer, s);
+        }
+        Reply::Ok(vec![("accepted", Value::U64(tuples.len() as u64))])
     }
 
-    /// Handle one request; the bool asks the listener to shut down. The
-    /// reply is protocol-agnostic — the connection loop renders it as a JSON
-    /// line or a binary frame to match the client.
-    fn handle(&self, request: Request) -> (Reply, bool) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let fail = |e: String| (Reply::sketch_error(e), false);
-        match request {
-            Request::Ping => (Reply::ok(), false),
+    /// The reply to one request. `ping`, `config`, `shutdown` and `f2` (read
+    /// lock-free from the merger's published composite) never touch the
+    /// state lock; every other op fails with [`StatePoisoned`] once a panic
+    /// has poisoned it.
+    fn answer(&self, request: Request) -> Result<Reply, StatePoisoned> {
+        let y_max = self.config.y_max;
+        Ok(match request {
+            Request::Ping | Request::Shutdown => Reply::ok(),
             Request::Config => {
                 let c = &self.config;
-                (
-                    Reply::Ok(vec![
-                        ("epsilon", Value::F64(c.epsilon)),
-                        ("delta", Value::F64(c.delta)),
-                        ("y_max", Value::U64(c.y_max)),
-                        ("max_stream_len", Value::U64(c.max_stream_len)),
-                        ("seed", Value::U64(c.seed)),
-                        ("shards", Value::U64(c.shards as u64)),
-                        ("merge_every", Value::U64(c.merge_every)),
-                        ("phi", Value::F64(c.phi)),
-                        ("x_domain_log2", Value::U64(u64::from(c.x_domain_log2))),
-                        ("pane_ticks", Value::U64(c.pane_ticks)),
-                        ("pane_k", Value::U64(c.pane_k as u64)),
-                        (
-                            "pane_retention",
-                            c.pane_retention.map_or(Value::Null, Value::U64),
-                        ),
-                        ("max_connections", Value::U64(c.max_connections as u64)),
-                    ]),
-                    false,
-                )
+                Reply::Ok(vec![
+                    ("epsilon", Value::F64(c.epsilon)),
+                    ("delta", Value::F64(c.delta)),
+                    ("y_max", Value::U64(c.y_max)),
+                    ("max_stream_len", Value::U64(c.max_stream_len)),
+                    ("seed", Value::U64(c.seed)),
+                    ("shards", Value::U64(c.shards as u64)),
+                    ("merge_every", Value::U64(c.merge_every)),
+                    ("phi", Value::F64(c.phi)),
+                    ("x_domain_log2", Value::U64(u64::from(c.x_domain_log2))),
+                    ("pane_ticks", Value::U64(c.pane_ticks)),
+                    ("pane_k", Value::U64(c.pane_k as u64)),
+                    (
+                        "pane_retention",
+                        c.pane_retention.map_or(Value::Null, Value::U64),
+                    ),
+                    ("max_connections", Value::U64(c.max_connections as u64)),
+                ])
             }
             Request::Ingest { xs, ys, ts, seq } => {
                 let tuples: Vec<(u64, u64)> = xs.into_iter().zip(ys).collect();
-                (
-                    self.ingest_tuples(&tuples, ts.as_deref().unwrap_or(&[]), seq),
-                    false,
-                )
+                self.ingest_tuples(&tuples, ts.as_deref().unwrap_or(&[]), seq)
             }
             Request::Flush => {
-                self.sharded
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .flush();
+                self.state()?.sharded.flush();
                 self.merger.refresh();
-                (Reply::ok(), false)
+                Reply::ok()
             }
-            Request::QueryF2 { c } => match self.merger.current().sketch().query(c) {
-                Ok(value) => (Reply::Ok(vec![("value", Value::F64(value))]), false),
-                Err(e) => fail(e.to_string()),
-            },
-            Request::QueryF0 { c } => {
-                let aux = self.aux.lock().unwrap_or_else(PoisonError::into_inner);
-                match aux.f0.query(c.min(self.config.y_max)) {
-                    Ok(value) => (Reply::Ok(vec![("value", Value::F64(value))]), false),
-                    Err(e) => fail(e.to_string()),
-                }
-            }
-            Request::QueryRarity { c } => {
-                let aux = self.aux.lock().unwrap_or_else(PoisonError::into_inner);
-                match aux.rarity.query(c.min(self.config.y_max)) {
-                    Ok(value) => (Reply::Ok(vec![("value", Value::F64(value))]), false),
-                    Err(e) => fail(e.to_string()),
-                }
-            }
-            Request::QueryHeavyHitters { c, phi } => {
-                let aux = self.aux.lock().unwrap_or_else(PoisonError::into_inner);
-                match aux.hh.query_heavy_hitters(c, phi) {
-                    Ok(hitters) => {
-                        let items: Vec<u64> = hitters.iter().map(|h| h.item).collect();
-                        let freqs: Vec<f64> = hitters.iter().map(|h| h.frequency).collect();
-                        let shares: Vec<f64> = hitters.iter().map(|h| h.share).collect();
-                        (
-                            Reply::Ok(vec![
-                                ("items", Value::U64Array(items)),
-                                ("frequencies", Value::F64Array(freqs)),
-                                ("shares", Value::F64Array(shares)),
-                            ]),
-                            false,
-                        )
-                    }
-                    Err(e) => fail(e.to_string()),
-                }
-            }
+            Request::QueryF2 { c } => value_reply(self.merger.current().sketch().query(c)),
+            Request::QueryF0 { .. }
+            | Request::QueryRarity { .. }
+            | Request::QueryHeavyHitters { .. } => self.state()?.aux.answer(&request, y_max),
             Request::WindowF2 { window, c } => {
-                let windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
-                match window_answer(&windows.f2, window, c.min(self.config.y_max)) {
-                    Ok(fields) => (Reply::Ok(fields), false),
-                    Err(e) => fail(e),
-                }
+                window_answer(&self.state()?.windows.f2, window, c.min(y_max))
             }
             Request::WindowF0 { window, c } => {
-                let windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
-                match window_answer(&windows.f0, window, c.min(self.config.y_max)) {
-                    Ok(fields) => (Reply::Ok(fields), false),
-                    Err(e) => fail(e),
-                }
+                window_answer(&self.state()?.windows.f0, window, c.min(y_max))
             }
             Request::Stats => {
                 let composite = self.merger.current();
                 let stats = composite.sketch().stats();
-                let accepted = self
-                    .sharded
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .items_accepted();
-                let (window_panes, window_late_dropped, window_clock) = {
-                    let windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
-                    (windows.f2.pane_count(), windows.f2.late_dropped(), windows.clock)
+                let state = self.state()?;
+                let windows = &state.windows;
+                let (durable_on, generation, journal_poisoned) = match state.durable.as_ref() {
+                    Some(ds) => (1, ds.journal.generation(), u64::from(ds.journal.is_poisoned())),
+                    None => (0, 0, 0),
                 };
-                let (durable_on, generation, journal_poisoned) = {
-                    let durable = self.durable.lock().unwrap_or_else(PoisonError::into_inner);
-                    match durable.as_ref() {
-                        Some(ds) => (1, ds.journal.generation(), u64::from(ds.journal.is_poisoned())),
-                        None => (0, 0, 0),
-                    }
-                };
-                (
-                    Reply::Ok(vec![
-                        ("requests", Value::U64(self.requests.load(Ordering::Relaxed))),
-                        ("items_accepted", Value::U64(accepted)),
-                        ("composite_items", Value::U64(stats.items_processed)),
-                        ("composite_epoch", Value::U64(composite.epoch())),
-                        (
-                            "staleness_batches",
-                            Value::U64(self.merger.staleness_batches()),
-                        ),
-                        ("singleton_buckets", Value::U64(stats.singleton_buckets as u64)),
-                        ("dyadic_buckets", Value::U64(stats.dyadic_buckets as u64)),
-                        ("stored_tuples", Value::U64(stats.stored_tuples as u64)),
-                        ("space_bytes", Value::U64(stats.space_bytes as u64)),
-                        (
-                            "snapshots_taken",
-                            Value::U64(self.snapshots.load(Ordering::Relaxed)),
-                        ),
-                        ("window_panes", Value::U64(window_panes as u64)),
-                        ("window_late_dropped", Value::U64(window_late_dropped)),
-                        ("window_clock", Value::U64(window_clock)),
-                        ("durable", Value::U64(durable_on)),
-                        ("generation", Value::U64(generation)),
-                        ("journal_poisoned", Value::U64(journal_poisoned)),
-                        (
-                            "journal_batches",
-                            Value::U64(self.journal_batches.load(Ordering::Relaxed)),
-                        ),
-                        (
-                            "journal_bytes",
-                            Value::U64(self.journal_bytes.load(Ordering::Relaxed)),
-                        ),
-                        (
-                            "auto_snapshots",
-                            Value::U64(self.auto_snapshots.load(Ordering::Relaxed)),
-                        ),
-                        (
-                            "snapshot_errors",
-                            Value::U64(self.snapshot_errors.load(Ordering::Relaxed)),
-                        ),
-                    ]),
-                    false,
-                )
+                let count = |counter: &AtomicU64| Value::U64(counter.load(Ordering::Relaxed));
+                Reply::Ok(vec![
+                    ("requests", count(&self.requests)),
+                    ("items_accepted", Value::U64(state.sharded.items_accepted())),
+                    ("composite_items", Value::U64(stats.items_processed)),
+                    ("composite_epoch", Value::U64(composite.epoch())),
+                    (
+                        "staleness_batches",
+                        Value::U64(self.merger.staleness_batches()),
+                    ),
+                    ("singleton_buckets", Value::U64(stats.singleton_buckets as u64)),
+                    ("dyadic_buckets", Value::U64(stats.dyadic_buckets as u64)),
+                    ("stored_tuples", Value::U64(stats.stored_tuples as u64)),
+                    ("space_bytes", Value::U64(stats.space_bytes as u64)),
+                    ("snapshots_taken", count(&self.snapshots)),
+                    ("window_panes", Value::U64(windows.f2.pane_count() as u64)),
+                    ("window_late_dropped", Value::U64(windows.f2.late_dropped())),
+                    ("window_clock", Value::U64(windows.clock)),
+                    ("durable", Value::U64(durable_on)),
+                    ("generation", Value::U64(generation)),
+                    ("journal_poisoned", Value::U64(journal_poisoned)),
+                    ("journal_batches", count(&self.journal_batches)),
+                    ("journal_bytes", count(&self.journal_bytes)),
+                    ("auto_snapshots", count(&self.auto_snapshots)),
+                    ("snapshot_errors", count(&self.snapshot_errors)),
+                ])
             }
             Request::Snapshot { path } if path.is_empty() => {
                 // Empty path = durable rotation: publish the next snapshot
                 // generation and swap in a fresh journal.
-                match self.durable_snapshot(false) {
-                    Ok((generation, bytes)) => (
-                        Reply::Ok(vec![
-                            ("generation", Value::U64(generation)),
-                            ("bytes", Value::U64(bytes)),
-                        ]),
-                        false,
-                    ),
-                    Err(ServeError::Io(e)) => (
-                        Reply::io_error(format!("snapshot rotation failed: {e}")),
-                        false,
-                    ),
-                    Err(ServeError::Invalid(e)) => (Reply::request_error(e), false),
-                    Err(e) => (Reply::server_error(e.to_string()), false),
+                let rotated = self.durable_snapshot(&mut *self.state()?, false);
+                match rotated {
+                    Ok((generation, bytes)) => Reply::Ok(vec![
+                        ("generation", Value::U64(generation)),
+                        ("bytes", Value::U64(bytes)),
+                    ]),
+                    Err(ServeError::Io(e)) => {
+                        Reply::io_error(format!("snapshot rotation failed: {e}"))
+                    }
+                    Err(ServeError::Invalid(e)) => Reply::request_error(e),
+                    Err(e) => Reply::server_error(e.to_string()),
                 }
             }
-            Request::Snapshot { path } => match self.snapshot_bundle() {
-                Ok(bytes) => match std::fs::write(&path, &bytes) {
-                    Ok(()) => (
-                        Reply::Ok(vec![("bytes", Value::U64(bytes.len() as u64))]),
-                        false,
-                    ),
-                    Err(e) => (
-                        Reply::io_error(format!("could not write snapshot to {path:?}: {e}")),
-                        false,
-                    ),
-                },
-                Err(ServeError::Io(e)) => (
-                    Reply::io_error(format!("snapshot failed: {e}")),
-                    false,
-                ),
-                Err(e) => fail(e.to_string()),
-            },
-            Request::Auth { .. } => {
-                // The transport layer intercepts `auth` before dispatch (the
-                // gate is per-connection state); reaching here means the op
-                // was issued where it has no meaning.
-                (
-                    Reply::request_error(
-                        "auth is handled by the connection transport before dispatch",
-                    ),
-                    false,
-                )
+            Request::Snapshot { path } => {
+                // The lock is released before the file is written.
+                let bundle = self.snapshot_bundle(&mut *self.state()?);
+                match bundle {
+                    Ok(bytes) => match std::fs::write(&path, &bytes) {
+                        Ok(()) => Reply::Ok(vec![("bytes", Value::U64(bytes.len() as u64))]),
+                        Err(e) => {
+                            Reply::io_error(format!("could not write snapshot to {path:?}: {e}"))
+                        }
+                    },
+                    Err(ServeError::Io(e)) => Reply::io_error(format!("snapshot failed: {e}")),
+                    Err(e) => Reply::sketch_error(e.to_string()),
+                }
             }
-            Request::SetF0 { .. } | Request::Streams => (
-                Reply::request_error(
-                    "set-expression queries are answered by an aggregator node \
-                     (cora_serve_agg), not by an ingest server",
-                ),
-                false,
+            // The transport layer intercepts `auth` before dispatch (the
+            // gate is per-connection state); reaching here means the op was
+            // issued where it has no meaning.
+            Request::Auth { .. } => Reply::request_error(
+                "auth is handled by the connection transport before dispatch",
+            ),
+            Request::SetF0 { .. } | Request::Streams => Reply::request_error(
+                "set-expression queries are answered by an aggregator node \
+                 (cora_serve_agg), not by an ingest server",
             ),
             Request::ReplHello { .. }
             | Request::ReplDelta { .. }
-            | Request::ReplSnapshot { .. } => (
-                Reply::request_error(
-                    "replication frames are accepted by an aggregator node \
-                     (cora_serve_agg), not by an ingest server",
-                ),
-                false,
+            | Request::ReplSnapshot { .. } => Reply::request_error(
+                "replication frames are accepted by an aggregator node \
+                 (cora_serve_agg), not by an ingest server",
             ),
-            Request::Shutdown => (Reply::ok(), true),
-        }
+        })
     }
-}
-
-/// The protocol-agnostic service surface a connection dispatches into —
-/// implemented by [`ServerCore`] (an ingest node) and by the aggregator
-/// core in [`crate::cluster`]. The connection state machine, the worker
-/// pool, and the acceptor are generic over this trait, so both node kinds
-/// share one transport stack (first-byte protocol sniffing, auth gating,
-/// pipelining, connection limits).
-pub(crate) trait ServiceCore: Send + Sync + 'static {
-    /// The configured shared-secret token, when authentication is required.
-    fn auth_token(&self) -> Option<&str>;
-    /// Count one request (called by the transport for requests it answers
-    /// itself: `auth` handling and unauthenticated rejections).
-    fn note_request(&self);
-    /// Handle one request; the bool asks the listener to shut down.
-    fn handle(&self, request: Request) -> (Reply, bool);
-    /// The binary ingest fast path (tuples decoded into connection scratch).
-    fn ingest_binary(&self, tuples: &[(u64, u64)], ts: &[u64], seq: Option<(u64, u64)>) -> Reply;
 }
 
 impl ServiceCore for ServerCore {
@@ -1411,467 +1155,13 @@ impl ServiceCore for ServerCore {
     }
 
     fn handle(&self, request: Request) -> (Reply, bool) {
-        ServerCore::handle(self, request)
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let stop = matches!(request, Request::Shutdown);
+        (self.answer(request).unwrap_or_else(Reply::from), stop)
     }
 
     fn ingest_binary(&self, tuples: &[(u64, u64)], ts: &[u64], seq: Option<(u64, u64)>) -> Reply {
         self.ingest_tuples(tuples, ts, seq)
-    }
-}
-
-/// Compare a presented auth token against the configured one without an
-/// early exit on the first differing byte — neither the token length nor
-/// its content leaks through response timing.
-pub(crate) fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
-    let mut diff = a.len() ^ b.len();
-    for i in 0..a.len().max(b.len()) {
-        let x = a.get(i).copied().unwrap_or(0);
-        let y = b.get(i).copied().unwrap_or(0);
-        diff |= usize::from(x ^ y);
-    }
-    diff == 0
-}
-
-/// Poll interval for the accept loop's shutdown checks and the deepest
-/// idle-sleep tier of the connection workers.
-const NET_TICK: Duration = Duration::from_millis(50);
-
-/// How many scheduler-yield spins an active worker burns before it starts
-/// sleeping — long enough to cover a client's turnaround on loopback, so
-/// request/response ping-pong never eats a sleep latency.
-const IDLE_SPINS: u32 = 256;
-
-/// First sleep tier after the spin budget; doubles up to [`NET_TICK`].
-const IDLE_SLEEP_FLOOR: Duration = Duration::from_micros(200);
-
-/// The structured refusal an unauthenticated request is answered with while
-/// an auth token is configured.
-const UNAUTHENTICATED: &str =
-    "authentication required: send the auth op with the shared token first";
-
-/// Which protocol a connection speaks, decided once by its first byte.
-enum ConnMode {
-    /// Nothing received yet.
-    Sniffing,
-    /// Newline-delimited JSON (first byte `{` or leading whitespace).
-    Json,
-    /// Length-prefixed binary frames (first byte [`wire::MAGIC`]).
-    Binary,
-}
-
-/// What one service pass over a connection produced.
-enum ConnStep {
-    /// Bytes moved or requests were handled — keep spinning.
-    Progress,
-    /// Nothing to do right now.
-    Idle,
-    /// Connection finished (client closed, fatal error, or protocol abuse).
-    Close,
-}
-
-/// Per-connection state owned by a worker: the socket (non-blocking), the
-/// inbound byte buffer, pending outbound bytes, and the binary ingest
-/// scratch that makes frame decoding allocation-free per tuple.
-struct Conn {
-    stream: TcpStream,
-    mode: ConnMode,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    outpos: usize,
-    /// Close once `outbuf` has drained (protocol abuse or shutdown ack).
-    close_after_flush: bool,
-    /// Whether this connection has passed the auth gate. Starts `true`
-    /// when the core has no token configured; otherwise flips on a
-    /// successful `auth` op.
-    authed: bool,
-    /// Reused binary-ingest decode targets.
-    tuples: Vec<(u64, u64)>,
-    ts: Vec<u64>,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, authed: bool) -> Self {
-        Self {
-            stream,
-            mode: ConnMode::Sniffing,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            outpos: 0,
-            close_after_flush: false,
-            authed,
-            tuples: Vec::new(),
-            ts: Vec::new(),
-        }
-    }
-
-    /// Dispatch one parsed request through the per-connection auth gate:
-    /// `auth` is consumed here (constant-time token compare), and while a
-    /// token is configured every other op on an unauthenticated connection
-    /// is refused with a structured `request` error — the connection stays
-    /// open so the client can authenticate and retry.
-    fn dispatch<C: ServiceCore>(&mut self, core: &C, request: Request) -> (Reply, bool) {
-        if let Request::Auth { token } = &request {
-            core.note_request();
-            let reply = match core.auth_token() {
-                // No token configured: accept the op as a no-op so clients
-                // can send auth unconditionally.
-                None => Reply::ok(),
-                Some(expected) if constant_time_eq(expected.as_bytes(), token.as_bytes()) => {
-                    self.authed = true;
-                    Reply::ok()
-                }
-                Some(_) => Reply::request_error("authentication failed: token mismatch"),
-            };
-            return (reply, false);
-        }
-        if !self.authed {
-            core.note_request();
-            return (Reply::request_error(UNAUTHENTICATED), false);
-        }
-        core.handle(request)
-    }
-
-    fn queue(&mut self, bytes: &[u8]) {
-        self.outbuf.extend_from_slice(bytes);
-    }
-
-    fn queue_json_line(&mut self, line: &str) {
-        self.outbuf.extend_from_slice(line.as_bytes());
-        self.outbuf.push(b'\n');
-    }
-
-    /// Push pending output to the socket without blocking. Returns false on
-    /// a fatal socket error.
-    fn flush_out(&mut self, progress: &mut bool) -> bool {
-        while self.outpos < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.outpos..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.outpos += n;
-                    *progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        if self.outpos == self.outbuf.len() && self.outpos > 0 {
-            self.outbuf.clear();
-            self.outpos = 0;
-        }
-        true
-    }
-
-    /// Read whatever the socket has ready (bounded per pass so one firehose
-    /// client cannot starve its worker's other connections). Returns false
-    /// when the connection is done (EOF or fatal error).
-    fn fill_in(&mut self, chunk: &mut [u8], progress: &mut bool) -> bool {
-        for _ in 0..16 {
-            match self.stream.read(chunk) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    *progress = true;
-                    if n < chunk.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        true
-    }
-
-    /// One service pass: flush, read, then handle every complete message
-    /// sitting in the inbound buffer.
-    fn step<C: ServiceCore>(
-        &mut self,
-        core: &C,
-        shutdown: &Arc<AtomicBool>,
-        listener_addr: SocketAddr,
-        chunk: &mut [u8],
-    ) -> ConnStep {
-        let mut progress = false;
-        if !self.flush_out(&mut progress) {
-            return ConnStep::Close;
-        }
-        if self.close_after_flush {
-            return if self.outpos < self.outbuf.len() {
-                ConnStep::Idle
-            } else {
-                ConnStep::Close
-            };
-        }
-        if !self.fill_in(chunk, &mut progress) {
-            // Serve whatever complete requests arrived before EOF, then
-            // close once the answers are flushed.
-            self.close_after_flush = true;
-        }
-        let mut pos = 0usize;
-        loop {
-            match self.mode {
-                ConnMode::Sniffing => {
-                    // Skip leading whitespace (blank lines between JSON
-                    // requests would land here on a reconnect-free client).
-                    while pos < self.inbuf.len()
-                        && matches!(self.inbuf[pos], b' ' | b'\t' | b'\r' | b'\n')
-                    {
-                        pos += 1;
-                    }
-                    match self.inbuf.get(pos) {
-                        None => break,
-                        Some(&wire::MAGIC) => self.mode = ConnMode::Binary,
-                        Some(&b'{') => self.mode = ConnMode::Json,
-                        Some(&other) => {
-                            self.queue_json_line(&protocol::error(&format!(
-                                "unrecognized protocol: first byte 0x{other:02X} is neither \
-                                 JSON ('{{') nor a binary frame (0x{:02X})",
-                                wire::MAGIC
-                            )));
-                            self.close_after_flush = true;
-                            break;
-                        }
-                    }
-                }
-                ConnMode::Json => {
-                    let Some(nl) = self.inbuf[pos..].iter().position(|&b| b == b'\n') else {
-                        if self.inbuf.len() - pos > wire::MAX_FRAME_BYTES {
-                            self.queue_json_line(&protocol::error(&format!(
-                                "request line exceeds the {}-byte cap",
-                                wire::MAX_FRAME_BYTES
-                            )));
-                            self.close_after_flush = true;
-                        }
-                        break;
-                    };
-                    let line = &self.inbuf[pos..pos + nl];
-                    pos += nl + 1;
-                    let text = String::from_utf8_lossy(line);
-                    let trimmed = text.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    progress = true;
-                    let (reply, stop) = match Request::parse(trimmed) {
-                        Ok(request) => self.dispatch(core, request),
-                        Err(e) => (Reply::request_error(format!("bad request: {e}")), false),
-                    };
-                    let line = reply.render_json();
-                    self.queue_json_line(&line);
-                    if stop {
-                        self.begin_shutdown(shutdown, listener_addr);
-                        break;
-                    }
-                }
-                ConnMode::Binary => {
-                    let avail = &self.inbuf[pos..];
-                    if avail.len() < wire::HEADER_BYTES {
-                        break;
-                    }
-                    let header_bytes: &[u8; wire::HEADER_BYTES] =
-                        avail[..wire::HEADER_BYTES].try_into().expect("header size");
-                    let header = match wire::parse_header(header_bytes) {
-                        Ok(header) => header,
-                        Err(e) => {
-                            // Framing can't be trusted past a bad header
-                            // (magic, version, or a hostile length — which
-                            // is rejected before any payload is buffered).
-                            self.queue(&wire::encode_reply(
-                                header_bytes[2],
-                                &Reply::request_error(e.to_string()),
-                            ));
-                            self.close_after_flush = true;
-                            progress = true;
-                            break;
-                        }
-                    };
-                    if avail.len() < wire::HEADER_BYTES + header.len {
-                        break; // incomplete frame; wait for more bytes
-                    }
-                    let payload_start = pos + wire::HEADER_BYTES;
-                    pos = payload_start + header.len;
-                    progress = true;
-                    let no_ack = header.flags & wire::FLAG_NO_ACK != 0;
-                    match Opcode::from_byte(header.opcode) {
-                        Some(Opcode::Ingest) if self.authed => {
-                            // The hot path: decode straight into this
-                            // connection's scratch, no per-tuple allocation,
-                            // and skip the ack entirely when pipelined.
-                            let payload = &self.inbuf[payload_start..pos];
-                            let reply = match wire::decode_ingest_into(
-                                payload,
-                                &mut self.tuples,
-                                &mut self.ts,
-                            ) {
-                                Ok(meta) => {
-                                    core.note_request();
-                                    core.ingest_binary(&self.tuples, &self.ts, meta.seq)
-                                }
-                                Err(e) => Reply::request_error(format!("bad ingest frame: {e}")),
-                            };
-                            let suppress = no_ack && matches!(reply, Reply::Ok(_));
-                            if !suppress {
-                                self.queue(&wire::encode_reply(header.opcode, &reply));
-                            }
-                        }
-                        Some(Opcode::Ingest) => {
-                            // Unauthenticated fast-path ingest is refused
-                            // without decoding; errors are never suppressed,
-                            // so even a NO_ACK pipeline hears about it.
-                            core.note_request();
-                            self.queue(&wire::encode_reply(
-                                header.opcode,
-                                &Reply::request_error(UNAUTHENTICATED),
-                            ));
-                        }
-                        Some(opcode) => {
-                            let payload = &self.inbuf[payload_start..pos];
-                            let (reply, stop) = match wire::decode_request(opcode, payload) {
-                                Ok(request) => self.dispatch(core, request),
-                                Err(e) => {
-                                    (Reply::request_error(format!("bad request frame: {e}")), false)
-                                }
-                            };
-                            // Replication requests are acknowledged with the
-                            // dedicated REPL_ACK opcode instead of an echo.
-                            let reply_opcode = match opcode {
-                                Opcode::ReplHello | Opcode::ReplDelta | Opcode::ReplSnapshot => {
-                                    Opcode::ReplAck as u8
-                                }
-                                _ => header.opcode,
-                            };
-                            let suppress = no_ack && matches!(reply, Reply::Ok(_)) && !stop;
-                            if !suppress {
-                                self.queue(&wire::encode_reply(reply_opcode, &reply));
-                            }
-                            if stop {
-                                self.begin_shutdown(shutdown, listener_addr);
-                                break;
-                            }
-                        }
-                        None => {
-                            // A well-formed frame with an unknown opcode:
-                            // answer and keep serving, like the JSON
-                            // protocol's unknown-op error.
-                            self.queue(&wire::encode_reply(
-                                header.opcode,
-                                &Reply::request_error(format!(
-                                    "unknown opcode 0x{:02X}",
-                                    header.opcode
-                                )),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        if pos > 0 {
-            self.inbuf.drain(..pos);
-        }
-        if !self.flush_out(&mut progress) {
-            return ConnStep::Close;
-        }
-        if self.close_after_flush && self.outpos >= self.outbuf.len() {
-            return ConnStep::Close;
-        }
-        if progress {
-            ConnStep::Progress
-        } else {
-            ConnStep::Idle
-        }
-    }
-
-    /// The shutdown op: deliver the ack, then stop the listener. The ack is
-    /// flushed with a short blocking retry so the flag flip can't race the
-    /// worker teardown and eat the response.
-    fn begin_shutdown(&mut self, shutdown: &Arc<AtomicBool>, listener_addr: SocketAddr) {
-        let deadline = std::time::Instant::now() + NET_TICK;
-        let mut progress = false;
-        while self.outpos < self.outbuf.len() && std::time::Instant::now() < deadline {
-            if !self.flush_out(&mut progress) {
-                break;
-            }
-            if self.outpos < self.outbuf.len() {
-                thread::sleep(Duration::from_micros(100));
-            }
-        }
-        shutdown.store(true, Ordering::Release);
-        // The acceptor may be blocked in accept(); wake it with a throwaway
-        // connection so the shutdown op alone stops the listener.
-        let _ = TcpStream::connect(listener_addr);
-        self.close_after_flush = true;
-    }
-}
-
-/// A connection worker: owns a set of sockets, polls them with non-blocking
-/// reads, and escalates from spinning to sleeping as they go idle. A fixed
-/// pool of these replaces one-thread-per-connection — thousands of idle
-/// clients cost failed `read` syscalls on a few threads, not thousands of
-/// parked stacks.
-#[allow(clippy::needless_pass_by_value)]
-fn worker_loop<C: ServiceCore>(
-    core: Arc<C>,
-    shutdown: Arc<AtomicBool>,
-    rx: std::sync::mpsc::Receiver<TcpStream>,
-    live: Arc<AtomicU64>,
-    listener_addr: SocketAddr,
-) {
-    // With no token configured every connection starts authenticated.
-    let open = core.auth_token().is_none();
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut chunk = vec![0u8; 16 * 1024];
-    let mut spins = 0u32;
-    let mut sleep = IDLE_SLEEP_FLOOR;
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            live.fetch_sub(conns.len() as u64, Ordering::AcqRel);
-            return;
-        }
-        while let Ok(stream) = rx.try_recv() {
-            let _ = stream.set_nonblocking(true);
-            let _ = stream.set_nodelay(true);
-            conns.push(Conn::new(stream, open));
-        }
-        let mut progress = false;
-        let mut index = 0;
-        while index < conns.len() {
-            match conns[index].step(core.as_ref(), &shutdown, listener_addr, &mut chunk) {
-                ConnStep::Progress => {
-                    progress = true;
-                    index += 1;
-                }
-                ConnStep::Idle => index += 1,
-                ConnStep::Close => {
-                    conns.swap_remove(index);
-                    live.fetch_sub(1, Ordering::AcqRel);
-                    progress = true;
-                }
-            }
-        }
-        if progress {
-            spins = 0;
-            sleep = IDLE_SLEEP_FLOOR;
-            continue;
-        }
-        if conns.is_empty() {
-            // Nothing to poll: block on the hand-off channel (bounded so the
-            // shutdown flag is still noticed).
-            if let Ok(stream) = rx.recv_timeout(NET_TICK) {
-                let _ = stream.set_nonblocking(true);
-                let _ = stream.set_nodelay(true);
-                conns.push(Conn::new(stream, open));
-            }
-            continue;
-        }
-        spins += 1;
-        if spins <= IDLE_SPINS {
-            thread::yield_now();
-        } else {
-            thread::sleep(sleep);
-            sleep = (sleep * 2).min(NET_TICK);
-        }
     }
 }
 
@@ -2093,38 +1383,10 @@ fn start_inner(
     storage: Option<Arc<dyn Storage>>,
 ) -> Result<RunningServer, ServeError> {
     let max_connections = config.max_connections;
-    let durability = config.durability.clone();
     let config_replicate = config.replicate.clone();
-    let storage = durability
-        .as_ref()
-        .map(|_| storage.unwrap_or_else(crate::journal::disk_storage));
-    let recovered = match (&durability, &storage) {
-        (Some(d), Some(storage)) => Some(recover(storage, &d.dir)?),
-        _ => None,
-    };
-    let effective_bundle = bundle.or(recovered.as_ref().and_then(|r| r.bundle.as_ref()));
-    let core = Arc::new(ServerCore::build(config, effective_bundle)?);
-    if let Some(recovered) = &recovered {
-        // Replay the journal tail through the normal ingest path (the
-        // durable slot is still None, so nothing is re-journaled). Errors
-        // cannot occur for batches that were validated before being
-        // journaled; a reply is still produced and ignored deliberately.
-        for record in &recovered.replay {
-            let _ = core.ingest_tuples(&record.tuples, &record.ts, record.seq);
-        }
-        let (d, storage) = (
-            durability.as_ref().expect("durability implies recovery"),
-            storage.as_ref().expect("durability implies storage"),
-        );
-        core.open_durable(storage, d, recovered.open_generation, recovered.restored_generation)?;
-    }
+    let core = Arc::new(ServerCore::open(config, bundle, storage)?);
     if let Some(replicate) = &config_replicate {
-        if !crate::cluster::valid_stream_name(&replicate.stream) {
-            return Err(ServeError::Invalid(format!(
-                "replication stream name {:?} must be 1-64 bytes of [A-Za-z0-9_.-]",
-                replicate.stream
-            )));
-        }
+        crate::cluster::check_stream_name(&replicate.stream).map_err(ServeError::Invalid)?;
         core.enable_replication()?;
     }
     let listener = TcpListener::bind(bind)?;
@@ -2132,23 +1394,27 @@ fn start_inner(
     let shutdown = Arc::new(AtomicBool::new(false));
     // The background snapshotter: polls the rotation triggers while the
     // server runs. Spawned before the acceptor moves `core`.
-    let snapshotter = match &durability {
-        Some(d)
-            if d.snapshot_every_tuples > 0
-                || d.snapshot_interval_ms > 0 =>
-        {
+    let snapshotter = match core.config().durability.clone() {
+        Some(d) if d.snapshot_every_tuples > 0 || d.snapshot_interval_ms > 0 => {
             let core = Arc::clone(&core);
             let shutdown = Arc::clone(&shutdown);
-            let d = d.clone();
             thread::Builder::new()
                 .name("cora-serve-snapshot".into())
                 .spawn(move || {
                     while !shutdown.load(Ordering::Acquire) {
-                        if core.snapshot_due(&d) {
+                        match core.state() {
                             // Failures are counted in snapshot_errors and
                             // retried on the next trigger; the previous
                             // generation stays in charge meanwhile.
-                            let _ = core.durable_snapshot(true);
+                            Ok(mut state) if state.snapshot_due(&d) => {
+                                let _ = core.durable_snapshot(&mut state, true);
+                            }
+                            Ok(_) => {}
+                            // A poisoned core can never snapshot again.
+                            Err(StatePoisoned) => {
+                                core.snapshot_errors.fetch_add(1, Ordering::Relaxed);
+                                return;
+                            }
                         }
                         thread::sleep(Duration::from_millis(20));
                     }
@@ -2170,95 +1436,10 @@ fn start_inner(
     })
 }
 
-/// Bind the shared transport stack — a fixed worker pool of non-blocking
-/// connection pollers fed by one accept thread — over any [`ServiceCore`].
-/// Used by [`start`] (ingest nodes) and by
-/// [`crate::cluster::start_aggregator`].
-pub(crate) fn spawn_acceptor<C: ServiceCore>(
-    core: Arc<C>,
-    listener: TcpListener,
-    shutdown: Arc<AtomicBool>,
-    max_connections: usize,
-) -> Result<thread::JoinHandle<()>, ServeError> {
-    let addr = listener.local_addr()?;
-    // A small fixed worker pool services every connection with non-blocking
-    // reads; the acceptor only hands sockets over. Thousands of idle clients
-    // therefore cost a few polling threads, not thousands of parked stacks.
-    let workers = thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
-    let live = Arc::new(AtomicU64::new(0));
-    let acceptor_shutdown = shutdown;
-    thread::Builder::new()
-        .name("cora-serve-accept".into())
-        .spawn(move || {
-            let mut txs = Vec::with_capacity(workers);
-            let mut pool = Vec::with_capacity(workers);
-            for i in 0..workers {
-                let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-                let core = Arc::clone(&core);
-                let shutdown = Arc::clone(&acceptor_shutdown);
-                let live = Arc::clone(&live);
-                if let Ok(handle) = thread::Builder::new()
-                    .name(format!("cora-serve-worker-{i}"))
-                    .spawn(move || worker_loop(core, shutdown, rx, live, addr))
-                {
-                    txs.push(tx);
-                    pool.push(handle);
-                }
-            }
-            let mut next = 0usize;
-            loop {
-                if acceptor_shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        if acceptor_shutdown.load(Ordering::Acquire) {
-                            break; // the shutdown wake-up connection
-                        }
-                        if live.load(Ordering::Acquire) >= max_connections as u64 {
-                            // Over the configured limit: answer with one
-                            // error line and close, instead of silently
-                            // queueing in the accept backlog. (Binary
-                            // clients see a failed handshake — the reply is
-                            // not a frame — and close too.)
-                            let refusal = protocol::error_with_kind(
-                                protocol::ErrorKind::Server,
-                                &format!(
-                                    "connection limit reached \
-                                     (max_connections = {max_connections})"
-                                ),
-                            );
-                            let _ = stream.write_all(refusal.as_bytes());
-                            let _ = stream.write_all(b"\n");
-                            continue;
-                        }
-                        if txs.is_empty() {
-                            continue;
-                        }
-                        live.fetch_add(1, Ordering::AcqRel);
-                        if txs[next % txs.len()].send(stream).is_err() {
-                            live.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        next = next.wrapping_add(1);
-                    }
-                    Err(_) => {
-                        if acceptor_shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
-                }
-            }
-            drop(txs);
-            for handle in pool {
-                let _ = handle.join();
-            }
-        })
-        .map_err(|e| ServeError::Invalid(format!("could not spawn the accept loop: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol;
 
     #[test]
     fn bundle_round_trip_and_rejections() {
@@ -2286,6 +1467,158 @@ mod tests {
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 0xFF;
         assert!(decode_bundle(&wrong_version).is_err());
+    }
+
+    /// The three byte formats a node produces — full replication cut,
+    /// incremental delta container, snapshot bundle — hashed (FNV-1a-64) over
+    /// a fixed stream and pinned to what the tree produced before the sketch
+    /// set and the single state lock existed (commit 115d452, three runs
+    /// agreeing). Moving one byte of any section of any of them fails here.
+    #[test]
+    fn produced_formats_are_pinned() {
+        let config = ServeConfig {
+            epsilon: 0.25,
+            delta: 0.1,
+            y_max: 15,
+            max_stream_len: 1_000_000,
+            seed: 7,
+            shards: 2,
+            merge_every: 1,
+            x_domain_log2: 20,
+            pane_ticks: 512,
+            ..Default::default()
+        };
+        let core = ServerCore::build(config, None).unwrap();
+        core.enable_replication().unwrap();
+        let mut lcg = 0x5EED_u64;
+        let mut next = move || {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lcg >> 16
+        };
+        let mut t = 0u64;
+        let mut ingest = |batches: std::ops::Range<u64>| {
+            for b in batches {
+                let tuples: Vec<(u64, u64)> =
+                    (0..1000).map(|_| (next() % (1 << 20), next() % 16)).collect();
+                // Even batches carry explicit timestamps (every third tuple
+                // advances the clock), odd ones take arrival ticks.
+                let ts: Vec<u64> = if b % 2 == 0 {
+                    (0..1000u64)
+                        .map(|i| {
+                            t += u64::from(i % 3 == 0);
+                            t
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                let reply = core.ingest_tuples(&tuples, &ts, Some((b % 3, b + 1)));
+                assert_eq!(reply, Reply::Ok(vec![("accepted", Value::U64(1000))]));
+            }
+        };
+        ingest(0..14);
+        let full = core.repl_cut(true).unwrap().expect("a full cut is never idle");
+        ingest(14..20);
+        let delta = core.repl_cut(false).unwrap().expect("six new batches");
+        let bundle = core.state().unwrap().bundle_bytes().unwrap();
+        // 20k tuples over 16 y values: every singleton bucket is far past the
+        // 768 distinct items at which an ε = 0.25 bucket spills to its sketch.
+        core.handle(Request::Flush);
+        let sketched = core
+            .merger
+            .current()
+            .sketch()
+            .with_composed(15, |store| !store.is_exact())
+            .unwrap();
+        assert!(sketched, "the pinned stream must exercise sketched buckets");
+        assert_eq!((full.g_from, delta.g_from, delta.g_to), (0, full.g_to, full.g_to + 1));
+        let fnv = cora_sketch::codec::fnv1a64;
+        for (name, bytes, len, pin) in [
+            ("full cut", &full.frame, 2_299_356, 0x2e14_2832_2594_60a7_u64),
+            ("delta container", &delta.frame, 1_830_621, 0x2eb5_6a52_7a55_a7c0),
+            ("snapshot bundle", &bundle, 5_243_148, 0x6256_c7d0_ba7b_f441),
+        ] {
+            assert_eq!(bytes.len(), len, "{name} length");
+            assert_eq!(fnv(bytes), pin, "{name} bytes");
+        }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cora_core_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// ROADMAP hole 5(b): a panic under the state lock must stop the core
+    /// from serving what it may have half-mutated — and lose nothing acked.
+    #[test]
+    fn a_poisoned_core_fails_closed_and_a_restart_recovers_every_acked_batch() {
+        let dir = temp_dir("poison");
+        let config = ServeConfig {
+            shards: 2,
+            merge_every: 1,
+            y_max: 1023,
+            pane_ticks: 16,
+            durability: Some(DurabilityConfig::new(&dir)),
+            ..Default::default()
+        };
+        let batch = |b: u64| -> Vec<(u64, u64)> {
+            (0..50).map(|i| (b * 50 + i, (b * 131 + i * 17) % 1024)).collect()
+        };
+        let core = Arc::new(ServerCore::open(config.clone(), None, None).unwrap());
+        for b in 0..6 {
+            let reply = core.ingest_tuples(&batch(b), &[], Some((1, b + 1)));
+            assert_eq!(reply, Reply::Ok(vec![("accepted", Value::U64(50))]));
+        }
+        core.handle(Request::Flush);
+        let f2_before = core.handle(Request::QueryF2 { c: 1023 }).0;
+
+        let panicking = Arc::clone(&core);
+        let _ = thread::spawn(move || {
+            let _state = panicking.state().unwrap();
+            panic!("poison the node state (expected in this test)");
+        })
+        .join();
+
+        let kind = |reply: Reply| {
+            protocol::Response::parse(&reply.render_json()).unwrap().error_kind()
+        };
+        let server = Some("server".to_string());
+        assert_eq!(kind(core.ingest_tuples(&batch(6), &[], Some((1, 7)))), server);
+        for request in [
+            Request::QueryF0 { c: 1023 },
+            Request::WindowF2 { window: 64, c: 1023 },
+            Request::Stats,
+            Request::Flush,
+            Request::Snapshot { path: String::new() },
+        ] {
+            let (reply, stop) = core.handle(request);
+            assert!(reply.render_json().contains("poisoned"), "{reply:?}");
+            assert_eq!(kind(reply), server);
+            assert!(!stop);
+        }
+        assert!(core.repl_cut(true).is_err(), "a poisoned cut must not seal anything");
+        // What never takes the state lock keeps answering.
+        assert_eq!(core.handle(Request::QueryF2 { c: 1023 }).0, f2_before);
+        assert_eq!(core.handle(Request::Ping).0, Reply::ok());
+        assert!(matches!(core.handle(Request::Config).0, Reply::Ok(_)));
+        assert!(core.handle(Request::Shutdown).1);
+        drop(core);
+
+        // A fresh core on the same directory: all six acked batches, and not
+        // the refused seventh.
+        let restarted = ServerCore::open(config, None, None).unwrap();
+        restarted.handle(Request::Flush);
+        let stats = protocol::Response::parse(&restarted.handle(Request::Stats).0.render_json())
+            .unwrap();
+        assert_eq!(stats.u64_field("items_accepted").unwrap(), 300);
+        assert_eq!(restarted.handle(Request::QueryF2 { c: 1023 }).0, f2_before);
+        let resend = restarted.ingest_tuples(&batch(5), &[], Some((1, 6)));
+        assert_eq!(
+            resend,
+            Reply::Ok(vec![("accepted", Value::U64(0)), ("duplicate", Value::U64(1))])
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

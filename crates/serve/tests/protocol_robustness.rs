@@ -354,3 +354,96 @@ fn read_timeout_surfaces_as_structured_timeout_error() {
     drop(done_tx);
     hold.join().unwrap();
 }
+
+/// Ingest and every non-`f2` read share the node's one state lock. One
+/// writer streams acked batches while three analyst connections loop the
+/// reads that take it — `f0`; `window_f2` + `stats`; `heavy_hitters` — over
+/// both transports. Nobody may wedge (every socket carries a timeout, so a
+/// deadlock fails the test instead of hanging it), every reader must get
+/// answers *while* the writer is streaming, and the reads must not perturb
+/// the state: the final answers equal a reader-free run's bit for bit.
+#[test]
+fn concurrent_mixed_readers_neither_wedge_nor_change_answers() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let batches: Vec<Vec<(u64, u64)>> = (0..40u64)
+        .map(|b| {
+            (0..500u64)
+                .map(|i| {
+                    let k = b * 500 + i;
+                    (k.wrapping_mul(2_654_435_761) % 5_000, (k * 7_919) % 1_024)
+                })
+                .collect()
+        })
+        .collect();
+    let connect = |server: &RunningServer, binary: bool| {
+        let mut client = if binary {
+            ServeClient::connect_binary(server.local_addr())
+        } else {
+            ServeClient::connect(server.local_addr())
+        }
+        .unwrap();
+        let timeout = Some(Duration::from_secs(30));
+        client.set_timeouts(timeout, timeout).unwrap();
+        client
+    };
+    let final_answers = |client: &mut ServeClient| {
+        client.flush().unwrap();
+        (
+            client.query_f2(700).unwrap().to_bits(),
+            client.query_f0(700).unwrap().to_bits(),
+            client.query_rarity(700).unwrap().to_bits(),
+            client.query_window_f2(4_096, 700).unwrap(),
+            client.query_window_f0(4_096, 700).unwrap(),
+            client.query_heavy_hitters(1_023, 0.1).unwrap(),
+            client.stats().unwrap().u64_field("items_accepted").unwrap(),
+        )
+    };
+
+    let serial = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut writer = connect(&serial, true);
+    for batch in &batches {
+        assert_eq!(writer.ingest(batch).unwrap(), batch.len() as u64);
+    }
+    let expected = final_answers(&mut writer);
+    serial.shutdown();
+
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let writing = AtomicBool::new(true);
+    let mut writer = connect(&server, true);
+    std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..3)
+            .map(|kind| {
+                let (server, writing) = (&server, &writing);
+                scope.spawn(move || {
+                    let mut client = connect(server, kind != 1);
+                    let mut rounds_while_writing = 0u32;
+                    loop {
+                        match kind {
+                            0 => drop(client.query_f0(700).unwrap()),
+                            1 => {
+                                client.query_window_f2(4_096, 700).unwrap();
+                                client.stats().unwrap();
+                            }
+                            _ => drop(client.query_heavy_hitters(1_023, 0.1).unwrap()),
+                        }
+                        if !writing.load(Ordering::Acquire) {
+                            return rounds_while_writing;
+                        }
+                        rounds_while_writing += 1;
+                    }
+                })
+            })
+            .collect();
+        for batch in &batches {
+            assert_eq!(writer.ingest(batch).unwrap(), batch.len() as u64);
+        }
+        writing.store(false, Ordering::Release);
+        for (kind, reader) in readers.into_iter().enumerate() {
+            let rounds = reader.join().expect("reader panicked");
+            assert!(rounds >= 1, "reader {kind} was starved while the writer streamed");
+        }
+    });
+    assert_eq!(final_answers(&mut writer), expected);
+    server.shutdown();
+}

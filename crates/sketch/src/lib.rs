@@ -8,10 +8,8 @@
 //!
 //! | aggregate | sketch | module |
 //! |---|---|---|
-//! | `F_2` | classic AMS sign sketch | [`ams_f2`] |
 //! | `F_2` and point frequencies | fast AMS / Thorup–Zhang bucketed estimator (the paper's choice); its counter array is a CountSketch | [`fast_ams`] |
-//! | point frequencies | Count-Min | [`count_min`] |
-//! | frequent items | SpaceSaving, Misra–Gries | [`space_saving`], [`misra_gries`] |
+//! | frequent items | SpaceSaving | [`space_saving`] |
 //! | `F_k`, k ≥ 2 | subsampling + SpaceSaving (Indyk–Woodruff-style) | [`fk`] |
 //! | `F_0` | adaptive distinct sampling (Gibbons–Tirthapura) | [`f0::distinct_sampler`] |
 //! | `F_0` | bottom-k (KMV) | [`f0::kmv`] |
@@ -25,29 +23,23 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod ams_f2;
 pub mod codec;
-pub mod count_min;
 pub mod error;
 pub mod estimator_util;
 pub mod exact;
 pub mod f0;
 pub mod fast_ams;
 pub mod fk;
-pub mod misra_gries;
 pub mod quantiles;
 pub mod space_saving;
 pub mod traits;
 
-pub use ams_f2::AmsF2Sketch;
 pub use codec::{ByteReader, ByteWriter, CodecError, StateCodec};
-pub use count_min::CountMinSketch;
 pub use error::{Result, SketchError};
 pub use exact::ExactFrequencies;
 pub use f0::{DistinctSampler, F0Sketch, FlajoletMartin, KmvSketch};
 pub use fast_ams::{DecayedF2Accumulator, FastAmsBatch, FastAmsPrepared, FastAmsSketch};
 pub use fk::{FkPrepared, FkSketch};
-pub use misra_gries::MisraGries;
 pub use quantiles::GkQuantiles;
 pub use space_saving::SpaceSaving;
 pub use traits::{Estimate, MergeableSketch, PointQuery, SharedUpdate, SketchFactory, SpaceUsage, StreamSketch};

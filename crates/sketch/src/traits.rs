@@ -135,7 +135,7 @@ pub trait SpaceUsage {
 }
 
 /// A summary that supports point queries for individual item frequencies
-/// (CountSketch, Count-Min, Misra–Gries, exact maps).
+/// (CountSketch, exact maps).
 pub trait PointQuery {
     /// Estimate the (signed) frequency of `item`.
     fn frequency_estimate(&self, item: u64) -> f64;
