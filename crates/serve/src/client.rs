@@ -23,7 +23,9 @@
 //! One request, one response, in order, over a single TCP connection —
 //! exactly what the example binary, the `serve_latency` bench, and the CI
 //! serve-smoke step need. Concurrency comes from opening more clients (the
-//! server multiplexes connections over a small worker pool).
+//! server gives each connection a blocking thread of its own). Read your
+//! replies: the server stops reading a connection whose replies are not
+//! being drained, and closes it after a few seconds of that.
 
 use crate::protocol::{Request, Response, SetOp};
 use crate::wire::{self, DecodedReply};

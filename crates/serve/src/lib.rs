@@ -39,8 +39,8 @@
 //!   snapshot, stats — with bit-identical answers. Everything a batch
 //!   mutates sits behind the node's one state lock (a panic under it fails
 //!   the node closed until a restart recovers from the journal); `f2`
-//!   alone is read lock-free from the merger. Connections are multiplexed
-//!   over a small fixed worker pool — the transport both node kinds share
+//!   alone is read lock-free from the merger. Each connection is served
+//!   by a blocking thread of its own — the transport both node kinds share
 //!   — and bounded by [`server::ServeConfig::max_connections`]. The blocking
 //!   [`client::ServeClient`] speaks either protocol and is used by the
 //!   `serve_demo` example and the `serve_latency` bench;

@@ -45,6 +45,15 @@
 //! elapsed. Unforced rebuilds are additionally duty-capped: after a rebuild
 //! that took `d`, the next unforced one waits at least `d`, bounding the
 //! merger at half a core even under a query storm.
+//!
+//! ## The one idle wake-up left
+//!
+//! Connection threads block in `read` and shard workers park until the
+//! producer unparks them, so on an idle node this loop's 500 µs `POLL_INTERVAL`
+//! timer is the only thing still waking up. It stays a poll because nothing
+//! notifies the merger of an applied batch (the shard workers publish a
+//! generation counter, not an event) and the demand / staleness-floor rule
+//! above is evaluated against the clock.
 
 use cora_core::{CoreError, CorrelatedAggregate, CorrelatedSketch, Result};
 use cora_stream::sharded::{staleness, ShardReader};

@@ -78,7 +78,7 @@ use crate::journal::{
 use crate::merger::BackgroundMerger;
 use crate::protocol::{Reply, Request, Value};
 use crate::sketches::{seal_container, value_reply, AuxSet};
-use crate::transport::{spawn_acceptor, ServiceCore, NET_TICK};
+use crate::transport::{spawn_acceptor, ServiceCore};
 use cora_core::snapshot::{open_frame, seal_frame_into, DeltaHeader};
 use cora_core::{CoreError, CorrelatedConfig, F2Aggregate, SnapshotKind};
 use cora_sketch::codec::{ByteReader, ByteWriter};
@@ -161,8 +161,9 @@ pub struct ServeConfig {
     /// Retention horizon of the windowed structures in ticks
     /// (`None` = landmark mode, keep coarsening history forever).
     pub pane_retention: Option<u64>,
-    /// Simultaneous client connections accepted before new ones are turned
-    /// away with an error (resource hardening; see the accept loop).
+    /// Simultaneous client connections — each one a thread — accepted
+    /// before new ones are turned away with an error (resource hardening;
+    /// see the accept loop).
     pub max_connections: usize,
     /// Crash-safe durability: journal every ingest batch and keep rotating
     /// snapshots in the configured directory (`None` = in-memory only, the
@@ -1165,6 +1166,9 @@ impl ServiceCore for ServerCore {
     }
 }
 
+/// How often [`RunningServer::wait`] re-reads the shutdown flag.
+const WAIT_TICK: Duration = Duration::from_millis(50);
+
 /// A running server: the bound address plus shutdown plumbing. Dropping it
 /// shuts the listener down and joins every service thread.
 pub struct RunningServer {
@@ -1201,7 +1205,7 @@ impl RunningServer {
     /// standalone `cora_serve_node` binary parks its main thread here.
     pub fn wait(&self) {
         while !self.shutdown.load(Ordering::Acquire) {
-            thread::sleep(NET_TICK);
+            thread::sleep(WAIT_TICK);
         }
     }
 

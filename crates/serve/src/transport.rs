@@ -1,27 +1,38 @@
-//! The transport stack shared by both node kinds: one accept thread feeding
-//! a fixed pool of polling workers, each sweeping its connections with
-//! non-blocking reads. A connection picks its wire protocol by its first
-//! byte (newline-JSON or [binary frames](crate::wire)), passes the
+//! The transport stack shared by both node kinds: one accept thread that
+//! gives every admitted connection a thread of its own. The thread parks in
+//! a blocking `read` until its client sends something, so a request's
+//! latency is its service time plus one scheduler wake-up and an idle
+//! connection costs no CPU at all. A connection picks its wire protocol by
+//! its first byte (newline-JSON or [binary frames](crate::wire)), passes the
 //! shared-secret auth gate, and dispatches every request into a
 //! [`ServiceCore`] — an ingest node ([`crate::server`]) or an aggregator
 //! ([`crate::cluster`]).
+//!
+//! Three rules keep the blocking design honest. Every complete request
+//! already buffered is answered before the next `read` is issued (a
+//! pipelining client never waits on bytes it has already sent). Replies go
+//! out with blocking writes, so a client that stops reading stops being
+//! read — back-pressure instead of an unbounded reply queue — and is closed
+//! after [`WRITE_TIMEOUT`] without progress. And the acceptor keeps a handle
+//! on every open socket, so shutdown closes them under their parked readers
+//! instead of waiting for the clients to go away.
 
 use crate::protocol::{self, Reply, Request};
 use crate::server::ServeError;
 use crate::wire::{self, Opcode};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Weak};
 use std::thread;
 use std::time::Duration;
 
 /// The protocol-agnostic service surface a connection dispatches into —
 /// implemented by [`ServerCore`] (an ingest node) and by the aggregator
-/// core in [`crate::cluster`]. The connection state machine, the worker
-/// pool, and the acceptor are generic over this trait, so both node kinds
-/// share one transport stack (first-byte protocol sniffing, auth gating,
-/// pipelining, connection limits).
+/// core in [`crate::cluster`]. The connection state machine and the
+/// acceptor are generic over this trait, so both node kinds share one
+/// transport stack (first-byte protocol sniffing, auth gating, pipelining,
+/// connection limits).
 pub(crate) trait ServiceCore: Send + Sync + 'static {
     /// The configured shared-secret token, when authentication is required.
     fn auth_token(&self) -> Option<&str>;
@@ -47,17 +58,10 @@ pub(crate) fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     diff == 0
 }
 
-/// Poll interval for the accept loop's shutdown checks and the deepest
-/// idle-sleep tier of the connection workers.
-pub(crate) const NET_TICK: Duration = Duration::from_millis(50);
-
-/// How many scheduler-yield spins an active worker burns before it starts
-/// sleeping — long enough to cover a client's turnaround on loopback, so
-/// request/response ping-pong never eats a sleep latency.
-const IDLE_SPINS: u32 = 256;
-
-/// First sleep tier after the spin budget; doubles up to [`NET_TICK`].
-const IDLE_SLEEP_FLOOR: Duration = Duration::from_micros(200);
+/// How long one reply write may wait for a client to make room before the
+/// connection is closed: a client that pipelines requests and never reads
+/// must not pin a connection slot (and its thread) for ever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The structured refusal an unauthenticated request is answered with while
 /// an auth token is configured.
@@ -74,27 +78,32 @@ enum ConnMode {
     Binary,
 }
 
-/// What one service pass over a connection produced.
-enum ConnStep {
-    /// Bytes moved or requests were handled — keep spinning.
-    Progress,
-    /// Nothing to do right now.
-    Idle,
-    /// Connection finished (client closed, fatal error, or protocol abuse).
+/// What a connection does once its buffered requests are answered and the
+/// replies written.
+enum Next {
+    /// Park in `read` until the client sends more.
+    Read,
+    /// Close (protocol abuse: framing can no longer be trusted).
     Close,
+    /// The `shutdown` op: its ack is on the wire, now stop the listener.
+    Stop,
 }
 
-/// Per-connection state owned by a worker: the socket (non-blocking), the
-/// inbound byte buffer, pending outbound bytes, and the binary ingest
-/// scratch that makes frame decoding allocation-free per tuple.
+/// Per-connection protocol state, owned by the connection's thread: the
+/// inbound byte buffer, the replies queued by the current pass, and the
+/// binary ingest scratch that makes frame decoding allocation-free per tuple.
 struct Conn {
-    stream: TcpStream,
     mode: ConnMode,
+    /// Inbound bytes. The vector is zero-filled to its whole length once, so
+    /// the socket is read straight into `inbuf[filled..]`; `inbuf[..filled]`
+    /// is what has arrived and not been parsed yet.
     inbuf: Vec<u8>,
+    filled: usize,
+    /// JSON only: how many bytes at the front of `inbuf` (the unfinished
+    /// line) are already known to hold no newline, so each pass searches
+    /// only what the last read added.
+    scanned: usize,
     outbuf: Vec<u8>,
-    outpos: usize,
-    /// Close once `outbuf` has drained (protocol abuse or shutdown ack).
-    close_after_flush: bool,
     /// Whether this connection has passed the auth gate. Starts `true`
     /// when the core has no token configured; otherwise flips on a
     /// successful `auth` op.
@@ -105,14 +114,13 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, authed: bool) -> Self {
+    fn new(authed: bool) -> Self {
         Self {
-            stream,
             mode: ConnMode::Sniffing,
             inbuf: Vec::new(),
+            filled: 0,
+            scanned: 0,
             outbuf: Vec::new(),
-            outpos: 0,
-            close_after_flush: false,
             authed,
             tuples: Vec::new(),
             ts: Vec::new(),
@@ -155,120 +163,111 @@ impl Conn {
         self.outbuf.push(b'\n');
     }
 
-    /// Push pending output to the socket without blocking. Returns false on
-    /// a fatal socket error.
-    fn flush_out(&mut self, progress: &mut bool) -> bool {
-        while self.outpos < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.outpos..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.outpos += n;
-                    *progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
+    /// The unused end of `inbuf`, for the next read to land in.
+    fn spare(&mut self) -> &mut [u8] {
+        if self.filled == self.inbuf.len() {
+            // Full, with an unfinished request at the front. Both protocols
+            // cap a request at `MAX_FRAME_BYTES`, so the doubling stops.
+            self.inbuf.resize((2 * self.filled).max(16 * 1024), 0);
         }
-        if self.outpos == self.outbuf.len() && self.outpos > 0 {
-            self.outbuf.clear();
-            self.outpos = 0;
-        }
-        true
+        &mut self.inbuf[self.filled..]
     }
 
-    /// Read whatever the socket has ready (bounded per pass so one firehose
-    /// client cannot starve its worker's other connections). Returns false
-    /// when the connection is done (EOF or fatal error).
-    fn fill_in(&mut self, chunk: &mut [u8], progress: &mut bool) -> bool {
-        for _ in 0..16 {
-            match self.stream.read(chunk) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    *progress = true;
-                    if n < chunk.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        true
-    }
-
-    /// One service pass: flush, read, then handle every complete message
-    /// sitting in the inbound buffer.
-    fn step<C: ServiceCore>(
-        &mut self,
+    /// Serve the connection until the client goes away, abuses the protocol,
+    /// stops draining its replies, or the socket is shut down under us.
+    fn serve<C: ServiceCore>(
+        mut self,
+        mut stream: &TcpStream,
         core: &C,
-        shutdown: &Arc<AtomicBool>,
+        shutdown: &AtomicBool,
         listener_addr: SocketAddr,
-        chunk: &mut [u8],
-    ) -> ConnStep {
-        let mut progress = false;
-        if !self.flush_out(&mut progress) {
-            return ConnStep::Close;
-        }
-        if self.close_after_flush {
-            return if self.outpos < self.outbuf.len() {
-                ConnStep::Idle
-            } else {
-                ConnStep::Close
-            };
-        }
-        if !self.fill_in(chunk, &mut progress) {
-            // Serve whatever complete requests arrived before EOF, then
-            // close once the answers are flushed.
-            self.close_after_flush = true;
-        }
-        let mut pos = 0usize;
+    ) {
         loop {
+            match stream.read(self.spare()) {
+                // Every complete request that arrived before the EOF was
+                // answered before this read was issued.
+                Ok(0) => return,
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            }
+            let next = self.answer_buffered(core);
+            // One write per pass: a pipelined train's replies leave
+            // together, and at most one read's worth of them is ever held.
+            if stream.write_all(&self.outbuf).is_err() {
+                return;
+            }
+            self.outbuf.clear();
+            match next {
+                Next::Read => {}
+                Next::Close => return,
+                Next::Stop => {
+                    shutdown.store(true, Ordering::Release);
+                    // The acceptor is blocked in accept(); wake it with a
+                    // throwaway connection so the op alone stops the
+                    // listener.
+                    let _ = TcpStream::connect(listener_addr);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Answer every complete request in `inbuf[..filled]`, queueing the
+    /// replies in `outbuf`, and move the unfinished tail to the front. This
+    /// never touches the socket, so the caller's blocking read is only ever
+    /// issued with no whole request left unparsed.
+    fn answer_buffered<C: ServiceCore>(&mut self, core: &C) -> Next {
+        let mut pos = 0usize;
+        let next = loop {
             match self.mode {
                 ConnMode::Sniffing => {
                     // Skip leading whitespace (blank lines between JSON
                     // requests would land here on a reconnect-free client).
-                    while pos < self.inbuf.len()
+                    while pos < self.filled
                         && matches!(self.inbuf[pos], b' ' | b'\t' | b'\r' | b'\n')
                     {
                         pos += 1;
                     }
-                    match self.inbuf.get(pos) {
-                        None => break,
-                        Some(&wire::MAGIC) => self.mode = ConnMode::Binary,
-                        Some(&b'{') => self.mode = ConnMode::Json,
-                        Some(&other) => {
+                    if pos == self.filled {
+                        break Next::Read;
+                    }
+                    match self.inbuf[pos] {
+                        wire::MAGIC => self.mode = ConnMode::Binary,
+                        b'{' => self.mode = ConnMode::Json,
+                        other => {
                             self.queue_json_line(&protocol::error(&format!(
                                 "unrecognized protocol: first byte 0x{other:02X} is neither \
                                  JSON ('{{') nor a binary frame (0x{:02X})",
                                 wire::MAGIC
                             )));
-                            self.close_after_flush = true;
-                            break;
+                            break Next::Close;
                         }
                     }
                 }
                 ConnMode::Json => {
-                    let Some(nl) = self.inbuf[pos..].iter().position(|&b| b == b'\n') else {
-                        if self.inbuf.len() - pos > wire::MAX_FRAME_BYTES {
+                    let from = pos + self.scanned;
+                    let Some(nl) =
+                        self.inbuf[from..self.filled].iter().position(|&b| b == b'\n')
+                    else {
+                        self.scanned = self.filled - pos;
+                        if self.scanned > wire::MAX_FRAME_BYTES {
                             self.queue_json_line(&protocol::error(&format!(
                                 "request line exceeds the {}-byte cap",
                                 wire::MAX_FRAME_BYTES
                             )));
-                            self.close_after_flush = true;
+                            break Next::Close;
                         }
-                        break;
+                        break Next::Read;
                     };
-                    let line = &self.inbuf[pos..pos + nl];
-                    pos += nl + 1;
+                    let line = &self.inbuf[pos..from + nl];
+                    pos = from + nl + 1;
+                    self.scanned = 0;
                     let text = String::from_utf8_lossy(line);
                     let trimmed = text.trim();
                     if trimmed.is_empty() {
                         continue;
                     }
-                    progress = true;
                     let (reply, stop) = match Request::parse(trimmed) {
                         Ok(request) => self.dispatch(core, request),
                         Err(e) => (Reply::request_error(format!("bad request: {e}")), false),
@@ -276,14 +275,13 @@ impl Conn {
                     let line = reply.render_json();
                     self.queue_json_line(&line);
                     if stop {
-                        self.begin_shutdown(shutdown, listener_addr);
-                        break;
+                        break Next::Stop;
                     }
                 }
                 ConnMode::Binary => {
-                    let avail = &self.inbuf[pos..];
+                    let avail = &self.inbuf[pos..self.filled];
                     if avail.len() < wire::HEADER_BYTES {
-                        break;
+                        break Next::Read;
                     }
                     let header_bytes: &[u8; wire::HEADER_BYTES] =
                         avail[..wire::HEADER_BYTES].try_into().expect("header size");
@@ -293,21 +291,17 @@ impl Conn {
                             // Framing can't be trusted past a bad header
                             // (magic, version, or a hostile length — which
                             // is rejected before any payload is buffered).
-                            self.queue(&wire::encode_reply(
-                                header_bytes[2],
-                                &Reply::request_error(e.to_string()),
-                            ));
-                            self.close_after_flush = true;
-                            progress = true;
-                            break;
+                            let reply = Reply::request_error(e.to_string());
+                            let opcode = header_bytes[2];
+                            self.queue(&wire::encode_reply(opcode, &reply));
+                            break Next::Close;
                         }
                     };
                     if avail.len() < wire::HEADER_BYTES + header.len {
-                        break; // incomplete frame; wait for more bytes
+                        break Next::Read; // incomplete frame; wait for more bytes
                     }
                     let payload_start = pos + wire::HEADER_BYTES;
                     pos = payload_start + header.len;
-                    progress = true;
                     let no_ack = header.flags & wire::FLAG_NO_ACK != 0;
                     match Opcode::from_byte(header.opcode) {
                         Some(Opcode::Ingest) if self.authed => {
@@ -362,8 +356,7 @@ impl Conn {
                                 self.queue(&wire::encode_reply(reply_opcode, &reply));
                             }
                             if stop {
-                                self.begin_shutdown(shutdown, listener_addr);
-                                break;
+                                break Next::Stop;
                             }
                         }
                         None => {
@@ -381,118 +374,18 @@ impl Conn {
                     }
                 }
             }
-        }
+        };
         if pos > 0 {
-            self.inbuf.drain(..pos);
+            self.inbuf.copy_within(pos..self.filled, 0);
+            self.filled -= pos;
         }
-        if !self.flush_out(&mut progress) {
-            return ConnStep::Close;
-        }
-        if self.close_after_flush && self.outpos >= self.outbuf.len() {
-            return ConnStep::Close;
-        }
-        if progress {
-            ConnStep::Progress
-        } else {
-            ConnStep::Idle
-        }
-    }
-
-    /// The shutdown op: deliver the ack, then stop the listener. The ack is
-    /// flushed with a short blocking retry so the flag flip can't race the
-    /// worker teardown and eat the response.
-    fn begin_shutdown(&mut self, shutdown: &Arc<AtomicBool>, listener_addr: SocketAddr) {
-        let deadline = std::time::Instant::now() + NET_TICK;
-        let mut progress = false;
-        while self.outpos < self.outbuf.len() && std::time::Instant::now() < deadline {
-            if !self.flush_out(&mut progress) {
-                break;
-            }
-            if self.outpos < self.outbuf.len() {
-                thread::sleep(Duration::from_micros(100));
-            }
-        }
-        shutdown.store(true, Ordering::Release);
-        // The acceptor may be blocked in accept(); wake it with a throwaway
-        // connection so the shutdown op alone stops the listener.
-        let _ = TcpStream::connect(listener_addr);
-        self.close_after_flush = true;
+        next
     }
 }
 
-/// A connection worker: owns a set of sockets, polls them with non-blocking
-/// reads, and escalates from spinning to sleeping as they go idle. A fixed
-/// pool of these replaces one-thread-per-connection — thousands of idle
-/// clients cost failed `read` syscalls on a few threads, not thousands of
-/// parked stacks.
-#[allow(clippy::needless_pass_by_value)]
-fn worker_loop<C: ServiceCore>(
-    core: Arc<C>,
-    shutdown: Arc<AtomicBool>,
-    rx: std::sync::mpsc::Receiver<TcpStream>,
-    live: Arc<AtomicU64>,
-    listener_addr: SocketAddr,
-) {
-    // With no token configured every connection starts authenticated.
-    let open = core.auth_token().is_none();
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut chunk = vec![0u8; 16 * 1024];
-    let mut spins = 0u32;
-    let mut sleep = IDLE_SLEEP_FLOOR;
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            live.fetch_sub(conns.len() as u64, Ordering::AcqRel);
-            return;
-        }
-        while let Ok(stream) = rx.try_recv() {
-            let _ = stream.set_nonblocking(true);
-            let _ = stream.set_nodelay(true);
-            conns.push(Conn::new(stream, open));
-        }
-        let mut progress = false;
-        let mut index = 0;
-        while index < conns.len() {
-            match conns[index].step(core.as_ref(), &shutdown, listener_addr, &mut chunk) {
-                ConnStep::Progress => {
-                    progress = true;
-                    index += 1;
-                }
-                ConnStep::Idle => index += 1,
-                ConnStep::Close => {
-                    conns.swap_remove(index);
-                    live.fetch_sub(1, Ordering::AcqRel);
-                    progress = true;
-                }
-            }
-        }
-        if progress {
-            spins = 0;
-            sleep = IDLE_SLEEP_FLOOR;
-            continue;
-        }
-        if conns.is_empty() {
-            // Nothing to poll: block on the hand-off channel (bounded so the
-            // shutdown flag is still noticed).
-            if let Ok(stream) = rx.recv_timeout(NET_TICK) {
-                let _ = stream.set_nonblocking(true);
-                let _ = stream.set_nodelay(true);
-                conns.push(Conn::new(stream, open));
-            }
-            continue;
-        }
-        spins += 1;
-        if spins <= IDLE_SPINS {
-            thread::yield_now();
-        } else {
-            thread::sleep(sleep);
-            sleep = (sleep * 2).min(NET_TICK);
-        }
-    }
-}
-
-/// Bind the shared transport stack — a fixed worker pool of non-blocking
-/// connection pollers fed by one accept thread — over any [`ServiceCore`].
-/// Used by [`start`] (ingest nodes) and by
+/// Bind the shared transport stack — one accept thread that spawns a
+/// blocking thread per admitted connection — over any [`ServiceCore`]. Used
+/// by [`crate::server::start`] (ingest nodes) and by
 /// [`crate::cluster::start_aggregator`].
 pub(crate) fn spawn_acceptor<C: ServiceCore>(
     core: Arc<C>,
@@ -501,77 +394,116 @@ pub(crate) fn spawn_acceptor<C: ServiceCore>(
     max_connections: usize,
 ) -> Result<thread::JoinHandle<()>, ServeError> {
     let addr = listener.local_addr()?;
-    // A small fixed worker pool services every connection with non-blocking
-    // reads; the acceptor only hands sockets over. Thousands of idle clients
-    // therefore cost a few polling threads, not thousands of parked stacks.
-    let workers = thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
-    let live = Arc::new(AtomicU64::new(0));
-    let acceptor_shutdown = shutdown;
     thread::Builder::new()
         .name("cora-serve-accept".into())
         .spawn(move || {
-            let mut txs = Vec::with_capacity(workers);
-            let mut pool = Vec::with_capacity(workers);
-            for i in 0..workers {
-                let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-                let core = Arc::clone(&core);
-                let shutdown = Arc::clone(&acceptor_shutdown);
-                let live = Arc::clone(&live);
-                if let Ok(handle) = thread::Builder::new()
-                    .name(format!("cora-serve-worker-{i}"))
-                    .spawn(move || worker_loop(core, shutdown, rx, live, addr))
-                {
-                    txs.push(tx);
-                    pool.push(handle);
-                }
-            }
-            let mut next = 0usize;
+            // With no token configured every connection starts authenticated.
+            let open = core.auth_token().is_none();
+            // One entry per connection being served. The thread owns the
+            // socket, so it closes on every exit path (a panic included);
+            // the weak handle is for shutdown, which must close sockets
+            // whose threads are parked in `read`.
+            let mut conns: Vec<(Weak<TcpStream>, thread::JoinHandle<()>)> = Vec::new();
             loop {
-                if acceptor_shutdown.load(Ordering::Acquire) {
+                if shutdown.load(Ordering::Acquire) {
                     break;
                 }
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        if acceptor_shutdown.load(Ordering::Acquire) {
-                            break; // the shutdown wake-up connection
-                        }
-                        if live.load(Ordering::Acquire) >= max_connections as u64 {
-                            // Over the configured limit: answer with one
-                            // error line and close, instead of silently
-                            // queueing in the accept backlog. (Binary
-                            // clients see a failed handshake — the reply is
-                            // not a frame — and close too.)
-                            let refusal = protocol::error_with_kind(
-                                protocol::ErrorKind::Server,
-                                &format!(
-                                    "connection limit reached \
-                                     (max_connections = {max_connections})"
-                                ),
-                            );
-                            let _ = stream.write_all(refusal.as_bytes());
-                            let _ = stream.write_all(b"\n");
-                            continue;
-                        }
-                        if txs.is_empty() {
-                            continue;
-                        }
-                        live.fetch_add(1, Ordering::AcqRel);
-                        if txs[next % txs.len()].send(stream).is_err() {
-                            live.fetch_sub(1, Ordering::AcqRel);
-                        }
-                        next = next.wrapping_add(1);
-                    }
-                    Err(_) => {
-                        if acceptor_shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                    }
+                let Ok((mut stream, _)) = listener.accept() else {
+                    continue;
+                };
+                if shutdown.load(Ordering::Acquire) {
+                    break; // the shutdown wake-up connection
+                }
+                // Reap finished threads here, as connections churn: their
+                // slots are reusable from the moment they exit.
+                conns.retain(|(_, thread)| !thread.is_finished());
+                if conns.len() >= max_connections {
+                    // Over the configured limit: answer with one error line
+                    // and close, instead of silently queueing in the accept
+                    // backlog. (Binary clients see a failed handshake — the
+                    // reply is not a frame — and close too.)
+                    let refusal = protocol::error_with_kind(
+                        protocol::ErrorKind::Server,
+                        &format!(
+                            "connection limit reached \
+                             (max_connections = {max_connections})"
+                        ),
+                    );
+                    let _ = stream.write_all(refusal.as_bytes());
+                    let _ = stream.write_all(b"\n");
+                    continue;
+                }
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+                let stream = Arc::new(stream);
+                let handle = Arc::downgrade(&stream);
+                let (core, shutdown) = (Arc::clone(&core), Arc::clone(&shutdown));
+                if let Ok(thread) = thread::Builder::new()
+                    .name("cora-serve-conn".into())
+                    .spawn(move || Conn::new(open).serve(&stream, core.as_ref(), &shutdown, addr))
+                {
+                    conns.push((handle, thread));
                 }
             }
-            drop(txs);
-            for handle in pool {
-                let _ = handle.join();
+            for (handle, thread) in conns {
+                if let Some(stream) = handle.upgrade() {
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+                let _ = thread.join();
             }
         })
         .map_err(|e| ServeError::Invalid(format!("could not spawn the accept loop: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Answers everything with a bare `ok`.
+    struct Yes;
+
+    impl ServiceCore for Yes {
+        fn auth_token(&self) -> Option<&str> {
+            None
+        }
+        fn note_request(&self) {}
+        fn handle(&self, _request: Request) -> (Reply, bool) {
+            (Reply::ok(), false)
+        }
+        fn ingest_binary(&self, _: &[(u64, u64)], _: &[u64], _: Option<(u64, u64)>) -> Reply {
+            Reply::ok()
+        }
+    }
+
+    /// Deliver `bytes` the way one `read` would, then run the parse pass.
+    fn deliver(conn: &mut Conn, bytes: &[u8]) -> Next {
+        conn.spare()[..bytes.len()].copy_from_slice(bytes);
+        conn.filled += bytes.len();
+        conn.answer_buffered(&Yes)
+    }
+
+    /// One parse pass per 1 KiB segment of an 8 MiB line — the interleaving
+    /// a slow sender produces, forced here instead of hoped for. Searching
+    /// the line from its start on every pass reads 32 GiB (minutes in a
+    /// debug build); resuming where the last pass stopped reads 8 MiB.
+    #[test]
+    fn a_long_json_line_is_scanned_once() {
+        let mut conn = Conn::new(true);
+        assert!(matches!(deliver(&mut conn, b"{\"op\":\"ping\"}\n"), Next::Read));
+        conn.outbuf.clear();
+        let started = std::time::Instant::now();
+        let segment = [b' '; 1024];
+        for _ in 0..8 * 1024 {
+            assert!(matches!(deliver(&mut conn, &segment), Next::Read));
+        }
+        assert_eq!(conn.scanned, 8 << 20);
+        // The newline arrives in a segment of its own, after the request.
+        assert!(matches!(deliver(&mut conn, b"{\"op\":\"ping\"}"), Next::Read));
+        assert!(conn.outbuf.is_empty());
+        assert!(matches!(deliver(&mut conn, b"\n{\"op\":"), Next::Read));
+        assert_eq!(conn.outbuf, b"{\"ok\":true}\n");
+        assert_eq!((conn.filled, conn.scanned), (6, 6), "the next line's start is kept");
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(3), "took {took:?}");
+    }
 }

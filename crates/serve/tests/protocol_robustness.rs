@@ -447,3 +447,256 @@ fn concurrent_mixed_readers_neither_wedge_nor_change_answers() {
     assert_eq!(final_answers(&mut writer), expected);
     server.shutdown();
 }
+
+// ---- The transport's shape: one blocking thread per connection ----------
+//
+// These fail if the transport drifts back towards polling (a wake-up tax
+// after an idle gap), stops reclaiming slots and threads, loses replies
+// around a half-close, or issues a blocking read while a complete request
+// sits unparsed. All bounds are loose enough for a debug build.
+
+#[test]
+fn a_ping_after_an_idle_gap_pays_one_wake_up_not_a_sleep_tier() {
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut client = ServeClient::connect_binary(server.local_addr()).unwrap();
+    client.ping().unwrap();
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(100));
+            let sent = std::time::Instant::now();
+            client.ping().unwrap();
+            sent.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median ping after 100 ms idle took {median:?}: its thread was not parked in read"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_returns_promptly_with_clients_parked_in_read() {
+    let idle_clients = |server: &RunningServer| -> Vec<TcpStream> {
+        let idle: Vec<TcpStream> = (0..32).map(|_| connect_raw(server)).collect();
+        // A served ping proves all 32 were accepted (accepts are in order).
+        ServeClient::connect(server.local_addr()).unwrap().ping().unwrap();
+        idle
+    };
+    let assert_closed = |idle: &mut [TcpStream]| {
+        for stream in idle {
+            assert_eq!(stream.read(&mut [0u8; 1]).unwrap_or(0), 0, "parked client left open");
+        }
+    };
+
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut idle = idle_clients(&server);
+    let asked = std::time::Instant::now();
+    server.shutdown();
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown() with 32 parked clients took {took:?}");
+    assert_closed(&mut idle);
+
+    // The `shutdown` op over the wire: its ack arrives, then the listener
+    // stops and every parked client is closed.
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut idle = idle_clients(&server);
+    let mut client = ServeClient::connect_binary(server.local_addr()).unwrap();
+    client.shutdown_server().expect("the shutdown op's ack");
+    server.wait();
+    assert_closed(&mut idle);
+    let asked = std::time::Instant::now();
+    server.shutdown();
+    assert!(asked.elapsed() < Duration::from_secs(1));
+}
+
+#[test]
+fn three_hundred_connections_are_served_at_once_and_their_slots_reclaimed() {
+    const WIDTH: usize = 300;
+    let mut config = test_config();
+    config.max_connections = WIDTH; // the second wave fits only in reclaimed slots
+    let server = start(config, "127.0.0.1:0").unwrap();
+    ServeClient::connect(server.local_addr()).unwrap().ingest(&[(1, 1), (2, 2)]).unwrap();
+
+    for wave in 0..2 {
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        let mut clients: Vec<ServeClient> = Vec::with_capacity(WIDTH);
+        while clients.len() < WIDTH {
+            let mut client = if clients.len() % 2 == 0 {
+                ServeClient::connect_binary(server.local_addr())
+            } else {
+                ServeClient::connect(server.local_addr())
+            }
+            .unwrap();
+            // A slot frees when the server notices the close, a moment after
+            // the client's drop returns; until then the newcomer is refused.
+            match client.ping() {
+                Ok(()) => clients.push(client),
+                Err(e) => assert!(
+                    std::time::Instant::now() < deadline,
+                    "wave {wave}: only {} of {WIDTH} admitted: {e}",
+                    clients.len()
+                ),
+            }
+        }
+        // All of them are open together, and every one is answered.
+        for client in &mut clients {
+            assert_eq!(client.query_f0(1023).unwrap(), 2.0);
+        }
+        // Full means full: one more is turned away.
+        let mut extra = BufReader::new(connect_raw(&server));
+        let mut line = String::new();
+        extra.read_line(&mut line).expect("refusal line");
+        assert!(line.contains("connection limit"), "wave {wave}: got {line:?}");
+    }
+    server.shutdown();
+}
+
+#[test]
+fn half_closed_client_still_reads_every_reply_in_order() {
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut stream = connect_raw(&server);
+    stream
+        .write_all(b"{\"op\":\"ping\"}\n{\"op\":\"nonsense\"}\n{\"op\":\"f0\",\"c\":5}\n")
+        .unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).expect("replies, then the server's close");
+    let lines: Vec<&str> = answer.lines().collect();
+    assert_eq!(lines.len(), 3, "got: {answer}");
+    assert!(lines[0].contains("\"ok\":true") && !lines[0].contains("value"), "got: {answer}");
+    assert!(lines[1].contains("\"ok\":false"), "got: {answer}");
+    assert!(lines[2].contains("\"ok\":true") && lines[2].contains("value"), "got: {answer}");
+    server.shutdown();
+}
+
+#[test]
+fn a_request_split_across_two_writes_is_answered_once() {
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let gap = Duration::from_millis(30);
+
+    // Binary: the header in one segment, the payload in the next.
+    let mut stream = connect_raw(&server);
+    let frame = wire::encode_ingest(&[(7, 1), (8, 2), (9, 3)], None, None, 0);
+    stream.write_all(&frame[..wire::HEADER_BYTES]).unwrap();
+    std::thread::sleep(gap);
+    stream.write_all(&frame[wire::HEADER_BYTES..]).unwrap();
+    let mut header = [0u8; wire::HEADER_BYTES];
+    stream.read_exact(&mut header).expect("ingest ack header");
+    let parsed = wire::parse_header(&header).unwrap();
+    assert_eq!(parsed.flags & wire::FLAG_ERROR, 0);
+    let mut payload = vec![0u8; parsed.len];
+    stream.read_exact(&mut payload).unwrap();
+
+    // JSON: the line first, its newline later.
+    let mut stream = connect_raw(&server);
+    stream.write_all(b"{\"op\":\"ingest\",\"xs\":[10,11],\"ys\":[4,5]}").unwrap();
+    std::thread::sleep(gap);
+    stream.write_all(b"\n").unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "got: {line}");
+
+    // Each batch was applied exactly once, and neither connection has a
+    // second reply queued behind the first.
+    let mut client = ServeClient::connect(server.local_addr()).unwrap();
+    assert_eq!(client.stats().unwrap().u64_field("items_accepted").unwrap(), 5);
+    reader.get_ref().set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+    line.clear();
+    assert!(reader.read_line(&mut line).is_err(), "a second reply arrived: {line}");
+    server.shutdown();
+}
+
+/// The JSON line scan resumes where the last read left it. A long line
+/// delivered in small segments used to be rescanned from its start on every
+/// pass (quadratic); here 8 MiB of padding in 1 KiB writes must be absorbed
+/// at wire speed. (The deterministic form of this check, one pass per
+/// segment, is `transport::tests::a_long_json_line_is_scanned_once`.)
+#[test]
+fn a_long_json_line_in_small_segments_is_answered_promptly_and_the_cap_holds() {
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut stream = connect_raw(&server);
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut line = String::new();
+    // Fix the protocol first: the sniffer would swallow leading padding.
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "got: {line}");
+
+    let started = std::time::Instant::now();
+    let segment = [b' '; 1024];
+    for _ in 0..8 * 1024 {
+        stream.write_all(&segment).unwrap();
+    }
+    stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "got: {line}");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(5), "an 8 MiB padded line took {took:?}");
+
+    // Past the cap with no newline in sight: one error line, then closed.
+    let segment = vec![b' '; 1 << 20];
+    for _ in 0..=wire::MAX_FRAME_BYTES / segment.len() {
+        if stream.write_all(&segment).is_err() {
+            break; // the server may refuse before the last segment lands
+        }
+    }
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains(&format!("request line exceeds the {}-byte cap", wire::MAX_FRAME_BYTES)),
+        "got: {line}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0, "connection stayed open");
+    assert_server_alive(&server);
+    server.shutdown();
+}
+
+/// A client that pipelines requests and never reads its replies is stopped
+/// by back-pressure — the server stops reading it once its replies no
+/// longer fit in the socket, so its own writes stall — instead of growing a
+/// reply queue in server memory; it starves nobody and cannot hold up
+/// shutdown.
+#[test]
+fn a_client_that_never_reads_is_stalled_not_buffered_without_limit() {
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let hoarder = std::thread::spawn(move || {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_write_timeout(Some(Duration::from_millis(500))).unwrap();
+        let chunk = b"{\"op\":\"ping\"}\n".repeat(4096);
+        // Far more than any kernel buffering between the two ends: only a
+        // server that keeps reading (and queueing replies) takes it all.
+        for sent in 0..2048 {
+            if stream.write_all(&chunk).is_err() {
+                return (stream, sent * 4096);
+            }
+        }
+        panic!("the server swallowed 8M pipelined pings from a client that never reads");
+    });
+    let mut client = ServeClient::connect_binary(addr).unwrap();
+    client.set_timeouts(Some(Duration::from_secs(10)), Some(Duration::from_secs(10))).unwrap();
+    let mut answered = 0u32;
+    while !hoarder.is_finished() {
+        client.ping().expect("a well-behaved client is served beside the hoarder");
+        answered += 1;
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (stream, lines) = hoarder.join().unwrap();
+    assert!(lines >= 200_000, "stalled after only {lines} lines");
+    assert!(answered > 0);
+    client.ping().unwrap();
+    // The hoarder's thread is blocked in a write; shutdown closes the socket
+    // under it instead of waiting out the write timeout.
+    let asked = std::time::Instant::now();
+    server.shutdown();
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown() behind a stalled write took {took:?}");
+    drop(stream);
+}

@@ -226,10 +226,13 @@ where
                 if idle < IDLE_SPINS {
                     std::hint::spin_loop();
                 } else {
-                    // Park instead of burn-spinning: keeps the front-end
-                    // usable on machines with fewer cores than shards (the
-                    // producer unparks us after every push).
-                    thread::park_timeout(Duration::from_micros(200));
+                    // Sleep until told: the producer unparks us after every
+                    // push, on ring-full, in `flush` and on shutdown. The
+                    // order above — pop, shutdown check, park — is what makes
+                    // no timeout necessary: a push or a shutdown landing
+                    // after our empty pop leaves its unpark token behind, so
+                    // this returns at once and the loop sees it.
+                    thread::park();
                 }
             }
         }
@@ -987,6 +990,33 @@ mod tests {
             sharded.insert(i, i % 1024).unwrap();
         }
         drop(sharded); // buffered batch dispatched + workers joined
+    }
+
+    #[test]
+    fn parked_workers_wake_for_a_push_a_flush_and_the_drop() {
+        // Workers park without a timeout, so every wake-up must come from
+        // the producer. Idle long past the spin budget before each one.
+        let idle = || thread::sleep(Duration::from_millis(100));
+        let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 10_000, 7, 2)
+            .unwrap()
+            .with_batch_size(32);
+        idle();
+        // A full batch is dispatched by the insert itself: the push's unpark
+        // alone (no flush yet) must get it applied.
+        for i in 0..32u64 {
+            sharded.insert(i, i).unwrap();
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while sharded.stats().unwrap().items_processed < 32 {
+            assert!(std::time::Instant::now() < deadline, "a parked worker missed its push");
+            thread::yield_now();
+        }
+        idle();
+        sharded.insert(40, 40).unwrap(); // partial batch: flush dispatches it
+        sharded.flush();
+        assert_eq!(sharded.stats().unwrap().items_processed, 33);
+        idle();
+        drop(sharded); // joins both parked workers
     }
 
     #[test]
