@@ -115,10 +115,14 @@ pub trait CorrelatedAggregate: Clone {
 /// The paper's level-0 structure stores singleton buckets exactly; in the same
 /// spirit every bucket in this implementation starts as an exact frequency
 /// vector and is converted to the aggregate's sketch the first time the exact
-/// form would use more space than the sketch would. This never increases
-/// space relative to the pure-sketch design, removes all estimation error from
-/// small buckets (the common case at low levels, where the closing threshold
-/// `2^{ℓ+1}` is tiny), and is transparent to the framework.
+/// form would use more space than the sketch would — whether the bucket grew
+/// by inserts ([`Self::update`]) or by merging another structure into it
+/// (`absorb`: shard composites, window panes, replicated state). This never
+/// increases space relative to the pure-sketch design, removes all estimation
+/// error from small buckets (the common case at low levels, where the closing
+/// threshold `2^{ℓ+1}` is tiny), and is transparent to the framework. Only
+/// query-time composites ([`Self::merge_from`] into a scratch accumulator)
+/// stay exact past that point: they answer one query and are not stored.
 #[derive(Debug, Clone)]
 pub enum BucketStore<A: CorrelatedAggregate> {
     /// Exact frequency vector (small buckets).
@@ -138,16 +142,42 @@ impl<A: CorrelatedAggregate> BucketStore<A> {
         match self {
             BucketStore::Exact(freqs) => {
                 freqs.update(item, weight);
-                // Convert when the exact representation is no longer the
-                // cheaper one.
-                if freqs.stored_tuples() > 16
-                    && freqs.stored_tuples() >= agg.sketch_size_hint().max(1)
-                {
-                    self.convert(agg);
-                }
+                self.spill_if_due(agg);
             }
             BucketStore::Sketched(sketch) => sketch.update(item, weight),
         }
+    }
+
+    /// True iff this is an exact store at or past its spill point: it holds
+    /// more than 16 and at least `sketch_size_hint` distinct items, so the
+    /// exact representation is no longer the cheaper one. The one statement
+    /// of the exact→sketched rule; the level invariant checks assert no
+    /// stored bucket satisfies it.
+    pub(crate) fn past_spill_point(&self, agg: &A) -> bool {
+        match self {
+            BucketStore::Exact(freqs) => {
+                let n = freqs.stored_tuples();
+                n > 16 && n >= agg.sketch_size_hint().max(1)
+            }
+            BucketStore::Sketched(_) => false,
+        }
+    }
+
+    /// Convert to the sketched representation if the spill rule says so.
+    fn spill_if_due(&mut self, agg: &A) {
+        if self.past_spill_point(agg) {
+            self.convert(agg);
+        }
+    }
+
+    /// Merge `other` into this **stored** bucket, then apply the spill rule,
+    /// so a bucket grown by merging converts exactly where one grown by
+    /// inserts would. Query-time accumulators use [`Self::merge_from`]
+    /// instead and stay exact.
+    pub(crate) fn absorb(&mut self, agg: &A, other: &Self) -> crate::error::Result<()> {
+        self.merge_from(agg, other)?;
+        self.spill_if_due(agg);
+        Ok(())
     }
 
     /// Insert an item whose sketch coordinates were precomputed with
@@ -224,7 +254,8 @@ impl<A: CorrelatedAggregate> BucketStore<A> {
         matches!(self, BucketStore::Exact(_))
     }
 
-    /// Merge `other` into `self` (used at query time to compose buckets).
+    /// Merge `other` into `self` without applying the spill rule (used at
+    /// query time to compose buckets; stored buckets merge through `absorb`).
     pub fn merge_from(&mut self, agg: &A, other: &Self) -> crate::error::Result<()> {
         match (&mut *self, other) {
             (BucketStore::Exact(a), BucketStore::Exact(b)) => {
@@ -369,6 +400,59 @@ mod tests {
         e.merge_from(&agg, &sk).unwrap();
         assert!(!e.is_exact());
         assert!((e.estimate(&agg) - 4.0).abs() < 1.0);
+    }
+
+    fn store_bytes(store: &BucketStore<F2Aggregate>) -> Vec<u8> {
+        let mut w = cora_sketch::codec::ByteWriter::new();
+        crate::snapshot::encode_store(store, &mut w);
+        w.as_bytes().to_vec()
+    }
+
+    #[test]
+    fn absorb_spills_where_update_would_and_matches_it_bit_for_bit() {
+        let agg = agg();
+        let spill = agg.sketch_size_hint();
+        // Two exact halves, each below the spill point, overlapping on ten
+        // items; their union holds spill + 5 distinct items.
+        let half = spill as u64 / 2;
+        let left: Vec<(u64, i64)> = (0..half + 5).map(|x| (x, 1 + (x % 3) as i64)).collect();
+        let right: Vec<(u64, i64)> = (half - 5..spill as u64 + 5).map(|x| (x, 2)).collect();
+        let (mut a, mut b, mut direct) =
+            (BucketStore::<F2Aggregate>::new(), BucketStore::new(), BucketStore::new());
+        for &(x, w) in &left {
+            a.update(&agg, x, w);
+            direct.update(&agg, x, w);
+        }
+        for &(x, w) in &right {
+            b.update(&agg, x, w);
+            direct.update(&agg, x, w);
+        }
+        assert!(a.is_exact() && b.is_exact() && !direct.is_exact());
+        // Query-time composition keeps the union exact...
+        let mut composed = a.clone();
+        composed.merge_from(&agg, &b).unwrap();
+        assert!(composed.is_exact() && composed.past_spill_point(&agg));
+        // ...a stored bucket spills, to exactly what inserts build (the
+        // sketch is linear, so conversion order cannot move a counter).
+        a.absorb(&agg, &b).unwrap();
+        assert!(!a.is_exact());
+        assert!(store_bytes(&a) == store_bytes(&direct), "absorb differs from update");
+    }
+
+    #[test]
+    fn absorb_below_the_spill_point_is_merge_from() {
+        let agg = agg();
+        let (mut a, mut b) = (BucketStore::<F2Aggregate>::new(), BucketStore::new());
+        for x in 0..40u64 {
+            a.update(&agg, x, 3);
+            b.update(&agg, x + 20, 1);
+        }
+        let mut merged = a.clone();
+        merged.merge_from(&agg, &b).unwrap();
+        a.absorb(&agg, &b).unwrap();
+        assert!(a.is_exact());
+        assert_eq!(a.stored_tuples(), 60);
+        assert!(store_bytes(&a) == store_bytes(&merged));
     }
 
     #[test]

@@ -249,6 +249,10 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
     /// bucket-closing re-run, and the shared tails merge with the
     /// materialization check re-run (see the level engine in `crate::levels`).
     ///
+    /// Merged buckets spill from exact to sketched storage at the same size
+    /// inserted ones do, so a merged structure never stores more than its
+    /// buckets × one sketch, however many inputs it absorbed.
+    ///
     /// Per-bucket stores are linear summaries, so merged buckets carry the
     /// same relative error as sequentially-built ones. What composition *can*
     /// inflate is the boundary-bucket omission of Algorithm 3: a merged
@@ -415,15 +419,16 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
     }
 
     /// Assert the structure's invariants: the singleton level respects its
-    /// budget and watermark, and every dyadic level passes the
+    /// budget and watermark, every dyadic level passes the
     /// structure-of-arrays checks (leaf tiling, predecessor-index agreement,
     /// eviction-set consistency — see `Level::check_invariants` in
-    /// `crate::levels`). Panics on violation. Compiled only under `cfg(test)`
+    /// `crate::levels`), and no stored bucket is exact past its spill point.
+    /// Panics on violation. Compiled only under `cfg(test)`
     /// or the `invariant-checks` feature; property tests run it after merges.
     #[cfg(any(test, feature = "invariant-checks"))]
     pub fn check_invariants(&self) {
-        self.singletons.check_invariants(self.alpha);
-        self.engine.check_invariants();
+        self.singletons.check_invariants(&self.agg, self.alpha);
+        self.engine.check_invariants(&self.agg);
     }
 }
 
@@ -596,6 +601,25 @@ mod tests {
         // compose_for_threshold returns an equivalent store from the cache.
         let store = s.compose_for_threshold(500).unwrap();
         assert_eq!(store.estimate(s.aggregate()), second);
+    }
+
+    #[test]
+    fn composed_answers_stay_exact_past_the_spill_point() {
+        let mut s = f2_sketch(0.3, 1023, AlphaPolicy::Fixed(64));
+        let spill = s.aggregate().sketch_size_hint() as u64;
+        // Four singleton buckets of spill/2 distinct items each: every stored
+        // bucket stays exact, their union is twice the spill point.
+        for x in 0..2 * spill {
+            s.insert(x, x % 4).unwrap();
+        }
+        s.check_invariants();
+        assert_eq!(s.query_level(3), Some(0));
+        let (exact, tuples) = s
+            .with_composed(3, |store| (store.is_exact(), store.stored_tuples()))
+            .unwrap();
+        assert!(exact, "a query-time accumulator must not spill");
+        assert_eq!(tuples as u64, 2 * spill);
+        assert_eq!(s.query(3).unwrap(), (2 * spill) as f64);
     }
 
     #[test]

@@ -340,8 +340,10 @@ impl CorrelatedAggregate for F2HeavyAggregate {
     }
 
     fn sketch_size_hint(&self) -> usize {
-        // An exact entry is two words, a counter one: the exact form stays
-        // the cheaper one until it holds about two entries per counter.
+        // 2·w·d exact entries of two words each: at the spill point the
+        // exact form is ≈ 4× the lane's w·d one-word counters, not the
+        // cheaper one. Kept as is for now — moving it moves HH state and
+        // answers (ROADMAP item 2).
         2 * self.width * self.depth
     }
 

@@ -548,8 +548,10 @@ impl<A: CorrelatedAggregate> Level<A> {
     /// Merge another same-index level into this one **in place** (Property
     /// V): the node set becomes the union of both dyadic trees, per-interval
     /// stores are merged (summaries are composable because all bucket
-    /// sketches share hash seeds), and bucket-closing is re-run with fresh
-    /// headroom on every node the merge touched.
+    /// sketches share hash seeds) and spill to their sketch at the insert
+    /// path's size (`BucketStore::absorb`), and bucket-closing is re-run with
+    /// fresh headroom — from the representation the bucket now has — on
+    /// every node the merge touched.
     ///
     /// Soundness: both inputs are ancestor-closed subtrees of the same dyadic
     /// tree, so their union is too, and below the merged watermark
@@ -614,7 +616,7 @@ impl<A: CorrelatedAggregate> Level<A> {
                 .map(|&(_, _, slot)| slot);
             let slot = match existing {
                 Some(slot) => {
-                    self.arena.stores[slot as usize].merge_from(agg, other_store)?;
+                    self.arena.stores[slot as usize].absorb(agg, other_store)?;
                     slot
                 }
                 None => {
@@ -685,7 +687,7 @@ impl<A: CorrelatedAggregate> Level<A> {
             return Ok(());
         };
         let s = slot as usize;
-        self.arena.stores[s].merge_from(agg, tail)?;
+        self.arena.stores[s].absorb(agg, tail)?;
         let estimate = self.arena.stores[s].estimate(agg);
         let meta = &mut self.arena.meta[s];
         if !meta.is_unit() && estimate >= self.threshold {
@@ -848,9 +850,10 @@ impl<A: CorrelatedAggregate> Level<A> {
     /// Assert the level's structural invariants (test / `invariant-checks`
     /// builds only): parallel-array consistency, the leaf tiling of the
     /// reachable y-domain, predecessor-index agreement with a linear scan,
-    /// and eviction-set membership matching the slot flags.
+    /// eviction-set membership matching the slot flags, and no live bucket
+    /// left exact past its spill point.
     #[cfg(any(test, feature = "invariant-checks"))]
-    pub(crate) fn check_invariants(&self, root: DyadicInterval) {
+    pub(crate) fn check_invariants(&self, agg: &A, root: DyadicInterval) {
         let a = &self.arena;
         let n = a.len();
         assert_eq!(
@@ -860,6 +863,14 @@ impl<A: CorrelatedAggregate> Level<A> {
         );
         let live_slots: Vec<u32> = (0..n as u32).filter(|&s| !a.is_evicted(s)).collect();
         assert_eq!(live_slots.len(), self.live, "live count out of sync");
+        for &slot in &live_slots {
+            assert!(
+                !a.stores[slot as usize].past_spill_point(agg),
+                "level {} bucket {:?} is still exact past its spill point",
+                self.index,
+                a.interval(slot)
+            );
+        }
         // Eviction-set membership matches the slot flags exactly: every live
         // slot is orderable for eviction, every tombstone is in the free
         // list with its closed flag cleared.
@@ -1186,7 +1197,7 @@ impl<A: CorrelatedAggregate> LevelEngine<A> {
         // case both inputs still had live tails (levels.len() < max_level for
         // both). Force a fresh estimate and materialize crossed levels.
         if self.has_dormant() {
-            self.tail.store.merge_from(agg, &other.tail.store)?;
+            self.tail.store.absorb(agg, &other.tail.store)?;
             self.tail.pending_weight = 0.0;
             self.tail.headroom = 0.0;
             self.materialize_crossed_levels(agg);
@@ -1288,12 +1299,16 @@ impl<A: CorrelatedAggregate> LevelEngine<A> {
 
     /// Assert the engine's structural invariants (test / `invariant-checks`
     /// builds only): packed bounds mirror the level watermarks, level
-    /// indices are contiguous, and every level passes
-    /// [`Level::check_invariants`].
+    /// indices are contiguous, the shared tail obeys the spill rule, and
+    /// every level passes [`Level::check_invariants`].
     #[cfg(any(test, feature = "invariant-checks"))]
-    pub(crate) fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self, agg: &A) {
         assert_eq!(self.levels.len(), self.level_bounds.len());
         assert!(self.levels.len() as u32 <= self.max_level);
+        assert!(
+            !self.tail.store.past_spill_point(agg),
+            "shared tail is still exact past its spill point"
+        );
         for (i, (level, &bound)) in self.levels.iter().zip(&self.level_bounds).enumerate() {
             assert_eq!(level.index, i as u32 + 1, "level indices must be contiguous");
             assert_eq!(
@@ -1302,7 +1317,7 @@ impl<A: CorrelatedAggregate> LevelEngine<A> {
                 "packed bound out of sync with level {}",
                 level.index
             );
-            level.check_invariants(self.root);
+            level.check_invariants(agg, self.root);
         }
     }
 }
@@ -1334,7 +1349,7 @@ mod tests {
         }
         assert!(level.live <= 8, "eviction must keep the level within alpha");
         assert!(level.y_bound.is_some(), "alpha = 8 must force evictions here");
-        level.check_invariants(root);
+        level.check_invariants(&agg, root);
     }
 
     #[test]
@@ -1353,7 +1368,7 @@ mod tests {
             }
         }
         a.absorb(&b, &agg, 32).unwrap();
-        a.check_invariants(root);
+        a.check_invariants(&agg, root);
         assert!(a.live <= 32);
         // The merged level summarises both inputs: total stored weight at
         // least either side's.
@@ -1381,8 +1396,8 @@ mod tests {
         ab.absorb(&b, &agg, 256).unwrap();
         let mut ba = b.clone();
         ba.absorb(&a, &agg, 256).unwrap();
-        ab.check_invariants(root);
-        ba.check_invariants(root);
+        ab.check_invariants(&agg, root);
+        ba.check_invariants(&agg, root);
         let nodes = |l: &Level<F2Aggregate>| -> Vec<(DyadicInterval, usize)> {
             let mut v: Vec<_> = l.live_buckets().map(|(iv, s)| (iv, s.stored_tuples())).collect();
             v.sort_unstable_by_key(|&(iv, _)| (iv.lo, iv.len()));
@@ -1417,7 +1432,7 @@ mod tests {
         // Ample post-merge budget, so no further eviction lowers the
         // watermark past the one inherited from `b`.
         a.absorb(&b, &agg, 1024).unwrap();
-        a.check_invariants(root);
+        a.check_invariants(&agg, root);
         assert_eq!(a.y_bound, Some(bound));
         for (iv, _) in a.live_buckets() {
             assert!(iv.lo < bound, "node at {iv:?} is unreachable past {bound}");
@@ -1442,7 +1457,7 @@ mod tests {
             tail.update(&agg, x, 2);
         }
         level.absorb_tail(&tail, &agg).unwrap();
-        level.check_invariants(root);
+        level.check_invariants(&agg, root);
         assert_eq!(level.live, node_count, "absorbing a tail adds no node");
         let after: usize = level.live_buckets().map(|(_, s)| s.stored_tuples()).sum();
         assert!(after >= before, "root store must have grown: {before} -> {after}");
@@ -1469,7 +1484,7 @@ mod tests {
             "3k tuples over 50 ids must cross the first thresholds"
         );
         assert!(engine.has_dormant(), "top levels stay dormant");
-        engine.check_invariants();
+        engine.check_invariants(&agg);
     }
 
     #[test]
@@ -1504,7 +1519,7 @@ mod tests {
             let bv: Vec<_> = b.live_buckets().map(|(iv, s)| (iv, s.stored_tuples())).collect();
             assert_eq!(av, bv);
         }
-        scalar.check_invariants();
-        batched.check_invariants();
+        scalar.check_invariants(&agg);
+        batched.check_invariants(&agg);
     }
 }

@@ -143,7 +143,7 @@ impl<A: CorrelatedAggregate> SingletonLevel<A> {
     pub(crate) fn merge_from(&mut self, agg: &A, other: &Self, alpha: usize) -> Result<()> {
         for (y, store) in other.sorted_entries() {
             let slot = self.slot_of(y);
-            self.stores[slot as usize].merge_from(agg, store)?;
+            self.stores[slot as usize].absorb(agg, store)?;
         }
         self.y_bound = min_watermark(self.y_bound, other.y_bound);
         if let Some(bound) = self.y_bound {
@@ -229,14 +229,21 @@ impl<A: CorrelatedAggregate> SingletonLevel<A> {
     }
 
     /// Assert the level's structural invariants (test / `invariant-checks`
-    /// builds only): budget respected, every entry below the watermark, and
-    /// the free list exactly covering the slots the index does not.
+    /// builds only): budget respected, every entry below the watermark, no
+    /// entry left exact past its spill point, and the free list exactly
+    /// covering the slots the index does not.
     #[cfg(any(test, feature = "invariant-checks"))]
-    pub(crate) fn check_invariants(&self, alpha: usize) {
+    pub(crate) fn check_invariants(&self, agg: &A, alpha: usize) {
         assert!(
             self.index.len() <= alpha,
             "singleton level exceeds its bucket budget"
         );
+        for (y, store) in self.sorted_entries() {
+            assert!(
+                !store.past_spill_point(agg),
+                "singleton y={y} is still exact past its spill point"
+            );
+        }
         let indexed: BTreeSet<u64> = self.index.keys().copied().collect();
         assert_eq!(indexed, self.ys, "ordered y set out of sync with the index");
         if let Some(bound) = self.y_bound {
@@ -290,7 +297,7 @@ mod tests {
         // Entries stay sorted and below the bound.
         let ys: Vec<u64> = level.sorted_entries().iter().map(|&(y, _)| y).collect();
         assert_eq!(ys, vec![5, 10, 20, 30]);
-        level.check_invariants(4);
+        level.check_invariants(&agg, 4);
     }
 
     #[test]
@@ -307,7 +314,7 @@ mod tests {
             insert(&mut level, &agg, 100 + y, y, 8);
         }
         assert_eq!(level.stores.len(), pool, "existing slots must be reused");
-        level.check_invariants(8);
+        level.check_invariants(&agg, 8);
     }
 
     #[test]
@@ -328,7 +335,7 @@ mod tests {
         // Shared y=0/6 merged entry-wise: stored tuples reflect both inputs.
         let total: usize = a.live_stores().map(BucketStore::stored_tuples).sum();
         assert!(total >= 8);
-        a.check_invariants(64);
+        a.check_invariants(&agg, 64);
     }
 
     #[test]

@@ -26,7 +26,11 @@
 //! under other parameters reject it atomically. (Below the framework's
 //! bucket-eviction threshold the merged state is even *bit-identical* to
 //! direct ingestion — the regime the integration tests pin down exactly;
-//! past it, merged and direct answers are `ε`-equivalent estimates.)
+//! past it, merged and direct answers are `ε`-equivalent estimates.) Merged
+//! buckets spill from exact to sketched storage at the size inserted ones
+//! do, so a stream's state on the aggregator — however many deltas it has
+//! absorbed — is bounded by its buckets × one sketch, as the upstream's is,
+//! not by the history of every container it applied.
 //!
 //! ## Chain discipline
 //!

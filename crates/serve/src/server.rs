@@ -1085,6 +1085,13 @@ impl ServerCore {
                     ("space_bytes", Value::U64(stats.space_bytes as u64)),
                     ("snapshots_taken", count(&self.snapshots)),
                     ("window_panes", Value::U64(windows.f2.pane_count() as u64)),
+                    // Both rings, in the paper's space unit.
+                    (
+                        "window_stored_tuples",
+                        Value::U64(
+                            (windows.f2.stored_tuples() + windows.f0.stored_tuples()) as u64,
+                        ),
+                    ),
                     ("window_late_dropped", Value::U64(windows.f2.late_dropped())),
                     ("window_clock", Value::U64(windows.clock)),
                     ("durable", Value::U64(durable_on)),
@@ -1443,7 +1450,7 @@ fn start_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol;
+    use crate::{protocol, wire};
 
     #[test]
     fn bundle_round_trip_and_rejections() {
@@ -1475,9 +1482,12 @@ mod tests {
 
     /// The three byte formats a node produces — full replication cut,
     /// incremental delta container, snapshot bundle — hashed (FNV-1a-64) over
-    /// a fixed stream and pinned to what the tree produced before the sketch
-    /// set and the single state lock existed (commit 115d452, three runs
-    /// agreeing). Moving one byte of any section of any of them fails here.
+    /// a fixed stream. Moving one byte of any section of any of them fails
+    /// here. Pinned at commit 115d452 and re-pinned once since, when merged
+    /// buckets started spilling to their sketch (every F2 section is a
+    /// shard merge, the bundle's rings hold buddy-merged panes): the codec
+    /// did not change — the parent tree decodes the re-pinned bundle and
+    /// re-encodes it bit-identically — only what merged buckets store.
     #[test]
     fn produced_formats_are_pinned() {
         let config = ServeConfig {
@@ -1526,7 +1536,8 @@ mod tests {
         let delta = core.repl_cut(false).unwrap().expect("six new batches");
         let bundle = core.state().unwrap().bundle_bytes().unwrap();
         // 20k tuples over 16 y values: every singleton bucket is far past the
-        // 768 distinct items at which an ε = 0.25 bucket spills to its sketch.
+        // 384 distinct items at which an ε = 0.25 F2 bucket spills to its
+        // sketch (768 for heavy-hitters buckets).
         core.handle(Request::Flush);
         let sketched = core
             .merger
@@ -1538,13 +1549,45 @@ mod tests {
         assert_eq!((full.g_from, delta.g_from, delta.g_to), (0, full.g_to, full.g_to + 1));
         let fnv = cora_sketch::codec::fnv1a64;
         for (name, bytes, len, pin) in [
-            ("full cut", &full.frame, 2_299_356, 0x2e14_2832_2594_60a7_u64),
-            ("delta container", &delta.frame, 1_830_621, 0x2eb5_6a52_7a55_a7c0),
-            ("snapshot bundle", &bundle, 5_243_148, 0x6256_c7d0_ba7b_f441),
+            ("full cut", &full.frame, 2_019_935, 0xf7d5_5ac3_4f2d_c6d7_u64),
+            ("delta container", &delta.frame, 1_746_390, 0x9196_dd2c_e007_d139),
+            ("snapshot bundle", &bundle, 4_664_530, 0x88fc_8637_4082_27d4),
         ] {
             assert_eq!(bytes.len(), len, "{name} length");
             assert_eq!(fnv(bytes), pin, "{name} bytes");
         }
+    }
+
+    #[test]
+    fn stats_reports_both_rings_stored_tuples_on_both_transports() {
+        let config = ServeConfig {
+            y_max: 1023,
+            pane_ticks: 64,
+            ..Default::default()
+        };
+        let core = ServerCore::build(config, None).unwrap();
+        for b in 0..8u64 {
+            let tuples: Vec<(u64, u64)> =
+                (0..500).map(|i| (b * 500 + i, (i * 37) % 1024)).collect();
+            core.ingest_tuples(&tuples, &[], None);
+        }
+        let want = {
+            let state = core.state().unwrap();
+            assert!(state.windows.f2.pane_count() > 4, "the rings must have buddy-merged");
+            (state.windows.f2.stored_tuples() + state.windows.f0.stored_tuples()) as u64
+        };
+        let reply = core.handle(Request::Stats).0;
+        let json = protocol::Response::parse(&reply.render_json()).unwrap();
+        assert_eq!(json.u64_field("window_stored_tuples").unwrap(), want);
+        let frame = wire::encode_reply(wire::Opcode::Stats as u8, &reply);
+        let header = wire::parse_header(frame[..wire::HEADER_BYTES].try_into().unwrap()).unwrap();
+        let wire::DecodedReply::Ok(fields) =
+            wire::decode_reply(header.flags, &frame[wire::HEADER_BYTES..]).unwrap()
+        else {
+            panic!("stats must decode as an ok reply");
+        };
+        let binary = fields.iter().find(|(key, _)| key == "window_stored_tuples");
+        assert_eq!(binary.map(|(_, value)| value), Some(&Value::U64(want)));
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

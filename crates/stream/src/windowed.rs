@@ -16,6 +16,15 @@
 //!   the two oldest are buddy-merged into one pane of the next class — old
 //!   history coarsens geometrically, keeping the ring at `O(k · log W)`
 //!   panes for a span of `W` ticks;
+//! * a sealed pane costs at most its buckets × one sketch, however many
+//!   base panes it absorbed: merged buckets spill from exact to sketched
+//!   storage at the size inserted ones do ([`BucketStore`]), so coarsening
+//!   never accumulates raw frequency vectors (128 served-config F2 panes of
+//!   256 tuples fold into ~74k stored tuples, against ~217k for one sketch
+//!   fed the same 32k tuples directly). The price is accuracy: a merged
+//!   bucket that outgrew its level's threshold answers with its sketch's
+//!   error (within ε), not from stored history — see "Choosing
+//!   `pane_ticks`" on [`PaneConfig`];
 //! * a window query selects the `O(log W)` panes inside the window and
 //!   composes them through [`CorrelatedSketch::merge_all`]; the composite is
 //!   memoized in a generation-keyed [`GenCache`] so repeated window queries
@@ -93,9 +102,11 @@ const WINDOW_CACHE_CAPACITY: usize = 8;
 /// the stream produced, and pane merges union buckets — they can never
 /// re-split them. Merging many tens of panes that each held only tens of
 /// tuples therefore compounds into systematic underestimates at low
-/// y-thresholds. Size panes so each base pane sees at least a few hundred
-/// tuples; the windowed row of the accuracy report measures exactly this
-/// trade-off.
+/// y-thresholds. The same frozen buckets keep growing as panes merge, so
+/// past their sketch's spill point they answer with the sketch's error (a
+/// bucket refined by direct inserts would have closed small and exact).
+/// Size panes so each base pane sees at least a few hundred tuples; the
+/// windowed row of the accuracy report measures exactly this trade-off.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PaneConfig {
     /// Width of a base (class-0) pane in ticks. Pane boundaries are the

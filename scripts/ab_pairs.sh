@@ -10,10 +10,11 @@
 # into its own `<checkout>/target`; the side that goes first alternates per
 # pair. This only *calls* `benchmark/run.sh --trace 0` at the run length
 # BENCHMARK.json declares; raw result lines are kept in the file named on
-# the last line of output.
+# the last line of output. The first line names the machine (nproc, CPU
+# model, kernel, start time).
 set -euo pipefail
 if [[ $# -lt 4 || $# -gt 5 ]]; then
-    sed -n '2,13p' "$0" >&2
+    sed -n '2,14p' "$0" >&2
     exit 2
 fi
 parent=$(cd "$1" && pwd)
@@ -22,6 +23,10 @@ workload=$3
 pairs=$4
 seed=${5:-}
 raw=$(mktemp "${TMPDIR:-/tmp}/ab_pairs.XXXXXX")
+# Rows from different box classes must never be compared raw: the table's
+# header names the box it was measured on.
+cpu=$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null || true)
+machine="nproc $(nproc), cpu ${cpu:-unknown}, kernel $(uname -r), started $(date -u +%Y-%m-%dT%H:%M:%SZ)"
 
 seconds=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
     "$change/BENCHMARK.json")
@@ -44,10 +49,10 @@ for ((pair = 1; pair <= pairs; pair++)); do
     fi
 done
 
-python3 - "$raw" "$change/BENCHMARK.json" "$workload" "${seed:-default}" <<'PY'
+python3 - "$raw" "$change/BENCHMARK.json" "$workload" "${seed:-default}" "$machine" <<'PY'
 import json, statistics, sys
 
-raw, spec, workload, seed = sys.argv[1:5]
+raw, spec, workload, seed, machine = sys.argv[1:6]
 better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
 runs = {"parent": {}, "change": {}}
 for row in open(raw):
@@ -63,6 +68,7 @@ def summary(values):
     return f"{median:.6g} [{q1:.6g}, {q3:.6g}]"
 
 
+print(f"machine: {machine}")
 print(f"workload {workload}, seed {seed}, {len(pairs)} alternating pairs (odd pairs ran the parent first)")
 for name, direction in better.items():
     side_values = {
