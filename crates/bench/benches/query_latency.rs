@@ -34,6 +34,18 @@ fn bench_queries(c: &mut Criterion) {
             }
         })
     });
+    // The row above repeats three thresholds, so it measures memo hits. This
+    // one asks 64 distinct thresholds per iteration, more than the 16 the
+    // per-threshold compose memo holds: each answer is a cold one unless
+    // the sketch answers from a per-level table.
+    let distinct: Vec<u64> = (1..=64u64).map(|i| i * (Y_MAX / 64)).collect();
+    group.bench_function("correlated_f2_query_distinct", |b| {
+        b.iter(|| {
+            for &c in &distinct {
+                black_box(f2.query(black_box(c)).unwrap());
+            }
+        })
+    });
     group.bench_function("correlated_f0_query", |b| {
         b.iter(|| {
             for &c in &thresholds {

@@ -107,6 +107,26 @@ pub trait CorrelatedAggregate: Clone {
         let _ = (value, threshold);
         0.0
     }
+
+    /// True iff [`BucketStore::estimate`] costs O(1) in the store's size for
+    /// this aggregate, in both representations: the exact frequency vector
+    /// and the sketch each keep the estimate as a running value that a merge
+    /// updates.
+    ///
+    /// The framework then answers [`CorrelatedSketch::query`] from one
+    /// prefix table per level: it folds the level's buckets once, in span
+    /// order, and records the running estimate at every span end. That
+    /// records one estimate per bucket, so an aggregate whose estimate scans
+    /// the store (`F_k` for `k ≠ 2` re-reads the whole exact vector) must
+    /// keep the default `false` and is composed per threshold instead. The
+    /// merged values must also be integers, so the fold's bucket order
+    /// cannot change them: a table entry is then bit-identical to composing
+    /// the same buckets from an empty store.
+    ///
+    /// [`CorrelatedSketch::query`]: crate::framework::CorrelatedSketch::query
+    fn incremental_estimates(&self) -> bool {
+        false
+    }
 }
 
 /// A bucket's storage: exact while small, sketched once the exact

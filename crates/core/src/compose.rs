@@ -16,14 +16,22 @@
 //! * `min_watermark` / `watermark_answers` / `first_answering` — the
 //!   watermark algebra (`None` = `+∞`, merges take the minimum, a level
 //!   answers `c` iff its watermark exceeds it);
-//! * [`GenCache`] — a small memo cache validated by an update *generation*:
-//!   one instance backs the framework's per-threshold compositions, the
-//!   heavy-hitters candidate lists, and `cora_stream::sharded`'s merged
-//!   composite (where the generation is the vector of per-shard batch
-//!   counters and staleness up to `merge_every_k` batches is admissible);
+//! * [`GenCache`] — a small memo cache validated by an update *generation*.
+//!   Its instances back the framework's per-level prefix tables (keyed by
+//!   level) and its per-threshold compositions (keyed by `c`), the
+//!   heavy-hitters candidate lists, the windowed rings' composites, and
+//!   `cora_stream::sharded`'s merged composite (where the generation is the
+//!   vector of per-shard batch counters and staleness up to `merge_every_k`
+//!   batches is admissible);
 //! * `compose_for_threshold` / `query_level` — Algorithm 3 against the level
 //!   engine (`crate::levels`): compose every bucket of the selected level
-//!   whose dyadic span lies entirely inside `[0, c]`.
+//!   whose dyadic span lies entirely inside `[0, c]`;
+//! * `prefix_table` — the same answer for every `c` at once. The buckets
+//!   Algorithm 3 composes are a prefix of the level's buckets in span-end
+//!   order, so one fold in that order, recording the running estimate at
+//!   each span end, answers any threshold by binary search. Only aggregates
+//!   whose estimate is O(1) and integer-valued use it
+//!   ([`CorrelatedAggregate::incremental_estimates`]).
 
 use crate::aggregate::{BucketStore, CorrelatedAggregate};
 use crate::error::{CoreError, Result};
@@ -193,6 +201,11 @@ where
 /// smallest answering dyadic level with every bucket whose span lies inside
 /// `[0, c]` merged, otherwise the shared tail standing in for the dormant
 /// levels. `c` must already be clamped to the padded y domain.
+///
+/// This is the reference [`prefix_table`] answers must equal bit for bit,
+/// and the path for everything that reads the composed store itself (heavy
+/// hitters, decayed window queries, aggregates without incremental
+/// estimates).
 pub(crate) fn compose_for_threshold<A: CorrelatedAggregate>(
     agg: &A,
     singletons: &SingletonLevel<A>,
@@ -226,6 +239,75 @@ pub(crate) fn compose_for_threshold<A: CorrelatedAggregate>(
         return Ok(acc);
     }
     Err(CoreError::QueryFailed { threshold: c })
+}
+
+/// One answering level's composed estimates at every span end: entry `i` is
+/// `(hi_i, estimate of every bucket whose span ends at or below hi_i)`, with
+/// `hi` strictly ascending. At most α + 1 entries of 16 bytes.
+#[derive(Debug)]
+pub(crate) struct PrefixTable {
+    entries: Vec<(u64, f64)>,
+    /// The empty store's estimate, for a `c` below every span end.
+    empty: f64,
+}
+
+impl PrefixTable {
+    /// The estimate Algorithm 3 returns for `c` at this level: the last
+    /// entry with `hi ≤ c`.
+    pub(crate) fn estimate_upto(&self, c: u64) -> f64 {
+        match self.entries.partition_point(|&(hi, _)| hi <= c) {
+            0 => self.empty,
+            n => self.entries[n - 1].1,
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Prefix tables built on this thread (the build runs on the querying
+    /// thread), so tests can count builds without a field on the sketch.
+    pub(crate) static PREFIX_TABLES_BUILT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Build the prefix table of `level`, numbered as [`query_level`] numbers
+/// it: 0 for the singletons, ℓ for a materialized dyadic level, and
+/// `levels().len() + 1` for the dormant tail. Buckets fold into one
+/// accumulator with the compose's own [`BucketStore::merge_from`], in
+/// ascending span end; a closed parent and its right child share a span end
+/// and are recorded once, after both.
+pub(crate) fn prefix_table<A: CorrelatedAggregate>(
+    agg: &A,
+    singletons: &SingletonLevel<A>,
+    engine: &LevelEngine<A>,
+    level: u32,
+) -> Result<PrefixTable> {
+    #[cfg(test)]
+    PREFIX_TABLES_BUILT.with(|n| n.set(n.get() + 1));
+    let buckets: Vec<(u64, &BucketStore<A>)> = match level {
+        0 => singletons.sorted_entries(),
+        _ => match engine.levels().get(level as usize - 1) {
+            Some(dyadic) => {
+                let mut buckets: Vec<_> = dyadic
+                    .live_buckets()
+                    .map(|(interval, store)| (interval.hi, store))
+                    .collect();
+                buckets.sort_by_key(|&(hi, _)| hi);
+                buckets
+            }
+            None => vec![(engine.root().hi, engine.tail_store())],
+        },
+    };
+    let mut acc: BucketStore<A> = BucketStore::new();
+    let empty = acc.estimate(agg);
+    let mut entries: Vec<(u64, f64)> = Vec::new();
+    let mut buckets = buckets.into_iter().peekable();
+    while let Some((hi, store)) = buckets.next() {
+        acc.merge_from(agg, store)?;
+        if buckets.peek().map_or(true, |&(next, _)| next != hi) {
+            entries.push((hi, acc.estimate(agg)));
+        }
+    }
+    Ok(PrefixTable { entries, empty })
 }
 
 /// The level Algorithm 3 would use for threshold `c` (0 = singleton level);

@@ -109,6 +109,12 @@ impl CorrelatedAggregate for F2Aggregate {
         // same bound holds for the fast-AMS estimate (see the trait docs).
         (threshold.max(0.0).sqrt() - value.max(0.0).sqrt()).max(0.0)
     }
+
+    fn incremental_estimates(&self) -> bool {
+        // Exact stores keep Σf² in i128, fast-AMS sketches an exact per-row
+        // Σc²: both estimates are O(1) and integer-valued.
+        true
+    }
 }
 
 /// A correlated `F_2` sketch with the framework plumbing pre-wired: answers

@@ -29,8 +29,9 @@
 //!   routing, headroom-gated closing, eviction, the shared dormant-level
 //!   tail, and the flat-batch ingest path);
 //! * query-time composition and its memoization to the unified query core in
-//!   [`crate::compose`] (Algorithm 3's level selection and bucket
-//!   composition, behind a generation-validated [`GenCache`]).
+//!   [`crate::compose`] (Algorithm 3's level selection, per-level prefix
+//!   tables and per-threshold bucket composition, each behind a
+//!   generation-validated [`GenCache`]).
 
 use crate::aggregate::{BucketStore, CorrelatedAggregate};
 use crate::compose::{self, GenCache};
@@ -87,6 +88,10 @@ pub struct CorrelatedSketch<A: CorrelatedAggregate> {
     /// Memoized query compositions per `(generation, threshold)` (interior
     /// mutability: queries take `&self`).
     compose_cache: Mutex<GenCache<u64, u64, BucketStore<A>>>,
+    /// Prefix tables per `(generation, level)`, for aggregates with
+    /// [`CorrelatedAggregate::incremental_estimates`]. Holds every level, so
+    /// no table is evicted within a generation.
+    prefix_tables: Mutex<GenCache<u64, u32, compose::PrefixTable>>,
 }
 
 impl<A: CorrelatedAggregate> Clone for CorrelatedSketch<A> {
@@ -102,8 +107,9 @@ impl<A: CorrelatedAggregate> Clone for CorrelatedSketch<A> {
             prepared_scratch: PreparedOf::<A>::default(),
             batch_items: Vec::new(),
             batch_scratch: BatchOf::<A>::default(),
-            // Caches don't travel: the clone starts with a cold cache.
+            // Caches don't travel: the clone starts with cold caches.
             compose_cache: Mutex::new(GenCache::new(compose::COMPOSE_CACHE_CAPACITY)),
+            prefix_tables: Self::prefix_table_cache(&self.config),
         }
     }
 }
@@ -117,6 +123,7 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
         let alpha = config.alpha(agg.c1(logy), agg.c2(config.epsilon / 2.0));
         let max_level = config.num_levels() as u32 - 1;
         let proto_sketch = agg.new_sketch();
+        let prefix_tables = Self::prefix_table_cache(&config);
         Ok(Self {
             agg,
             config,
@@ -131,7 +138,17 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
             batch_items: Vec::new(),
             batch_scratch: BatchOf::<A>::default(),
             compose_cache: Mutex::new(GenCache::new(compose::COMPOSE_CACHE_CAPACITY)),
+            prefix_tables,
         })
+    }
+
+    /// An empty prefix-table cache with room for every level `query_level`
+    /// can name: the singletons, levels `1 ..= ℓ_max`, and the dormant tail,
+    /// which takes the number of the first unmaterialized level.
+    fn prefix_table_cache(
+        config: &CorrelatedConfig,
+    ) -> Mutex<GenCache<u64, u32, compose::PrefixTable>> {
+        Mutex::new(GenCache::new(config.num_levels()))
     }
 
     /// The aggregate descriptor.
@@ -282,8 +299,13 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
         self.engine.merge_from(agg, alpha, &other.engine)?;
 
         self.items_processed += other.items_processed;
-        // The merged structure invalidates any memoized composition.
+        // The merged structure invalidates any memoized composition or table
+        // (merging an empty sketch leaves the generation where it was).
         self.compose_cache
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clear();
+        self.prefix_tables
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clear();
@@ -342,8 +364,31 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
 
     /// Answer a correlated query: estimate `f({x : (x, y) ∈ S, y ≤ c})`
     /// (Algorithm 3).
+    ///
+    /// The level is selected as [`Self::query_level`] selects it. If the
+    /// aggregate has [`CorrelatedAggregate::incremental_estimates`] (`F_2`
+    /// and the heavy-hitters `F_2`), the answer is read from that level's
+    /// prefix table by binary search. The table is built on the first query
+    /// that selects the level and kept until the next update or merge, so
+    /// a cold threshold costs O(log α) instead of a fresh merge of its
+    /// buckets. Its answers are bit-identical to
+    /// `with_composed(c, |s| s.estimate(agg))`, which every other aggregate
+    /// still uses.
     pub fn query(&self, c: u64) -> Result<f64> {
-        self.with_composed(c, |store| store.estimate(&self.agg))
+        if !self.agg.incremental_estimates() {
+            return self.with_composed(c, |store| store.estimate(&self.agg));
+        }
+        let c = c.min(self.config.padded_y_max());
+        let level = self
+            .query_level(c)
+            .ok_or(CoreError::QueryFailed { threshold: c })?;
+        compose::cached_query(
+            &self.prefix_tables,
+            self.items_processed,
+            level,
+            || compose::prefix_table(&self.agg, &self.singletons, &self.engine, level),
+            |table| table.estimate_upto(c),
+        )
     }
 
     /// Compose the summaries Algorithm 3 would use for threshold `c` into a
@@ -351,10 +396,10 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
     /// richer queries (heavy hitters, Section 3.3) inspect the composed store
     /// directly.
     ///
-    /// Compositions are memoized per threshold until the next update, so
-    /// repeated queries against a quiescent sketch return a clone of the
-    /// cached store instead of re-merging every bucket. Callers that only
-    /// need to *read* the composed store should prefer
+    /// Compositions are memoized per threshold (16 thresholds) until the
+    /// next update, so repeated queries against a quiescent sketch return a
+    /// clone of the cached store instead of re-merging every bucket. Callers
+    /// that only need to *read* the composed store should prefer
     /// [`Self::with_composed`], which skips the clone.
     pub fn compose_for_threshold(&self, c: u64) -> Result<BucketStore<A>> {
         self.with_composed(c, Clone::clone)
@@ -363,9 +408,12 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
     /// Run `f` against the composed store for threshold `c` without cloning
     /// it out of the memoization cache.
     ///
-    /// This is the zero-copy read path behind [`Self::query`] and the
-    /// extension queries (heavy hitters): `f` runs while the cache lock is
-    /// held, so it must not call back into this sketch's query API.
+    /// This is the zero-copy read path behind the extension queries (heavy
+    /// hitters, decayed window queries) and behind [`Self::query`] for
+    /// aggregates without incremental estimates. It memoizes the composed
+    /// store per threshold; [`Self::query`]'s prefix tables are a separate
+    /// cache. `f` runs while the cache lock is held, so it must not call
+    /// back into this sketch's query API.
     pub fn with_composed<R>(&self, c: u64, f: impl FnOnce(&BucketStore<A>) -> R) -> Result<R> {
         let c = c.min(self.config.padded_y_max());
         compose::cached_query(
@@ -601,6 +649,90 @@ mod tests {
         // compose_for_threshold returns an equivalent store from the cache.
         let store = s.compose_for_threshold(500).unwrap();
         assert_eq!(store.estimate(s.aggregate()), second);
+        // `query` reads the level's prefix table, which no insert, batch or
+        // merge may leave stale: each must move the answer, and the answer
+        // must stay the composed one.
+        let composed = |s: &CorrelatedSketch<F2Aggregate>, c: u64| {
+            s.with_composed(c, |store| store.estimate(s.aggregate()))
+                .unwrap()
+                .to_bits()
+        };
+        assert_eq!(s.query(500).unwrap().to_bits(), composed(&s, 500));
+        s.update_batch(&[(54321, 200); 40]).unwrap();
+        let third = s.query(500).unwrap();
+        assert!(third > second, "query after a batch: {second} -> {third}");
+        assert_eq!(third.to_bits(), composed(&s, 500));
+        let mut other = f2_sketch(0.3, 1023, AlphaPolicy::Fixed(64));
+        for _ in 0..40 {
+            other.insert(777, 300).unwrap();
+        }
+        s.merge_from(&other).unwrap();
+        let fourth = s.query(500).unwrap();
+        assert!(fourth > third, "query after a merge: {third} -> {fourth}");
+        assert_eq!(fourth.to_bits(), composed(&s, 500));
+    }
+
+    /// Prefix tables built on this thread so far.
+    fn tables_built() -> u64 {
+        compose::PREFIX_TABLES_BUILT.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn prefix_tables_are_built_once_per_level_per_generation() {
+        let mut s = f2_sketch(0.25, 4095, AlphaPolicy::Fixed(24));
+        for i in 0..12_000u64 {
+            s.insert(i % 120, (i * 37) % 4096).unwrap();
+        }
+        let at_level = |s: &CorrelatedSketch<F2Aggregate>, level| -> Vec<u64> {
+            (0..=4096u64)
+                .filter(|&c| s.query_level(c) == Some(level))
+                .collect()
+        };
+        let level = s.query_level(4095).unwrap();
+        assert!(level > 0, "the stream must reach the dyadic levels");
+        let thresholds = at_level(&s, level);
+        assert!(thresholds.len() >= 64, "{} thresholds", thresholds.len());
+        let before = tables_built();
+        for _ in 0..2 {
+            for &c in &thresholds {
+                s.query(c).unwrap();
+            }
+        }
+        assert_eq!(tables_built() - before, 1, "one level, one generation");
+        // A new generation rebuilds the level's table, once.
+        s.insert(5, 4000).unwrap();
+        for &c in &at_level(&s, level) {
+            s.query(c).unwrap();
+        }
+        assert_eq!(tables_built() - before, 2);
+        // Clones start cold and build their own.
+        let clone = s.clone();
+        clone.query(4095).unwrap();
+        assert_eq!(tables_built() - before, 3);
+    }
+
+    #[test]
+    fn aggregates_without_incremental_estimates_compose_per_threshold() {
+        use crate::fk::FkAggregate;
+        let agg = FkAggregate::new(3, 0.3, 7).unwrap();
+        assert!(!agg.incremental_estimates());
+        let config = CorrelatedConfig::new(0.3, 0.1, 1023, 40)
+            .unwrap()
+            .with_alpha_policy(AlphaPolicy::Fixed(24))
+            .with_seed(7);
+        let mut s = CorrelatedSketch::new(agg, config).unwrap();
+        for i in 0..6_000u64 {
+            s.insert(i % 90, (i * 11) % 1024).unwrap();
+        }
+        let before = tables_built();
+        for c in (0..=1024u64).step_by(7) {
+            let composed = s
+                .clone()
+                .with_composed(c, |store| store.estimate(s.aggregate()))
+                .unwrap();
+            assert_eq!(s.query(c).unwrap().to_bits(), composed.to_bits(), "c={c}");
+        }
+        assert_eq!(tables_built(), before, "F_3 must not build prefix tables");
     }
 
     #[test]

@@ -355,6 +355,12 @@ impl CorrelatedAggregate for F2HeavyAggregate {
         // Same ℓ₂ triangle-inequality bound as the plain F2 aggregate.
         (threshold.max(0.0).sqrt() - value.max(0.0).sqrt()).max(0.0)
     }
+
+    fn incremental_estimates(&self) -> bool {
+        // The estimate is the lane's, kept like the plain F2 aggregate's;
+        // the candidate trackers never enter it.
+        true
+    }
 }
 
 /// A reported correlated heavy hitter.

@@ -15,10 +15,8 @@
 //!
 //! * [`polynomial::PolynomialHash`] — degree-(k−1) polynomial hashing over the
 //!   Mersenne prime `2^61 − 1`, giving exact k-wise independence,
-//! * [`sign::FourWiseSignHash`] — ±1 valued 4-wise independent hash used by AMS,
-//! * [`pairwise::PairwiseHash`] — 2-universal hashing into a power-of-two range,
-//! * [`traits`] — the [`traits::HashFunction64`] / [`traits::SignHash`] traits that
-//!   sketches program against, so hash families can be swapped in benchmarks.
+//! * [`traits`] — the [`traits::HashFunction64`] trait that sketches program
+//!   against, so hash families can be swapped in benchmarks.
 //!
 //! All families are constructed from a seed (`u64`) through [`rand`]'s
 //! `StdRng`, so every sketch in the workspace is fully deterministic given its
@@ -29,15 +27,11 @@
 #![warn(clippy::all)]
 
 pub mod mix;
-pub mod pairwise;
 pub mod polynomial;
-pub mod sign;
 pub mod traits;
 
-pub use pairwise::PairwiseHash;
 pub use polynomial::PolynomialHash;
-pub use sign::FourWiseSignHash;
-pub use traits::{HashFunction64, SignHash};
+pub use traits::HashFunction64;
 
 /// The Mersenne prime `2^61 - 1`, the modulus used by [`polynomial::PolynomialHash`].
 pub const MERSENNE_61: u64 = (1u64 << 61) - 1;
@@ -55,11 +49,7 @@ mod lib_tests {
     #[test]
     fn exported_types_are_constructible() {
         let p = PolynomialHash::new(4, 7);
-        let s = FourWiseSignHash::new(7);
-        let w = PairwiseHash::new(7, 1 << 10);
-        // Smoke: all produce values without panicking.
+        // Smoke: produces values without panicking.
         let _ = p.hash64(42);
-        let _ = s.sign(42);
-        let _ = w.bucket(42);
     }
 }

@@ -6,7 +6,8 @@
 //! where the *proof* of a sketch requires a specific independence level:
 //!
 //! * k = 2: bucket hashes for distinct sampling and CountSketch columns,
-//! * k = 4: sign hashes for AMS `F_2` (through [`crate::sign::FourWiseSignHash`]).
+//! * k = 4: sign hashes for AMS `F_2` (the fast-AMS row kernel in
+//!   `cora-sketch` evaluates these coefficients inline).
 //!
 //! A function is `k` coefficients and no tables, which matters here: the
 //! correlated framework instantiates many small per-bucket sketches, where a

@@ -47,34 +47,6 @@ pub trait HashFunction64 {
     }
 }
 
-/// A ±1-valued hash function (a "sign" or "Rademacher" hash).
-///
-/// The AMS sketch requires these to be drawn from a 4-wise independent family
-/// for its variance bound to hold.
-pub trait SignHash {
-    /// Return +1 or −1 for the key.
-    fn sign(&self, key: u64) -> i64;
-}
-
-/// Blanket helper: any `HashFunction64` can act as a sign hash by looking at
-/// one bit of its output. The independence of the resulting sign family equals
-/// that of the underlying hash family.
-#[derive(Debug, Clone)]
-pub struct SignFromHash<H>(pub H);
-
-impl<H: HashFunction64> SignHash for SignFromHash<H> {
-    #[inline]
-    fn sign(&self, key: u64) -> i64 {
-        // Use the top bit: low bits of some families (e.g. multiply-shift) are
-        // weaker than high bits.
-        if self.0.hash64(key) >> 63 == 1 {
-            1
-        } else {
-            -1
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,14 +101,5 @@ mod tests {
         assert_eq!(h.geometric_level(0b1), 1);
         assert_eq!(h.geometric_level(0b0111), 3);
         assert_eq!(h.geometric_level(u64::MAX), 64);
-    }
-
-    #[test]
-    fn sign_from_hash_uses_top_bit() {
-        let s = SignFromHash(Identity);
-        assert_eq!(s.sign(0), -1);
-        assert_eq!(s.sign(u64::MAX), 1);
-        assert_eq!(s.sign(1u64 << 63), 1);
-        assert_eq!(s.sign((1u64 << 63) - 1), -1);
     }
 }

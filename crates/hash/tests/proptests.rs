@@ -1,7 +1,7 @@
 //! Property-based tests for the hash families.
 
 use cora_hash::traits::HashFunction64;
-use cora_hash::{PairwiseHash, PolynomialHash};
+use cora_hash::PolynomialHash;
 use proptest::prelude::*;
 
 proptest! {
@@ -29,11 +29,5 @@ proptest! {
         let h = PolynomialHash::new(2, seed);
         let u = h.hash_unit(key);
         prop_assert!((0.0..1.0).contains(&u));
-    }
-
-    #[test]
-    fn pairwise_bucket_in_range(seed in any::<u64>(), key in any::<u64>(), range in 1u64..100_000) {
-        let h = PairwiseHash::new(seed, range);
-        prop_assert!(h.bucket(key) < range);
     }
 }
