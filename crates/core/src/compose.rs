@@ -18,8 +18,8 @@
 //!   answers `c` iff its watermark exceeds it);
 //! * [`GenCache`] — a small memo cache validated by an update *generation*.
 //!   Its instances back the framework's per-level prefix tables (keyed by
-//!   level) and its per-threshold compositions (keyed by `c`), the
-//!   heavy-hitters candidate lists, the windowed rings' composites, and
+//!   level) and its per-threshold compositions (keyed by `c`, which the
+//!   heavy-hitters queries read), the windowed rings' composites, and
 //!   `cora_stream::sharded`'s merged composite (where the generation is the
 //!   vector of per-shard batch counters and staleness up to `merge_every_k`
 //!   batches is admissible);

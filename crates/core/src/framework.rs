@@ -518,7 +518,8 @@ where
     }
 
     /// Fingerprint of the aggregate's per-bucket sketch family: the encoded
-    /// state of a fresh, empty sketch covers its dimensions and seed, so two
+    /// state of a fresh, empty sketch covers its dimensions and seed (and,
+    /// for heavy hitters, the `phi`-derived candidate capacity), so two
     /// aggregates share a fingerprint iff their sketches are mergeable. This
     /// catches a wrong-seed restore even when every serialised bucket is
     /// still exact (no sketched store around to carry the seed itself).
@@ -557,7 +558,8 @@ where
         if fingerprint != Self::agg_fingerprint(&sketch.agg) {
             return Err(corrupt(
                 "aggregate mismatch: the snapshot's per-bucket sketch family \
-                 (dimensions or seed) differs from the restoring aggregate's"
+                 (dimensions, seed, or candidate capacity) differs from the \
+                 restoring aggregate's"
                     .into(),
             ));
         }

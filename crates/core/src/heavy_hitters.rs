@@ -34,9 +34,22 @@
 //! against the merged lane and keep the top `⌈4/φ⌉` by the same order.
 //! Recorded estimates only rank candidates for admission; queries always
 //! re-estimate from the (composed) lane.
+//!
+//! # One structure for `F_2` and heavy hitters
+//!
+//! [`F2HeavyAggregate`] derives its lane exactly as
+//! [`F2Aggregate`](crate::f2::F2Aggregate) does (width, depth 3, seed, the
+//! Lemma 6–8 constants, the weight headroom) and spills at the same `w·d`
+//! distinct items. Whenever `F2Aggregate` keeps all three rows
+//! (`δ < e^{-1/4} ≈ 0.78`), a `CorrelatedSketch<F2HeavyAggregate>` therefore
+//! builds the same buckets as a `CorrelatedSketch<F2Aggregate>` fed the same
+//! stream and answers [`CorrelatedSketch::query`] bit-identically; the
+//! candidate trackers ride along. A holder of the former needs no second
+//! structure for `F_2`: it reads heavy hitters with
+//! [`CorrelatedSketch::query_heavy_hitters`], the one read path that
+//! [`CorrelatedHeavyHitters`] wraps as well.
 
 use crate::aggregate::{BucketStore, CorrelatedAggregate};
-use crate::compose::{self, GenCache};
 use crate::config::{CorrelatedConfig, DEFAULT_SEED};
 use crate::error::Result;
 use crate::framework::CorrelatedSketch;
@@ -340,11 +353,9 @@ impl CorrelatedAggregate for F2HeavyAggregate {
     }
 
     fn sketch_size_hint(&self) -> usize {
-        // 2·w·d exact entries of two words each: at the spill point the
-        // exact form is ≈ 4× the lane's w·d one-word counters, not the
-        // cheaper one. Kept as is for now — moving it moves HH state and
-        // answers (ROADMAP item 2).
-        2 * self.width * self.depth
+        // The lane's w·d counters, as for the plain F2 aggregate: buckets
+        // spill where its buckets do, so both build the same structure.
+        self.width * self.depth
     }
 
     fn exact_value(&self, freqs: &ExactFrequencies) -> f64 {
@@ -374,29 +385,61 @@ pub struct HeavyHitter {
     pub share: f64,
 }
 
-/// Number of `(threshold, candidate list)` pairs kept by the query cache.
-const CANDIDATE_CACHE_CAPACITY: usize = 16;
-
-/// Correlated `F_2`-heavy-hitters sketch.
-#[derive(Debug)]
-pub struct CorrelatedHeavyHitters {
-    inner: CorrelatedSketch<F2HeavyAggregate>,
-    /// Memoized candidate lists per `(generation, threshold)`: the full
-    /// candidate list with point estimates and shares already computed,
-    /// sorted by decreasing share, behind the unified query core's
-    /// [`GenCache`]. Interior mutability: queries take `&self`, like the
-    /// compose cache.
-    candidate_cache: std::sync::Mutex<GenCache<u64, u64, Vec<HeavyHitter>>>,
+impl CorrelatedSketch<F2HeavyAggregate> {
+    /// Report the items whose squared frequency among tuples with `y ≤ c` is
+    /// estimated to be at least `phi · F_2(c)`, sorted by decreasing share
+    /// (ties by item).
+    ///
+    /// Reads the store [`Self::with_composed`] composes for `c` (memoized
+    /// per threshold until the next update or merge): every item of an
+    /// exact store, or the tracked candidates of a sketched one, re-estimated
+    /// from the composed lane.
+    pub fn query_heavy_hitters(&self, c: u64, phi: f64) -> Result<Vec<HeavyHitter>> {
+        self.with_composed(c, |store| heavy_hitters_of(store, phi))
+    }
 }
 
-impl Clone for CorrelatedHeavyHitters {
-    fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            // Caches don't travel: the clone starts cold.
-            candidate_cache: std::sync::Mutex::new(GenCache::new(CANDIDATE_CACHE_CAPACITY)),
+/// The items of a composed store with `share ≥ phi`, with their point
+/// estimates and shares, sorted by decreasing share, then item.
+fn heavy_hitters_of(store: &BucketStore<F2HeavyAggregate>, phi: f64) -> Vec<HeavyHitter> {
+    let reported = |f2: f64, (item, frequency): (u64, f64)| {
+        let share = frequency * frequency / f2;
+        (share >= phi).then_some(HeavyHitter {
+            item,
+            frequency,
+            share,
+        })
+    };
+    let mut out: Vec<HeavyHitter> = match store {
+        BucketStore::Exact(freqs) => {
+            let f2 = freqs.frequency_moment(2);
+            if f2 == 0.0 {
+                return Vec::new();
+            }
+            freqs
+                .iter()
+                .filter_map(|(item, f)| reported(f2, (item, f as f64)))
+                .collect()
         }
-    }
+        BucketStore::Sketched(sketch) => {
+            let f2 = sketch.estimate();
+            if f2 <= 0.0 {
+                return Vec::new();
+            }
+            sketch
+                .candidates()
+                .filter_map(|candidate| reported(f2, candidate))
+                .collect()
+        }
+    };
+    out.sort_by(|a, b| b.share.total_cmp(&a.share).then(a.item.cmp(&b.item)));
+    out
+}
+
+/// Correlated `F_2`-heavy-hitters sketch.
+#[derive(Debug, Clone)]
+pub struct CorrelatedHeavyHitters {
+    inner: CorrelatedSketch<F2HeavyAggregate>,
 }
 
 impl CorrelatedHeavyHitters {
@@ -427,7 +470,6 @@ impl CorrelatedHeavyHitters {
             .with_seed(seed);
         Ok(Self {
             inner: CorrelatedSketch::new(agg, config)?,
-            candidate_cache: std::sync::Mutex::new(GenCache::new(CANDIDATE_CACHE_CAPACITY)),
         })
     }
 
@@ -450,12 +492,7 @@ impl CorrelatedHeavyHitters {
                 ),
             });
         }
-        self.inner.merge_from(&other.inner)?;
-        self.candidate_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        Ok(())
+        self.inner.merge_from(&other.inner)
     }
 
     /// Number of stream elements processed.
@@ -502,64 +539,10 @@ impl CorrelatedHeavyHitters {
     }
 
     /// Report the items whose squared frequency among tuples with `y ≤ c` is
-    /// estimated to be at least `phi · F_2(c)`, sorted by decreasing share.
-    ///
-    /// Candidate point estimates are memoized per `(threshold, generation)`:
-    /// a repeated query against a quiescent sketch filters a cached,
-    /// pre-sorted candidate list (any `phi`) instead of cloning the composed
-    /// store and re-running the point-estimate median for every candidate.
+    /// estimated to be at least `phi · F_2(c)`, sorted by decreasing share
+    /// (see [`CorrelatedSketch::query_heavy_hitters`]).
     pub fn query_heavy_hitters(&self, c: u64, phi: f64) -> Result<Vec<HeavyHitter>> {
-        let c = c.min(self.inner.config().padded_y_max());
-        compose::cached_query(
-            &self.candidate_cache,
-            self.inner.items_processed(),
-            c,
-            || self.inner.with_composed(c, Self::candidates_of),
-            |candidates| Self::filter_by_share(candidates, phi),
-        )
-    }
-
-    /// All candidate heavy hitters of a composed store with their point
-    /// estimates and shares, sorted by decreasing share, deduplicated.
-    fn candidates_of(store: &BucketStore<F2HeavyAggregate>) -> Vec<HeavyHitter> {
-        let mut out = Vec::new();
-        match store {
-            BucketStore::Exact(freqs) => {
-                let f2 = freqs.frequency_moment(2);
-                if f2 == 0.0 {
-                    return out;
-                }
-                for (item, f) in freqs.iter() {
-                    out.push(HeavyHitter {
-                        item,
-                        frequency: f as f64,
-                        share: (f as f64) * (f as f64) / f2,
-                    });
-                }
-            }
-            BucketStore::Sketched(sketch) => {
-                let f2 = sketch.estimate();
-                if f2 <= 0.0 {
-                    return out;
-                }
-                for (item, freq) in sketch.candidates() {
-                    out.push(HeavyHitter {
-                        item,
-                        frequency: freq,
-                        share: freq * freq / f2,
-                    });
-                }
-            }
-        }
-        out.sort_by(|a, b| b.share.total_cmp(&a.share).then(a.item.cmp(&b.item)));
-        out.dedup_by_key(|h| h.item);
-        out
-    }
-
-    /// The prefix of a share-sorted candidate list with `share ≥ phi`.
-    fn filter_by_share(candidates: &[HeavyHitter], phi: f64) -> Vec<HeavyHitter> {
-        let end = candidates.partition_point(|h| h.share >= phi);
-        candidates[..end].to_vec()
+        self.inner.query_heavy_hitters(c, phi)
     }
 
     /// Total stored tuples (space accounting).
@@ -620,10 +603,7 @@ impl CorrelatedHeavyHitters {
         }
         let inner = CorrelatedSketch::decode_payload(agg, &mut r)?;
         r.expect_end()?;
-        Ok(Self {
-            inner,
-            candidate_cache: std::sync::Mutex::new(GenCache::new(CANDIDATE_CACHE_CAPACITY)),
-        })
+        Ok(Self { inner })
     }
 }
 
@@ -693,9 +673,10 @@ mod tests {
             hh.insert(100 + (i % 400), (i * 13) % 1024).unwrap();
         }
         let first = hh.query_heavy_hitters(512, 0.1).unwrap();
-        // Cached repeat (same c, same phi) answers identically.
+        // A repeat (same c, same phi) reads the memoized composition and
+        // answers identically.
         assert_eq!(hh.query_heavy_hitters(512, 0.1).unwrap(), first);
-        // Same cached candidates, different phi: a looser threshold reports a
+        // Same composition, different phi: a looser threshold reports a
         // superset.
         let loose = hh.query_heavy_hitters(512, 0.01).unwrap();
         assert!(loose.len() >= first.len());

@@ -273,7 +273,7 @@ fn lcg(state: &mut u64) -> u64 {
 /// build the same structure — equal stats, equal `query_f2`, equal
 /// `query_heavy_hitters` on a `(c, φ)` grid, equal snapshot bytes. The y
 /// domain is tiny, so every singleton and unit-interval bucket holds far more
-/// than the 768 distinct items at which an ε = 0.25 bucket spills from its
+/// than the 384 distinct items at which an ε = 0.25 bucket spills from its
 /// exact store to its sketch: the comparison runs on sketched buckets.
 fn assert_hh_routes_identical(name: &str, y_max: u64, tuples: &[(u64, u64)]) {
     let fresh = || CorrelatedHeavyHitters::with_seed(0.25, 0.1, 0.05, y_max, 1_000_000, 7).unwrap();

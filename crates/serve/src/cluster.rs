@@ -5,8 +5,8 @@
 //! ```text
 //!   ingest node A ──┐  REPL_HELLO / REPL_DELTA / REPL_SNAPSHOT
 //!   (ServeConfig::  ├─────────────► aggregator (start_aggregator)
-//!    replicate)     │                 stream "A": F2 + F0 + rarity + HH
-//!   ingest node B ──┘                 stream "B": F2 + F0 + rarity + HH
+//!    replicate)     │                 stream "A": F2/HH + F0 + rarity
+//!   ingest node B ──┘                 stream "B": F2/HH + F0 + rarity
 //!                                     union composite (lazy, epoch-cached)
 //!        queries (f2/f0/rarity/hh) ───► answered over the union
 //!        set_f0 a=A b=B op=union|intersect|diff ───► inclusion–exclusion
@@ -15,8 +15,10 @@
 //! The whole design rests on **Property V (mergeability)**: sketches built
 //! from the same seed and geometry merge into a valid sketch of the union
 //! stream, carrying the same `(ε, δ)` guarantee. An ingest node therefore
-//! replicates by feeding every tuple to a second, same-seeded *delta* copy
-//! of its sketch set and periodically shipping that delta
+//! replicates by tracking a same-seeded *delta* of its sketch set — per-shard
+//! deltas of the `F_2` structure, whose buckets carry the heavy-hitter
+//! candidates, and a second copy of `F_0` and rarity fed every tuple — and
+//! periodically shipping that delta
 //! ([`crate::server::ServeConfig::replicate`]); the aggregator decodes each
 //! container into the same sketch-set type (`crate::sketches`), merges it
 //! into its per-stream state and answers queries with the accuracy of a
@@ -939,7 +941,7 @@ mod tests {
     fn container(built_with: &ServeConfig, header: &cora_core::DeltaHeader, n: u64) -> Vec<u8> {
         let tuples: Vec<(u64, u64)> = (0..n).map(|i| (i % 97, (i * 31) % 4096)).collect();
         let mut f2 = cora_core::CorrelatedSketch::new(
-            built_with.f2_aggregate(),
+            built_with.shard_aggregate(),
             built_with.f2_config().unwrap(),
         )
         .unwrap();
@@ -977,12 +979,12 @@ mod tests {
         let before = observable(&core, "node-a");
         let rejected_before = core.repl_rejected.load(Ordering::Relaxed);
 
-        // Drop each of the four sections in turn from an otherwise valid
+        // Drop each of the three sections in turn from an otherwise valid
         // delta: refused, and no family of the stream has merged anything.
         let next = cora_core::DeltaHeader { g_from: 1, g_to: 2, fingerprint: fp };
         let whole = container(&config, &next, 500);
         let (_, sections) = open_delta(&whole).unwrap();
-        assert_eq!(sections.len(), 4);
+        assert_eq!(sections.len(), 3);
         for missing in 0..sections.len() {
             let mut partial = sections.clone();
             partial.remove(missing);
@@ -996,10 +998,11 @@ mod tests {
             }
         }
 
-        // Sketches built under another phi restore cleanly (frames describe
-        // themselves) and three of the four families would merge; with the
-        // aggregator's fingerprint forged onto the container, the parameter
-        // check is what keeps the stream from being merged half-way.
+        // Sketches built under another phi: F0 and rarity restore cleanly
+        // and would merge. With the aggregator's fingerprint forged onto the
+        // container, the F2 section's aggregate fingerprint (its phi-sized
+        // candidate trackers) is what keeps the stream from being merged
+        // half-way.
         let other = ServeConfig { phi: 0.2, ..config.clone() };
         assert_ne!(other.replication_fingerprint(), fp);
         let reply = core.repl_apply("node-a", &container(&other, &next, 500), false).unwrap();
@@ -1008,7 +1011,7 @@ mod tests {
         let reply = core.repl_apply("node-a", &container(&other, &base, 500), true).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         assert_eq!(observable(&core, "node-a"), before);
-        assert_eq!(core.repl_rejected.load(Ordering::Relaxed), rejected_before + 10);
+        assert_eq!(core.repl_rejected.load(Ordering::Relaxed), rejected_before + 8);
 
         // The chain is intact: the whole delta still applies.
         let reply = core.repl_apply("node-a", &whole, false).unwrap();

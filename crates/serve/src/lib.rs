@@ -17,7 +17,7 @@
 //!   previous epoch instead of waiting (the former ROADMAP item "composite
 //!   rebuilds run on the querying thread" ends here);
 //! * **snapshot persistence & crash-safe durability** — the server bundles
-//!   the framework/F0/rarity/heavy-hitters snapshot frames of
+//!   the framework (`F_2` and heavy hitters)/F0/rarity snapshot frames of
 //!   `cora_core::snapshot` into one checksummed file
 //!   ([`server::RunningServer`] op `snapshot`), and
 //!   [`server::start_restored`] boots a server from such a file with
@@ -38,10 +38,11 @@
 //!   `f2`/`f0`/`rarity`/heavy-hitter queries, windowed slices, flush,
 //!   snapshot, stats — with bit-identical answers. Everything a batch
 //!   mutates sits behind the node's one state lock (a panic under it fails
-//!   the node closed until a restart recovers from the journal); `f2`
-//!   alone is read lock-free from the merger. Each connection is served
-//!   by a blocking thread of its own — the transport both node kinds share
-//!   — and bounded by [`server::ServeConfig::max_connections`]. The blocking
+//!   the node closed until a restart recovers from the journal); `f2` and
+//!   heavy hitters, one structure, are read lock-free from the merger. Each
+//!   connection is served by a blocking thread of its own — the transport
+//!   both node kinds share — and bounded by
+//!   [`server::ServeConfig::max_connections`]. The blocking
 //!   [`client::ServeClient`] speaks either protocol and is used by the
 //!   `serve_demo` example and the `serve_latency` bench;
 //! * [`cluster`] — **distributed fan-in**: ingest nodes replicate their

@@ -1,20 +1,20 @@
-//! The ingest node: one sharded correlated-`F_2` ingest (queried through the
-//! [background merger](crate::merger)) plus synchronously-updated
-//! `F_0`/rarity/heavy-hitter sketches and two windowed pane rings, with
-//! snapshot persistence, a write-ahead journal, and an optional replication
-//! feed. Connections reach it through the transport stack it shares with
-//! the aggregator (`crate::transport`).
+//! The ingest node: one sharded correlated-`F_2` ingest that also answers
+//! heavy hitters (queried through the [background merger](crate::merger)),
+//! synchronously-updated `F_0`/rarity sketches and two windowed pane rings,
+//! with snapshot persistence, a write-ahead journal, and an optional
+//! replication feed. Connections reach it through the transport stack it
+//! shares with the aggregator (`crate::transport`).
 //!
 //! ## Architecture
 //!
 //! ```text
 //!      transport workers (JSON lines or binary frames)
-//!        │ ingest / flush / f0 / rarity / hh /      │ f2 queries
+//!        │ ingest / flush / f0 / rarity /           │ f2 / hh queries
 //!        │ window_* / stats / snapshot / repl cut   │ (never take the lock)
 //!        ▼                                          ▼
 //!   Mutex<NodeState> ── the one state lock     BackgroundMerger ── epoch-
-//!     ShardedIngest<F2> ─ SPSC rings → N shards ◄── ShardReader   published
-//!     AuxSet {F0, rarity, HH}  (+ delta copy while replicating)   composite
+//!     ShardedIngest<F2+HH> ─ SPSC rings → N shards ◄── ShardReader published
+//!     AuxSet {F0, rarity}  (+ delta copy while replicating)       composite
 //!     WindowedF2, WindowedF0, tick clock
 //!     (writer, seq) high-water marks
 //!     journal + rotation state
@@ -29,12 +29,14 @@
 //! never entered: every op that needs the state then answers a `server`
 //! error until a restart recovers the acked batches from the journal.
 //!
-//! `f2` answers come from the merger's published composite and therefore lag
-//! ingest by at most `merge_every − 1` applied batches plus one in-flight
-//! rebuild — and never block on that rebuild or on the state lock. The
-//! auxiliary sketches (`crate::sketches`) answer under the lock with
-//! read-your-writes semantics. `flush` is the barrier that makes `f2` exact
-//! too.
+//! The shard workers run `CorrelatedSketch<F2HeavyAggregate>`, whose buckets
+//! answer `F_2` and carry the §3.3 candidates. `f2` and `heavy_hitters` both
+//! read the merger's published composite, so they lag ingest by at most
+//! `merge_every − 1` applied batches plus one in-flight rebuild — and never
+//! block on that rebuild or on the state lock. `F_0` and rarity
+//! (`crate::sketches`) answer under the lock with read-your-writes
+//! semantics. `flush` is the barrier that makes `f2` and `heavy_hitters`
+//! exact too.
 //!
 //! ## Windowed structures
 //!
@@ -48,10 +50,10 @@
 //!
 //! ## Snapshot bundle
 //!
-//! The `snapshot` op writes one file: a `CSRV` container holding the seven
-//! `cora_core::snapshot` frames (framework composite, F0, rarity, heavy
-//! hitters, the two windowed pane rings, and the per-writer ingest sequence
-//! map), each individually checksummed. [`start_restored`] boots a server
+//! The `snapshot` op writes one file: a `CSRV` container holding the six
+//! `cora_core::snapshot` frames (framework composite, F0, rarity, the two
+//! windowed pane rings, and the per-writer ingest sequence map), each
+//! individually checksummed. [`start_restored`] boots a server
 //! from such a file; restored structures answer queries bit-identically
 //! (pinned by the integration tests and the CI serve-smoke step).
 //!
@@ -77,8 +79,9 @@ use crate::journal::{
 };
 use crate::merger::BackgroundMerger;
 use crate::protocol::{Reply, Request, Value};
-use crate::sketches::{seal_container, value_reply, AuxSet};
+use crate::sketches::{f2_answer, seal_container, AuxSet};
 use crate::transport::{spawn_acceptor, ServiceCore};
+use cora_core::heavy_hitters::F2HeavyAggregate;
 use cora_core::snapshot::{open_frame, seal_frame_into, DeltaHeader};
 use cora_core::{CoreError, CorrelatedConfig, F2Aggregate, SnapshotKind};
 use cora_sketch::codec::{ByteReader, ByteWriter};
@@ -145,7 +148,7 @@ pub struct ServeConfig {
     pub max_stream_len: u64,
     /// Master seed shared by every hosted sketch.
     pub seed: u64,
-    /// Ingest worker shards for the `F_2` structure.
+    /// Ingest worker shards for the `F_2` / heavy-hitters structure.
     pub shards: usize,
     /// Background-merger trigger: rebuild the published composite once this
     /// many new batches have been applied (≥ 1; 1 = republish eagerly).
@@ -290,13 +293,19 @@ impl ServeConfig {
         cora_sketch::codec::fnv1a64(w.as_bytes())
     }
 
-    /// The derived correlated-`F_2` aggregate.
+    /// The derived correlated-`F_2` aggregate of the windowed pane ring.
     pub(crate) fn f2_aggregate(&self) -> F2Aggregate {
         F2Aggregate::new(self.epsilon, self.delta, self.seed)
     }
 
-    /// The derived framework configuration for the `F_2` structure (and for
-    /// the heavy-hitters sketch, which runs the same framework).
+    /// The derived aggregate of the sharded structure: correlated `F_2` that
+    /// also tracks heavy-hitter candidates (`cora_core::heavy_hitters`).
+    pub(crate) fn shard_aggregate(&self) -> F2HeavyAggregate {
+        F2HeavyAggregate::new(self.epsilon, self.phi, self.seed)
+    }
+
+    /// The derived framework configuration of the sharded (and replicated)
+    /// correlated-`F_2` structure.
     pub(crate) fn f2_config(&self) -> Result<CorrelatedConfig, CoreError> {
         use cora_core::CorrelatedAggregate;
         let agg = self.f2_aggregate();
@@ -347,8 +356,8 @@ struct DurableState {
 /// Everything a batch mutates, behind the core's one state lock (see the
 /// module docs); the journal receives batches in exactly apply order.
 struct NodeState {
-    sharded: ShardedIngest<F2Aggregate>,
-    /// `F_0`, rarity and heavy hitters, updated inline on every ingest.
+    sharded: ShardedIngest<F2HeavyAggregate>,
+    /// `F_0` and rarity, updated inline on every ingest.
     aux: AuxSet,
     /// While replication is enabled: a since-last-cut copy of `aux` fed the
     /// same tuples. [`ServerCore::repl_cut`] swaps it for a fresh one, so
@@ -393,7 +402,7 @@ pub(crate) struct ServerCore {
     config: ServeConfig,
     /// Reached only through [`ServerCore::state`].
     state: Mutex<NodeState>,
-    merger: BackgroundMerger<F2Aggregate>,
+    merger: BackgroundMerger<F2HeavyAggregate>,
     requests: AtomicU64,
     snapshots: AtomicU64,
     journal_batches: AtomicU64,
@@ -424,25 +433,20 @@ pub(crate) struct ReplCut {
 /// Magic bytes of a snapshot bundle file.
 const BUNDLE_MAGIC: [u8; 4] = *b"CSRV";
 /// Bundle container version. Version 2 added the windowed sections (5, 6);
-/// version 3 added the ingest-sequence section (7). Older bundles are
-/// refused rather than restored into a server that would silently answer
-/// window queries from an empty ring or re-apply replayed batches.
-const BUNDLE_VERSION: u16 = 3;
-/// Section tags inside a bundle.
-const SECTION_F2: u8 = 1;
-const SECTION_F0: u8 = 2;
-const SECTION_RARITY: u8 = 3;
-const SECTION_HH: u8 = 4;
-const SECTION_WINDOW_F2: u8 = 5;
-const SECTION_WINDOW_F0: u8 = 6;
-const SECTION_SEQS: u8 = 7;
+/// version 3 the ingest-sequence section (7); version 4 retired the
+/// heavy-hitters section (4), whose candidates the `F_2` section now carries.
+/// Older bundles are refused rather than restored into a server that would
+/// answer from an empty ring, re-apply replayed batches or lack candidates.
+const BUNDLE_VERSION: u16 = 4;
+/// Section tags inside a bundle, in the order they are written (tag 4 stays
+/// unassigned).
+const SECTIONS: [u8; 6] = [1, 2, 3, 5, 6, 7];
 
 /// Decoded snapshot bundle: one `cora_core::snapshot` frame per structure.
 pub(crate) struct Bundle {
     pub(crate) f2: Vec<u8>,
     pub(crate) f0: Vec<u8>,
     pub(crate) rarity: Vec<u8>,
-    pub(crate) hh: Vec<u8>,
     pub(crate) window_f2: Vec<u8>,
     pub(crate) window_f0: Vec<u8>,
     pub(crate) seqs: Vec<u8>,
@@ -452,16 +456,9 @@ fn encode_bundle(bundle: &Bundle) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_bytes(&BUNDLE_MAGIC);
     w.put_u16(BUNDLE_VERSION);
-    w.put_u8(7);
-    for (tag, frame) in [
-        (SECTION_F2, &bundle.f2),
-        (SECTION_F0, &bundle.f0),
-        (SECTION_RARITY, &bundle.rarity),
-        (SECTION_HH, &bundle.hh),
-        (SECTION_WINDOW_F2, &bundle.window_f2),
-        (SECTION_WINDOW_F0, &bundle.window_f0),
-        (SECTION_SEQS, &bundle.seqs),
-    ] {
+    w.put_u8(SECTIONS.len() as u8);
+    let Bundle { f2, f0, rarity, window_f2, window_f0, seqs } = bundle;
+    for (tag, frame) in SECTIONS.into_iter().zip([f2, f0, rarity, window_f2, window_f0, seqs]) {
         w.put_u8(tag);
         w.put_len(frame.len());
         w.put_bytes(frame);
@@ -485,8 +482,8 @@ pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Bundle, ServeError> {
         )));
     }
     let sections = r.get_u8().map_err(|e| invalid(e.to_string()))?;
-    // One slot per section tag (tags are 1-based and dense).
-    let mut slots: [Option<Vec<u8>>; 7] = Default::default();
+    // One slot per section tag, in `SECTIONS` order.
+    let mut slots: [Option<Vec<u8>>; SECTIONS.len()] = Default::default();
     for _ in 0..sections {
         let tag = r.get_u8().map_err(|e| invalid(e.to_string()))?;
         let len = r.get_len().map_err(|e| invalid(e.to_string()))?;
@@ -494,9 +491,8 @@ pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Bundle, ServeError> {
             .take(len)
             .map_err(|e| invalid(format!("bundle section {tag}: {e}")))?
             .to_vec();
-        let slot = slots
-            .get_mut(usize::from(tag).wrapping_sub(1))
-            .ok_or_else(|| invalid(format!("unknown bundle section tag {tag}")))?;
+        let slot = SECTIONS.iter().position(|&known| known == tag).map(|i| &mut slots[i]);
+        let slot = slot.ok_or_else(|| invalid(format!("unknown bundle section tag {tag}")))?;
         if slot.replace(frame).is_some() {
             return Err(invalid(format!("bundle holds section tag {tag} twice")));
         }
@@ -508,8 +504,8 @@ pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Bundle, ServeError> {
         )));
     }
     match slots {
-        [Some(f2), Some(f0), Some(rarity), Some(hh), Some(window_f2), Some(window_f0), Some(seqs)] => {
-            Ok(Bundle { f2, f0, rarity, hh, window_f2, window_f0, seqs })
+        [Some(f2), Some(f0), Some(rarity), Some(window_f2), Some(window_f0), Some(seqs)] => {
+            Ok(Bundle { f2, f0, rarity, window_f2, window_f0, seqs })
         }
         _ => Err(invalid("bundle is missing one or more structure sections".into())),
     }
@@ -594,12 +590,11 @@ impl NodeState {
     /// section describes the same stream prefix — a bundle must fully
     /// determine a server.
     fn bundle_bytes(&mut self) -> Result<Vec<u8>, ServeError> {
-        let [f0, rarity, hh] = self.aux.frames();
+        let [f0, rarity] = self.aux.frames();
         let bundle = Bundle {
             f2: self.sharded.snapshot()?,
             f0,
             rarity,
-            hh,
             window_f2: self.windows.f2.snapshot(),
             window_f0: self.windows.f0.snapshot(),
             seqs: encode_seqs_frame(&self.seqs),
@@ -635,7 +630,7 @@ impl ServerCore {
                 config.phi
             )));
         }
-        let agg = config.f2_aggregate();
+        let agg = config.shard_aggregate();
         let f2_config = config.f2_config()?;
         let fresh_windows = WindowState {
             f2: windowed_f2(
@@ -665,7 +660,7 @@ impl ServerCore {
             ),
             Some(bundle) => {
                 // Every restored structure must match what this config
-                // would build fresh.
+                // would build fresh (the F2 frame's fingerprint covers phi).
                 let sharded = ShardedIngest::restore_from(agg, config.shards, &bundle.f2)?;
                 if *sharded.config() != f2_config {
                     return Err(config_mismatch("F2 accuracy, domain, stream bound, or seed"));
@@ -1012,10 +1007,10 @@ impl ServerCore {
         Reply::Ok(vec![("accepted", Value::U64(tuples.len() as u64))])
     }
 
-    /// The reply to one request. `ping`, `config`, `shutdown` and `f2` (read
-    /// lock-free from the merger's published composite) never touch the
-    /// state lock; every other op fails with [`StatePoisoned`] once a panic
-    /// has poisoned it.
+    /// The reply to one request. `ping`, `config`, `shutdown`, `f2` and
+    /// `heavy_hitters` (both read lock-free from the merger's published
+    /// composite) never touch the state lock; every other op fails with
+    /// [`StatePoisoned`] once a panic has poisoned it.
     fn answer(&self, request: Request) -> Result<Reply, StatePoisoned> {
         let y_max = self.config.y_max;
         Ok(match request {
@@ -1050,10 +1045,12 @@ impl ServerCore {
                 self.merger.refresh();
                 Reply::ok()
             }
-            Request::QueryF2 { c } => value_reply(self.merger.current().sketch().query(c)),
-            Request::QueryF0 { .. }
-            | Request::QueryRarity { .. }
-            | Request::QueryHeavyHitters { .. } => self.state()?.aux.answer(&request, y_max),
+            Request::QueryF2 { .. } | Request::QueryHeavyHitters { .. } => {
+                f2_answer(self.merger.current().sketch(), &request)
+            }
+            Request::QueryF0 { .. } | Request::QueryRarity { .. } => {
+                self.state()?.aux.answer(&request, y_max)
+            }
             Request::WindowF2 { window, c } => {
                 window_answer(&self.state()?.windows.f2, window, c.min(y_max))
             }
@@ -1458,7 +1455,6 @@ mod tests {
             f2: vec![1, 2, 3],
             f0: vec![4],
             rarity: vec![],
-            hh: vec![5, 6],
             window_f2: vec![7],
             window_f0: vec![8, 9],
             seqs: vec![10],
@@ -1468,7 +1464,6 @@ mod tests {
         assert_eq!(decoded.f2, bundle.f2);
         assert_eq!(decoded.f0, bundle.f0);
         assert_eq!(decoded.rarity, bundle.rarity);
-        assert_eq!(decoded.hh, bundle.hh);
         assert_eq!(decoded.window_f2, bundle.window_f2);
         assert_eq!(decoded.window_f0, bundle.window_f0);
         assert_eq!(decoded.seqs, bundle.seqs);
@@ -1478,16 +1473,26 @@ mod tests {
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 0xFF;
         assert!(decode_bundle(&wrong_version).is_err());
+        // The retired heavy-hitters tag is unknown, not a slot.
+        let mut w = ByteWriter::new();
+        w.put_bytes(&BUNDLE_MAGIC);
+        w.put_u16(BUNDLE_VERSION);
+        w.put_u8(1);
+        w.put_u8(4);
+        w.put_len(0);
+        let refused = decode_bundle(w.as_bytes()).err().map(|e| e.to_string());
+        assert!(refused.is_some_and(|e| e.contains("unknown bundle section tag 4")));
     }
 
     /// The three byte formats a node produces — full replication cut,
     /// incremental delta container, snapshot bundle — hashed (FNV-1a-64) over
     /// a fixed stream. Moving one byte of any section of any of them fails
-    /// here. Pinned at commit 115d452 and re-pinned once since, when merged
-    /// buckets started spilling to their sketch (every F2 section is a
-    /// shard merge, the bundle's rings hold buddy-merged panes): the codec
-    /// did not change — the parent tree decodes the re-pinned bundle and
-    /// re-encodes it bit-identically — only what merged buckets store.
+    /// here. Pinned at commit 115d452 and re-pinned twice since: once when
+    /// merged buckets started spilling to their sketch (every F2 section is
+    /// a shard merge, the bundle's rings hold buddy-merged panes; the codec
+    /// did not change), and once when the F2 sections took over the
+    /// heavy-hitter candidates (bundle version 4, no heavy-hitters section
+    /// in either container, and F2 buckets that carry candidate trackers).
     #[test]
     fn produced_formats_are_pinned() {
         let config = ServeConfig {
@@ -1537,7 +1542,7 @@ mod tests {
         let bundle = core.state().unwrap().bundle_bytes().unwrap();
         // 20k tuples over 16 y values: every singleton bucket is far past the
         // 384 distinct items at which an ε = 0.25 F2 bucket spills to its
-        // sketch (768 for heavy-hitters buckets).
+        // sketch.
         core.handle(Request::Flush);
         let sketched = core
             .merger
@@ -1549,9 +1554,9 @@ mod tests {
         assert_eq!((full.g_from, delta.g_from, delta.g_to), (0, full.g_to, full.g_to + 1));
         let fnv = cora_sketch::codec::fnv1a64;
         for (name, bytes, len, pin) in [
-            ("full cut", &full.frame, 2_019_935, 0xf7d5_5ac3_4f2d_c6d7_u64),
-            ("delta container", &delta.frame, 1_746_390, 0x9196_dd2c_e007_d139),
-            ("snapshot bundle", &bundle, 4_664_530, 0x88fc_8637_4082_27d4),
+            ("full cut", &full.frame, 976_834, 0x9bbb_1d3e_e9c8_d800_u64),
+            ("delta container", &delta.frame, 842_989, 0x3ec8_487f_14b4_729c),
+            ("snapshot bundle", &bundle, 3_658_061, 0x82a0_06e9_78e5_a7bc),
         ] {
             assert_eq!(bytes.len(), len, "{name} length");
             assert_eq!(fnv(bytes), pin, "{name} bytes");
@@ -1609,16 +1614,24 @@ mod tests {
             durability: Some(DurabilityConfig::new(&dir)),
             ..Default::default()
         };
+        // Distinct items, except that the last batch makes one item heavy.
+        const HEAVY: u64 = 1 << 40;
         let batch = |b: u64| -> Vec<(u64, u64)> {
-            (0..50).map(|i| (b * 50 + i, (b * 131 + i * 17) % 1024)).collect()
+            let x = |i| if b == 5 { HEAVY } else { b * 50 + i };
+            (0..50).map(|i| (x(i), (b * 131 + i * 17) % 1024)).collect()
         };
+        let hh = Request::QueryHeavyHitters { c: 1023, phi: 0.5 };
         let core = Arc::new(ServerCore::open(config.clone(), None, None).unwrap());
         for b in 0..6 {
             let reply = core.ingest_tuples(&batch(b), &[], Some((1, b + 1)));
             assert_eq!(reply, Reply::Ok(vec![("accepted", Value::U64(50))]));
         }
+        // `flush` is the heavy hitters' read-your-writes barrier.
         core.handle(Request::Flush);
         let f2_before = core.handle(Request::QueryF2 { c: 1023 }).0;
+        let hh_before = core.handle(hh.clone()).0;
+        let Reply::Ok(fields) = &hh_before else { panic!("{hh_before:?}") };
+        assert_eq!(fields[0], ("items", Value::U64Array(vec![HEAVY])));
 
         let panicking = Arc::clone(&core);
         let _ = thread::spawn(move || {
@@ -1647,6 +1660,7 @@ mod tests {
         assert!(core.repl_cut(true).is_err(), "a poisoned cut must not seal anything");
         // What never takes the state lock keeps answering.
         assert_eq!(core.handle(Request::QueryF2 { c: 1023 }).0, f2_before);
+        assert_eq!(core.handle(hh.clone()).0, hh_before);
         assert_eq!(core.handle(Request::Ping).0, Reply::ok());
         assert!(matches!(core.handle(Request::Config).0, Reply::Ok(_)));
         assert!(core.handle(Request::Shutdown).1);
@@ -1660,6 +1674,7 @@ mod tests {
             .unwrap();
         assert_eq!(stats.u64_field("items_accepted").unwrap(), 300);
         assert_eq!(restarted.handle(Request::QueryF2 { c: 1023 }).0, f2_before);
+        assert_eq!(restarted.handle(hh).0, hh_before);
         let resend = restarted.ingest_tuples(&batch(5), &[], Some((1, 6)));
         assert_eq!(
             resend,

@@ -21,7 +21,7 @@ const EPSILON: f64 = 0.1;
 const DELTA: f64 = 0.1;
 const SEEDS: u64 = 20;
 /// Two y values: each shard's singleton buckets receive ~10k Zipf(1) draws
-/// over a million ids — past the 4 800 distinct items at which an ε = 0.1
+/// over a million ids — past the 2 400 distinct items at which an ε = 0.1
 /// bucket spills from its exact store to its sketch.
 const Y_MAX: u64 = 1;
 const SHARD_TUPLES: usize = 20_000;

@@ -7,12 +7,19 @@
 //! `F_2`. Each structure is built four ways: scalar inserts, batch inserts,
 //! a merged shard composite, and a snapshot restore. Every stream reaches
 //! sketched composites, where merge order could matter if anything did.
+//!
+//! The two aggregates are also one structure: under one configuration and
+//! stream, `CorrelatedSketch<F2HeavyAggregate>` holds the buckets
+//! `CorrelatedSketch<F2Aggregate>` holds, selects the same level for every
+//! threshold, and answers `F_2` with the same bits — which is what lets a
+//! server keep one structure for both queries.
 
 use cora_core::heavy_hitters::F2HeavyAggregate;
 use cora_core::{
     AlphaPolicy, CorrelatedAggregate, CorrelatedConfig, CorrelatedF2, CorrelatedHeavyHitters,
     CorrelatedSketch, F2Aggregate,
 };
+use cora_sketch::codec::StateCodec;
 use cora_stream::{DatasetGenerator, UniformGenerator, ZipfGenerator};
 
 const SEED: u64 = 17;
@@ -138,6 +145,58 @@ fn check_hh(stream: &str, tuples: &[(u64, u64)], y_max: u64) -> usize {
         .unwrap()
 }
 
+/// The four builds of a framework sketch for `agg` under `config`.
+fn framework_four_ways<A>(
+    tuples: &[(u64, u64)],
+    agg: &A,
+    config: &CorrelatedConfig,
+) -> [(&'static str, CorrelatedSketch<A>); 4]
+where
+    A: CorrelatedAggregate,
+    A::Sketch: StateCodec,
+{
+    four_ways(
+        tuples,
+        || CorrelatedSketch::new(agg.clone(), config.clone()).unwrap(),
+        |s, x, y| s.insert(x, y).unwrap(),
+        |s, chunk| s.update_batch(chunk).unwrap(),
+        |s, shard| s.merge_from(shard).unwrap(),
+        |s| CorrelatedSketch::restore_from(agg.clone(), &s.snapshot()).unwrap(),
+    )
+}
+
+/// Both aggregates over `tuples` at the served ε = 0.25 and φ = 0.05, each
+/// built four ways: equal singleton and dyadic bucket counts, the same
+/// level and the same `F_2` bits at every threshold. Returns how many
+/// thresholds a dyadic level answered.
+fn check_one_structure(stream: &str, tuples: &[(u64, u64)], y_max: u64) -> usize {
+    let config = CorrelatedConfig::new(0.25, 0.1, y_max, 40)
+        .unwrap()
+        .with_seed(SEED);
+    let plain = framework_four_ways(tuples, &F2Aggregate::new(0.25, 0.1, SEED), &config);
+    let heavy = framework_four_ways(tuples, &F2HeavyAggregate::new(0.25, 0.05, SEED), &config);
+    let mut dyadic = usize::MAX;
+    for ((way, f2), (_, hh)) in plain.iter().zip(&heavy) {
+        let label = format!("{stream} {way}");
+        let (f2_stats, hh_stats) = (f2.stats(), hh.stats());
+        let buckets = |s: &cora_core::SketchStats| (s.singleton_buckets, s.dyadic_buckets);
+        assert_eq!(buckets(&hh_stats), buckets(&f2_stats), "{label}: buckets");
+        let mut answered_by_dyadic = 0;
+        for c in 0..=config.padded_y_max() + 1 {
+            let level = f2.query_level(c);
+            assert_eq!(hh.query_level(c), level, "{label}: level at c={c}");
+            assert_eq!(
+                hh.query(c).unwrap().to_bits(),
+                f2.query(c).unwrap().to_bits(),
+                "{label}: F2 at c={c}"
+            );
+            answered_by_dyadic += usize::from(level != Some(0));
+        }
+        dyadic = dyadic.min(answered_by_dyadic);
+    }
+    dyadic
+}
+
 fn pairs(generator: &mut impl DatasetGenerator, n: usize) -> Vec<(u64, u64)> {
     generator.generate(n).iter().map(|t| (t.x, t.y)).collect()
 }
@@ -177,4 +236,31 @@ fn hh_f2_prefix_tables_match_composition_on_zipf_streams() {
 fn hh_f2_prefix_tables_match_composition_on_tiny_y_domains() {
     let tuples = pairs(&mut UniformGenerator::new(5_000, 15, 19), 20_000);
     assert_eq!(check_hh("tiny", &tuples, 15), 0);
+}
+
+#[test]
+fn hh_and_f2_aggregates_build_one_structure_on_uniform_streams() {
+    let tuples = pairs(&mut UniformGenerator::new(2_000, 1023, 3), 30_000);
+    assert!(check_one_structure("uniform", &tuples, 1023) > 0);
+}
+
+#[test]
+fn hh_and_f2_aggregates_build_one_structure_on_zipf_streams() {
+    let tuples = pairs(&mut ZipfGenerator::new(1.0, 2_000, 1023, 5), 30_000);
+    assert!(check_one_structure("zipf", &tuples, 1023) > 0);
+}
+
+#[test]
+fn hh_and_f2_aggregates_build_one_structure_on_tiny_y_domains() {
+    let tuples = pairs(&mut UniformGenerator::new(5_000, 15, 7), 20_000);
+    assert_eq!(check_one_structure("tiny", &tuples, 15), 0);
+}
+
+/// ~500 distinct ids per singleton bucket: past the 384 at which both
+/// aggregates spill at ε = 0.25, short of the 768 at which heavy-hitters
+/// buckets used to — the stream on which the two structures used to differ.
+#[test]
+fn hh_and_f2_aggregates_build_one_structure_between_the_old_spill_points() {
+    let tuples = pairs(&mut UniformGenerator::new(1 << 20, 15, 23), 8_000);
+    assert_eq!(check_one_structure("mid-spill", &tuples, 15), 0);
 }
