@@ -37,8 +37,8 @@
 //!   no-ack batch ingest. Both expose the same ops — batch ingest,
 //!   `f2`/`f0`/`rarity`/heavy-hitter queries, windowed slices, flush,
 //!   snapshot, stats — with bit-identical answers. Everything a batch
-//!   mutates sits behind the node's one state lock (a panic under it fails
-//!   the node closed until a restart recovers from the journal); `f2` and
+//!   mutates sits behind the node's one state lock, the pane rings behind a
+//!   window worker's (a panic under either fails the node closed); `f2` and
 //!   heavy hitters, one structure, are read lock-free from the merger. Each
 //!   connection is served by a blocking thread of its own — the transport
 //!   both node kinds share — and bounded by
@@ -93,6 +93,7 @@ pub mod retry;
 pub mod server;
 mod sketches;
 mod transport;
+mod windows;
 pub mod wire;
 
 pub use client::ServeClient;

@@ -10,14 +10,15 @@
 //! ```text
 //!      transport workers (JSON lines or binary frames)
 //!        │ ingest / flush / f0 / rarity /           │ f2 / hh queries
-//!        │ window_* / stats / snapshot / repl cut   │ (never take the lock)
+//!        │ stats / snapshot / repl cut              │ (never take the lock)
 //!        ▼                                          ▼
 //!   Mutex<NodeState> ── the one state lock     BackgroundMerger ── epoch-
 //!     ShardedIngest<F2+HH> ─ SPSC rings → N shards ◄── ShardReader published
 //!     AuxSet {F0, rarity}  (+ delta copy while replicating)       composite
-//!     WindowedF2, WindowedF0, tick clock
-//!     (writer, seq) high-water marks
-//!     journal + rotation state
+//!     WindowFeed: tick clock ─ bounded FIFO ─► window worker
+//!     (writer, seq) high-water marks           Mutex<Rings> ── the rings lock
+//!     journal + rotation state                   WindowedF2, WindowedF0
+//!                                                  ▲ window_* queries
 //! ```
 //!
 //! Everything a batch mutates lives in one `NodeState` behind one mutex,
@@ -29,24 +30,37 @@
 //! never entered: every op that needs the state then answers a `server`
 //! error until a restart recovers the acked batches from the journal.
 //!
+//! The two pane rings are the exception to "every structure's insert": the
+//! ack path stamps each batch with the tick clock and queues it, still under
+//! the state lock and so in journal order, for one window worker
+//! (`crate::windows`) that owns the rings behind their own mutex. An ack no
+//! longer waits for the rings' observes and buddy merges. **Lock order:** the
+//! state lock before the rings lock; the worker never takes the state lock.
+//! A dead worker or a poisoned rings lock answers the same `server` error as
+//! a poisoned state lock.
+//!
 //! The shard workers run `CorrelatedSketch<F2HeavyAggregate>`, whose buckets
 //! answer `F_2` and carry the §3.3 candidates. `f2` and `heavy_hitters` both
 //! read the merger's published composite, so they lag ingest by at most
 //! `merge_every − 1` applied batches plus one in-flight rebuild — and never
 //! block on that rebuild or on the state lock. `F_0` and rarity
 //! (`crate::sketches`) answer under the lock with read-your-writes
-//! semantics. `flush` is the barrier that makes `f2` and `heavy_hitters`
-//! exact too.
+//! semantics. `flush` is the barrier for everything an ack covers: it makes
+//! `f2` and `heavy_hitters` exact and waits until the window worker has
+//! applied every queued batch.
 //!
 //! ## Windowed structures
 //!
 //! Alongside the whole-stream sketches the server hosts two pane rings
 //! (`cora_stream::windowed`): a windowed correlated `F_2` and a windowed
-//! correlated `F_0`, updated on every ingest. Tuples carry either
-//! client-supplied timestamps (the optional `ts` ingest array) or consecutive
-//! server-side arrival ticks; `window_f2` / `window_f0` answer sliding-window
-//! thresholds over them and report the pane-aligned resolved span alongside
-//! the value.
+//! correlated `F_0`, fed every ingested tuple by the window worker. Tuples
+//! carry either client-supplied timestamps (the optional `ts` ingest array)
+//! or consecutive server-side arrival ticks; `window_f2` / `window_f0`
+//! answer sliding-window thresholds over them and report the pane-aligned
+//! resolved span alongside the value. Window ops keep read-your-writes: they
+//! (and a bundle) first wait until the worker has applied every batch acked
+//! before them. `stats` does not wait; it reads the rings as of the last
+//! applied batch and reports the queue as `window_pending_batches`.
 //!
 //! ## Snapshot bundle
 //!
@@ -81,6 +95,7 @@ use crate::merger::BackgroundMerger;
 use crate::protocol::{Reply, Request, Value};
 use crate::sketches::{f2_answer, seal_container, AuxSet};
 use crate::transport::{spawn_acceptor, ServiceCore};
+use crate::windows::{Rings, WindowFeed, WindowRings};
 use cora_core::heavy_hitters::F2HeavyAggregate;
 use cora_core::snapshot::{open_frame, seal_frame_into, DeltaHeader};
 use cora_core::{CoreError, CorrelatedConfig, F2Aggregate, SnapshotKind};
@@ -328,15 +343,6 @@ impl ServeConfig {
     }
 }
 
-/// The windowed structures plus the server's tick clock: tuples ingested
-/// without explicit timestamps are stamped with consecutive arrival ticks;
-/// explicit timestamps advance the clock past themselves.
-struct WindowState {
-    f2: WindowedF2,
-    f0: WindowedF0,
-    clock: u64,
-}
-
 /// The live durability machinery: the open journal plus rotation state.
 struct DurableState {
     storage: Arc<dyn Storage>,
@@ -365,7 +371,8 @@ struct NodeState {
     /// merging such a delta on the aggregator equivalent to having streamed
     /// the tuples there directly).
     aux_delta: Option<AuxSet>,
-    windows: WindowState,
+    /// The tick clock and the window worker's FIFO.
+    windows: WindowFeed,
     /// Per-writer ingest sequence high-water marks: a batch tagged
     /// `(writer, seq)` with `seq` at or below the mark is a duplicate
     /// resend and is acked without being applied (idempotent replay).
@@ -378,7 +385,8 @@ struct NodeState {
 /// A state lock was poisoned: a thread panicked while holding it, so the
 /// structures behind it may be half-updated. Nothing is served from them
 /// again — every op that needs the lock answers a `server` error, and a
-/// restart recovers every acked batch from the snapshot and journal.
+/// restart recovers every acked batch from the snapshot and journal. A
+/// poisoned rings lock or a dead window worker is reported the same way.
 #[derive(Debug)]
 pub(crate) struct StatePoisoned;
 
@@ -402,6 +410,8 @@ pub(crate) struct ServerCore {
     config: ServeConfig,
     /// Reached only through [`ServerCore::state`].
     state: Mutex<NodeState>,
+    /// The pane rings' read side; `NodeState.windows` feeds them.
+    rings: Arc<WindowRings>,
     merger: BackgroundMerger<F2HeavyAggregate>,
     requests: AtomicU64,
     snapshots: AtomicU64,
@@ -590,13 +600,16 @@ impl NodeState {
     /// section describes the same stream prefix — a bundle must fully
     /// determine a server.
     fn bundle_bytes(&mut self) -> Result<Vec<u8>, ServeError> {
+        let f2 = self.sharded.snapshot()?;
         let [f0, rarity] = self.aux.frames();
+        // One guard for both rings, once every batch queued so far is applied.
+        let rings = self.windows.rings.caught_up()?;
         let bundle = Bundle {
-            f2: self.sharded.snapshot()?,
+            f2,
             f0,
             rarity,
-            window_f2: self.windows.f2.snapshot(),
-            window_f0: self.windows.f0.snapshot(),
+            window_f2: rings.f2.snapshot(),
+            window_f0: rings.f0.snapshot(),
             seqs: encode_seqs_frame(&self.seqs),
         };
         Ok(encode_bundle(&bundle))
@@ -632,30 +645,27 @@ impl ServerCore {
         }
         let agg = config.shard_aggregate();
         let f2_config = config.f2_config()?;
-        let fresh_windows = WindowState {
-            f2: windowed_f2(
-                config.epsilon,
-                config.delta,
-                config.y_max,
-                config.max_stream_len,
-                config.seed,
-                config.pane_config(),
-            )?,
-            f0: windowed_f0(
-                config.epsilon,
-                config.delta,
-                config.x_domain_log2,
-                config.y_max,
-                config.seed,
-                config.pane_config(),
-            )?,
-            clock: 0,
-        };
-        let (sharded, aux, windows, seqs) = match bundle {
+        let fresh_f2 = windowed_f2(
+            config.epsilon,
+            config.delta,
+            config.y_max,
+            config.max_stream_len,
+            config.seed,
+            config.pane_config(),
+        )?;
+        let fresh_f0 = windowed_f0(
+            config.epsilon,
+            config.delta,
+            config.x_domain_log2,
+            config.y_max,
+            config.seed,
+            config.pane_config(),
+        )?;
+        let (sharded, aux, (wf2, wf0, clock), seqs) = match bundle {
             None => (
                 ShardedIngest::new(agg, f2_config, config.shards)?,
                 AuxSet::fresh(&config)?,
-                fresh_windows,
+                (fresh_f2, fresh_f0, 0),
                 HashMap::new(),
             ),
             Some(bundle) => {
@@ -669,28 +679,29 @@ impl ServerCore {
                 aux.matches(&config)?;
                 let wf2 = WindowedF2::restore_from(config.f2_aggregate(), &bundle.window_f2)?;
                 let wf0 = WindowedF0::restore_from(&bundle.window_f0)?;
-                if wf2.template().config() != fresh_windows.f2.template().config()
-                    || wf2.pane_config() != fresh_windows.f2.pane_config()
+                if wf2.template().config() != fresh_f2.template().config()
+                    || wf2.pane_config() != fresh_f2.pane_config()
                 {
                     return Err(config_mismatch("windowed F2 parameters or pane geometry"));
                 }
                 let f0t = wf0.template();
-                let fresh_f0t = fresh_windows.f0.template();
+                let fresh_f0t = fresh_f0.template();
                 if f0t.epsilon() != fresh_f0t.epsilon()
                     || f0t.delta() != fresh_f0t.delta()
                     || f0t.y_max() != fresh_f0t.y_max()
                     || f0t.seed() != fresh_f0t.seed()
                     || f0t.x_domain_log2() != fresh_f0t.x_domain_log2()
-                    || wf0.pane_config() != fresh_windows.f0.pane_config()
+                    || wf0.pane_config() != fresh_f0.pane_config()
                 {
                     return Err(config_mismatch("windowed F0 parameters or pane geometry"));
                 }
                 // The arrival clock resumes one past the newest restored tick.
                 let clock = wf2.t_latest().map_or(0, |t| t.saturating_add(1));
-                let windows = WindowState { f2: wf2, f0: wf0, clock };
-                (sharded, aux, windows, decode_seqs_frame(&bundle.seqs)?)
+                (sharded, aux, (wf2, wf0, clock), decode_seqs_frame(&bundle.seqs)?)
             }
         };
+        let windows = WindowFeed::spawn(wf2, wf0, clock)?;
+        let rings = Arc::clone(&windows.rings);
         let merger = BackgroundMerger::spawn(sharded.reader(), config.merge_every.max(1))?;
         Ok(Self {
             config,
@@ -702,6 +713,7 @@ impl ServerCore {
                 seqs,
                 durable: None,
             }),
+            rings,
             merger,
             requests: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
@@ -748,6 +760,15 @@ impl ServerCore {
     /// never entered: see [`StatePoisoned`].
     fn state(&self) -> Result<MutexGuard<'_, NodeState>, StatePoisoned> {
         self.state.lock().map_err(|_| StatePoisoned)
+    }
+
+    /// The pane rings once every acked batch is applied; refused like
+    /// [`ServerCore::state`] once either lock is poisoned or the worker gone.
+    fn windows(&self) -> Result<MutexGuard<'_, Rings>, StatePoisoned> {
+        if self.state.is_poisoned() {
+            return Err(StatePoisoned);
+        }
+        self.rings.caught_up()
     }
 
     /// Turn on replication tracking: per-shard `F_2` deltas in the sharded
@@ -942,6 +963,11 @@ impl ServerCore {
             Err(poisoned) => return poisoned.into(),
         };
         let NodeState { sharded, aux, aux_delta, windows, seqs, durable } = &mut *state;
+        // A batch the rings could no longer apply is refused before it is
+        // journaled.
+        if !windows.rings.usable() {
+            return StatePoisoned.into();
+        }
         if let Some((writer, s)) = seq {
             if seqs.get(&writer).is_some_and(|&high| s <= high) {
                 return Reply::Ok(vec![
@@ -965,6 +991,12 @@ impl ServerCore {
             self.journal_bytes
                 .fetch_add(ds.journal.bytes() - before, Ordering::Relaxed);
         }
+        // The rings take the batch in journal order from the window worker,
+        // which cannot refuse it: `y ≤ y_max` was checked above, and late
+        // ticks are dropped and counted.
+        if let Err(gone) = windows.send(tuples, ts) {
+            return gone.into();
+        }
         if let Err(e) = sharded.ingest(tuples) {
             return fail(e.to_string());
         }
@@ -974,28 +1006,6 @@ impl ServerCore {
         for set in std::iter::once(aux).chain(aux_delta) {
             if let Err(e) = set.insert_batch(tuples) {
                 return fail(format!("auxiliary sketch rejected a tuple: {e}"));
-            }
-        }
-        // Windowed structures: explicit per-tuple timestamps when the
-        // client sent them, the arrival counter otherwise.
-        for (i, &(x, y)) in tuples.iter().enumerate() {
-            let t = match ts.get(i) {
-                Some(&t) => {
-                    windows.clock = windows.clock.max(t.saturating_add(1));
-                    t
-                }
-                None => {
-                    let t = windows.clock;
-                    windows.clock = windows.clock.saturating_add(1);
-                    t
-                }
-            };
-            if let Err(e) = windows
-                .f2
-                .observe(x, y, t)
-                .and_then(|()| windows.f0.observe(x, y, t))
-            {
-                return fail(format!("windowed structure rejected a tuple: {e}"));
             }
         }
         // Raise the high-water mark only after the batch is journaled and
@@ -1010,7 +1020,9 @@ impl ServerCore {
     /// The reply to one request. `ping`, `config`, `shutdown`, `f2` and
     /// `heavy_hitters` (both read lock-free from the merger's published
     /// composite) never touch the state lock; every other op fails with
-    /// [`StatePoisoned`] once a panic has poisoned it.
+    /// [`StatePoisoned`] once a panic has poisoned it. Window ops, `flush`,
+    /// `stats` and `snapshot` fail the same way once the rings lock is
+    /// poisoned or the window worker is gone.
     fn answer(&self, request: Request) -> Result<Reply, StatePoisoned> {
         let y_max = self.config.y_max;
         Ok(match request {
@@ -1043,6 +1055,7 @@ impl ServerCore {
             Request::Flush => {
                 self.state()?.sharded.flush();
                 self.merger.refresh();
+                drop(self.windows()?);
                 Reply::ok()
             }
             Request::QueryF2 { .. } | Request::QueryHeavyHitters { .. } => {
@@ -1052,16 +1065,23 @@ impl ServerCore {
                 self.state()?.aux.answer(&request, y_max)
             }
             Request::WindowF2 { window, c } => {
-                window_answer(&self.state()?.windows.f2, window, c.min(y_max))
+                window_answer(&self.windows()?.f2, window, c.min(y_max))
             }
             Request::WindowF0 { window, c } => {
-                window_answer(&self.state()?.windows.f0, window, c.min(y_max))
+                window_answer(&self.windows()?.f0, window, c.min(y_max))
             }
             Request::Stats => {
+                // The rings as of the last applied batch: `stats` reports the
+                // window worker's queue instead of waiting for it.
+                let (rings, window_pending) = self.rings.as_applied()?;
+                let window_panes = rings.f2.pane_count() as u64;
+                // Both rings, in the paper's space unit.
+                let window_stored = (rings.f2.stored_tuples() + rings.f0.stored_tuples()) as u64;
+                let window_late = rings.f2.late_dropped();
+                drop(rings);
                 let composite = self.merger.current();
                 let stats = composite.sketch().stats();
                 let state = self.state()?;
-                let windows = &state.windows;
                 let (durable_on, generation, journal_poisoned) = match state.durable.as_ref() {
                     Some(ds) => (1, ds.journal.generation(), u64::from(ds.journal.is_poisoned())),
                     None => (0, 0, 0),
@@ -1081,16 +1101,11 @@ impl ServerCore {
                     ("stored_tuples", Value::U64(stats.stored_tuples as u64)),
                     ("space_bytes", Value::U64(stats.space_bytes as u64)),
                     ("snapshots_taken", count(&self.snapshots)),
-                    ("window_panes", Value::U64(windows.f2.pane_count() as u64)),
-                    // Both rings, in the paper's space unit.
-                    (
-                        "window_stored_tuples",
-                        Value::U64(
-                            (windows.f2.stored_tuples() + windows.f0.stored_tuples()) as u64,
-                        ),
-                    ),
-                    ("window_late_dropped", Value::U64(windows.f2.late_dropped())),
-                    ("window_clock", Value::U64(windows.clock)),
+                    ("window_panes", Value::U64(window_panes)),
+                    ("window_stored_tuples", Value::U64(window_stored)),
+                    ("window_late_dropped", Value::U64(window_late)),
+                    ("window_clock", Value::U64(state.windows.clock)),
+                    ("window_pending_batches", Value::U64(window_pending)),
                     ("durable", Value::U64(durable_on)),
                     ("generation", Value::U64(generation)),
                     ("journal_poisoned", Value::U64(journal_poisoned)),
@@ -1112,6 +1127,8 @@ impl ServerCore {
                     Err(ServeError::Io(e)) => {
                         Reply::io_error(format!("snapshot rotation failed: {e}"))
                     }
+                    // The rings lock was poisoned under this bundle.
+                    Err(ServeError::Invalid(e)) if e == POISONED => Reply::server_error(e),
                     Err(ServeError::Invalid(e)) => Reply::request_error(e),
                     Err(e) => Reply::server_error(e.to_string()),
                 }
@@ -1127,6 +1144,7 @@ impl ServerCore {
                         }
                     },
                     Err(ServeError::Io(e)) => Reply::io_error(format!("snapshot failed: {e}")),
+                    Err(ServeError::Invalid(e)) if e == POISONED => Reply::server_error(e),
                     Err(e) => Reply::sketch_error(e.to_string()),
                 }
             }
@@ -1576,14 +1594,17 @@ mod tests {
                 (0..500).map(|i| (b * 500 + i, (i * 37) % 1024)).collect();
             core.ingest_tuples(&tuples, &[], None);
         }
+        // `stats` does not wait for the window worker; `flush` does.
+        core.handle(Request::Flush);
         let want = {
-            let state = core.state().unwrap();
-            assert!(state.windows.f2.pane_count() > 4, "the rings must have buddy-merged");
-            (state.windows.f2.stored_tuples() + state.windows.f0.stored_tuples()) as u64
+            let rings = core.windows().unwrap();
+            assert!(rings.f2.pane_count() > 4, "the rings must have buddy-merged");
+            (rings.f2.stored_tuples() + rings.f0.stored_tuples()) as u64
         };
         let reply = core.handle(Request::Stats).0;
         let json = protocol::Response::parse(&reply.render_json()).unwrap();
         assert_eq!(json.u64_field("window_stored_tuples").unwrap(), want);
+        assert_eq!(json.u64_field("window_pending_batches").unwrap(), 0);
         let frame = wire::encode_reply(wire::Opcode::Stats as u8, &reply);
         let header = wire::parse_header(frame[..wire::HEADER_BYTES].try_into().unwrap()).unwrap();
         let wire::DecodedReply::Ok(fields) =
@@ -1591,8 +1612,9 @@ mod tests {
         else {
             panic!("stats must decode as an ok reply");
         };
-        let binary = fields.iter().find(|(key, _)| key == "window_stored_tuples");
-        assert_eq!(binary.map(|(_, value)| value), Some(&Value::U64(want)));
+        let binary = |name: &str| fields.iter().find(|(key, _)| key == name).map(|(_, v)| v);
+        assert_eq!(binary("window_stored_tuples"), Some(&Value::U64(want)));
+        assert_eq!(binary("window_pending_batches"), Some(&Value::U64(0)));
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1601,85 +1623,288 @@ mod tests {
         dir
     }
 
-    /// ROADMAP hole 5(b): a panic under the state lock must stop the core
-    /// from serving what it may have half-mutated — and lose nothing acked.
+    /// ROADMAP hole 5(b): a panic under the state lock, or under the rings
+    /// lock, must stop the core from serving what it may have half-mutated —
+    /// and lose nothing acked.
     #[test]
     fn a_poisoned_core_fails_closed_and_a_restart_recovers_every_acked_batch() {
-        let dir = temp_dir("poison");
+        let poison_state: fn(&ServerCore) = |core| {
+            let _state = core.state().unwrap();
+            panic!("poison the node state (expected in this test)");
+        };
+        let poison_rings: fn(&ServerCore) = |core| {
+            let _rings = core.windows().unwrap();
+            panic!("poison the pane rings (expected in this test)");
+        };
+        for (case, poison) in [("state", poison_state), ("rings", poison_rings)] {
+            let dir = temp_dir(&format!("poison_{case}"));
+            let config = ServeConfig {
+                shards: 2,
+                merge_every: 1,
+                y_max: 1023,
+                pane_ticks: 16,
+                durability: Some(DurabilityConfig::new(&dir)),
+                ..Default::default()
+            };
+            // Distinct items, except that the last batch makes one item heavy.
+            const HEAVY: u64 = 1 << 40;
+            let batch = |b: u64| -> Vec<(u64, u64)> {
+                let x = |i| if b == 5 { HEAVY } else { b * 50 + i };
+                (0..50).map(|i| (x(i), (b * 131 + i * 17) % 1024)).collect()
+            };
+            let hh = Request::QueryHeavyHitters { c: 1023, phi: 0.5 };
+            let window = Request::WindowF2 { window: 64, c: 1023 };
+            let core = Arc::new(ServerCore::open(config.clone(), None, None).unwrap());
+            for b in 0..6 {
+                let reply = core.ingest_tuples(&batch(b), &[], Some((1, b + 1)));
+                assert_eq!(reply, Reply::Ok(vec![("accepted", Value::U64(50))]));
+            }
+            // `flush` is the heavy hitters' read-your-writes barrier.
+            core.handle(Request::Flush);
+            let f2_before = core.handle(Request::QueryF2 { c: 1023 }).0;
+            let hh_before = core.handle(hh.clone()).0;
+            let window_before = core.handle(window.clone()).0;
+            let Reply::Ok(fields) = &hh_before else { panic!("{hh_before:?}") };
+            assert_eq!(fields[0], ("items", Value::U64Array(vec![HEAVY])));
+
+            let panicking = Arc::clone(&core);
+            let _ = thread::spawn(move || poison(&panicking)).join();
+
+            let kind = |reply: Reply| {
+                protocol::Response::parse(&reply.render_json()).unwrap().error_kind()
+            };
+            let server = Some("server".to_string());
+            assert_eq!(kind(core.ingest_tuples(&batch(6), &[], Some((1, 7)))), server, "{case}");
+            let mut refused = vec![
+                window,
+                Request::WindowF0 { window: 64, c: 1023 },
+                Request::Stats,
+                Request::Flush,
+                Request::Snapshot { path: String::new() },
+            ];
+            if case == "state" {
+                refused.push(Request::QueryF0 { c: 1023 });
+                assert!(core.repl_cut(true).is_err(), "a poisoned cut must not seal anything");
+            }
+            for request in refused {
+                let (reply, stop) = core.handle(request);
+                assert!(reply.render_json().contains("poisoned"), "{case}: {reply:?}");
+                assert_eq!(kind(reply), server);
+                assert!(!stop);
+            }
+            // What takes neither lock keeps answering.
+            assert_eq!(core.handle(Request::QueryF2 { c: 1023 }).0, f2_before);
+            assert_eq!(core.handle(hh.clone()).0, hh_before);
+            assert_eq!(core.handle(Request::Ping).0, Reply::ok());
+            assert!(matches!(core.handle(Request::Config).0, Reply::Ok(_)));
+            assert!(core.handle(Request::Shutdown).1);
+            drop(core);
+
+            // A fresh core on the same directory: all six acked batches, and
+            // not the refused seventh.
+            let restarted = ServerCore::open(config, None, None).unwrap();
+            restarted.handle(Request::Flush);
+            let stats =
+                protocol::Response::parse(&restarted.handle(Request::Stats).0.render_json())
+                    .unwrap();
+            assert_eq!(stats.u64_field("items_accepted").unwrap(), 300, "{case}");
+            assert_eq!(restarted.handle(Request::QueryF2 { c: 1023 }).0, f2_before);
+            assert_eq!(restarted.handle(hh).0, hh_before);
+            let window = Request::WindowF2 { window: 64, c: 1023 };
+            assert_eq!(restarted.handle(window).0, window_before, "{case}");
+            let resend = restarted.ingest_tuples(&batch(5), &[], Some((1, 6)));
+            assert_eq!(
+                resend,
+                Reply::Ok(vec![("accepted", Value::U64(0)), ("duplicate", Value::U64(1))])
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// The rings a server should hold: a test-side copy fed `(x, y, t)`
+    /// inline, stamping ticks the way the node's clock does.
+    struct InlineRings {
+        f2: WindowedF2,
+        f0: WindowedF0,
+        clock: u64,
+    }
+
+    impl InlineRings {
+        fn new(config: &ServeConfig) -> Self {
+            let (e, d, y_max, seed, panes) =
+                (config.epsilon, config.delta, config.y_max, config.seed, config.pane_config());
+            Self {
+                f2: windowed_f2(e, d, y_max, config.max_stream_len, seed, panes.clone()).unwrap(),
+                f0: windowed_f0(e, d, config.x_domain_log2, y_max, seed, panes).unwrap(),
+                clock: 0,
+            }
+        }
+
+        fn observe(&mut self, tuples: &[(u64, u64)], ts: &[u64]) {
+            for (i, &(x, y)) in tuples.iter().enumerate() {
+                let t = ts.get(i).copied().unwrap_or(self.clock);
+                self.clock = self.clock.max(t + 1);
+                self.f2.observe(x, y, t).unwrap();
+                self.f0.observe(x, y, t).unwrap();
+            }
+        }
+
+        /// Window answers and bundle sections of `core`, taken without a
+        /// `flush`, equal this copy's.
+        fn assert_served_by(&self, core: &ServerCore, what: &str) {
+            for window in [1, 100, 1_000, u64::MAX] {
+                for c in [0, 300, 1_023] {
+                    let f2 = core.handle(Request::WindowF2 { window, c }).0;
+                    assert_eq!(f2, window_answer(&self.f2, window, c), "{what}: F2 {window} {c}");
+                    let f0 = core.handle(Request::WindowF0 { window, c }).0;
+                    assert_eq!(f0, window_answer(&self.f0, window, c), "{what}: F0 {window} {c}");
+                }
+            }
+            let bundle = decode_bundle(&core.state().unwrap().bundle_bytes().unwrap()).unwrap();
+            assert!(bundle.window_f2 == self.f2.snapshot(), "{what}: F2 ring bytes");
+            assert!(bundle.window_f0 == self.f0.snapshot(), "{what}: F0 ring bytes");
+        }
+    }
+
+    /// Window ops and bundles see every acked batch with no `flush`, and the
+    /// worker's rings equal rings fed the same `(x, y, t)` inline: on the
+    /// arrival clock, on explicit out-of-order and late ticks, and under a
+    /// retention horizon.
+    #[test]
+    fn window_worker_answers_read_your_writes_without_flush() {
+        let arrival = |b: u64| (0..300).map(|i| (b * 300 + i, (b * 131 + i * 17) % 1024)).collect();
+        // Ticks run forward in steps of 7 with every fifth one 40 behind; the
+        // seventh batch reaches back 3 000 ticks, past the retention horizon.
+        let explicit = |b: u64| -> Vec<u64> {
+            (0..300u64)
+                .map(|i| {
+                    let t = 2_000 + b * 2_100 + i * 7;
+                    let t = if i % 5 == 0 { t - 40 } else { t };
+                    if b == 6 { t - 3_000 } else { t }
+                })
+                .collect()
+        };
+        let cases: [(&str, Option<u64>, bool); 3] = [
+            ("arrival clock", None, false),
+            ("explicit out-of-order and late ticks", Some(2_048), true),
+            ("arrival clock under retention", Some(700), false),
+        ];
+        for (what, pane_retention, timestamped) in cases {
+            let config = ServeConfig {
+                shards: 1,
+                y_max: 1023,
+                pane_ticks: 64,
+                pane_k: 2,
+                pane_retention,
+                ..Default::default()
+            };
+            let core = ServerCore::build(config.clone(), None).unwrap();
+            let mut inline = InlineRings::new(&config);
+            let mut held = None;
+            for b in 0..8 {
+                if b == 5 {
+                    // Acks do not wait for the rings: the last three batches
+                    // are acked while the test holds the rings lock, and the
+                    // reads below are the first to wait for the worker.
+                    held = Some(core.windows().unwrap());
+                }
+                let tuples: Vec<(u64, u64)> = arrival(b);
+                let ts = if timestamped { explicit(b) } else { Vec::new() };
+                let reply = core.ingest_tuples(&tuples, &ts, None);
+                assert_eq!(reply, Reply::Ok(vec![("accepted", Value::U64(300))]));
+                inline.observe(&tuples, &ts);
+            }
+            drop(held);
+            assert!(inline.f2.pane_count() > 3, "{what}: the rings must have buddy-merged");
+            assert_eq!(inline.f2.late_dropped() > 0, timestamped, "{what}: late ticks");
+            inline.assert_served_by(&core, what);
+        }
+    }
+
+    /// Two writers (one on the arrival clock, one with explicit ticks) and
+    /// one reader hammer the node. Each writer reads its own writes straight
+    /// after every ack, the reader never sees the rings go backwards or
+    /// queue more than the FIFO holds, and at the end the rings equal rings
+    /// fed inline in the order the journal recorded.
+    #[test]
+    fn window_worker_applies_in_journal_order_under_two_writers_and_a_reader() {
+        use std::sync::atomic::AtomicBool;
+        let dir = temp_dir("window_worker_order");
         let config = ServeConfig {
             shards: 2,
-            merge_every: 1,
             y_max: 1023,
-            pane_ticks: 16,
-            durability: Some(DurabilityConfig::new(&dir)),
+            pane_ticks: 32,
+            pane_k: 2,
+            durability: Some(DurabilityConfig {
+                snapshot_every_tuples: 0,
+                fsync_each_batch: false,
+                ..DurabilityConfig::new(&dir)
+            }),
             ..Default::default()
         };
-        // Distinct items, except that the last batch makes one item heavy.
-        const HEAVY: u64 = 1 << 40;
-        let batch = |b: u64| -> Vec<(u64, u64)> {
-            let x = |i| if b == 5 { HEAVY } else { b * 50 + i };
-            (0..50).map(|i| (x(i), (b * 131 + i * 17) % 1024)).collect()
+        let core = ServerCore::open(config.clone(), None, None).unwrap();
+        // A window of one pane width resolves the newest pane, whose end is
+        // past the newest tick.
+        let newest_pane_end = |request: Request| {
+            let reply = core.handle(request).0.render_json();
+            protocol::Response::parse(&reply).unwrap().u64_field("resolved_hi").unwrap()
         };
-        let hh = Request::QueryHeavyHitters { c: 1023, phi: 0.5 };
-        let core = Arc::new(ServerCore::open(config.clone(), None, None).unwrap());
-        for b in 0..6 {
-            let reply = core.ingest_tuples(&batch(b), &[], Some((1, b + 1)));
-            assert_eq!(reply, Reply::Ok(vec![("accepted", Value::U64(50))]));
+        let writing = AtomicBool::new(true);
+        thread::scope(|scope| {
+            let writers: Vec<_> = [false, true]
+                .into_iter()
+                .map(|timestamped| {
+                    let (core, newest_pane_end) = (&core, &newest_pane_end);
+                    scope.spawn(move || {
+                        for b in 0..30u64 {
+                            let tuples: Vec<(u64, u64)> = (0..100)
+                                .map(|i| (b * 1_000 + i, (b * 37 + i * 11) % 1024))
+                                .collect();
+                            let ts: Vec<u64> = match timestamped {
+                                true => (0..100).map(|i| 5_000 + b * 150 + i).collect(),
+                                false => Vec::new(),
+                            };
+                            let seq = Some((u64::from(timestamped), b + 1));
+                            let reply = core.ingest_tuples(&tuples, &ts, seq);
+                            assert_eq!(reply, Reply::Ok(vec![("accepted", Value::U64(100))]));
+                            let end = newest_pane_end(Request::WindowF2 { window: 32, c: 1023 });
+                            if let Some(&last) = ts.last() {
+                                assert!(end > last, "tick {last} not visible after its ack");
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                let mut newest = 0;
+                loop {
+                    let end = newest_pane_end(Request::WindowF0 { window: 32, c: 1023 });
+                    assert!(end >= newest, "the rings went back from {newest} to {end}");
+                    newest = end;
+                    let stats = core.handle(Request::Stats).0.render_json();
+                    let stats = protocol::Response::parse(&stats).unwrap();
+                    let pending = stats.u64_field("window_pending_batches").unwrap();
+                    assert!(pending <= crate::windows::QUEUE_BATCHES as u64 + 2, "{pending}");
+                    if !writing.load(Ordering::Acquire) {
+                        return;
+                    }
+                }
+            });
+            // Stop the reader before reporting a writer's panic.
+            let written: Vec<_> = writers.into_iter().map(|writer| writer.join()).collect();
+            writing.store(false, Ordering::Release);
+            reader.join().unwrap();
+            assert!(written.iter().all(Result::is_ok), "a writer panicked");
+        });
+        let journal = std::fs::read(journal_path(&dir, 0)).unwrap();
+        let mut inline = InlineRings::new(&config);
+        let records = scan_journal(&journal).unwrap().records;
+        assert_eq!(records.len(), 60);
+        for record in &records {
+            inline.observe(&record.tuples, &record.ts);
         }
-        // `flush` is the heavy hitters' read-your-writes barrier.
-        core.handle(Request::Flush);
-        let f2_before = core.handle(Request::QueryF2 { c: 1023 }).0;
-        let hh_before = core.handle(hh.clone()).0;
-        let Reply::Ok(fields) = &hh_before else { panic!("{hh_before:?}") };
-        assert_eq!(fields[0], ("items", Value::U64Array(vec![HEAVY])));
-
-        let panicking = Arc::clone(&core);
-        let _ = thread::spawn(move || {
-            let _state = panicking.state().unwrap();
-            panic!("poison the node state (expected in this test)");
-        })
-        .join();
-
-        let kind = |reply: Reply| {
-            protocol::Response::parse(&reply.render_json()).unwrap().error_kind()
-        };
-        let server = Some("server".to_string());
-        assert_eq!(kind(core.ingest_tuples(&batch(6), &[], Some((1, 7)))), server);
-        for request in [
-            Request::QueryF0 { c: 1023 },
-            Request::WindowF2 { window: 64, c: 1023 },
-            Request::Stats,
-            Request::Flush,
-            Request::Snapshot { path: String::new() },
-        ] {
-            let (reply, stop) = core.handle(request);
-            assert!(reply.render_json().contains("poisoned"), "{reply:?}");
-            assert_eq!(kind(reply), server);
-            assert!(!stop);
-        }
-        assert!(core.repl_cut(true).is_err(), "a poisoned cut must not seal anything");
-        // What never takes the state lock keeps answering.
-        assert_eq!(core.handle(Request::QueryF2 { c: 1023 }).0, f2_before);
-        assert_eq!(core.handle(hh.clone()).0, hh_before);
-        assert_eq!(core.handle(Request::Ping).0, Reply::ok());
-        assert!(matches!(core.handle(Request::Config).0, Reply::Ok(_)));
-        assert!(core.handle(Request::Shutdown).1);
+        inline.assert_served_by(&core, "journal order");
         drop(core);
-
-        // A fresh core on the same directory: all six acked batches, and not
-        // the refused seventh.
-        let restarted = ServerCore::open(config, None, None).unwrap();
-        restarted.handle(Request::Flush);
-        let stats = protocol::Response::parse(&restarted.handle(Request::Stats).0.render_json())
-            .unwrap();
-        assert_eq!(stats.u64_field("items_accepted").unwrap(), 300);
-        assert_eq!(restarted.handle(Request::QueryF2 { c: 1023 }).0, f2_before);
-        assert_eq!(restarted.handle(hh).0, hh_before);
-        let resend = restarted.ingest_tuples(&batch(5), &[], Some((1, 6)));
-        assert_eq!(
-            resend,
-            Reply::Ok(vec![("accepted", Value::U64(0)), ("duplicate", Value::U64(1))])
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
