@@ -13,9 +13,9 @@
 //!   read path whenever the merge-every-`k` trigger fires, and publishes it
 //!   behind an epoch-tagged atomic slot ([`merger::BackgroundMerger`]).
 //!   Readers take an `Arc` clone of the current composite — a pointer copy —
-//!   so a query issued *during* a rebuild returns immediately against the
-//!   previous epoch instead of waiting (the former ROADMAP item "composite
-//!   rebuilds run on the querying thread" ends here);
+//!   so a query issued *during* a rebuild normally returns at once against
+//!   the previous epoch instead of waiting, and a composite is built only
+//!   when a reader or a `flush` will read it;
 //! * **snapshot persistence & crash-safe durability** — the server bundles
 //!   the framework (`F_2` and heavy hitters)/F0/rarity snapshot frames of
 //!   `cora_core::snapshot` into one checksummed file
@@ -59,11 +59,12 @@
 //! ## Consistency model
 //!
 //! Ingest is accepted in batches and applied by the sharded workers; the
-//! published composite is rebuilt in the background once at least
-//! `merge_every` new batches have been applied since it was built. A query
-//! therefore observes a composite that lags ingest by **at most
-//! `merge_every − 1` applied batches plus one in-flight rebuild**, and never
-//! waits for that rebuild. `flush` is the read-your-writes barrier: it
+//! published composite is rebuilt in the background when a query finds it
+//! `merge_every` or more applied batches behind. A query therefore observes
+//! a composite that lags ingest by **fewer than `merge_every` applied
+//! batches, or was built within the merger's staleness floor**, and waits
+//! for at most one rebuild — only when the composite is older than that
+//! floor. `flush` is the read-your-writes barrier: it
 //! drains the workers *and* blocks until the published composite covers
 //! every batch applied before the call.
 //!

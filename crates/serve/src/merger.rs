@@ -1,74 +1,68 @@
-//! The background merger: epoch-published composites rebuilt off the read
-//! path.
+//! The background merger: epoch-published composites, rebuilt off the read
+//! path for the readers and barriers that will read them.
 //!
-//! PR 4's `ShardedIngest::with_merge_every(k)` bounded how *often* the
-//! N-shard composite is re-merged, but the merge itself still ran on
-//! whichever thread happened to query first — a latency spike exactly where
-//! a serving system least wants one. This module moves the rebuild onto a
-//! **dedicated merger thread**:
+//! `ShardedIngest::with_merge_every(k)` bounds how *often* the N-shard
+//! composite is re-merged, but a foreground merge runs on whichever thread
+//! happens to query first — a latency spike exactly where a serving system
+//! least wants one. This module moves the rebuild onto a **dedicated merger
+//! thread**:
 //!
-//! * the merger polls the shards' applied-batch generations through a
-//!   [`ShardReader`] (one atomic load per shard per poll tick);
-//! * once at least `merge_every` new batches have been applied since the
-//!   published composite was built — or a [`refresh`](BackgroundMerger::refresh)
-//!   barrier forces it — the merger rebuilds the composite (locking each
-//!   shard sketch briefly, exactly like a foreground merge would) and
-//!   **publishes** it by swapping an `Arc` behind a mutex held only for the
-//!   pointer swap;
-//! * readers call [`current`](BackgroundMerger::current), which clones that
-//!   `Arc` — a reader arriving mid-rebuild gets the previous epoch
-//!   immediately instead of waiting for the merge (this non-blocking bound
-//!   is pinned by `query_during_slow_rebuild_does_not_block` below, using
-//!   the [`slow-merge hook`](BackgroundMerger::spawn_with_hook)).
+//! * the merger rebuilds the composite (locking each shard sketch briefly,
+//!   exactly like a foreground merge would) and **publishes** it by swapping
+//!   an `Arc` behind a mutex held only for the pointer swap, then notifies a
+//!   condvar on that mutex;
+//! * readers call [`read`](BackgroundMerger::read), which clones that `Arc`
+//!   — a reader arriving mid-rebuild normally gets the previous epoch at
+//!   once instead of waiting for the merge (pinned by
+//!   `query_during_slow_rebuild_does_not_block` below, using the
+//!   [`slow-merge hook`](BackgroundMerger::spawn_with_hook)).
 //!
-//! ## Staleness bound, end to end
+//! ## Rebuild policy: builds follow readers, not the clock
 //!
-//! Let `B` be the ingest batch size. Once the lag trigger is reached, a
-//! rebuild starts as soon as a reader has shown up (every
-//! [`current`](BackgroundMerger::current) bumps a demand counter) or the
-//! published composite is older than the [`STALENESS_FLOOR`]; reads lag
-//! writes by `O(merge_every · B)` tuples plus the floor plus one merge
-//! duration — and never block. Tuples still buffered or in the SPSC rings
-//! are invisible to even a foreground merge; `ShardedIngest::flush` +
-//! [`refresh`](BackgroundMerger::refresh) is the read-your-writes barrier
-//! over everything accepted.
+//! A build runs only when (a) a [`refresh`](BackgroundMerger::refresh)
+//! barrier forces it and the published composite misses an applied batch,
+//! or (b) a reader found the published composite `merge_every` or more
+//! applied batches behind and asked for one. Those unforced builds are
+//! duty-capped: after a build that took `d`, the next one waits at least
+//! `d`, bounding the merger at half a core even under a query storm. Ingest
+//! nobody reads — a replicating node whose analyst reads the aggregator, a
+//! load that ends in a `flush` — costs no builds beyond its barriers.
 //!
-//! ## Demand- and duty-bounded rebuilds
+//! ## Staleness bound and the one-build wait
 //!
-//! Rebuilding a composite costs real CPU — on a small box it competes with
-//! ingest for cores, and an ingest-only workload (a loader, the
-//! `serve_ingest` bench) used to pay a ~2x tax for composites nobody read.
-//! The loop therefore rebuilds only when (a) a
-//! [`refresh`](BackgroundMerger::refresh) barrier forces
-//! it, or (b) the lag trigger has fired **and** either a reader has asked
-//! for a composite since the last publish or the staleness floor has
-//! elapsed. Unforced rebuilds are additionally duty-capped: after a rebuild
-//! that took `d`, the next unforced one waits at least `d`, bounding the
-//! merger at half a core even under a query storm.
+//! A reader that asks for a build still answers at once from the published
+//! composite if that was built less than [`STALENESS_FLOOR`] ago; otherwise
+//! it waits for the build it asked for. So an answer lags writes by fewer
+//! than `merge_every` applied batches or comes from generations read within
+//! the floor, and a reader waits for at most one build (plus its duty cap):
+//! only the first read after a floor's worth of unread ingest. Tuples still
+//! buffered or in the SPSC rings are invisible to even a foreground merge;
+//! `ShardedIngest::flush` + `refresh` is the read-your-writes barrier over
+//! everything accepted.
 //!
-//! ## The one idle wake-up left
-//!
-//! Connection threads block in `read` and shard workers park until the
-//! producer unparks them, so on an idle node this loop's 500 µs `POLL_INTERVAL`
-//! timer is the only thing still waking up. It stays a poll because nothing
-//! notifies the merger of an applied batch (the shard workers publish a
-//! generation counter, not an event) and the demand / staleness-floor rule
-//! above is evaluated against the clock.
+//! A merger whose thread is gone (a panic, or a failed build) fails closed:
+//! `refresh`, and a reader that would wait, get `None` — the server's
+//! poisoned-state error — while a read that needs no wait still answers from
+//! the last epoch. The merger still wakes every `POLL_INTERVAL` although a
+//! barrier or a reader also unparks it; the constant says why.
 
 use cora_core::{CoreError, CorrelatedAggregate, CorrelatedSketch, Result};
 use cora_stream::sharded::{staleness, ShardReader};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How long the merger parks between generation polls while idle.
+/// How long the merger parks between checks for a barrier or a reader's
+/// request. Both also unpark it, yet it keeps polling on purpose: a merger
+/// that parked until unparked used the same CPU, but `f2` / `f0` p50 rose
+/// 23% / 31% on a 2-vCPU VM, where waking a fully idle vCPU costs a query
+/// about 20 µs. It is the only timer an idle node still runs.
 const POLL_INTERVAL: Duration = Duration::from_micros(500);
 
-/// Wall-clock freshness floor: with the lag trigger fired but no reader
-/// demand, a rebuild still runs once the published composite is this old,
-/// so an idle-reader system converges instead of serving arbitrarily stale
-/// epochs to the *first* query that eventually arrives.
+/// Freshness floor: a reader that finds the published composite at least
+/// `merge_every` batches behind *and* built longer ago than this waits for
+/// the build it asks for instead of answering from it.
 pub const STALENESS_FLOOR: Duration = Duration::from_millis(250);
 
 /// Test/ops instrumentation invoked between building a composite and
@@ -76,12 +70,13 @@ pub const STALENESS_FLOOR: Duration = Duration::from_millis(250);
 pub type MergeHook = Arc<dyn Fn() + Send + Sync>;
 
 /// One published composite: the merged sketch, the per-shard generation
-/// vector it was built from, and its publish epoch.
+/// vector it was built from, when that vector was read, and its epoch.
 #[derive(Debug)]
 pub struct EpochComposite<A: CorrelatedAggregate> {
     sketch: CorrelatedSketch<A>,
     built_from: Vec<u64>,
     epoch: u64,
+    built_at: Instant,
 }
 
 impl<A: CorrelatedAggregate> EpochComposite<A> {
@@ -99,6 +94,11 @@ impl<A: CorrelatedAggregate> EpochComposite<A> {
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
+
+    /// When the generations in [`Self::built_from`] were read.
+    pub fn built_at(&self) -> Instant {
+        self.built_at
+    }
 }
 
 /// Shared state between the merger thread and readers.
@@ -108,21 +108,19 @@ where
 {
     reader: ShardReader<A>,
     /// The published composite. The lock is held only to clone or swap the
-    /// `Arc` — never across a rebuild — so readers are wait-free in
-    /// practice.
+    /// `Arc` — never across a rebuild.
     published: Mutex<Arc<EpochComposite<A>>>,
-    /// Rebuild trigger: staleness (in applied batches) that forces a
-    /// re-merge.
+    /// Notified after every publish and when the merger thread exits.
+    fresh: Condvar,
+    /// Staleness (in applied batches) at which a reader asks for a build.
     merge_every: u64,
-    /// Set by [`BackgroundMerger::refresh`] to force a rebuild regardless of
-    /// staleness.
+    /// Set by [`BackgroundMerger::refresh`]: build unless nothing is new.
     force: AtomicBool,
-    /// Reader arrivals since the last publish — the demand signal that lets
-    /// an ingest-only workload skip rebuilds nobody would read.
-    demand: AtomicU64,
+    /// Set by a reader that found the published composite too stale.
+    demand: AtomicBool,
     shutdown: AtomicBool,
-    /// Rebuilds completed (diagnostics; epoch of the current composite).
-    epoch: AtomicU64,
+    /// Cleared when the merger thread exits, however it exits.
+    alive: AtomicBool,
     hook: Option<MergeHook>,
 }
 
@@ -130,8 +128,6 @@ impl<A: CorrelatedAggregate + Send + Sync + 'static> Shared<A>
 where
     CorrelatedSketch<A>: Send + Sync,
 {
-    /// The published composite without registering reader demand (the
-    /// merger loop's own view).
     fn peek(&self) -> Arc<EpochComposite<A>> {
         self.published
             .lock()
@@ -139,72 +135,85 @@ where
             .clone()
     }
 
-    fn current(&self) -> Arc<EpochComposite<A>> {
-        self.demand.fetch_add(1, Ordering::Relaxed);
-        self.peek()
+    fn publish(&self, built_from: Vec<u64>, sketch: CorrelatedSketch<A>, built_at: Instant) {
+        let mut published = self.published.lock().unwrap_or_else(PoisonError::into_inner);
+        let epoch = published.epoch + 1;
+        *published = Arc::new(EpochComposite { sketch, built_from, epoch, built_at });
+        drop(published);
+        self.fresh.notify_all();
     }
 
-    fn publish(&self, built_from: Vec<u64>, sketch: CorrelatedSketch<A>) {
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        let composite = Arc::new(EpochComposite {
-            sketch,
-            built_from,
-            epoch,
-        });
-        *self
-            .published
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = composite;
+    /// The published composite once `done` holds for it, or `None` if the
+    /// merger thread exits first.
+    fn wait_until(
+        &self,
+        done: impl Fn(&EpochComposite<A>) -> bool,
+    ) -> Option<Arc<EpochComposite<A>>> {
+        let published = self.published.lock().unwrap_or_else(PoisonError::into_inner);
+        let alive = || self.alive.load(Ordering::Acquire);
+        let pending = |c: &mut Arc<EpochComposite<A>>| !done(c) && alive();
+        let published = self
+            .fresh
+            .wait_while(published, pending)
+            .unwrap_or_else(PoisonError::into_inner);
+        done(&published).then(|| Arc::clone(&published))
     }
 }
 
-/// The merger loop: poll generations; rebuild + publish when a forced
-/// refresh fires, or when the lag trigger has been reached *and* the
-/// rebuild is wanted (reader demand since the last publish, or the
-/// staleness floor elapsed) *and* the duty cap allows it; park briefly
-/// otherwise.
+/// Marks the merger gone however its loop leaves, and wakes every waiter.
+struct Exit<'a, A: CorrelatedAggregate + Send + Sync + 'static>(&'a Shared<A>)
+where
+    CorrelatedSketch<A>: Send + Sync;
+
+impl<A: CorrelatedAggregate + Send + Sync + 'static> Drop for Exit<'_, A>
+where
+    CorrelatedSketch<A>: Send + Sync,
+{
+    fn drop(&mut self) {
+        self.0.alive.store(false, Ordering::Release);
+        // Under the lock, so no waiter sleeps through the notification.
+        let _ordered = self.0.published.lock();
+        self.0.fresh.notify_all();
+    }
+}
+
+/// The merger loop: build and publish for a forced refresh that a new batch
+/// makes necessary, or for a reader's request once the duty cap allows it;
+/// park briefly otherwise.
 fn merger_loop<A>(shared: &Shared<A>)
 where
     A: CorrelatedAggregate + Send + Sync + 'static,
     CorrelatedSketch<A>: Send + Sync,
 {
-    let mut last_publish = Instant::now();
+    let _exit = Exit(shared);
+    let mut last_end = Instant::now();
     let mut last_cost = Duration::ZERO;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let current = shared.reader.generations();
-        let lag = staleness(&shared.peek().built_from, &current);
+    while !shared.shutdown.load(Ordering::Acquire) {
         let forced = shared.force.swap(false, Ordering::AcqRel);
-        // Order matters: the demand counter is consumed (swapped to zero)
-        // only once the lag trigger and the duty cap both allow a rebuild,
-        // so demand arriving during the cooldown is not silently dropped.
-        let since_publish = last_publish.elapsed();
-        let due = lag >= shared.merge_every
-            && since_publish >= last_cost
-            && (shared.demand.swap(0, Ordering::AcqRel) > 0
-                || since_publish >= STALENESS_FLOOR);
-        if forced || due {
-            let start = Instant::now();
-            match shared.reader.build_composite() {
-                Ok((built_from, sketch)) => {
-                    if let Some(hook) = &shared.hook {
-                        hook();
-                    }
-                    shared.publish(built_from, sketch);
-                    last_cost = start.elapsed();
-                    last_publish = Instant::now();
-                }
-                Err(_) => {
-                    // A failed merge (config drift mid-shutdown) leaves the
-                    // previous epoch published; back off instead of spinning.
-                    thread::park_timeout(10 * POLL_INTERVAL);
-                }
-            }
-        } else {
+        // A request arriving during the cooldown stays pending.
+        let asked = last_end.elapsed() >= last_cost && shared.demand.swap(false, Ordering::AcqRel);
+        // Skip a forced build with nothing new, and a request an earlier
+        // build has already answered.
+        let needed = if forced { 1 } else { shared.merge_every };
+        let lag = || staleness(&shared.peek().built_from, &shared.reader.generations());
+        if !(forced || asked) || lag() < needed {
             thread::park_timeout(POLL_INTERVAL);
+            continue;
         }
+        // This build answers every request made before it.
+        shared.demand.store(false, Ordering::Release);
+        let built_at = Instant::now();
+        // A failed merge (config drift) cannot heal: exiting releases every
+        // waiter with an error.
+        let Ok((built_from, sketch)) = shared.reader.build_composite() else {
+            return;
+        };
+        if let Some(hook) = &shared.hook {
+            hook();
+        }
+        shared.publish(built_from, sketch, built_at);
+        last_cost = built_at.elapsed();
+        last_end = Instant::now();
     }
 }
 
@@ -225,10 +234,10 @@ where
     A: CorrelatedAggregate + Send + Sync + 'static,
     CorrelatedSketch<A>: Send + Sync,
 {
-    /// Spawn a merger over `reader`, rebuilding once at least `merge_every`
-    /// new batches (≥ 1) have been applied since the published composite was
-    /// built. The initial composite is built synchronously so readers always
-    /// have an epoch to hit.
+    /// Spawn a merger over `reader` whose readers ask for a build once the
+    /// published composite is at least `merge_every` applied batches (≥ 1)
+    /// behind. The initial composite is built synchronously so readers
+    /// always have an epoch to hit.
     pub fn spawn(reader: ShardReader<A>, merge_every: u64) -> Result<Self> {
         Self::spawn_with_hook(reader, merge_every, None)
     }
@@ -241,6 +250,7 @@ where
         merge_every: u64,
         hook: Option<MergeHook>,
     ) -> Result<Self> {
+        let built_at = Instant::now();
         let (built_from, sketch) = reader.build_composite()?;
         let shared = Arc::new(Shared {
             reader,
@@ -248,12 +258,14 @@ where
                 sketch,
                 built_from,
                 epoch: 0,
+                built_at,
             })),
+            fresh: Condvar::new(),
             merge_every: merge_every.max(1),
             force: AtomicBool::new(false),
-            demand: AtomicU64::new(0),
+            demand: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
+            alive: AtomicBool::new(true),
             hook,
         });
         let worker_shared = Arc::clone(&shared);
@@ -270,10 +282,34 @@ where
         })
     }
 
-    /// The currently published composite — an `Arc` clone, never a wait on
-    /// an in-flight rebuild.
+    fn wake(&self) {
+        if let Some(worker) = &self.worker {
+            worker.thread().unpark();
+        }
+    }
+
+    /// The composite a query answers from. When the published one is
+    /// `merge_every` or more applied batches behind, this asks the merger for
+    /// a build, and waits for it only if that composite is also older than
+    /// [`STALENESS_FLOOR`]. `None` if it must wait and the merger is gone.
+    pub fn read(&self) -> Option<Arc<EpochComposite<A>>> {
+        let composite = self.shared.peek();
+        let lag = staleness(&composite.built_from, &self.shared.reader.generations());
+        if lag < self.shared.merge_every {
+            return Some(composite);
+        }
+        self.shared.demand.store(true, Ordering::Release);
+        self.wake();
+        if composite.built_at.elapsed() < STALENESS_FLOOR {
+            return Some(composite);
+        }
+        self.shared.wait_until(|c| c.epoch > composite.epoch)
+    }
+
+    /// The published composite as it is — an `Arc` clone that neither asks
+    /// for a build nor waits for one.
     pub fn current(&self) -> Arc<EpochComposite<A>> {
-        self.shared.current()
+        self.shared.peek()
     }
 
     /// Publish epoch of the current composite (monotone; 0 = initial).
@@ -291,28 +327,21 @@ where
         )
     }
 
-    /// Barrier: force rebuilds until the published composite covers every
-    /// batch **applied before this call**, then return. Combined with
+    /// Barrier: wait until the published composite covers every batch
+    /// **applied before this call** — forcing one build if it does not yet —
+    /// and return it; `None` if the merger is gone first. Combined with
     /// `ShardedIngest::flush` (which drains accepted tuples into applied
     /// batches) this gives read-your-writes over everything accepted.
-    pub fn refresh(&self) {
+    pub fn refresh(&self) -> Option<Arc<EpochComposite<A>>> {
         let target = self.shared.reader.generations();
-        let mut spins = 0u32;
-        loop {
-            if staleness(&self.current().built_from, &target) == 0 {
-                return;
-            }
-            self.shared.force.store(true, Ordering::Release);
-            if let Some(worker) = &self.worker {
-                worker.thread().unpark();
-            }
-            spins = spins.saturating_add(1);
-            if spins < 64 {
-                thread::yield_now();
-            } else {
-                thread::sleep(POLL_INTERVAL);
-            }
+        let covers = |c: &EpochComposite<A>| staleness(&c.built_from, &target) == 0;
+        let composite = self.shared.peek();
+        if covers(&composite) {
+            return Some(composite);
         }
+        self.shared.force.store(true, Ordering::Release);
+        self.wake();
+        self.shared.wait_until(covers)
     }
 }
 
@@ -334,6 +363,7 @@ where
 mod tests {
     use super::*;
     use cora_stream::sharded::sharded_correlated_f2;
+    use std::sync::atomic::AtomicU64;
     use std::time::Instant;
 
     fn fill(
@@ -369,26 +399,33 @@ mod tests {
 
     #[test]
     fn query_during_slow_rebuild_does_not_block() {
-        // An artificially slow merge (the acceptance criterion's slow-merge
-        // hook): queries issued while the rebuild is in flight must return
-        // immediately with the previous epoch.
+        // An artificially slow merge (the slow-merge hook): a first reader
+        // finds the composite stale and starts the build; a second reader,
+        // still inside the staleness floor, must get the previous epoch at
+        // once instead of waiting for it.
         let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 100_000, 7, 2)
             .unwrap()
             .with_batch_size(64);
         let delay = Duration::from_millis(400);
-        let merger = BackgroundMerger::spawn_with_hook(
-            sharded.reader(),
-            1,
-            Some(Arc::new(move || thread::sleep(delay))),
-        )
-        .unwrap();
+        let entered = Arc::new(AtomicBool::new(false));
+        let in_hook = Arc::clone(&entered);
+        let slow: MergeHook = Arc::new(move || {
+            in_hook.store(true, Ordering::Release);
+            thread::sleep(delay);
+        });
+        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), 1, Some(slow)).unwrap();
         let before = merger.current();
-        fill(&mut sharded, 1_000, 0); // triggers a (slow) background rebuild
-        // Give the merger a moment to pick up the trigger and enter the
-        // slow hook, then query mid-rebuild.
-        thread::sleep(Duration::from_millis(50));
+        fill(&mut sharded, 1_000, 0);
+        thread::sleep(Duration::from_millis(20));
+        assert!(!entered.load(Ordering::Acquire), "no reader yet, so no build");
+        assert_eq!(merger.read().unwrap().epoch(), before.epoch());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !entered.load(Ordering::Acquire) {
+            assert!(Instant::now() < deadline, "the first reader's build never started");
+            thread::sleep(Duration::from_millis(1));
+        }
         let start = Instant::now();
-        let during = merger.current();
+        let during = merger.read().unwrap();
         let answer = during.sketch().query(1023).unwrap();
         let elapsed = start.elapsed();
         assert!(
@@ -398,7 +435,7 @@ mod tests {
         assert_eq!(during.epoch(), before.epoch(), "mid-rebuild reads serve the previous epoch");
         assert_eq!(answer, before.sketch().query(1023).unwrap());
         // The barrier waits the rebuild out and then sees everything.
-        merger.refresh();
+        merger.refresh().unwrap();
         assert_eq!(merger.current().sketch().items_processed(), 1_000);
     }
 
@@ -417,5 +454,90 @@ mod tests {
         // The forced barrier still works under an arbitrarily large k.
         merger.refresh();
         assert_eq!(merger.current().sketch().items_processed(), 320);
+    }
+
+    #[test]
+    fn a_refresh_costs_one_build_and_none_when_nothing_is_new() {
+        let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 100_000, 7, 2)
+            .unwrap()
+            .with_batch_size(64);
+        let builds = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&builds);
+        let count: MergeHook = Arc::new(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+            thread::sleep(Duration::from_millis(20));
+        });
+        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), 1, Some(count)).unwrap();
+        // Builds counted once any stray one has had time to run.
+        let settled = || {
+            thread::sleep(Duration::from_millis(50));
+            builds.load(Ordering::Relaxed)
+        };
+        // A reader inside the floor starts a build; a refresh arriving while
+        // it runs is met by it and forces no second one.
+        fill(&mut sharded, 2_000, 0);
+        merger.read().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while builds.load(Ordering::Relaxed) == 0 {
+            assert!(Instant::now() < deadline, "the reader's build never started");
+            thread::sleep(Duration::from_millis(1));
+        }
+        merger.refresh().unwrap();
+        assert_eq!(settled(), 1, "a refresh met by a build in flight costs none");
+        merger.refresh().unwrap();
+        assert_eq!(settled(), 1, "a refresh with nothing new costs none");
+        fill(&mut sharded, 2_000, 2_000);
+        assert_eq!(settled(), 1, "ingest after a barrier builds nothing");
+        let composite = merger.refresh().unwrap();
+        assert_eq!(settled(), 2, "a refresh after new batches costs one build");
+        assert_eq!(composite.sketch().items_processed(), 4_000);
+    }
+
+    #[test]
+    fn a_write_only_period_builds_nothing_and_the_next_read_waits_for_one_build() {
+        let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 100_000, 7, 2)
+            .unwrap()
+            .with_batch_size(64);
+        let merger = BackgroundMerger::spawn(sharded.reader(), 1).unwrap();
+        fill(&mut sharded, 1_000, 0);
+        thread::sleep(STALENESS_FLOOR + Duration::from_millis(50));
+        fill(&mut sharded, 1_000, 1_000);
+        thread::sleep(Duration::from_millis(20));
+        assert_eq!(merger.epoch(), 0, "no reader, no build");
+        assert!(merger.staleness_batches() > 0);
+        // The published composite is older than the floor, so a read without
+        // a barrier waits for one build over every applied batch.
+        let asked = Instant::now();
+        let composite = merger.read().unwrap();
+        assert_eq!(composite.epoch(), 1);
+        assert!(composite.built_at() >= asked, "answered from a build it waited for");
+        assert_eq!(composite.sketch().items_processed(), 2_000);
+        assert_eq!(
+            composite.sketch().query(1023).unwrap(),
+            sharded.query(1023).unwrap()
+        );
+    }
+
+    #[test]
+    fn a_dead_merger_fails_closed_but_answers_reads_that_need_no_wait() {
+        let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 100_000, 7, 2)
+            .unwrap()
+            .with_batch_size(32);
+        let panics: MergeHook = Arc::new(|| panic!("merger build panics (expected in this test)"));
+        let merger =
+            BackgroundMerger::spawn_with_hook(sharded.reader(), 1_000_000, Some(panics.clone()))
+                .unwrap();
+        fill(&mut sharded, 320, 0);
+        let start = Instant::now();
+        assert!(merger.refresh().is_none(), "a barrier the merger cannot meet fails");
+        assert!(merger.refresh().is_none(), "and keeps failing");
+        assert!(start.elapsed() < Duration::from_secs(1));
+        // Below the trigger a read needs no build: the last epoch answers.
+        assert_eq!(merger.read().unwrap().epoch(), 0);
+        // A reader that must wait is released when its build dies.
+        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), 1, Some(panics)).unwrap();
+        fill(&mut sharded, 320, 320);
+        thread::sleep(STALENESS_FLOOR);
+        assert!(merger.read().is_none());
     }
 }

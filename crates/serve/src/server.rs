@@ -9,12 +9,13 @@
 //!
 //! ```text
 //!      transport workers (JSON lines or binary frames)
-//!        │ ingest / flush / f0 / rarity /           │ f2 / hh queries
-//!        │ stats / snapshot / repl cut              │ (never take the lock)
+//!        │ ingest / flush / f0 / rarity /           │ f2 / hh queries (no lock;
+//!        │ stats / snapshot / repl cut              │ a stale one asks for a build)
 //!        ▼                                          ▼
-//!   Mutex<NodeState> ── the one state lock     BackgroundMerger ── epoch-
-//!     ShardedIngest<F2+HH> ─ SPSC rings → N shards ◄── ShardReader published
-//!     AuxSet {F0, rarity}  (+ delta copy while replicating)       composite
+//!   Mutex<NodeState> ── the one state lock     BackgroundMerger ── builds only
+//!     ShardedIngest<F2+HH> ─ SPSC rings → N shards ◄── ShardReader for a reader
+//!     AuxSet {F0, rarity}  (+ delta copy while replicating)  or a flush; epoch-
+//!                                                         published composite
 //!     WindowFeed: tick clock ─ bounded FIFO ─► window worker
 //!     (writer, seq) high-water marks           Mutex<Rings> ── the rings lock
 //!     journal + rotation state                   WindowedF2, WindowedF0
@@ -41,9 +42,12 @@
 //!
 //! The shard workers run `CorrelatedSketch<F2HeavyAggregate>`, whose buckets
 //! answer `F_2` and carry the §3.3 candidates. `f2` and `heavy_hitters` both
-//! read the merger's published composite, so they lag ingest by at most
-//! `merge_every − 1` applied batches plus one in-flight rebuild — and never
-//! block on that rebuild or on the state lock. `F_0` and rarity
+//! read the merger's published composite without the state lock. The merger
+//! builds only for them and for `flush` (`crate::merger`): an answer lags
+//! ingest by fewer than `merge_every` applied batches or was built within
+//! the staleness floor, and a read waits for at most one build, only after a
+//! floor's worth of unread ingest; a dead merger fails that wait and `flush`
+//! with the same `server` error as a poisoned lock. `F_0` and rarity
 //! (`crate::sketches`) answer under the lock with read-your-writes
 //! semantics. `flush` is the barrier for everything an ack covers: it makes
 //! `f2` and `heavy_hitters` exact and waits until the window worker has
@@ -60,7 +64,8 @@
 //! resolved span alongside the value. Window ops keep read-your-writes: they
 //! (and a bundle) first wait until the worker has applied every batch acked
 //! before them. `stats` does not wait; it reads the rings as of the last
-//! applied batch and reports the queue as `window_pending_batches`.
+//! applied batch and reports the queue as `window_pending_batches`, and the
+//! composite as published, with `staleness_batches` and `composite_age_ms`.
 //!
 //! ## Snapshot bundle
 //!
@@ -1022,7 +1027,8 @@ impl ServerCore {
     /// composite) never touch the state lock; every other op fails with
     /// [`StatePoisoned`] once a panic has poisoned it. Window ops, `flush`,
     /// `stats` and `snapshot` fail the same way once the rings lock is
-    /// poisoned or the window worker is gone.
+    /// poisoned or the window worker is gone, and `flush` or an `f2` /
+    /// `heavy_hitters` that must wait for a build once the merger is gone.
     fn answer(&self, request: Request) -> Result<Reply, StatePoisoned> {
         let y_max = self.config.y_max;
         Ok(match request {
@@ -1054,12 +1060,12 @@ impl ServerCore {
             }
             Request::Flush => {
                 self.state()?.sharded.flush();
-                self.merger.refresh();
+                self.merger.refresh().ok_or(StatePoisoned)?;
                 drop(self.windows()?);
                 Reply::ok()
             }
             Request::QueryF2 { .. } | Request::QueryHeavyHitters { .. } => {
-                f2_answer(self.merger.current().sketch(), &request)
+                f2_answer(self.merger.read().ok_or(StatePoisoned)?.sketch(), &request)
             }
             Request::QueryF0 { .. } | Request::QueryRarity { .. } => {
                 self.state()?.aux.answer(&request, y_max)
@@ -1079,8 +1085,11 @@ impl ServerCore {
                 let window_stored = (rings.f2.stored_tuples() + rings.f0.stored_tuples()) as u64;
                 let window_late = rings.f2.late_dropped();
                 drop(rings);
+                // The composite as published: `stats` never waits for a
+                // build and never asks for one.
                 let composite = self.merger.current();
                 let stats = composite.sketch().stats();
+                let age_ms = composite.built_at().elapsed().as_millis() as u64;
                 let state = self.state()?;
                 let (durable_on, generation, journal_poisoned) = match state.durable.as_ref() {
                     Some(ds) => (1, ds.journal.generation(), u64::from(ds.journal.is_poisoned())),
@@ -1092,6 +1101,7 @@ impl ServerCore {
                     ("items_accepted", Value::U64(state.sharded.items_accepted())),
                     ("composite_items", Value::U64(stats.items_processed)),
                     ("composite_epoch", Value::U64(composite.epoch())),
+                    ("composite_age_ms", Value::U64(age_ms)),
                     (
                         "staleness_batches",
                         Value::U64(self.merger.staleness_batches()),
@@ -1906,6 +1916,87 @@ mod tests {
         inline.assert_served_by(&core, "journal order");
         drop(core);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `stats` reports the published composite as it is: while that is
+    /// stale it neither waits for a build nor asks for one. The next `f2`
+    /// waits for exactly one.
+    #[test]
+    fn stats_neither_waits_for_nor_triggers_a_build() {
+        use crate::merger::STALENESS_FLOOR;
+        let config = ServeConfig {
+            merge_every: 1,
+            y_max: 1023,
+            ..Default::default()
+        };
+        let core = ServerCore::build(config, None).unwrap();
+        let batch = |b: u64| -> Vec<(u64, u64)> { (0..500).map(|i| (b * 500 + i, i)).collect() };
+        core.ingest_tuples(&batch(0), &[], None);
+        core.handle(Request::Flush);
+        for b in 1..4 {
+            core.ingest_tuples(&batch(b), &[], None);
+        }
+        // Applied by the shards, but no barrier and no reader.
+        core.state().unwrap().sharded.flush();
+        thread::sleep(STALENESS_FLOOR);
+        let stats = || {
+            let start = Instant::now();
+            let reply = core.handle(Request::Stats).0.render_json();
+            (start.elapsed(), protocol::Response::parse(&reply).unwrap())
+        };
+        let (elapsed, stale) = stats();
+        assert!(elapsed < Duration::from_millis(100), "stats took {elapsed:?}");
+        assert!(stale.u64_field("staleness_batches").unwrap() > 0);
+        let age = stale.u64_field("composite_age_ms").unwrap();
+        assert!(age >= STALENESS_FLOOR.as_millis() as u64, "age {age} ms");
+        thread::sleep(Duration::from_millis(50));
+        let epoch = stale.u64_field("composite_epoch").unwrap();
+        assert_eq!(stats().1.u64_field("composite_epoch").unwrap(), epoch);
+        core.handle(Request::QueryF2 { c: 1023 });
+        let fresh = stats().1;
+        assert_eq!(fresh.u64_field("composite_epoch").unwrap(), epoch + 1);
+        assert_eq!(fresh.u64_field("staleness_batches").unwrap(), 0);
+    }
+
+    /// A merger whose thread died fails `flush` closed on both transports
+    /// instead of hanging the connection that sent it.
+    #[test]
+    fn a_dead_merger_fails_flush_closed_on_both_transports() {
+        use crate::client::{ClientError, ServeClient};
+        use crate::merger::MergeHook;
+        let config = ServeConfig {
+            merge_every: 1,
+            y_max: 1023,
+            ..Default::default()
+        };
+        let mut core = ServerCore::build(config, None).unwrap();
+        let reader = core.state().unwrap().sharded.reader();
+        let panics: MergeHook = Arc::new(|| panic!("merger build panics (expected in this test)"));
+        core.merger = BackgroundMerger::spawn_with_hook(reader, 1, Some(panics)).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let acceptor = spawn_acceptor(Arc::new(core), listener, Arc::clone(&shutdown), 4);
+        let _server = RunningServer {
+            addr,
+            shutdown,
+            acceptor: Some(acceptor.unwrap()),
+            snapshotter: None,
+            replicator: None,
+        };
+        let clients = [
+            ("json", ServeClient::connect(addr).unwrap()),
+            ("binary", ServeClient::connect_binary(addr).unwrap()),
+        ];
+        for (b, (transport, mut client)) in (0u64..).zip(clients) {
+            client.ingest(&[(b, 1), (b + 10, 20)]).unwrap();
+            let start = Instant::now();
+            let refused = client.flush().unwrap_err();
+            assert!(start.elapsed() < Duration::from_secs(1), "{transport}");
+            let ClientError::Server(e) = refused else { panic!("{transport}: {refused}") };
+            assert_eq!(e.kind, "server", "{transport}");
+            assert!(e.message.contains("poisoned"), "{transport}: {}", e.message);
+        }
     }
 
     #[test]
