@@ -1,9 +1,9 @@
 //! Throughput of the replicated ingest path: each iteration ingests one
-//! 1k-tuple batch into a node whose replicator ships sketch deltas to a
+//! 1k-tuple batch into a node whose replicator ships the acked tuples to a
 //! live aggregator, then drives a full replication barrier
 //! (`flush` + `replication_sync`) so the measured cost covers the whole
-//! fan-in pipeline — shard apply, delta cut, wire framing, the loopback
-//! hop, and the aggregator-side merge.
+//! fan-in pipeline — shard apply, the cut of the tuple tail, wire framing,
+//! the loopback hop, and the aggregator's replay of the tuples.
 //!
 //! Like the other `serve_*` rows this crosses the OS socket stack, so the
 //! CI gate holds it to the looser server-path tolerance (see

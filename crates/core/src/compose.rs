@@ -112,8 +112,7 @@ impl<G: PartialEq, K: PartialEq, V> GenCache<G, K, V> {
     }
 
     /// The entry under `key`, provided `admit` accepts the cached generation
-    /// — the hook behind stale-tolerant reads such as `merge_every_k` in
-    /// `cora_stream::sharded`.
+    /// — the hook behind stale-tolerant reads (`cached_query_if`).
     pub fn get_if(&self, admit: impl FnOnce(&G) -> bool, key: &K) -> Option<&V> {
         match &self.generation {
             Some(cached) if admit(cached) => {

@@ -45,11 +45,11 @@
 //!   [`server::ServeConfig::max_connections`]. The blocking
 //!   [`client::ServeClient`] speaks either protocol and is used by the
 //!   `serve_demo` example and the `serve_latency` bench;
-//! * [`cluster`] — **distributed fan-in**: ingest nodes replicate their
-//!   sketch state as checksummed delta containers over the binary wire
-//!   ([`server::ServeConfig::replicate`]) into an aggregator
-//!   ([`start_aggregator`] / the `cora_serve_agg` binary) that serves
-//!   every query family over the union of all streams (Property V
+//! * [`cluster`] — **distributed fan-in**: ingest nodes replicate as they
+//!   recover — a snapshot, then checksummed containers of the acked tuples
+//!   that the aggregator replays ([`server::ServeConfig::replicate`]) — into
+//!   an aggregator ([`start_aggregator`] / the `cora_serve_agg` binary) that
+//!   serves every query family over the union of all streams (Property V
 //!   mergeability) plus `set_f0` set-expression queries
 //!   (`|A ∪ B|`, `|A ∩ B|`, `|A ∖ B|` under `y ≤ c`), with chain-checked
 //!   deltas, full-resync fallback, warm standby from a dead upstream's

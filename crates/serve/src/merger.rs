@@ -1,11 +1,11 @@
 //! The background merger: epoch-published composites, rebuilt off the read
 //! path for the readers and barriers that will read them.
 //!
-//! `ShardedIngest::with_merge_every(k)` bounds how *often* the N-shard
-//! composite is re-merged, but a foreground merge runs on whichever thread
-//! happens to query first — a latency spike exactly where a serving system
-//! least wants one. This module moves the rebuild onto a **dedicated merger
-//! thread**:
+//! `ShardedIngest::with_composite` re-merges the N shards on whichever
+//! thread happens to query first after a new batch — a latency spike
+//! exactly where a serving system least wants one. This module moves the
+//! rebuild onto a **dedicated merger thread**, and bounds how often it runs
+//! with its own `merge_every` staleness policy:
 //!
 //! * the merger rebuilds the composite (locking each shard sketch briefly,
 //!   exactly like a foreground merge would) and **publishes** it by swapping

@@ -14,8 +14,8 @@
 //!        ▼                                          ▼
 //!   Mutex<NodeState> ── the one state lock     BackgroundMerger ── builds only
 //!     ShardedIngest<F2+HH> ─ SPSC rings → N shards ◄── ShardReader for a reader
-//!     AuxSet {F0, rarity}  (+ delta copy while replicating)  or a flush; epoch-
-//!                                                         published composite
+//!     AuxSet {F0, rarity}                                 or a flush; epoch-
+//!     replication tail: tuples acked since the last cut   published composite
 //!     WindowFeed: tick clock ─ bounded FIFO ─► window worker
 //!     (writer, seq) high-water marks           Mutex<Rings> ── the rings lock
 //!     journal + rotation state                   WindowedF2, WindowedF0
@@ -98,7 +98,7 @@ use crate::journal::{
 };
 use crate::merger::BackgroundMerger;
 use crate::protocol::{Reply, Request, Value};
-use crate::sketches::{f2_answer, seal_container, AuxSet};
+use crate::sketches::{f0_matches, f2_answer, seal_batches, seal_full, AuxSet};
 use crate::transport::{spawn_acceptor, ServiceCore};
 use crate::windows::{Rings, WindowFeed, WindowRings};
 use cora_core::heavy_hitters::F2HeavyAggregate;
@@ -220,7 +220,8 @@ pub struct ReplicateConfig {
     pub auth_token: Option<String>,
     /// Unacknowledged delta cuts buffered while the link is down before
     /// the replicator gives up on the chain and falls back to a full
-    /// snapshot resync (bounds replica-side memory).
+    /// snapshot resync (bounds replica-side memory, as does a backlog of
+    /// more bytes than a full cut).
     pub max_pending: usize,
 }
 
@@ -293,16 +294,21 @@ impl Default for ServeConfig {
     }
 }
 
+/// What an incremental replication container carries: 2 = the acked tuples
+/// (the unnumbered format before it shipped sketch deltas).
+const REPLICATION_FORMAT: u64 = 2;
+
 impl ServeConfig {
     /// Fingerprint of every parameter that must agree across replication
-    /// peers for Property-V mergeability: sketches built from the same
-    /// seed and geometry merge into the sketch of the union, so a delta
-    /// cut here restores and merges cleanly on the aggregator. Transport
-    /// settings (shards, merge cadence, pane geometry, connection limits,
-    /// durability, auth) are deliberately excluded — they may differ per
-    /// node.
+    /// peers — sketches built from the same seed and geometry restore, merge
+    /// and replay into the same structures — and of the replication format,
+    /// so peers shipping different container kinds are refused at the
+    /// handshake. Transport settings (shards, merge cadence, pane geometry,
+    /// connection limits, durability, auth) are deliberately excluded — they
+    /// may differ per node.
     pub fn replication_fingerprint(&self) -> u64 {
         let mut w = ByteWriter::new();
+        w.put_u64(REPLICATION_FORMAT);
         w.put_u64(self.epsilon.to_bits());
         w.put_u64(self.delta.to_bits());
         w.put_u64(self.y_max);
@@ -370,12 +376,15 @@ struct NodeState {
     sharded: ShardedIngest<F2HeavyAggregate>,
     /// `F_0` and rarity, updated inline on every ingest.
     aux: AuxSet,
-    /// While replication is enabled: a since-last-cut copy of `aux` fed the
-    /// same tuples. [`ServerCore::repl_cut`] swaps it for a fresh one, so
-    /// each cut covers exactly the tuples between two cuts (Property V makes
-    /// merging such a delta on the aggregator equivalent to having streamed
-    /// the tuples there directly).
-    aux_delta: Option<AuxSet>,
+    /// The tuples acked since the last replication cut, in ack order;
+    /// `None` until the first cut, which is always full and so covers every
+    /// earlier tuple. [`ServerCore::repl_cut`] takes them, so each
+    /// incremental cut ships exactly the tuples between two cuts, and the
+    /// aggregator replays them the way recovery replays the journal.
+    repl_tail: Option<Vec<(u64, u64)>>,
+    /// Replication cuts taken so far; the next one covers
+    /// `(repl_gen, repl_gen + 1]`.
+    repl_gen: u64,
     /// The tick clock and the window worker's FIFO.
     windows: WindowFeed,
     /// Per-writer ingest sequence high-water marks: a batch tagged
@@ -424,10 +433,6 @@ pub(crate) struct ServerCore {
     journal_bytes: AtomicU64,
     auto_snapshots: AtomicU64,
     snapshot_errors: AtomicU64,
-    /// `items_accepted` as of the last replication cut — lets the
-    /// replicator skip cutting (and skip advancing the generation counter)
-    /// while nothing new has arrived.
-    repl_cut_items: AtomicU64,
 }
 
 /// One replication cut: a sealed [`SnapshotKind::Delta`] container plus the
@@ -440,8 +445,8 @@ pub(crate) struct ReplCut {
     /// Inclusive upper generation bound — the aggregator's high water after
     /// applying this cut.
     pub g_to: u64,
-    /// The sealed delta container (checksummed outer frame, per-structure
-    /// sections).
+    /// The sealed container (checksummed outer frame; per-structure sections
+    /// when full, the batches section otherwise).
     pub frame: Vec<u8>,
 }
 
@@ -638,7 +643,7 @@ impl NodeState {
 
 impl ServerCore {
     /// Build a fresh core (empty sketches) or one restored from a bundle.
-    fn build(config: ServeConfig, bundle: Option<&Bundle>) -> Result<Self, ServeError> {
+    pub(crate) fn build(config: ServeConfig, bundle: Option<&Bundle>) -> Result<Self, ServeError> {
         if config.shards == 0 {
             return Err(ServeError::Invalid("shards must be at least 1".into()));
         }
@@ -680,8 +685,7 @@ impl ServerCore {
                 if *sharded.config() != f2_config {
                     return Err(config_mismatch("F2 accuracy, domain, stream bound, or seed"));
                 }
-                let aux = AuxSet::from_bundle(bundle)?;
-                aux.matches(&config)?;
+                let aux = AuxSet::restore(&config, &bundle.f0, &bundle.rarity)?;
                 let wf2 = WindowedF2::restore_from(config.f2_aggregate(), &bundle.window_f2)?;
                 let wf0 = WindowedF0::restore_from(&bundle.window_f0)?;
                 if wf2.template().config() != fresh_f2.template().config()
@@ -689,13 +693,7 @@ impl ServerCore {
                 {
                     return Err(config_mismatch("windowed F2 parameters or pane geometry"));
                 }
-                let f0t = wf0.template();
-                let fresh_f0t = fresh_f0.template();
-                if f0t.epsilon() != fresh_f0t.epsilon()
-                    || f0t.delta() != fresh_f0t.delta()
-                    || f0t.y_max() != fresh_f0t.y_max()
-                    || f0t.seed() != fresh_f0t.seed()
-                    || f0t.x_domain_log2() != fresh_f0t.x_domain_log2()
+                if !f0_matches(wf0.template(), &config)
                     || wf0.pane_config() != fresh_f0.pane_config()
                 {
                     return Err(config_mismatch("windowed F0 parameters or pane geometry"));
@@ -713,7 +711,8 @@ impl ServerCore {
             state: Mutex::new(NodeState {
                 sharded,
                 aux,
-                aux_delta: None,
+                repl_tail: None,
+                repl_gen: 0,
                 windows,
                 seqs,
                 durable: None,
@@ -726,7 +725,6 @@ impl ServerCore {
             journal_bytes: AtomicU64::new(0),
             auto_snapshots: AtomicU64::new(0),
             snapshot_errors: AtomicU64::new(0),
-            repl_cut_items: AtomicU64::new(0),
         })
     }
 
@@ -776,61 +774,38 @@ impl ServerCore {
         self.rings.caught_up()
     }
 
-    /// Turn on replication tracking: per-shard `F_2` deltas in the sharded
-    /// ingest plus a delta copy of the auxiliary sketches. Everything
-    /// already ingested stays out of the deltas (the first shipped cut is a
-    /// full snapshot, so nothing is lost). Idempotent; called once at start
-    /// when [`ServeConfig::replicate`] is set.
-    pub(crate) fn enable_replication(&self) -> Result<(), ServeError> {
-        let mut state = self.state()?;
-        state.sharded.enable_delta_tracking()?;
-        if state.aux_delta.is_none() {
-            state.aux_delta = Some(AuxSet::fresh(&self.config)?);
-        }
-        Ok(())
-    }
-
-    /// Cut one replication unit under the state lock, so the cut is atomic
-    /// with respect to batches: every tuple lands entirely in this cut or
-    /// entirely in the next one.
+    /// Cut one replication unit. The state lock is held only to take the
+    /// tail (and, for a full cut, to snapshot the live structures), so the
+    /// cut is atomic with respect to batches: every tuple lands entirely in
+    /// this cut or entirely in the next one. Sealing runs outside the lock.
     ///
     /// `full` builds a replacement snapshot of the live structures
-    /// (`g_from = 0`); otherwise an incremental delta covering exactly the
-    /// tuples since the previous cut. Returns `Ok(None)` when nothing new
-    /// arrived and `full` is false — the generation counter does not
+    /// (`g_from = 0`), and the replicator's first cut always is one; every
+    /// other cut is an incremental container carrying exactly the tuples
+    /// acked since the previous cut. Returns `Ok(None)` when the
+    /// tail is empty and `full` is false — the generation counter does not
     /// advance, so an idle server never creates a hole in the delta chain.
     pub(crate) fn repl_cut(&self, full: bool) -> Result<Option<ReplCut>, ServeError> {
         let fingerprint = self.config.replication_fingerprint();
         let mut state = self.state()?;
-        let NodeState { sharded, aux, aux_delta, .. } = &mut *state;
-        if !sharded.delta_tracking_enabled() {
-            return Err(ServeError::Invalid(
-                "replication tracking is not enabled on this server".into(),
-            ));
-        }
-        // `items_accepted` needs the flush barrier to be exact, but staleness
-        // here only delays a cut by one interval — never loses tuples.
-        sharded.flush();
-        if !full && sharded.items_accepted() == self.repl_cut_items.load(Ordering::Acquire) {
+        let NodeState { sharded, aux, repl_tail, repl_gen, .. } = &mut *state;
+        let tail = repl_tail.get_or_insert_with(Vec::new);
+        if !full && tail.is_empty() {
             return Ok(None);
         }
-        // Build the replacement before swapping anything, so a failed
-        // allocation leaves the trackers untouched and consistent.
-        let fresh = AuxSet::fresh(&self.config)?;
-        let (g_from_cut, g_to, f2_delta) = sharded.take_delta()?;
-        let cut_aux = aux_delta.replace(fresh).expect("replication enabled");
-        self.repl_cut_items.store(sharded.items_accepted(), Ordering::Release);
-        let (g_from, f2, aux_frames) = if full {
-            // Replacement cut: snapshot the live structures. The delta
-            // trackers were still reset above, so the next incremental cut
-            // chains cleanly from `g_to`.
-            (0, sharded.snapshot()?, aux.frames())
-        } else {
-            (g_from_cut, f2_delta.snapshot(), cut_aux.frames())
-        };
+        // Snapshot before taking the tail, so a failed snapshot leaves the
+        // tail and the generation counter untouched.
+        let frames = if full { Some((sharded.snapshot()?, aux.frames())) } else { None };
+        let tuples = std::mem::take(tail);
+        let g_to = *repl_gen + 1;
+        let g_from = if full { 0 } else { *repl_gen };
+        *repl_gen = g_to;
         drop(state);
         let header = DeltaHeader { g_from, g_to, fingerprint };
-        let frame = seal_container(&header, &f2, &aux_frames);
+        let frame = match frames {
+            Some((f2, aux_frames)) => seal_full(&header, &f2, &aux_frames),
+            None => seal_batches(&header, &tuples),
+        };
         Ok(Some(ReplCut { g_from, g_to, frame }))
     }
 
@@ -967,7 +942,7 @@ impl ServerCore {
             Ok(state) => state,
             Err(poisoned) => return poisoned.into(),
         };
-        let NodeState { sharded, aux, aux_delta, windows, seqs, durable } = &mut *state;
+        let NodeState { sharded, aux, repl_tail, windows, seqs, durable, .. } = &mut *state;
         // A batch the rings could no longer apply is refused before it is
         // journaled.
         if !windows.rings.usable() {
@@ -1005,13 +980,13 @@ impl ServerCore {
         if let Err(e) = sharded.ingest(tuples) {
             return fail(e.to_string());
         }
-        // The replication delta (present while replication is on) sees
-        // exactly the tuples the live sketches see, under the same lock — a
-        // cut can never split a batch.
-        for set in std::iter::once(aux).chain(aux_delta) {
-            if let Err(e) = set.insert_batch(tuples) {
-                return fail(format!("auxiliary sketch rejected a tuple: {e}"));
-            }
+        if let Err(e) = aux.insert_batch(tuples) {
+            return fail(format!("auxiliary sketch rejected a tuple: {e}"));
+        }
+        // The replication tail (present once replication has cut) takes the
+        // batch under the same lock hold — a cut can never split a batch.
+        if let Some(tail) = repl_tail {
+            tail.extend_from_slice(tuples);
         }
         // Raise the high-water mark only after the batch is journaled and
         // applied, so a failed batch can be retried with the same sequence
@@ -1423,7 +1398,6 @@ fn start_inner(
     let core = Arc::new(ServerCore::open(config, bundle, storage)?);
     if let Some(replicate) = &config_replicate {
         crate::cluster::check_stream_name(&replicate.stream).map_err(ServeError::Invalid)?;
-        core.enable_replication()?;
     }
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
@@ -1518,9 +1492,13 @@ mod tests {
     /// here. Pinned at commit 115d452 and re-pinned twice since: once when
     /// merged buckets started spilling to their sketch (every F2 section is
     /// a shard merge, the bundle's rings hold buddy-merged panes; the codec
-    /// did not change), and once when the F2 sections took over the
+    /// did not change), once when the F2 sections took over the
     /// heavy-hitter candidates (bundle version 4, no heavy-hitters section
-    /// in either container, and F2 buckets that carry candidate trackers).
+    /// in either container, and F2 buckets that carry candidate trackers),
+    /// and once when incremental containers started carrying the acked
+    /// tuples instead of sketch deltas (replication format 2: a new
+    /// fingerprint in both containers' headers, and the delta container's
+    /// one batches section; the full cut's sections did not change).
     #[test]
     fn produced_formats_are_pinned() {
         let config = ServeConfig {
@@ -1536,7 +1514,6 @@ mod tests {
             ..Default::default()
         };
         let core = ServerCore::build(config, None).unwrap();
-        core.enable_replication().unwrap();
         let mut lcg = 0x5EED_u64;
         let mut next = move || {
             lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1582,8 +1559,8 @@ mod tests {
         assert_eq!((full.g_from, delta.g_from, delta.g_to), (0, full.g_to, full.g_to + 1));
         let fnv = cora_sketch::codec::fnv1a64;
         for (name, bytes, len, pin) in [
-            ("full cut", &full.frame, 976_834, 0x9bbb_1d3e_e9c8_d800_u64),
-            ("delta container", &delta.frame, 842_989, 0x3ec8_487f_14b4_729c),
+            ("full cut", &full.frame, 976_834, 0x6a19_fe02_8976_ffea_u64),
+            ("delta container", &delta.frame, 96_068, 0x9354_fb97_76e8_70fb),
             ("snapshot bundle", &bundle, 3_658_061, 0x82a0_06e9_78e5_a7bc),
         ] {
             assert_eq!(bytes.len(), len, "{name} length");

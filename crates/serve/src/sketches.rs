@@ -1,34 +1,33 @@
-//! The mergeable sketch state both node kinds host, as one value.
-//!
-//! Property V makes same-seeded sketches merge into the sketch of the union
-//! stream, so a node's live auxiliary sketches, its since-last-cut
-//! replication delta, an aggregator's per-stream state and its union
-//! composite are one value at different points of one life:
-//! `fresh` → `insert_batch` → (frames → container → `from_sections`) →
-//! `merge_from` → `answer`. Two concrete shapes cover every holder:
-//! [`AuxSet`] is the `F_0` and rarity sketches a node updates inline beside
-//! its sharded ingest, [`SketchSet`] adds the correlated-`F_2` structure —
-//! whose buckets also carry the heavy-hitter candidates, so it answers both
-//! queries ([`f2_answer`]) — and is what replicates. The windowed pane rings
-//! and the per-writer sequence map are deliberately *not* part of either:
-//! the aggregator serves whole-stream queries over the union, and
-//! idempotency is a per-upstream concern.
+//! The sketch state both node kinds host, as one value: [`AuxSet`] is the
+//! `F_0` and rarity sketches a node updates inline; [`SketchSet`] adds the
+//! correlated-`F_2` structure, whose buckets carry the heavy-hitter
+//! candidates ([`f2_answer`]), and is an aggregator's per-stream state, its
+//! union, and what a full replication container restores to. The delta is
+//! *not* a sketch set but the acked tuples ([`seal_batches`]), which the
+//! aggregator replays. The pane rings and the sequence map do not replicate.
 
 use crate::protocol::{Reply, Request, Value};
-use crate::server::{config_mismatch, Bundle, ServeConfig, ServeError};
+use crate::server::{config_mismatch, ServeConfig, ServeError};
 use cora_core::heavy_hitters::F2HeavyAggregate;
 use cora_core::snapshot::{seal_delta_into, DeltaHeader};
 use cora_core::{CoreError, CorrelatedF0, CorrelatedRarity, CorrelatedSketch};
 
-/// Section tags inside a replication delta container
-/// ([`SnapshotKind::Delta`](cora_core::SnapshotKind)), one per replicated
-/// structure (tag 4 stays unassigned).
+/// Section tags inside a replication container
+/// ([`SnapshotKind::Delta`](cora_core::SnapshotKind)). A full container
+/// (`g_from = 0`) holds one snapshot frame per replicated structure; an
+/// incremental one holds only the batches section. Tag 4 stays unassigned.
 const REPL_SECTION_F2: u8 = 1;
 const REPL_SECTION_F0: u8 = 2;
 const REPL_SECTION_RARITY: u8 = 3;
+const REPL_SECTION_BATCHES: u8 = 5;
 
 /// The `F_0` and rarity snapshot frames of one [`AuxSet`], in that order.
 pub(crate) type AuxFrames = [Vec<u8>; 2];
+
+/// The refusal of a frame that does not restore, naming its structure.
+fn in_section(name: &'static str) -> impl Fn(CoreError) -> ServeError {
+    move |e| ServeError::Invalid(format!("{name} section: {e}"))
+}
 
 /// The reply to a query whose answer is one estimate.
 fn value_reply(estimate: Result<f64, CoreError>) -> Reply {
@@ -55,6 +54,16 @@ pub(crate) fn f2_answer(f2: &CorrelatedSketch<F2HeavyAggregate>, request: &Reque
     }
 }
 
+/// Whether `f0` has the parameters `config` gives every `F_0` sampler (the
+/// whole-stream one and the windowed ring's template).
+pub(crate) fn f0_matches(f0: &CorrelatedF0, config: &ServeConfig) -> bool {
+    f0.epsilon() == config.epsilon
+        && f0.delta() == config.delta
+        && f0.y_max() == config.y_max
+        && f0.seed() == config.seed
+        && f0.x_domain_log2() == config.x_domain_log2
+}
+
 /// The families updated synchronously, tuple by tuple, on the ingest path.
 pub(crate) struct AuxSet {
     f0: CorrelatedF0,
@@ -64,50 +73,25 @@ pub(crate) struct AuxSet {
 impl AuxSet {
     /// Empty sketches with this config's parameters.
     pub(crate) fn fresh(config: &ServeConfig) -> Result<Self, CoreError> {
+        let ServeConfig { epsilon, delta, x_domain_log2, y_max, seed, .. } = *config;
         Ok(Self {
-            f0: CorrelatedF0::with_seed(
-                config.epsilon,
-                config.delta,
-                config.x_domain_log2,
-                config.y_max,
-                config.seed,
-            )?,
-            rarity: CorrelatedRarity::with_seed(
-                config.epsilon,
-                config.x_domain_log2,
-                config.y_max,
-                config.seed,
-            )?,
+            f0: CorrelatedF0::with_seed(epsilon, delta, x_domain_log2, y_max, seed)?,
+            rarity: CorrelatedRarity::with_seed(epsilon, x_domain_log2, y_max, seed)?,
         })
     }
 
-    /// Rebuild both sketches from their snapshot frames. The error names the
-    /// family whose frame was refused.
-    fn restore(f0: &[u8], rarity: &[u8]) -> Result<Self, (&'static str, CoreError)> {
-        Ok(Self {
-            f0: CorrelatedF0::restore_from(f0).map_err(|e| ("F0", e))?,
-            rarity: CorrelatedRarity::restore_from(rarity).map_err(|e| ("rarity", e))?,
-        })
-    }
-
-    /// The auxiliary sketches an ingest node's snapshot bundle holds.
-    pub(crate) fn from_bundle(bundle: &Bundle) -> Result<Self, CoreError> {
-        Self::restore(&bundle.f0, &bundle.rarity).map_err(|(_, e)| e)
-    }
-
-    /// Whether every restored sketch is what `config` would build fresh —
-    /// including `x_domain_log2`, which sizes the samplers and which the
-    /// `F_2` check cannot see.
-    pub(crate) fn matches(&self, config: &ServeConfig) -> Result<(), ServeError> {
-        let (f0, rarity) = (&self.f0, &self.rarity);
-        if f0.epsilon() != config.epsilon
-            || f0.delta() != config.delta
-            || f0.y_max() != config.y_max
-            || f0.seed() != config.seed
-            || f0.x_domain_log2() != config.x_domain_log2
-        {
+    /// Rebuild both sketches from their snapshot frames, refused unless each
+    /// is what `config` would build fresh — including `x_domain_log2`, which
+    /// sizes the samplers and which the `F_2` check cannot see.
+    pub(crate) fn restore(config: &ServeConfig, f0: &[u8], rarity: &[u8]) -> Result<Self, ServeError> {
+        let set = Self {
+            f0: CorrelatedF0::restore_from(f0).map_err(in_section("F0"))?,
+            rarity: CorrelatedRarity::restore_from(rarity).map_err(in_section("rarity"))?,
+        };
+        if !f0_matches(&set.f0, config) {
             return Err(config_mismatch("F0 parameters"));
         }
+        let rarity = &set.rarity;
         if rarity.epsilon() != config.epsilon
             || rarity.y_max() != config.y_max
             || rarity.seed() != config.seed
@@ -115,7 +99,7 @@ impl AuxSet {
         {
             return Err(config_mismatch("rarity parameters"));
         }
-        Ok(())
+        Ok(set)
     }
 
     /// Feed one validated batch to every family.
@@ -149,9 +133,9 @@ impl AuxSet {
     }
 }
 
-/// Seal one replication container: the `F_2` frame plus the two auxiliary
-/// frames under `header`, each in its tagged section.
-pub(crate) fn seal_container(header: &DeltaHeader, f2: &[u8], aux: &AuxFrames) -> Vec<u8> {
+/// Seal a full replication container: the `F_2` frame plus the two
+/// auxiliary frames under `header`, each in its tagged section.
+pub(crate) fn seal_full(header: &DeltaHeader, f2: &[u8], aux: &AuxFrames) -> Vec<u8> {
     let [f0, rarity] = aux;
     let mut frame = Vec::new();
     seal_delta_into(
@@ -166,9 +150,79 @@ pub(crate) fn seal_container(header: &DeltaHeader, f2: &[u8], aux: &AuxFrames) -
     frame
 }
 
-/// Everything that replicates: the correlated-`F_2` structure plus the
-/// auxiliary families — an aggregator's per-stream state, its union
-/// composite, and what one replication container decodes to.
+/// Seal an incremental replication container: one batches section holding
+/// `u64 count`, then `count × (u64 x, u64 y)`, little-endian, in ack order.
+pub(crate) fn seal_batches(header: &DeltaHeader, tuples: &[(u64, u64)]) -> Vec<u8> {
+    let words = tuples.iter().flat_map(|&(x, y)| [x, y]);
+    let section: Vec<u8> =
+        std::iter::once(tuples.len() as u64).chain(words).flat_map(u64::to_le_bytes).collect();
+    let mut frame = Vec::new();
+    seal_delta_into(header, &[(REPL_SECTION_BATCHES, &section)], &mut frame);
+    frame
+}
+
+/// What one opened replication container carries, checked in full against
+/// the aggregator's parameters before any stream is touched.
+pub(crate) enum Shipped {
+    /// A full container: the stream's replacement state.
+    Full(Box<SketchSet>),
+    /// An incremental container: the tuples to replay, every `y ≤ y_max`.
+    Batches(Vec<(u64, u64)>),
+}
+
+impl Shipped {
+    /// Decode an opened container's sections. A full container needs the
+    /// three sketch sections and an incremental one the batches section;
+    /// neither may carry the other kind (an incremental container with
+    /// sketch sections comes from a peer on the sketch-delta format).
+    pub(crate) fn open(
+        config: &ServeConfig,
+        full: bool,
+        sections: &[(u8, &[u8])],
+    ) -> Result<Self, String> {
+        if sections.iter().any(|&(tag, _)| (tag == REPL_SECTION_BATCHES) == full) {
+            return Err("container mixes full and incremental sections (another format?)".into());
+        }
+        let section = |tag: u8, name: &str| {
+            let found = sections.iter().find(|&&(t, _)| t == tag).map(|&(_, bytes)| bytes);
+            found.ok_or_else(|| format!("replication container is missing its {name} section"))
+        };
+        if !full {
+            let batches = section(REPL_SECTION_BATCHES, "batches")?;
+            return decode_batches(batches, config.y_max).map(Self::Batches);
+        }
+        let frames = [
+            section(REPL_SECTION_F2, "F2")?,
+            section(REPL_SECTION_F0, "F0")?,
+            section(REPL_SECTION_RARITY, "rarity")?,
+        ];
+        let set = SketchSet::restore(config, frames).map_err(|e| e.to_string())?;
+        Ok(Self::Full(Box::new(set)))
+    }
+}
+
+/// The tuples of a batches section, refused unless its length is exactly
+/// `8 + count × 16` and every `y ≤ y_max`.
+fn decode_batches(bytes: &[u8], y_max: u64) -> Result<Vec<(u64, u64)>, String> {
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let (count, body) = bytes.split_at(bytes.len().min(8));
+    if count.len() < 8 || word(count).checked_mul(16) != Some(body.len() as u64) {
+        return Err(format!(
+            "batches section of {} bytes does not hold the count × 16 bytes it declares",
+            bytes.len()
+        ));
+    }
+    let tuples: Vec<(u64, u64)> =
+        body.chunks_exact(16).map(|t| (word(&t[..8]), word(&t[8..]))).collect();
+    if let Some(&(_, y)) = tuples.iter().find(|&&(_, y)| y > y_max) {
+        return Err(format!("batches section holds y {y} above y_max {y_max}"));
+    }
+    Ok(tuples)
+}
+
+/// The correlated-`F_2` structure plus the auxiliary families — an
+/// aggregator's per-stream state, its union composite, and what a full
+/// replication container decodes to.
 pub(crate) struct SketchSet {
     f2: CorrelatedSketch<F2HeavyAggregate>,
     aux: AuxSet,
@@ -183,72 +237,32 @@ impl SketchSet {
         })
     }
 
-    /// Rebuild the set from its frames; the `F_2` frame's aggregate
-    /// fingerprint covers `phi` (the candidate capacity).
-    fn restore(
+    /// Rebuild the set from a full container's or a bundle's `F_2`, `F_0`
+    /// and rarity frames, refused unless all three restore and are what
+    /// `config` would build fresh (the `F_2` frame's aggregate fingerprint
+    /// covers `phi`), so nothing a bad set would replace is touched.
+    pub(crate) fn restore(
         config: &ServeConfig,
         [f2, f0, rarity]: [&[u8]; 3],
-    ) -> Result<Self, (&'static str, CoreError)> {
-        Ok(Self {
-            f2: CorrelatedSketch::restore_from(config.shard_aggregate(), f2)
-                .map_err(|e| ("F2", e))?,
-            aux: AuxSet::restore(f0, rarity)?,
-        })
-    }
-
-    /// Whether every sketch is what `config` would build fresh — the
-    /// condition under which [`Self::merge_from`] into such a set cannot be
-    /// refused half-way.
-    fn matches(&self, config: &ServeConfig) -> Result<(), ServeError> {
-        if *self.f2.config() != config.f2_config()? {
+    ) -> Result<Self, ServeError> {
+        let f2 = CorrelatedSketch::restore_from(config.shard_aggregate(), f2)
+            .map_err(in_section("F2"))?;
+        if *f2.config() != config.f2_config()? {
             return Err(config_mismatch("F2 accuracy, domain, stream bound, or seed"));
         }
-        self.aux.matches(config)
+        Ok(Self { f2, aux: AuxSet::restore(config, f0, rarity)? })
     }
 
-    /// The replicated part of an ingest node's snapshot bundle, refused if
-    /// the bundle was taken under different parameters.
-    pub(crate) fn from_bundle(config: &ServeConfig, bundle: &Bundle) -> Result<Self, ServeError> {
-        let set = Self::restore(config, [&bundle.f2, &bundle.f0, &bundle.rarity])
-            .map_err(|(_, e)| e)?;
-        set.matches(config)?;
-        Ok(set)
-    }
-
-    /// Decode an opened container's sections; every section is required
-    /// (the producer always ships all three), and nothing is returned unless
-    /// all three restore and match `config` — so a container is refused
-    /// before any state it would merge into is touched.
-    pub(crate) fn from_sections(
-        config: &ServeConfig,
-        sections: &[(u8, &[u8])],
-    ) -> Result<Self, String> {
-        let section = |tag: u8, name: &str| -> Result<&[u8], String> {
-            sections
-                .iter()
-                .find(|&&(t, _)| t == tag)
-                .map(|&(_, bytes)| bytes)
-                .ok_or_else(|| format!("replication container is missing its {name} section"))
-        };
-        let frames = [
-            section(REPL_SECTION_F2, "F2")?,
-            section(REPL_SECTION_F0, "F0")?,
-            section(REPL_SECTION_RARITY, "rarity")?,
-        ];
-        let set = Self::restore(config, frames)
-            .map_err(|(name, e)| format!("{name} section: {e}"))?;
-        set.matches(config).map_err(|e| e.to_string())?;
-        Ok(set)
-    }
-
-    /// Feed a batch to every family (the aggregator's warm-standby replay).
+    /// Feed a batch to every family: the aggregator's replay of shipped
+    /// batches and of a warm-standby journal.
     pub(crate) fn insert_batch(&mut self, tuples: &[(u64, u64)]) -> Result<(), CoreError> {
         self.f2.update_batch(tuples)?;
         self.aux.insert_batch(tuples)
     }
 
-    /// Family-wise Property-V merge. A failure part-way leaves `self`
-    /// half-merged; the caller must discard it.
+    /// Family-wise Property-V merge, for the aggregator's cross-stream
+    /// union. A failure part-way leaves `self` half-merged; the caller must
+    /// discard it.
     pub(crate) fn merge_from(&mut self, other: &Self) -> Result<(), CoreError> {
         self.f2.merge_from(&other.f2)?;
         self.aux.merge_from(&other.aux)

@@ -33,11 +33,9 @@
 //!   applied batch) through the unified query core's
 //!   [`cora_core::GenCache`], so a quiescent system answers
 //!   repeated queries from the cache — and through the composite's own
-//!   memoized compositions — without re-merging anything. Mixed
-//!   update/query loads can additionally opt into a **stale-tolerant**
-//!   composite with [`ShardedIngest::with_merge_every`], which defers the
-//!   N-shard re-merge until `k` new batches have been applied (staleness
-//!   bounded by `(k − 1) · batch_size` tuples).
+//!   memoized compositions — without re-merging anything. A serving layer
+//!   that wants stale-tolerant reads builds composites off the query path
+//!   from a [`ShardReader`] instead (`cora-serve`'s background merger).
 //!
 //! ```
 //! use cora_stream::sharded::sharded_correlated_f2;
@@ -354,9 +352,6 @@ where
     /// Merged composite, cached under the per-shard generation vector it was
     /// built from (the unified query core's generation-validated cache).
     composite: Mutex<GenCache<Vec<u64>, (), CorrelatedSketch<A>>>,
-    /// Rebuild the composite only once this many new batches have been
-    /// applied since it was built (1 = always fresh).
-    merge_every: u64,
     /// Whether the shards carry per-shard delta sketches (see
     /// [`Self::enable_delta_tracking`]).
     delta_tracking: bool,
@@ -443,7 +438,6 @@ where
             config,
             padded_y_max,
             composite: Mutex::new(GenCache::new(1)),
-            merge_every: 1,
             delta_tracking: false,
             delta_gen: 0,
         })
@@ -452,26 +446,6 @@ where
     /// Override the dispatch batch size (builder style; clamped to ≥ 1).
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size.max(1);
-        self
-    }
-
-    /// Tolerate a **stale** composite for up to `k` applied batches (builder
-    /// style; clamped to ≥ 1, default 1 = always fresh).
-    ///
-    /// With `k > 1`, a query reuses the cached merged composite until the
-    /// workers have applied at least `k` new batches since it was built, so
-    /// mixed update/query loads stop paying a full N-shard merge on every
-    /// generation change. **Staleness bound:** an admitted composite is
-    /// missing at most `k − 1` applied batches, i.e. at most
-    /// `(k − 1) · batch_size` tuples (plus whatever is still buffered or in
-    /// flight, which even a fresh merge never sees before
-    /// [`flush`](Self::flush)). Queries are still monotone: each rebuild
-    /// includes everything applied at that point, and
-    /// [`flush`](Self::flush)-then-query is exact again once the lag reaches
-    /// `k` — call sites that need read-your-writes semantics should keep the
-    /// default `k = 1`.
-    pub fn with_merge_every(mut self, k: u64) -> Self {
-        self.merge_every = k.max(1);
         self
     }
 
@@ -600,11 +574,9 @@ where
     ///
     /// The composite is cached under the per-shard generation vector it was
     /// built from and revalidated through the unified query core's
-    /// [`GenCache`]: while no worker applies a new batch — or, with
-    /// [`with_merge_every`](Self::with_merge_every), while fewer than `k`
-    /// new batches have been applied since the composite was built —
-    /// repeated calls reuse the merged sketch (whose own query compositions
-    /// are memoized in turn).
+    /// [`GenCache`]: while no worker applies a new batch, repeated calls
+    /// reuse the merged sketch (whose own query compositions are memoized in
+    /// turn).
     pub fn with_composite<R>(&self, f: impl FnOnce(&CorrelatedSketch<A>) -> R) -> Result<R> {
         // The cache lock is held across the rebuild: concurrent queries that
         // miss would otherwise each run the N-shard merge, and a slower
@@ -617,31 +589,12 @@ where
             .composite
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let generations: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.processed.load(Ordering::Acquire))
-            .collect();
-        let admit = |cached: &Vec<u64>| staleness(cached, &generations) < self.merge_every;
-        if let Some(sketch) = cache.get_if(admit, &()) {
+        let reader = self.reader();
+        if let Some(sketch) = cache.get(&reader.generations(), &()) {
             return Ok(f(sketch));
         }
-        let sketch = self.fresh_composite()?;
+        let (generations, sketch) = reader.build_composite()?;
         Ok(f(cache.insert(generations, (), sketch)))
-    }
-
-    /// Merge every shard sketch into a fresh composite, bypassing the cache
-    /// and any `merge_every` staleness tolerance.
-    fn fresh_composite(&self) -> Result<CorrelatedSketch<A>> {
-        let mut sketch = CorrelatedSketch::new(self.agg.clone(), self.config.clone())?;
-        for shard in &self.shards {
-            let shard_sketch = shard
-                .sketch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            sketch.merge_from(&shard_sketch)?;
-        }
-        Ok(sketch)
     }
 
     /// A detached read-side handle for background composite rebuilds (see
@@ -694,7 +647,9 @@ where
     /// the tuples since the previous cut. Flushes first, so tuples accepted
     /// before this call belong to the pre-tracking base, never to a delta.
     /// Idempotent; the extra per-batch sketch work runs on the worker
-    /// threads.
+    /// threads. The benchmark's per-layer ledger (`sharded.take_delta_us`)
+    /// is its only caller outside tests: `cora-serve` replicates the acked
+    /// tuples instead.
     pub fn enable_delta_tracking(&mut self) -> Result<()> {
         if self.delta_tracking {
             return Ok(());
@@ -717,7 +672,8 @@ where
     /// Returns `(g_from, g_to, delta)`; merging `delta` into any structure
     /// holding everything up to `g_from` yields the structure for
     /// everything up to `g_to` (Property V). Requires
-    /// [`Self::enable_delta_tracking`] first.
+    /// [`Self::enable_delta_tracking`] first. Like it, called outside tests
+    /// only by the benchmark's per-layer ledger.
     pub fn take_delta(&mut self) -> Result<(u64, u64, CorrelatedSketch<A>)> {
         if !self.delta_tracking {
             return Err(CoreError::InvalidParameter {
@@ -753,12 +709,11 @@ where
     <A as CorrelatedAggregate>::Sketch: StateCodec,
 {
     /// Serialise the front-end's state: flush every accepted tuple (barrier),
-    /// merge all shards into a fresh composite — ignoring any `merge_every`
-    /// staleness tolerance — and snapshot it as one framework frame (see
-    /// `cora_core::snapshot` for the format). The frame carries the full
-    /// configuration and seed, so [`Self::restore_from`] rebuilds a
-    /// front-end that answers every query identically and whose sketches
-    /// stay merge-compatible with other same-seeded shards.
+    /// merge all shards into a fresh composite, and snapshot it as one
+    /// framework frame (see `cora_core::snapshot` for the format). The frame
+    /// carries the full configuration and seed, so [`Self::restore_from`]
+    /// rebuilds a front-end that answers every query identically and whose
+    /// sketches stay merge-compatible with other same-seeded shards.
     pub fn snapshot(&mut self) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         self.snapshot_to(&mut out)?;
@@ -768,7 +723,7 @@ where
     /// [`Self::snapshot`], appending the frame to a caller-provided buffer.
     pub fn snapshot_to(&mut self, out: &mut Vec<u8>) -> Result<()> {
         self.flush();
-        self.fresh_composite()?.snapshot_to(out);
+        self.reader().build_composite()?.1.snapshot_to(out);
         Ok(())
     }
 
@@ -935,40 +890,6 @@ mod tests {
         sharded.flush();
         let second = sharded.query(1023).unwrap();
         assert!(second > first, "composite must pick up new batches: {first} -> {second}");
-    }
-
-    #[test]
-    fn merge_every_k_serves_stale_composites_within_bound() {
-        let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 10_000, 7, 2)
-            .unwrap()
-            .with_batch_size(32)
-            .with_merge_every(4);
-        for i in 0..320u64 {
-            sharded.insert(i % 10, i % 1024).unwrap(); // exactly 10 batches
-        }
-        sharded.flush();
-        let first = sharded.query(1023).unwrap();
-        // One more applied batch: lag 1 < 4, the stale composite is served.
-        for i in 0..32u64 {
-            sharded.insert(i % 10, 5).unwrap();
-        }
-        sharded.flush();
-        assert_eq!(
-            sharded.query(1023).unwrap(),
-            first,
-            "lag below merge_every must serve the stale composite"
-        );
-        // Three more batches: lag reaches 4, the rebuild sees every tuple.
-        for i in 0..96u64 {
-            sharded.insert(i % 10, 5).unwrap();
-        }
-        sharded.flush();
-        let refreshed = sharded.query(1023).unwrap();
-        assert!(
-            refreshed > first,
-            "lag at merge_every must rebuild: {first} -> {refreshed}"
-        );
-        assert_eq!(sharded.stats().unwrap().items_processed, 448);
     }
 
     #[test]

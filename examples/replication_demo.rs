@@ -1,8 +1,8 @@
 //! End-to-end tour of the fan-in subsystem — and the CI replication-smoke
 //! step.
 //!
-//! Starts two ingest nodes replicating their sketch state (streams `left`
-//! and `right`, shared-secret auth on every hop) into one aggregator, plus
+//! Starts two ingest nodes replicating their streams (`left` and `right`,
+//! shared-secret auth on every hop) into one aggregator, plus
 //! a single-server **oracle** that ingests every tuple directly. After a
 //! replication barrier it asserts the aggregator's union answers for all
 //! four query families agree with the oracle within the configured `ε`
