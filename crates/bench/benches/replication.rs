@@ -27,7 +27,6 @@ fn bench_config() -> ServeConfig {
         max_stream_len: 10_000_000,
         seed: 3,
         shards: 2,
-        merge_every: 4,
         x_domain_log2: 20,
         ..ServeConfig::default()
     }

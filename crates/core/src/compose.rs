@@ -21,8 +21,7 @@
 //!   level) and its per-threshold compositions (keyed by `c`, which the
 //!   heavy-hitters queries read), the windowed rings' composites, and
 //!   `cora_stream::sharded`'s merged composite (where the generation is the
-//!   vector of per-shard batch counters and staleness up to `merge_every_k`
-//!   batches is admissible);
+//!   vector of per-shard batch counters);
 //! * `compose_for_threshold` / `query_level` — Algorithm 3 against the level
 //!   engine (`crate::levels`): compose every bucket of the selected level
 //!   whose dyadic span lies entirely inside `[0, c]`;

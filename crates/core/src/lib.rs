@@ -36,6 +36,7 @@
 //! assert!(f2_below_200 > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -23,6 +23,7 @@
 //! seed — a requirement for reproducible experiments and for merging sketches
 //! built on different nodes (merge requires identical hash functions).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

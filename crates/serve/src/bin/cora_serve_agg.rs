@@ -72,7 +72,6 @@ fn main() -> ExitCode {
         max_stream_len: 1_000_000,
         seed: 7,
         shards: 2,
-        merge_every: 1,
         x_domain_log2: 16,
         pane_ticks: 256,
         auth_token,

@@ -14,8 +14,9 @@
 //! a kill/restart cycle must build identical sketches, and a config plus a
 //! durable directory fully determines a server.
 //!
-//! With `--replicate-to`, the node ships its sketch deltas to an
-//! aggregator (`cora_serve_agg`) under the given stream name.
+//! With `--replicate-to`, the node ships its acked batches (after a first
+//! full snapshot) to an aggregator (`cora_serve_agg`) under the given
+//! stream name.
 //! `--auth-token` both requires the token from this node's clients and
 //! presents it to the aggregator.
 
@@ -109,7 +110,6 @@ fn main() -> ExitCode {
         max_stream_len: 1_000_000,
         seed: 7,
         shards: 2,
-        merge_every: 1,
         x_domain_log2: 16,
         pane_ticks: 256,
         durability: Some(DurabilityConfig {

@@ -640,7 +640,6 @@ mod tests {
             max_stream_len: 100_000,
             seed: 7,
             shards: 2,
-            merge_every: 1,
             phi: 0.05,
             x_domain_log2: 16,
             pane_ticks: 256,

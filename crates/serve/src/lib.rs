@@ -60,11 +60,10 @@
 //!
 //! Ingest is accepted in batches and applied by the sharded workers; the
 //! published composite is rebuilt in the background when a query finds it
-//! `merge_every` or more applied batches behind. A query therefore observes
-//! a composite that lags ingest by **fewer than `merge_every` applied
-//! batches, or was built within the merger's staleness floor**, and waits
-//! for at most one rebuild — only when the composite is older than that
-//! floor. `flush` is the read-your-writes barrier: it
+//! missing an applied batch. A query therefore observes **every batch
+//! applied before it, or a composite built within the merger's staleness
+//! floor**, and waits for at most one rebuild — only when the composite is
+//! older than that floor. `flush` is the read-your-writes barrier: it
 //! drains the workers *and* blocks until the published composite covers
 //! every batch applied before the call.
 //!
@@ -81,6 +80,7 @@
 //! server.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 

@@ -5,7 +5,7 @@
 //! thread happens to query first after a new batch — a latency spike
 //! exactly where a serving system least wants one. This module moves the
 //! rebuild onto a **dedicated merger thread**, and bounds how often it runs
-//! with its own `merge_every` staleness policy:
+//! with its own staleness policy:
 //!
 //! * the merger rebuilds the composite (locking each shard sketch briefly,
 //!   exactly like a foreground merge would) and **publishes** it by swapping
@@ -20,23 +20,23 @@
 //! ## Rebuild policy: builds follow readers, not the clock
 //!
 //! A build runs only when (a) a [`refresh`](BackgroundMerger::refresh)
-//! barrier forces it and the published composite misses an applied batch,
-//! or (b) a reader found the published composite `merge_every` or more
-//! applied batches behind and asked for one. Those unforced builds are
-//! duty-capped: after a build that took `d`, the next one waits at least
-//! `d`, bounding the merger at half a core even under a query storm. Ingest
-//! nobody reads — a replicating node whose analyst reads the aggregator, a
-//! load that ends in a `flush` — costs no builds beyond its barriers.
+//! barrier forces it, or (b) a reader found an applied batch missing from
+//! the published composite and asked for one; either way, only while a
+//! batch is still missing. Reader-asked builds are duty-capped: after a
+//! build that took `d`, the next one waits at least `d`, bounding the merger
+//! at half a core even under a query storm. Ingest nobody reads — a
+//! replicating node whose analyst reads the aggregator, a load that ends in
+//! a `flush` — costs no builds beyond its barriers.
 //!
 //! ## Staleness bound and the one-build wait
 //!
 //! A reader that asks for a build still answers at once from the published
 //! composite if that was built less than [`STALENESS_FLOOR`] ago; otherwise
-//! it waits for the build it asked for. So an answer lags writes by fewer
-//! than `merge_every` applied batches or comes from generations read within
-//! the floor, and a reader waits for at most one build (plus its duty cap):
-//! only the first read after a floor's worth of unread ingest. Tuples still
-//! buffered or in the SPSC rings are invisible to even a foreground merge;
+//! it waits for the build it asked for. So an answer covers every batch
+//! applied before it or comes from generations read within the floor, and
+//! a reader waits for at most one build (plus its duty cap): only the first
+//! read after a floor's worth of unread ingest. Tuples still buffered or
+//! queued for a shard worker are invisible to even a foreground merge;
 //! `ShardedIngest::flush` + `refresh` is the read-your-writes barrier over
 //! everything accepted.
 //!
@@ -60,9 +60,9 @@ use std::time::{Duration, Instant};
 /// about 20 µs. It is the only timer an idle node still runs.
 const POLL_INTERVAL: Duration = Duration::from_micros(500);
 
-/// Freshness floor: a reader that finds the published composite at least
-/// `merge_every` batches behind *and* built longer ago than this waits for
-/// the build it asks for instead of answering from it.
+/// Freshness floor: a reader that finds the published composite missing an
+/// applied batch *and* built longer ago than this waits for the build it
+/// asks for instead of answering from it.
 pub const STALENESS_FLOOR: Duration = Duration::from_millis(250);
 
 /// Test/ops instrumentation invoked between building a composite and
@@ -112,8 +112,6 @@ where
     published: Mutex<Arc<EpochComposite<A>>>,
     /// Notified after every publish and when the merger thread exits.
     fresh: Condvar,
-    /// Staleness (in applied batches) at which a reader asks for a build.
-    merge_every: u64,
     /// Set by [`BackgroundMerger::refresh`]: build unless nothing is new.
     force: AtomicBool,
     /// Set by a reader that found the published composite too stale.
@@ -192,11 +190,10 @@ where
         let forced = shared.force.swap(false, Ordering::AcqRel);
         // A request arriving during the cooldown stays pending.
         let asked = last_end.elapsed() >= last_cost && shared.demand.swap(false, Ordering::AcqRel);
-        // Skip a forced build with nothing new, and a request an earlier
-        // build has already answered.
-        let needed = if forced { 1 } else { shared.merge_every };
+        // Skip a build with nothing new: a forced one, or a request an
+        // earlier build has already answered.
         let lag = || staleness(&shared.peek().built_from, &shared.reader.generations());
-        if !(forced || asked) || lag() < needed {
+        if !(forced || asked) || lag() == 0 {
             thread::park_timeout(POLL_INTERVAL);
             continue;
         }
@@ -235,21 +232,16 @@ where
     CorrelatedSketch<A>: Send + Sync,
 {
     /// Spawn a merger over `reader` whose readers ask for a build once the
-    /// published composite is at least `merge_every` applied batches (≥ 1)
-    /// behind. The initial composite is built synchronously so readers
-    /// always have an epoch to hit.
-    pub fn spawn(reader: ShardReader<A>, merge_every: u64) -> Result<Self> {
-        Self::spawn_with_hook(reader, merge_every, None)
+    /// published composite misses an applied batch. The initial composite is
+    /// built synchronously so readers always have an epoch to hit.
+    pub fn spawn(reader: ShardReader<A>) -> Result<Self> {
+        Self::spawn_with_hook(reader, None)
     }
 
     /// [`Self::spawn`] with a hook run between each rebuild and its publish
     /// — test instrumentation (an artificially slow merge proves readers
     /// never wait on one).
-    pub fn spawn_with_hook(
-        reader: ShardReader<A>,
-        merge_every: u64,
-        hook: Option<MergeHook>,
-    ) -> Result<Self> {
+    pub fn spawn_with_hook(reader: ShardReader<A>, hook: Option<MergeHook>) -> Result<Self> {
         let built_at = Instant::now();
         let (built_from, sketch) = reader.build_composite()?;
         let shared = Arc::new(Shared {
@@ -261,7 +253,6 @@ where
                 built_at,
             })),
             fresh: Condvar::new(),
-            merge_every: merge_every.max(1),
             force: AtomicBool::new(false),
             demand: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -288,14 +279,14 @@ where
         }
     }
 
-    /// The composite a query answers from. When the published one is
-    /// `merge_every` or more applied batches behind, this asks the merger for
-    /// a build, and waits for it only if that composite is also older than
-    /// [`STALENESS_FLOOR`]. `None` if it must wait and the merger is gone.
+    /// The composite a query answers from. When the published one misses an
+    /// applied batch, this asks the merger for a build, and waits for it
+    /// only if that composite is also older than [`STALENESS_FLOOR`]. `None`
+    /// if it must wait and the merger is gone.
     pub fn read(&self) -> Option<Arc<EpochComposite<A>>> {
         let composite = self.shared.peek();
         let lag = staleness(&composite.built_from, &self.shared.reader.generations());
-        if lag < self.shared.merge_every {
+        if lag == 0 {
             return Some(composite);
         }
         self.shared.demand.store(true, Ordering::Release);
@@ -382,7 +373,7 @@ mod tests {
         let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 100_000, 7, 2)
             .unwrap()
             .with_batch_size(64);
-        let merger = BackgroundMerger::spawn(sharded.reader(), 1).unwrap();
+        let merger = BackgroundMerger::spawn(sharded.reader()).unwrap();
         assert_eq!(merger.current().sketch().items_processed(), 0);
         fill(&mut sharded, 2_000, 0);
         merger.refresh();
@@ -413,7 +404,7 @@ mod tests {
             in_hook.store(true, Ordering::Release);
             thread::sleep(delay);
         });
-        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), 1, Some(slow)).unwrap();
+        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), Some(slow)).unwrap();
         let before = merger.current();
         fill(&mut sharded, 1_000, 0);
         thread::sleep(Duration::from_millis(20));
@@ -440,23 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_every_k_bounds_published_staleness() {
-        let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 100_000, 7, 2)
-            .unwrap()
-            .with_batch_size(32);
-        let merger = BackgroundMerger::spawn(sharded.reader(), 1_000_000).unwrap();
-        // Far below the trigger: the initial epoch stays published even
-        // though batches were applied (staleness is visible and bounded).
-        fill(&mut sharded, 320, 0); // 10 batches << 1_000_000
-        thread::sleep(Duration::from_millis(20));
-        assert_eq!(merger.epoch(), 0, "below the trigger nothing is republished");
-        assert_eq!(merger.staleness_batches(), 10);
-        // The forced barrier still works under an arbitrarily large k.
-        merger.refresh();
-        assert_eq!(merger.current().sketch().items_processed(), 320);
-    }
-
-    #[test]
     fn a_refresh_costs_one_build_and_none_when_nothing_is_new() {
         let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 100_000, 7, 2)
             .unwrap()
@@ -467,7 +441,7 @@ mod tests {
             counter.fetch_add(1, Ordering::Relaxed);
             thread::sleep(Duration::from_millis(20));
         });
-        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), 1, Some(count)).unwrap();
+        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), Some(count)).unwrap();
         // Builds counted once any stray one has had time to run.
         let settled = || {
             thread::sleep(Duration::from_millis(50));
@@ -498,7 +472,7 @@ mod tests {
         let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 100_000, 7, 2)
             .unwrap()
             .with_batch_size(64);
-        let merger = BackgroundMerger::spawn(sharded.reader(), 1).unwrap();
+        let merger = BackgroundMerger::spawn(sharded.reader()).unwrap();
         fill(&mut sharded, 1_000, 0);
         thread::sleep(STALENESS_FLOOR + Duration::from_millis(50));
         fill(&mut sharded, 1_000, 1_000);
@@ -524,18 +498,20 @@ mod tests {
             .unwrap()
             .with_batch_size(32);
         let panics: MergeHook = Arc::new(|| panic!("merger build panics (expected in this test)"));
-        let merger =
-            BackgroundMerger::spawn_with_hook(sharded.reader(), 1_000_000, Some(panics.clone()))
-                .unwrap();
+        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), Some(panics.clone())).unwrap();
         fill(&mut sharded, 320, 0);
         let start = Instant::now();
         assert!(merger.refresh().is_none(), "a barrier the merger cannot meet fails");
         assert!(merger.refresh().is_none(), "and keeps failing");
         assert!(start.elapsed() < Duration::from_secs(1));
-        // Below the trigger a read needs no build: the last epoch answers.
-        assert_eq!(merger.read().unwrap().epoch(), 0);
+        // A read inside the staleness floor needs no build: the last epoch
+        // answers. (Checked only if the floor had not passed by the read.)
+        let read = merger.read();
+        if merger.current().built_at().elapsed() < STALENESS_FLOOR {
+            assert_eq!(read.unwrap().epoch(), 0);
+        }
         // A reader that must wait is released when its build dies.
-        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), 1, Some(panics)).unwrap();
+        let merger = BackgroundMerger::spawn_with_hook(sharded.reader(), Some(panics)).unwrap();
         fill(&mut sharded, 320, 320);
         thread::sleep(STALENESS_FLOOR);
         assert!(merger.read().is_none());

@@ -13,7 +13,7 @@
 //!        │ stats / snapshot / repl cut              │ a stale one asks for a build)
 //!        ▼                                          ▼
 //!   Mutex<NodeState> ── the one state lock     BackgroundMerger ── builds only
-//!     ShardedIngest<F2+HH> ─ SPSC rings → N shards ◄── ShardReader for a reader
+//!     ShardedIngest<F2+HH> ─ N queues ──→ N shards ◄── ShardReader for a reader
 //!     AuxSet {F0, rarity}                                 or a flush; epoch-
 //!     replication tail: tuples acked since the last cut   published composite
 //!     WindowFeed: tick clock ─ bounded FIFO ─► window worker
@@ -43,13 +43,12 @@
 //! The shard workers run `CorrelatedSketch<F2HeavyAggregate>`, whose buckets
 //! answer `F_2` and carry the §3.3 candidates. `f2` and `heavy_hitters` both
 //! read the merger's published composite without the state lock. The merger
-//! builds only for them and for `flush` (`crate::merger`): an answer lags
-//! ingest by fewer than `merge_every` applied batches or was built within
-//! the staleness floor, and a read waits for at most one build, only after a
-//! floor's worth of unread ingest; a dead merger fails that wait and `flush`
-//! with the same `server` error as a poisoned lock. `F_0` and rarity
-//! (`crate::sketches`) answer under the lock with read-your-writes
-//! semantics. `flush` is the barrier for everything an ack covers: it makes
+//! builds only for them and for `flush` (`crate::merger`): an answer covers
+//! every applied batch or was built within the staleness floor, and a read
+//! waits for at most one build, only after a floor's worth of unread
+//! ingest; a dead merger fails that wait and `flush` with the same `server`
+//! error as a poisoned lock. `F_0` and rarity (`crate::sketches`) answer
+//! under the lock with read-your-writes semantics. `flush` is the barrier for everything an ack covers: it makes
 //! `f2` and `heavy_hitters` exact and waits until the window worker has
 //! applied every queued batch.
 //!
@@ -170,9 +169,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Ingest worker shards for the `F_2` / heavy-hitters structure.
     pub shards: usize,
-    /// Background-merger trigger: rebuild the published composite once this
-    /// many new batches have been applied (≥ 1; 1 = republish eagerly).
-    pub merge_every: u64,
     /// Smallest heavy-hitter share threshold the server must support.
     pub phi: f64,
     /// `log2` of the identifier domain (sizes the F0/rarity samplers).
@@ -280,7 +276,6 @@ impl Default for ServeConfig {
             max_stream_len: 10_000_000,
             seed: 0xC04A_5EED,
             shards: 4,
-            merge_every: 4,
             phi: 0.05,
             x_domain_log2: 24,
             pane_ticks: 1_024,
@@ -613,7 +608,7 @@ impl NodeState {
         let f2 = self.sharded.snapshot()?;
         let [f0, rarity] = self.aux.frames();
         // One guard for both rings, once every batch queued so far is applied.
-        let rings = self.windows.rings.caught_up()?;
+        let rings = self.windows.rings().caught_up().map_err(StatePoisoned::from)?;
         let bundle = Bundle {
             f2,
             f0,
@@ -704,8 +699,8 @@ impl ServerCore {
             }
         };
         let windows = WindowFeed::spawn(wf2, wf0, clock)?;
-        let rings = Arc::clone(&windows.rings);
-        let merger = BackgroundMerger::spawn(sharded.reader(), config.merge_every.max(1))?;
+        let rings = Arc::clone(windows.rings());
+        let merger = BackgroundMerger::spawn(sharded.reader())?;
         Ok(Self {
             config,
             state: Mutex::new(NodeState {
@@ -771,7 +766,7 @@ impl ServerCore {
         if self.state.is_poisoned() {
             return Err(StatePoisoned);
         }
-        self.rings.caught_up()
+        Ok(self.rings.caught_up()?)
     }
 
     /// Cut one replication unit. The state lock is held only to take the
@@ -945,7 +940,7 @@ impl ServerCore {
         let NodeState { sharded, aux, repl_tail, windows, seqs, durable, .. } = &mut *state;
         // A batch the rings could no longer apply is refused before it is
         // journaled.
-        if !windows.rings.usable() {
+        if !windows.rings().usable() {
             return StatePoisoned.into();
         }
         if let Some((writer, s)) = seq {
@@ -1017,7 +1012,6 @@ impl ServerCore {
                     ("max_stream_len", Value::U64(c.max_stream_len)),
                     ("seed", Value::U64(c.seed)),
                     ("shards", Value::U64(c.shards as u64)),
-                    ("merge_every", Value::U64(c.merge_every)),
                     ("phi", Value::F64(c.phi)),
                     ("x_domain_log2", Value::U64(u64::from(c.x_domain_log2))),
                     ("pane_ticks", Value::U64(c.pane_ticks)),
@@ -1508,7 +1502,6 @@ mod tests {
             max_stream_len: 1_000_000,
             seed: 7,
             shards: 2,
-            merge_every: 1,
             x_domain_log2: 20,
             pane_ticks: 512,
             ..Default::default()
@@ -1627,7 +1620,6 @@ mod tests {
             let dir = temp_dir(&format!("poison_{case}"));
             let config = ServeConfig {
                 shards: 2,
-                merge_every: 1,
                 y_max: 1023,
                 pane_ticks: 16,
                 durability: Some(DurabilityConfig::new(&dir)),
@@ -1902,7 +1894,6 @@ mod tests {
     fn stats_neither_waits_for_nor_triggers_a_build() {
         use crate::merger::STALENESS_FLOOR;
         let config = ServeConfig {
-            merge_every: 1,
             y_max: 1023,
             ..Default::default()
         };
@@ -1942,14 +1933,13 @@ mod tests {
         use crate::client::{ClientError, ServeClient};
         use crate::merger::MergeHook;
         let config = ServeConfig {
-            merge_every: 1,
             y_max: 1023,
             ..Default::default()
         };
         let mut core = ServerCore::build(config, None).unwrap();
         let reader = core.state().unwrap().sharded.reader();
         let panics: MergeHook = Arc::new(|| panic!("merger build panics (expected in this test)"));
-        core.merger = BackgroundMerger::spawn_with_hook(reader, 1, Some(panics)).unwrap();
+        core.merger = BackgroundMerger::spawn_with_hook(reader, Some(panics)).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -1999,7 +1989,6 @@ mod tests {
     fn core_handles_requests_without_a_socket() {
         let config = ServeConfig {
             shards: 2,
-            merge_every: 1,
             y_max: 1023,
             pane_ticks: 4,
             ..Default::default()
@@ -2058,7 +2047,6 @@ mod tests {
     fn core_answers_window_queries_with_resolved_spans() {
         let config = ServeConfig {
             shards: 1,
-            merge_every: 1,
             y_max: 1023,
             pane_ticks: 8,
             ..Default::default()

@@ -27,7 +27,6 @@ fn node_config() -> ServeConfig {
         max_stream_len: 1_000_000,
         seed: 7,
         shards: 2,
-        merge_every: 1,
         x_domain_log2: 16,
         pane_ticks: 256,
         ..ServeConfig::default()

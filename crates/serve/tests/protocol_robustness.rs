@@ -24,7 +24,6 @@ fn test_config() -> ServeConfig {
         max_stream_len: 100_000,
         seed: 11,
         shards: 2,
-        merge_every: 1,
         phi: 0.1,
         x_domain_log2: 16,
         pane_ticks: 64,

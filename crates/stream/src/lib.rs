@@ -16,12 +16,15 @@
 //!   `(time window, y-threshold)` two-dimensional slices (sliding, landmark,
 //!   and fading-factor decayed variants) by composing mergeable panes;
 //! * [`sharded`] — the worker-sharded parallel ingest front-end
-//!   ([`ShardedIngest`]): lock-free SPSC rings feeding N same-seeded
-//!   correlated sketches, merged at query time (Property V);
+//!   ([`ShardedIngest`]): bounded queues feeding N same-seeded correlated
+//!   sketches, merged at query time (Property V);
+//! * [`worker`] — the bounded queue-fed worker thread behind each shard
+//!   (and the serving node's window worker);
 //! * [`driver`] — measurement plumbing shared by the experiment harness;
 //! * [`json`] — hand-rolled JSON helpers for the report types (the build is
 //!   offline, so there is no `serde`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
@@ -34,6 +37,7 @@ pub mod multipass;
 pub mod sharded;
 pub mod tuple;
 pub mod windowed;
+pub mod worker;
 
 pub use async_window::{AsyncWindowCount, AsyncWindowF2};
 pub use windowed::{

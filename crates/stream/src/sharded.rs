@@ -23,9 +23,8 @@
 //! merging the per-worker sketches. [`ShardedIngest`] packages this:
 //!
 //! * the caller's thread batches tuples and hands each batch to one worker
-//!   round-robin through a **hand-rolled lock-free bounded SPSC ring** (one
-//!   ring per worker; single producer = the caller, single consumer = the
-//!   worker);
+//!   round-robin through that worker's bounded FIFO queue
+//!   ([`crate::worker::Worker`]);
 //! * each worker owns a same-seeded [`CorrelatedSketch`] and applies batches
 //!   with the amortized [`CorrelatedSketch::update_batch`] path;
 //! * queries merge the shard sketches into a **composite** that is cached
@@ -49,190 +48,45 @@
 //! assert!(f2_below_200 > 0.0);
 //! ```
 
+use crate::worker::{Worker, WorkerState};
 use cora_core::{CoreError, CorrelatedAggregate, CorrelatedConfig, CorrelatedSketch, F2Aggregate};
 use cora_core::{GenCache, Result, SketchStats};
 use cora_sketch::codec::StateCodec;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
-use std::time::Duration;
 
 /// Default number of tuples per dispatched batch.
 const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Ring capacity in batches (power of two). With the default batch size this
-/// bounds the in-flight buffer per worker to 32k tuples.
-const RING_CAPACITY: usize = 32;
+/// Batches a shard's queue holds before a dispatch blocks on its worker.
+/// With the default batch size this bounds the in-flight buffer per worker
+/// to 32k tuples.
+const QUEUE_BATCHES: usize = 32;
 
-/// Consumer spins this many times on an empty ring before parking.
-const IDLE_SPINS: u32 = 64;
-
-/// A cursor on its own cache line, so the producer's tail and the consumer's
-/// head do not false-share.
-#[repr(align(64))]
-struct PaddedCursor(AtomicUsize);
-
-/// Hand-rolled lock-free bounded single-producer single-consumer ring.
-///
-/// The module enforces the SPSC discipline by construction: only the
-/// [`ShardedIngest`] front-end (behind `&mut self`) pushes, and only the
-/// owning worker thread pops. Slots are `MaybeUninit`; a slot is initialized
-/// exactly between the producer's `tail` release-store and the consumer's
-/// matching acquire-load (and vice versa for reuse after `head` advances).
-struct SpscRing<T> {
-    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    mask: usize,
-    /// Next slot the consumer will read.
-    head: PaddedCursor,
-    /// Next slot the producer will write.
-    tail: PaddedCursor,
-}
-
-// SAFETY: the ring hands each value from exactly one thread to exactly one
-// other thread; the release/acquire pairs on `tail` (push -> pop) and `head`
-// (pop -> slot reuse) order the slot writes. `T: Send` is required because
-// values cross threads.
-unsafe impl<T: Send> Sync for SpscRing<T> {}
-
-impl<T> SpscRing<T> {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.next_power_of_two().max(2);
-        let slots = (0..capacity)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            slots,
-            mask: capacity - 1,
-            head: PaddedCursor(AtomicUsize::new(0)),
-            tail: PaddedCursor(AtomicUsize::new(0)),
-        }
-    }
-
-    /// Producer side: enqueue `value`, or hand it back if the ring is full.
-    fn try_push(&self, value: T) -> std::result::Result<(), T> {
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        let head = self.head.0.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) == self.slots.len() {
-            return Err(value);
-        }
-        // SAFETY: the slot at `tail` was consumed (head advanced past it) or
-        // never written; only this producer writes slots at `tail`.
-        unsafe {
-            (*self.slots[tail & self.mask].get()).write(value);
-        }
-        self.tail.0.store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
-    }
-
-    /// Consumer side: dequeue the oldest value, if any.
-    fn try_pop(&self) -> Option<T> {
-        let head = self.head.0.load(Ordering::Relaxed);
-        let tail = self.tail.0.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        // SAFETY: `head < tail` means the producer finished writing this slot
-        // (the acquire on `tail` orders the slot write before this read), and
-        // only this consumer reads slots at `head`.
-        let value = unsafe { (*self.slots[head & self.mask].get()).assume_init_read() };
-        self.head.0.store(head.wrapping_add(1), Ordering::Release);
-        Some(value)
-    }
-}
-
-impl<T> Drop for SpscRing<T> {
-    fn drop(&mut self) {
-        // Drop any values still in flight.
-        while self.try_pop().is_some() {}
-    }
-}
-
-/// State shared between the front-end and one worker thread.
-struct Shard<A: CorrelatedAggregate> {
-    ring: SpscRing<Vec<(u64, u64)>>,
-    sketch: Mutex<CorrelatedSketch<A>>,
+/// What one shard worker owns. Its applied-batch count is the shard's
+/// update *generation*, read by the composite cache for invalidation and by
+/// `flush` as its barrier.
+struct ShardState<A: CorrelatedAggregate> {
+    sketch: CorrelatedSketch<A>,
     /// A second, same-seeded sketch fed only the batches applied since the
     /// last [`ShardedIngest::take_delta`] cut — the per-shard half of the
     /// replication delta. `None` until delta tracking is enabled; the extra
     /// sketch work runs on the worker thread, off the producer's path.
-    delta: Mutex<Option<CorrelatedSketch<A>>>,
-    /// Batches fully applied to `sketch` — the shard's update *generation*,
-    /// read by the composite cache for invalidation and by `flush` as its
-    /// progress barrier.
-    processed: AtomicU64,
-    /// Set (after the final batches are enqueued) to tell the worker to
-    /// drain and exit.
-    shutdown: AtomicBool,
+    delta: Option<CorrelatedSketch<A>>,
 }
 
-impl<A: CorrelatedAggregate> Shard<A> {
-    fn apply(&self, batch: &[(u64, u64)]) {
-        {
-            let mut sketch = self
-                .sketch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            sketch
-                .update_batch(batch)
+/// A shard worker, fed batches of `(x, y)` tuples.
+type ShardWorker<A> = Worker<ShardState<A>, Vec<(u64, u64)>>;
+
+impl<A: CorrelatedAggregate> ShardState<A> {
+    fn apply(&mut self, batch: Vec<(u64, u64)>) {
+        self.sketch
+            .update_batch(&batch)
+            .expect("y values validated before dispatch");
+        if let Some(delta) = self.delta.as_mut() {
+            delta
+                .update_batch(&batch)
                 .expect("y values validated before dispatch");
-        }
-        {
-            let mut delta = self
-                .delta
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(delta) = delta.as_mut() {
-                delta
-                    .update_batch(batch)
-                    .expect("y values validated before dispatch");
-            }
-        }
-        // Release: a reader that observes the new generation must also see
-        // the sketch contents it describes (the mutexes already order the
-        // sketches themselves; the counter rides behind them).
-        self.processed.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// The worker loop: drain the ring, park when idle, exit on shutdown.
-fn worker_loop<A>(shard: &Shard<A>)
-where
-    A: CorrelatedAggregate,
-{
-    let mut idle = 0u32;
-    loop {
-        match shard.ring.try_pop() {
-            Some(batch) => {
-                idle = 0;
-                shard.apply(&batch);
-            }
-            None => {
-                if shard.shutdown.load(Ordering::Acquire) {
-                    // Shutdown is flagged only after the last push, but this
-                    // thread may have seen an empty ring *before* loading the
-                    // flag — drain once more now that the flag's acquire
-                    // ordering makes those pushes visible.
-                    while let Some(batch) = shard.ring.try_pop() {
-                        shard.apply(&batch);
-                    }
-                    return;
-                }
-                idle = idle.saturating_add(1);
-                if idle < IDLE_SPINS {
-                    std::hint::spin_loop();
-                } else {
-                    // Sleep until told: the producer unparks us after every
-                    // push, on ring-full, in `flush` and on shutdown. The
-                    // order above — pop, shutdown check, park — is what makes
-                    // no timeout necessary: a push or a shutdown landing
-                    // after our empty pop leaves its unpark token behind, so
-                    // this returns at once and the loop sees it.
-                    thread::park();
-                }
-            }
         }
     }
 }
@@ -263,7 +117,7 @@ where
     A: CorrelatedAggregate + Send + 'static,
     CorrelatedSketch<A>: Send,
 {
-    shards: Vec<Arc<Shard<A>>>,
+    shards: Vec<Arc<WorkerState<ShardState<A>>>>,
     agg: A,
     config: CorrelatedConfig,
 }
@@ -295,10 +149,7 @@ where
     /// The per-shard applied-batch counters (the generation vector composite
     /// caches are validated against).
     pub fn generations(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.processed.load(Ordering::Acquire))
-            .collect()
+        self.shards.iter().map(|s| s.applied()).collect()
     }
 
     /// Merge every shard sketch into a fresh composite, returning it with
@@ -309,11 +160,8 @@ where
         let generations = self.generations();
         let mut sketch = CorrelatedSketch::new(self.agg.clone(), self.config.clone())?;
         for shard in &self.shards {
-            let shard_sketch = shard
-                .sketch
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            sketch.merge_from(&shard_sketch)?;
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
+            sketch.merge_from(&shard.sketch)?;
         }
         Ok((generations, sketch))
     }
@@ -322,8 +170,8 @@ where
 /// A worker-sharded ingest front-end over N same-seeded correlated sketches.
 ///
 /// Tuples accepted by [`insert`](Self::insert) / [`ingest`](Self::ingest) are
-/// batched and distributed round-robin to worker threads over lock-free SPSC
-/// rings; queries merge the per-worker sketches into a cached composite. See
+/// batched and distributed round-robin to worker threads over bounded FIFO
+/// queues; queries merge the per-worker sketches into a cached composite. See
 /// the [module docs](self) for why the partition is lossless.
 ///
 /// Consistency model: queries observe every batch already *applied* by the
@@ -335,13 +183,8 @@ where
     A: CorrelatedAggregate + Send + 'static,
     CorrelatedSketch<A>: Send,
 {
-    shards: Vec<Arc<Shard<A>>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    /// Unpark handles, indexed like `shards`.
-    worker_threads: Vec<thread::Thread>,
-    /// Per-shard count of batches enqueued (producer side of the barrier).
-    sent: Vec<u64>,
-    /// Tuples accepted but not yet dispatched to any ring.
+    workers: Vec<ShardWorker<A>>,
+    /// Tuples accepted but not yet dispatched to any worker.
     buffer: Vec<(u64, u64)>,
     batch_size: usize,
     next_shard: usize,
@@ -377,59 +220,21 @@ where
             });
         }
         let padded_y_max = config.padded_y_max();
-        let mut shards = Vec::with_capacity(num_shards);
+        // On an early return, dropping `workers` closes and joins the
+        // workers spawned so far.
         let mut workers = Vec::with_capacity(num_shards);
-        let mut worker_threads = Vec::with_capacity(num_shards);
-        // On any failure, shut down and join the workers spawned so far —
-        // otherwise they would park-loop forever with nobody holding their
-        // shutdown flag.
-        let abort = |shards: &[Arc<Shard<A>>], workers: Vec<thread::JoinHandle<()>>| {
-            for shard in shards {
-                shard.shutdown.store(true, Ordering::Release);
-            }
-            for handle in workers {
-                handle.thread().unpark();
-                let _ = handle.join();
-            }
-        };
         for _ in 0..num_shards {
-            let sketch = match CorrelatedSketch::new(agg.clone(), config.clone()) {
-                Ok(sketch) => sketch,
-                Err(e) => {
-                    abort(&shards, workers);
-                    return Err(e);
-                }
-            };
-            let shard = Arc::new(Shard {
-                ring: SpscRing::new(RING_CAPACITY),
-                sketch: Mutex::new(sketch),
-                delta: Mutex::new(None),
-                processed: AtomicU64::new(0),
-                shutdown: AtomicBool::new(false),
-            });
-            let worker_shard = Arc::clone(&shard);
-            let handle = match thread::Builder::new()
-                .name("cora-shard".into())
-                .spawn(move || worker_loop(&worker_shard))
-            {
-                Ok(handle) => handle,
-                Err(e) => {
-                    abort(&shards, workers);
-                    return Err(CoreError::InvalidParameter {
-                        name: "num_shards",
-                        detail: format!("could not spawn ingest worker: {e}"),
-                    });
-                }
-            };
-            worker_threads.push(handle.thread().clone());
-            workers.push(handle);
-            shards.push(shard);
+            let sketch = CorrelatedSketch::new(agg.clone(), config.clone())?;
+            let state = ShardState { sketch, delta: None };
+            let worker = Worker::spawn("cora-shard", state, QUEUE_BATCHES, ShardState::apply)
+                .map_err(|e| CoreError::InvalidParameter {
+                    name: "num_shards",
+                    detail: format!("could not spawn ingest worker: {e}"),
+                })?;
+            workers.push(worker);
         }
         Ok(Self {
-            shards,
             workers,
-            worker_threads,
-            sent: vec![0; num_shards],
             buffer: Vec::with_capacity(DEFAULT_BATCH_SIZE),
             batch_size: DEFAULT_BATCH_SIZE,
             next_shard: 0,
@@ -451,7 +256,7 @@ where
 
     /// Number of ingest workers.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.workers.len()
     }
 
     /// The configuration every shard sketch was built with.
@@ -511,61 +316,27 @@ where
         Ok(())
     }
 
-    /// Panic with a clear message if worker `idx` exited before shutdown —
-    /// it can only have died by panicking (e.g. a bug inside `update_batch`),
-    /// and every wait loop in the front-end would otherwise hang on its
-    /// never-advancing counters. (`Drop` also re-raises an unobserved worker
-    /// panic when not already unwinding.)
-    fn assert_worker_alive(&self, idx: usize) {
-        if self.workers[idx].is_finished() {
-            panic!("cora-shard ingest worker {idx} died (panicked) — see its panic output");
-        }
-    }
-
-    /// Seal the active buffer (if non-empty) and enqueue it round-robin.
+    /// Seal the active buffer (if non-empty) and queue it round-robin.
     fn dispatch_buffer(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
         let batch = std::mem::replace(&mut self.buffer, Vec::with_capacity(self.batch_size));
-        let shard_idx = self.next_shard;
-        self.next_shard = (self.next_shard + 1) % self.shards.len();
-        let shard = &self.shards[shard_idx];
-        let mut pending = batch;
-        loop {
-            match shard.ring.try_push(pending) {
-                Ok(()) => break,
-                Err(back) => {
-                    // Ring full: backpressure. Yield so the worker can run
-                    // even when there are fewer cores than threads.
-                    self.assert_worker_alive(shard_idx);
-                    pending = back;
-                    self.worker_threads[shard_idx].unpark();
-                    thread::yield_now();
-                }
-            }
+        let idx = self.next_shard;
+        self.next_shard = (idx + 1) % self.workers.len();
+        if self.workers[idx].send(batch).is_err() {
+            worker_died(idx);
         }
-        self.sent[shard_idx] += 1;
-        self.worker_threads[shard_idx].unpark();
     }
 
     /// Barrier: dispatch everything buffered and wait until every worker has
-    /// applied every batch enqueued so far. After `flush` returns, queries
+    /// applied every batch queued so far. After `flush` returns, queries
     /// observe all accepted tuples.
     pub fn flush(&mut self) {
         self.dispatch_buffer();
-        for idx in 0..self.shards.len() {
-            let target = self.sent[idx];
-            let mut spins = 0u32;
-            while self.shards[idx].processed.load(Ordering::Acquire) < target {
-                self.assert_worker_alive(idx);
-                self.worker_threads[idx].unpark();
-                spins = spins.saturating_add(1);
-                if spins < IDLE_SPINS {
-                    thread::yield_now();
-                } else {
-                    thread::sleep(Duration::from_micros(50));
-                }
+        for (idx, worker) in self.workers.iter().enumerate() {
+            if worker.state().caught_up().is_err() {
+                worker_died(idx);
             }
         }
     }
@@ -601,7 +372,7 @@ where
     /// [`ShardReader`]).
     pub fn reader(&self) -> ShardReader<A> {
         ShardReader {
-            shards: self.shards.clone(),
+            shards: self.workers.iter().map(|w| Arc::clone(w.state())).collect(),
             agg: self.agg.clone(),
             config: self.config.clone(),
         }
@@ -655,12 +426,12 @@ where
             return Ok(());
         }
         self.flush();
-        let mut fresh = Vec::with_capacity(self.shards.len());
-        for _ in 0..self.shards.len() {
+        let mut fresh = Vec::with_capacity(self.workers.len());
+        for _ in 0..self.workers.len() {
             fresh.push(CorrelatedSketch::new(self.agg.clone(), self.config.clone())?);
         }
-        for (shard, sketch) in self.shards.iter().zip(fresh) {
-            *shard.delta.lock().unwrap_or_else(PoisonError::into_inner) = Some(sketch);
+        for (worker, sketch) in self.workers.iter().zip(fresh) {
+            worker.state().lock().unwrap_or_else(PoisonError::into_inner).delta = Some(sketch);
         }
         self.delta_tracking = true;
         Ok(())
@@ -684,15 +455,15 @@ where
         self.flush();
         // Build the replacements before touching any shard, so a constructor
         // failure leaves every delta tracker intact.
-        let mut fresh = Vec::with_capacity(self.shards.len());
-        for _ in 0..self.shards.len() {
+        let mut fresh = Vec::with_capacity(self.workers.len());
+        for _ in 0..self.workers.len() {
             fresh.push(CorrelatedSketch::new(self.agg.clone(), self.config.clone())?);
         }
         let mut delta = CorrelatedSketch::new(self.agg.clone(), self.config.clone())?;
-        for (shard, replacement) in self.shards.iter().zip(fresh) {
+        for (worker, replacement) in self.workers.iter().zip(fresh) {
             let taken = {
-                let mut slot = shard.delta.lock().unwrap_or_else(PoisonError::into_inner);
-                slot.replace(replacement)
+                let mut shard = worker.state().lock().unwrap_or_else(PoisonError::into_inner);
+                shard.delta.replace(replacement)
             };
             delta.merge_from(&taken.expect("delta tracking enabled above"))?;
         }
@@ -739,10 +510,11 @@ where
         let config = composite.config().clone();
         let mut front = Self::new(agg, config, num_shards)?;
         front.items_accepted = composite.items_processed();
-        *front.shards[0]
-            .sketch
+        front.workers[0]
+            .state()
             .lock()
-            .unwrap_or_else(PoisonError::into_inner) = composite;
+            .unwrap_or_else(PoisonError::into_inner)
+            .sketch = composite;
         Ok(front)
     }
 }
@@ -753,25 +525,29 @@ where
     CorrelatedSketch<A>: Send,
 {
     fn drop(&mut self) {
-        // Hand any buffered tuples to a worker, then tell everyone to drain
-        // and exit. (Pushes are sequenced before the Release store, and the
-        // workers re-drain after acquiring the flag, so nothing is lost.)
-        self.dispatch_buffer();
-        for shard in &self.shards {
-            shard.shutdown.store(true, Ordering::Release);
+        // Hand any buffered tuples to a worker, then close every queue: each
+        // worker applies what is left and exits. While unwinding, skip the
+        // dispatch and the re-raise below to avoid a double-panic abort.
+        let unwinding = thread::panicking();
+        if !unwinding {
+            self.dispatch_buffer();
         }
-        for t in &self.worker_threads {
-            t.unpark();
-        }
-        for handle in self.workers.drain(..) {
-            if handle.join().is_err() && !thread::panicking() {
+        for worker in self.workers.drain(..) {
+            if worker.join().is_err() && !unwinding {
                 // Surface a worker panic that nothing else observed (e.g. the
-                // producer dropped without another flush); skip when already
-                // unwinding to avoid a double-panic abort.
+                // producer dropped without another dispatch or flush).
                 panic!("cora-shard ingest worker panicked; its sketch data is lost");
             }
         }
     }
+}
+
+/// Panic with a clear message: worker `idx` exited before its queue closed.
+/// It can only have died by panicking (e.g. a bug inside `update_batch`);
+/// under a caller's lock this panic poisons that lock, so the caller fails
+/// closed instead of answering without the shard's batches.
+fn worker_died(idx: usize) -> ! {
+    panic!("cora-shard ingest worker {idx} died (panicked) — see its panic output");
 }
 
 /// Build a [`ShardedIngest`] for correlated `F_2` — the sharded counterpart
@@ -794,63 +570,7 @@ pub fn sharded_correlated_f2(
 mod tests {
     use super::*;
     use cora_core::correlated_f2_seeded;
-
-    #[test]
-    fn ring_is_fifo_and_bounded() {
-        let ring: SpscRing<u64> = SpscRing::new(4);
-        for i in 0..4 {
-            assert!(ring.try_push(i).is_ok());
-        }
-        assert_eq!(ring.try_push(99), Err(99));
-        for i in 0..4 {
-            assert_eq!(ring.try_pop(), Some(i));
-        }
-        assert_eq!(ring.try_pop(), None);
-        // Wrap-around keeps FIFO order.
-        for round in 0..10u64 {
-            assert!(ring.try_push(round).is_ok());
-            assert!(ring.try_push(round + 100).is_ok());
-            assert_eq!(ring.try_pop(), Some(round));
-            assert_eq!(ring.try_pop(), Some(round + 100));
-        }
-    }
-
-    #[test]
-    fn ring_drop_releases_in_flight_values() {
-        let value = Arc::new(());
-        {
-            let ring: SpscRing<Arc<()>> = SpscRing::new(8);
-            ring.try_push(Arc::clone(&value)).unwrap();
-            ring.try_push(Arc::clone(&value)).unwrap();
-            assert_eq!(Arc::strong_count(&value), 3);
-        }
-        assert_eq!(Arc::strong_count(&value), 1);
-    }
-
-    #[test]
-    fn ring_transfers_across_threads() {
-        let ring = Arc::new(SpscRing::<u64>::new(8));
-        let consumer_ring = Arc::clone(&ring);
-        let consumer = thread::spawn(move || {
-            let mut received = Vec::new();
-            while received.len() < 1000 {
-                match consumer_ring.try_pop() {
-                    Some(v) => received.push(v),
-                    None => thread::yield_now(),
-                }
-            }
-            received
-        });
-        for i in 0..1000u64 {
-            let mut v = i;
-            while let Err(back) = ring.try_push(v) {
-                v = back;
-                thread::yield_now();
-            }
-        }
-        let received = consumer.join().unwrap();
-        assert_eq!(received, (0..1000).collect::<Vec<_>>());
-    }
+    use std::time::Duration;
 
     #[test]
     fn sharded_matches_sequential_after_flush() {
@@ -914,22 +634,22 @@ mod tests {
     }
 
     #[test]
-    fn parked_workers_wake_for_a_push_a_flush_and_the_drop() {
-        // Workers park without a timeout, so every wake-up must come from
-        // the producer. Idle long past the spin budget before each one.
+    fn idle_workers_take_a_push_a_flush_and_the_drop() {
+        // Idle workers block on their queues; each hand-off below comes
+        // after they have sat idle.
         let idle = || thread::sleep(Duration::from_millis(100));
         let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 10_000, 7, 2)
             .unwrap()
             .with_batch_size(32);
         idle();
-        // A full batch is dispatched by the insert itself: the push's unpark
-        // alone (no flush yet) must get it applied.
+        // A full batch is dispatched by the insert itself: the send alone
+        // (no flush yet) must get it applied.
         for i in 0..32u64 {
             sharded.insert(i, i).unwrap();
         }
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while sharded.stats().unwrap().items_processed < 32 {
-            assert!(std::time::Instant::now() < deadline, "a parked worker missed its push");
+            assert!(std::time::Instant::now() < deadline, "an idle worker missed its batch");
             thread::yield_now();
         }
         idle();
@@ -937,7 +657,37 @@ mod tests {
         sharded.flush();
         assert_eq!(sharded.stats().unwrap().items_processed, 33);
         idle();
-        drop(sharded); // joins both parked workers
+        drop(sharded); // closes both queues and joins both workers
+    }
+
+    #[test]
+    fn a_dispatch_after_a_worker_died_panics_and_the_drop_re_raises() {
+        fn message(panic: Box<dyn std::any::Any + Send>) -> String {
+            match panic.downcast::<String>() {
+                Ok(formatted) => *formatted,
+                Err(panic) => panic.downcast_ref::<&str>().copied().unwrap_or_default().into(),
+            }
+        }
+        let mut sharded = sharded_correlated_f2(0.3, 0.1, 1023, 10_000, 7, 1)
+            .unwrap()
+            .with_batch_size(1);
+        // A delta sketch with a smaller y range makes the worker's apply
+        // panic on the next batch whose `y` it cannot hold.
+        let narrow = CorrelatedConfig::new(0.3, 0.1, 15, 40).unwrap().with_seed(7);
+        let narrow = CorrelatedSketch::new(F2Aggregate::new(0.3, 0.1, 7), narrow).unwrap();
+        sharded.workers[0].state().lock().unwrap().delta = Some(narrow);
+        // Batches sent before the worker exits are queued; once the queue
+        // is full a dispatch waits for the exit. So one of these fails.
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for i in 0..(QUEUE_BATCHES as u64 + 2) {
+                sharded.insert(i, 1_000).unwrap();
+            }
+        }));
+        let died = message(died.expect_err("a dispatch to a dead worker must panic"));
+        assert!(died.contains("cora-shard ingest worker 0 died"), "{died}");
+        let dropped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| drop(sharded)));
+        let dropped = message(dropped.expect_err("the drop re-raises the worker's panic"));
+        assert!(dropped.contains("its sketch data is lost"), "{dropped}");
     }
 
     #[test]

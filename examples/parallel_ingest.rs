@@ -28,7 +28,7 @@ fn main() {
     }
 
     // N worker threads, each owning a same-seeded correlated-F2 sketch fed
-    // over a lock-free SPSC ring; tuples are distributed round-robin in
+    // over a bounded FIFO queue; tuples are distributed round-robin in
     // batches (any partition works — the merge is lossless).
     let mut ingest =
         sharded_correlated_f2(epsilon, delta, y_max, n as u64, 42, shards).expect("valid params");

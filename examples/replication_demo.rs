@@ -36,7 +36,6 @@ fn config() -> ServeConfig {
         max_stream_len: 1_000_000,
         seed: 42,
         shards: 2,
-        merge_every: 1,
         x_domain_log2: 18,
         auth_token: Some(TOKEN.to_string()),
         ..ServeConfig::default()

@@ -23,7 +23,6 @@ fn main() {
         max_stream_len: 1_000_000,
         seed: 42,
         shards: 2,
-        merge_every: 2,
         phi: 0.05,
         x_domain_log2: 20,
         pane_ticks: 1_024,

@@ -19,7 +19,6 @@ fn config() -> ServeConfig {
         max_stream_len: 1_000_000,
         seed: 23,
         shards: 2,
-        merge_every: 3,
         phi: 0.05,
         x_domain_log2: 18,
         pane_ticks: 512,

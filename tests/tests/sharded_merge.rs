@@ -163,7 +163,7 @@ proptest! {
         prop_assert_eq!(merged.query(c).unwrap(), seq.query(c).unwrap());
     }
 
-    /// The threaded front-end is just "partition + merge" behind SPSC rings:
+    /// The threaded front-end is just "partition + merge" behind FIFO queues:
     /// after a flush it must agree exactly with sequential ingest on small
     /// streams, for any shard count and batch size.
     #[test]
