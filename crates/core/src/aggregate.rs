@@ -22,6 +22,7 @@
 //! framework ([`crate::framework::CorrelatedSketch`]) can derive its bucket
 //! budget and thresholds from them.
 
+use cora_sketch::codec::StateCodec;
 use cora_sketch::{
     Estimate, ExactFrequencies, MergeableSketch, SharedUpdate, SpaceUsage, StreamSketch,
 };
@@ -37,12 +38,15 @@ pub trait CorrelatedAggregate: Clone {
     /// The [`SharedUpdate`] bound is what lets the framework hash each stream
     /// element once and reuse the coordinates across every bucket the element
     /// touches — sound because Property V already forces all buckets of one
-    /// structure to share hash seeds.
+    /// structure to share hash seeds. The [`StateCodec`] bound serves
+    /// snapshots and the aggregate fingerprint that merges and restores
+    /// check: the encoding of a fresh sketch names its whole family.
     type Sketch: StreamSketch
         + Estimate
         + MergeableSketch
         + SharedUpdate
         + SpaceUsage
+        + StateCodec
         + Clone
         + std::fmt::Debug;
 
@@ -200,40 +204,19 @@ impl<A: CorrelatedAggregate> BucketStore<A> {
         Ok(())
     }
 
-    /// Insert an item whose sketch coordinates were precomputed with
-    /// [`SharedUpdate::prepare_into`] on a same-seeded sketch. Exact stores
-    /// ignore the prepared coordinates (they key on the raw item); sketched
-    /// stores apply them without re-hashing.
-    pub fn update_prepared(
-        &mut self,
-        agg: &A,
-        item: u64,
-        weight: i64,
-        prepared: &<A::Sketch as SharedUpdate>::Prepared,
-    ) {
-        match self {
-            BucketStore::Sketched(sketch) => sketch.apply_prepared(prepared),
-            BucketStore::Exact(_) => self.update(agg, item, weight),
-        }
-    }
-
-    /// Apply tuples `range` of a **unit-weight** prepared batch (see
-    /// [`SharedUpdate::prepare_batch_into`]; `tuples` is the `(x, y)` slice
-    /// the batch was prepared from). Equivalent to calling
-    /// [`Self::update_prepared`] for each tuple of the range in order.
+    /// Apply updates `range` of a prepared batch: `items` is the
+    /// `(item, weight)` slice the batch was prepared from (see
+    /// [`SharedUpdate::prepare_batch_into`]). Equivalent to [`Self::update`]
+    /// on each update of the range, in order.
     ///
     /// Sketched stores apply the whole range through the sketch's flat batch
-    /// layout; exact stores go tuple-at-a-time (they key on the raw item),
-    /// switching the remainder of the range to the batched path if the store
-    /// converts to its sketched representation mid-range. Crate-private
-    /// because the exact path re-derives each update as `(x, weight 1)` —
-    /// the batch-ingest contract of `CorrelatedSketch::update_batch` — and a
-    /// batch prepared with other weights would apply them only to sketched
-    /// stores.
+    /// layout; exact stores go one update at a time (they key on the raw
+    /// item), switching the remainder of the range to the batched path if
+    /// the store converts to its sketched representation mid-range.
     pub(crate) fn update_batch_range(
         &mut self,
         agg: &A,
-        tuples: &[(u64, u64)],
+        items: &[(u64, i64)],
         batch: &<A::Sketch as SharedUpdate>::PreparedBatch,
         mut range: std::ops::Range<usize>,
     ) {
@@ -242,7 +225,8 @@ impl<A: CorrelatedAggregate> BucketStore<A> {
             return;
         }
         while let Some(i) = range.next() {
-            self.update(agg, tuples[i].0, 1);
+            let (item, weight) = items[i];
+            self.update(agg, item, weight);
             if let BucketStore::Sketched(sketch) = self {
                 if !range.is_empty() {
                     sketch.apply_prepared_range(batch, range);
@@ -343,7 +327,6 @@ mod thread_safety_audit {
         assert_send_sync::<super::BucketStore<crate::f2::F2Aggregate>>();
         assert_send_sync::<crate::f0::CorrelatedF0>();
         assert_send_sync::<crate::rarity::CorrelatedRarity>();
-        assert_send_sync::<crate::heavy_hitters::CorrelatedHeavyHitters>();
     }
 }
 

@@ -7,11 +7,10 @@
 //! threshold `c`, then read that level (composing bucket summaries for the
 //! framework sketch, counting retained samples for the distinct-sampling
 //! structures). This module owns that shared machinery so
-//! [`CorrelatedSketch`](crate::framework::CorrelatedSketch),
-//! [`CorrelatedF0`](crate::f0::CorrelatedF0),
-//! [`CorrelatedRarity`](crate::rarity::CorrelatedRarity) and
-//! [`CorrelatedHeavyHitters`](crate::heavy_hitters::CorrelatedHeavyHitters)
-//! run one code path instead of four re-implementations:
+//! [`CorrelatedSketch`](crate::framework::CorrelatedSketch) (heavy hitters
+//! included), [`CorrelatedF0`](crate::f0::CorrelatedF0) and
+//! [`CorrelatedRarity`](crate::rarity::CorrelatedRarity) run one code path
+//! instead of three re-implementations:
 //!
 //! * `min_watermark` / `watermark_answers` / `first_answering` — the
 //!   watermark algebra (`None` = `+∞`, merges take the minimum, a level

@@ -22,12 +22,14 @@
 //! paper's analysis charges against the level's bucket budget `α`.
 //!
 //! This module is the thin **coordinator**: it owns the configuration, the
-//! singleton level, and the update-generation counter, and delegates
+//! singleton level, the update-generation counter, and the one update path
+//! (`insert` and `update` apply a batch of one, `update_batch` a batch of
+//! unit-weight tuples), and delegates
 //!
-//! * all dyadic-level state and the insert hot path to the
+//! * all dyadic-level state and the level walk of that path to the
 //!   structure-of-arrays level engine in `crate::levels` (bucket arenas, leaf
 //!   routing, headroom-gated closing, eviction, the shared dormant-level
-//!   tail, and the flat-batch ingest path);
+//!   tail, and same-slot runs over the flat prepared batch);
 //! * query-time composition and its memoization to the unified query core in
 //!   [`crate::compose`] (Algorithm 3's level selection, per-level prefix
 //!   tables and per-threshold bucket composition, each behind a
@@ -38,7 +40,7 @@ use crate::compose::{self, GenCache};
 use crate::config::CorrelatedConfig;
 use crate::dyadic::DyadicInterval;
 use crate::error::{CoreError, Result};
-use crate::levels::{BatchOf, LevelEngine, PreparedOf};
+use crate::levels::{BatchOf, LevelEngine};
 use crate::singleton::SingletonLevel;
 use crate::snapshot::{self, SnapshotKind};
 use cora_sketch::codec::{ByteReader, ByteWriter, CodecError, StateCodec};
@@ -68,6 +70,9 @@ pub struct SketchStats {
 #[derive(Debug)]
 pub struct CorrelatedSketch<A: CorrelatedAggregate> {
     agg: A,
+    /// Fingerprint of `agg`'s per-bucket sketch family (see
+    /// [`Self::agg_fingerprint`]), computed once: merges and restores check it.
+    agg_fingerprint: u64,
     config: CorrelatedConfig,
     alpha: usize,
     /// Level 0: singleton buckets behind a flat fmix64 hash index keyed by
@@ -77,12 +82,11 @@ pub struct CorrelatedSketch<A: CorrelatedAggregate> {
     engine: LevelEngine<A>,
     items_processed: u64,
     /// A pristine sketch used solely to compute shared update coordinates
-    /// ([`SharedUpdate::prepare_into`] depends only on dimensions and seed).
+    /// ([`SharedUpdate::prepare_batch_into`] depends only on dimensions and
+    /// seed).
     proto_sketch: A::Sketch,
-    /// Reusable buffer for the shared coordinates of the element in flight.
-    prepared_scratch: PreparedOf<A>,
-    /// Reusable buffers for the batch path: the `(item, weight)` view of the
-    /// batch and the flat prepared coordinates.
+    /// Reusable buffers for the update path: the `(item, weight)` view of
+    /// the batch in flight and its flat prepared coordinates.
     batch_items: Vec<(u64, i64)>,
     batch_scratch: BatchOf<A>,
     /// Memoized query compositions per `(generation, threshold)` (interior
@@ -98,13 +102,13 @@ impl<A: CorrelatedAggregate> Clone for CorrelatedSketch<A> {
     fn clone(&self) -> Self {
         Self {
             agg: self.agg.clone(),
+            agg_fingerprint: self.agg_fingerprint,
             config: self.config.clone(),
             alpha: self.alpha,
             singletons: self.singletons.clone(),
             engine: self.engine.clone(),
             items_processed: self.items_processed,
             proto_sketch: self.proto_sketch.clone(),
-            prepared_scratch: PreparedOf::<A>::default(),
             batch_items: Vec::new(),
             batch_scratch: BatchOf::<A>::default(),
             // Caches don't travel: the clone starts with cold caches.
@@ -126,6 +130,7 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
         let prefix_tables = Self::prefix_table_cache(&config);
         Ok(Self {
             agg,
+            agg_fingerprint: Self::agg_fingerprint(&proto_sketch),
             config,
             alpha,
             singletons: SingletonLevel::new(),
@@ -134,7 +139,6 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
             engine: LevelEngine::new(root, max_level),
             items_processed: 0,
             proto_sketch,
-            prepared_scratch: PreparedOf::<A>::default(),
             batch_items: Vec::new(),
             batch_scratch: BatchOf::<A>::default(),
             compose_cache: Mutex::new(GenCache::new(compose::COMPOSE_CACHE_CAPACITY)),
@@ -181,7 +185,9 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
     /// Negative weights are rejected: the single-pass structure only supports
     /// the cash-register model (Section 4 of the paper proves that no small
     /// single-pass summary exists once deletions are allowed; use the
-    /// multi-pass algorithm in `cora-stream` for that setting).
+    /// multi-pass algorithm in `cora-stream` for that setting). A zero
+    /// weight is a no-op. The element is applied as a batch of one (see
+    /// [`Self::update_batch`]).
     pub fn update(&mut self, x: u64, y: u64, weight: i64) -> Result<()> {
         if weight < 0 {
             return Err(CoreError::InvalidParameter {
@@ -195,33 +201,22 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
                 y_max: self.config.padded_y_max(),
             });
         }
-        if weight == 0 {
-            return Ok(());
+        if weight > 0 {
+            self.apply(&[(x, y)], weight);
         }
-        self.items_processed += 1;
-
-        // Hash the element once; every sketched bucket it touches reuses the
-        // coordinates (all bucket sketches share seeds by Property V).
-        let mut prepared = std::mem::take(&mut self.prepared_scratch);
-        self.proto_sketch.prepare_into(x, weight, &mut prepared);
-
-        self.update_singletons(x, y, weight, &prepared);
-        let (agg, alpha) = (&self.agg, self.alpha);
-        self.engine.update(agg, alpha, x, y, weight, &prepared);
-        self.prepared_scratch = prepared;
         Ok(())
     }
 
     /// Process a batch of unit-weight stream elements `(x, y)`.
     ///
-    /// Equivalent to calling [`insert`](Self::insert) for each tuple in order,
-    /// but amortizes the per-level bookkeeping: every element's sketch
+    /// Equivalent to calling [`insert`](Self::insert) for each tuple in
+    /// order — both run the one update path: every element's sketch
     /// coordinates are hashed once up front into one flat allocation, each
     /// level's arena is walked for the whole batch at once (level-major
     /// traversal), and runs of consecutive tuples routed to the same bucket
     /// are applied through the sketch's contiguous batch layout (see
-    /// `crate::levels`). Level states are independent of one another, so
-    /// this produces exactly the same final structure as per-tuple inserts.
+    /// `crate::levels`). The structure does not depend on how the stream is
+    /// cut into batches.
     ///
     /// The batch is validated up front: if any `y` is out of range, an error
     /// is returned and **no** tuple of the batch is applied.
@@ -232,24 +227,37 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
                 return Err(CoreError::YOutOfRange { y, y_max });
             }
         }
+        self.apply(tuples, 1);
+        Ok(())
+    }
+
+    /// The one update path: apply every tuple of a validated batch at
+    /// `weight`. The batch is hashed once into the sketch's flat coordinate
+    /// layout; level 0 takes each tuple in turn (singleton buckets keyed by
+    /// exact y, behind the flat hash index), and the level engine walks the
+    /// batch level by level.
+    fn apply(&mut self, tuples: &[(u64, u64)], weight: i64) {
         self.items_processed += tuples.len() as u64;
-        // Hash every element of the batch once up front, into the sketch's
-        // flat structure-of-arrays coordinate layout.
         let mut items = std::mem::take(&mut self.batch_items);
         items.clear();
-        items.extend(tuples.iter().map(|&(x, _)| (x, 1i64)));
+        items.extend(tuples.iter().map(|&(x, _)| (x, weight)));
         let mut batch = std::mem::take(&mut self.batch_scratch);
         self.proto_sketch.prepare_batch_into(&items, &mut batch);
 
-        for i in 0..tuples.len() {
-            self.update_singleton_from_batch(tuples, &batch, i);
-        }
         let (agg, alpha) = (&self.agg, self.alpha);
-        self.engine.update_batch(agg, alpha, tuples, &batch);
+        for (i, &(_, y)) in tuples.iter().enumerate() {
+            if self.singletons.admits(y) {
+                let slot = self.singletons.slot_of(y);
+                self.singletons
+                    .store_mut(slot)
+                    .update_batch_range(agg, &items, &batch, i..i + 1);
+                self.singletons.enforce_budget(alpha);
+            }
+        }
+        self.engine.update_batch(agg, alpha, tuples, &items, &batch);
 
         self.batch_items = items;
         self.batch_scratch = batch;
-        Ok(())
     }
 
     /// Merge `other` into `self` (Property V): the result summarises the
@@ -257,9 +265,12 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
     ///
     /// Requires the two sketches to share a configuration (accuracy
     /// parameters, y domain, level count, bucket policy, and master hash
-    /// seed) — the same requirement Property V puts on per-bucket sketches,
-    /// lifted to whole structures. Returns
-    /// [`CoreError::IncompatibleMerge`](crate::error::CoreError) otherwise.
+    /// seed) and an aggregate fingerprint (per-bucket sketch dimensions and
+    /// seed, and for heavy hitters the `phi`-derived candidate capacity) —
+    /// the same requirement Property V puts on per-bucket sketches, lifted to
+    /// whole structures. Returns
+    /// [`CoreError::IncompatibleMerge`](crate::error::CoreError) otherwise,
+    /// with `self` untouched.
     ///
     /// The merge is carried out per layer: singleton stores merge entry-wise
     /// (watermark lowered, α re-enforced), dyadic levels union-merge with
@@ -284,6 +295,18 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
                 detail: format!(
                     "configurations differ: {:?} vs {:?}",
                     self.config, other.config
+                ),
+            });
+        }
+        // Checked before anything is touched: a bucket-sketch merge would
+        // refuse a foreign family only part-way through the structure.
+        if self.agg_fingerprint != other.agg_fingerprint {
+            return Err(CoreError::IncompatibleMerge {
+                detail: format!(
+                    "aggregates differ (per-bucket sketch dimensions, seed, or candidate \
+                     capacity): {} vs {}",
+                    self.agg.name(),
+                    other.agg.name()
                 ),
             });
         }
@@ -334,32 +357,6 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
             composite.merge_from(part)?;
         }
         Ok(composite)
-    }
-
-    /// Level 0 processing: singleton buckets keyed by exact y value, behind
-    /// the flat hash index (one fmix64 lookup on the hot path).
-    fn update_singletons(&mut self, x: u64, y: u64, weight: i64, prepared: &PreparedOf<A>) {
-        if !self.singletons.admits(y) {
-            return;
-        }
-        let slot = self.singletons.slot_of(y);
-        self.singletons
-            .store_mut(slot)
-            .update_prepared(&self.agg, x, weight, prepared);
-        self.singletons.enforce_budget(self.alpha);
-    }
-
-    /// Level 0 processing for tuple `i` of a prepared batch.
-    fn update_singleton_from_batch(&mut self, tuples: &[(u64, u64)], batch: &BatchOf<A>, i: usize) {
-        let (_, y) = tuples[i];
-        if !self.singletons.admits(y) {
-            return;
-        }
-        let slot = self.singletons.slot_of(y);
-        self.singletons
-            .store_mut(slot)
-            .update_batch_range(&self.agg, tuples, batch, i..i + 1);
-        self.singletons.enforce_budget(self.alpha);
     }
 
     /// Answer a correlated query: estimate `f({x : (x, y) ∈ S, y ≤ c})`
@@ -478,13 +475,6 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
         self.singletons.check_invariants(&self.agg, self.alpha);
         self.engine.check_invariants(&self.agg);
     }
-}
-
-impl<A> CorrelatedSketch<A>
-where
-    A: CorrelatedAggregate,
-    A::Sketch: StateCodec,
-{
     /// Serialise the full sketch state into a versioned, checksummed snapshot
     /// frame (see [`crate::snapshot`] for the format). The frame embeds the
     /// configuration — seed included — so the restored sketch answers every
@@ -496,10 +486,17 @@ where
         out
     }
 
-    /// [`Self::snapshot`], appending the frame to a caller-provided buffer.
+    /// [`Self::snapshot`], appending the frame to a caller-provided buffer:
+    /// configuration, aggregate name and fingerprint, α, then the level state.
     pub fn snapshot_to(&self, out: &mut Vec<u8>) {
         let mut w = ByteWriter::new();
-        self.encode_payload(&mut w);
+        snapshot::encode_config(&self.config, &mut w);
+        w.put_str(&self.agg.name());
+        w.put_u64(self.agg_fingerprint);
+        w.put_u64(self.alpha as u64);
+        w.put_u64(self.items_processed);
+        self.singletons.encode_state(&mut w);
+        self.engine.encode_state(&mut w);
         snapshot::seal_frame_into(SnapshotKind::Framework, w.as_bytes(), out);
     }
 
@@ -512,50 +509,17 @@ where
     pub fn restore_from(agg: A, bytes: &[u8]) -> Result<Self> {
         let payload = snapshot::open_frame(bytes, SnapshotKind::Framework)?;
         let mut r = ByteReader::new(payload);
-        let sketch = Self::decode_payload(agg, &mut r)?;
-        r.expect_end().map_err(CoreError::from)?;
-        Ok(sketch)
-    }
-
-    /// Fingerprint of the aggregate's per-bucket sketch family: the encoded
-    /// state of a fresh, empty sketch covers its dimensions and seed (and,
-    /// for heavy hitters, the `phi`-derived candidate capacity), so two
-    /// aggregates share a fingerprint iff their sketches are mergeable. This
-    /// catches a wrong-seed restore even when every serialised bucket is
-    /// still exact (no sketched store around to carry the seed itself).
-    fn agg_fingerprint(agg: &A) -> u64 {
-        let mut w = ByteWriter::new();
-        agg.new_sketch().encode_state(&mut w);
-        cora_sketch::codec::fnv1a64(w.as_bytes())
-    }
-
-    /// Encode the frame payload (configuration + aggregate fingerprint +
-    /// level state). Crate-public so wrapper structures (heavy hitters) can
-    /// embed a framework payload inside their own frames.
-    pub(crate) fn encode_payload(&self, w: &mut ByteWriter) {
-        snapshot::encode_config(&self.config, w);
-        w.put_str(&self.agg.name());
-        w.put_u64(Self::agg_fingerprint(&self.agg));
-        w.put_u64(self.alpha as u64);
-        w.put_u64(self.items_processed);
-        self.singletons.encode_state(w);
-        self.engine.encode_state(w);
-    }
-
-    /// Decode a payload written by [`Self::encode_payload`].
-    pub(crate) fn decode_payload(agg: A, r: &mut ByteReader<'_>) -> Result<Self> {
-        let config = snapshot::decode_config(r)?;
+        let config = snapshot::decode_config(&mut r)?;
         let mut sketch = Self::new(agg, config)?;
         let corrupt = |detail: String| CoreError::from(CodecError::Corrupt(detail));
-        let name = r.get_str().map_err(CoreError::from)?;
+        let name = r.get_str()?;
         if name != sketch.agg.name() {
             return Err(corrupt(format!(
                 "snapshot is for aggregate {name:?}, restoring into {:?}",
                 sketch.agg.name()
             )));
         }
-        let fingerprint = r.get_u64().map_err(CoreError::from)?;
-        if fingerprint != Self::agg_fingerprint(&sketch.agg) {
+        if r.get_u64()? != sketch.agg_fingerprint {
             return Err(corrupt(
                 "aggregate mismatch: the snapshot's per-bucket sketch family \
                  (dimensions, seed, or candidate capacity) differs from the \
@@ -563,19 +527,33 @@ where
                     .into(),
             ));
         }
-        let alpha = r.get_u64().map_err(CoreError::from)?;
+        let alpha = r.get_u64()?;
         if alpha != sketch.alpha as u64 {
             return Err(corrupt(format!(
                 "bucket budget differs: snapshot alpha {alpha}, derived {}",
                 sketch.alpha
             )));
         }
-        sketch.items_processed = r.get_u64().map_err(CoreError::from)?;
-        sketch.singletons = SingletonLevel::decode_state(&sketch.agg, r)?;
+        sketch.items_processed = r.get_u64()?;
+        sketch.singletons = SingletonLevel::decode_state(&sketch.agg, &mut r)?;
         let root = DyadicInterval::root(sketch.config.y_max);
         let max_level = sketch.config.num_levels() as u32 - 1;
-        sketch.engine = LevelEngine::decode_state(&sketch.agg, root, max_level, r)?;
+        sketch.engine = LevelEngine::decode_state(&sketch.agg, root, max_level, &mut r)?;
+        r.expect_end()?;
         Ok(sketch)
+    }
+
+    /// Fingerprint of an aggregate's per-bucket sketch family, from a fresh
+    /// sketch of it: the encoded state of an empty sketch covers its
+    /// dimensions and seed (and, for heavy hitters, the `phi`-derived
+    /// candidate capacity), so two aggregates share a fingerprint iff their
+    /// sketches are mergeable. This catches a wrong-seed restore or merge
+    /// even when every bucket is still exact (no sketched store around to
+    /// carry the seed itself).
+    fn agg_fingerprint(fresh: &A::Sketch) -> u64 {
+        let mut w = ByteWriter::new();
+        fresh.encode_state(&mut w);
+        cora_sketch::codec::fnv1a64(w.as_bytes())
     }
 }
 

@@ -46,18 +46,17 @@
 //! stream and answers [`CorrelatedSketch::query`] bit-identically; the
 //! candidate trackers ride along. A holder of the former needs no second
 //! structure for `F_2`: it reads heavy hitters with
-//! [`CorrelatedSketch::query_heavy_hitters`], the one read path that
-//! [`CorrelatedHeavyHitters`] wraps as well.
+//! [`CorrelatedSketch::query_heavy_hitters`]. [`CorrelatedHeavyHitters`] is
+//! that sketch's name, built by [`CorrelatedSketch::with_seed`].
 
 use crate::aggregate::{BucketStore, CorrelatedAggregate};
-use crate::config::{CorrelatedConfig, DEFAULT_SEED};
+use crate::config::CorrelatedConfig;
 use crate::error::Result;
 use crate::framework::CorrelatedSketch;
-use crate::snapshot::{self, SnapshotKind};
 use cora_sketch::codec::{ByteReader, ByteWriter, CodecError, CodecResult, StateCodec};
 use cora_sketch::error::{Result as SketchResult, SketchError};
 use cora_sketch::{
-    Estimate, ExactFrequencies, FastAmsBatch, FastAmsPrepared, FastAmsSketch, MergeableSketch,
+    Estimate, ExactFrequencies, FastAmsBatch, FastAmsSketch, MergeableSketch,
     SharedUpdate, SpaceUsage, StreamSketch,
 };
 
@@ -169,15 +168,6 @@ impl StreamSketch for HhBucketSketch {
     }
 }
 
-/// Precomputed coordinates of one heavy-hitters bucket update: the lane
-/// coordinates, plus the raw `(item, weight)` the candidate tracker needs.
-#[derive(Debug, Clone, Default)]
-pub struct HhPrepared {
-    lane: FastAmsPrepared,
-    item: u64,
-    weight: i64,
-}
-
 /// Precomputed coordinates for a batch of heavy-hitters bucket updates: the
 /// lane's flat row-major coordinates, plus the raw `(item, weight)` pairs the
 /// candidate tracker needs.
@@ -188,23 +178,7 @@ pub struct HhBatch {
 }
 
 impl SharedUpdate for HhBucketSketch {
-    type Prepared = HhPrepared;
     type PreparedBatch = HhBatch;
-
-    fn prepare_into(&self, item: u64, weight: i64, out: &mut HhPrepared) {
-        self.lane.prepare_into(item, weight, &mut out.lane);
-        out.item = item;
-        out.weight = weight;
-    }
-
-    fn apply_prepared(&mut self, prepared: &HhPrepared) {
-        if prepared.weight != 0 {
-            let estimate = self
-                .lane
-                .apply_prepared_estimating(&prepared.lane, prepared.weight);
-            self.offer(prepared.item, estimate);
-        }
-    }
 
     fn prepare_batch_into(&self, items: &[(u64, i64)], out: &mut HhBatch) {
         self.lane.prepare_batch_into(items, &mut out.lane);
@@ -214,7 +188,7 @@ impl SharedUpdate for HhBucketSketch {
 
     fn apply_prepared_range(&mut self, batch: &HhBatch, range: std::ops::Range<usize>) {
         // Apply → estimate → track one item at a time, in stream order: the
-        // tracker sees exactly the estimates the scalar path would show it.
+        // tracker sees exactly the estimates `update` would show it.
         for i in range {
             let (item, weight) = batch.items[i];
             if weight != 0 {
@@ -300,10 +274,11 @@ impl StateCodec for HhBucketSketch {
 /// Aggregate descriptor: correlated `F_2` with heavy-hitter support.
 ///
 /// `PartialEq` compares the construction parameters (dimensions, candidate
-/// capacity, seed); [`CorrelatedHeavyHitters::merge_from`] uses it to reject
-/// merging structures built for different `phi` — the candidate capacity is
-/// derived from `phi` and is *not* part of [`CorrelatedConfig`], so the
-/// framework-level config check alone would let a capacity mismatch through.
+/// capacity, seed). The candidate capacity is derived from `phi` and is
+/// *not* part of [`CorrelatedConfig`]; it reaches the aggregate fingerprint
+/// that [`CorrelatedSketch::merge_from`] and
+/// [`CorrelatedSketch::restore_from`] check through the bucket sketch's
+/// encoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct F2HeavyAggregate {
     width: usize,
@@ -385,7 +360,33 @@ pub struct HeavyHitter {
     pub share: f64,
 }
 
+/// Correlated `F_2`-heavy-hitters sketch: the framework sketch over
+/// [`F2HeavyAggregate`]. It answers `F_2` through
+/// [`CorrelatedSketch::query`] and heavy hitters through
+/// [`CorrelatedSketch::query_heavy_hitters`]; it snapshots, restores and
+/// merges like every framework sketch.
+pub type CorrelatedHeavyHitters = CorrelatedSketch<F2HeavyAggregate>;
+
 impl CorrelatedSketch<F2HeavyAggregate> {
+    /// Build the sketch. `phi` is the smallest share threshold that will be
+    /// queried; `epsilon` controls both the `F_2` accuracy and the separation
+    /// between reported and suppressed items. Restore a snapshot with
+    /// [`CorrelatedSketch::restore_from`] and
+    /// `F2HeavyAggregate::new(epsilon, phi, seed)`.
+    pub fn with_seed(
+        epsilon: f64,
+        delta: f64,
+        phi: f64,
+        y_max: u64,
+        max_stream_len: u64,
+        seed: u64,
+    ) -> Result<Self> {
+        let agg = F2HeavyAggregate::new(epsilon, phi, seed);
+        let config = CorrelatedConfig::new(epsilon, delta, y_max, agg.f_max_log2(max_stream_len))?
+            .with_seed(seed);
+        CorrelatedSketch::new(agg, config)
+    }
+
     /// Report the items whose squared frequency among tuples with `y ≤ c` is
     /// estimated to be at least `phi · F_2(c)`, sorted by decreasing share
     /// (ties by item).
@@ -436,180 +437,10 @@ fn heavy_hitters_of(store: &BucketStore<F2HeavyAggregate>, phi: f64) -> Vec<Heav
     out
 }
 
-/// Correlated `F_2`-heavy-hitters sketch.
-#[derive(Debug, Clone)]
-pub struct CorrelatedHeavyHitters {
-    inner: CorrelatedSketch<F2HeavyAggregate>,
-}
-
-impl CorrelatedHeavyHitters {
-    /// Build the sketch. `phi` is the smallest share threshold that will be
-    /// queried; `epsilon` controls both the `F_2` accuracy and the separation
-    /// between reported and suppressed items.
-    pub fn new(
-        epsilon: f64,
-        delta: f64,
-        phi: f64,
-        y_max: u64,
-        max_stream_len: u64,
-    ) -> Result<Self> {
-        Self::with_seed(epsilon, delta, phi, y_max, max_stream_len, DEFAULT_SEED)
-    }
-
-    /// [`CorrelatedHeavyHitters::new`] with an explicit seed.
-    pub fn with_seed(
-        epsilon: f64,
-        delta: f64,
-        phi: f64,
-        y_max: u64,
-        max_stream_len: u64,
-        seed: u64,
-    ) -> Result<Self> {
-        let agg = F2HeavyAggregate::new(epsilon, phi, seed);
-        let config = CorrelatedConfig::new(epsilon, delta, y_max, agg.f_max_log2(max_stream_len))?
-            .with_seed(seed);
-        Ok(Self {
-            inner: CorrelatedSketch::new(agg, config)?,
-        })
-    }
-
-    /// Merge `other` into `self` (Property V lifted to the heavy-hitters
-    /// structure): per-bucket counter lanes merge counter-wise and the
-    /// candidate trackers re-rank their union against the merged lane, so the
-    /// merged structure summarises the union stream.
-    /// Requires identical construction parameters and seed — including
-    /// `phi`, which sizes the per-bucket candidate sets: a shard built for a
-    /// coarser `phi` never tracked the finer one's candidates, so merging it
-    /// would silently lose recall rather than degrade gracefully.
-    pub fn merge_from(&mut self, other: &Self) -> Result<()> {
-        if self.inner.aggregate() != other.inner.aggregate() {
-            return Err(crate::error::CoreError::IncompatibleMerge {
-                detail: format!(
-                    "heavy-hitter aggregates differ (phi-derived candidate capacity, \
-                     dimensions, or seed): {:?} vs {:?}",
-                    self.inner.aggregate(),
-                    other.inner.aggregate()
-                ),
-            });
-        }
-        self.inner.merge_from(&other.inner)
-    }
-
-    /// Number of stream elements processed.
-    pub fn items_processed(&self) -> u64 {
-        self.inner.items_processed()
-    }
-
-    /// The aggregate descriptor (dimensions, `phi`-derived candidate
-    /// capacity, seed) — comparable with a freshly built
-    /// [`F2HeavyAggregate`] to verify a restored sketch's parameters.
-    pub fn aggregate(&self) -> &F2HeavyAggregate {
-        self.inner.aggregate()
-    }
-
-    /// The framework configuration the inner sketch was built with.
-    pub fn config(&self) -> &CorrelatedConfig {
-        self.inner.config()
-    }
-
-    /// Read-only view of the underlying framework sketch, for diagnostics:
-    /// [`CorrelatedSketch::stats`], [`CorrelatedSketch::query_level`], the
-    /// composed store of a threshold.
-    pub fn framework(&self) -> &CorrelatedSketch<F2HeavyAggregate> {
-        &self.inner
-    }
-
-    /// Process a stream element.
-    pub fn insert(&mut self, x: u64, y: u64) -> Result<()> {
-        self.inner.insert(x, y)
-    }
-
-    /// Process a batch of unit-weight stream elements: exactly the structure
-    /// [`insert`](Self::insert) on each tuple in order would build (see
-    /// [`CorrelatedSketch::update_batch`]), with every element hashed once up
-    /// front and each level walked once for the whole batch. If any `y` is
-    /// out of range an error is returned and no tuple is applied.
-    pub fn update_batch(&mut self, tuples: &[(u64, u64)]) -> Result<()> {
-        self.inner.update_batch(tuples)
-    }
-
-    /// Estimate `F_2({x : y ≤ c})`.
-    pub fn query_f2(&self, c: u64) -> Result<f64> {
-        self.inner.query(c)
-    }
-
-    /// Report the items whose squared frequency among tuples with `y ≤ c` is
-    /// estimated to be at least `phi · F_2(c)`, sorted by decreasing share
-    /// (see [`CorrelatedSketch::query_heavy_hitters`]).
-    pub fn query_heavy_hitters(&self, c: u64, phi: f64) -> Result<Vec<HeavyHitter>> {
-        self.inner.query_heavy_hitters(c, phi)
-    }
-
-    /// Total stored tuples (space accounting).
-    pub fn stored_tuples(&self) -> usize {
-        self.inner.stored_tuples()
-    }
-
-    /// Serialise the sketch into a versioned, checksummed snapshot frame
-    /// (see [`crate::snapshot`]). The aggregate's dimensions (including the
-    /// `phi`-derived candidate capacity, which is *not* part of
-    /// [`CorrelatedConfig`]) travel ahead of the framework payload, so
-    /// [`Self::restore_from`] needs only the bytes.
-    pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.snapshot_to(&mut out);
-        out
-    }
-
-    /// [`Self::snapshot`], appending the frame to a caller-provided buffer.
-    pub fn snapshot_to(&self, out: &mut Vec<u8>) {
-        let mut w = ByteWriter::new();
-        let agg = self.inner.aggregate();
-        w.put_u64(agg.width as u64);
-        w.put_u64(agg.depth as u64);
-        w.put_u64(agg.candidates as u64);
-        w.put_u64(agg.seed);
-        self.inner.encode_payload(&mut w);
-        snapshot::seal_frame_into(SnapshotKind::HeavyHitters, w.as_bytes(), out);
-    }
-
-    /// Rebuild a sketch from [`Self::snapshot`] bytes (magic, version, kind,
-    /// and checksum are validated before any state is interpreted). The
-    /// restored sketch answers `query_f2` and `query_heavy_hitters`
-    /// bit-identically and merges with same-parameter live sketches.
-    pub fn restore_from(bytes: &[u8]) -> Result<Self> {
-        let payload = snapshot::open_frame(bytes, SnapshotKind::HeavyHitters)?;
-        let mut r = ByteReader::new(payload);
-        let agg = F2HeavyAggregate {
-            width: r.get_len()?,
-            depth: r.get_len()?,
-            candidates: r.get_len()?,
-            seed: r.get_u64()?,
-        };
-        // The dimensions drive `width * depth` counter allocations per
-        // bucket; reject anything outside the ranges `F2HeavyAggregate::new`
-        // can produce before building a single sketch.
-        if !(8..=1 << 16).contains(&agg.width)
-            || !(1..=64).contains(&agg.depth)
-            || !(8..=4096).contains(&agg.candidates)
-        {
-            return Err(crate::error::CoreError::Snapshot {
-                detail: format!(
-                    "heavy-hitter sketch dimensions out of range: width {}, depth {}, \
-                     candidate capacity {}",
-                    agg.width, agg.depth, agg.candidates
-                ),
-            });
-        }
-        let inner = CorrelatedSketch::decode_payload(agg, &mut r)?;
-        r.expect_end()?;
-        Ok(Self { inner })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DEFAULT_SEED;
 
     #[test]
     fn finds_planted_heavy_hitter() {
@@ -648,7 +479,7 @@ mod tests {
             hh.insert(x, y).unwrap();
             f2.insert(x, y).unwrap();
         }
-        let a = hh.query_f2(512).unwrap();
+        let a = hh.query(512).unwrap();
         let b = f2.query(512).unwrap();
         let rel = (a - b).abs() / b.max(1.0);
         assert!(rel < 0.25, "HH-F2 {a} vs plain F2 {b}");
@@ -732,11 +563,12 @@ mod tests {
             hh.insert(1000 + (i % 400), (i * 7) % 4096).unwrap();
         }
         let bytes = hh.snapshot();
-        let restored = CorrelatedHeavyHitters::restore_from(&bytes).unwrap();
+        let restored =
+            CorrelatedSketch::restore_from(F2HeavyAggregate::new(0.2, 0.1, 3), &bytes).unwrap();
         assert_eq!(restored.items_processed(), hh.items_processed());
         assert_eq!(restored.stored_tuples(), hh.stored_tuples());
         for c in (0..=4096u64).step_by(256) {
-            assert_eq!(restored.query_f2(c).unwrap(), hh.query_f2(c).unwrap(), "c={c}");
+            assert_eq!(restored.query(c).unwrap(), hh.query(c).unwrap(), "c={c}");
             assert_eq!(
                 restored.query_heavy_hitters(c, 0.05).unwrap(),
                 hh.query_heavy_hitters(c, 0.05).unwrap(),
@@ -753,7 +585,7 @@ mod tests {
         a.merge_from(&shard).unwrap();
         b.merge_from(&shard).unwrap();
         for c in (0..=4096u64).step_by(1024) {
-            assert_eq!(a.query_f2(c).unwrap(), b.query_f2(c).unwrap(), "c={c}");
+            assert_eq!(a.query(c).unwrap(), b.query(c).unwrap(), "c={c}");
             assert_eq!(
                 a.query_heavy_hitters(c, 0.05).unwrap(),
                 b.query_heavy_hitters(c, 0.05).unwrap(),
@@ -770,13 +602,16 @@ mod tests {
             hh.insert(i % 10, i % 256).unwrap();
         }
         let bytes = hh.snapshot();
+        let restore = |bytes: &[u8]| {
+            CorrelatedSketch::restore_from(F2HeavyAggregate::new(0.3, 0.1, 3), bytes)
+        };
+        assert!(restore(&bytes).is_ok());
         let mut corrupt = bytes.clone();
         corrupt[40] ^= 2;
-        assert!(matches!(
-            CorrelatedHeavyHitters::restore_from(&corrupt),
-            Err(crate::error::CoreError::Snapshot { .. })
-        ));
-        assert!(CorrelatedHeavyHitters::restore_from(&bytes[..bytes.len() / 2]).is_err());
+        assert!(matches!(restore(&corrupt), Err(crate::error::CoreError::Snapshot { .. })));
+        assert!(restore(&bytes[..bytes.len() / 2]).is_err());
+        // The phi-derived candidate capacity is part of the fingerprint.
+        assert!(CorrelatedSketch::restore_from(F2HeavyAggregate::new(0.3, 0.3, 3), &bytes).is_err());
     }
 
     #[test]
@@ -853,7 +688,7 @@ mod tests {
             hh
         };
         let (a, b) = (build(), build());
-        let sketched = a.inner.with_composed(15, |store| !store.is_exact()).unwrap();
+        let sketched = a.with_composed(15, |store| !store.is_exact()).unwrap();
         assert!(sketched, "the stream must reach sketched buckets");
         assert!(a.snapshot() == b.snapshot(), "snapshots differ");
         for c in 0..16u64 {
@@ -873,9 +708,9 @@ mod tests {
 
     #[test]
     fn empty_sketch_reports_nothing() {
-        let hh = CorrelatedHeavyHitters::new(0.2, 0.1, 0.1, 255, 1000).unwrap();
+        let hh = CorrelatedHeavyHitters::with_seed(0.2, 0.1, 0.1, 255, 1000, DEFAULT_SEED).unwrap();
         assert!(hh.query_heavy_hitters(100, 0.1).unwrap().is_empty());
-        assert_eq!(hh.query_f2(100).unwrap(), 0.0);
+        assert_eq!(hh.query(100).unwrap(), 0.0);
         assert_eq!(hh.stored_tuples(), 0);
     }
 }

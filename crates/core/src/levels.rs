@@ -28,27 +28,28 @@
 //!   materialized**: one shared [`TailState`] stands in for all of them and
 //!   levels materialize (with a closed root cloned from the tail) as the
 //!   stream's estimate crosses their thresholds;
-//! * the batch path ([`LevelEngine::update_batch`]) walks each level once
-//!   for the whole batch (level-major), slices the batch into **runs of
-//!   consecutive tuples routed to the same slot**, and applies each run
-//!   through the sketch's flat prepared-batch layout
+//! * there is one update path ([`LevelEngine::update_batch`]; a single
+//!   insert is a batch of one). It walks each level once for the whole
+//!   batch (level-major), slices the batch into **runs of consecutive
+//!   updates routed to the same slot**, and applies each run through the
+//!   sketch's flat prepared-batch layout
 //!   ([`cora_sketch::SharedUpdate::apply_prepared_range`]) — for fast-AMS
 //!   buckets that is one contiguous `&[u32]`/`&[i64]` pass per row against a
-//!   flat `&mut [i64]` counter slice. Run boundaries respect the headroom
-//!   budget exactly, so the batch path produces bit-for-bit the structure of
-//!   per-tuple inserts.
+//!   flat `&mut [i64]` counter slice. A run, a slot's pending weight and the
+//!   tail's chunks count weight, and a run ends at the update whose weight
+//!   exhausts the headroom, where the threshold check falls due — so the
+//!   structure is bit-for-bit the same however the stream is cut into
+//!   batches.
 
 use crate::aggregate::{BucketStore, CorrelatedAggregate};
 use crate::compose::min_watermark;
 use crate::dyadic::DyadicInterval;
 use crate::error::Result;
 use crate::snapshot::{decode_store, encode_store};
-use cora_sketch::codec::{ByteReader, ByteWriter, CodecError, CodecResult, StateCodec};
+use cora_sketch::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use cora_sketch::SharedUpdate;
 use std::collections::BTreeSet;
 
-/// Shorthand for the prepared-update type of an aggregate's bucket sketch.
-pub(crate) type PreparedOf<A> = <<A as CorrelatedAggregate>::Sketch as SharedUpdate>::Prepared;
 /// Shorthand for the prepared-batch type of an aggregate's bucket sketch.
 pub(crate) type BatchOf<A> = <<A as CorrelatedAggregate>::Sketch as SharedUpdate>::PreparedBatch;
 
@@ -408,87 +409,40 @@ impl<A: CorrelatedAggregate> Level<A> {
         // (A child is only checked for closing when a later insert reaches it.)
     }
 
-    /// Process one stream element on this level (Algorithm 2, lines 7–21).
-    /// `prepared` carries the element's sketch coordinates, hashed once for
-    /// the whole structure.
-    fn update(
-        &mut self,
-        agg: &A,
-        alpha: usize,
-        x: u64,
-        y: u64,
-        weight: i64,
-        prepared: &PreparedOf<A>,
-    ) {
-        if let Some(bound) = self.y_bound {
-            if y >= bound {
-                return;
-            }
-        }
-        let Some(cur) = self.route(y) else {
-            return; // y below the watermark yet no leaf: evicted root
-        };
-        let s = cur as usize;
-        debug_assert!(self.arena.meta[s].contains(y));
-
-        // Split the arena borrows once: `meta` and `store` are disjoint
-        // lanes, so the whole slot update runs on two bounds checks.
-        let meta = &mut self.arena.meta[s];
-        if !meta.is_closed() {
-            let store = &mut self.arena.stores[s];
-            let was_exact = store.is_exact();
-            store.update_prepared(agg, x, weight, prepared);
-            meta.pending += weight as f64;
-            if was_exact && !store.is_exact() {
-                // The store just converted to its sketched representation,
-                // whose estimate need not match the exact value the headroom
-                // was computed from — force a fresh check below.
-                meta.headroom = 0.0;
-            }
-            // Gate the threshold check behind the aggregate's superadditive
-            // weight headroom: while the weight added since the last real
-            // estimate stays below it, the estimate provably cannot have
-            // reached the threshold, so this insert costs one comparison.
-            Self::close_check(agg, self.threshold, meta, store);
-            self.cursor = cur;
-        } else {
-            self.split_and_insert(agg, cur, x, y, weight);
-        }
-
-        if self.live > alpha {
-            self.evict_overflow(alpha);
-        }
-    }
-
-    /// Process a batch of unit-weight tuples starting at index `from`
-    /// (level-major traversal). Consecutive tuples routed to the same open
-    /// sketched slot are applied as one contiguous prepared-batch range, with
-    /// run boundaries placed exactly where the per-tuple path would have run
-    /// a threshold check — so the resulting structure is identical.
+    /// Process updates `from..` of a batch on this level (Algorithm 2, lines
+    /// 7–21): `tuples` carries each update's `y`, `items` its `(x, weight)`
+    /// — the slice `batch` was prepared from. Consecutive updates routed to
+    /// the same open sketched slot are applied as one contiguous
+    /// prepared-batch range, and a run ends at the update whose weight
+    /// exhausts the slot's headroom, where the threshold check falls due —
+    /// so the structure does not depend on how the stream was cut into
+    /// batches.
     fn apply_batch(
         &mut self,
         agg: &A,
         alpha: usize,
         tuples: &[(u64, u64)],
+        items: &[(u64, i64)],
         batch: &BatchOf<A>,
         from: usize,
     ) {
         let n = tuples.len();
         let mut i = from;
         while i < n {
-            let (x, y) = tuples[i];
+            let y = tuples[i].1;
+            let (x, weight) = items[i];
             let bound = self.y_bound.unwrap_or(u64::MAX);
             if y >= bound {
                 i += 1;
                 continue;
             }
             let Some(cur) = self.route(y) else {
-                i += 1;
+                i += 1; // y below the watermark yet no leaf: evicted root
                 continue;
             };
             let s = cur as usize;
             if self.arena.meta[s].is_closed() {
-                self.split_and_insert(agg, cur, x, y, 1);
+                self.split_and_insert(agg, cur, x, y, weight);
                 i += 1;
                 if self.live > alpha {
                     self.evict_overflow(alpha);
@@ -496,14 +450,16 @@ impl<A: CorrelatedAggregate> Level<A> {
                 continue;
             }
             if self.arena.stores[s].is_exact() {
-                // Exact store: tuple-at-a-time — a conversion to the
+                // Exact store: one update at a time — a conversion to the
                 // sketched representation must force an immediate re-check,
                 // which can close the bucket mid-run.
                 let store = &mut self.arena.stores[s];
-                store.update(agg, x, 1);
+                store.update(agg, x, weight);
                 let meta = &mut self.arena.meta[s];
-                meta.pending += 1.0;
+                meta.pending += weight as f64;
                 if !store.is_exact() {
+                    // The sketched estimate need not match the exact value
+                    // the headroom was computed from.
                     meta.headroom = 0.0;
                 }
                 Self::close_check(agg, self.threshold, meta, store);
@@ -511,34 +467,30 @@ impl<A: CorrelatedAggregate> Level<A> {
                 i += 1;
                 continue;
             }
-            // Sketched open leaf: extend the run while tuples keep routing
-            // here, stopping exactly where the per-tuple path would run its
-            // next threshold check (the first tuple that exhausts the
-            // headroom budget is included — the check happens after it).
+            // Sketched open leaf: extend the run while updates keep routing
+            // here and the weight taken so far is below the headroom gap
+            // (the update that exhausts it is included — the check happens
+            // after it). Unit intervals never close.
             let meta = self.arena.meta[s];
-            let until_check = if meta.is_unit() {
-                n // unit intervals never close
+            let gap = if meta.is_unit() {
+                f64::INFINITY
             } else {
-                let gap = meta.headroom - meta.pending;
-                if gap <= 1.0 {
-                    1
-                } else {
-                    gap.ceil() as usize
-                }
+                meta.headroom - meta.pending
             };
+            let mut taken = weight;
             let mut j = i + 1;
-            let max_j = i.saturating_add(until_check).min(n);
-            while j < max_j {
+            while j < n && (taken as f64) < gap {
                 let y2 = tuples[j].1;
                 if y2 < meta.lo || y2 > meta.hi || y2 >= bound {
                     break;
                 }
+                taken += items[j].1;
                 j += 1;
             }
             let store = &mut self.arena.stores[s];
-            store.update_batch_range(agg, tuples, batch, i..j);
+            store.update_batch_range(agg, items, batch, i..j);
             let slot_meta = &mut self.arena.meta[s];
-            slot_meta.pending += (j - i) as f64;
+            slot_meta.pending += taken as f64;
             Self::close_check(agg, self.threshold, slot_meta, store);
             self.cursor = cur;
             i = j;
@@ -756,10 +708,7 @@ impl<A: CorrelatedAggregate> Level<A> {
     /// order, so preserving it keeps restored query composition bit-identical
     /// — and the leaf tiling, with slots renumbered densely so tombstones
     /// cost nothing on the wire.
-    fn encode_state(&self, w: &mut ByteWriter)
-    where
-        A::Sketch: StateCodec,
-    {
+    fn encode_state(&self, w: &mut ByteWriter) {
         w.put_u32(self.index);
         w.put_opt_u64(self.y_bound);
         w.put_len(self.live);
@@ -789,10 +738,7 @@ impl<A: CorrelatedAggregate> Level<A> {
     /// re-allocated in wire order (dense, no tombstones), the eviction set
     /// and live count rebuilt, and the cursor left invalid (it is a pure
     /// routing hint).
-    fn decode_state(agg: &A, root: DyadicInterval, r: &mut ByteReader<'_>) -> CodecResult<Self>
-    where
-        A::Sketch: StateCodec,
-    {
+    fn decode_state(agg: &A, root: DyadicInterval, r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let index = r.get_u32()?;
         let y_bound = r.get_opt_u64()?;
         let live = r.get_len()?;
@@ -1017,119 +963,90 @@ impl<A: CorrelatedAggregate> LevelEngine<A> {
         &self.tail.store
     }
 
-    /// Process one stream element on every materialized level and the tail.
-    pub(crate) fn update(
-        &mut self,
-        agg: &A,
-        alpha: usize,
-        x: u64,
-        y: u64,
-        weight: i64,
-        prepared: &PreparedOf<A>,
-    ) {
-        for (level, bound) in self.levels.iter_mut().zip(self.level_bounds.iter_mut()) {
-            // The packed watermark check skips evicted-out levels without
-            // touching their (much larger) Level structs.
-            if y >= *bound {
-                continue;
-            }
-            level.update(agg, alpha, x, y, weight, prepared);
-            *bound = level.y_bound.unwrap_or(u64::MAX);
-        }
-        self.update_tail(agg, x, weight, prepared);
-    }
-
-    /// Process a batch of unit-weight tuples, level-major: each level's
-    /// arena is walked for the whole batch at once, which keeps one level's
-    /// slots hot in cache instead of cycling through every level per tuple.
-    /// Level states are independent of one another, so this produces exactly
-    /// the same final structure as tuple-major processing.
+    /// Process a batch of updates level-major: each level's arena is walked
+    /// for the whole batch at once, which keeps one level's slots hot in
+    /// cache instead of cycling through every level per update. Level states
+    /// are independent of one another, so this produces exactly the
+    /// structure that feeding the updates one at a time would. `tuples`
+    /// carries each update's `y` and `items` its `(x, weight)`, the slice
+    /// `batch` was prepared from.
     pub(crate) fn update_batch(
         &mut self,
         agg: &A,
         alpha: usize,
         tuples: &[(u64, u64)],
+        items: &[(u64, i64)],
         batch: &BatchOf<A>,
     ) {
+        let min_y = tuples.iter().map(|&(_, y)| y).min().unwrap_or(u64::MAX);
         for (level, bound) in self.levels.iter_mut().zip(self.level_bounds.iter_mut()) {
-            level.apply_batch(agg, alpha, tuples, batch, 0);
+            // The packed watermark check skips levels the whole batch lies
+            // past without touching their (much larger) Level structs.
+            if min_y >= *bound {
+                continue;
+            }
+            level.apply_batch(agg, alpha, tuples, items, batch, 0);
             *bound = level.y_bound.unwrap_or(u64::MAX);
         }
-        // The tail is sequential: a level materialized at tuple i must still
-        // receive tuples i+1.. through the normal level path. Record where
-        // each new level came into existence, then replay the suffixes.
-        let mut born_at: Vec<(usize, usize)> = Vec::new(); // (level slot, first unseen tuple)
-        self.update_tail_batch(agg, tuples, batch, &mut born_at);
+        // The tail is sequential: a level materialized at update i must
+        // still receive updates i+1.. through the normal level path. Record
+        // where each new level came into existence, then replay the
+        // suffixes.
+        let mut born_at: Vec<(usize, usize)> = Vec::new(); // (level slot, first unseen update)
+        self.update_tail_batch(agg, items, batch, &mut born_at);
         for (slot, from) in born_at {
             let level = &mut self.levels[slot];
-            level.apply_batch(agg, alpha, tuples, batch, from);
+            level.apply_batch(agg, alpha, tuples, items, batch, from);
             self.level_bounds[slot] = level.y_bound.unwrap_or(u64::MAX);
         }
     }
 
-    /// Feed the shared tail store (standing in for every dormant level) and
-    /// materialize levels whose threshold the stream's estimate has crossed.
-    fn update_tail(&mut self, agg: &A, x: u64, weight: i64, prepared: &PreparedOf<A>) {
-        if !self.has_dormant() {
-            return; // every level is materialized
-        }
-        let was_exact = self.tail.store.is_exact();
-        self.tail.store.update_prepared(agg, x, weight, prepared);
-        self.tail.pending_weight += weight as f64;
-        if was_exact && !self.tail.store.is_exact() {
-            // Representation change: the sketched estimate need not match the
-            // exact value the headroom was computed from.
-            self.tail.headroom = 0.0;
-        }
-        if self.tail.pending_weight >= self.tail.headroom {
-            self.materialize_crossed_levels(agg);
-        }
-    }
-
-    /// Batch counterpart of [`Self::update_tail`]: apply headroom-bounded
-    /// chunks of the batch through the flat prepared layout, recording in
-    /// `born_at` each level materialized mid-batch together with the index
-    /// of the first tuple it has not yet seen.
+    /// Feed the shared tail store (standing in for every dormant level) in
+    /// headroom-bounded chunks through the flat prepared layout, and
+    /// materialize levels whose threshold the stream's estimate has crossed,
+    /// recording in `born_at` each level materialized mid-batch together
+    /// with the index of the first update it has not yet seen.
     fn update_tail_batch(
         &mut self,
         agg: &A,
-        tuples: &[(u64, u64)],
+        items: &[(u64, i64)],
         batch: &BatchOf<A>,
         born_at: &mut Vec<(usize, usize)>,
     ) {
-        let n = tuples.len();
+        let n = items.len();
         let mut i = 0;
         while i < n && self.has_dormant() {
-            if self.tail.store.is_exact() {
-                // Tuple-at-a-time: a conversion forces an immediate re-check.
-                self.tail.store.update(agg, tuples[i].0, 1);
-                self.tail.pending_weight += 1.0;
-                if !self.tail.store.is_exact() {
-                    self.tail.headroom = 0.0;
+            let tail = &mut self.tail;
+            let j = if tail.store.is_exact() {
+                // One update at a time: a conversion forces an immediate
+                // re-check.
+                let (x, weight) = items[i];
+                tail.store.update(agg, x, weight);
+                tail.pending_weight += weight as f64;
+                if !tail.store.is_exact() {
+                    tail.headroom = 0.0;
                 }
-                if self.tail.pending_weight >= self.tail.headroom {
-                    let before = self.levels.len();
-                    self.materialize_crossed_levels(agg);
-                    for slot in before..self.levels.len() {
-                        born_at.push((slot, i + 1));
-                    }
-                }
-                i += 1;
+                i + 1
             } else {
-                let gap = self.tail.headroom - self.tail.pending_weight;
-                let until_check = if gap <= 1.0 { 1 } else { gap.ceil() as usize };
-                let j = i.saturating_add(until_check).min(n);
-                self.tail.store.update_batch_range(agg, tuples, batch, i..j);
-                self.tail.pending_weight += (j - i) as f64;
-                if self.tail.pending_weight >= self.tail.headroom {
-                    let before = self.levels.len();
-                    self.materialize_crossed_levels(agg);
-                    for slot in before..self.levels.len() {
-                        born_at.push((slot, j));
-                    }
+                // The chunk ends at the update whose weight exhausts the
+                // headroom, as a slot's run does.
+                let gap = tail.headroom - tail.pending_weight;
+                let mut taken = items[i].1;
+                let mut j = i + 1;
+                while j < n && (taken as f64) < gap {
+                    taken += items[j].1;
+                    j += 1;
                 }
-                i = j;
+                tail.store.update_batch_range(agg, items, batch, i..j);
+                tail.pending_weight += taken as f64;
+                j
+            };
+            if self.tail.pending_weight >= self.tail.headroom {
+                let before = self.levels.len();
+                self.materialize_crossed_levels(agg);
+                born_at.extend((before..self.levels.len()).map(|slot| (slot, j)));
             }
+            i = j;
         }
     }
 
@@ -1235,10 +1152,7 @@ impl<A: CorrelatedAggregate> LevelEngine<A> {
 
     /// Serialise the engine (snapshot persistence): every materialized level
     /// in index order plus the shared tail and its gating state.
-    pub(crate) fn encode_state(&self, w: &mut ByteWriter)
-    where
-        A::Sketch: StateCodec,
-    {
+    pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
         w.put_len(self.levels.len());
         for level in &self.levels {
             level.encode_state(w);
@@ -1256,10 +1170,7 @@ impl<A: CorrelatedAggregate> LevelEngine<A> {
         root: DyadicInterval,
         max_level: u32,
         r: &mut ByteReader<'_>,
-    ) -> CodecResult<Self>
-    where
-        A::Sketch: StateCodec,
-    {
+    ) -> CodecResult<Self> {
         let n = r.get_len()?;
         if n > max_level as usize {
             return Err(CodecError::Corrupt(format!(
@@ -1331,10 +1242,30 @@ mod tests {
         F2Aggregate::new(0.3, 0.1, 7)
     }
 
-    fn prepared(agg: &F2Aggregate, x: u64, w: i64) -> PreparedOf<F2Aggregate> {
-        let mut p = PreparedOf::<F2Aggregate>::default();
-        agg.new_sketch().prepare_into(x, w, &mut p);
-        p
+    /// Feed `tuples` at unit weight to one level, as one batch.
+    fn feed(level: &mut Level<F2Aggregate>, agg: &F2Aggregate, alpha: usize, tuples: &[(u64, u64)]) {
+        let items: Vec<(u64, i64)> = tuples.iter().map(|&(x, _)| (x, 1)).collect();
+        let mut batch = BatchOf::<F2Aggregate>::default();
+        agg.new_sketch().prepare_batch_into(&items, &mut batch);
+        level.apply_batch(agg, alpha, tuples, &items, &batch, 0);
+    }
+
+    /// Feed weighted `(x, y, w)` updates to an engine in batches of `chunk`.
+    fn feed_engine(
+        engine: &mut LevelEngine<F2Aggregate>,
+        agg: &F2Aggregate,
+        alpha: usize,
+        updates: &[(u64, u64, i64)],
+        chunk: usize,
+    ) {
+        let proto = agg.new_sketch();
+        for part in updates.chunks(chunk) {
+            let tuples: Vec<(u64, u64)> = part.iter().map(|&(x, y, _)| (x, y)).collect();
+            let items: Vec<(u64, i64)> = part.iter().map(|&(x, _, w)| (x, w)).collect();
+            let mut batch = BatchOf::<F2Aggregate>::default();
+            proto.prepare_batch_into(&items, &mut batch);
+            engine.update_batch(agg, alpha, &tuples, &items, &batch);
+        }
     }
 
     #[test]
@@ -1342,11 +1273,8 @@ mod tests {
         let agg = agg();
         let root = DyadicInterval::root(255);
         let mut level = Level::new(1, root);
-        for i in 0..2_000u64 {
-            let (x, y) = (i % 40, (i * 37) % 256);
-            let p = prepared(&agg, x, 1);
-            level.update(&agg, 8, x, y, 1, &p);
-        }
+        let tuples: Vec<(u64, u64)> = (0..2_000u64).map(|i| (i % 40, (i * 37) % 256)).collect();
+        feed(&mut level, &agg, 8, &tuples);
         assert!(level.live <= 8, "eviction must keep the level within alpha");
         assert!(level.y_bound.is_some(), "alpha = 8 must force evictions here");
         level.check_invariants(&agg, root);
@@ -1358,15 +1286,11 @@ mod tests {
         let root = DyadicInterval::root(1023);
         let mut a = Level::new(2, root);
         let mut b = Level::new(2, root);
-        for i in 0..1_500u64 {
-            let (x, y) = (i % 25, (i * 13) % 1024);
-            let p = prepared(&agg, x, 1);
-            if i % 2 == 0 {
-                a.update(&agg, 32, x, y, 1, &p);
-            } else {
-                b.update(&agg, 32, x, y, 1, &p);
-            }
-        }
+        let tuples: Vec<(u64, u64)> = (0..1_500u64).map(|i| (i % 25, (i * 13) % 1024)).collect();
+        let evens: Vec<(u64, u64)> = tuples.iter().copied().step_by(2).collect();
+        let odds: Vec<(u64, u64)> = tuples.iter().copied().skip(1).step_by(2).collect();
+        feed(&mut a, &agg, 32, &evens);
+        feed(&mut b, &agg, 32, &odds);
         a.absorb(&b, &agg, 32).unwrap();
         a.check_invariants(&agg, root);
         assert!(a.live <= 32);
@@ -1382,11 +1306,8 @@ mod tests {
         let root = DyadicInterval::root(4095);
         let build = |mult: u64, n: u64| {
             let mut level = Level::new(3, root);
-            for i in 0..n {
-                let (x, y) = (i % 40, (i * mult) % 4096);
-                let p = prepared(&agg, x, 1);
-                level.update(&agg, 256, x, y, 1, &p);
-            }
+            let tuples: Vec<(u64, u64)> = (0..n).map(|i| (i % 40, (i * mult) % 4096)).collect();
+            feed(&mut level, &agg, 256, &tuples);
             level
         };
         // No evictions at this budget, so the union must be exact: the same
@@ -1421,12 +1342,9 @@ mod tests {
         let root = DyadicInterval::root(255);
         let mut a = Level::new(1, root);
         let mut b = Level::new(1, root);
-        for i in 0..2_000u64 {
-            let (x, y) = (i % 40, (i * 37) % 256);
-            let p = prepared(&agg, x, 1);
-            a.update(&agg, 1024, x, y, 1, &p); // no evictions: budget is ample
-            b.update(&agg, 8, x, y, 1, &p); // tiny budget: forced evictions
-        }
+        let tuples: Vec<(u64, u64)> = (0..2_000u64).map(|i| (i % 40, (i * 37) % 256)).collect();
+        feed(&mut a, &agg, 1024, &tuples); // no evictions: budget is ample
+        feed(&mut b, &agg, 8, &tuples); // tiny budget: forced evictions
         assert_eq!(a.y_bound, None);
         let bound = b.y_bound.expect("alpha = 8 must force evictions");
         // Ample post-merge budget, so no further eviction lowers the
@@ -1444,11 +1362,8 @@ mod tests {
         let agg = agg();
         let root = DyadicInterval::root(1023);
         let mut level = Level::new(2, root);
-        for i in 0..500u64 {
-            let (x, y) = (i % 20, (i * 13) % 1024);
-            let p = prepared(&agg, x, 1);
-            level.update(&agg, 64, x, y, 1, &p);
-        }
+        let tuples: Vec<(u64, u64)> = (0..500u64).map(|i| (i % 20, (i * 13) % 1024)).collect();
+        feed(&mut level, &agg, 64, &tuples);
         let before: usize = level.live_buckets().map(|(_, s)| s.stored_tuples()).sum();
         let node_count = level.live;
         // A dormant level's stand-in: a tail store with some weight.
@@ -1474,11 +1389,8 @@ mod tests {
         let mut engine = LevelEngine::new(root, 20);
         assert!(engine.has_dormant());
         assert_eq!(engine.dormant_count(), 20);
-        for i in 0..3_000u64 {
-            let x = i % 50;
-            let p = prepared(&agg, x, 1);
-            engine.update(&agg, 64, x, (i * 11) % 1024, 1, &p);
-        }
+        let updates: Vec<(u64, u64, i64)> = (0..3_000u64).map(|i| (i % 50, (i * 11) % 1024, 1)).collect();
+        feed_engine(&mut engine, &agg, 64, &updates, 1);
         assert!(
             !engine.levels().is_empty(),
             "3k tuples over 50 ids must cross the first thresholds"
@@ -1488,38 +1400,47 @@ mod tests {
     }
 
     #[test]
-    fn engine_batch_path_equals_scalar_path() {
+    fn engine_structure_does_not_depend_on_batch_boundaries() {
+        // Unit and mixed weights, cut into batches of 1, 7 and 512: runs and
+        // the tail's chunks end where the weight exhausts the headroom, so
+        // every cut must build the same levels.
         let agg = agg();
         let root = DyadicInterval::root(4095);
-        let mut scalar = LevelEngine::new(root, 30);
-        let mut batched = LevelEngine::new(root, 30);
-        let mut tuples: Vec<(u64, u64)> = Vec::new();
         let mut state = 11u64;
-        for _ in 0..4_000u64 {
+        let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            tuples.push(((state >> 33) % 200, (state >> 13) % 4096));
+            state
+        };
+        let mut stream = |weight: &dyn Fn(u64) -> i64| -> Vec<(u64, u64, i64)> {
+            (0..4_000)
+                .map(|_| {
+                    let r = next();
+                    ((r >> 33) % 200, (r >> 13) % 4096, weight(r))
+                })
+                .collect()
+        };
+        let unit = stream(&|_| 1);
+        let weighted = stream(&|r| 1 + (r >> 50) as i64 % 40);
+        for updates in [&unit, &weighted] {
+            let engines: Vec<LevelEngine<F2Aggregate>> = [1, 7, 512]
+                .iter()
+                .map(|&chunk| {
+                    let mut engine = LevelEngine::new(root, 30);
+                    feed_engine(&mut engine, &agg, 48, updates, chunk);
+                    engine.check_invariants(&agg);
+                    engine
+                })
+                .collect();
+            let bytes = |engine: &LevelEngine<F2Aggregate>| {
+                let mut w = ByteWriter::new();
+                engine.encode_state(&mut w);
+                w.into_bytes()
+            };
+            assert!(engines[0].levels().len() > 1, "the stream must materialize levels");
+            assert!(engines[0].levels().iter().any(|l| l.y_bound.is_some()), "alpha must evict");
+            for engine in &engines[1..] {
+                assert!(bytes(engine) == bytes(&engines[0]), "batch cut changed the structure");
+            }
         }
-        for &(x, y) in &tuples {
-            let p = prepared(&agg, x, 1);
-            scalar.update(&agg, 48, x, y, 1, &p);
-        }
-        let proto = agg.new_sketch();
-        for chunk in tuples.chunks(512) {
-            let items: Vec<(u64, i64)> = chunk.iter().map(|&(x, _)| (x, 1)).collect();
-            let mut batch = BatchOf::<F2Aggregate>::default();
-            proto.prepare_batch_into(&items, &mut batch);
-            batched.update_batch(&agg, 48, chunk, &batch);
-        }
-        assert_eq!(scalar.levels().len(), batched.levels().len());
-        for (a, b) in scalar.levels().iter().zip(batched.levels()) {
-            assert_eq!(a.live, b.live);
-            assert_eq!(a.y_bound, b.y_bound);
-            assert_eq!(a.leaves, b.leaves);
-            let av: Vec<_> = a.live_buckets().map(|(iv, s)| (iv, s.stored_tuples())).collect();
-            let bv: Vec<_> = b.live_buckets().map(|(iv, s)| (iv, s.stored_tuples())).collect();
-            assert_eq!(av, bv);
-        }
-        scalar.check_invariants(&agg);
-        batched.check_invariants(&agg);
     }
 }

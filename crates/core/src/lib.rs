@@ -16,7 +16,8 @@
 //!   [`fk::CorrelatedFk`], and the trivially-smooth [`sum::CorrelatedSum`] /
 //!   [`sum::CorrelatedCount`];
 //! * the distinct-sampling based [`f0::CorrelatedF0`] (Section 3.2);
-//! * the Section 3.3 extensions: [`heavy_hitters::CorrelatedHeavyHitters`] and
+//! * the Section 3.3 extensions: [`heavy_hitters::CorrelatedHeavyHitters`]
+//!   (the framework sketch over the heavy-hitters aggregate) and
 //!   [`rarity::CorrelatedRarity`];
 //! * the exact linear-storage baseline [`exact::ExactCorrelated`] used by the
 //!   paper's experiments as the comparison point.

@@ -26,7 +26,7 @@ use crate::compose::min_watermark;
 use crate::error::Result;
 use crate::snapshot::{decode_store, encode_store};
 use cora_hash::mix::Fmix64Build;
-use cora_sketch::codec::{ByteReader, ByteWriter, CodecError, CodecResult, StateCodec};
+use cora_sketch::codec::{ByteReader, ByteWriter, CodecError, CodecResult};
 use std::collections::{BTreeSet, HashMap};
 
 /// The singleton level: a flat hash index `y → slot` over a dense pool of
@@ -196,10 +196,7 @@ impl<A: CorrelatedAggregate> SingletonLevel<A> {
 
     /// Serialise the level (snapshot persistence): watermark plus the live
     /// entries in ascending y order, so equal states are equal bytes.
-    pub(crate) fn encode_state(&self, w: &mut ByteWriter)
-    where
-        A::Sketch: StateCodec,
-    {
+    pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
         w.put_opt_u64(self.y_bound);
         let entries = self.sorted_entries();
         w.put_len(entries.len());
@@ -210,10 +207,7 @@ impl<A: CorrelatedAggregate> SingletonLevel<A> {
     }
 
     /// Rebuild a level from [`Self::encode_state`] bytes.
-    pub(crate) fn decode_state(agg: &A, r: &mut ByteReader<'_>) -> CodecResult<Self>
-    where
-        A::Sketch: StateCodec,
-    {
+    pub(crate) fn decode_state(agg: &A, r: &mut ByteReader<'_>) -> CodecResult<Self> {
         let y_bound = r.get_opt_u64()?;
         // Each entry is at least y (8) + store tag (1) + store state.
         let n = r.get_count(9)?;

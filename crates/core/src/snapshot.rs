@@ -30,12 +30,11 @@
 //!
 //! * [`CorrelatedSketch::snapshot`](crate::CorrelatedSketch::snapshot) /
 //!   [`restore_from`](crate::CorrelatedSketch::restore_from) — the generic
-//!   framework sketch (any aggregate whose bucket sketch implements
-//!   `StateCodec`, e.g. correlated `F_2`);
-//! * [`CorrelatedF0`](crate::CorrelatedF0),
-//!   [`CorrelatedRarity`](crate::CorrelatedRarity), and
-//!   [`CorrelatedHeavyHitters`](crate::CorrelatedHeavyHitters) expose the
-//!   same pair with their parameters embedded (restore takes only bytes);
+//!   framework sketch, for every aggregate (correlated `F_2`, `F_k`, sum,
+//!   and [`CorrelatedHeavyHitters`](crate::CorrelatedHeavyHitters));
+//! * [`CorrelatedF0`](crate::CorrelatedF0) and
+//!   [`CorrelatedRarity`](crate::CorrelatedRarity) expose the same pair
+//!   with their parameters embedded (restore takes only bytes);
 //! * `cora_stream::sharded::ShardedIngest` snapshots its merged composite
 //!   through the framework frame, so a restored front-end serves identical
 //!   answers.
@@ -69,8 +68,9 @@ pub enum SnapshotKind {
     F0 = 2,
     /// A [`CorrelatedRarity`](crate::CorrelatedRarity) sketch.
     Rarity = 3,
-    /// A [`CorrelatedHeavyHitters`](crate::CorrelatedHeavyHitters) sketch.
-    HeavyHitters = 4,
+    // Tag 4 is retired (it framed a heavy-hitters wrapper; heavy-hitters
+    // sketches use `Framework`). Never reuse it: old frames must be refused
+    // as an unknown kind.
     /// A windowed pane ring over framework sketches
     /// (`cora_stream::windowed::WindowedSketch`).
     WindowedFramework = 5,
@@ -98,7 +98,6 @@ impl SnapshotKind {
             1 => Some(SnapshotKind::Framework),
             2 => Some(SnapshotKind::F0),
             3 => Some(SnapshotKind::Rarity),
-            4 => Some(SnapshotKind::HeavyHitters),
             5 => Some(SnapshotKind::WindowedFramework),
             6 => Some(SnapshotKind::WindowedF0),
             7 => Some(SnapshotKind::ServeMeta),
@@ -177,11 +176,7 @@ pub fn open_frame(bytes: &[u8], expected: SnapshotKind) -> Result<&[u8]> {
 }
 
 /// Serialise a bucket store (exact or sketched representation).
-pub(crate) fn encode_store<A>(store: &BucketStore<A>, w: &mut ByteWriter)
-where
-    A: CorrelatedAggregate,
-    A::Sketch: StateCodec,
-{
+pub(crate) fn encode_store<A: CorrelatedAggregate>(store: &BucketStore<A>, w: &mut ByteWriter) {
     match store {
         BucketStore::Exact(freqs) => {
             w.put_u8(0);
@@ -196,11 +191,10 @@ where
 
 /// Decode a bucket store; sketched representations are decoded into a fresh
 /// sketch from `agg` (same seed and dimensions by construction).
-pub(crate) fn decode_store<A>(agg: &A, r: &mut ByteReader<'_>) -> CodecResult<BucketStore<A>>
-where
-    A: CorrelatedAggregate,
-    A::Sketch: StateCodec,
-{
+pub(crate) fn decode_store<A: CorrelatedAggregate>(
+    agg: &A,
+    r: &mut ByteReader<'_>,
+) -> CodecResult<BucketStore<A>> {
     match r.get_u8()? {
         0 => {
             let mut freqs = ExactFrequencies::new();
@@ -400,10 +394,13 @@ mod tests {
             e.to_string().contains("unsupported snapshot version 1"),
             "{e}"
         );
-        // Unknown kind tag.
-        let mut unknown = frame;
-        unknown[6] = 99;
-        assert!(open_frame(&unknown, SnapshotKind::F0).is_err());
+        // Unknown kind tags, including the retired tag 4.
+        for tag in [4, 99] {
+            let mut unknown = frame.clone();
+            unknown[6] = tag;
+            let e = open_frame(&unknown, SnapshotKind::F0).unwrap_err();
+            assert!(e.to_string().contains("unknown snapshot kind tag"), "{e}");
+        }
     }
 
     #[test]

@@ -50,16 +50,7 @@ impl Estimate for ScalarSumSketch {
 }
 
 impl SharedUpdate for ScalarSumSketch {
-    type Prepared = i64;
     type PreparedBatch = Vec<i64>;
-
-    fn prepare_into(&self, _item: u64, weight: i64, out: &mut i64) {
-        *out = weight;
-    }
-
-    fn apply_prepared(&mut self, prepared: &i64) {
-        self.total += prepared;
-    }
 
     fn prepare_batch_into(&self, items: &[(u64, i64)], out: &mut Self::PreparedBatch) {
         out.clear();

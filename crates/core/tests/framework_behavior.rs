@@ -4,9 +4,10 @@
 //! `framework.rs` before the level engine split; they only exercise public
 //! surface, so they run as integration tests against the real crate build.
 
+use cora_core::heavy_hitters::F2HeavyAggregate;
 use cora_core::{
-    AlphaPolicy, CoreError, CorrelatedConfig, CorrelatedHeavyHitters, CorrelatedSketch,
-    F2Aggregate,
+    AlphaPolicy, CoreError, CorrelatedAggregate, CorrelatedConfig, CorrelatedHeavyHitters,
+    CorrelatedSketch, F2Aggregate,
 };
 use cora_core::sum::{CountAggregate, SumAggregate};
 use cora_sketch::StreamSketch as _;
@@ -270,7 +271,7 @@ fn lcg(state: &mut u64) -> u64 {
 
 /// Heavy-hitters scalar ≡ batch: per-tuple `insert`, one whole-stream
 /// `update_batch`, uneven sub-batches, and snapshot → restore → continue all
-/// build the same structure — equal stats, equal `query_f2`, equal
+/// build the same structure — equal stats, equal `query`, equal
 /// `query_heavy_hitters` on a `(c, φ)` grid, equal snapshot bytes. The y
 /// domain is tiny, so every singleton and unit-interval bucket holds far more
 /// than the 384 distinct items at which an ε = 0.25 bucket spills from its
@@ -281,10 +282,7 @@ fn assert_hh_routes_identical(name: &str, y_max: u64, tuples: &[(u64, u64)]) {
     for &(x, y) in tuples {
         scalar.insert(x, y).unwrap();
     }
-    let sketched = scalar
-        .framework()
-        .with_composed(y_max, |store| !store.is_exact())
-        .unwrap();
+    let sketched = scalar.with_composed(y_max, |store| !store.is_exact()).unwrap();
     assert!(sketched, "[{name}] the stream must spill buckets to their sketches");
 
     let mut whole = fresh();
@@ -307,16 +305,18 @@ fn assert_hh_routes_identical(name: &str, y_max: u64, tuples: &[(u64, u64)]) {
     for &(x, y) in prefix {
         interrupted.insert(x, y).unwrap();
     }
-    let mut interrupted = CorrelatedHeavyHitters::restore_from(&interrupted.snapshot()).unwrap();
+    let mut interrupted =
+        CorrelatedSketch::restore_from(F2HeavyAggregate::new(0.25, 0.05, 7), &interrupted.snapshot())
+            .unwrap();
     for chunk in suffix.chunks(777) {
         interrupted.update_batch(chunk).unwrap();
     }
 
     let reference = scalar.snapshot();
     for (route, other) in [("whole batch", &whole), ("uneven batches", &uneven), ("restored", &interrupted)] {
-        assert_eq!(scalar.framework().stats(), other.framework().stats(), "[{name}] {route}");
+        assert_eq!(scalar.stats(), other.stats(), "[{name}] {route}");
         for c in 0..=y_max {
-            assert_eq!(scalar.query_f2(c).unwrap(), other.query_f2(c).unwrap(), "[{name}] {route} c={c}");
+            assert_eq!(scalar.query(c).unwrap(), other.query(c).unwrap(), "[{name}] {route} c={c}");
             for phi in [0.001, 0.01, 0.05, 0.2] {
                 assert_eq!(
                     scalar.query_heavy_hitters(c, phi).unwrap(),
@@ -480,6 +480,87 @@ fn merge_rejects_mismatched_config_and_seed() {
         Err(CoreError::IncompatibleMerge { .. })
     ));
 }
+
+/// A refused merge leaves `self` as it was: the aggregate fingerprint is
+/// checked before any level is touched. The heavy-hitters pair differs only
+/// in the φ-derived candidate capacity (80 at φ = 0.05, 14 at φ = 0.3),
+/// which `CorrelatedConfig` does not hold; the `F_2` pair only in its
+/// bucket-sketch seed. Both pairs share a configuration and are large
+/// enough that many buckets are sketched.
+#[test]
+fn refused_merge_leaves_the_sketch_untouched() {
+    let y_max = (1 << 20) - 1;
+    let mut state = 5u64;
+    let tuples: Vec<(u64, u64)> = (0..25_000)
+        .map(|_| (lcg(&mut state) % 5_000, lcg(&mut state) % (y_max + 1)))
+        .collect();
+    let hh = |phi: f64| {
+        let agg = F2HeavyAggregate::new(0.2, phi, 0xC04A_5EED);
+        let config = CorrelatedConfig::new(0.2, 0.1, y_max, agg.f_max_log2(10_000_000))
+            .unwrap()
+            .with_seed(0xC04A_5EED);
+        let mut sketch = CorrelatedSketch::new(agg, config).unwrap();
+        sketch.update_batch(&tuples).unwrap();
+        sketch
+    };
+    let (mut fine, coarse) = (hh(0.05), hh(0.3));
+    let before = fine.snapshot();
+    let refused = fine.merge_from(&coarse);
+    assert!(fine.snapshot() == before, "a refused heavy-hitters merge changed the sketch");
+    assert!(matches!(refused, Err(CoreError::IncompatibleMerge { .. })), "{refused:?}");
+
+    let f2 = |agg_seed: u64| {
+        let config = CorrelatedConfig::new(0.25, 0.1, y_max, 40).unwrap().with_seed(7);
+        let mut sketch = CorrelatedSketch::new(F2Aggregate::new(0.25, 0.1, agg_seed), config).unwrap();
+        sketch.update_batch(&tuples).unwrap();
+        sketch
+    };
+    let (mut own, foreign) = (f2(7), f2(8));
+    let before = own.snapshot();
+    let refused = own.merge_from(&foreign);
+    assert!(own.snapshot() == before, "a refused F_2 merge changed the sketch");
+    assert!(matches!(refused, Err(CoreError::IncompatibleMerge { .. })), "{refused:?}");
+}
+
+/// Weighted updates share the one update path with batches: a same-slot
+/// run, a slot's pending weight and the tail's chunks count weight. A mixed
+/// stream — blocks of weights 0–999 through `update` between unit
+/// `update_batch` chunks — must build the bytes it built when a single
+/// update had a per-level path of its own (digests pinned from that code).
+#[test]
+fn weighted_streams_keep_their_snapshot_digests() {
+    let mut state = 21u64;
+    let stream: Vec<(u64, u64, i64)> = (0..40_000)
+        .map(|_| {
+            let r = lcg(&mut state);
+            (r % 3_000, lcg(&mut state) % 4096, (r >> 20) as i64 % 1000)
+        })
+        .collect();
+    let mut sum = cora_core::correlated_sum(0.25, 0.1, 4095, 100_000_000).unwrap();
+    let mut f2 = cora_core::correlated_f2_seeded(0.25, 0.1, 4095, 100_000_000, 7).unwrap();
+    for (k, block) in stream.chunks(1_000).enumerate() {
+        if k % 2 == 0 {
+            for &(x, y, w) in block {
+                sum.update(x, y, w).unwrap();
+                f2.update(x, y, w).unwrap();
+            }
+        } else {
+            let unit: Vec<(u64, u64)> = block.iter().map(|&(x, y, _)| (x, y)).collect();
+            for chunk in unit.chunks(250) {
+                sum.update_batch(chunk).unwrap();
+                f2.update_batch(chunk).unwrap();
+            }
+        }
+    }
+    let stats = f2.stats();
+    assert!(stats.levels_with_evictions > 0 && stats.dyadic_buckets > 0, "{stats:?}");
+    let digest = |bytes: Vec<u8>| cora_sketch::codec::fnv1a64(&bytes);
+    assert_eq!(digest(sum.snapshot()), SUM_DIGEST, "correlated sum");
+    assert_eq!(digest(f2.snapshot()), F2_DIGEST, "correlated F_2");
+}
+
+const SUM_DIGEST: u64 = 0xa306_a2be_5a4a_7c1c;
+const F2_DIGEST: u64 = 0x1e43_31fe_38c9_852a;
 
 #[test]
 fn merge_with_empty_sketch_is_identity() {

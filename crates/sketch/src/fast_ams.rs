@@ -32,8 +32,9 @@
 //! (`apply_row_kernel`). The kernel is *scalar-exact*: coordinates are
 //! applied in stream order, so duplicate buckets inside an unrolled quad see
 //! each other's writes exactly as a one-at-a-time loop would, and the
-//! resulting counters and sidebands are bit-identical to the per-tuple path
-//! (pinned by the `kernel_equivalence` test suite).
+//! resulting counters and sidebands are bit-identical to per-tuple
+//! [`StreamSketch::update`] calls (pinned by the `kernel_equivalence` test
+//! suite). A single update through the framework is a batch of one.
 //!
 //! # The `simd` feature contract
 //!
@@ -384,37 +385,14 @@ impl FastAmsSketch {
         })
     }
 
-    /// Apply one update given as per-row `(bucket, signed delta)` coordinates
-    /// and return the point estimate of the updated item — the median over
-    /// rows of `sign · counter`, read from the counters just written, so it
-    /// equals [`Self::frequency_estimate`] of that item without hashing it
-    /// again. `weight` is the non-zero weight the coordinates were prepared
-    /// with: a row's delta is `sign · weight`, so the row's sign is `+1`
-    /// exactly when delta and weight agree in sign.
-    #[inline]
-    fn apply_estimating(&mut self, coord: impl Fn(usize) -> (u32, i64), weight: i64) -> f64 {
-        debug_assert_ne!(weight, 0, "a zero weight leaves the row signs unrecoverable");
-        let rows = self.active;
-        median_of_rows(rows, |r| {
-            let (b, delta) = coord(r);
-            let slot = &mut self.lane[r * self.width + b as usize];
-            let counter = bump(slot, &mut self.sumsq[r], delta);
-            (if (delta ^ weight) < 0 { -counter } else { counter }) as f64
-        })
-    }
-
-    /// [`SharedUpdate::apply_prepared`] that also returns the updated item's
-    /// point estimate from the counters it just touched. `weight` must be the
-    /// non-zero weight `prepared` was built with.
-    pub fn apply_prepared_estimating(&mut self, prepared: &FastAmsPrepared, weight: i64) -> f64 {
-        debug_assert_eq!(prepared.rows.len(), self.active);
-        self.apply_estimating(|r| prepared.rows[r], weight)
-    }
-
     /// Apply tuple `i` of a prepared batch and return that item's point
-    /// estimate, as [`Self::apply_prepared_estimating`] does for one prepared
-    /// update. `weight` must be tuple `i`'s non-zero weight.
+    /// estimate — the median over rows of `sign · counter`, read from the
+    /// counters just written, so it equals [`Self::frequency_estimate`] of
+    /// that item without hashing it again. `weight` must be tuple `i`'s
+    /// non-zero weight: a row's delta is `sign · weight`, so the row's sign
+    /// is `+1` exactly when delta and weight agree in sign.
     pub fn apply_batch_item_estimating(&mut self, batch: &FastAmsBatch, i: usize, weight: i64) -> f64 {
+        debug_assert_ne!(weight, 0, "a zero weight leaves the row signs unrecoverable");
         assert!(i < batch.len, "prepared-batch index out of bounds");
         // Buckets are only valid lane offsets for the width they were
         // reduced into.
@@ -423,8 +401,12 @@ impl FastAmsSketch {
             "prepared batch width does not match sketch width"
         );
         debug_assert_eq!(batch.rows, self.active);
-        let at = |r: usize| r * batch.len + i;
-        self.apply_estimating(|r| (batch.buckets[at(r)], batch.deltas[at(r)]), weight)
+        median_of_rows(self.active, |r| {
+            let (b, delta) = (batch.buckets[r * batch.len + i], batch.deltas[r * batch.len + i]);
+            let slot = &mut self.lane[r * self.width + b as usize];
+            let counter = bump(slot, &mut self.sumsq[r], delta);
+            (if (delta ^ weight) < 0 { -counter } else { counter }) as f64
+        })
     }
 
     /// True iff no update has ever been applied (all counters zero).
@@ -581,13 +563,6 @@ impl DecayedF2Accumulator {
     }
 }
 
-/// Precomputed per-row coordinates of one fast-AMS update: `(bucket, signed
-/// delta)` for each active row. See [`SharedUpdate`].
-#[derive(Debug, Clone, Default)]
-pub struct FastAmsPrepared {
-    rows: Vec<(u32, i64)>,
-}
-
 /// Precomputed coordinates for a whole batch of fast-AMS updates, laid out
 /// **row-major** in two flat arrays: the entry for tuple `i` in row `r` lives
 /// at index `r * len + i`. Applying a contiguous tuple range to a sketch
@@ -611,26 +586,7 @@ pub struct FastAmsBatch {
 }
 
 impl SharedUpdate for FastAmsSketch {
-    type Prepared = FastAmsPrepared;
     type PreparedBatch = FastAmsBatch;
-
-    fn prepare_into(&self, item: u64, weight: i64, out: &mut FastAmsPrepared) {
-        let x = reduce_key(item);
-        let w = self.width as u64;
-        out.rows.clear();
-        out.rows.extend(
-            self.hashes[..self.active]
-                .iter()
-                .map(|h| (h.bucket_of(x, w), h.sign_of(x) * weight)),
-        );
-    }
-
-    fn apply_prepared(&mut self, prepared: &FastAmsPrepared) {
-        debug_assert_eq!(prepared.rows.len(), self.active);
-        for (r, &(b, delta)) in prepared.rows.iter().enumerate() {
-            bump(&mut self.lane[r * self.width + b as usize], &mut self.sumsq[r], delta);
-        }
-    }
 
     fn prepare_batch_into(&self, items: &[(u64, i64)], out: &mut FastAmsBatch) {
         let n = items.len();
@@ -929,8 +885,8 @@ mod tests {
 
     #[test]
     fn estimating_applies_return_the_point_estimate_without_rehashing() {
-        // Both apply-and-estimate entry points must leave exactly the
-        // counters `update` leaves and return exactly what a fresh
+        // The apply-and-estimate entry point must leave exactly the counters
+        // `update` leaves and return exactly what a fresh
         // `frequency_estimate` of the item then reads — for either weight
         // sign, on a sketch narrow enough that rows collide.
         let items: Vec<(u64, i64)> = (0..400u64)
@@ -939,20 +895,15 @@ mod tests {
         let proto = FastAmsSketch::with_dimensions(16, 3, 13);
         let mut batch = FastAmsBatch::default();
         proto.prepare_batch_into(&items, &mut batch);
-        let mut prepared = FastAmsPrepared::default();
         let mut reference = proto.clone();
-        let (mut single, mut batched) = (proto.clone(), proto.clone());
+        let mut batched = proto.clone();
         for (i, &(x, w)) in items.iter().enumerate() {
             reference.update(x, w);
             let expected = reference.frequency_estimate(x);
-            proto.prepare_into(x, w, &mut prepared);
-            assert_eq!(single.apply_prepared_estimating(&prepared, w), expected, "tuple {i}");
             assert_eq!(batched.apply_batch_item_estimating(&batch, i, w), expected, "tuple {i}");
         }
-        for s in [&single, &batched] {
-            assert_eq!(s.lane, reference.lane);
-            assert_eq!(s.sumsq, reference.sumsq);
-        }
+        assert_eq!(batched.lane, reference.lane);
+        assert_eq!(batched.sumsq, reference.sumsq);
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! has the textbook guarantee; `FkSketch` accepts `k = 2` as well (useful for
 //! cross-validation in tests and ablations).
 
+use crate::codec::{check_dim, ByteReader, ByteWriter, CodecResult, StateCodec};
 use crate::error::{check_delta, check_epsilon, Result, SketchError};
 use crate::space_saving::SpaceSaving;
 use crate::traits::{Estimate, MergeableSketch, SharedUpdate, SpaceUsage, StreamSketch};
@@ -143,8 +144,8 @@ impl StreamSketch for FkSketch {
     }
 }
 
-/// Precomputed coordinates of one `F_k` update: the item's deepest
-/// subsampling level (seed-determined) plus the update itself.
+/// Precomputed coordinates of one `F_k` update in a prepared batch: the
+/// item's deepest subsampling level (seed-determined) plus the update itself.
 #[derive(Debug, Clone, Default)]
 pub struct FkPrepared {
     deepest: u32,
@@ -153,38 +154,27 @@ pub struct FkPrepared {
 }
 
 impl SharedUpdate for FkSketch {
-    type Prepared = FkPrepared;
-    // The per-level SpaceSaving summaries are stateful, so there is no flat
-    // coordinate layout to exploit: the batch is simply one `Prepared` per
-    // tuple in a single Vec.
+    // The per-level SpaceSaving summaries are stateful (not linear), so only
+    // the subsampling-level hash is shareable work and there is no flat
+    // coordinate layout to exploit: the batch is one `FkPrepared` per tuple.
     type PreparedBatch = Vec<FkPrepared>;
 
-    fn prepare_into(&self, item: u64, weight: i64, out: &mut FkPrepared) {
-        out.deepest = self.item_level(item) as u32;
-        out.item = item;
-        out.weight = weight;
-    }
-
-    fn apply_prepared(&mut self, prepared: &FkPrepared) {
-        debug_assert!(prepared.weight >= 0, "FkSketch only supports the cash-register model");
-        // The per-level SpaceSaving summaries are stateful (not linear), so
-        // only the subsampling-level hash is shareable work.
-        let deepest = (prepared.deepest as usize).min(self.levels.len() - 1);
-        for level in 0..=deepest {
-            self.levels[level].update(prepared.item, prepared.weight);
-        }
-    }
-
     fn prepare_batch_into(&self, items: &[(u64, i64)], out: &mut Self::PreparedBatch) {
-        out.resize_with(items.len(), FkPrepared::default);
-        for (&(item, weight), slot) in items.iter().zip(out.iter_mut()) {
-            self.prepare_into(item, weight, slot);
-        }
+        out.clear();
+        out.extend(items.iter().map(|&(item, weight)| FkPrepared {
+            deepest: self.item_level(item) as u32,
+            item,
+            weight,
+        }));
     }
 
     fn apply_prepared_range(&mut self, batch: &Self::PreparedBatch, range: std::ops::Range<usize>) {
         for prepared in &batch[range] {
-            self.apply_prepared(prepared);
+            debug_assert!(prepared.weight >= 0, "FkSketch only supports the cash-register model");
+            let deepest = (prepared.deepest as usize).min(self.levels.len() - 1);
+            for level in &mut self.levels[..=deepest] {
+                level.update(prepared.item, prepared.weight);
+            }
         }
     }
 }
@@ -265,6 +255,29 @@ impl SpaceUsage for FkSketch {
 
     fn space_bytes(&self) -> usize {
         self.levels.iter().map(SpaceUsage::space_bytes).sum()
+    }
+}
+
+impl StateCodec for FkSketch {
+    /// Order, level count and seed, then every level's summary (the level
+    /// hash is re-derived from the seed).
+    fn encode_state(&self, w: &mut ByteWriter) {
+        w.put_u64(u64::from(self.k));
+        w.put_len(self.levels.len());
+        w.put_u64(self.seed);
+        for level in &self.levels {
+            level.encode_state(w);
+        }
+    }
+
+    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
+        check_dim("F_k order", r.get_u64()?, u64::from(self.k))?;
+        check_dim("F_k levels", r.get_u64()?, self.levels.len() as u64)?;
+        check_dim("F_k seed", r.get_u64()?, self.seed)?;
+        for level in &mut self.levels {
+            level.decode_state(r)?;
+        }
+        Ok(())
     }
 }
 
@@ -411,5 +424,31 @@ mod tests {
         assert!(after > before);
         // Bounded by levels * capacity.
         assert!(after <= 10 * 64);
+    }
+
+    #[test]
+    fn snapshot_round_trip_restores_every_level() {
+        let mut s = FkSketch::with_dimensions(3, 16, 8, 21);
+        for i in 0..3_000u64 {
+            s.update(i % 97 * (i % 5), 1 + (i % 3) as i64);
+        }
+        assert!(!s.levels[0].is_exact(), "level 0 must have evicted");
+        let bytes = |s: &FkSketch| {
+            let mut w = ByteWriter::new();
+            s.encode_state(&mut w);
+            w.into_bytes()
+        };
+        let encoded = bytes(&s);
+        let mut restored = FkSketch::with_dimensions(3, 16, 8, 21);
+        let mut r = ByteReader::new(&encoded);
+        restored.decode_state(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert!(bytes(&restored) == encoded);
+        // The estimate sums over hash-map order, so compare within rounding.
+        assert!((restored.estimate() - s.estimate()).abs() <= 1e-9 * s.estimate());
+        let mut other_seed = FkSketch::with_dimensions(3, 16, 8, 22);
+        assert!(other_seed.decode_state(&mut ByteReader::new(&encoded)).is_err());
+        let mut other_capacity = FkSketch::with_dimensions(3, 32, 8, 21);
+        assert!(other_capacity.decode_state(&mut ByteReader::new(&encoded)).is_err());
     }
 }

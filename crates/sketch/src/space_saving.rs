@@ -16,6 +16,7 @@
 //!
 //! Only non-negative weights are supported (cash-register model).
 
+use crate::codec::{check_dim, ByteReader, ByteWriter, CodecError, CodecResult, StateCodec};
 use crate::error::{Result, SketchError};
 use crate::traits::{MergeableSketch, PointQuery, SpaceUsage, StreamSketch};
 use std::collections::HashMap;
@@ -195,6 +196,47 @@ impl SpaceUsage for SpaceSaving {
 
     fn space_bytes(&self) -> usize {
         self.entries.len() * (std::mem::size_of::<u64>() * 3)
+    }
+}
+
+impl StateCodec for SpaceSaving {
+    /// Capacity, totals, then the entries sorted by item: the map's order is
+    /// arbitrary, the wire order must not be (equal states, equal bytes).
+    fn encode_state(&self, w: &mut ByteWriter) {
+        w.put_len(self.capacity);
+        w.put_u64(self.total_weight);
+        w.put_bool(self.ever_evicted);
+        let mut entries: Vec<(u64, u64, u64)> =
+            self.entries.iter().map(|(&item, &(count, over))| (item, count, over)).collect();
+        entries.sort_unstable();
+        w.put_len(entries.len());
+        for (item, count, over) in entries {
+            w.put_u64(item);
+            w.put_u64(count);
+            w.put_u64(over);
+        }
+    }
+
+    fn decode_state(&mut self, r: &mut ByteReader<'_>) -> CodecResult<()> {
+        check_dim("SpaceSaving capacity", r.get_u64()?, self.capacity as u64)?;
+        self.total_weight = r.get_u64()?;
+        self.ever_evicted = r.get_bool()?;
+        let n = r.get_count(24)?;
+        if n > self.capacity {
+            return Err(CodecError::Corrupt(format!(
+                "SpaceSaving holds {n} entries, capacity {}",
+                self.capacity
+            )));
+        }
+        self.entries.clear();
+        for _ in 0..n {
+            let item = r.get_u64()?;
+            let entry = (r.get_u64()?, r.get_u64()?);
+            if self.entries.insert(item, entry).is_some() {
+                return Err(CodecError::Corrupt(format!("SpaceSaving repeats item {item}")));
+            }
+        }
+        Ok(())
     }
 }
 

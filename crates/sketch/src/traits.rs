@@ -51,42 +51,31 @@ pub trait Estimate {
 
 /// A summary whose per-item *coordinates* (hash evaluations, subsampling
 /// levels) are determined by its dimensions and construction seed alone, so
-/// the work of one `(item, weight)` update can be computed once and applied
-/// to many same-seeded instances.
+/// the work of a batch of `(item, weight)` updates can be computed once and
+/// applied to many same-seeded instances.
 ///
 /// The correlated-aggregation framework leans on this: Property V requires
 /// every per-bucket summary in one structure to share hash seeds (so they
 /// compose), and a single stream element updates one bucket on every level
-/// plus a shared tail summary. Preparing the coordinates once per element
-/// removes the dominant per-level hashing cost from the insert hot path.
+/// plus a shared tail summary. Preparing a batch's coordinates once removes
+/// the dominant per-level hashing cost from the insert path; a single insert
+/// is a batch of one.
 pub trait SharedUpdate: StreamSketch {
-    /// Precomputed coordinates for one `(item, weight)` update.
-    type Prepared: Clone + Default + std::fmt::Debug;
-
-    /// Precomputed coordinates for a whole batch of `(item, weight)` updates,
+    /// Precomputed coordinates for a batch of `(item, weight)` updates,
     /// stored in one flat allocation so that applying a contiguous sub-range
     /// walks memory sequentially (see [`Self::apply_prepared_range`]).
     type PreparedBatch: Clone + Default + std::fmt::Debug;
 
-    /// Compute the coordinates of `(item, weight)` into `out` (reusing its
-    /// allocations). The result must depend only on the sketch's dimensions
-    /// and seed, never on its counter state, so it is valid for every sketch
-    /// produced by the same factory/aggregate.
-    fn prepare_into(&self, item: u64, weight: i64, out: &mut Self::Prepared);
-
-    /// Apply previously-prepared coordinates. Must be exactly equivalent to
-    /// `update(item, weight)` with the pair passed to `prepare_into`.
-    fn apply_prepared(&mut self, prepared: &Self::Prepared);
-
     /// Compute the coordinates of every `(item, weight)` in `items` into
-    /// `out`, reusing its allocations. Semantically this is `prepare_into`
-    /// for each tuple; implementations are encouraged to use a flat
-    /// structure-of-arrays layout instead of one allocation per tuple.
+    /// `out`, reusing its allocations. The result must depend only on the
+    /// sketch's dimensions and seed, never on its counter state, so it is
+    /// valid for every sketch produced by the same factory/aggregate.
     fn prepare_batch_into(&self, items: &[(u64, i64)], out: &mut Self::PreparedBatch);
 
     /// Apply tuples `range` (indices into the `items` slice the batch was
     /// prepared from) of a prepared batch. Must be exactly equivalent to
-    /// calling [`Self::apply_prepared`] for each tuple of the range in order.
+    /// [`StreamSketch::update`] on each `(item, weight)` of the range, in
+    /// order.
     fn apply_prepared_range(&mut self, batch: &Self::PreparedBatch, range: std::ops::Range<usize>);
 }
 

@@ -1,11 +1,12 @@
 //! Bit-identity pins for the fast-AMS kernel paths.
 //!
 //! The flat-lane sketch ([`FastAmsSketch`]) has several routes to the same
-//! counters: per-tuple scalar updates, prepared single updates, the unrolled
-//! prepared-batch kernel (whole batches and arbitrary sub-ranges), merges,
-//! and snapshot round trips. Every route must produce **bit-identical**
-//! state — not approximately equal estimates — because the correlated
-//! framework mixes the routes freely (scalar inserts, batched inserts,
+//! counters: per-tuple [`StreamSketch::update`] calls (bulk loads and
+//! exact→sketched conversion), prepared batches of one (a single framework
+//! insert), the unrolled prepared-batch kernel (whole batches and arbitrary
+//! sub-ranges), merges, and snapshot round trips. Every route must produce
+//! **bit-identical** state — not approximately equal estimates — because the
+//! correlated framework mixes the routes freely (inserts, batches,
 //! query-time merges, crash recovery) and any divergence would make the
 //! structure depend on which code path happened to run.
 //!
@@ -116,12 +117,12 @@ fn assert_routes_identical(width: usize, depth: usize, seed: u64, items: &[(u64,
         scalar.update(x, w);
     }
 
-    // Route 2: prepared single updates.
+    // Route 2: prepared batches of one (a single framework insert).
     let mut prepared_path = FastAmsSketch::with_dimensions(width, depth, seed);
-    let mut prepared = Default::default();
-    for &(x, w) in items {
-        prepared_path.prepare_into(x, w, &mut prepared);
-        prepared_path.apply_prepared(&prepared);
+    let mut single = FastAmsBatch::default();
+    for item in items {
+        prepared_path.prepare_batch_into(std::slice::from_ref(item), &mut single);
+        prepared_path.apply_prepared_range(&single, 0..1);
     }
 
     // Route 3: one prepared batch applied whole through the unrolled kernel.
@@ -160,7 +161,7 @@ fn assert_routes_identical(width: usize, depth: usize, seed: u64, items: &[(u64,
     restored.decode_state(&mut reader).expect("decode own snapshot");
 
     let expected = state_bytes(&scalar);
-    assert_eq!(state_bytes(&prepared_path), expected, "prepared-single path diverged");
+    assert_eq!(state_bytes(&prepared_path), expected, "prepared batches of one diverged");
     assert_eq!(state_bytes(&batched), expected, "batch kernel diverged");
     assert_eq!(state_bytes(&ranged), expected, "ranged batch kernel diverged");
     assert_eq!(state_bytes(&left), expected, "merge path diverged");

@@ -9,7 +9,7 @@
 
 use cora_core::{
     correlated_count, correlated_f2, correlated_fk, correlated_sum, CorrelatedHeavyHitters,
-    CorrelatedRarity, ExactCorrelated,
+    CorrelatedRarity, ExactCorrelated, DEFAULT_SEED,
 };
 use cora_stream::{DatasetGenerator, ZipfGenerator};
 
@@ -23,7 +23,7 @@ fn main() {
     let mut sum = correlated_sum(0.2, 0.05, y_max, n as u64).unwrap();
     let mut f2 = correlated_f2(0.2, 0.05, y_max, n as u64).unwrap();
     let mut f3 = correlated_fk(3, 0.25, 0.05, y_max, n as u64).unwrap();
-    let mut hh = CorrelatedHeavyHitters::new(0.2, 0.05, 0.05, y_max, n as u64).unwrap();
+    let mut hh = CorrelatedHeavyHitters::with_seed(0.2, 0.05, 0.05, y_max, n as u64, DEFAULT_SEED).unwrap();
     let mut rarity = CorrelatedRarity::new(0.2, 17, y_max).unwrap();
     let mut exact = ExactCorrelated::new();
 

@@ -35,10 +35,7 @@ fn fresh(seed: u64) -> CorrelatedHeavyHitters {
 fn failed_cells(label: &str, sketch: &CorrelatedHeavyHitters, exact: &ExactCorrelated) -> usize {
     let mut failed = 0;
     for c in 0..=Y_MAX {
-        let sketched = sketch
-            .framework()
-            .with_composed(c, |store| !store.is_exact())
-            .unwrap();
+        let sketched = sketch.with_composed(c, |store| !store.is_exact()).unwrap();
         assert!(sketched, "[{label}] c={c} must be answered from sketched buckets");
         let freqs = exact.frequencies_upto(c);
         let f2 = freqs.frequency_moment(2);

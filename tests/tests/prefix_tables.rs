@@ -123,7 +123,7 @@ fn check_f2(stream: &str, tuples: &[(u64, u64)], y_max: u64, alpha: usize) -> us
         .unwrap()
 }
 
-/// [`check_f2`] for the heavy-hitters structure's `query_f2`.
+/// [`check_f2`] for the heavy-hitters structure's `query`.
 fn check_hh(stream: &str, tuples: &[(u64, u64)], y_max: u64) -> usize {
     let builds = four_ways(
         tuples,
@@ -131,15 +131,15 @@ fn check_hh(stream: &str, tuples: &[(u64, u64)], y_max: u64) -> usize {
         |s, x, y| s.insert(x, y).unwrap(),
         |s, chunk| s.update_batch(chunk).unwrap(),
         |s, shard| s.merge_from(shard).unwrap(),
-        |s| CorrelatedHeavyHitters::restore_from(&s.snapshot()).unwrap(),
+        |s| {
+            CorrelatedSketch::restore_from(F2HeavyAggregate::new(0.9, 0.5, SEED), &s.snapshot())
+                .unwrap()
+        },
     );
     builds
         .iter()
         .map(|(way, hh)| {
-            let framework: &CorrelatedSketch<F2HeavyAggregate> = hh.framework();
-            check_every_threshold(&format!("HH {stream} {way}"), framework, |c| {
-                hh.query_f2(c).unwrap()
-            })
+            check_every_threshold(&format!("HH {stream} {way}"), hh, |c| hh.query(c).unwrap())
         })
         .min()
         .unwrap()

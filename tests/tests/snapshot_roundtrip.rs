@@ -8,6 +8,7 @@
 //! structure must reproduce each query's `f64` down to the last bit — not
 //! merely within ε.
 
+use cora_core::heavy_hitters::F2HeavyAggregate;
 use cora_core::{
     correlated_f2_seeded, CorrelatedF0, CorrelatedHeavyHitters, CorrelatedRarity,
     CorrelatedSketch, F2Aggregate,
@@ -158,11 +159,13 @@ fn heavy_hitters_snapshot_restore_answers_bit_identically_and_merges() {
         for i in 0..(tuples.len() as u64) {
             sketch.insert(99, i % 1_000).unwrap();
         }
-        let restored = CorrelatedHeavyHitters::restore_from(&sketch.snapshot()).unwrap();
+        let restored =
+            CorrelatedSketch::restore_from(F2HeavyAggregate::new(0.2, 0.05, SEED), &sketch.snapshot())
+                .unwrap();
         for &c in &thresholds() {
             assert_eq!(
-                restored.query_f2(c).unwrap(),
-                sketch.query_f2(c).unwrap(),
+                restored.query(c).unwrap(),
+                sketch.query(c).unwrap(),
                 "{name}: hh f2 differs at c={c}"
             );
             assert_eq!(
@@ -341,7 +344,9 @@ fn damaged_snapshots_are_rejected_for_every_aggregate() {
             "f2" => CorrelatedSketch::restore_from(F2Aggregate::new(0.3, 0.1, SEED), bytes).is_ok(),
             "f0" => CorrelatedF0::restore_from(bytes).is_ok(),
             "rarity" => CorrelatedRarity::restore_from(bytes).is_ok(),
-            "hh" => CorrelatedHeavyHitters::restore_from(bytes).is_ok(),
+            "hh" => {
+                CorrelatedSketch::restore_from(F2HeavyAggregate::new(0.3, 0.1, SEED), bytes).is_ok()
+            }
             _ => unreachable!(),
         }
     };
