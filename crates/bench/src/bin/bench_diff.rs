@@ -1,11 +1,12 @@
-//! Compare a fresh criterion-shim JSONL summary against a committed baseline
+//! Compare a fresh criterion-shim JSONL summary against a baseline summary
 //! and fail (exit code 1) on regressions beyond a tolerance.
 //!
-//! Used by CI as a performance gate on the correlated insert paths:
+//! Used by CI as a performance gate on the correlated insert paths and the
+//! server ingest path, against the parent commit benched in the same job:
 //!
 //! ```text
 //! cargo run -p cora-bench --release --bin bench_diff -- \
-//!     BENCH_BASELINE.json bench-summary.jsonl \
+//!     parent-bench.jsonl bench-summary.jsonl \
 //!     --filter update_throughput/correlated_f2 \
 //!     --filter update_throughput/correlated_f0 --max-regression 0.25
 //! ```
@@ -23,14 +24,13 @@
 //! have medians dominated by scheduler jitter while their min tracks the
 //! actual protocol cost.
 //!
-//! Absolute nanoseconds are machine-dependent, so comparing a committed
-//! baseline against a different runner class would gate on hardware, not
-//! code. `--anchor SUBSTR` fixes that: each gated bench is normalized by the
-//! anchor bench's median *from the same file*, so the gate compares the
-//! ratio `gated / anchor` across files and machine speed cancels to first
-//! order. Pick an anchor whose code rarely changes (CI uses the exact
-//! linear-storage insert baseline); if a PR deliberately speeds the anchor
-//! up, refresh `BENCH_BASELINE.json` in the same PR.
+//! Absolute nanoseconds are machine-dependent, so comparing a baseline
+//! recorded elsewhere against a different runner class would gate on
+//! hardware, not code. `--anchor SUBSTR` fixes that: each gated bench is
+//! normalized by the anchor bench's median *from the same file*, so the
+//! gate compares the ratio `gated / anchor` across files and machine speed
+//! cancels to first order. Pick an anchor whose code rarely changes (CI
+//! uses the exact linear-storage insert baseline).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;

@@ -80,8 +80,8 @@ pub(crate) fn first_answering<T>(
 }
 
 /// A small keyed memo cache validated by an update **generation**: entries
-/// are only served while the cached generation is admissible for the
-/// caller's, and inserting under a new generation drops every stale entry.
+/// are only served while the cached generation equals the caller's, and
+/// inserting under a new generation drops every stale entry.
 ///
 /// The generation type is caller-defined: the framework uses its
 /// `items_processed` counter, the sharded front-end the vector of per-shard
@@ -106,14 +106,8 @@ impl<G: PartialEq, K: PartialEq, V> GenCache<G, K, V> {
     /// The entry under `key`, provided the cached generation equals
     /// `generation`.
     pub fn get(&self, generation: &G, key: &K) -> Option<&V> {
-        self.get_if(|cached| cached == generation, key)
-    }
-
-    /// The entry under `key`, provided `admit` accepts the cached generation
-    /// — the hook behind stale-tolerant reads (`cached_query_if`).
-    pub fn get_if(&self, admit: impl FnOnce(&G) -> bool, key: &K) -> Option<&V> {
         match &self.generation {
-            Some(cached) if admit(cached) => {
+            Some(cached) if cached == generation => {
                 self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
             }
             _ => None,
@@ -160,31 +154,12 @@ pub(crate) fn cached_query<G, K, V, R>(
     read: impl FnOnce(&V) -> R,
 ) -> Result<R>
 where
-    G: PartialEq + Clone,
-    K: PartialEq,
-{
-    let stored = generation.clone();
-    cached_query_if(cache, move |cached| *cached == generation, stored, key, build, read)
-}
-
-/// [`cached_query`] with a caller-supplied admission predicate on the cached
-/// generation: `admit` decides whether a cached value is still fresh enough
-/// to serve, and `generation` is what a rebuilt value is stored under.
-pub(crate) fn cached_query_if<G, K, V, R>(
-    cache: &Mutex<GenCache<G, K, V>>,
-    admit: impl Fn(&G) -> bool,
-    generation: G,
-    key: K,
-    build: impl FnOnce() -> Result<V>,
-    read: impl FnOnce(&V) -> R,
-) -> Result<R>
-where
     G: PartialEq,
     K: PartialEq,
 {
     {
         let cache = lock(cache);
-        if let Some(value) = cache.get_if(&admit, &key) {
+        if let Some(value) = cache.get(&generation, &key) {
             return Ok(read(value));
         }
     }
@@ -201,8 +176,7 @@ where
 ///
 /// This is the reference [`prefix_table`] answers must equal bit for bit,
 /// and the path for everything that reads the composed store itself (heavy
-/// hitters, decayed window queries, aggregates without incremental
-/// estimates).
+/// hitters, aggregates without incremental estimates).
 pub(crate) fn compose_for_threshold<A: CorrelatedAggregate>(
     agg: &A,
     singletons: &SingletonLevel<A>,
@@ -375,17 +349,6 @@ mod tests {
         assert_eq!(cache.get(&2, &10), Some(&"d"));
         cache.clear();
         assert!(cache.get(&2, &10).is_none());
-    }
-
-    #[test]
-    fn gen_cache_admission_predicate_allows_stale_reads() {
-        let mut cache: GenCache<u64, (), u64> = GenCache::new(1);
-        cache.insert(10, (), 42);
-        // Strict freshness misses...
-        assert!(cache.get(&13, &()).is_none());
-        // ...but a lag-tolerant admission can still serve the stale value.
-        assert_eq!(cache.get_if(|&g| 13 - g < 5, &()), Some(&42));
-        assert!(cache.get_if(|&g| 13 - g < 2, &()).is_none());
     }
 
     #[test]

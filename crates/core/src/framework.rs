@@ -405,12 +405,11 @@ impl<A: CorrelatedAggregate> CorrelatedSketch<A> {
     /// Run `f` against the composed store for threshold `c` without cloning
     /// it out of the memoization cache.
     ///
-    /// This is the zero-copy read path behind the extension queries (heavy
-    /// hitters, decayed window queries) and behind [`Self::query`] for
-    /// aggregates without incremental estimates. It memoizes the composed
-    /// store per threshold; [`Self::query`]'s prefix tables are a separate
-    /// cache. `f` runs while the cache lock is held, so it must not call
-    /// back into this sketch's query API.
+    /// This is the zero-copy read path behind the heavy-hitters queries and
+    /// behind [`Self::query`] for aggregates without incremental estimates.
+    /// It memoizes the composed store per threshold; [`Self::query`]'s
+    /// prefix tables are a separate cache. `f` runs while the cache lock is
+    /// held, so it must not call back into this sketch's query API.
     pub fn with_composed<R>(&self, c: u64, f: impl FnOnce(&BucketStore<A>) -> R) -> Result<R> {
         let c = c.min(self.config.padded_y_max());
         compose::cached_query(

@@ -298,9 +298,9 @@ impl ServeConfig {
     /// peers — sketches built from the same seed and geometry restore, merge
     /// and replay into the same structures — and of the replication format,
     /// so peers shipping different container kinds are refused at the
-    /// handshake. Transport settings (shards, merge cadence, pane geometry,
-    /// connection limits, durability, auth) are deliberately excluded — they
-    /// may differ per node.
+    /// handshake. Per-node settings (shards, pane geometry, connection
+    /// limits, durability, auth, the replication link) are deliberately
+    /// excluded — they may differ per node.
     pub fn replication_fingerprint(&self) -> u64 {
         let mut w = ByteWriter::new();
         w.put_u64(REPLICATION_FORMAT);

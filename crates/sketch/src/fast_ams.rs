@@ -453,116 +453,6 @@ impl StreamSketch for FastAmsSketch {
     }
 }
 
-/// A real-weighted combination of same-seeded [`FastAmsSketch`] counter
-/// states: `Σ_p g_p · C_p`, with `g_p ∈ ℝ` supplied per input.
-///
-/// AMS/CountSketch is a *linear* sketch, so scaling every counter of a sketch
-/// of stream `S` by `g` yields exactly the sketch of `S` with all frequencies
-/// scaled by `g`. The accumulator exploits this for **time-decayed** `F_2`:
-/// each time pane's sketch is folded in with its decay weight `g_p = λ^age`,
-/// and [`estimate`](Self::estimate) then returns the fast-AMS estimate
-/// (median over rows of `Σ c²`) of the decayed frequency vector
-/// `f_decayed(x) = Σ_p g_p · f_p(x)` — no per-item enumeration needed.
-///
-/// The accumulator mirrors the sketch's flat row-major lane: a fold reads
-/// each non-empty source row as one contiguous `&[i64]` slice against the
-/// matching contiguous `&mut [f64]` segment, and items hash through the same
-/// inline row coefficients the sketch itself uses.
-///
-/// Exact frequency vectors can be folded in too
-/// ([`add_item`](Self::add_item) hashes them through the same rows), so the
-/// hybrid exact/sketched bucket stores of `cora-core` combine seamlessly.
-#[derive(Debug, Clone)]
-pub struct DecayedF2Accumulator {
-    /// `depth × width` scaled counters, row-major.
-    counters: Vec<f64>,
-    width: usize,
-    depth: usize,
-    /// Rows the estimate medians over (the proto sketch's active rows).
-    active: usize,
-    seed: u64,
-    /// Same-seeded inline hash rows used to place exact items.
-    hashes: Vec<RowHashes>,
-}
-
-impl DecayedF2Accumulator {
-    /// An all-zero accumulator compatible with sketches shaped like `proto`
-    /// (same width, depth, and seed).
-    pub fn new(proto: &FastAmsSketch) -> Self {
-        Self {
-            counters: vec![0.0; proto.width() * proto.depth()],
-            width: proto.width(),
-            depth: proto.depth(),
-            active: proto.active_rows(),
-            seed: proto.seed(),
-            hashes: proto.hashes.clone(),
-        }
-    }
-
-    /// Fold `scale ×` the counters of `sketch` into the accumulator.
-    /// The sketch must share the accumulator's dimensions and seed.
-    pub fn add_sketch(&mut self, sketch: &FastAmsSketch, scale: f64) -> Result<()> {
-        if sketch.width() != self.width
-            || sketch.depth() != self.depth
-            || sketch.seed() != self.seed
-        {
-            return Err(SketchError::IncompatibleMerge {
-                detail: format!(
-                    "decayed accumulator is {}x{} seed {:#x}, sketch is {}x{} seed {:#x}",
-                    self.depth,
-                    self.width,
-                    self.seed,
-                    sketch.depth(),
-                    sketch.width(),
-                    sketch.seed()
-                ),
-            });
-        }
-        if scale == 0.0 {
-            return Ok(());
-        }
-        for (r, &rowsq) in sketch.sumsq.iter().enumerate() {
-            if rowsq == 0 {
-                continue;
-            }
-            let base = r * self.width;
-            let src = &sketch.lane[base..base + self.width];
-            for (slot, &c) in self.counters[base..base + self.width].iter_mut().zip(src) {
-                *slot += scale * c as f64;
-            }
-        }
-        Ok(())
-    }
-
-    /// Fold one exactly-stored item with real weight `scale × frequency` into
-    /// the accumulator, using the same hash rows a sketch update would.
-    pub fn add_item(&mut self, item: u64, weight: f64) {
-        if weight == 0.0 {
-            return;
-        }
-        let x = reduce_key(item);
-        let w = self.width as u64;
-        for (r, h) in self.hashes.iter().enumerate() {
-            let b = h.bucket_of(x, w) as usize;
-            self.counters[r * self.width + b] += h.sign_of(x) as f64 * weight;
-        }
-    }
-
-    /// The fast-AMS `F_2` estimate of the accumulated (decayed) frequency
-    /// vector: the median over rows of the sum of squared scaled counters.
-    pub fn estimate(&self) -> f64 {
-        let mut per_row: Vec<f64> = (0..self.active)
-            .map(|r| {
-                self.counters[r * self.width..(r + 1) * self.width]
-                    .iter()
-                    .map(|&c| c * c)
-                    .sum()
-            })
-            .collect();
-        median_mut(&mut per_row).unwrap_or(0.0)
-    }
-}
-
 /// Precomputed coordinates for a whole batch of fast-AMS updates, laid out
 /// **row-major** in two flat arrays: the entry for tuple `i` in row `r` lives
 /// at index `r * len + i`. Applying a contiguous tuple range to a sketch
@@ -998,72 +888,6 @@ mod tests {
         let mut s = FastAmsSketch::with_dimensions(64, 9, 5);
         s.update(1, 1);
         assert!(s.trim_to_delta(0.3).is_err());
-    }
-
-    #[test]
-    fn decayed_accumulator_with_unit_weights_matches_merge() {
-        // g = 1 for every input must reproduce the plain merged estimate.
-        let seed = 19;
-        let mut a = FastAmsSketch::with_dimensions(256, 5, seed);
-        let mut b = FastAmsSketch::with_dimensions(256, 5, seed);
-        for x in 0..800u64 {
-            a.update(x % 37, 2);
-            b.update(x % 53, 3);
-        }
-        let merged = a.merged(&b).unwrap();
-        let mut acc = DecayedF2Accumulator::new(&a);
-        acc.add_sketch(&a, 1.0).unwrap();
-        acc.add_sketch(&b, 1.0).unwrap();
-        assert!((acc.estimate() - merged.estimate()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn decayed_accumulator_scales_quadratically() {
-        // F_2 of g-scaled frequencies is g² times F_2: one input, weight g.
-        let mut s = FastAmsSketch::with_dimensions(128, 5, 7);
-        for x in 0..200u64 {
-            s.update(x, 4);
-        }
-        let g = 0.35f64;
-        let mut acc = DecayedF2Accumulator::new(&s);
-        acc.add_sketch(&s, g).unwrap();
-        let expected = g * g * s.estimate();
-        assert!(
-            (acc.estimate() - expected).abs() < 1e-6 * expected.max(1.0),
-            "estimate {} vs g²·F2 {expected}",
-            acc.estimate()
-        );
-    }
-
-    #[test]
-    fn decayed_accumulator_items_match_sketch_path() {
-        // Folding exact items must place weight exactly where a sketch update
-        // of the same items would.
-        let seed = 31;
-        let mut sketched = FastAmsSketch::with_dimensions(64, 5, seed);
-        let items: Vec<(u64, i64)> = (0..50u64).map(|x| (x * 13 % 97, (x % 6) as i64 + 1)).collect();
-        for &(x, f) in &items {
-            sketched.update(x, f);
-        }
-        let g = 0.5f64;
-        let mut via_sketch = DecayedF2Accumulator::new(&sketched);
-        via_sketch.add_sketch(&sketched, g).unwrap();
-        let mut via_items = DecayedF2Accumulator::new(&sketched);
-        for &(x, f) in &items {
-            via_items.add_item(x, g * f as f64);
-        }
-        assert!((via_sketch.estimate() - via_items.estimate()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn decayed_accumulator_rejects_mismatched_sketches() {
-        let a = FastAmsSketch::with_dimensions(64, 5, 1);
-        let wrong_seed = FastAmsSketch::with_dimensions(64, 5, 2);
-        let wrong_width = FastAmsSketch::with_dimensions(32, 5, 1);
-        let mut acc = DecayedF2Accumulator::new(&a);
-        assert!(acc.add_sketch(&wrong_seed, 1.0).is_err());
-        assert!(acc.add_sketch(&wrong_width, 1.0).is_err());
-        assert!(acc.add_sketch(&a, 1.0).is_ok());
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use codec::{ByteReader, ByteWriter, CodecError, StateCodec};
 pub use error::{Result, SketchError};
 pub use exact::ExactFrequencies;
 pub use f0::{DistinctSampler, F0Sketch, FlajoletMartin, KmvSketch};
-pub use fast_ams::{DecayedF2Accumulator, FastAmsBatch, FastAmsSketch};
+pub use fast_ams::{FastAmsBatch, FastAmsSketch};
 pub use fk::{FkPrepared, FkSketch};
 pub use quantiles::GkQuantiles;
 pub use space_saving::SpaceSaving;

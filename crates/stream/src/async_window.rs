@@ -16,8 +16,7 @@
 //! but the single sketch's y-domain spans all of `[0, t_max]` and nothing is
 //! ever forgotten. The pane ring in [`crate::windowed`] makes the opposite
 //! trade: pane-quantized window edges in exchange for bounded pane counts,
-//! retention/expiry, landmark queries, a second (y-threshold) dimension, and
-//! a fading-factor decayed variant.
+//! retention/expiry, and a second (y-threshold) dimension.
 
 use cora_core::error::Result;
 use cora_core::f2::{correlated_f2_seeded, CorrelatedF2};

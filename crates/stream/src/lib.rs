@@ -13,8 +13,8 @@
 //! * [`async_window`] — sliding-window aggregation over asynchronous
 //!   (out-of-order) streams via the reduction to correlated aggregates;
 //! * [`windowed`] — the exponential-histogram pane ring answering
-//!   `(time window, y-threshold)` two-dimensional slices (sliding, landmark,
-//!   and fading-factor decayed variants) by composing mergeable panes;
+//!   `(sliding time window, y-threshold)` two-dimensional slices of `F_2`
+//!   and `F_0` by composing mergeable panes;
 //! * [`sharded`] — the worker-sharded parallel ingest front-end
 //!   ([`ShardedIngest`]): bounded queues feeding N same-seeded correlated
 //!   sketches, merged at query time (Property V);
@@ -41,8 +41,7 @@ pub mod worker;
 
 pub use async_window::{AsyncWindowCount, AsyncWindowF2};
 pub use windowed::{
-    windowed_count, windowed_f0, windowed_f2, PaneConfig, PaneRing, WindowPane, WindowedCount,
-    WindowedF0, WindowedF2,
+    windowed_f0, windowed_f2, PaneConfig, PaneRing, WindowPane, WindowedF0, WindowedF2,
 };
 pub use sharded::{sharded_correlated_f2, ShardReader, ShardedIngest};
 pub use driver::{default_thresholds, relative_errors, time_ingest, RunReport};

@@ -1,4 +1,4 @@
-//! Windowed and time-decayed correlated aggregates.
+//! Windowed correlated aggregates.
 //!
 //! The whole-stream structures in `cora-core` answer one-dimensional slices:
 //! "AGG of the items whose `y ≤ c`". Production queries are usually
@@ -30,6 +30,9 @@
 //!   memoized in a generation-keyed [`GenCache`] so repeated window queries
 //!   cost one cache probe plus the framework's own threshold-compose cache.
 //!
+//! Two rings are built: [`WindowedF2`] and [`WindowedF0`], the sliding
+//! windows the serving node answers (`window_f2` / `window_f0`).
+//!
 //! ## Resolved windows
 //!
 //! Pane boundaries quantize time. A query for `(now, window)` is answered
@@ -50,8 +53,8 @@
 //! horizon fail with [`CoreError::WindowExpired`] instead of silently
 //! undercounting; late tuples older than the horizon are counted in
 //! [`PaneRing::late_dropped`] and discarded. Without retention the ring is a
-//! *landmark* structure: it keeps (coarsening) history forever and
-//! [`PaneRing::query_landmark`] answers "since tick `l`" slices.
+//! *landmark* structure: it keeps (coarsening) history forever, so "since
+//! tick `l`" is the sliding window of `t_latest + 1 − l` ticks.
 //!
 //! ## Asynchronous arrivals
 //!
@@ -63,27 +66,16 @@
 //! base pane is created in place. Unlike [`crate::async_window`], whose
 //! reduction stores the whole stream's worth of sketch state to answer any
 //! suffix, the pane ring trades resolution for bounded panes and adds
-//! retention, landmark and decayed variants.
+//! retention and the y-threshold dimension.
 //!
-//! ## Decayed variant
-//!
-//! [`WindowedF2::query_decayed`] answers a fading-factor query: every tuple
-//! contributes with weight `λ^age` where age is measured in ticks from the
-//! newest tick of the tuple's *pane* (decay is pane-granular — within a pane
-//! all tuples share a weight). The per-pane composed stores are folded into a
-//! [`DecayedF2Accumulator`], which scales AMS counters linearly, so the
-//! result estimates the F2 of the decayed frequency vector.
+//! [`BucketStore`]: cora_core::BucketStore
 
 use cora_core::f0::CorrelatedF0;
 use cora_core::f2::F2Aggregate;
 use cora_core::snapshot::{self, SnapshotKind};
-use cora_core::sum::CountAggregate;
-use cora_core::{
-    BucketStore, CoreError, CorrelatedAggregate, CorrelatedConfig, CorrelatedSketch, GenCache,
-    Result,
-};
+use cora_core::{CoreError, CorrelatedAggregate, CorrelatedSketch, GenCache, Result};
 use cora_sketch::codec::{ByteReader, ByteWriter};
-use cora_sketch::{DecayedF2Accumulator, StateCodec};
+use cora_sketch::StateCodec;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -290,9 +282,8 @@ struct Pane<P> {
 /// An exponential-histogram-style ring of sealed correlated-sketch panes
 /// answering `(time window, y-threshold)` two-dimensional slices.
 ///
-/// Generic over the pane type `P`; use the aliases [`WindowedF2`],
-/// [`WindowedCount`] and [`WindowedF0`] (constructed by [`windowed_f2`],
-/// [`windowed_count`], [`windowed_f0`]).
+/// Generic over the pane type `P`; use the aliases [`WindowedF2`] and
+/// [`WindowedF0`] (constructed by [`windowed_f2`] and [`windowed_f0`]).
 pub struct PaneRing<P: WindowPane> {
     /// Empty template pane: configuration + seed donor for fresh panes.
     proto: P,
@@ -316,8 +307,6 @@ pub struct PaneRing<P: WindowPane> {
 
 /// Windowed correlated F2 over `(x, y, t)` tuples.
 pub type WindowedF2 = PaneRing<CorrelatedSketch<F2Aggregate>>;
-/// Windowed correlated count (selectivity) over `(x, y, t)` tuples.
-pub type WindowedCount = PaneRing<CorrelatedSketch<CountAggregate>>;
 /// Windowed correlated F0 (distinct `x`) over `(x, y, t)` tuples.
 pub type WindowedF0 = PaneRing<CorrelatedF0>;
 
@@ -334,21 +323,6 @@ pub fn windowed_f2(
 ) -> Result<WindowedF2> {
     let proto = cora_core::correlated_f2_seeded(epsilon, delta, y_max, max_stream_len, seed)?;
     PaneRing::new(proto, panes)
-}
-
-/// Build a [`WindowedCount`] ring (correlated count panes).
-pub fn windowed_count(
-    epsilon: f64,
-    delta: f64,
-    y_max: u64,
-    max_stream_len: u64,
-    seed: u64,
-    panes: PaneConfig,
-) -> Result<WindowedCount> {
-    let agg = CountAggregate::new();
-    let config = CorrelatedConfig::new(epsilon, delta, y_max, agg.f_max_log2(max_stream_len))?
-        .with_seed(seed);
-    PaneRing::new(CorrelatedSketch::new(agg, config)?, panes)
 }
 
 /// Build a [`WindowedF0`] ring (correlated distinct-count panes over an
@@ -504,15 +478,16 @@ impl<P: WindowPane> PaneRing<P> {
             let removed = self.panes.remove(i + 1);
             let target = &mut self.panes[i];
             target.end = removed.end;
-            target.class = target.class.max(removed.class) + 1;
+            target.class = target.class.max(removed.class).saturating_add(1);
             target.sketch.pane_merge_from(&removed.sketch)?;
         }
     }
 
-    /// Pane indices whose `start` lies in `[t_lo, now]`, or
-    /// [`CoreError::WindowExpired`] when `t_lo` reaches behind the expiry
-    /// horizon.
-    fn resolve(&self, now: u64, t_lo: u64) -> Result<Range<usize>> {
+    /// Indices of the panes whose `start` lies in the `window` ticks ending
+    /// at `now`, or [`CoreError::WindowExpired`] when the window reaches
+    /// behind the expiry horizon.
+    fn resolve(&self, now: u64, window: u64) -> Result<Range<usize>> {
+        let t_lo = now.saturating_add(1).saturating_sub(window);
         if let Some(b) = self.expired_through {
             if t_lo < b {
                 return Err(CoreError::WindowExpired {
@@ -531,8 +506,7 @@ impl<P: WindowPane> PaneRing<P> {
     /// when no pane falls inside the request. The estimate covers exactly the
     /// tuples with `resolved_lo ≤ t < resolved_hi`.
     pub fn resolved_window(&self, now: u64, window: u64) -> Result<Option<(u64, u64)>> {
-        let t_lo = now.saturating_add(1).saturating_sub(window);
-        let r = self.resolve(now, t_lo)?;
+        let r = self.resolve(now, window)?;
         if r.is_empty() {
             return Ok(None);
         }
@@ -551,21 +525,7 @@ impl<P: WindowPane> PaneRing<P> {
     /// Query the `window` ticks ending at `now` (which may trail the newest
     /// observed timestamp) with y-threshold `c`.
     pub fn query_at(&self, now: u64, window: u64, c: u64) -> Result<f64> {
-        let t_lo = now.saturating_add(1).saturating_sub(window);
-        self.query_span(now, t_lo, c)
-    }
-
-    /// Landmark query: everything observed at or after tick `landmark`, with
-    /// y-threshold `c`.
-    pub fn query_landmark(&self, landmark: u64, c: u64) -> Result<f64> {
-        if !self.has_data {
-            return Ok(0.0);
-        }
-        self.query_span(self.t_latest, landmark, c)
-    }
-
-    fn query_span(&self, now: u64, t_lo: u64, c: u64) -> Result<f64> {
-        let r = self.resolve(now, t_lo)?;
+        let r = self.resolve(now, window)?;
         if r.is_empty() {
             return Ok(0.0);
         }
@@ -617,8 +577,7 @@ impl<P: WindowPane> PaneRing<P> {
         self.panes.len()
     }
 
-    /// `(start, end, class)` of every live pane, oldest first. Tests and the
-    /// decayed-oracle use this to reproduce pane-granular semantics exactly.
+    /// `(start, end, class)` of every live pane, oldest first.
     pub fn pane_spans(&self) -> Vec<(u64, u64, u32)> {
         self.panes.iter().map(|p| (p.start, p.end, p.class)).collect()
     }
@@ -659,14 +618,6 @@ impl<P: WindowPane> PaneRing<P> {
     /// acceptance tests.
     pub fn composites_built(&self) -> u64 {
         self.composites_built.load(Ordering::Relaxed)
-    }
-
-    /// The decay weight a pane with span end `span_end` carries at the
-    /// current clock: `λ^age`, age in ticks from the pane's newest tick to
-    /// the newest observed timestamp (0 for the pane holding it).
-    pub fn decay_weight(&self, lambda: f64, span_end: u64) -> f64 {
-        let age = self.t_latest.saturating_add(1).saturating_sub(span_end);
-        lambda.powi(i32::try_from(age.min(i32::MAX as u64)).unwrap_or(i32::MAX))
     }
 
     /// Serialize the ring body (geometry, clock, panes as nested frames).
@@ -774,41 +725,6 @@ impl<P: WindowPane> fmt::Debug for PaneRing<P> {
             .field("late_dropped", &self.late_dropped)
             .field("expired_through", &self.expired_through)
             .finish()
-    }
-}
-
-impl WindowedF2 {
-    /// Fading-factor F2: every tuple weighted by `λ^age`, decay applied at
-    /// pane granularity (see [`PaneRing::decay_weight`]). `λ = 1` recovers
-    /// the undecayed landmark estimate; smaller `λ` forgets old panes
-    /// geometrically — the cheap alternative to a hard window when staleness
-    /// should fade rather than cut off.
-    pub fn query_decayed(&self, lambda: f64, c: u64) -> Result<f64> {
-        if !(lambda > 0.0 && lambda <= 1.0) {
-            return Err(CoreError::InvalidParameter {
-                name: "lambda",
-                detail: format!("decay factor must be in (0, 1], got {lambda}"),
-            });
-        }
-        if !self.has_data {
-            return Ok(0.0);
-        }
-        let mut acc = DecayedF2Accumulator::new(&self.proto.aggregate().new_sketch());
-        for pane in &self.panes {
-            let g = self.decay_weight(lambda, pane.end);
-            pane.sketch.with_composed(c, |store| -> Result<()> {
-                match store {
-                    BucketStore::Exact(freqs) => {
-                        for (item, count) in freqs.iter() {
-                            acc.add_item(item, g * count as f64);
-                        }
-                        Ok(())
-                    }
-                    BucketStore::Sketched(s) => acc.add_sketch(s, g).map_err(CoreError::from),
-                }
-            })??;
-        }
-        Ok(acc.estimate())
     }
 }
 
@@ -921,16 +837,17 @@ mod tests {
 
     #[test]
     fn sliding_count_tracks_brute_force() {
-        let mut ring = windowed_count(0.1, 0.05, 1023, 100_000, 7, PaneConfig::new(16).with_k(4))
+        // Every tick carries a distinct `x`, so a slice's F2 is its tuple
+        // count.
+        let mut ring = windowed_f2(0.1, 0.05, 1023, 100_000, 7, PaneConfig::new(16).with_k(4))
             .unwrap();
         let mut events = Vec::new();
         let mut state = 0x9E3779B97F4A7C15u64;
-        for i in 0..4_000u64 {
+        for t in 0..4_000u64 {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let t = i; // in-order
             let y = state % 1024;
             events.push((t, y));
-            ring.observe(i % 50, y, t).unwrap();
+            ring.observe(t, y, t).unwrap();
         }
         for window in [64u64, 500, 4_000] {
             let c = 512u64;
@@ -995,22 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn decayed_with_lambda_one_matches_landmark() {
-        let mut ring = small_f2(16, 4, None);
-        for t in 0..2_000u64 {
-            ring.observe(t % 29, (t * 7) % 1024, t).unwrap();
-        }
-        let plain = ring.query_landmark(0, 600).unwrap();
-        let decayed = ring.query_decayed(1.0, 600).unwrap();
-        let err = (plain - decayed).abs() / plain.max(1.0);
-        assert!(err < 0.2, "plain {plain} decayed {decayed}");
-        // A strong decay must shrink the estimate.
-        let faded = ring.query_decayed(0.9, 600).unwrap();
-        assert!(faded < decayed, "faded {faded} vs {decayed}");
-        assert!(ring.query_decayed(1.5, 600).is_err());
-    }
-
-    #[test]
     fn snapshot_roundtrip_is_bit_identical() {
         let mut ring = small_f2(8, 3, Some(400));
         for t in 0..900u64 {
@@ -1058,13 +959,14 @@ mod tests {
     #[test]
     fn landmark_and_async_window_reduction_agree() {
         // The pane ring and the Section 1.1 reduction answer the same
-        // sliding-window count on an in-order stream.
+        // sliding-window count on an in-order stream: every tick carries a
+        // distinct `x`, so the ring's F2 is the tuple count.
         let t_max = 4_000u64;
         let mut reduction = crate::AsyncWindowCount::new(0.1, 0.05, t_max, 10_000, 5).unwrap();
-        let mut ring = windowed_count(0.1, 0.05, 1023, 10_000, 5, PaneConfig::new(16)).unwrap();
+        let mut ring = windowed_f2(0.1, 0.05, 1023, 10_000, 5, PaneConfig::new(16)).unwrap();
         for t in 0..=t_max {
             reduction.observe(t % 31, t).unwrap();
-            ring.observe(t % 31, 0, t).unwrap();
+            ring.observe(t, 0, t).unwrap();
         }
         for window in [256u64, 1_024, 4_000] {
             let a = reduction.query_window(t_max, window).unwrap();
@@ -1076,6 +978,27 @@ mod tests {
             assert!((a - exact_a as f64).abs() / exact_a as f64 <= 0.25);
             assert!((b - exact_b).abs() / exact_b <= 0.25, "ring {b} vs {exact_b}");
         }
+    }
+
+    #[test]
+    fn restored_top_class_panes_merge_without_overflow() {
+        // A snapshot may carry any `u32` pane class. Buddy-merging two panes
+        // of the top class must saturate: not panic on overflow, not wrap
+        // to class 0.
+        let mut ring = small_f2(16, 2, None);
+        for t in [0u64, 16, 32] {
+            ring.observe(t, 1, t).unwrap();
+        }
+        for pane in &mut ring.panes {
+            pane.class = u32::MAX;
+        }
+        let mut restored =
+            WindowedF2::restore_from(F2Aggregate::new(0.2, 0.1, 42), &ring.snapshot()).unwrap();
+        restored.observe(48, 1, 48).unwrap();
+        assert_eq!(
+            restored.pane_spans(),
+            vec![(0, 32, u32::MAX), (32, 48, u32::MAX), (48, 64, 0)]
+        );
     }
 
     #[test]

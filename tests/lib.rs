@@ -34,7 +34,7 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
 }
 
 /// Exact ground truth for windowed correlated queries: replays the raw
-/// `(x, y, t)` tuple stream and computes the true F2 / F0 / count of any
+/// `(x, y, t)` tuple stream and computes the true F2 / F0 of any
 /// two-dimensional slice — ticks in `[lo, hi)` and `y ≤ c` — by brute force.
 ///
 /// Estimators are compared against the slice the ring *resolved* (its
@@ -64,11 +64,6 @@ impl WindowOracle {
             .filter(move |&(_, y, t)| t >= lo && t < hi && y <= c)
     }
 
-    /// Exact number of tuples in the slice.
-    pub fn count(&self, lo: u64, hi: u64, c: u64) -> f64 {
-        self.slice(lo, hi, c).count() as f64
-    }
-
     /// Exact second frequency moment of the `x` values in the slice.
     pub fn f2(&self, lo: u64, hi: u64, c: u64) -> f64 {
         self.frequencies(lo, hi, c).values().map(|&n| (n as f64) * (n as f64)).sum()
@@ -77,21 +72,6 @@ impl WindowOracle {
     /// Exact number of distinct `x` values in the slice.
     pub fn f0(&self, lo: u64, hi: u64, c: u64) -> f64 {
         self.frequencies(lo, hi, c).len() as f64
-    }
-
-    /// Exact decayed F2 for pane-granular fading-factor semantics: the caller
-    /// supplies each pane's `(start, end)` span and decay weight `g` (from
-    /// `pane_spans()` and `decay_weight()` on the ring), and the oracle
-    /// computes `Σ_x (Σ_panes g · freq_x(pane, y ≤ c))²` — F2 of the
-    /// per-pane-weighted union, matching the sketch's linear accumulator.
-    pub fn decayed_f2(&self, weighted_spans: &[(u64, u64, f64)], c: u64) -> f64 {
-        let mut weighted: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
-        for &(lo, hi, g) in weighted_spans {
-            for (x, n) in self.frequencies(lo, hi, c) {
-                *weighted.entry(x).or_insert(0.0) += g * n as f64;
-            }
-        }
-        weighted.values().map(|&w| w * w).sum()
     }
 
     /// Exact per-`x` frequencies of the slice.

@@ -4,8 +4,8 @@
 
 use cora_core::{CoreError, ExactCorrelated};
 use cora_stream::{
-    greater_than_instance, multipass_f2, solve_exactly, windowed_count, windowed_f0, windowed_f2,
-    AsyncWindowCount, PaneConfig, StoredStream, StreamTuple,
+    greater_than_instance, multipass_f2, solve_exactly, windowed_f0, windowed_f2, AsyncWindowCount,
+    PaneConfig, StoredStream, StreamTuple,
 };
 use cora_tests::{stream_len, WindowOracle};
 use rand::rngs::StdRng;
@@ -103,13 +103,11 @@ fn windowed_sliding_queries_match_the_oracle_at_the_configured_rate() {
     let n = stream_len(20_000);
     let panes = PaneConfig::new(128);
     let mut f2 = windowed_f2(eps, delta, y_max, n as u64, 11, panes.clone()).unwrap();
-    let mut f0 = windowed_f0(eps, delta, 16, y_max, 11, panes.clone()).unwrap();
-    let mut count = windowed_count(eps, delta, y_max, n as u64, 11, panes).unwrap();
+    let mut f0 = windowed_f0(eps, delta, 16, y_max, 11, panes).unwrap();
     let mut oracle = WindowOracle::new();
     for &(x, y, t) in &windowed_stream(n, t_span, y_max, 29) {
         f2.observe(x, y, t).unwrap();
         f0.observe(x, y, t).unwrap();
-        count.observe(x, y, t).unwrap();
         oracle.observe(x, y, t);
     }
 
@@ -131,14 +129,12 @@ fn windowed_sliding_queries_match_the_oracle_at_the_configured_rate() {
         let Some((lo, hi)) = f2.resolved_window(now, window).unwrap() else {
             continue;
         };
-        // All three rings saw the same observe sequence with the same pane
+        // Both rings saw the same observe sequence with the same pane
         // geometry, so they resolve identical spans.
-        assert_eq!(count.resolved_window(now, window).unwrap(), Some((lo, hi)));
         assert_eq!(f0.resolved_window(now, window).unwrap(), Some((lo, hi)));
         for (est, truth) in [
             (f2.query_at(now, window, c).unwrap(), oracle.f2(lo, hi, c)),
             (f0.query_at(now, window, c).unwrap(), oracle.f0(lo, hi, c)),
-            (count.query_at(now, window, c).unwrap(), oracle.count(lo, hi, c)),
         ] {
             if truth < 20.0 {
                 continue;
@@ -158,65 +154,10 @@ fn windowed_sliding_queries_match_the_oracle_at_the_configured_rate() {
 }
 
 #[test]
-fn windowed_landmark_and_decayed_queries_match_the_oracle() {
-    let eps = 0.25;
-    let y_max = 511u64;
-    let t_span = 4_096u64;
-    let n = stream_len(12_000);
-    let panes = PaneConfig::new(64);
-    let mut ring = windowed_f2(eps, 0.1, y_max, n as u64, 17, panes).unwrap();
-    let mut oracle = WindowOracle::new();
-    for &(x, y, t) in &windowed_stream(n, t_span, y_max, 43) {
-        ring.observe(x, y, t).unwrap();
-        oracle.observe(x, y, t);
-    }
-    let t_latest = ring.t_latest().unwrap();
-
-    // Landmark queries at three cut points, two thresholds each.
-    let mut checks = 0usize;
-    let mut misses = 0usize;
-    for &landmark in &[0u64, t_span / 3, (3 * t_span) / 4] {
-        let window = t_latest + 1 - landmark;
-        let (lo, hi) = ring.resolved_window(t_latest, window).unwrap().unwrap();
-        assert!(lo >= landmark, "resolved span must not reach before the landmark");
-        for &c in &[y_max / 2, y_max] {
-            let est = ring.query_landmark(landmark, c).unwrap();
-            let truth = oracle.f2(lo, hi, c);
-            checks += 1;
-            if (est - truth).abs() / truth.max(1.0) > eps {
-                misses += 1;
-            }
-        }
-    }
-
-    // Decayed variant: fold each pane with weight λ^age and compare against
-    // the oracle's exactly-weighted union, for three fading factors.
-    let spans = ring.pane_spans();
-    for &lambda in &[1.0f64, 0.999, 0.995] {
-        let weighted: Vec<(u64, u64, f64)> = spans
-            .iter()
-            .map(|&(s, e, _)| (s, e, ring.decay_weight(lambda, e)))
-            .collect();
-        for &c in &[y_max / 2, y_max] {
-            let est = ring.query_decayed(lambda, c).unwrap();
-            let truth = oracle.decayed_f2(&weighted, c);
-            checks += 1;
-            if (est - truth).abs() / truth.max(1.0) > eps {
-                misses += 1;
-            }
-        }
-    }
-    assert!(
-        misses <= 2,
-        "landmark/decayed estimates out of band {misses}/{checks} times"
-    );
-}
-
-#[test]
 fn pane_seal_and_retention_boundaries_are_pinned() {
     // Query exactly at a pane seal: ticks 0..48 fill three 16-tick panes, and
     // windows that are pane multiples resolve to exactly the requested span.
-    let mut ring = windowed_count(0.2, 0.1, 255, 10_000, 5, PaneConfig::new(16)).unwrap();
+    let mut ring = windowed_f2(0.2, 0.1, 255, 10_000, 5, PaneConfig::new(16)).unwrap();
     let mut oracle = WindowOracle::new();
     for t in 0..48u64 {
         ring.observe(t % 10, t % 256, t).unwrap();
@@ -228,14 +169,14 @@ fn pane_seal_and_retention_boundaries_are_pinned() {
     assert_eq!(ring.resolved_window(47, 0).unwrap(), None);
     assert_eq!(ring.query_at(47, 0, 255).unwrap(), 0.0);
     let est = ring.query_at(47, 16, 255).unwrap();
-    let truth = oracle.count(32, 48, 255);
+    let truth = oracle.f2(32, 48, 255);
     assert!((est - truth).abs() / truth <= 0.2, "pane-seal query: {est} vs {truth}");
 
     // Retention: with a 64-tick horizon, a 200-tick stream expires its old
     // panes. Windows reaching past the horizon fail loudly; a window starting
     // exactly at the expiry boundary still answers.
     let panes = PaneConfig::new(16).with_retention(64);
-    let mut ring = windowed_count(0.2, 0.1, 255, 10_000, 5, panes).unwrap();
+    let mut ring = windowed_f2(0.2, 0.1, 255, 10_000, 5, panes).unwrap();
     for t in 0..200u64 {
         ring.observe(t % 10, t % 256, t).unwrap();
     }
