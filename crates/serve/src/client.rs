@@ -284,25 +284,39 @@ impl ServeClient {
         Ok((header.opcode, header.flags, payload))
     }
 
-    /// Read the response to a just-sent binary request. An error frame for
-    /// an earlier pipelined (`NO_ACK`) ingest may arrive first; it is
-    /// surfaced as the failure it is rather than silently dropped.
+    /// Read the response to a just-sent binary request. Error frames for
+    /// earlier pipelined (`NO_ACK`) ingests may arrive first: the reply is
+    /// still read, so the connection stays in step, and the first such error
+    /// is surfaced as the failure it is rather than silently dropped.
     fn read_reply(&mut self, expect: u8) -> ClientResult<Response> {
-        let (opcode, flags, payload) = self.read_frame()?;
-        let reply = wire::decode_reply(flags, &payload).map_err(ClientError::Protocol)?;
-        match reply {
-            DecodedReply::Error { kind, message } => {
-                Err(ClientError::Server(ServerError { kind, message }))
+        let mut first_error: Option<ServerError> = None;
+        loop {
+            let (opcode, flags, payload) = self.read_frame()?;
+            let reply = wire::decode_reply(flags, &payload).map_err(ClientError::Protocol)?;
+            if opcode == expect {
+                return match (first_error, reply) {
+                    (Some(error), _) => Err(ClientError::Server(error)),
+                    (None, DecodedReply::Error { kind, message }) => {
+                        Err(ClientError::Server(ServerError { kind, message }))
+                    }
+                    (None, DecodedReply::Ok(fields)) => Ok(Response::from_fields(
+                        fields
+                            .into_iter()
+                            .map(|(key, value)| (key, value.render_json()))
+                            .collect(),
+                    )),
+                };
             }
-            DecodedReply::Ok(_) if opcode != expect => Err(ClientError::Protocol(format!(
-                "response opcode 0x{opcode:02X} does not match request 0x{expect:02X}"
-            ))),
-            DecodedReply::Ok(fields) => Ok(Response::from_fields(
-                fields
-                    .into_iter()
-                    .map(|(key, value)| (key, value.render_json()))
-                    .collect(),
-            )),
+            match reply {
+                DecodedReply::Error { kind, message } => {
+                    first_error.get_or_insert(ServerError { kind, message });
+                }
+                DecodedReply::Ok(_) => {
+                    return Err(ClientError::Protocol(format!(
+                        "response opcode 0x{opcode:02X} does not match request 0x{expect:02X}"
+                    )))
+                }
+            }
         }
     }
 
@@ -334,41 +348,13 @@ impl ServeClient {
         Ok(())
     }
 
-    /// Pipelining sync point: flush queued frames, then round-trip a ping
-    /// and drain everything ahead of its reply. Returns the first pipelined
-    /// ingest error, if any batch since the last sync was rejected. On JSON
-    /// connections (where every request is answered synchronously) this is
-    /// just a ping.
+    /// Pipelining sync point: flush queued frames, then round-trip a ping;
+    /// its reply is read past every error frame ahead of it. Returns the
+    /// first pipelined ingest error, if any batch since the last sync was
+    /// rejected. On JSON connections (where every request is answered
+    /// synchronously) this is just a ping.
     pub fn sync(&mut self) -> ClientResult<()> {
-        if self.mode == Mode::Json {
-            return self.ping();
-        }
-        self.writer.write_all(&wire::encode_request(&Request::Ping, 0))?;
-        self.writer.flush()?;
-        let mut first_error: Option<ServerError> = None;
-        loop {
-            let (opcode, flags, payload) = self.read_frame()?;
-            let reply = wire::decode_reply(flags, &payload).map_err(ClientError::Protocol)?;
-            if opcode == wire::Opcode::Ping as u8 {
-                return match (first_error, reply) {
-                    (Some(error), _) => Err(ClientError::Server(error)),
-                    (None, DecodedReply::Error { kind, message }) => {
-                        Err(ClientError::Server(ServerError { kind, message }))
-                    }
-                    (None, DecodedReply::Ok(_)) => Ok(()),
-                };
-            }
-            match reply {
-                DecodedReply::Error { kind, message } => {
-                    first_error.get_or_insert(ServerError { kind, message });
-                }
-                DecodedReply::Ok(_) => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected success frame 0x{opcode:02X} while draining the pipe"
-                    )))
-                }
-            }
-        }
+        self.ping()
     }
 
     /// Stream `tuples` as pipelined no-ack batches of `batch` tuples, then
@@ -568,62 +554,26 @@ impl ServeClient {
     }
 
     /// Replication handshake with an aggregator: registers `stream`,
-    /// verifies `fingerprint` compatibility, announces the replica's
-    /// current generation, and returns the aggregator's high-water
-    /// generation for that stream (0 = expects a full snapshot).
-    pub fn repl_hello(&mut self, stream: &str, fingerprint: u64, g_to: u64) -> ClientResult<u64> {
-        let response = self.repl_request(&Request::ReplHello {
+    /// verifies `fingerprint` compatibility, and returns the aggregator's
+    /// high-water generation for that stream (0 = expects a full
+    /// container).
+    pub fn repl_hello(&mut self, stream: &str, fingerprint: u64) -> ClientResult<u64> {
+        let response = self.request(&Request::ReplHello {
             stream: stream.to_string(),
             fingerprint,
-            g_to,
         })?;
         response.u64_field("high_water").map_err(ClientError::Protocol)
     }
 
-    /// Ship one sealed delta container (binary connections only); returns
-    /// the aggregator's new high-water generation.
+    /// Ship one sealed container, full when its `g_from` is 0 (the
+    /// aggregator accepts it on binary connections only); returns the
+    /// aggregator's new high-water generation.
     pub fn repl_delta(&mut self, stream: &str, frame: Vec<u8>) -> ClientResult<u64> {
-        let response = self.repl_request(&Request::ReplDelta {
+        let response = self.request(&Request::ReplDelta {
             stream: stream.to_string(),
             frame,
         })?;
         response.u64_field("high_water").map_err(ClientError::Protocol)
-    }
-
-    /// Ship one full replacement snapshot container (`g_from = 0`, binary
-    /// connections only); returns the aggregator's new high-water
-    /// generation.
-    pub fn repl_snapshot(&mut self, stream: &str, frame: Vec<u8>) -> ClientResult<u64> {
-        let response = self.repl_request(&Request::ReplSnapshot {
-            stream: stream.to_string(),
-            frame,
-        })?;
-        response.u64_field("high_water").map_err(ClientError::Protocol)
-    }
-
-    /// Send a replication request. On the binary protocol the server
-    /// answers every `Repl*` request with a `ReplAck` frame (not an echo of
-    /// the request opcode), so this bypasses [`Self::request`]'s
-    /// echo-opcode check.
-    fn repl_request(&mut self, request: &Request) -> ClientResult<Response> {
-        match self.mode {
-            Mode::Json => match request {
-                // The payload-carrying ops cannot travel as JSON; refuse
-                // client-side instead of sending a frame-less stub.
-                Request::ReplDelta { .. } | Request::ReplSnapshot { .. } => {
-                    Err(ClientError::Protocol(
-                        "replication payloads require a binary connection".into(),
-                    ))
-                }
-                _ => self.request_json(request),
-            },
-            Mode::Binary => {
-                let frame = wire::encode_request(request, 0);
-                self.writer.write_all(&frame)?;
-                self.writer.flush()?;
-                self.read_reply(wire::Opcode::ReplAck as u8)
-            }
-        }
     }
 }
 

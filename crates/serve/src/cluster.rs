@@ -3,7 +3,7 @@
 //! ## Topology
 //!
 //! ```text
-//!   ingest node A ──┐  REPL_HELLO / REPL_DELTA / REPL_SNAPSHOT
+//!   ingest node A ──┐  repl_hello, then one repl_delta per cut
 //!   (ServeConfig::  ├─────────────► aggregator (start_aggregator)
 //!    replicate)     │                 stream "A": F2/HH + F0 + rarity
 //!   ingest node B ──┘                 stream "B": F2/HH + F0 + rarity
@@ -14,13 +14,13 @@
 //!
 //! An ingest node replicates the way it recovers: a snapshot, then the
 //! batches acked after it ([`crate::server::ServeConfig::replicate`]). The
-//! first cut and every resync is a **full** container (the node's `F_2`/HH
-//! structure, `F_0` and rarity) that replaces the stream's state; every
-//! later cut carries the tuples acked since the previous one, which the
-//! aggregator **replays** with `insert_batch`, as warm standby replays a
-//! journal. A stream is thus always built by Algorithms 1–2 one insert at a
-//! time, the premise of the `(1 ± ε)` bound, and its `F_0` and rarity are
-//! the node's bit for bit. Every section is restored, and every shipped
+//! first cut and every resync is a **full** container (`g_from = 0`: the
+//! node's `F_2`/HH structure, `F_0` and rarity) that replaces the stream's
+//! state; every later cut carries the tuples acked since the previous one,
+//! which the aggregator **replays** with `insert_batch`, as warm standby
+//! replays a journal. A stream is thus always built by Algorithms 1–2 one
+//! insert at a time, the premise of the `(1 ± ε)` bound, and its `F_0` and
+//! rarity are the node's bit for bit. Every section is restored, and every shipped
 //! tuple checked for `y ≤ y_max`, before the stream is touched.
 //!
 //! **The price of replay** is one insert per shipped tuple, 5–6 µs on one
@@ -32,16 +32,18 @@
 //!
 //! ## Chain discipline
 //!
-//! Every shipped container carries `(g_from, g_to]` generation bounds and a
-//! configuration fingerprint, which also covers the replication format, so
-//! a node and an aggregator that ship different container kinds are
-//! refused at `repl_hello`. The aggregator accepts a delta only when
-//! `g_from` equals its high-water generation for that stream; anything else
-//! is answered with a `request` error and the replica falls back to a
-//! **full resync** (`g_from = 0`, a replacement snapshot). A replica whose
-//! unacked backlog exceeds [`crate::server::ReplicateConfig::max_pending`]
-//! cuts, or holds more tuple bytes than its last full cut, collapses the
-//! backlog into one full resync instead of queueing unboundedly.
+//! Every container travels as one `repl_delta` request, answered like any
+//! other op with the aggregator's `high_water`. It carries `(g_from, g_to]`
+//! generation bounds and a configuration fingerprint, which also covers the
+//! replication format, so a node and an aggregator that ship different
+//! container kinds are refused at `repl_hello`. `g_from = 0` marks a full
+//! replacement, which applies at any high water. The aggregator accepts an
+//! incremental container only when `g_from` equals its high-water
+//! generation for that stream; anything else is answered with a `request`
+//! error and the replica falls back to a **full resync**. A replica whose
+//! unacked backlog reaches `MAX_PENDING_CUTS` (32) cuts, or holds more
+//! tuple bytes than its last full cut, collapses the backlog into one full
+//! resync instead of queueing unboundedly.
 //!
 //! ## Warm standby
 //!
@@ -262,14 +264,9 @@ impl AggCore {
         Ok(Reply::Ok(vec![("high_water", Value::U64(high_water))]))
     }
 
-    /// Apply one sealed container to `stream`. `snapshot_op` marks frames
-    /// that arrived via `repl_snapshot`, which must be full replacements.
-    fn repl_apply(
-        &self,
-        stream: &str,
-        frame: &[u8],
-        snapshot_op: bool,
-    ) -> Result<Reply, StatePoisoned> {
+    /// Apply one sealed container to `stream`: a full replacement when its
+    /// `g_from` is 0, an incremental cut that must chain otherwise.
+    fn repl_apply(&self, stream: &str, frame: &[u8]) -> Result<Reply, StatePoisoned> {
         let reject = |message: String| {
             self.repl_rejected.fetch_add(1, Ordering::Relaxed);
             Ok(Reply::request_error(message))
@@ -282,12 +279,6 @@ impl AggCore {
             return reject(format!(
                 "configuration fingerprint mismatch (container {:#018x}, aggregator {:#018x})",
                 header.fingerprint, self.fingerprint
-            ));
-        }
-        if snapshot_op && header.g_from != 0 {
-            return reject(format!(
-                "repl_snapshot requires a full container (g_from = 0), got g_from = {}",
-                header.g_from
             ));
         }
         // Restore or decode every section before touching the stream state,
@@ -339,6 +330,13 @@ impl AggCore {
     /// returning upstream full-resyncs over this state.
     fn catch_up_from_dir(&self, stream: &str, dir: &Path) -> Result<(), ServeError> {
         check_stream_name(stream).map_err(ServeError::Invalid)?;
+        // `recover` creates a missing directory, as an ingest node's first
+        // start wants; a seed that is not there is a mistyped path.
+        if !dir.is_dir() {
+            return Err(ServeError::Invalid(format!(
+                "seed directory {dir:?} for stream {stream:?} does not exist"
+            )));
+        }
         let storage = crate::journal::disk_storage();
         let recovered = recover(&storage, dir)?;
         // The fingerprint covers every mergeable parameter; a bundle from a
@@ -402,11 +400,8 @@ impl AggCore {
                     ("count", Value::U64(names.len() as u64)),
                 ])
             }
-            Request::ReplHello { stream, fingerprint, g_to: _ } => {
-                self.repl_hello(&stream, fingerprint)?
-            }
-            Request::ReplDelta { stream, frame } => self.repl_apply(&stream, &frame, false)?,
-            Request::ReplSnapshot { stream, frame } => self.repl_apply(&stream, &frame, true)?,
+            Request::ReplHello { stream, fingerprint } => self.repl_hello(&stream, fingerprint)?,
+            Request::ReplDelta { stream, frame } => self.repl_apply(&stream, &frame)?,
             Request::Stats => {
                 let state = self.state()?;
                 let high_water_sum = state.streams.values().map(|s| s.high_water).sum::<u64>();
@@ -499,10 +494,6 @@ pub fn start_aggregator_seeded(
 struct ReplProgress {
     /// Highest generation the aggregator has acknowledged.
     acked_gen: u64,
-    /// Containers acknowledged (deltas and snapshots).
-    shipped: u64,
-    /// Full resyncs performed (chain breaks, reconnects, overflow).
-    full_resyncs: u64,
     /// Barrier tickets: a sync request bumps `sync_requests`; the loop
     /// publishes `sync_completions` after a pass that covers the ticket.
     sync_requests: u64,
@@ -611,6 +602,11 @@ pub(crate) fn spawn_replicator(
     ReplicatorHandle { shared, thread }
 }
 
+/// Unacknowledged cuts a replica queues while the link is down before it
+/// collapses the backlog into one full resync (bounding replica memory, as
+/// does a backlog of more bytes than a full cut).
+const MAX_PENDING_CUTS: usize = 32;
+
 /// The replica-side state machine living on the replication thread.
 struct Replicator {
     core: Arc<ServerCore>,
@@ -620,7 +616,8 @@ struct Replicator {
     fingerprint: u64,
     session: Option<ServeClient>,
     /// Cut-but-unacknowledged containers, oldest first. Bounded by
-    /// `cfg.max_pending` and `full_bytes`; overflow becomes one full resync.
+    /// [`MAX_PENDING_CUTS`] and `full_bytes`; overflow becomes one full
+    /// resync.
     pending: VecDeque<ReplCut>,
     /// Size of the last full cut: queued tuple tails that outgrow it are
     /// replaced by a full resync, which ships the same state in fewer bytes.
@@ -748,7 +745,7 @@ impl Replicator {
     fn cut(&mut self) -> Result<(), String> {
         let tails = self.pending.iter().filter(|cut| cut.g_from != 0);
         let tail_bytes: usize = tails.map(|cut| cut.frame.len()).sum();
-        if self.pending.len() >= self.cfg.max_pending.max(1) || tail_bytes > self.full_bytes {
+        if self.pending.len() >= MAX_PENDING_CUTS || tail_bytes > self.full_bytes {
             self.need_full = true;
         }
         if self.need_full {
@@ -762,8 +759,6 @@ impl Replicator {
             self.full_bytes = cut.frame.len();
             self.pending.push_back(cut);
             self.need_full = false;
-            let mut progress = self.shared.progress();
-            progress.full_resyncs += 1;
         } else if let Some(cut) = self
             .core
             .repl_cut(false)
@@ -781,17 +776,10 @@ impl Replicator {
             None => self.establish()?,
         };
         while let Some(front) = self.pending.front() {
-            let result = if front.g_from == 0 {
-                session.repl_snapshot(&self.cfg.stream, front.frame.clone())
-            } else {
-                session.repl_delta(&self.cfg.stream, front.frame.clone())
-            };
-            match result {
+            match session.repl_delta(&self.cfg.stream, front.frame.clone()) {
                 Ok(_high_water) => {
                     let acked = self.pending.pop_front().expect("front exists");
-                    let mut progress = self.shared.progress();
-                    progress.acked_gen = acked.g_to;
-                    progress.shipped += 1;
+                    self.shared.progress().acked_gen = acked.g_to;
                 }
                 // A `request` rejection means the chain broke (the
                 // aggregator restarted or another replica reset the
@@ -835,7 +823,7 @@ impl Replicator {
         }
         let chain_gen = self.pending.back().map_or(0, |cut| cut.g_to);
         let high_water = session
-            .repl_hello(&self.cfg.stream, self.fingerprint, chain_gen)
+            .repl_hello(&self.cfg.stream, self.fingerprint)
             .map_err(|e| conn_err(format!("replication handshake: {e}")))?;
         let resumes = match self.pending.front() {
             // A full container applies anywhere; a delta must chain.
@@ -924,23 +912,23 @@ mod tests {
         let core = AggCore::new(test_config()).unwrap();
         let fp = test_config().replication_fingerprint();
         // Garbage container.
-        let reply = core.repl_apply("node-a", b"garbage", false).unwrap();
+        let reply = core.repl_apply("node-a", b"garbage").unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         // Unknown stream with a structurally valid (but empty) container.
         let header = DeltaHeader { g_from: 0, g_to: 1, fingerprint: fp };
         let mut frame = Vec::new();
         cora_core::snapshot::seal_delta_into(&header, &[], &mut frame);
-        let reply = core.repl_apply("node-a", &frame, true).unwrap();
+        let reply = core.repl_apply("node-a", &frame).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         // Registered stream, but the container is missing its sections.
         core.repl_hello("node-a", fp).unwrap();
-        let reply = core.repl_apply("node-a", &frame, true).unwrap();
+        let reply = core.repl_apply("node-a", &frame).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
-        // A snapshot op must carry g_from = 0.
+        // An incremental container without its batches section.
         let header = DeltaHeader { g_from: 3, g_to: 4, fingerprint: fp };
         let mut frame = Vec::new();
         cora_core::snapshot::seal_delta_into(&header, &[], &mut frame);
-        let reply = core.repl_apply("node-a", &frame, true).unwrap();
+        let reply = core.repl_apply("node-a", &frame).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         assert!(core.repl_rejected.load(Ordering::Relaxed) >= 4);
     }
@@ -987,7 +975,7 @@ mod tests {
         let fp = config.replication_fingerprint();
         core.repl_hello("node-a", fp).unwrap();
         let base = DeltaHeader { g_from: 0, g_to: 1, fingerprint: fp };
-        let reply = core.repl_apply("node-a", &full_container(&config, &base, 3_000), true);
+        let reply = core.repl_apply("node-a", &full_container(&config, &base, 3_000));
         assert_eq!(reply.unwrap(), Reply::Ok(vec![("high_water", Value::U64(1))]));
         let before = observable(&core, "node-a");
         let rejected_before = core.repl_rejected.load(Ordering::Relaxed);
@@ -1002,7 +990,7 @@ mod tests {
         let mut refused = |header: &DeltaHeader, sections: &[(u8, &[u8])], what: &str| {
             let mut frame = Vec::new();
             cora_core::snapshot::seal_delta_into(header, sections, &mut frame);
-            let reply = core.repl_apply("node-a", &frame, header.g_from == 0).unwrap();
+            let reply = core.repl_apply("node-a", &frame).unwrap();
             assert!(matches!(reply, Reply::Error(_)), "{what}: {reply:?}");
             assert_eq!(observable(&core, "node-a"), before, "{what}");
             refusals += 1;
@@ -1046,7 +1034,7 @@ mod tests {
         assert_eq!(core.repl_rejected.load(Ordering::Relaxed), rejected_before + refusals);
 
         // The chain is intact: the whole delta still applies.
-        let reply = core.repl_apply("node-a", &whole, false).unwrap();
+        let reply = core.repl_apply("node-a", &whole).unwrap();
         assert_eq!(reply, Reply::Ok(vec![("high_water", Value::U64(2))]));
         assert_ne!(observable(&core, "node-a").0, before.0);
     }
@@ -1065,7 +1053,7 @@ mod tests {
         let agg = AggCore::new(config.clone()).unwrap();
         agg.repl_hello("a", config.replication_fingerprint()).unwrap();
         let ship = |cut: ReplCut| {
-            let reply = agg.repl_apply("a", &cut.frame, cut.g_from == 0).unwrap();
+            let reply = agg.repl_apply("a", &cut.frame).unwrap();
             assert_eq!(reply, Reply::Ok(vec![("high_water", Value::U64(cut.g_to))]));
             cut.frame
         };
@@ -1186,7 +1174,7 @@ mod tests {
         replicator.cut().unwrap();
         assert_eq!((replicator.pending.len(), replicator.pending[0].g_from), (1, 0));
         let full = replicator.full_bytes;
-        for round in 1..replicator.cfg.max_pending {
+        for round in 1..MAX_PENDING_CUTS {
             let tails = replicator.pending.iter().filter(|cut| cut.g_from != 0);
             let tail_bytes: usize = tails.map(|cut| cut.frame.len()).sum();
             assert!(matches!(node.ingest_binary(&tuples(500), &[], None), Reply::Ok(_)));
@@ -1224,7 +1212,7 @@ mod tests {
             Request::QueryF0 { c: 10 },
             Request::Stats,
             Request::Streams,
-            Request::ReplHello { stream: "node-b".into(), fingerprint: fp, g_to: 0 },
+            Request::ReplHello { stream: "node-b".into(), fingerprint: fp },
         ] {
             let (reply, stop) = core.handle(request);
             let rendered = reply.render_json();

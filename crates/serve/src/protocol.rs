@@ -26,11 +26,11 @@
 //! | `auth`          | `token`                 | unlocks a connection when the server has an `auth_token` |
 //! | `set_f0`        | `a`, `b`, `set_op`, `c` | distinct-count estimate of `A∪B` / `A∩B` / `A∖B` under `y ≤ c` (aggregator) |
 //! | `streams`       | —                       | the registered upstream stream names (aggregator) |
-//! | `repl_hello`    | `stream`, `fingerprint`, `g_to` | replication handshake; replies with the aggregator's `high_water` |
+//! | `repl_hello`    | `stream`, `fingerprint` | replication handshake; replies with the aggregator's `high_water` |
 //!
-//! The replication payload ops `repl_delta` and `repl_snapshot` exist only
-//! on the binary protocol — their payloads are sealed binary delta
-//! containers that JSON lines cannot carry; sending their op names over
+//! The replication payload op `repl_delta` exists only on the binary
+//! protocol — its payload is a sealed binary container (full when
+//! `g_from = 0`) that JSON lines cannot carry; sending its op name over
 //! JSON answers a structured `request` error naming the binary protocol.
 //!
 //! The optional `ts` array on `ingest` carries per-tuple timestamps (ticks)
@@ -195,21 +195,13 @@ pub enum Request {
         /// The replica's configuration fingerprint; must match the
         /// aggregator's or the handshake is refused (non-mergeable state).
         fingerprint: u64,
-        /// The replica's current replication generation.
-        g_to: u64,
     },
-    /// Ship an incremental delta container (binary protocol only).
+    /// Ship one replication container (binary protocol only).
     ReplDelta {
         /// Upstream stream name.
         stream: String,
-        /// The sealed `SnapshotKind::Delta` container.
-        frame: Vec<u8>,
-    },
-    /// Ship a full replacement snapshot container (binary protocol only).
-    ReplSnapshot {
-        /// Upstream stream name.
-        stream: String,
-        /// The sealed `SnapshotKind::Delta` container with `g_from = 0`.
+        /// The sealed `SnapshotKind::Delta` container: a full replacement
+        /// when its `g_from` is 0, an incremental cut otherwise.
         frame: Vec<u8>,
     },
 }
@@ -291,19 +283,15 @@ impl Request {
                 json::escape(op.as_str())
             ),
             Request::Streams => r#"{"op":"streams"}"#.to_string(),
-            Request::ReplHello { stream, fingerprint, g_to } => format!(
-                r#"{{"op":"repl_hello","stream":{},"fingerprint":{fingerprint},"g_to":{g_to}}}"#,
+            Request::ReplHello { stream, fingerprint } => format!(
+                r#"{{"op":"repl_hello","stream":{},"fingerprint":{fingerprint}}}"#,
                 json::escape(stream)
             ),
-            // The payload ops cannot travel as JSON (their frames are raw
+            // The payload op cannot travel as JSON (its frame is raw
             // binary); rendering just the op name lets a JSON server answer
             // with its structured binary-only refusal.
             Request::ReplDelta { stream, .. } => format!(
                 r#"{{"op":"repl_delta","stream":{}}}"#,
-                json::escape(stream)
-            ),
-            Request::ReplSnapshot { stream, .. } => format!(
-                r#"{{"op":"repl_snapshot","stream":{}}}"#,
                 json::escape(stream)
             ),
         }
@@ -399,9 +387,8 @@ impl Request {
             "repl_hello" => Ok(Request::ReplHello {
                 stream: json::parse_string(get("stream")?)?,
                 fingerprint: json::parse_u64(get("fingerprint")?)?,
-                g_to: json::parse_u64(get("g_to")?)?,
             }),
-            "repl_delta" | "repl_snapshot" => Err(format!(
+            "repl_delta" => Err(format!(
                 "{op} is only available on the binary protocol \
                  (its payload is a sealed binary delta container)"
             )),
@@ -718,7 +705,6 @@ mod tests {
             Request::ReplHello {
                 stream: "node-a".to_string(),
                 fingerprint: u64::MAX,
-                g_to: 17,
             },
         ];
         for request in requests {
@@ -729,13 +715,9 @@ mod tests {
 
     #[test]
     fn repl_payload_ops_are_binary_only_over_json() {
-        for request in [
-            Request::ReplDelta { stream: "a".into(), frame: vec![1, 2, 3] },
-            Request::ReplSnapshot { stream: "a".into(), frame: vec![] },
-        ] {
-            let e = Request::parse(&request.encode()).unwrap_err();
-            assert!(e.contains("binary protocol"), "{e}");
-        }
+        let request = Request::ReplDelta { stream: "a".into(), frame: vec![1, 2, 3] };
+        let e = Request::parse(&request.encode()).unwrap_err();
+        assert!(e.contains("binary protocol"), "{e}");
         for op in ["union", "intersect", "diff"] {
             assert_eq!(SetOp::parse(op).unwrap().as_str(), op);
         }

@@ -214,23 +214,17 @@ pub struct ReplicateConfig {
     pub interval_ms: u64,
     /// Auth token presented to the aggregator, when it requires one.
     pub auth_token: Option<String>,
-    /// Unacknowledged delta cuts buffered while the link is down before
-    /// the replicator gives up on the chain and falls back to a full
-    /// snapshot resync (bounds replica-side memory, as does a backlog of
-    /// more bytes than a full cut).
-    pub max_pending: usize,
 }
 
 impl ReplicateConfig {
     /// Replicate to `target` as `stream` with the default pacing: cut every
-    /// 200 ms, buffer up to 32 unacked cuts, no auth.
+    /// 200 ms, no auth.
     pub fn new(target: impl Into<String>, stream: impl Into<String>) -> Self {
         Self {
             target: target.into(),
             stream: stream.into(),
             interval_ms: 200,
             auth_token: None,
-            max_pending: 32,
         }
     }
 }
@@ -432,8 +426,8 @@ pub(crate) struct ServerCore {
 
 /// One replication cut: a sealed [`SnapshotKind::Delta`] container plus the
 /// generation span `(g_from, g_to]` it covers. `g_from == 0` marks a full
-/// replacement snapshot (shipped via `repl_snapshot`), anything else an
-/// incremental delta that must chain onto the aggregator's high water.
+/// replacement snapshot, anything else an incremental delta that must chain
+/// onto the aggregator's high water; both ship as `repl_delta`.
 pub(crate) struct ReplCut {
     /// Exclusive lower generation bound (0 = full replacement).
     pub g_from: u64,
@@ -1137,9 +1131,7 @@ impl ServerCore {
                 "set-expression queries are answered by an aggregator node \
                  (cora_serve_agg), not by an ingest server",
             ),
-            Request::ReplHello { .. }
-            | Request::ReplDelta { .. }
-            | Request::ReplSnapshot { .. } => Reply::request_error(
+            Request::ReplHello { .. } | Request::ReplDelta { .. } => Reply::request_error(
                 "replication frames are accepted by an aggregator node \
                  (cora_serve_agg), not by an ingest server",
             ),

@@ -343,17 +343,9 @@ impl Conn {
                                     (Reply::request_error(format!("bad request frame: {e}")), false)
                                 }
                             };
-                            // Replication requests are acknowledged with the
-                            // dedicated REPL_ACK opcode instead of an echo.
-                            let reply_opcode = match opcode {
-                                Opcode::ReplHello | Opcode::ReplDelta | Opcode::ReplSnapshot => {
-                                    Opcode::ReplAck as u8
-                                }
-                                _ => header.opcode,
-                            };
                             let suppress = no_ack && matches!(reply, Reply::Ok(_)) && !stop;
                             if !suppress {
-                                self.queue(&wire::encode_reply(reply_opcode, &reply));
+                                self.queue(&wire::encode_reply(header.opcode, &reply));
                             }
                             if stop {
                                 break Next::Stop;

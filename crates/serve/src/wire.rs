@@ -55,17 +55,14 @@
 //! | 0x0E   | `auth`          | `str token`                                      |
 //! | 0x0F   | `set_f0`        | `str a`, `str b`, `u8 op` (0 ∪, 1 ∩, 2 ∖), `u64 c` |
 //! | 0x10   | `streams`       | —                                                |
-//! | 0x11   | `repl_hello`    | `str stream`, `u64 fingerprint`, `u64 g_to`      |
-//! | 0x12   | `repl_delta`    | `str stream`, then the sealed delta container    |
-//! | 0x13   | `repl_snapshot` | `str stream`, then the sealed full container     |
-//! | 0x14   | `repl_ack`      | *response-only*: the aggregator answers every repl request with this opcode, carrying its `high_water` generation |
+//! | 0x11   | `repl_hello`    | `str stream`, `u64 fingerprint`                  |
+//! | 0x12   | `repl_delta`    | `str stream`, then a sealed container, full when `g_from = 0` |
 //!
-//! The three `repl_*` requests are answered with opcode `0x14 REPL_ACK`
-//! instead of an echo, so a replica can pattern-match acknowledgements
-//! without tracking which request is in flight. A full snapshot container
-//! is still one frame, so replicated state is capped at
-//! [`MAX_FRAME_BYTES`] (16 MiB) — far above any sketch-only bundle, but a
-//! hard error (not silent truncation) if exceeded.
+//! Both `repl_*` replies echo the request opcode like every other op and
+//! carry the aggregator's `high_water` generation. A full container is
+//! still one frame, so replicated state is capped at [`MAX_FRAME_BYTES`]
+//! (16 MiB) — far above any sketch-only bundle, but a hard error (not
+//! silent truncation) if exceeded.
 //!
 //! The ingest `meta` byte carries bit 0 = explicit timestamps follow the y
 //! lane, bit 1 = a `(writer, seq)` idempotency pair precedes the x lane
@@ -154,13 +151,9 @@ pub enum Opcode {
     Streams = 0x10,
     /// Replication handshake: name the stream, prove config compatibility.
     ReplHello = 0x11,
-    /// Ship an incremental delta container for a stream.
+    /// Ship one replication container for a stream (a full replacement
+    /// when its `g_from` is 0).
     ReplDelta = 0x12,
-    /// Ship a full replacement snapshot container for a stream.
-    ReplSnapshot = 0x13,
-    /// Response-only: acknowledges a repl request with the aggregator's
-    /// high-water generation.
-    ReplAck = 0x14,
 }
 
 impl Opcode {
@@ -185,8 +178,6 @@ impl Opcode {
             0x10 => Opcode::Streams,
             0x11 => Opcode::ReplHello,
             0x12 => Opcode::ReplDelta,
-            0x13 => Opcode::ReplSnapshot,
-            0x14 => Opcode::ReplAck,
             _ => return None,
         })
     }
@@ -343,21 +334,15 @@ pub fn encode_request(request: &Request, flags: u8) -> Vec<u8> {
             Opcode::SetF0
         }
         Request::Streams => Opcode::Streams,
-        Request::ReplHello { stream, fingerprint, g_to } => {
+        Request::ReplHello { stream, fingerprint } => {
             w.put_str(stream);
             w.put_u64(*fingerprint);
-            w.put_u64(*g_to);
             Opcode::ReplHello
         }
         Request::ReplDelta { stream, frame: bytes } => {
             w.put_str(stream);
             w.put_bytes(bytes);
             Opcode::ReplDelta
-        }
-        Request::ReplSnapshot { stream, frame: bytes } => {
-            w.put_str(stream);
-            w.put_bytes(bytes);
-            Opcode::ReplSnapshot
         }
     };
     frame(opcode as u8, flags, w.as_bytes())
@@ -512,20 +497,11 @@ pub fn decode_request(opcode: Opcode, payload: &[u8]) -> Result<Request, String>
         Opcode::ReplHello => Request::ReplHello {
             stream: r.get_str().map_err(e)?,
             fingerprint: r.get_u64().map_err(e)?,
-            g_to: r.get_u64().map_err(e)?,
         },
         Opcode::ReplDelta => {
             let stream = r.get_str().map_err(e)?;
             let bytes = r.take(r.remaining()).map_err(e)?.to_vec();
             Request::ReplDelta { stream, frame: bytes }
-        }
-        Opcode::ReplSnapshot => {
-            let stream = r.get_str().map_err(e)?;
-            let bytes = r.take(r.remaining()).map_err(e)?.to_vec();
-            Request::ReplSnapshot { stream, frame: bytes }
-        }
-        Opcode::ReplAck => {
-            return Err("REPL_ACK is a response-only opcode".into());
         }
     };
     r.expect_end().map_err(e)?;
@@ -702,16 +678,12 @@ mod tests {
             Request::ReplHello {
                 stream: "node-a".to_string(),
                 fingerprint: 0xFEED_F00D_DEAD_BEEF,
-                g_to: 42,
             },
             Request::ReplDelta {
                 stream: "node-a".to_string(),
                 frame: vec![0xCA, 0xFE, 0x00, 0x42],
             },
-            Request::ReplSnapshot {
-                stream: "node-b".to_string(),
-                frame: vec![],
-            },
+            Request::ReplDelta { stream: "node-b".to_string(), frame: vec![] },
         ];
         for request in requests {
             let bytes = encode_request(&request, 0);
@@ -841,8 +813,10 @@ mod tests {
         let mut padded = q[HEADER_BYTES..].to_vec();
         padded.push(0);
         assert!(decode_request(Opcode::HeavyHitters, &padded).is_err());
-        // REPL_ACK only travels server -> client.
-        assert!(decode_request(Opcode::ReplAck, &[]).is_err());
+        // Only `repl_delta` ships containers: a peer's 0x13 or 0x14 frame
+        // gets the unknown-opcode error.
+        assert_eq!(Opcode::from_byte(0x13), None);
+        assert_eq!(Opcode::from_byte(0x14), None);
         // An unknown set-op tag is rejected.
         let mut w = ByteWriter::new();
         w.put_str("a");

@@ -290,6 +290,28 @@ fn pipelined_binary_ingest_matches_sequential_json() {
     binary_server.shutdown();
 }
 
+/// An error frame for an earlier no-ack batch arrives ahead of the next
+/// request's reply: that request reports the batch's error, and the calls
+/// after it still get their own answers.
+#[test]
+fn a_pipelined_error_frame_leaves_later_replies_in_step() {
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut client = ServeClient::connect_binary(server.local_addr()).unwrap();
+    let tuples: Vec<(u64, u64)> = (0..400).map(|i| (i % 37, (i * 7) % 1024)).collect();
+    client.ingest(&tuples).unwrap();
+    client.flush().unwrap();
+    let (low, high) = (client.query_f2(100).unwrap(), client.query_f2(1023).unwrap());
+    assert_ne!(low, high);
+
+    client.ingest_noack(&[(2, 1_000_000)]).unwrap(); // y out of range
+    let err = client.query_f2(100).unwrap_err();
+    assert!(matches!(err, ClientError::Server(_)), "{err}");
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.u64_field("items_accepted").unwrap(), tuples.len() as u64);
+    assert_eq!(client.query_f2(1023).unwrap(), high);
+    server.shutdown();
+}
+
 #[test]
 fn connection_limit_refuses_with_an_error_line() {
     let mut config = test_config();

@@ -245,6 +245,25 @@ fn auth_gates_both_transports() {
     server.shutdown();
 }
 
+/// The handshake travels over either transport; the payload op is refused
+/// by the aggregator's own JSON parser, with a structured `request` error.
+#[test]
+fn a_json_repl_delta_is_refused_by_the_aggregator() {
+    let agg = start_aggregator(sketch_config(), "127.0.0.1:0").expect("aggregator");
+    let mut json = ServeClient::connect(agg.local_addr()).expect("connect");
+    let fingerprint = sketch_config().replication_fingerprint();
+    assert_eq!(json.repl_hello("a", fingerprint).expect("JSON handshake"), 0);
+    match json.repl_delta("a", vec![1, 2, 3]) {
+        Err(ClientError::Server(e)) => {
+            assert_eq!(e.kind, "request", "{e}");
+            assert!(e.message.contains("binary protocol"), "{e}");
+        }
+        other => panic!("expected the aggregator's refusal, got {other:?}"),
+    }
+    json.ping().expect("the connection stays usable");
+    agg.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Fan-in vs oracle
 // ---------------------------------------------------------------------------
@@ -546,6 +565,17 @@ fn warm_standby_seeds_from_durable_dir_and_resyncs_without_double_count() {
     revived.shutdown();
     oracle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn seeding_from_a_missing_directory_is_refused_and_creates_nothing() {
+    let parent = temp_dir("missing-seed");
+    let missing = parent.join("no-such-node");
+    let seeded =
+        start_aggregator_seeded(sketch_config(), "127.0.0.1:0", &[("a", missing.as_path())]);
+    assert!(seeded.is_err(), "a missing seed directory was accepted");
+    assert!(!missing.exists(), "seeding created {missing:?}");
+    let _ = std::fs::remove_dir_all(&parent);
 }
 
 // ---------------------------------------------------------------------------

@@ -27,24 +27,13 @@
 //! (see [`SharedUpdate`]): `prepare_batch_into` computes every
 //! `(row, bucket, signed delta)` coordinate of a batch in one pass and lays
 //! them out row-major, and `apply_prepared_range` then walks one contiguous
-//! coordinate slice per row against that row's contiguous lane segment in an
-//! explicitly unrolled, bounds-check-free inner loop
+//! coordinate slice per row against that row's contiguous lane segment
 //! (`apply_row_kernel`). The kernel is *scalar-exact*: coordinates are
-//! applied in stream order, so duplicate buckets inside an unrolled quad see
-//! each other's writes exactly as a one-at-a-time loop would, and the
-//! resulting counters and sidebands are bit-identical to per-tuple
-//! [`StreamSketch::update`] calls (pinned by the `kernel_equivalence` test
-//! suite). A single update through the framework is a batch of one.
-//!
-//! # The `simd` feature contract
-//!
-//! With the `simd` cargo feature enabled (and on `x86_64` with AVX2
-//! available at runtime), the counter-wise **merge** addition uses
-//! `core::arch` vector intrinsics. Only operations whose vector form is
-//! bit-identical to the portable form are ever vectorized: element-wise
-//! integer lane addition commutes with any execution order, and no
-//! floating-point sum is ever reassociated. The portable path remains the
-//! default and the two paths produce identical sketches on every input.
+//! applied in stream order, so duplicate buckets see each other's writes
+//! exactly as a one-at-a-time loop would, and the resulting counters and
+//! sidebands are bit-identical to per-tuple [`StreamSketch::update`] calls
+//! (pinned by the `kernel_equivalence` test suite). A single update through
+//! the framework is a batch of one.
 //!
 //! # Adaptive depth trimming
 //!
@@ -130,115 +119,15 @@ fn reduce_key(item: u64) -> u64 {
 
 /// The scalar-exact apply kernel: add each `(bucket, delta)` coordinate pair
 /// to the row's counter lane **in stream order**, carrying the running exact
-/// `Σ c²` in a register. The loop is explicitly unrolled 4-wide with
-/// unchecked lane accesses so the compiler keeps all four update chains in
-/// flight without re-checking bounds per counter touch.
-///
-/// # Safety invariant (checked by the caller)
-///
-/// Every value in `buckets` is `< lane.len()`: the coordinates are produced
-/// only by `prepare_batch_into`, whose Lemire reduction maps into
-/// `[0, width)`, and `apply_prepared_range` asserts that the batch's
-/// recorded width equals this sketch's width before any unchecked access.
+/// `Σ c²` in a register.
 #[inline]
 fn apply_row_kernel(lane: &mut [i64], buckets: &[u32], deltas: &[i64], sumsq: &mut i128) {
     debug_assert_eq!(buckets.len(), deltas.len());
-    debug_assert!(buckets.iter().all(|&b| (b as usize) < lane.len()));
     let mut acc = *sumsq;
-    let n = buckets.len();
-    let quads = n / 4;
-    for q in 0..quads {
-        let i = q * 4;
-        // SAFETY: `i + 3 < n` by construction of `quads`, and every bucket is
-        // `< lane.len()` per the documented invariant (asserted in debug
-        // builds above). The four updates run strictly in order, so duplicate
-        // buckets within a quad observe each other's writes exactly as the
-        // scalar loop would — this is unrolling, not reordering.
-        unsafe {
-            let b0 = *buckets.get_unchecked(i) as usize;
-            let d0 = *deltas.get_unchecked(i);
-            let c0 = lane.get_unchecked_mut(b0);
-            let o0 = *c0;
-            *c0 = o0 + d0;
-            acc += (2 * o0 as i128 + d0 as i128) * d0 as i128;
-
-            let b1 = *buckets.get_unchecked(i + 1) as usize;
-            let d1 = *deltas.get_unchecked(i + 1);
-            let c1 = lane.get_unchecked_mut(b1);
-            let o1 = *c1;
-            *c1 = o1 + d1;
-            acc += (2 * o1 as i128 + d1 as i128) * d1 as i128;
-
-            let b2 = *buckets.get_unchecked(i + 2) as usize;
-            let d2 = *deltas.get_unchecked(i + 2);
-            let c2 = lane.get_unchecked_mut(b2);
-            let o2 = *c2;
-            *c2 = o2 + d2;
-            acc += (2 * o2 as i128 + d2 as i128) * d2 as i128;
-
-            let b3 = *buckets.get_unchecked(i + 3) as usize;
-            let d3 = *deltas.get_unchecked(i + 3);
-            let c3 = lane.get_unchecked_mut(b3);
-            let o3 = *c3;
-            *c3 = o3 + d3;
-            acc += (2 * o3 as i128 + d3 as i128) * d3 as i128;
-        }
-    }
-    for i in quads * 4..n {
-        let b = buckets[i] as usize;
-        let d = deltas[i];
-        let old = lane[b];
-        lane[b] = old + d;
-        acc += (2 * old as i128 + d as i128) * d as i128;
+    for (&b, &d) in buckets.iter().zip(deltas) {
+        bump(&mut lane[b as usize], &mut acc, d);
     }
     *sumsq = acc;
-}
-
-/// Element-wise `dst[i] += src[i]` over two counter lane segments. Integer
-/// addition is exact and element-independent, so the vector form (under the
-/// `simd` feature) is bit-identical to the portable loop.
-#[inline]
-fn add_lanes(dst: &mut [i64], src: &[i64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 availability was just checked at runtime.
-            unsafe { add_lanes_avx2(dst, src) };
-            return;
-        }
-    }
-    add_lanes_portable(dst, src);
-}
-
-#[inline]
-fn add_lanes_portable(dst: &mut [i64], src: &[i64]) {
-    for (c, &d) in dst.iter_mut().zip(src) {
-        *c += d;
-    }
-}
-
-/// AVX2 lane addition: four 64-bit counters per vector op. Wrapping on
-/// overflow, matching the portable loop's release-mode semantics (counters
-/// never approach `i64` range in any supported configuration).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn add_lanes_avx2(dst: &mut [i64], src: &[i64]) {
-    use std::arch::x86_64::*;
-    let n = dst.len().min(src.len());
-    let quads = n / 4;
-    let dp = dst.as_mut_ptr();
-    let sp = src.as_ptr();
-    for q in 0..quads {
-        let i = q * 4;
-        // SAFETY: `i + 3 < n ≤ dst.len(), src.len()`; the loads/stores are
-        // the explicitly unaligned variants.
-        let a = _mm256_loadu_si256(dp.add(i) as *const __m256i);
-        let b = _mm256_loadu_si256(sp.add(i) as *const __m256i);
-        _mm256_storeu_si256(dp.add(i) as *mut __m256i, _mm256_add_epi64(a, b));
-    }
-    for i in quads * 4..n {
-        *dst.get_unchecked_mut(i) = dst.get_unchecked(i).wrapping_add(*src.get_unchecked(i));
-    }
 }
 
 /// Exact `Σ c²` of a counter lane segment, in `i128`. Integer addition is
@@ -460,9 +349,8 @@ impl StreamSketch for FastAmsSketch {
 /// row's contiguous lane segment.
 ///
 /// The batch records the `width` and row count it was prepared with; the
-/// apply path checks them against the target sketch before entering the
-/// bounds-check-free kernel (every bucket value is `< width` by
-/// construction).
+/// apply path checks them against the target sketch (every bucket value is
+/// `< width` by construction).
 #[derive(Debug, Clone, Default)]
 pub struct FastAmsBatch {
     buckets: Vec<u32>,
@@ -504,8 +392,8 @@ impl SharedUpdate for FastAmsSketch {
             return;
         }
         assert!(range.end <= batch.len, "prepared-batch range out of bounds");
-        // Hard check, not debug: the kernel's unchecked lane indexing is
-        // sound only for buckets reduced into *this* sketch's width.
+        // Hard check, not debug: buckets reduced into another width would
+        // land in the wrong counters.
         assert_eq!(
             batch.width as usize, self.width,
             "prepared batch width does not match sketch width"
@@ -568,7 +456,9 @@ impl MergeableSketch for FastAmsSketch {
                 self.sumsq[r] = other.sumsq[r];
                 continue;
             }
-            add_lanes(dst, src);
+            for (c, &d) in dst.iter_mut().zip(src) {
+                *c += d;
+            }
             // Rebuild from the merged counters (which were all touched
             // anyway); exact integer sums are order-independent.
             self.sumsq[r] = lane_sumsq(&self.lane[base..base + self.width]);
@@ -833,8 +723,8 @@ mod tests {
 
     #[test]
     fn kernel_handles_duplicate_buckets_in_quad() {
-        // Four copies of the same item in one quad must accumulate exactly
-        // (the unrolled kernel re-reads each counter it just wrote).
+        // Eight copies of the same item must accumulate exactly (the kernel
+        // re-reads each counter it just wrote).
         let proto = FastAmsSketch::with_dimensions(8, 3, 7);
         let items: Vec<(u64, i64)> = vec![(42, 1); 8];
         let mut batch = FastAmsBatch::default();

@@ -20,6 +20,7 @@
 //! All summaries implement the traits in [`traits`]; estimation helpers live
 //! in [`estimator_util`] and shared error types in [`error`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
