@@ -165,7 +165,6 @@ fn bench_serve(c: &mut Criterion) {
                 // No automatic rotation mid-measurement: snapshots are
                 // triggered far beyond what this bench ingests.
                 snapshot_every_tuples: 0,
-                snapshot_interval_ms: 0,
                 fsync_each_batch: true,
             }),
             ..bench_config()

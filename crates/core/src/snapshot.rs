@@ -93,7 +93,7 @@ pub enum SnapshotKind {
 }
 
 impl SnapshotKind {
-    fn from_tag(tag: u8) -> Option<Self> {
+    fn from_byte(tag: u8) -> Option<Self> {
         match tag {
             1 => Some(SnapshotKind::Framework),
             2 => Some(SnapshotKind::F0),
@@ -150,7 +150,7 @@ pub fn open_frame(bytes: &[u8], expected: SnapshotKind) -> Result<&[u8]> {
             "unsupported snapshot version {version} (this build reads version {SNAPSHOT_VERSION})"
         )));
     }
-    let kind = SnapshotKind::from_tag(bytes[6])
+    let kind = SnapshotKind::from_byte(bytes[6])
         .ok_or_else(|| err(format!("unknown snapshot kind tag {}", bytes[6])))?;
     if kind != expected {
         return Err(err(format!(

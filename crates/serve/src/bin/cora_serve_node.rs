@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cora_serve_node --dir /var/lib/cora [--bind 127.0.0.1:0]
-//!     [--snap-tuples N] [--snap-ms MS] [--no-fsync]
+//!     [--snap-tuples N] [--no-fsync]
 //!     [--replicate-to ADDR --stream NAME [--repl-interval-ms MS]]
 //!     [--auth-token TOKEN]
 //! ```
@@ -28,7 +28,7 @@ fn usage(detail: &str) -> ExitCode {
     eprintln!("error: {detail}");
     eprintln!(
         "usage: cora_serve_node --dir DIR [--bind ADDR] [--snap-tuples N] \
-         [--snap-ms MS] [--no-fsync] [--replicate-to ADDR --stream NAME \
+         [--no-fsync] [--replicate-to ADDR --stream NAME \
          [--repl-interval-ms MS]] [--auth-token TOKEN]"
     );
     ExitCode::FAILURE
@@ -38,7 +38,6 @@ fn main() -> ExitCode {
     let mut bind = "127.0.0.1:0".to_string();
     let mut dir: Option<String> = None;
     let mut snap_tuples: u64 = 200_000;
-    let mut snap_ms: u64 = 0;
     let mut fsync = true;
     let mut replicate_to: Option<String> = None;
     let mut stream: Option<String> = None;
@@ -63,10 +62,6 @@ fn main() -> ExitCode {
             "--snap-tuples" => match value("--snap-tuples").map(|v| v.parse()) {
                 Ok(Ok(v)) => snap_tuples = v,
                 _ => return usage("--snap-tuples requires an unsigned integer"),
-            },
-            "--snap-ms" => match value("--snap-ms").map(|v| v.parse()) {
-                Ok(Ok(v)) => snap_ms = v,
-                _ => return usage("--snap-ms requires an unsigned integer"),
             },
             "--no-fsync" => fsync = false,
             "--replicate-to" => match value("--replicate-to") {
@@ -115,7 +110,6 @@ fn main() -> ExitCode {
         durability: Some(DurabilityConfig {
             dir: dir.into(),
             snapshot_every_tuples: snap_tuples,
-            snapshot_interval_ms: snap_ms,
             fsync_each_batch: fsync,
         }),
         auth_token,

@@ -28,7 +28,7 @@
 //! being drained, and closes it after a few seconds of that.
 
 use crate::protocol::{Request, Response, SetOp};
-use crate::wire::{self, DecodedReply};
+use crate::wire;
 use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -91,15 +91,15 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-impl ClientError {
-    /// Build the structured server error from a parsed error response.
-    fn from_response(response: &Response, message: String) -> Self {
-        ClientError::Server(ServerError {
-            kind: response
-                .error_kind()
-                .unwrap_or_else(|| "server".to_string()),
+/// A parsed reply as the call's result: an error reply becomes the
+/// structured [`ClientError::Server`].
+fn checked(response: Response) -> ClientResult<Response> {
+    match response.error_message() {
+        Some(message) => Err(ClientError::Server(ServerError {
+            kind: response.error_kind().unwrap_or_else(|| "server".to_string()),
             message,
-        })
+        })),
+        None => Ok(response),
     }
 }
 
@@ -144,6 +144,9 @@ pub struct ServeClient {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     mode: Mode,
+    /// No-ack frames were sent since the last [`Self::sync`]: their error
+    /// frames may be ahead of the next reply.
+    unsynced: bool,
 }
 
 impl ServeClient {
@@ -218,6 +221,7 @@ impl ServeClient {
             reader: BufReader::new(stream),
             writer: BufWriter::new(writer),
             mode,
+            unsynced: false,
         })
     }
 
@@ -242,14 +246,13 @@ impl ServeClient {
 
     /// Send one request and read its response.
     pub fn request(&mut self, request: &Request) -> ClientResult<Response> {
-        match self.mode {
-            Mode::Json => self.request_json(request),
-            Mode::Binary => {
-                let frame = wire::encode_request(request, 0);
-                let expect = frame[2];
-                self.writer.write_all(&frame)?;
-                self.writer.flush()?;
-                self.read_reply(expect)
+        match (self.mode, request) {
+            (Mode::Json, _) => self.request_json(request),
+            (Mode::Binary, Request::ReplDelta { stream, frame }) => {
+                self.round_trip(wire::encode_repl_delta(stream, frame))
+            }
+            (Mode::Binary, _) => {
+                self.round_trip(wire::frame(wire::REQUEST, 0, request.encode().as_bytes()))
             }
         }
     }
@@ -266,65 +269,46 @@ impl ServeClient {
                 "server closed the connection",
             )));
         }
-        let response = Response::parse(response_line.trim()).map_err(ClientError::Protocol)?;
-        if let Some(message) = response.error_message() {
-            return Err(ClientError::from_response(&response, message));
-        }
-        Ok(response)
+        checked(Response::parse(response_line.trim()).map_err(ClientError::Protocol)?)
     }
 
-    /// Read one binary frame: `(opcode, flags, payload)`.
-    fn read_frame(&mut self) -> ClientResult<(u8, u8, Vec<u8>)> {
+    /// Send one blocking binary request frame and read its reply. Earlier
+    /// no-ack frames are synced first, so the reply is the next frame, and
+    /// an earlier batch's error fails this call before its frame is sent.
+    fn round_trip(&mut self, frame: Vec<u8>) -> ClientResult<Response> {
+        if self.unsynced {
+            self.sync()?;
+        }
+        self.writer.write_all(&frame)?;
+        self.writer.flush()?;
+        let (opcode, response) = self.read_reply()?;
+        if opcode != frame[2] {
+            return Err(ClientError::Protocol(format!(
+                "reply opcode 0x{opcode:02X} does not match request 0x{:02X}",
+                frame[2]
+            )));
+        }
+        checked(response)
+    }
+
+    /// Read one binary reply frame: its opcode and its JSON line.
+    fn read_reply(&mut self) -> ClientResult<(u8, Response)> {
         let mut header = [0u8; wire::HEADER_BYTES];
         self.reader.read_exact(&mut header)?;
         let header =
             wire::parse_header(&header).map_err(|e| ClientError::Protocol(e.to_string()))?;
         let mut payload = vec![0u8; header.len];
         self.reader.read_exact(&mut payload)?;
-        Ok((header.opcode, header.flags, payload))
-    }
-
-    /// Read the response to a just-sent binary request. Error frames for
-    /// earlier pipelined (`NO_ACK`) ingests may arrive first: the reply is
-    /// still read, so the connection stays in step, and the first such error
-    /// is surfaced as the failure it is rather than silently dropped.
-    fn read_reply(&mut self, expect: u8) -> ClientResult<Response> {
-        let mut first_error: Option<ServerError> = None;
-        loop {
-            let (opcode, flags, payload) = self.read_frame()?;
-            let reply = wire::decode_reply(flags, &payload).map_err(ClientError::Protocol)?;
-            if opcode == expect {
-                return match (first_error, reply) {
-                    (Some(error), _) => Err(ClientError::Server(error)),
-                    (None, DecodedReply::Error { kind, message }) => {
-                        Err(ClientError::Server(ServerError { kind, message }))
-                    }
-                    (None, DecodedReply::Ok(fields)) => Ok(Response::from_fields(
-                        fields
-                            .into_iter()
-                            .map(|(key, value)| (key, value.render_json()))
-                            .collect(),
-                    )),
-                };
-            }
-            match reply {
-                DecodedReply::Error { kind, message } => {
-                    first_error.get_or_insert(ServerError { kind, message });
-                }
-                DecodedReply::Ok(_) => {
-                    return Err(ClientError::Protocol(format!(
-                        "response opcode 0x{opcode:02X} does not match request 0x{expect:02X}"
-                    )))
-                }
-            }
-        }
+        let line = std::str::from_utf8(&payload).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        Ok((header.opcode, Response::parse(line).map_err(ClientError::Protocol)?))
     }
 
     /// Queue one ingest batch **without waiting for its response** (binary
     /// connections only). The batch is framed with `NO_ACK`: the server
     /// suppresses the success response and answers only on error. Call
     /// [`Self::sync`] to flush the pipe and learn whether every queued
-    /// batch was accepted.
+    /// batch was accepted. Any other call syncs first, so a rejected batch
+    /// fails that call before its own request is sent.
     pub fn ingest_noack(&mut self, tuples: &[(u64, u64)]) -> ClientResult<()> {
         self.ingest_noack_seq(tuples, None)
     }
@@ -345,16 +329,37 @@ impl ServeClient {
         }
         let frame = wire::encode_ingest(tuples, None, seq, wire::FLAG_NO_ACK);
         self.writer.write_all(&frame)?;
+        self.unsynced = true;
         Ok(())
     }
 
     /// Pipelining sync point: flush queued frames, then round-trip a ping;
     /// its reply is read past every error frame ahead of it. Returns the
     /// first pipelined ingest error, if any batch since the last sync was
-    /// rejected. On JSON connections (where every request is answered
-    /// synchronously) this is just a ping.
+    /// rejected. With nothing pipelined (always on JSON connections, where
+    /// every request is answered synchronously) this is just a ping.
     pub fn sync(&mut self) -> ClientResult<()> {
-        self.ping()
+        if !self.unsynced {
+            return self.ping();
+        }
+        self.unsynced = false;
+        self.writer.write_all(&wire::frame(wire::REQUEST, 0, Request::Ping.encode().as_bytes()))?;
+        self.writer.flush()?;
+        let mut first_error = None;
+        loop {
+            let (opcode, response) = self.read_reply()?;
+            match (opcode, checked(response)) {
+                (wire::REQUEST, result) => return first_error.map_or(result.map(|_| ()), Err),
+                (wire::INGEST, Err(error)) => {
+                    first_error.get_or_insert(error);
+                }
+                (opcode, _) => {
+                    return Err(ClientError::Protocol(format!(
+                        "unexpected reply opcode 0x{opcode:02X} in a no-ack pipeline"
+                    )))
+                }
+            }
+        }
     }
 
     /// Stream `tuples` as pipelined no-ack batches of `batch` tuples, then
@@ -392,30 +397,33 @@ impl ServeClient {
         tuples: &[(u64, u64)],
         seq: Option<(u64, u64)>,
     ) -> ClientResult<u64> {
-        let response = match self.mode {
-            Mode::Binary => {
-                // Frame straight from the tuple slice — no xs/ys splits.
-                let frame = wire::encode_ingest(tuples, None, seq, 0);
-                self.writer.write_all(&frame)?;
-                self.writer.flush()?;
-                self.read_reply(wire::Opcode::Ingest as u8)?
-            }
-            Mode::Json => {
-                let xs: Vec<u64> = tuples.iter().map(|&(x, _)| x).collect();
-                let ys: Vec<u64> = tuples.iter().map(|&(_, y)| y).collect();
-                self.request(&Request::Ingest { xs, ys, ts: None, seq })?
-            }
-        };
-        response.u64_field("accepted").map_err(ClientError::Protocol)
+        self.send_ingest(tuples, None, seq)
     }
 
     /// Batch-ingest `(x, y, t)` tuples with explicit timestamps (ticks) for
     /// the windowed structures; timestamps may be out of order.
     pub fn ingest_at(&mut self, tuples: &[(u64, u64, u64)]) -> ClientResult<u64> {
-        let xs: Vec<u64> = tuples.iter().map(|&(x, _, _)| x).collect();
-        let ys: Vec<u64> = tuples.iter().map(|&(_, y, _)| y).collect();
+        let pairs: Vec<(u64, u64)> = tuples.iter().map(|&(x, y, _)| (x, y)).collect();
         let ts: Vec<u64> = tuples.iter().map(|&(_, _, t)| t).collect();
-        let response = self.request(&Request::Ingest { xs, ys, ts: Some(ts), seq: None })?;
+        self.send_ingest(&pairs, Some(&ts), None)
+    }
+
+    fn send_ingest(
+        &mut self,
+        tuples: &[(u64, u64)],
+        ts: Option<&[u64]>,
+        seq: Option<(u64, u64)>,
+    ) -> ClientResult<u64> {
+        let response = match self.mode {
+            // Frame straight from the tuple slice — no xs/ys splits.
+            Mode::Binary => self.round_trip(wire::encode_ingest(tuples, ts, seq, 0))?,
+            Mode::Json => self.request_json(&Request::Ingest {
+                xs: tuples.iter().map(|&(x, _)| x).collect(),
+                ys: tuples.iter().map(|&(_, y)| y).collect(),
+                ts: ts.map(<[u64]>::to_vec),
+                seq,
+            })?,
+        };
         response.u64_field("accepted").map_err(ClientError::Protocol)
     }
 

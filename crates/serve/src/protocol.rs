@@ -6,6 +6,12 @@
 //! arrays are emitted as JSON integer arrays and parsed losslessly as `u64`
 //! — `f64` round-tripping would corrupt identifiers above 2⁵³.
 //!
+//! This is the one codec of every op but the two bulk payloads. The binary
+//! transport ([`crate::wire`]) carries a request's line in a `REQUEST` frame
+//! and every reply's line in the reply frame, so both transports answer
+//! with the same bytes; only `ingest` (lanes in an `INGEST` frame) and
+//! `repl_delta` (a `REPL_DELTA` frame) have a binary payload of their own.
+//!
 //! ## Requests
 //!
 //! | op              | fields                  | reply                                   |
@@ -27,11 +33,18 @@
 //! | `set_f0`        | `a`, `b`, `set_op`, `c` | distinct-count estimate of `A∪B` / `A∩B` / `A∖B` under `y ≤ c` (aggregator) |
 //! | `streams`       | —                       | the registered upstream stream names (aggregator) |
 //! | `repl_hello`    | `stream`, `fingerprint` | replication handshake; replies with the aggregator's `high_water` |
+//! | `repl_delta`    | binary `REPL_DELTA` frame only | applies a sealed container; replies with the new `high_water` |
 //!
-//! The replication payload op `repl_delta` exists only on the binary
-//! protocol — its payload is a sealed binary container (full when
-//! `g_from = 0`) that JSON lines cannot carry; sending its op name over
-//! JSON answers a structured `request` error naming the binary protocol.
+//! Over the binary transport every line in this table travels as the
+//! payload of a `REQUEST` frame, except that `ingest` batches go in
+//! `INGEST` lanes (a JSON `ingest` line in a `REQUEST` frame is answered
+//! too) and `repl_delta` goes as its own frame.
+//!
+//! The replication payload op `repl_delta` exists only as the binary
+//! protocol's `REPL_DELTA` frame — its payload is a sealed binary container
+//! (full when `g_from = 0`) that JSON lines cannot carry; its op name in a
+//! JSON line (on either transport) answers a structured `request` error
+//! naming the binary protocol.
 //!
 //! The optional `ts` array on `ingest` carries per-tuple timestamps (ticks)
 //! for the windowed structures; without it the server assigns each tuple the
@@ -53,14 +66,13 @@ use cora_stream::json;
 /// `set_f0` op via inclusion–exclusion over per-stream distinct-count
 /// sketches (see `cora_serve::cluster`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum SetOp {
     /// `|A ∪ B|`, estimated from the merged samplers (Property V).
-    Union = 0,
+    Union,
     /// `|A ∩ B| = |A| + |B| − |A ∪ B|` (inclusion–exclusion).
-    Intersect = 1,
+    Intersect,
     /// `|A ∖ B| = |A| − |A ∩ B|`.
-    Diff = 2,
+    Diff,
 }
 
 impl SetOp {
@@ -82,16 +94,6 @@ impl SetOp {
             other => Err(format!(
                 "unknown set_op {other:?} (expected union, intersect, or diff)"
             )),
-        }
-    }
-
-    /// Decode the binary tag (the `#[repr(u8)]` discriminant).
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(SetOp::Union),
-            1 => Some(SetOp::Intersect),
-            2 => Some(SetOp::Diff),
-            _ => None,
         }
     }
 }
@@ -287,8 +289,8 @@ impl Request {
                 r#"{{"op":"repl_hello","stream":{},"fingerprint":{fingerprint}}}"#,
                 json::escape(stream)
             ),
-            // The payload op cannot travel as JSON (its frame is raw
-            // binary); rendering just the op name lets a JSON server answer
+            // The payload op cannot travel as JSON (its container is raw
+            // binary); rendering just the op name lets the server answer
             // with its structured binary-only refusal.
             Request::ReplDelta { stream, .. } => format!(
                 r#"{{"op":"repl_delta","stream":{}}}"#,
@@ -389,7 +391,7 @@ impl Request {
                 fingerprint: json::parse_u64(get("fingerprint")?)?,
             }),
             "repl_delta" => Err(format!(
-                "{op} is only available on the binary protocol \
+                "{op} is only available as a REPL_DELTA frame of the binary protocol \
                  (its payload is a sealed binary delta container)"
             )),
             other => Err(format!("unknown op {other:?}")),
@@ -397,9 +399,8 @@ impl Request {
     }
 }
 
-/// One typed response field value — the protocol-agnostic layer between
-/// [`crate::server`] and the two renderings (JSON text here, binary frames
-/// in [`crate::wire`]).
+/// One typed response field value, as [`crate::server`] builds it; both
+/// transports send its JSON rendering.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// An unsigned integer (lossless above 2⁵³, unlike `f64`).
@@ -412,7 +413,7 @@ pub enum Value {
     F64Array(Vec<f64>),
     /// An absent/optional value (`null` in JSON).
     Null,
-    /// A string value (escaped in JSON, length-prefixed in binary).
+    /// A string value.
     Str(String),
 }
 
@@ -434,10 +435,10 @@ impl Value {
 
 /// What failed, at the granularity a client can act on: retry the request
 /// (`Request`), surface a data problem (`Sketch`), treat the server's
-/// storage as degraded (`Io`), or back off entirely (`Server`). Carried on
-/// both transports (a `kind` field in JSON, a trailing string in binary
-/// error frames) so snapshot/journal I/O failures are distinguishable from
-/// a bad request without parsing prose.
+/// storage as degraded (`Io`), or back off entirely (`Server`). Carried as
+/// the error reply's `kind` field on both transports, so snapshot/journal
+/// I/O failures are distinguishable from a bad request without parsing
+/// prose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
     /// The request itself was malformed or out of range.
@@ -479,9 +480,8 @@ pub struct ErrorBody {
     pub message: String,
 }
 
-/// A protocol-agnostic server response: the server core produces these and
-/// each transport renders them (`render_json` here; frames in
-/// [`crate::wire`]).
+/// A server response: the server core produces these and both transports
+/// send their [`Reply::render_json`] line (a binary reply frame wraps it).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// Success, with named result fields.
@@ -577,14 +577,6 @@ impl Response {
         Ok(Self {
             fields: json::parse_object(line)?,
         })
-    }
-
-    /// Build a response from already-decoded `(key, raw JSON value)` pairs —
-    /// the binary client renders decoded frame fields through
-    /// [`Value::render_json`] so both transports expose the same accessors
-    /// with identical semantics.
-    pub(crate) fn from_fields(fields: Vec<(String, String)>) -> Self {
-        Self { fields }
     }
 
     /// The raw JSON text of a field.
@@ -722,8 +714,6 @@ mod tests {
             assert_eq!(SetOp::parse(op).unwrap().as_str(), op);
         }
         assert!(SetOp::parse("xor").is_err());
-        assert_eq!(SetOp::from_tag(2), Some(SetOp::Diff));
-        assert_eq!(SetOp::from_tag(3), None);
     }
 
     #[test]

@@ -82,8 +82,11 @@
 //! fsyncing by default, so the ack a client receives is a durability
 //! receipt. A background thread rotates generations — publish snapshot
 //! `snap-<g>.csrv` atomically, open journal `journal-<g>.cjl` for the
-//! batches after it — on tuple-count and/or wall-clock triggers; the
-//! `snapshot` op with an empty `path` forces a rotation. On start the server
+//! batches after it — once [`DurabilityConfig::snapshot_every_tuples`]
+//! tuples have been journaled; the `snapshot` op with an empty `path`
+//! forces a rotation. A failed append poisons the journal until the next
+//! rotation: the snapshotter rotates a poisoned journal out at once, and
+//! with the tuple trigger off that takes the `snapshot` op. On start the server
 //! recovers: newest readable snapshot (falling back past torn or corrupt
 //! ones to the previous generation), then valid-prefix replay of every
 //! journal at or after it. Acked batches survive `SIGKILL`; unsynced ones
@@ -115,7 +118,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Errors starting or restoring a server.
 #[derive(Debug)]
@@ -237,11 +240,9 @@ pub struct DurabilityConfig {
     /// files (created if missing).
     pub dir: PathBuf,
     /// Rotate once this many tuples have been journaled since the last
-    /// snapshot (0 disables the tuple trigger).
+    /// snapshot. 0 turns the background snapshotter off: rotations then come
+    /// only from the `snapshot` op with an empty path.
     pub snapshot_every_tuples: u64,
-    /// Rotate once this many milliseconds have passed since the last
-    /// snapshot (0 disables the time trigger).
-    pub snapshot_interval_ms: u64,
     /// Fsync the journal after every batch append. `true` (the default)
     /// makes every ack a durability receipt; `false` trades bounded loss
     /// (up to one OS write-back window) for throughput.
@@ -250,12 +251,11 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Durability in `dir` with the default policy: fsync every batch,
-    /// rotate every 200 000 tuples, no time trigger.
+    /// rotate every 200 000 tuples.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
             snapshot_every_tuples: 200_000,
-            snapshot_interval_ms: 0,
             fsync_each_batch: true,
         }
     }
@@ -355,8 +355,6 @@ struct DurableState {
     last_good: u64,
     /// Tuples journaled since the last snapshot (the rotation trigger).
     tuples_since: u64,
-    /// When the last snapshot was published (the time trigger).
-    last_snapshot: Instant,
 }
 
 /// Everything a batch mutates, behind the core's one state lock (see the
@@ -614,19 +612,15 @@ impl NodeState {
         Ok(encode_bundle(&bundle))
     }
 
-    /// Whether the background snapshotter should rotate now.
+    /// Whether the background snapshotter (which runs only while the tuple
+    /// trigger is set) should rotate now.
     fn snapshot_due(&self, config: &DurabilityConfig) -> bool {
         let Some(ds) = self.durable.as_ref() else {
             return false;
         };
-        let by_tuples = config.snapshot_every_tuples > 0
-            && ds.tuples_since >= config.snapshot_every_tuples;
-        let by_time = config.snapshot_interval_ms > 0
-            && ds.last_snapshot.elapsed() >= Duration::from_millis(config.snapshot_interval_ms)
-            && ds.journal.batches() > 0;
         // A poisoned journal is rotated out as soon as the snapshotter
         // notices, restoring write availability without operator action.
-        by_tuples || by_time || ds.journal.is_poisoned()
+        ds.tuples_since >= config.snapshot_every_tuples || ds.journal.is_poisoned()
     }
 }
 
@@ -835,7 +829,6 @@ impl ServerCore {
             journal,
             last_good: generation,
             tuples_since: 0,
-            last_snapshot: Instant::now(),
         });
         Ok(())
     }
@@ -898,7 +891,6 @@ impl ServerCore {
         ds.journal = journal;
         ds.last_good = new_gen;
         ds.tuples_since = 0;
-        ds.last_snapshot = Instant::now();
         Self::prune_generations(&ds.storage, &ds.dir, prev_good);
         Ok((new_gen, bytes.len() as u64))
     }
@@ -1388,10 +1380,10 @@ fn start_inner(
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    // The background snapshotter: polls the rotation triggers while the
-    // server runs. Spawned before the acceptor moves `core`.
+    // The background snapshotter: polls the tuple trigger and the journal's
+    // health while the server runs. Spawned before the acceptor moves `core`.
     let snapshotter = match core.config().durability.clone() {
-        Some(d) if d.snapshot_every_tuples > 0 || d.snapshot_interval_ms > 0 => {
+        Some(d) if d.snapshot_every_tuples > 0 => {
             let core = Arc::clone(&core);
             let shutdown = Arc::clone(&shutdown);
             thread::Builder::new()
@@ -1435,7 +1427,8 @@ fn start_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{protocol, wire};
+    use crate::protocol;
+    use std::time::Instant;
 
     #[test]
     fn bundle_round_trip_and_rejections() {
@@ -1573,20 +1566,11 @@ mod tests {
             assert!(rings.f2.pane_count() > 4, "the rings must have buddy-merged");
             (rings.f2.stored_tuples() + rings.f0.stored_tuples()) as u64
         };
+        // A binary reply frame carries this same line.
         let reply = core.handle(Request::Stats).0;
         let json = protocol::Response::parse(&reply.render_json()).unwrap();
         assert_eq!(json.u64_field("window_stored_tuples").unwrap(), want);
         assert_eq!(json.u64_field("window_pending_batches").unwrap(), 0);
-        let frame = wire::encode_reply(wire::Opcode::Stats as u8, &reply);
-        let header = wire::parse_header(frame[..wire::HEADER_BYTES].try_into().unwrap()).unwrap();
-        let wire::DecodedReply::Ok(fields) =
-            wire::decode_reply(header.flags, &frame[wire::HEADER_BYTES..]).unwrap()
-        else {
-            panic!("stats must decode as an ok reply");
-        };
-        let binary = |name: &str| fields.iter().find(|(key, _)| key == name).map(|(_, v)| v);
-        assert_eq!(binary("window_stored_tuples"), Some(&Value::U64(want)));
-        assert_eq!(binary("window_pending_batches"), Some(&Value::U64(0)));
     }
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -6,7 +6,12 @@
 //! its first byte (newline-JSON or [binary frames](crate::wire)), passes the
 //! shared-secret auth gate, and dispatches every request into a
 //! [`ServiceCore`] — an ingest node ([`crate::server`]) or an aggregator
-//! ([`crate::cluster`]).
+//! ([`crate::cluster`]). Both protocols share one request parser and one
+//! reply rendering: a JSON line, or the line a binary `REQUEST` frame
+//! carries, goes through [`Request::parse`], and every reply goes out as its
+//! JSON line (in a frame echoing the request's opcode on a binary
+//! connection). Only `INGEST` and `REPL_DELTA` frames have decoders of their
+//! own.
 //!
 //! Three rules keep the blocking design honest. Every complete request
 //! already buffered is answered before the next `read` is issued (a
@@ -19,7 +24,7 @@
 
 use crate::protocol::{self, Reply, Request};
 use crate::server::ServeError;
-use crate::wire::{self, Opcode};
+use crate::wire;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -154,6 +159,19 @@ impl Conn {
         core.handle(request)
     }
 
+    /// Answer one request as parsed from a JSON line or a frame payload; a
+    /// parse failure is a `request` error and the connection stays usable.
+    fn answer<C: ServiceCore>(
+        &mut self,
+        core: &C,
+        parsed: Result<Request, String>,
+    ) -> (Reply, bool) {
+        match parsed {
+            Ok(request) => self.dispatch(core, request),
+            Err(e) => (Reply::request_error(format!("bad request: {e}")), false),
+        }
+    }
+
     fn queue(&mut self, bytes: &[u8]) {
         self.outbuf.extend_from_slice(bytes);
     }
@@ -268,12 +286,8 @@ impl Conn {
                     if trimmed.is_empty() {
                         continue;
                     }
-                    let (reply, stop) = match Request::parse(trimmed) {
-                        Ok(request) => self.dispatch(core, request),
-                        Err(e) => (Reply::request_error(format!("bad request: {e}")), false),
-                    };
-                    let line = reply.render_json();
-                    self.queue_json_line(&line);
+                    let (reply, stop) = self.answer(core, Request::parse(trimmed));
+                    self.queue_json_line(&reply.render_json());
                     if stop {
                         break Next::Stop;
                     }
@@ -292,8 +306,7 @@ impl Conn {
                             // (magic, version, or a hostile length — which
                             // is rejected before any payload is buffered).
                             let reply = Reply::request_error(e.to_string());
-                            let opcode = header_bytes[2];
-                            self.queue(&wire::encode_reply(opcode, &reply));
+                            self.queue(&wire::reply_frame(header_bytes[2], &reply));
                             break Next::Close;
                         }
                     };
@@ -302,67 +315,43 @@ impl Conn {
                     }
                     let payload_start = pos + wire::HEADER_BYTES;
                     pos = payload_start + header.len;
-                    let no_ack = header.flags & wire::FLAG_NO_ACK != 0;
-                    match Opcode::from_byte(header.opcode) {
-                        Some(Opcode::Ingest) if self.authed => {
-                            // The hot path: decode straight into this
-                            // connection's scratch, no per-tuple allocation,
-                            // and skip the ack entirely when pipelined.
-                            let payload = &self.inbuf[payload_start..pos];
-                            let reply = match wire::decode_ingest_into(
-                                payload,
-                                &mut self.tuples,
-                                &mut self.ts,
-                            ) {
+                    let payload = &self.inbuf[payload_start..pos];
+                    let (reply, stop) = match header.opcode {
+                        // The hot path: decode straight into this
+                        // connection's scratch, no per-tuple allocation.
+                        // Unauthenticated ingest is refused undecoded.
+                        wire::INGEST if self.authed => {
+                            let (tuples, ts) = (&mut self.tuples, &mut self.ts);
+                            let reply = match wire::decode_ingest_into(payload, tuples, ts) {
                                 Ok(meta) => {
                                     core.note_request();
-                                    core.ingest_binary(&self.tuples, &self.ts, meta.seq)
+                                    core.ingest_binary(tuples, ts, meta.seq)
                                 }
                                 Err(e) => Reply::request_error(format!("bad ingest frame: {e}")),
                             };
-                            let suppress = no_ack && matches!(reply, Reply::Ok(_));
-                            if !suppress {
-                                self.queue(&wire::encode_reply(header.opcode, &reply));
-                            }
+                            (reply, false)
                         }
-                        Some(Opcode::Ingest) => {
-                            // Unauthenticated fast-path ingest is refused
-                            // without decoding; errors are never suppressed,
-                            // so even a NO_ACK pipeline hears about it.
+                        wire::INGEST => {
                             core.note_request();
-                            self.queue(&wire::encode_reply(
-                                header.opcode,
-                                &Reply::request_error(UNAUTHENTICATED),
-                            ));
+                            (Reply::request_error(UNAUTHENTICATED), false)
                         }
-                        Some(opcode) => {
-                            let payload = &self.inbuf[payload_start..pos];
-                            let (reply, stop) = match wire::decode_request(opcode, payload) {
-                                Ok(request) => self.dispatch(core, request),
-                                Err(e) => {
-                                    (Reply::request_error(format!("bad request frame: {e}")), false)
-                                }
-                            };
-                            let suppress = no_ack && matches!(reply, Reply::Ok(_)) && !stop;
-                            if !suppress {
-                                self.queue(&wire::encode_reply(header.opcode, &reply));
-                            }
-                            if stop {
-                                break Next::Stop;
-                            }
+                        wire::REQUEST => {
+                            let parsed = std::str::from_utf8(payload)
+                                .map_err(|e| e.to_string())
+                                .and_then(Request::parse);
+                            self.answer(core, parsed)
                         }
-                        None => {
-                            // A well-formed frame with an unknown opcode:
-                            // answer and keep serving, like the JSON
-                            // protocol's unknown-op error.
-                            self.queue(&wire::encode_reply(
-                                header.opcode,
-                                &Reply::request_error(format!(
-                                    "unknown opcode 0x{:02X}",
-                                    header.opcode
-                                )),
-                            ));
-                        }
+                        wire::REPL_DELTA => self.answer(core, wire::decode_repl_delta(payload)),
+                        other => self.answer(core, Err(format!("unknown opcode 0x{other:02X}"))),
+                    };
+                    // NO_ACK suppresses only a success; errors are always
+                    // answered, so even a pipelined train hears about them.
+                    let no_ack = header.flags & wire::FLAG_NO_ACK != 0;
+                    if !(no_ack && matches!(reply, Reply::Ok(_)) && !stop) {
+                        self.queue(&wire::reply_frame(header.opcode, &reply));
+                    }
+                    if stop {
+                        break Next::Stop;
                     }
                 }
             }

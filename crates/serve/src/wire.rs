@@ -1,12 +1,16 @@
 //! The length-prefixed binary wire protocol.
 //!
 //! Newline-JSON (see [`crate::protocol`]) is friendly to `netcat` and
-//! debuggers, but it taxes the hot path: every ingest batch is rendered to
-//! decimal text, reparsed, and reassembled into vectors. This module frames
-//! the same request/response surface in binary, built on the snapshot codec
-//! primitives ([`ByteWriter`]/[`ByteReader`], little-endian throughout), so
-//! a 1 000-tuple ingest is one `memcpy`-shaped decode instead of ~2 000
-//! integer parses.
+//! debuggers, but it taxes the bulk paths: an ingest batch rendered to
+//! decimal text is reparsed and reassembled into vectors. Binary frames
+//! carry the two bulk payloads — the `(x, y)` tuples of `ingest` and the
+//! sealed container of `repl_delta` — as little-endian bytes built on the
+//! snapshot codec primitives ([`ByteWriter`]/[`ByteReader`]), so a 1 000-tuple
+//! ingest is one `memcpy`-shaped decode instead of ~2 000 integer parses.
+//! Every other op is small: its frame carries the op's JSON line, encoded
+//! and parsed by the one codec in [`crate::protocol`]. Every reply frame
+//! carries the reply's JSON line too, so both transports answer with the
+//! same bytes.
 //!
 //! ## Frame layout
 //!
@@ -14,14 +18,35 @@
 //!  offset  size  field
 //!  ------  ----  ---------------------------------------------------------
 //!       0     1  magic     0xCB
-//!       1     1  version   1
-//!       2     1  opcode    (request: the op; response: echo of the request)
-//!       3     1  flags     request:  bit 0 = NO_ACK (suppress the success
-//!                                    response — errors are always answered)
-//!                          response: bit 0 = ERROR
+//!       1     1  version   2
+//!       2     1  opcode    how to read the payload (below); a reply echoes
+//!                          its request's opcode
+//!       3     1  flags     request: bit 0 = NO_ACK (suppress the success
+//!                                   reply — errors are always answered)
+//!                          reply:   0
 //!       4     4  length    payload byte count, u32 little-endian
-//!       8   len  payload   opcode-specific (below)
+//!       8   len  payload
 //! ```
+//!
+//! ## Opcodes
+//!
+//! | opcode | name         | request payload                                  |
+//! |--------|--------------|--------------------------------------------------|
+//! | 0x01   | [`REQUEST`]    | the op's JSON request line (UTF-8, no newline), read by [`Request::parse`] |
+//! | 0x02   | [`INGEST`]     | `u32 n`, `u8 meta`, `[u64 writer, u64 seq]`, `n×u64 xs`, `n×u64 ys`, `[n×u64 ts]` |
+//! | 0x03   | [`REPL_DELTA`] | `str stream` (u64 length + UTF-8), then a sealed container, full when `g_from = 0` |
+//!
+//! The payload of every reply frame is the reply's JSON line: what the line
+//! protocol answers to the same request, `{"ok":false,"error":…,"kind":…}`
+//! for a failure. A `REQUEST` frame may carry any op's JSON line but
+//! `repl_delta`'s, whose container JSON cannot hold.
+//!
+//! The ingest `meta` byte carries bit 0 = explicit timestamps follow the y
+//! lane, bit 1 = a `(writer, seq)` idempotency pair precedes the x lane
+//! (see [`crate::protocol::Request::Ingest`]); other bits are rejected. A
+//! full replication container is still one frame, so replicated state is
+//! capped at [`MAX_FRAME_BYTES`] (16 MiB) — far above any sketch-only
+//! bundle, but a hard error (not silent truncation) if exceeded.
 //!
 //! ## Negotiation
 //!
@@ -30,62 +55,22 @@
 //! anything else is answered with one JSON error line before the connection
 //! closes. A connection never switches protocols mid-stream. Unknown
 //! versions and oversized declared lengths (> [`MAX_FRAME_BYTES`]) are
-//! rejected **before** any payload is buffered, with an ERROR response
-//! frame, and the connection closes (framing can no longer be trusted).
-//! Unknown opcodes in a well-formed frame get an ERROR response and the
-//! connection stays usable, mirroring the JSON protocol's unknown-op error.
-//!
-//! ## Opcodes and payloads
-//!
-//! | opcode | op              | request payload                                  |
-//! |--------|-----------------|--------------------------------------------------|
-//! | 0x01   | `ping`          | —                                                |
-//! | 0x02   | `config`        | —                                                |
-//! | 0x03   | `ingest`        | `u32 n`, `u8 meta`, `[u64 writer, u64 seq]`, `n×u64 xs`, `n×u64 ys`, `[n×u64 ts]` |
-//! | 0x04   | `flush`         | —                                                |
-//! | 0x05   | `f2`            | `u64 c`                                          |
-//! | 0x06   | `f0`            | `u64 c`                                          |
-//! | 0x07   | `rarity`        | `u64 c`                                          |
-//! | 0x08   | `heavy_hitters` | `u64 c`, `f64 phi`                               |
-//! | 0x09   | `window_f2`     | `u64 window`, `u64 c`                            |
-//! | 0x0A   | `window_f0`     | `u64 window`, `u64 c`                            |
-//! | 0x0B   | `stats`         | —                                                |
-//! | 0x0C   | `snapshot`      | `str path` (u64 length + UTF-8 bytes)            |
-//! | 0x0D   | `shutdown`      | —                                                |
-//! | 0x0E   | `auth`          | `str token`                                      |
-//! | 0x0F   | `set_f0`        | `str a`, `str b`, `u8 op` (0 ∪, 1 ∩, 2 ∖), `u64 c` |
-//! | 0x10   | `streams`       | —                                                |
-//! | 0x11   | `repl_hello`    | `str stream`, `u64 fingerprint`                  |
-//! | 0x12   | `repl_delta`    | `str stream`, then a sealed container, full when `g_from = 0` |
-//!
-//! Both `repl_*` replies echo the request opcode like every other op and
-//! carry the aggregator's `high_water` generation. A full container is
-//! still one frame, so replicated state is capped at [`MAX_FRAME_BYTES`]
-//! (16 MiB) — far above any sketch-only bundle, but a hard error (not
-//! silent truncation) if exceeded.
-//!
-//! The ingest `meta` byte carries bit 0 = explicit timestamps follow the y
-//! lane, bit 1 = a `(writer, seq)` idempotency pair precedes the x lane
-//! (see [`crate::protocol::Request::Ingest`]); other bits are rejected.
-//!
-//! A response payload is either `str message`, `str kind` (ERROR flag set;
-//! `kind` is an [`crate::protocol::ErrorKind`] wire name, mirroring the
-//! JSON `kind` field) or a field list: `u8 nfields`, then per field
-//! `str key`, `u8 tag`, value — tags 0 `u64`, 1 `f64` (IEEE bits),
-//! 2 `u64` array (`u32 n` + values), 3 `f64` array, 4 null, 5 `str`. Field
-//! lists mirror the JSON object fields one-for-one, so both transports
-//! answer identically.
+//! rejected **before** any payload is buffered, with an error reply frame,
+//! and the connection closes (framing can no longer be trusted). An unknown
+//! opcode or an unreadable payload in a well-formed frame gets an error
+//! reply and the connection stays usable, mirroring the JSON protocol's
+//! answer to a bad line.
 //!
 //! ## Pipelining
 //!
 //! A client may stream any number of request frames without reading
-//! responses in between; the server answers in order. `NO_ACK` on `ingest`
-//! suppresses the success response entirely — the client fires N batches,
-//! then sends a `ping` as a sync point and drains whatever is in the pipe
-//! (error frames from failed batches, then the ping's reply). This is what
-//! closes the per-batch round-trip tax on bulk loads.
+//! replies in between; the server answers in order. `NO_ACK` on `ingest`
+//! suppresses the success reply entirely — the client fires N batches,
+//! then sends one `REQUEST` frame as a sync point and drains whatever is in
+//! the pipe (`INGEST` error frames from failed batches, then that request's
+//! reply). This is what closes the per-batch round-trip tax on bulk loads.
 
-use crate::protocol::{Reply, Request, Value};
+use crate::protocol::{Reply, Request};
 use cora_sketch::codec::{ByteReader, ByteWriter};
 
 /// Ingest `meta` bit: explicit per-tuple timestamps follow the y lane.
@@ -98,7 +83,7 @@ const INGEST_HAS_SEQ: u8 = 2;
 pub const MAGIC: u8 = 0xCB;
 
 /// Protocol version carried in every frame.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Fixed frame header size in bytes.
 pub const HEADER_BYTES: usize = 8;
@@ -107,88 +92,23 @@ pub const HEADER_BYTES: usize = 8;
 /// before any allocation. Also used as the JSON line-length cap.
 pub const MAX_FRAME_BYTES: usize = 1 << 24; // 16 MiB
 
-/// Request flag: suppress the success response (errors are still answered).
+/// Request flag: suppress the success reply (errors are still answered).
 pub const FLAG_NO_ACK: u8 = 1;
 
-/// Response flag: the payload is an error message, not a field list.
-pub const FLAG_ERROR: u8 = 1;
-
-/// Binary opcodes, one per protocol op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Opcode {
-    /// Liveness check (also the pipelining sync point).
-    Ping = 0x01,
-    /// Report the server's construction parameters.
-    Config = 0x02,
-    /// Batch-ingest tuples.
-    Ingest = 0x03,
-    /// Read-your-writes barrier.
-    Flush = 0x04,
-    /// Correlated `F_2` query.
-    F2 = 0x05,
-    /// Correlated distinct-count query.
-    F0 = 0x06,
-    /// Correlated rarity query.
-    Rarity = 0x07,
-    /// Correlated heavy-hitters query.
-    HeavyHitters = 0x08,
-    /// Windowed correlated `F_2` query.
-    WindowF2 = 0x09,
-    /// Windowed correlated `F_0` query.
-    WindowF0 = 0x0A,
-    /// Service statistics.
-    Stats = 0x0B,
-    /// Write a snapshot bundle server-side.
-    Snapshot = 0x0C,
-    /// Stop the listener after acknowledging.
-    Shutdown = 0x0D,
-    /// Present the shared-secret auth token.
-    Auth = 0x0E,
-    /// Multi-stream set-expression distinct-count query (aggregator only).
-    SetF0 = 0x0F,
-    /// List the registered upstream streams (aggregator only).
-    Streams = 0x10,
-    /// Replication handshake: name the stream, prove config compatibility.
-    ReplHello = 0x11,
-    /// Ship one replication container for a stream (a full replacement
-    /// when its `g_from` is 0).
-    ReplDelta = 0x12,
-}
-
-impl Opcode {
-    /// Decode an opcode byte.
-    pub fn from_byte(b: u8) -> Option<Self> {
-        Some(match b {
-            0x01 => Opcode::Ping,
-            0x02 => Opcode::Config,
-            0x03 => Opcode::Ingest,
-            0x04 => Opcode::Flush,
-            0x05 => Opcode::F2,
-            0x06 => Opcode::F0,
-            0x07 => Opcode::Rarity,
-            0x08 => Opcode::HeavyHitters,
-            0x09 => Opcode::WindowF2,
-            0x0A => Opcode::WindowF0,
-            0x0B => Opcode::Stats,
-            0x0C => Opcode::Snapshot,
-            0x0D => Opcode::Shutdown,
-            0x0E => Opcode::Auth,
-            0x0F => Opcode::SetF0,
-            0x10 => Opcode::Streams,
-            0x11 => Opcode::ReplHello,
-            0x12 => Opcode::ReplDelta,
-            _ => return None,
-        })
-    }
-}
+/// Opcode: the payload is one op's JSON request line.
+pub const REQUEST: u8 = 0x01;
+/// Opcode: the payload is an ingest batch in lanes.
+pub const INGEST: u8 = 0x02;
+/// Opcode: the payload is a stream name and a sealed replication container.
+pub const REPL_DELTA: u8 = 0x03;
 
 /// A decoded frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
-    /// Raw opcode byte (may not map to a known [`Opcode`]).
+    /// Raw opcode byte (may be none of [`REQUEST`], [`INGEST`],
+    /// [`REPL_DELTA`]).
     pub opcode: u8,
-    /// Request or response flags.
+    /// Request or reply flags.
     pub flags: u8,
     /// Payload length in bytes.
     pub len: usize,
@@ -242,7 +162,8 @@ pub fn parse_header(bytes: &[u8; HEADER_BYTES]) -> Result<Header, HeaderError> {
     })
 }
 
-fn frame(opcode: u8, flags: u8, payload: &[u8]) -> Vec<u8> {
+/// One complete frame: the header, then `payload`.
+pub fn frame(opcode: u8, flags: u8, payload: &[u8]) -> Vec<u8> {
     debug_assert!(payload.len() <= MAX_FRAME_BYTES);
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
     out.push(MAGIC);
@@ -252,100 +173,6 @@ fn frame(opcode: u8, flags: u8, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     out
-}
-
-/// Encode one request as a complete frame. `flags` is normally 0;
-/// [`FLAG_NO_ACK`] is meaningful on ingest.
-pub fn encode_request(request: &Request, flags: u8) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    let opcode = match request {
-        Request::Ping => Opcode::Ping,
-        Request::Config => Opcode::Config,
-        Request::Ingest { xs, ys, ts, seq } => {
-            w.put_u32(xs.len() as u32);
-            let mut meta = 0u8;
-            if ts.is_some() {
-                meta |= INGEST_HAS_TS;
-            }
-            if seq.is_some() {
-                meta |= INGEST_HAS_SEQ;
-            }
-            w.put_u8(meta);
-            if let Some((writer, seq)) = seq {
-                w.put_u64(*writer);
-                w.put_u64(*seq);
-            }
-            for &x in xs {
-                w.put_u64(x);
-            }
-            for &y in ys {
-                w.put_u64(y);
-            }
-            if let Some(ts) = ts {
-                for &t in ts {
-                    w.put_u64(t);
-                }
-            }
-            Opcode::Ingest
-        }
-        Request::Flush => Opcode::Flush,
-        Request::QueryF2 { c } => {
-            w.put_u64(*c);
-            Opcode::F2
-        }
-        Request::QueryF0 { c } => {
-            w.put_u64(*c);
-            Opcode::F0
-        }
-        Request::QueryRarity { c } => {
-            w.put_u64(*c);
-            Opcode::Rarity
-        }
-        Request::QueryHeavyHitters { c, phi } => {
-            w.put_u64(*c);
-            w.put_f64(*phi);
-            Opcode::HeavyHitters
-        }
-        Request::WindowF2 { window, c } => {
-            w.put_u64(*window);
-            w.put_u64(*c);
-            Opcode::WindowF2
-        }
-        Request::WindowF0 { window, c } => {
-            w.put_u64(*window);
-            w.put_u64(*c);
-            Opcode::WindowF0
-        }
-        Request::Stats => Opcode::Stats,
-        Request::Snapshot { path } => {
-            w.put_str(path);
-            Opcode::Snapshot
-        }
-        Request::Shutdown => Opcode::Shutdown,
-        Request::Auth { token } => {
-            w.put_str(token);
-            Opcode::Auth
-        }
-        Request::SetF0 { a, b, op, c } => {
-            w.put_str(a);
-            w.put_str(b);
-            w.put_u8(*op as u8);
-            w.put_u64(*c);
-            Opcode::SetF0
-        }
-        Request::Streams => Opcode::Streams,
-        Request::ReplHello { stream, fingerprint } => {
-            w.put_str(stream);
-            w.put_u64(*fingerprint);
-            Opcode::ReplHello
-        }
-        Request::ReplDelta { stream, frame: bytes } => {
-            w.put_str(stream);
-            w.put_bytes(bytes);
-            Opcode::ReplDelta
-        }
-    };
-    frame(opcode as u8, flags, w.as_bytes())
 }
 
 /// Encode an ingest request frame directly from tuple slices (no
@@ -383,7 +210,7 @@ pub fn encode_ingest(
             w.put_u64(t);
         }
     }
-    frame(Opcode::Ingest as u8, flags, w.as_bytes())
+    frame(INGEST, flags, w.as_bytes())
 }
 
 /// What an ingest payload carried besides the tuples themselves.
@@ -446,217 +273,50 @@ pub fn decode_ingest_into(
     Ok(IngestMeta { has_ts, seq })
 }
 
-/// Decode a non-ingest request payload (ingest goes through
-/// [`decode_ingest_into`] so the server can reuse scratch buffers).
-pub fn decode_request(opcode: Opcode, payload: &[u8]) -> Result<Request, String> {
-    let mut r = ByteReader::new(payload);
-    let e = |err: cora_sketch::codec::CodecError| err.to_string();
-    let request = match opcode {
-        Opcode::Ping => Request::Ping,
-        Opcode::Config => Request::Config,
-        Opcode::Ingest => {
-            let mut tuples = Vec::new();
-            let mut ts = Vec::new();
-            let meta = decode_ingest_into(payload, &mut tuples, &mut ts)?;
-            return Ok(Request::Ingest {
-                xs: tuples.iter().map(|&(x, _)| x).collect(),
-                ys: tuples.iter().map(|&(_, y)| y).collect(),
-                ts: meta.has_ts.then_some(ts),
-                seq: meta.seq,
-            });
-        }
-        Opcode::Flush => Request::Flush,
-        Opcode::F2 => Request::QueryF2 { c: r.get_u64().map_err(e)? },
-        Opcode::F0 => Request::QueryF0 { c: r.get_u64().map_err(e)? },
-        Opcode::Rarity => Request::QueryRarity { c: r.get_u64().map_err(e)? },
-        Opcode::HeavyHitters => Request::QueryHeavyHitters {
-            c: r.get_u64().map_err(e)?,
-            phi: r.get_f64().map_err(e)?,
-        },
-        Opcode::WindowF2 => Request::WindowF2 {
-            window: r.get_u64().map_err(e)?,
-            c: r.get_u64().map_err(e)?,
-        },
-        Opcode::WindowF0 => Request::WindowF0 {
-            window: r.get_u64().map_err(e)?,
-            c: r.get_u64().map_err(e)?,
-        },
-        Opcode::Stats => Request::Stats,
-        Opcode::Snapshot => Request::Snapshot { path: r.get_str().map_err(e)? },
-        Opcode::Shutdown => Request::Shutdown,
-        Opcode::Auth => Request::Auth { token: r.get_str().map_err(e)? },
-        Opcode::SetF0 => {
-            let a = r.get_str().map_err(e)?;
-            let b = r.get_str().map_err(e)?;
-            let tag = r.get_u8().map_err(e)?;
-            let op = crate::protocol::SetOp::from_tag(tag)
-                .ok_or_else(|| format!("unknown set_f0 op tag {tag}"))?;
-            Request::SetF0 { a, b, op, c: r.get_u64().map_err(e)? }
-        }
-        Opcode::Streams => Request::Streams,
-        Opcode::ReplHello => Request::ReplHello {
-            stream: r.get_str().map_err(e)?,
-            fingerprint: r.get_u64().map_err(e)?,
-        },
-        Opcode::ReplDelta => {
-            let stream = r.get_str().map_err(e)?;
-            let bytes = r.take(r.remaining()).map_err(e)?.to_vec();
-            Request::ReplDelta { stream, frame: bytes }
-        }
-    };
-    r.expect_end().map_err(e)?;
-    Ok(request)
-}
-
-/// Field type tags in an OK response payload.
-const TAG_U64: u8 = 0;
-const TAG_F64: u8 = 1;
-const TAG_U64_ARRAY: u8 = 2;
-const TAG_F64_ARRAY: u8 = 3;
-const TAG_NULL: u8 = 4;
-const TAG_STR: u8 = 5;
-
-/// Encode one reply as a complete response frame echoing `opcode`.
-pub fn encode_reply(opcode: u8, reply: &Reply) -> Vec<u8> {
+/// Encode a `repl_delta` request frame: the stream name, then the sealed
+/// container as is.
+pub fn encode_repl_delta(stream: &str, container: &[u8]) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    let flags = match reply {
-        Reply::Error(body) => {
-            w.put_str(&body.message);
-            w.put_str(body.kind.as_str());
-            FLAG_ERROR
-        }
-        Reply::Ok(fields) => {
-            w.put_u8(fields.len() as u8);
-            for (key, value) in fields {
-                w.put_str(key);
-                match value {
-                    Value::U64(v) => {
-                        w.put_u8(TAG_U64);
-                        w.put_u64(*v);
-                    }
-                    Value::F64(v) => {
-                        w.put_u8(TAG_F64);
-                        w.put_f64(*v);
-                    }
-                    Value::U64Array(vs) => {
-                        w.put_u8(TAG_U64_ARRAY);
-                        w.put_u32(vs.len() as u32);
-                        for &v in vs {
-                            w.put_u64(v);
-                        }
-                    }
-                    Value::F64Array(vs) => {
-                        w.put_u8(TAG_F64_ARRAY);
-                        w.put_u32(vs.len() as u32);
-                        for &v in vs {
-                            w.put_f64(v);
-                        }
-                    }
-                    Value::Null => {
-                        w.put_u8(TAG_NULL);
-                    }
-                    Value::Str(s) => {
-                        w.put_u8(TAG_STR);
-                        w.put_str(s);
-                    }
-                }
-            }
-            0
-        }
-    };
-    frame(opcode, flags, w.as_bytes())
+    w.put_str(stream);
+    w.put_bytes(container);
+    frame(REPL_DELTA, 0, w.as_bytes())
 }
 
-/// A decoded response payload: the error, or named field values.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DecodedReply {
-    /// The ERROR flag was set.
-    Error {
-        /// The structured error kind's wire name (see
-        /// [`crate::protocol::ErrorKind`]).
-        kind: String,
-        /// Human-readable detail.
-        message: String,
-    },
-    /// Success, with `(key, value)` fields.
-    Ok(Vec<(String, Value)>),
-}
-
-/// Decode a response payload according to its header flags.
-pub fn decode_reply(flags: u8, payload: &[u8]) -> Result<DecodedReply, String> {
+/// Decode a `repl_delta` payload into its request.
+pub fn decode_repl_delta(payload: &[u8]) -> Result<Request, String> {
     let mut r = ByteReader::new(payload);
-    let e = |err: cora_sketch::codec::CodecError| err.to_string();
-    if flags & FLAG_ERROR != 0 {
-        let message = r.get_str().map_err(e)?;
-        let kind = r.get_str().map_err(e)?;
-        r.expect_end().map_err(e)?;
-        return Ok(DecodedReply::Error { kind, message });
-    }
-    let nfields = r.get_u8().map_err(e)?;
-    let mut fields = Vec::with_capacity(nfields as usize);
-    for _ in 0..nfields {
-        let key = r.get_str().map_err(e)?;
-        let value = match r.get_u8().map_err(e)? {
-            TAG_U64 => Value::U64(r.get_u64().map_err(e)?),
-            TAG_F64 => Value::F64(r.get_f64().map_err(e)?),
-            TAG_U64_ARRAY => {
-                let n = r.get_u32().map_err(e)? as usize;
-                let bytes = r.take(n * 8).map_err(e)?;
-                Value::U64Array(
-                    bytes
-                        .chunks_exact(8)
-                        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                        .collect(),
-                )
-            }
-            TAG_F64_ARRAY => {
-                let n = r.get_u32().map_err(e)? as usize;
-                let bytes = r.take(n * 8).map_err(e)?;
-                Value::F64Array(
-                    bytes
-                        .chunks_exact(8)
-                        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-                        .collect(),
-                )
-            }
-            TAG_NULL => Value::Null,
-            TAG_STR => Value::Str(r.get_str().map_err(e)?),
-            other => return Err(format!("unknown response field tag {other}")),
-        };
-        fields.push((key, value));
-    }
-    r.expect_end().map_err(e)?;
-    Ok(DecodedReply::Ok(fields))
+    let stream = r.get_str().map_err(|e| e.to_string())?;
+    let container = r.take(r.remaining()).map_err(|e| e.to_string())?;
+    Ok(Request::ReplDelta { stream, frame: container.to_vec() })
+}
+
+/// One complete reply frame echoing `opcode`: the reply's JSON line.
+pub fn reply_frame(opcode: u8, reply: &Reply) -> Vec<u8> {
+    frame(opcode, 0, reply.render_json().as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{Response, SetOp, Value};
+
+    /// Split a frame into its checked header and its payload.
+    fn open(bytes: &[u8]) -> (Header, &[u8]) {
+        let header = parse_header(bytes[..HEADER_BYTES].try_into().expect("header slice"))
+            .expect("valid header");
+        assert_eq!(header.len, bytes.len() - HEADER_BYTES);
+        (header, &bytes[HEADER_BYTES..])
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     #[test]
     fn request_frames_round_trip_every_op() {
-        let requests = [
+        let json_ops = [
             Request::Ping,
             Request::Config,
-            Request::Ingest {
-                xs: vec![1, u64::MAX, 3],
-                ys: vec![10, 20, 30],
-                ts: None,
-                seq: None,
-            },
-            Request::Ingest {
-                xs: vec![4, 5],
-                ys: vec![6, 7],
-                ts: Some(vec![100, 99]),
-                seq: None,
-            },
-            Request::Ingest {
-                xs: vec![4, 5],
-                ys: vec![6, 7],
-                ts: Some(vec![100, 99]),
-                seq: Some((11, u64::MAX)),
-            },
-            Request::Ingest { xs: vec![], ys: vec![], ts: None, seq: None },
             Request::Flush,
             Request::QueryF2 { c: 100 },
             Request::QueryF0 { c: 0 },
@@ -668,33 +328,77 @@ mod tests {
             Request::Snapshot { path: "/tmp/bundle \"x\".snap".to_string() },
             Request::Shutdown,
             Request::Auth { token: "s3cret \"quoted\"".to_string() },
-            Request::SetF0 {
-                a: "left".to_string(),
-                b: "right".to_string(),
-                op: crate::protocol::SetOp::Diff,
-                c: 512,
-            },
+            Request::SetF0 { a: "left".to_string(), b: "right".to_string(), op: SetOp::Diff, c: 512 },
             Request::Streams,
-            Request::ReplHello {
-                stream: "node-a".to_string(),
-                fingerprint: 0xFEED_F00D_DEAD_BEEF,
-            },
-            Request::ReplDelta {
-                stream: "node-a".to_string(),
-                frame: vec![0xCA, 0xFE, 0x00, 0x42],
-            },
-            Request::ReplDelta { stream: "node-b".to_string(), frame: vec![] },
+            Request::ReplHello { stream: "node-a".to_string(), fingerprint: 0xFEED_F00D_DEAD_BEEF },
         ];
-        for request in requests {
-            let bytes = encode_request(&request, 0);
-            let header: &[u8; HEADER_BYTES] =
-                bytes[..HEADER_BYTES].try_into().expect("header slice");
-            let header = parse_header(header).expect("valid header");
-            assert_eq!(header.len, bytes.len() - HEADER_BYTES);
-            let opcode = Opcode::from_byte(header.opcode).expect("known opcode");
-            let decoded = decode_request(opcode, &bytes[HEADER_BYTES..]).expect("decode");
-            assert_eq!(decoded, request);
+        for request in json_ops {
+            let bytes = frame(REQUEST, 0, request.encode().as_bytes());
+            let (header, payload) = open(&bytes);
+            assert_eq!((header.opcode, header.flags), (REQUEST, 0));
+            let line = std::str::from_utf8(payload).expect("a JSON line");
+            assert_eq!(Request::parse(line).expect("parse"), request);
         }
+
+        let batches = [
+            (vec![(1, 10), (u64::MAX, 20), (3, 30)], None, None),
+            (vec![(4, 6), (5, 7)], Some(vec![100, 99]), None),
+            (vec![(4, 6), (5, 7)], Some(vec![100, 99]), Some((11, u64::MAX))),
+            (vec![], None, None),
+        ];
+        let (mut tuples, mut ts) = (Vec::new(), Vec::new());
+        for (want, want_ts, seq) in batches {
+            let bytes = encode_ingest(&want, want_ts.as_deref(), seq, 0);
+            let (header, payload) = open(&bytes);
+            assert_eq!(header.opcode, INGEST);
+            let meta = decode_ingest_into(payload, &mut tuples, &mut ts).expect("decode");
+            assert_eq!(meta, IngestMeta { has_ts: want_ts.is_some(), seq });
+            assert_eq!(tuples, want);
+            assert_eq!(ts, want_ts.unwrap_or_default());
+        }
+
+        for container in [vec![0xCA, 0xFE, 0x00, 0x42], vec![]] {
+            let bytes = encode_repl_delta("node-a", &container);
+            let (header, payload) = open(&bytes);
+            assert_eq!(header.opcode, REPL_DELTA);
+            assert_eq!(
+                decode_repl_delta(payload).expect("decode"),
+                Request::ReplDelta { stream: "node-a".to_string(), frame: container }
+            );
+        }
+    }
+
+    /// The exact bytes of one frame of each kind a peer sees: a change to
+    /// the header, an opcode, the lane layout or the reply rendering fails
+    /// here first.
+    #[test]
+    fn produced_frames_are_pinned() {
+        let f2 = frame(REQUEST, 0, Request::QueryF2 { c: 100 }.encode().as_bytes());
+        assert_eq!(
+            hex(&f2),
+            format!("cb02010013000000{}", hex(br#"{"op":"f2","c":100}"#))
+        );
+        let ingest = encode_ingest(&[(1, 2)], Some(&[3]), Some((4, 5)), FLAG_NO_ACK);
+        assert_eq!(
+            hex(&ingest),
+            "cb0202012d000000\
+             0100000003\
+             0400000000000000\
+             0500000000000000\
+             0100000000000000\
+             0200000000000000\
+             0300000000000000"
+        );
+        let delta = encode_repl_delta("a", &[0xDE, 0xAD]);
+        assert_eq!(hex(&delta), "cb0203000b000000010000000000000061dead");
+        let error = reply_frame(INGEST, &Reply::request_error("bad"));
+        assert_eq!(
+            hex(&error),
+            format!(
+                "cb0202002b000000{}",
+                hex(br#"{"ok":false,"error":"bad","kind":"request"}"#)
+            )
+        );
     }
 
     #[test]
@@ -738,34 +442,30 @@ mod tests {
             Reply::io_error("journal append failed: disk full"),
         ];
         for reply in replies {
-            let bytes = encode_reply(Opcode::Stats as u8, &reply);
-            let header: &[u8; HEADER_BYTES] = bytes[..HEADER_BYTES].try_into().unwrap();
-            let header = parse_header(header).unwrap();
-            let decoded = decode_reply(header.flags, &bytes[HEADER_BYTES..]).unwrap();
-            match (&reply, &decoded) {
-                (Reply::Error(want), DecodedReply::Error { kind, message }) => {
-                    assert_eq!(message, &want.message);
-                    assert_eq!(kind, want.kind.as_str());
+            let bytes = reply_frame(REQUEST, &reply);
+            let (header, payload) = open(&bytes);
+            assert_eq!((header.opcode, header.flags), (REQUEST, 0));
+            // The frame carries the line protocol's reply byte for byte.
+            assert_eq!(payload, reply.render_json().as_bytes());
+            let response = Response::parse(std::str::from_utf8(payload).unwrap()).unwrap();
+            match &reply {
+                Reply::Error(want) => {
+                    assert_eq!(response.error_message().as_deref(), Some(&*want.message));
+                    assert_eq!(response.error_kind().as_deref(), Some(want.kind.as_str()));
                 }
-                (Reply::Ok(want), DecodedReply::Ok(got)) => {
-                    assert_eq!(got.len(), want.len());
-                    for ((wk, wv), (gk, gv)) in want.iter().zip(got) {
-                        assert_eq!(gk, wk);
-                        assert_eq!(gv, wv);
-                        // The binary client re-renders through the same JSON
-                        // formatter the line protocol uses, so field text is
-                        // identical across transports.
-                        assert_eq!(gv.render_json(), wv.render_json());
+                Reply::Ok(want) => {
+                    assert!(response.is_ok());
+                    for (key, value) in want {
+                        assert_eq!(response.raw(key).unwrap(), value.render_json());
                     }
                 }
-                other => panic!("shape changed through the wire: {other:?}"),
             }
         }
     }
 
     #[test]
     fn headers_reject_bad_magic_version_and_oversized_lengths() {
-        let good = encode_request(&Request::Ping, 0);
+        let good = frame(REQUEST, 0, br#"{"op":"ping"}"#);
         let mut h: [u8; HEADER_BYTES] = good[..HEADER_BYTES].try_into().unwrap();
         assert!(parse_header(&h).is_ok());
         h[0] = b'{';
@@ -773,6 +473,9 @@ mod tests {
         h[0] = MAGIC;
         h[1] = 9;
         assert_eq!(parse_header(&h), Err(HeaderError::BadVersion(9)));
+        // A version-1 frame is refused at the header.
+        h[1] = 1;
+        assert_eq!(parse_header(&h), Err(HeaderError::BadVersion(1)));
         h[1] = VERSION;
         h[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
@@ -783,10 +486,7 @@ mod tests {
 
     #[test]
     fn truncated_and_inconsistent_payloads_error_cleanly() {
-        let frame = encode_request(
-            &Request::Ingest { xs: vec![1, 2], ys: vec![3, 4], ts: None, seq: None },
-            0,
-        );
+        let frame = encode_ingest(&[(1, 3), (2, 4)], None, None, 0);
         let payload = &frame[HEADER_BYTES..];
         let mut tuples = Vec::new();
         let mut ts = Vec::new();
@@ -803,26 +503,21 @@ mod tests {
         let mut lying = payload.to_vec();
         lying[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_ingest_into(&lying, &mut tuples, &mut ts).is_err());
-        // Truncated query payloads error too.
-        let q = encode_request(&Request::QueryHeavyHitters { c: 9, phi: 0.5 }, 0);
-        for cut in 0..q.len() - HEADER_BYTES {
-            assert!(decode_request(Opcode::HeavyHitters, &q[HEADER_BYTES..HEADER_BYTES + cut])
-                .is_err());
+        // A meta byte with an unknown bit is rejected.
+        let mut odd = payload.to_vec();
+        odd[4] = 4;
+        assert!(decode_ingest_into(&odd, &mut tuples, &mut ts).is_err());
+        // A repl_delta payload cut inside its stream name errors; past the
+        // name every cut is a (shorter) container, which the aggregator's
+        // container checks refuse.
+        let delta = encode_repl_delta("node-a", &[1, 2, 3]);
+        for cut in 0..8 + "node-a".len() {
+            assert!(decode_repl_delta(&delta[HEADER_BYTES..HEADER_BYTES + cut]).is_err());
         }
-        // Trailing garbage after a well-formed payload is rejected.
-        let mut padded = q[HEADER_BYTES..].to_vec();
-        padded.push(0);
-        assert!(decode_request(Opcode::HeavyHitters, &padded).is_err());
-        // Only `repl_delta` ships containers: a peer's 0x13 or 0x14 frame
-        // gets the unknown-opcode error.
-        assert_eq!(Opcode::from_byte(0x13), None);
-        assert_eq!(Opcode::from_byte(0x14), None);
-        // An unknown set-op tag is rejected.
-        let mut w = ByteWriter::new();
-        w.put_str("a");
-        w.put_str("b");
-        w.put_u8(9);
-        w.put_u64(1);
-        assert!(decode_request(Opcode::SetF0, w.as_bytes()).is_err());
+        // A REQUEST line cut anywhere does not parse.
+        let line = Request::QueryHeavyHitters { c: 9, phi: 0.5 }.encode();
+        for cut in 0..line.len() {
+            assert!(Request::parse(&line[..cut]).is_err(), "prefix {:?} parsed", &line[..cut]);
+        }
     }
 }

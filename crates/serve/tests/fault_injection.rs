@@ -37,7 +37,6 @@ fn durable_config(dir: &Path) -> ServeConfig {
         durability: Some(DurabilityConfig {
             dir: dir.to_path_buf(),
             snapshot_every_tuples: 0,
-            snapshot_interval_ms: 0,
             fsync_each_batch: true,
         }),
         ..sketch_config()

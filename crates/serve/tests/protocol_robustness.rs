@@ -9,6 +9,7 @@
 //! the same batches ingested sequentially over JSON.
 
 use cora_serve::client::{ClientError, ServeClient};
+use cora_serve::protocol::{Request, Response};
 use cora_serve::server::{start, RunningServer, ServeConfig};
 use cora_serve::wire;
 use proptest::prelude::*;
@@ -45,6 +46,22 @@ fn connect_raw(server: &RunningServer) -> TcpStream {
         .expect("read timeout");
     stream.set_nodelay(true).expect("nodelay");
     stream
+}
+
+/// A `REQUEST` frame carrying `request`'s JSON line.
+fn request_frame(request: &Request) -> Vec<u8> {
+    wire::frame(wire::REQUEST, 0, request.encode().as_bytes())
+}
+
+/// Read one reply frame off a raw socket: its header and its JSON reply.
+fn read_reply_frame(stream: &mut TcpStream) -> (wire::Header, Response) {
+    let mut header = [0u8; wire::HEADER_BYTES];
+    stream.read_exact(&mut header).expect("reply frame header");
+    let header = wire::parse_header(&header).expect("valid reply header");
+    let mut payload = vec![0u8; header.len];
+    stream.read_exact(&mut payload).expect("reply frame payload");
+    let line = std::str::from_utf8(&payload).expect("a UTF-8 reply");
+    (header, Response::parse(line).expect("a JSON reply"))
 }
 
 /// Write `bytes`, half-close, and drain whatever the server answers. The
@@ -101,13 +118,9 @@ proptest! {
         let frames = [
             wire::encode_ingest(&tuples, None, None, 0),
             wire::encode_ingest(&tuples, None, Some((1, 1)), wire::FLAG_NO_ACK),
-            wire::encode_request(&cora_serve::protocol::Request::QueryHeavyHitters {
-                c: 10,
-                phi: 0.5,
-            }, 0),
-            wire::encode_request(&cora_serve::protocol::Request::Snapshot {
-                path: "/tmp/never-written.snap".to_string(),
-            }, 0),
+            request_frame(&Request::QueryHeavyHitters { c: 10, phi: 0.5 }),
+            request_frame(&Request::Snapshot { path: "/tmp/never-written.snap".to_string() }),
+            wire::encode_repl_delta("node-a", &[1, 2, 3]),
         ];
         for (i, &cut) in cuts.iter().enumerate() {
             let frame = &frames[i % frames.len()];
@@ -124,24 +137,15 @@ fn oversized_declared_length_is_rejected_before_buffering() {
     let server = start(test_config(), "127.0.0.1:0").unwrap();
     let mut stream = connect_raw(&server);
     // A well-formed header whose length field exceeds the frame cap. The
-    // server must answer with an ERROR frame and close — without ever
+    // server must answer with an error frame and close — without ever
     // allocating or waiting for the phantom gigabyte.
-    let mut header = vec![wire::MAGIC, wire::VERSION, 0x01, 0];
+    let mut header = vec![wire::MAGIC, wire::VERSION, wire::REQUEST, 0];
     header.extend_from_slice(&(u32::MAX).to_le_bytes());
     stream.write_all(&header).unwrap();
-    let mut reply_header = [0u8; wire::HEADER_BYTES];
-    stream.read_exact(&mut reply_header).expect("error frame header");
-    let parsed = wire::parse_header(&reply_header).expect("valid reply header");
-    assert_eq!(parsed.flags & wire::FLAG_ERROR, wire::FLAG_ERROR);
-    let mut payload = vec![0u8; parsed.len];
-    stream.read_exact(&mut payload).expect("error frame payload");
-    match wire::decode_reply(parsed.flags, &payload).expect("decodable reply") {
-        wire::DecodedReply::Error { kind, message } => {
-            assert!(message.contains("cap"), "unexpected message: {message}");
-            assert_eq!(kind, "request");
-        }
-        other => panic!("expected an error reply, got {other:?}"),
-    }
+    let (_, reply) = read_reply_frame(&mut stream);
+    let message = reply.error_message().expect("an error reply");
+    assert!(message.contains("cap"), "unexpected message: {message}");
+    assert_eq!(reply.error_kind().as_deref(), Some("request"));
     // The connection is closed after a framing-level failure.
     let mut rest = Vec::new();
     let n = stream.read_to_end(&mut rest).unwrap_or(0);
@@ -159,23 +163,36 @@ fn unknown_opcode_keeps_the_connection_usable() {
     let mut bad = vec![wire::MAGIC, wire::VERSION, 0x7F, 0];
     bad.extend_from_slice(&0u32.to_le_bytes());
     stream.write_all(&bad).unwrap();
-    let mut reply_header = [0u8; wire::HEADER_BYTES];
-    stream.read_exact(&mut reply_header).expect("error frame header");
-    let parsed = wire::parse_header(&reply_header).expect("valid reply header");
-    assert_eq!(parsed.flags & wire::FLAG_ERROR, wire::FLAG_ERROR);
-    let mut payload = vec![0u8; parsed.len];
-    stream.read_exact(&mut payload).expect("error frame payload");
+    let (header, reply) = read_reply_frame(&mut stream);
+    assert_eq!(header.opcode, 0x7F);
+    assert_eq!(reply.error_kind().as_deref(), Some("request"));
 
     // Now a valid ping on the *same* connection.
-    stream
-        .write_all(&wire::encode_request(&cora_serve::protocol::Request::Ping, 0))
-        .unwrap();
-    stream.read_exact(&mut reply_header).expect("pong header");
-    let parsed = wire::parse_header(&reply_header).expect("valid pong header");
-    assert_eq!(parsed.opcode, wire::Opcode::Ping as u8);
-    assert_eq!(parsed.flags & wire::FLAG_ERROR, 0);
-    let mut payload = vec![0u8; parsed.len];
-    stream.read_exact(&mut payload).expect("pong payload");
+    stream.write_all(&request_frame(&Request::Ping)).unwrap();
+    let (header, reply) = read_reply_frame(&mut stream);
+    assert_eq!(header.opcode, wire::REQUEST);
+    assert!(reply.is_ok());
+    server.shutdown();
+}
+
+/// A `REQUEST` frame whose payload is not UTF-8, not a JSON request, or
+/// names `repl_delta` (whose container only its own frame carries) gets a
+/// `request` error, and the connection keeps answering.
+#[test]
+fn an_unreadable_request_frame_keeps_the_connection_usable() {
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut stream = connect_raw(&server);
+    let repl_delta = Request::ReplDelta { stream: "a".to_string(), frame: vec![1, 2, 3] }.encode();
+    let bodies: [&[u8]; 3] = [&[0xFF, 0xFE, b'{'], b"not json", repl_delta.as_bytes()];
+    for body in bodies {
+        stream.write_all(&wire::frame(wire::REQUEST, 0, body)).unwrap();
+        let (header, reply) = read_reply_frame(&mut stream);
+        assert_eq!(header.opcode, wire::REQUEST);
+        assert_eq!(reply.error_kind().as_deref(), Some("request"), "{body:?}");
+        stream.write_all(&request_frame(&Request::QueryF0 { c: 1023 })).unwrap();
+        let (_, reply) = read_reply_frame(&mut stream);
+        assert_eq!(reply.f64_field("value").unwrap(), 0.0, "{body:?}");
+    }
     server.shutdown();
 }
 
@@ -309,6 +326,27 @@ fn a_pipelined_error_frame_leaves_later_replies_in_step() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.u64_field("items_accepted").unwrap(), tuples.len() as u64);
     assert_eq!(client.query_f2(1023).unwrap(), high);
+    server.shutdown();
+}
+
+/// A blocking `ingest` after a rejected no-ack batch reports that batch's
+/// error without sending its own, so retrying it applies it once, and the
+/// retry's ack is its own reply.
+#[test]
+fn a_blocking_ingest_after_a_rejected_noack_batch_is_applied_once() {
+    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut client = ServeClient::connect_binary(server.local_addr()).unwrap();
+    let accepted = |client: &mut ServeClient| {
+        client.stats().unwrap().u64_field("items_accepted").unwrap()
+    };
+    let before = accepted(&mut client);
+    let good: Vec<(u64, u64)> = (0..50).map(|i| (i, (i * 7) % 1024)).collect();
+
+    client.ingest_noack(&[(2, 1_000_000)]).unwrap(); // y out of range
+    let err = client.ingest(&good).unwrap_err();
+    assert!(matches!(err, ClientError::Server(_)), "{err}");
+    assert_eq!(client.ingest(&good).unwrap(), good.len() as u64);
+    assert_eq!(accepted(&mut client), before + good.len() as u64);
     server.shutdown();
 }
 
@@ -604,12 +642,8 @@ fn a_request_split_across_two_writes_is_answered_once() {
     stream.write_all(&frame[..wire::HEADER_BYTES]).unwrap();
     std::thread::sleep(gap);
     stream.write_all(&frame[wire::HEADER_BYTES..]).unwrap();
-    let mut header = [0u8; wire::HEADER_BYTES];
-    stream.read_exact(&mut header).expect("ingest ack header");
-    let parsed = wire::parse_header(&header).unwrap();
-    assert_eq!(parsed.flags & wire::FLAG_ERROR, 0);
-    let mut payload = vec![0u8; parsed.len];
-    stream.read_exact(&mut payload).unwrap();
+    let (_, reply) = read_reply_frame(&mut stream);
+    assert_eq!(reply.u64_field("accepted").unwrap(), 3);
 
     // JSON: the line first, its newline later.
     let mut stream = connect_raw(&server);

@@ -507,7 +507,6 @@ fn warm_standby_seeds_from_durable_dir_and_resyncs_without_double_count() {
         durability: Some(DurabilityConfig {
             dir: dir.clone(),
             snapshot_every_tuples: 0,
-            snapshot_interval_ms: 0,
             fsync_each_batch: true,
         }),
         ..sketch_config()
