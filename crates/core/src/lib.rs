@@ -71,7 +71,7 @@ pub use fk::{correlated_fk, correlated_fk_seeded, CorrelatedFk, FkAggregate};
 pub use framework::{CorrelatedSketch, SketchStats};
 pub use heavy_hitters::{CorrelatedHeavyHitters, HeavyHitter};
 pub use rarity::CorrelatedRarity;
-pub use snapshot::{DeltaHeader, SnapshotKind, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use snapshot::{SectionsHeader, SnapshotKind, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use sum::{correlated_count, correlated_sum, CorrelatedCount, CorrelatedSum};
 
 #[cfg(test)]

@@ -82,14 +82,13 @@ pub enum SnapshotKind {
     /// sequence high-water marks that make batch replay idempotent
     /// (`cora_serve`'s snapshot bundle and write-ahead journal).
     ServeMeta = 7,
-    /// An incremental **delta** container covering the tuples ingested in a
-    /// generation span `(g_from, g_to]`: a replication header plus tagged
-    /// inner frames, each itself a sealed snapshot of a same-seeded
-    /// structure fed only that span (see [`seal_delta_into`] /
-    /// [`open_delta`]). Because the sketches are mergeable (Property V),
-    /// merging the delta into a base holding everything up to `g_from`
-    /// yields exactly the structure for everything up to `g_to`.
-    Delta = 8,
+    /// A **sections** container: a [`SectionsHeader`] plus tagged sections,
+    /// normally sealed frames of the other kinds (see [`seal_sections_into`]
+    /// / [`open_sections`]). The producer assigns the tags; `cora_serve`
+    /// writes every snapshot bundle and replication cut as one — a full
+    /// state when `g_from = 0`, the tuples acked in `(g_from, g_to]`
+    /// otherwise.
+    Sections = 8,
 }
 
 impl SnapshotKind {
@@ -101,7 +100,7 @@ impl SnapshotKind {
             5 => Some(SnapshotKind::WindowedFramework),
             6 => Some(SnapshotKind::WindowedF0),
             7 => Some(SnapshotKind::ServeMeta),
-            8 => Some(SnapshotKind::Delta),
+            8 => Some(SnapshotKind::Sections),
             _ => None,
         }
     }
@@ -260,14 +259,15 @@ pub fn decode_config(r: &mut ByteReader<'_>) -> CodecResult<CorrelatedConfig> {
     Ok(config)
 }
 
-/// The replication header of a [`SnapshotKind::Delta`] container: which
-/// generation span the inner frames cover and a fingerprint of the
-/// producer's construction parameters. A consumer must refuse a delta whose
-/// fingerprint differs from its own (different seeds or accuracy parameters
-/// make the structures non-mergeable) or whose `g_from` is not its current
-/// high-water generation (the delta would double-count or skip tuples).
+/// The header of a [`SnapshotKind::Sections`] container: the generation
+/// span its sections cover and a fingerprint of the producer's construction
+/// parameters. A consumer must refuse a container whose fingerprint differs
+/// from its own (structures built from other seeds or accuracy parameters
+/// neither restore into nor merge with its own), and an increment whose
+/// `g_from` is not its current high-water generation (it would
+/// double-count or skip tuples).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaHeader {
+pub struct SectionsHeader {
     /// The generation the consumer must already hold; `0` means the
     /// container is a **full** replacement snapshot, not an increment.
     pub g_from: u64,
@@ -278,12 +278,12 @@ pub struct DeltaHeader {
     pub fingerprint: u64,
 }
 
-/// Seal a delta container: the [`DeltaHeader`] plus `sections`, each a
-/// `(tag, bytes)` pair where the tag names the structure (assigned by the
+/// Seal a sections container: the [`SectionsHeader`] plus `sections`, each a
+/// `(tag, bytes)` pair where the tag names the section (assigned by the
 /// producer) and the bytes are normally themselves a sealed frame. The whole
-/// container is one checksummed [`SnapshotKind::Delta`] frame, so torn or
-/// corrupted deltas are rejected wholesale by [`open_delta`].
-pub fn seal_delta_into(header: &DeltaHeader, sections: &[(u8, &[u8])], out: &mut Vec<u8>) {
+/// container is one checksummed [`SnapshotKind::Sections`] frame, so torn or
+/// corrupted containers are rejected wholesale by [`open_sections`].
+pub fn seal_sections_into(header: &SectionsHeader, sections: &[(u8, &[u8])], out: &mut Vec<u8>) {
     let mut w = ByteWriter::new();
     w.put_u64(header.g_from);
     w.put_u64(header.g_to);
@@ -294,24 +294,24 @@ pub fn seal_delta_into(header: &DeltaHeader, sections: &[(u8, &[u8])], out: &mut
         w.put_u64(bytes.len() as u64);
         w.put_bytes(bytes);
     }
-    seal_frame_into(SnapshotKind::Delta, w.as_bytes(), out);
+    seal_frame_into(SnapshotKind::Sections, w.as_bytes(), out);
 }
 
-/// The `(tag, bytes)` sections of an opened delta container, borrowing from
-/// the container's bytes.
-pub type DeltaSections<'a> = Vec<(u8, &'a [u8])>;
+/// The `(tag, bytes)` sections of an opened container, borrowing from the
+/// container's bytes.
+pub type TaggedSections<'a> = Vec<(u8, &'a [u8])>;
 
-/// Open a delta container sealed by [`seal_delta_into`]: validates the outer
+/// Open a container sealed by [`seal_sections_into`]: validates the outer
 /// frame (magic, version, kind, length, checksum), then returns the header
 /// and the `(tag, bytes)` sections. A span with `g_from > g_to` is rejected
 /// here; fingerprint and base-generation checks are the consumer's job,
 /// because only it knows its own parameters and high-water mark.
-pub fn open_delta(bytes: &[u8]) -> Result<(DeltaHeader, DeltaSections<'_>)> {
-    let payload = open_frame(bytes, SnapshotKind::Delta)?;
+pub fn open_sections(bytes: &[u8]) -> Result<(SectionsHeader, TaggedSections<'_>)> {
+    let payload = open_frame(bytes, SnapshotKind::Sections)?;
     let mut r = ByteReader::new(payload);
     let take = |r: &mut ByteReader<'_>, field: &str| -> Result<u64> {
         r.get_u64().map_err(|e| CoreError::Snapshot {
-            detail: format!("delta header field {field}: {e}"),
+            detail: format!("container header field {field}: {e}"),
         })
     };
     let g_from = take(&mut r, "g_from")?;
@@ -319,14 +319,14 @@ pub fn open_delta(bytes: &[u8]) -> Result<(DeltaHeader, DeltaSections<'_>)> {
     let fingerprint = take(&mut r, "fingerprint")?;
     if g_from > g_to {
         return Err(CoreError::Snapshot {
-            detail: format!("delta spans a negative generation range ({g_from}, {g_to}]"),
+            detail: format!("container spans a negative generation range ({g_from}, {g_to}]"),
         });
     }
     let n = r.get_u32().map_err(CoreError::from)? as usize;
     let mut sections = Vec::with_capacity(n);
     for i in 0..n {
         let e = |detail: String| CoreError::Snapshot {
-            detail: format!("delta section {i}: {detail}"),
+            detail: format!("container section {i}: {detail}"),
         };
         let tag = r.get_u8().map_err(|err| e(err.to_string()))?;
         let len = r.get_u64().map_err(|err| e(err.to_string()))? as usize;
@@ -341,10 +341,10 @@ pub fn open_delta(bytes: &[u8]) -> Result<(DeltaHeader, DeltaSections<'_>)> {
     }
     if r.remaining() != 0 {
         return Err(CoreError::Snapshot {
-            detail: format!("delta has {} trailing bytes after its sections", r.remaining()),
+            detail: format!("container has {} trailing bytes after its sections", r.remaining()),
         });
     }
-    Ok((DeltaHeader { g_from, g_to, fingerprint }, sections))
+    Ok((SectionsHeader { g_from, g_to, fingerprint }, sections))
 }
 
 /// Map a low-level codec error into the crate error type.
@@ -405,11 +405,11 @@ mod tests {
 
     #[test]
     fn delta_container_round_trip_and_rejections() {
-        let header = DeltaHeader { g_from: 3, g_to: 7, fingerprint: 0xFEED_F00D };
+        let header = SectionsHeader { g_from: 3, g_to: 7, fingerprint: 0xFEED_F00D };
         let inner = seal_frame(SnapshotKind::F0, b"inner state");
         let mut out = Vec::new();
-        seal_delta_into(&header, &[(1, b"raw"), (2, &inner)], &mut out);
-        let (decoded, sections) = open_delta(&out).unwrap();
+        seal_sections_into(&header, &[(1, b"raw"), (2, &inner)], &mut out);
+        let (decoded, sections) = open_sections(&out).unwrap();
         assert_eq!(decoded, header);
         assert_eq!(sections.len(), 2);
         assert_eq!(sections[0], (1, &b"raw"[..]));
@@ -421,24 +421,24 @@ mod tests {
 
         // Empty container is legal (a heartbeat cut with no new tuples).
         let mut empty = Vec::new();
-        seal_delta_into(&header, &[], &mut empty);
-        assert!(open_delta(&empty).unwrap().1.is_empty());
+        seal_sections_into(&header, &[], &mut empty);
+        assert!(open_sections(&empty).unwrap().1.is_empty());
 
         // Torn and corrupted containers are rejected wholesale.
-        assert!(open_delta(&out[..out.len() - 1]).is_err());
+        assert!(open_sections(&out[..out.len() - 1]).is_err());
         let mut corrupt = out.clone();
         corrupt[20] ^= 0x01;
-        assert!(open_delta(&corrupt).is_err());
+        assert!(open_sections(&corrupt).is_err());
         // A non-delta frame is not a delta.
-        assert!(open_delta(&inner).is_err());
+        assert!(open_sections(&inner).is_err());
         // Negative generation spans are rejected in the codec.
         let mut backwards = Vec::new();
-        seal_delta_into(
-            &DeltaHeader { g_from: 9, g_to: 2, fingerprint: 0 },
+        seal_sections_into(
+            &SectionsHeader { g_from: 9, g_to: 2, fingerprint: 0 },
             &[],
             &mut backwards,
         );
-        assert!(open_delta(&backwards).is_err());
+        assert!(open_sections(&backwards).is_err());
         // A section length pointing past the payload is rejected.
         let mut w = ByteWriter::new();
         w.put_u64(0);
@@ -448,8 +448,8 @@ mod tests {
         w.put_u8(1);
         w.put_u64(1_000_000);
         let mut oversize = Vec::new();
-        seal_frame_into(SnapshotKind::Delta, w.as_bytes(), &mut oversize);
-        assert!(open_delta(&oversize).is_err());
+        seal_frame_into(SnapshotKind::Sections, w.as_bytes(), &mut oversize);
+        assert!(open_sections(&oversize).is_err());
     }
 
     #[test]

@@ -244,14 +244,13 @@ impl ServeClient {
         self.writer.get_ref().set_write_timeout(write)
     }
 
-    /// Send one request and read its response.
+    /// Send one request as its JSON line (in a `REQUEST` frame over binary)
+    /// and read its response. A `repl_delta` container travels only through
+    /// [`ServeClient::repl_delta`].
     pub fn request(&mut self, request: &Request) -> ClientResult<Response> {
-        match (self.mode, request) {
-            (Mode::Json, _) => self.request_json(request),
-            (Mode::Binary, Request::ReplDelta { stream, frame }) => {
-                self.round_trip(wire::encode_repl_delta(stream, frame))
-            }
-            (Mode::Binary, _) => {
+        match self.mode {
+            Mode::Json => self.request_json(request),
+            Mode::Binary => {
                 self.round_trip(wire::frame(wire::REQUEST, 0, request.encode().as_bytes()))
             }
         }
@@ -574,13 +573,18 @@ impl ServeClient {
     }
 
     /// Ship one sealed container, full when its `g_from` is 0 (the
-    /// aggregator accepts it on binary connections only); returns the
-    /// aggregator's new high-water generation.
-    pub fn repl_delta(&mut self, stream: &str, frame: Vec<u8>) -> ClientResult<u64> {
-        let response = self.request(&Request::ReplDelta {
-            stream: stream.to_string(),
-            frame,
-        })?;
+    /// aggregator accepts it on binary connections only, framed straight
+    /// from the borrowed bytes); returns the aggregator's new high-water
+    /// generation.
+    pub fn repl_delta(&mut self, stream: &str, container: &[u8]) -> ClientResult<u64> {
+        let response = match self.mode {
+            Mode::Binary => self.round_trip(wire::encode_repl_delta(stream, container))?,
+            // The line names the op without its container, and is refused.
+            Mode::Json => self.request_json(&Request::ReplDelta {
+                stream: stream.to_string(),
+                frame: Vec::new(),
+            })?,
+        };
         response.u64_field("high_water").map_err(ClientError::Protocol)
     }
 }

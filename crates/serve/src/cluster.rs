@@ -13,15 +13,18 @@
 //! ```
 //!
 //! An ingest node replicates the way it recovers: a snapshot, then the
-//! batches acked after it ([`crate::server::ServeConfig::replicate`]). The
-//! first cut and every resync is a **full** container (`g_from = 0`: the
-//! node's `F_2`/HH structure, `F_0` and rarity) that replaces the stream's
-//! state; every later cut carries the tuples acked since the previous one,
-//! which the aggregator **replays** with `insert_batch`, as warm standby
-//! replays a journal. A stream is thus always built by Algorithms 1–2 one
-//! insert at a time, the premise of the `(1 ± ε)` bound, and its `F_0` and
-//! rarity are the node's bit for bit. Every section is restored, and every shipped
-//! tuple checked for `y ≤ y_max`, before the stream is touched.
+//! batches acked after it ([`crate::server::ServeConfig::replicate`]), in
+//! the formats it writes to disk. The first cut and every resync is a
+//! **full** cut (`g_from = 0`): the snapshot bundle's `F_2`/HH, `F_0` and
+//! rarity sections, sealed the same way, which replace the stream's state.
+//! Every later cut carries the tuples acked since the previous one as one
+//! batch payload, the bytes of a journal record without timestamps or
+//! pair, which the aggregator **replays** with `insert_batch`, as warm
+//! standby replays a journal. A stream is thus always built by Algorithms
+//! 1–2 one insert at a time, the premise of the `(1 ± ε)` bound, and its
+//! `F_0` and rarity are the node's bit for bit. Every section is restored,
+//! and every shipped tuple checked for `y ≤ y_max`, before the stream is
+//! touched.
 //!
 //! **The price of replay** is one insert per shipped tuple, 5–6 µs on one
 //! core at the served config (ε = 0.25, `y_max` 4095), under the
@@ -73,7 +76,7 @@ use crate::server::{
 };
 use crate::sketches::{Shipped, SketchSet};
 use crate::transport::{spawn_acceptor, ServiceCore};
-use cora_core::snapshot::open_delta;
+use cora_core::snapshot::open_sections;
 use cora_core::CoreError;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::TcpListener;
@@ -271,7 +274,7 @@ impl AggCore {
             self.repl_rejected.fetch_add(1, Ordering::Relaxed);
             Ok(Reply::request_error(message))
         };
-        let (header, sections) = match open_delta(frame) {
+        let (header, sections) = match open_sections(frame) {
             Ok(opened) => opened,
             Err(e) => return reject(format!("unreadable replication container: {e}")),
         };
@@ -341,8 +344,8 @@ impl AggCore {
         let recovered = recover(&storage, dir)?;
         // The fingerprint covers every mergeable parameter; a bundle from a
         // differently-configured node must not masquerade as this stream.
-        let mut seeded = match &recovered.bundle {
-            Some(b) => SketchSet::restore(&self.config, [&b.f2, &b.f0, &b.rarity])?,
+        let mut seeded = match &recovered.restored {
+            Some((_, [f2, f0, rarity, ..])) => SketchSet::restore(&self.config, [f2, f0, rarity])?,
             None => SketchSet::fresh(&self.config)?,
         };
         for record in &recovered.replay {
@@ -776,7 +779,7 @@ impl Replicator {
             None => self.establish()?,
         };
         while let Some(front) = self.pending.front() {
-            match session.repl_delta(&self.cfg.stream, front.frame.clone()) {
+            match session.repl_delta(&self.cfg.stream, &front.frame) {
                 Ok(_high_water) => {
                     let acked = self.pending.pop_front().expect("front exists");
                     self.shared.progress().acked_gen = acked.g_to;
@@ -856,7 +859,8 @@ enum ShipError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cora_core::DeltaHeader;
+    use crate::sketches::{seal_sections, SKETCH_SECTIONS};
+    use cora_core::SectionsHeader;
 
     #[test]
     fn stream_names_are_validated() {
@@ -915,9 +919,9 @@ mod tests {
         let reply = core.repl_apply("node-a", b"garbage").unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         // Unknown stream with a structurally valid (but empty) container.
-        let header = DeltaHeader { g_from: 0, g_to: 1, fingerprint: fp };
+        let header = SectionsHeader { g_from: 0, g_to: 1, fingerprint: fp };
         let mut frame = Vec::new();
-        cora_core::snapshot::seal_delta_into(&header, &[], &mut frame);
+        cora_core::snapshot::seal_sections_into(&header, &[], &mut frame);
         let reply = core.repl_apply("node-a", &frame).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         // Registered stream, but the container is missing its sections.
@@ -925,9 +929,9 @@ mod tests {
         let reply = core.repl_apply("node-a", &frame).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         // An incremental container without its batches section.
-        let header = DeltaHeader { g_from: 3, g_to: 4, fingerprint: fp };
+        let header = SectionsHeader { g_from: 3, g_to: 4, fingerprint: fp };
         let mut frame = Vec::new();
-        cora_core::snapshot::seal_delta_into(&header, &[], &mut frame);
+        cora_core::snapshot::seal_sections_into(&header, &[], &mut frame);
         let reply = core.repl_apply("node-a", &frame).unwrap();
         assert!(matches!(reply, Reply::Error(_)), "{reply:?}");
         assert!(core.repl_rejected.load(Ordering::Relaxed) >= 4);
@@ -940,7 +944,7 @@ mod tests {
 
     /// A full container holding `n` tuples' worth of sketches built under
     /// `built_with`, sealed with `header`.
-    fn full_container(built_with: &ServeConfig, header: &DeltaHeader, n: u64) -> Vec<u8> {
+    fn full_container(built_with: &ServeConfig, header: &SectionsHeader, n: u64) -> Vec<u8> {
         let mut f2 = cora_core::CorrelatedSketch::new(
             built_with.shard_aggregate(),
             built_with.f2_config().unwrap(),
@@ -949,7 +953,8 @@ mod tests {
         f2.update_batch(&tuples(n)).unwrap();
         let mut aux = crate::sketches::AuxSet::fresh(built_with).unwrap();
         aux.insert_batch(&tuples(n)).unwrap();
-        crate::sketches::seal_full(header, &f2.snapshot(), &aux.frames())
+        let [f0, rarity] = aux.frames();
+        seal_sections(header, SKETCH_SECTIONS, [&f2.snapshot(), &f0, &rarity])
     }
 
     /// Every whole-stream answer the aggregator gives, rendered, plus the
@@ -974,22 +979,22 @@ mod tests {
         let core = AggCore::new(config.clone()).unwrap();
         let fp = config.replication_fingerprint();
         core.repl_hello("node-a", fp).unwrap();
-        let base = DeltaHeader { g_from: 0, g_to: 1, fingerprint: fp };
+        let base = SectionsHeader { g_from: 0, g_to: 1, fingerprint: fp };
         let reply = core.repl_apply("node-a", &full_container(&config, &base, 3_000));
         assert_eq!(reply.unwrap(), Reply::Ok(vec![("high_water", Value::U64(1))]));
         let before = observable(&core, "node-a");
         let rejected_before = core.repl_rejected.load(Ordering::Relaxed);
 
-        let next = DeltaHeader { g_from: 1, g_to: 2, fingerprint: fp };
+        let next = SectionsHeader { g_from: 1, g_to: 2, fingerprint: fp };
         let whole = crate::sketches::seal_batches(&next, &tuples(500));
         let full = full_container(&config, &base, 500);
-        let (_, sketches) = open_delta(&full).unwrap();
-        let (_, batches) = open_delta(&whole).unwrap();
+        let (_, sketches) = open_sections(&full).unwrap();
+        let (_, batches) = open_sections(&whole).unwrap();
         assert_eq!((sketches.len(), batches.len()), (3, 1));
         let mut refusals = 0;
-        let mut refused = |header: &DeltaHeader, sections: &[(u8, &[u8])], what: &str| {
+        let mut refused = |header: &SectionsHeader, sections: &[(u8, &[u8])], what: &str| {
             let mut frame = Vec::new();
-            cora_core::snapshot::seal_delta_into(header, sections, &mut frame);
+            cora_core::snapshot::seal_sections_into(header, sections, &mut frame);
             let reply = core.repl_apply("node-a", &frame).unwrap();
             assert!(matches!(reply, Reply::Error(_)), "{what}: {reply:?}");
             assert_eq!(observable(&core, "node-a"), before, "{what}");
@@ -1010,16 +1015,25 @@ mod tests {
         let both: Vec<(u8, &[u8])> = sketches.iter().chain(&batches).copied().collect();
         refused(&next, &both, "incremental with both kinds");
         refused(&base, &both, "full with both kinds");
-        // A batches section whose length is not its declared count × 16:
-        // one byte short, and one tuple more declared than it holds.
+        // A batches section whose byte count disagrees with its declared
+        // count: one byte short, and one tuple more declared than it holds
+        // (the u32 count follows the meta byte).
         let (tag, bytes) = batches[0];
         refused(&next, &[(tag, &bytes[..bytes.len() - 1])], "truncated batches");
         let mut overcount = bytes.to_vec();
-        overcount[0] += 1;
+        overcount[1] += 1;
         refused(&next, &[(tag, &overcount)], "overcounted batches");
+        // A batch with a timestamp lane or a (writer, seq) pair is a journal
+        // record or an ingest payload, not a replication tail.
+        let mut with_ts = Vec::new();
+        crate::wire::encode_ingest_into(&[(1, 2)], &[3], None, &mut with_ts);
+        refused(&next, &[(tag, &with_ts)], "batch with timestamps");
+        let mut with_seq = Vec::new();
+        crate::wire::encode_ingest_into(&[(1, 2)], &[], Some((4, 5)), &mut with_seq);
+        refused(&next, &[(tag, &with_seq)], "batch with a sequence pair");
         // A shipped tuple above y_max, after valid ones.
         let high = crate::sketches::seal_batches(&next, &[(1, 2), (3, config.y_max + 1)]);
-        let (_, high) = open_delta(&high).unwrap();
+        let (_, high) = open_sections(&high).unwrap();
         refused(&next, &high, "y above y_max");
         // Sketches built under another phi: F0 and rarity restore cleanly
         // and would replace the stream's. With the aggregator's fingerprint
@@ -1028,9 +1042,9 @@ mod tests {
         let other = ServeConfig { phi: 0.2, ..config.clone() };
         assert_ne!(other.replication_fingerprint(), fp);
         let other_full = full_container(&other, &base, 500);
-        let (_, other_sketches) = open_delta(&other_full).unwrap();
+        let (_, other_sketches) = open_sections(&other_full).unwrap();
         refused(&base, &other_sketches, "full built under another phi");
-        assert_eq!(refusals, 11);
+        assert_eq!(refusals, 13);
         assert_eq!(core.repl_rejected.load(Ordering::Relaxed), rejected_before + refusals);
 
         // The chain is intact: the whole delta still applies.
@@ -1103,7 +1117,7 @@ mod tests {
 
         // The reference: the full cut's structures, then one insert_batch
         // per incremental cut — what the aggregator claims to hold.
-        let (_, sections) = open_delta(&full).unwrap();
+        let (_, sections) = open_sections(&full).unwrap();
         let Ok(Shipped::Full(mut reference)) = Shipped::open(&config, true, &sections) else {
             panic!("the full cut must open as a full container");
         };

@@ -8,7 +8,7 @@
 //! monotonically increasing **generation** number:
 //!
 //! ```text
-//! snap-<g>.csrv      snapshot bundle (the CSRV container of crate::server)
+//! snap-<g>.csrv      snapshot bundle (the sections container of crate::server)
 //! journal-<g>.cjl    every ingest batch accepted AFTER snap-<g> was written
 //! ```
 //!
@@ -23,18 +23,16 @@
 //!
 //! ## Journal frame format
 //!
-//! The journal reuses the little-endian [`cora_sketch::codec`] primitives
-//! and the FNV-1a 64 checksum of the snapshot frames:
+//! A record's payload is the batch payload of [`crate::wire`] (the bytes of
+//! an `INGEST` frame's payload), checksummed with the FNV-1a 64 of the
+//! snapshot frames:
 //!
 //! ```text
 //! file   = header record*
 //! header = magic b"CJRN" | u16 version (1) | u64 generation
 //! record = u32 payload_len | payload | u64 fnv1a64(payload)
-//! payload = u8 meta                  bit 0: explicit timestamps follow
-//!                                    bit 1: a (writer, seq) pair follows
-//!           [u64 writer, u64 seq]    when meta bit 1
-//!           u32 n
-//!           n×u64 xs | n×u64 ys | [n×u64 ts]
+//! payload = u8 meta | [u64 writer, u64 seq] | u32 n
+//!           | n×u64 xs | n×u64 ys | [n×u64 ts]
 //! ```
 //!
 //! [`scan_journal`] accepts the longest **valid prefix** of a journal: a
@@ -43,7 +41,8 @@
 //! fsync policy promises (an *acked* batch is never in the torn tail,
 //! because the ack is only sent after the append is fsynced).
 
-use cora_sketch::codec::{fnv1a64, ByteReader, ByteWriter};
+use crate::wire::{decode_ingest_into, encode_ingest_into};
+use cora_sketch::codec::fnv1a64;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -225,87 +224,6 @@ pub struct JournalRecord {
     pub ts: Vec<u64>,
 }
 
-const META_HAS_TS: u8 = 1;
-const META_HAS_SEQ: u8 = 2;
-
-/// Encode one batch as a complete journal record (length prefix, payload,
-/// checksum) appended to `out`.
-pub fn encode_record_into(
-    tuples: &[(u64, u64)],
-    ts: &[u64],
-    seq: Option<(u64, u64)>,
-    out: &mut Vec<u8>,
-) {
-    debug_assert!(ts.is_empty() || ts.len() == tuples.len());
-    let mut w = ByteWriter::new();
-    let mut meta = 0u8;
-    if !ts.is_empty() {
-        meta |= META_HAS_TS;
-    }
-    if seq.is_some() {
-        meta |= META_HAS_SEQ;
-    }
-    w.put_u8(meta);
-    if let Some((writer, seq)) = seq {
-        w.put_u64(writer);
-        w.put_u64(seq);
-    }
-    w.put_u32(tuples.len() as u32);
-    for &(x, _) in tuples {
-        w.put_u64(x);
-    }
-    for &(_, y) in tuples {
-        w.put_u64(y);
-    }
-    for &t in ts {
-        w.put_u64(t);
-    }
-    let payload = w.as_bytes();
-    out.reserve(payload.len() + 12);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-}
-
-fn decode_payload(payload: &[u8]) -> Result<JournalRecord, String> {
-    let mut r = ByteReader::new(payload);
-    let e = |err: cora_sketch::codec::CodecError| err.to_string();
-    let meta = r.get_u8().map_err(e)?;
-    if meta & !(META_HAS_TS | META_HAS_SEQ) != 0 {
-        return Err(format!("unknown journal record meta bits 0x{meta:02X}"));
-    }
-    let seq = if meta & META_HAS_SEQ != 0 {
-        Some((r.get_u64().map_err(e)?, r.get_u64().map_err(e)?))
-    } else {
-        None
-    };
-    let n = r.get_u32().map_err(e)? as usize;
-    let lanes = if meta & META_HAS_TS != 0 { 3 } else { 2 };
-    if r.remaining() != n * 8 * lanes {
-        return Err(format!(
-            "journal record declares {n} tuples but carries {} value bytes",
-            r.remaining()
-        ));
-    }
-    let xs = r.take(n * 8).map_err(e)?;
-    let ys = r.take(n * 8).map_err(e)?;
-    let mut tuples = Vec::with_capacity(n);
-    for (xc, yc) in xs.chunks_exact(8).zip(ys.chunks_exact(8)) {
-        tuples.push((
-            u64::from_le_bytes(xc.try_into().expect("8-byte chunk")),
-            u64::from_le_bytes(yc.try_into().expect("8-byte chunk")),
-        ));
-    }
-    let mut ts = Vec::new();
-    if meta & META_HAS_TS != 0 {
-        ts.reserve(n);
-        for tc in r.take(n * 8).map_err(e)?.chunks_exact(8) {
-            ts.push(u64::from_le_bytes(tc.try_into().expect("8-byte chunk")));
-        }
-    }
-    Ok(JournalRecord { seq, tuples, ts })
-}
-
 /// The result of scanning a journal file: its header generation, the
 /// records of the longest valid prefix, and what (if anything) stopped the
 /// scan.
@@ -363,8 +281,9 @@ pub fn scan_journal(bytes: &[u8]) -> Result<JournalScan, String> {
             torn = stop("payload checksum mismatch".into());
             break;
         }
-        match decode_payload(payload) {
-            Ok(record) => records.push(record),
+        let (mut tuples, mut ts) = (Vec::new(), Vec::new());
+        match decode_ingest_into(payload, &mut tuples, &mut ts) {
+            Ok(meta) => records.push(JournalRecord { seq: meta.seq, tuples, ts }),
             Err(detail) => {
                 torn = stop(detail);
                 break;
@@ -455,8 +374,14 @@ impl JournalWriter {
                  a snapshot rotation will open a fresh generation",
             ));
         }
+        // One record: the length prefix, the batch payload, its checksum.
         self.scratch.clear();
-        encode_record_into(tuples, ts, seq, &mut self.scratch);
+        self.scratch.extend_from_slice(&[0; 4]);
+        encode_ingest_into(tuples, ts, seq, &mut self.scratch);
+        let payload = &self.scratch[4..];
+        let (len, checksum) = (payload.len() as u32, fnv1a64(payload));
+        self.scratch[..4].copy_from_slice(&len.to_le_bytes());
+        self.scratch.extend_from_slice(&checksum.to_le_bytes());
         if let Err(e) = self.file.append(&self.scratch) {
             self.poisoned = true;
             return Err(e);
@@ -524,9 +449,9 @@ mod tests {
         // only mid-record cuts report a tear.
         let mut boundaries = vec![JOURNAL_HEADER_BYTES];
         for record in &scan.records {
-            let mut encoded = Vec::new();
-            encode_record_into(&record.tuples, &record.ts, record.seq, &mut encoded);
-            boundaries.push(boundaries.last().unwrap() + encoded.len());
+            let mut payload = Vec::new();
+            encode_ingest_into(&record.tuples, &record.ts, record.seq, &mut payload);
+            boundaries.push(boundaries.last().unwrap() + 4 + payload.len() + 8);
         }
         for cut in JOURNAL_HEADER_BYTES..bytes.len() {
             let scan = scan_journal(&bytes[..cut]).unwrap();
@@ -547,6 +472,34 @@ mod tests {
         // Headers are strict.
         assert!(scan_journal(b"CJRN").is_err());
         assert!(scan_journal(b"XXXXXXXXXXXXXXXX").is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The exact bytes of a journal on disk: the header, then one record
+    /// with a timestamp lane and a `(writer, seq)` pair and one with
+    /// neither. A format change fails here first; an upgraded node must
+    /// still replay the journals an older one wrote.
+    #[test]
+    fn journal_bytes_are_pinned() {
+        let dir = temp_dir("pinned");
+        let storage = DiskStorage;
+        let mut journal = JournalWriter::create(&storage, &dir, 5).unwrap();
+        journal.append_batch(&[(1, 2)], &[3], Some((4, 5)), true).unwrap();
+        journal.append_batch(&[(6, 7)], &[], None, true).unwrap();
+        let bytes = storage.read(&journal_path(&dir, 5)).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "434a524e01000500000000000000\
+             2d000000\
+             03040000000000000005000000000000000100000001000000000000000200000000000000\
+             0300000000000000\
+             9233f2704b797160\
+             15000000\
+             000100000006000000000000000700000000000000\
+             9fa15540eee36cb5"
+        );
+        assert_eq!(bytes.len() as u64, journal.bytes());
         let _ = fs::remove_dir_all(&dir);
     }
 

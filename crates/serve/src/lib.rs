@@ -16,12 +16,11 @@
 //!   so a query issued *during* a rebuild normally returns at once against
 //!   the previous epoch instead of waiting, and a composite is built only
 //!   when a reader or a `flush` will read it;
-//! * **snapshot persistence & crash-safe durability** — the server bundles
-//!   the framework (`F_2` and heavy hitters)/F0/rarity snapshot frames of
-//!   `cora_core::snapshot` into one checksummed file
-//!   ([`server::RunningServer`] op `snapshot`), and
-//!   [`server::start_restored`] boots a server from such a file with
-//!   bit-identical answers. With [`server::DurabilityConfig`] set, a
+//! * **snapshot persistence & crash-safe durability** — the `snapshot` op
+//!   seals every structure's `cora_core::snapshot` frame into one
+//!   checksummed container, the format replication ships too, and
+//!   [`server::start_restored`] boots a server from it with bit-identical
+//!   answers. With [`server::DurabilityConfig`] set, a
 //!   write-ahead [`journal`] makes every acked ingest batch crash-safe:
 //!   batches are journaled (fsync'd) before they are applied, a background
 //!   thread rotates snapshot generations, and recovery-on-start restores

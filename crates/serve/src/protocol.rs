@@ -202,7 +202,7 @@ pub enum Request {
     ReplDelta {
         /// Upstream stream name.
         stream: String,
-        /// The sealed `SnapshotKind::Delta` container: a full replacement
+        /// The sealed `SnapshotKind::Sections` container: a full replacement
         /// when its `g_from` is 0, an incremental cut otherwise.
         frame: Vec<u8>,
     },

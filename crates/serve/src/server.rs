@@ -68,12 +68,13 @@
 //!
 //! ## Snapshot bundle
 //!
-//! The `snapshot` op writes one file: a `CSRV` container holding the six
-//! `cora_core::snapshot` frames (framework composite, F0, rarity, the two
-//! windowed pane rings, and the per-writer ingest sequence map), each
-//! individually checksummed. [`start_restored`] boots a server
-//! from such a file; restored structures answer queries bit-identically
-//! (pinned by the integration tests and the CI serve-smoke step).
+//! The `snapshot` op writes one file: the sections container a node also
+//! ships (`crate::sketches`), holding six checksummed `cora_core::snapshot`
+//! frames (framework composite, F0, rarity, the two windowed pane rings,
+//! and the per-writer ingest sequence map); a full replication cut is its
+//! first three. [`start_restored`] boots a server from such a file;
+//! restored structures answer queries bit-identically (pinned by the
+//! integration tests and the CI serve-smoke step).
 //!
 //! ## Durability
 //!
@@ -96,17 +97,20 @@
 
 use crate::journal::{
     journal_path, list_generations, scan_journal, snapshot_path, JournalRecord, JournalWriter,
-    Storage,
+    Storage, JOURNAL_HEADER_BYTES, JOURNAL_MAGIC,
 };
 use crate::merger::BackgroundMerger;
 use crate::protocol::{Reply, Request, Value};
-use crate::sketches::{f0_matches, f2_answer, seal_batches, seal_full, AuxSet};
+use crate::sketches::{
+    f0_matches, f2_answer, pick_sections, seal_batches, seal_sections, AuxSet, Section,
+    SKETCH_SECTIONS,
+};
 use crate::transport::{spawn_acceptor, ServiceCore};
 use crate::windows::{Rings, WindowFeed, WindowRings};
 use cora_core::heavy_hitters::F2HeavyAggregate;
-use cora_core::snapshot::{open_frame, seal_frame_into, DeltaHeader};
+use cora_core::snapshot::{open_sections, open_frame, seal_frame_into, SectionsHeader};
 use cora_core::{CoreError, CorrelatedConfig, F2Aggregate, SnapshotKind};
-use cora_sketch::codec::{ByteReader, ByteWriter};
+use cora_sketch::codec::ByteWriter;
 use cora_stream::windowed::{
     windowed_f0, windowed_f2, PaneConfig, PaneRing, WindowPane, WindowedF0, WindowedF2,
 };
@@ -283,9 +287,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// What an incremental replication container carries: 2 = the acked tuples
-/// (the unnumbered format before it shipped sketch deltas).
-const REPLICATION_FORMAT: u64 = 2;
+/// What an incremental replication container carries: 3 = the acked tuples
+/// as one batch payload (2 shipped them as a count and `(x, y)` pairs; the
+/// unnumbered format before that shipped sketch deltas).
+const REPLICATION_FORMAT: u64 = 3;
 
 impl ServeConfig {
     /// Fingerprint of every parameter that must agree across replication
@@ -422,7 +427,7 @@ pub(crate) struct ServerCore {
     snapshot_errors: AtomicU64,
 }
 
-/// One replication cut: a sealed [`SnapshotKind::Delta`] container plus the
+/// One replication cut: a sealed [`SnapshotKind::Sections`] container plus the
 /// generation span `(g_from, g_to]` it covers. `g_from == 0` marks a full
 /// replacement snapshot, anything else an incremental delta that must chain
 /// onto the aggregator's high water; both ship as `repl_delta`.
@@ -437,85 +442,22 @@ pub(crate) struct ReplCut {
     pub frame: Vec<u8>,
 }
 
-/// Magic bytes of a snapshot bundle file.
-const BUNDLE_MAGIC: [u8; 4] = *b"CSRV";
-/// Bundle container version. Version 2 added the windowed sections (5, 6);
-/// version 3 the ingest-sequence section (7); version 4 retired the
-/// heavy-hitters section (4), whose candidates the `F_2` section now carries.
-/// Older bundles are refused rather than restored into a server that would
-/// answer from an empty ring, re-apply replayed batches or lack candidates.
-const BUNDLE_VERSION: u16 = 4;
-/// Section tags inside a bundle, in the order they are written (tag 4 stays
-/// unassigned).
-const SECTIONS: [u8; 6] = [1, 2, 3, 5, 6, 7];
+/// A snapshot bundle's sections, in the order they are written.
+const BUNDLE_SECTIONS: [Section; 6] = {
+    use Section::*;
+    [F2, F0, Rarity, WindowF2, WindowF0, Seqs]
+};
 
-/// Decoded snapshot bundle: one `cora_core::snapshot` frame per structure.
-pub(crate) struct Bundle {
-    pub(crate) f2: Vec<u8>,
-    pub(crate) f0: Vec<u8>,
-    pub(crate) rarity: Vec<u8>,
-    pub(crate) window_f2: Vec<u8>,
-    pub(crate) window_f0: Vec<u8>,
-    pub(crate) seqs: Vec<u8>,
-}
+/// A decoded snapshot bundle: one `cora_core::snapshot` frame per
+/// structure, in [`BUNDLE_SECTIONS`] order.
+pub(crate) type Bundle = [Vec<u8>; 6];
 
-fn encode_bundle(bundle: &Bundle) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_bytes(&BUNDLE_MAGIC);
-    w.put_u16(BUNDLE_VERSION);
-    w.put_u8(SECTIONS.len() as u8);
-    let Bundle { f2, f0, rarity, window_f2, window_f0, seqs } = bundle;
-    for (tag, frame) in SECTIONS.into_iter().zip([f2, f0, rarity, window_f2, window_f0, seqs]) {
-        w.put_u8(tag);
-        w.put_len(frame.len());
-        w.put_bytes(frame);
-    }
-    w.into_bytes()
-}
-
+/// Open a snapshot bundle, refused unless it is an intact container of
+/// exactly the [`BUNDLE_SECTIONS`] (never half-restored).
 pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Bundle, ServeError> {
-    let invalid = |detail: String| ServeError::Invalid(detail);
-    let mut r = ByteReader::new(bytes);
-    let magic = r
-        .take(4)
-        .map_err(|e| invalid(format!("bundle header: {e}")))?;
-    if magic != BUNDLE_MAGIC {
-        return Err(invalid("not a cora-serve snapshot bundle (bad magic)".into()));
-    }
-    let version = r.get_u16().map_err(|e| invalid(e.to_string()))?;
-    if version != BUNDLE_VERSION {
-        return Err(invalid(format!(
-            "unsupported bundle version {version} (this build reads {BUNDLE_VERSION})"
-        )));
-    }
-    let sections = r.get_u8().map_err(|e| invalid(e.to_string()))?;
-    // One slot per section tag, in `SECTIONS` order.
-    let mut slots: [Option<Vec<u8>>; SECTIONS.len()] = Default::default();
-    for _ in 0..sections {
-        let tag = r.get_u8().map_err(|e| invalid(e.to_string()))?;
-        let len = r.get_len().map_err(|e| invalid(e.to_string()))?;
-        let frame = r
-            .take(len)
-            .map_err(|e| invalid(format!("bundle section {tag}: {e}")))?
-            .to_vec();
-        let slot = SECTIONS.iter().position(|&known| known == tag).map(|i| &mut slots[i]);
-        let slot = slot.ok_or_else(|| invalid(format!("unknown bundle section tag {tag}")))?;
-        if slot.replace(frame).is_some() {
-            return Err(invalid(format!("bundle holds section tag {tag} twice")));
-        }
-    }
-    if !r.is_empty() {
-        return Err(invalid(format!(
-            "{} trailing bytes after the declared bundle sections",
-            r.remaining()
-        )));
-    }
-    match slots {
-        [Some(f2), Some(f0), Some(rarity), Some(window_f2), Some(window_f0), Some(seqs)] => {
-            Ok(Bundle { f2, f0, rarity, window_f2, window_f0, seqs })
-        }
-        _ => Err(invalid("bundle is missing one or more structure sections".into())),
-    }
+    let invalid = |detail: String| ServeError::Invalid(format!("snapshot bundle: {detail}"));
+    let (_, sections) = open_sections(bytes).map_err(|e| invalid(e.to_string()))?;
+    Ok(pick_sections(&sections, BUNDLE_SECTIONS).map_err(invalid)?.map(<[u8]>::to_vec))
 }
 
 /// Seal the per-writer sequence map as a `cora_core::snapshot` frame
@@ -524,39 +466,27 @@ pub(crate) fn decode_bundle(bytes: &[u8]) -> Result<Bundle, ServeError> {
 fn encode_seqs_frame(seqs: &HashMap<u64, u64>) -> Vec<u8> {
     let mut pairs: Vec<(u64, u64)> = seqs.iter().map(|(&w, &s)| (w, s)).collect();
     pairs.sort_unstable();
-    let mut w = ByteWriter::new();
-    w.put_u32(pairs.len() as u32);
-    for (writer, seq) in pairs {
-        w.put_u64(writer);
-        w.put_u64(seq);
-    }
+    let mut payload = (pairs.len() as u32).to_le_bytes().to_vec();
+    payload.extend(pairs.into_iter().flat_map(|(w, s)| [w, s]).flat_map(u64::to_le_bytes));
     let mut out = Vec::new();
-    seal_frame_into(SnapshotKind::ServeMeta, w.as_bytes(), &mut out);
+    seal_frame_into(SnapshotKind::ServeMeta, &payload, &mut out);
     out
 }
 
 fn decode_seqs_frame(bytes: &[u8]) -> Result<HashMap<u64, u64>, ServeError> {
     let payload = open_frame(bytes, SnapshotKind::ServeMeta)?;
-    let invalid = |e: cora_sketch::codec::CodecError| {
-        ServeError::Invalid(format!("sequence section: {e}"))
-    };
-    let mut r = ByteReader::new(payload);
-    let count = r.get_u32().map_err(invalid)? as usize;
-    let mut seqs = HashMap::with_capacity(count);
-    for _ in 0..count {
-        let writer = r.get_u64().map_err(invalid)?;
-        let seq = r.get_u64().map_err(invalid)?;
-        if seqs.insert(writer, seq).is_some() {
-            return Err(ServeError::Invalid(format!(
-                "sequence section lists writer {writer} twice"
-            )));
-        }
+    let invalid = |detail: String| ServeError::Invalid(format!("sequence section: {detail}"));
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let (count, pairs) = payload.split_at(payload.len().min(4));
+    let count = count.try_into().map(u32::from_le_bytes).map_err(|_| invalid("no count".into()))?;
+    if pairs.len() as u64 != u64::from(count) * 16 {
+        return Err(invalid(format!("{} bytes do not hold {count} entries", pairs.len())));
     }
-    if !r.is_empty() {
-        return Err(ServeError::Invalid(format!(
-            "{} trailing bytes after the declared sequence entries",
-            r.remaining()
-        )));
+    let mut seqs = HashMap::with_capacity(count as usize);
+    for pair in pairs.chunks_exact(16) {
+        if seqs.insert(word(&pair[..8]), word(&pair[8..])).is_some() {
+            return Err(invalid(format!("writer {} is listed twice", word(&pair[..8]))));
+        }
     }
     Ok(seqs)
 }
@@ -593,23 +523,26 @@ pub(crate) fn config_mismatch(what: &str) -> ServeError {
 }
 
 impl NodeState {
-    /// Encode the full bundle. The caller holds the state lock, so every
-    /// section describes the same stream prefix — a bundle must fully
-    /// determine a server.
-    fn bundle_bytes(&mut self) -> Result<Vec<u8>, ServeError> {
+    /// The `F_2`, `F_0` and rarity frames: a full cut's sections and a
+    /// bundle's first three.
+    fn sketch_frames(&mut self) -> Result<[Vec<u8>; 3], ServeError> {
         let f2 = self.sharded.snapshot()?;
         let [f0, rarity] = self.aux.frames();
+        Ok([f2, f0, rarity])
+    }
+
+    /// Encode the full bundle under the config's replication `fingerprint`.
+    /// The caller holds the state lock, so every section describes the same
+    /// stream prefix — a bundle must fully determine a server.
+    fn bundle_bytes(&mut self, fingerprint: u64) -> Result<Vec<u8>, ServeError> {
+        let [f2, f0, rarity] = self.sketch_frames()?;
         // One guard for both rings, once every batch queued so far is applied.
         let rings = self.windows.rings().caught_up().map_err(StatePoisoned::from)?;
-        let bundle = Bundle {
-            f2,
-            f0,
-            rarity,
-            window_f2: rings.f2.snapshot(),
-            window_f0: rings.f0.snapshot(),
-            seqs: encode_seqs_frame(&self.seqs),
-        };
-        Ok(encode_bundle(&bundle))
+        let (window_f2, window_f0) = (rings.f2.snapshot(), rings.f0.snapshot());
+        let seqs = encode_seqs_frame(&self.seqs);
+        let header = SectionsHeader { g_from: 0, g_to: 0, fingerprint };
+        let frames: [&[u8]; 6] = [&f2, &f0, &rarity, &window_f2, &window_f0, &seqs];
+        Ok(seal_sections(&header, BUNDLE_SECTIONS, frames))
     }
 
     /// Whether the background snapshotter (which runs only while the tuple
@@ -661,16 +594,16 @@ impl ServerCore {
                 (fresh_f2, fresh_f0, 0),
                 HashMap::new(),
             ),
-            Some(bundle) => {
+            Some([f2, f0, rarity, window_f2, window_f0, seqs]) => {
                 // Every restored structure must match what this config
                 // would build fresh (the F2 frame's fingerprint covers phi).
-                let sharded = ShardedIngest::restore_from(agg, config.shards, &bundle.f2)?;
+                let sharded = ShardedIngest::restore_from(agg, config.shards, f2)?;
                 if *sharded.config() != f2_config {
                     return Err(config_mismatch("F2 accuracy, domain, stream bound, or seed"));
                 }
-                let aux = AuxSet::restore(&config, &bundle.f0, &bundle.rarity)?;
-                let wf2 = WindowedF2::restore_from(config.f2_aggregate(), &bundle.window_f2)?;
-                let wf0 = WindowedF0::restore_from(&bundle.window_f0)?;
+                let aux = AuxSet::restore(&config, f0, rarity)?;
+                let wf2 = WindowedF2::restore_from(config.f2_aggregate(), window_f2)?;
+                let wf0 = WindowedF0::restore_from(window_f0)?;
                 if wf2.template().config() != fresh_f2.template().config()
                     || wf2.pane_config() != fresh_f2.pane_config()
                 {
@@ -683,7 +616,7 @@ impl ServerCore {
                 }
                 // The arrival clock resumes one past the newest restored tick.
                 let clock = wf2.t_latest().map_or(0, |t| t.saturating_add(1));
-                (sharded, aux, (wf2, wf0, clock), decode_seqs_frame(&bundle.seqs)?)
+                (sharded, aux, (wf2, wf0, clock), decode_seqs_frame(seqs)?)
             }
         };
         let windows = WindowFeed::spawn(wf2, wf0, clock)?;
@@ -724,7 +657,7 @@ impl ServerCore {
         };
         let storage = storage.unwrap_or_else(crate::journal::disk_storage);
         let recovered = recover(&storage, &durability.dir)?;
-        let core = Self::build(config, bundle.or(recovered.bundle.as_ref()))?;
+        let core = Self::build(config, bundle.or(recovered.restored.as_ref().map(|(_, b)| b)))?;
         // Replay the journal tail through the normal ingest path (the
         // durable slot is still None, so nothing is re-journaled). Errors
         // cannot occur for batches that were validated before being
@@ -771,22 +704,21 @@ impl ServerCore {
     pub(crate) fn repl_cut(&self, full: bool) -> Result<Option<ReplCut>, ServeError> {
         let fingerprint = self.config.replication_fingerprint();
         let mut state = self.state()?;
-        let NodeState { sharded, aux, repl_tail, repl_gen, .. } = &mut *state;
-        let tail = repl_tail.get_or_insert_with(Vec::new);
-        if !full && tail.is_empty() {
+        if !full && state.repl_tail.get_or_insert_with(Vec::new).is_empty() {
             return Ok(None);
         }
         // Snapshot before taking the tail, so a failed snapshot leaves the
         // tail and the generation counter untouched.
-        let frames = if full { Some((sharded.snapshot()?, aux.frames())) } else { None };
-        let tuples = std::mem::take(tail);
+        let frames = if full { Some(state.sketch_frames()?) } else { None };
+        let NodeState { repl_tail, repl_gen, .. } = &mut *state;
+        let tuples = std::mem::take(repl_tail.get_or_insert_with(Vec::new));
         let g_to = *repl_gen + 1;
         let g_from = if full { 0 } else { *repl_gen };
         *repl_gen = g_to;
         drop(state);
-        let header = DeltaHeader { g_from, g_to, fingerprint };
+        let header = SectionsHeader { g_from, g_to, fingerprint };
         let frame = match frames {
-            Some((f2, aux_frames)) => seal_full(&header, &f2, &aux_frames),
+            Some([f2, f0, rarity]) => seal_sections(&header, SKETCH_SECTIONS, [&f2, &f0, &rarity]),
             None => seal_batches(&header, &tuples),
         };
         Ok(Some(ReplCut { g_from, g_to, frame }))
@@ -795,7 +727,7 @@ impl ServerCore {
     /// The plain `snapshot` op's bundle (a durable rotation encodes its own,
     /// because it must also swap the journal under the same lock hold).
     fn snapshot_bundle(&self, state: &mut NodeState) -> Result<Vec<u8>, ServeError> {
-        let bytes = state.bundle_bytes()?;
+        let bytes = state.bundle_bytes(self.config.replication_fingerprint())?;
         self.snapshots.fetch_add(1, Ordering::Relaxed);
         Ok(bytes)
     }
@@ -819,7 +751,7 @@ impl ServerCore {
         let journal = JournalWriter::create(storage.as_ref(), &config.dir, generation)?;
         let bytes = self.snapshot_bundle(&mut state)?;
         storage.write_atomic(&snapshot_path(&config.dir, generation), &bytes)?;
-        if let Some(floor) = recovered.restored_generation {
+        if let Some((floor, _)) = recovered.restored {
             Self::prune_generations(storage, &config.dir, floor);
         }
         state.durable = Some(DurableState {
@@ -862,7 +794,7 @@ impl ServerCore {
                 "durability is not configured on this server".into(),
             ));
         }
-        let rotated = Self::rotate(state);
+        let rotated = Self::rotate(state, self.config.replication_fingerprint());
         if rotated.is_ok() {
             self.snapshots.fetch_add(1, Ordering::Relaxed);
             if auto {
@@ -874,8 +806,8 @@ impl ServerCore {
         rotated
     }
 
-    fn rotate(state: &mut NodeState) -> Result<(u64, u64), ServeError> {
-        let bytes = state.bundle_bytes()?;
+    fn rotate(state: &mut NodeState, fingerprint: u64) -> Result<(u64, u64), ServeError> {
+        let bytes = state.bundle_bytes(fingerprint)?;
         let ds = state.durable.as_mut().expect("checked by durable_snapshot");
         let new_gen = ds.journal.generation() + 1;
         let prev_good = ds.last_good;
@@ -1225,9 +1157,8 @@ impl Drop for RunningServer {
 /// What recovery found in a durable directory: the state to restore, the
 /// journal batches to replay onto it, and where the fresh generation opens.
 pub(crate) struct Recovered {
-    pub(crate) bundle: Option<Bundle>,
-    /// Generation of the snapshot `bundle` came from (the retention floor).
-    pub(crate) restored_generation: Option<u64>,
+    /// The newest readable snapshot and its generation (the retention floor).
+    pub(crate) restored: Option<(u64, Bundle)>,
     pub(crate) replay: Vec<JournalRecord>,
     /// The generation to open next — past every file on disk, so recovery
     /// never appends to (or overwrites) a file it just read.
@@ -1279,17 +1210,16 @@ pub(crate) fn recover(
     let mut replay = Vec::new();
     let relevant: Vec<u64> = listing.journals.iter().copied().filter(|&g| g >= base).collect();
     for (i, &g) in relevant.iter().enumerate() {
-        let newest = i + 1 == relevant.len();
-        let scanned = storage
-            .read(&journal_path(dir, g))
-            .map_err(|e| e.to_string())
-            .and_then(|bytes| scan_journal(&bytes));
-        match scanned {
+        let bytes = storage.read(&journal_path(dir, g))?;
+        // A newest journal torn inside its header (a crash inside
+        // `JournalWriter::create`) holds no acked batch: skip it. Any other
+        // unreadable journal is a hole in acked history.
+        let torn_header = bytes.len() < JOURNAL_HEADER_BYTES || bytes[..4] != JOURNAL_MAGIC;
+        if torn_header && i + 1 == relevant.len() {
+            continue;
+        }
+        match scan_journal(&bytes) {
             Ok(scan) if scan.generation == g => replay.extend(scan.records),
-            // The newest journal may have died mid-header (a crash inside
-            // rotation); it holds no acked batches, so skip it. Anywhere
-            // else an unreadable journal is a hole in acked history.
-            _ if newest => {}
             Ok(scan) => {
                 return Err(ServeError::Invalid(format!(
                     "journal file for generation {g} carries header generation {} — \
@@ -1299,8 +1229,8 @@ pub(crate) fn recover(
             }
             Err(e) => {
                 return Err(ServeError::Invalid(format!(
-                    "journal for generation {g} is unreadable ({e}) but newer journals \
-                     exist — refusing to recover with a hole in acked history"
+                    "journal for generation {g} is unreadable ({e}) — refusing to \
+                     recover with a hole in acked history"
                 )));
             }
         }
@@ -1314,8 +1244,7 @@ pub(crate) fn recover(
         .max()
         .map_or(0, |g| g + 1);
     Ok(Recovered {
-        restored_generation: restored.as_ref().map(|(g, _)| *g),
-        bundle: restored.map(|(_, b)| b),
+        restored,
         replay,
         open_generation,
     })
@@ -1432,37 +1361,32 @@ mod tests {
 
     #[test]
     fn bundle_round_trip_and_rejections() {
-        let bundle = Bundle {
-            f2: vec![1, 2, 3],
-            f0: vec![4],
-            rarity: vec![],
-            window_f2: vec![7],
-            window_f0: vec![8, 9],
-            seqs: vec![10],
-        };
-        let bytes = encode_bundle(&bundle);
-        let decoded = decode_bundle(&bytes).unwrap();
-        assert_eq!(decoded.f2, bundle.f2);
-        assert_eq!(decoded.f0, bundle.f0);
-        assert_eq!(decoded.rarity, bundle.rarity);
-        assert_eq!(decoded.window_f2, bundle.window_f2);
-        assert_eq!(decoded.window_f0, bundle.window_f0);
-        assert_eq!(decoded.seqs, bundle.seqs);
+        let frames: [&[u8]; 6] = [&[1, 2, 3], &[4], &[], &[7], &[8, 9], &[10]];
+        let header = SectionsHeader { g_from: 0, g_to: 0, fingerprint: 42 };
+        let bytes = seal_sections(&header, BUNDLE_SECTIONS, frames);
+        assert_eq!(decode_bundle(&bytes).unwrap(), frames.map(<[u8]>::to_vec));
 
         assert!(decode_bundle(&bytes[..bytes.len() - 1]).is_err());
         assert!(decode_bundle(b"XXXX").is_err());
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 0xFF;
         assert!(decode_bundle(&wrong_version).is_err());
-        // The retired heavy-hitters tag is unknown, not a slot.
-        let mut w = ByteWriter::new();
-        w.put_bytes(&BUNDLE_MAGIC);
-        w.put_u16(BUNDLE_VERSION);
-        w.put_u8(1);
-        w.put_u8(4);
-        w.put_len(0);
-        let refused = decode_bundle(w.as_bytes()).err().map(|e| e.to_string());
-        assert!(refused.is_some_and(|e| e.contains("unknown bundle section tag 4")));
+        let refused = |sections: &[(u8, &[u8])]| {
+            let mut container = Vec::new();
+            cora_core::snapshot::seal_sections_into(&header, sections, &mut container);
+            decode_bundle(&container).err().map(|e| e.to_string()).unwrap_or_default()
+        };
+        let tagged: Vec<(u8, &[u8])> =
+            BUNDLE_SECTIONS.iter().zip(frames).map(|(&s, f)| (s as u8, f)).collect();
+        // The retired heavy-hitters tag and the batches tag are no bundle
+        // sections; a repeated or missing section refuses the bundle too.
+        for tag in [4, Section::Batches as u8] {
+            let extra: Vec<(u8, &[u8])> = tagged.iter().copied().chain([(tag, &[][..])]).collect();
+            assert!(refused(&extra).contains(&format!("unexpected section (tag {tag})")));
+        }
+        let twice: Vec<(u8, &[u8])> = tagged.iter().copied().chain([tagged[2]]).collect();
+        assert!(refused(&twice).contains("Rarity section twice"));
+        assert!(refused(&tagged[..5]).contains("missing its Seqs section"));
     }
 
     /// The three byte formats a node produces — full replication cut,
@@ -1474,10 +1398,14 @@ mod tests {
     /// did not change), once when the F2 sections took over the
     /// heavy-hitter candidates (bundle version 4, no heavy-hitters section
     /// in either container, and F2 buckets that carry candidate trackers),
-    /// and once when incremental containers started carrying the acked
+    /// once when incremental containers started carrying the acked
     /// tuples instead of sketch deltas (replication format 2: a new
     /// fingerprint in both containers' headers, and the delta container's
-    /// one batches section; the full cut's sections did not change).
+    /// one batches section; the full cut's sections did not change), and
+    /// once when the bundle became the sections container and the batches
+    /// section one batch payload under tag 8 (replication format 3: a new
+    /// fingerprint in every header; every structure frame, in the bundle
+    /// and the full cut, kept its bytes).
     #[test]
     fn produced_formats_are_pinned() {
         let config = ServeConfig {
@@ -1491,6 +1419,8 @@ mod tests {
             pane_ticks: 512,
             ..Default::default()
         };
+        // Every container's header carries it.
+        assert_eq!(config.replication_fingerprint(), 0x3eff_1e54_9bd1_afae);
         let core = ServerCore::build(config, None).unwrap();
         let mut lcg = 0x5EED_u64;
         let mut next = move || {
@@ -1522,7 +1452,8 @@ mod tests {
         let full = core.repl_cut(true).unwrap().expect("a full cut is never idle");
         ingest(14..20);
         let delta = core.repl_cut(false).unwrap().expect("six new batches");
-        let bundle = core.state().unwrap().bundle_bytes().unwrap();
+        let fingerprint = core.config.replication_fingerprint();
+        let bundle = core.state().unwrap().bundle_bytes(fingerprint).unwrap();
         // 20k tuples over 16 y values: every singleton bucket is far past the
         // 384 distinct items at which an ε = 0.25 F2 bucket spills to its
         // sketch.
@@ -1537,9 +1468,9 @@ mod tests {
         assert_eq!((full.g_from, delta.g_from, delta.g_to), (0, full.g_to, full.g_to + 1));
         let fnv = cora_sketch::codec::fnv1a64;
         for (name, bytes, len, pin) in [
-            ("full cut", &full.frame, 976_834, 0x6a19_fe02_8976_ffea_u64),
-            ("delta container", &delta.frame, 96_068, 0x9354_fb97_76e8_70fb),
-            ("snapshot bundle", &bundle, 3_658_061, 0x82a0_06e9_78e5_a7bc),
+            ("full cut", &full.frame, 976_834, 0xa92f_e064_66c0_8f34_u64),
+            ("delta container", &delta.frame, 96_065, 0x973d_674c_68eb_8c4e),
+            ("snapshot bundle", &bundle, 3_658_105, 0xb11f_6ed8_7489_5bc9),
         ] {
             assert_eq!(bytes.len(), len, "{name} length");
             assert_eq!(fnv(bytes), pin, "{name} bytes");
@@ -1715,9 +1646,11 @@ mod tests {
                     assert_eq!(f0, window_answer(&self.f0, window, c), "{what}: F0 {window} {c}");
                 }
             }
-            let bundle = decode_bundle(&core.state().unwrap().bundle_bytes().unwrap()).unwrap();
-            assert!(bundle.window_f2 == self.f2.snapshot(), "{what}: F2 ring bytes");
-            assert!(bundle.window_f0 == self.f0.snapshot(), "{what}: F0 ring bytes");
+            let fingerprint = core.config.replication_fingerprint();
+            let bundle = core.state().unwrap().bundle_bytes(fingerprint).unwrap();
+            let [.., window_f2, window_f0, _] = decode_bundle(&bundle).unwrap();
+            assert!(window_f2 == self.f2.snapshot(), "{what}: F2 ring bytes");
+            assert!(window_f0 == self.f0.snapshot(), "{what}: F0 ring bytes");
         }
     }
 

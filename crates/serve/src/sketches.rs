@@ -1,28 +1,65 @@
-//! The sketch state both node kinds host, as one value: [`AuxSet`] is the
-//! `F_0` and rarity sketches a node updates inline; [`SketchSet`] adds the
-//! correlated-`F_2` structure, whose buckets carry the heavy-hitter
-//! candidates ([`f2_answer`]), and is an aggregator's per-stream state, its
-//! union, and what a full replication container restores to. The delta is
-//! *not* a sketch set but the acked tuples ([`seal_batches`]), which the
-//! aggregator replays. The pane rings and the sequence map do not replicate.
+//! The sketch state both node kinds host, as one value, and the one
+//! container it travels in. [`AuxSet`] is the `F_0` and rarity sketches a
+//! node updates inline; [`SketchSet`] adds the correlated-`F_2` structure,
+//! whose buckets carry the heavy-hitter candidates ([`f2_answer`]), and is
+//! an aggregator's per-stream state, its union, and what a full replication
+//! cut restores to. Everything a node writes or ships is one sealed
+//! sections container ([`seal_sections`], read by [`pick_sections`]): a
+//! snapshot bundle holds six [`Section`]s, a full cut the first three, an
+//! incremental cut the acked tuples as one batch payload of [`crate::wire`].
 
 use crate::protocol::{Reply, Request, Value};
 use crate::server::{config_mismatch, ServeConfig, ServeError};
+use crate::wire::{decode_ingest_into, encode_ingest_into, IngestMeta};
 use cora_core::heavy_hitters::F2HeavyAggregate;
-use cora_core::snapshot::{seal_delta_into, DeltaHeader};
+use cora_core::snapshot::{seal_sections_into, SectionsHeader};
 use cora_core::{CoreError, CorrelatedF0, CorrelatedRarity, CorrelatedSketch};
 
-/// Section tags inside a replication container
-/// ([`SnapshotKind::Delta`](cora_core::SnapshotKind)). A full container
-/// (`g_from = 0`) holds one snapshot frame per replicated structure; an
-/// incremental one holds only the batches section. Tag 4 stays unassigned.
-const REPL_SECTION_F2: u8 = 1;
-const REPL_SECTION_F0: u8 = 2;
-const REPL_SECTION_RARITY: u8 = 3;
-const REPL_SECTION_BATCHES: u8 = 5;
+/// The one tag table of every container: the `F_2` structure (heavy-hitter
+/// candidates included), `F_0`, rarity, the windowed `F_2` and `F_0` pane
+/// rings, the per-writer ingest sequence map, and the tuples acked since
+/// the previous replication cut. Tag 4 stays unassigned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Section {
+    F2 = 1, F0 = 2, Rarity = 3, WindowF2 = 5, WindowF0 = 6, Seqs = 7, Batches = 8,
+}
 
-/// The `F_0` and rarity snapshot frames of one [`AuxSet`], in that order.
-pub(crate) type AuxFrames = [Vec<u8>; 2];
+/// A full replication cut's sections, and a snapshot bundle's first three.
+pub(crate) const SKETCH_SECTIONS: [Section; 3] = [Section::F2, Section::F0, Section::Rarity];
+
+/// Seal `frames` under `header` as one container, each in the section its
+/// tag in `tags` names.
+pub(crate) fn seal_sections<const N: usize>(
+    header: &SectionsHeader,
+    tags: [Section; N],
+    frames: [&[u8]; N],
+) -> Vec<u8> {
+    let sections: [(u8, &[u8]); N] = std::array::from_fn(|i| (tags[i] as u8, frames[i]));
+    let mut container = Vec::new();
+    seal_sections_into(header, &sections, &mut container);
+    container
+}
+
+/// Pick the `wanted` sections of an opened container, in that order,
+/// refusing the container if one is missing, repeated or not wanted.
+pub(crate) fn pick_sections<'a, const N: usize>(
+    sections: &[(u8, &'a [u8])],
+    wanted: [Section; N],
+) -> Result<[&'a [u8]; N], String> {
+    let mut picked = [None; N];
+    for &(tag, bytes) in sections {
+        let Some(slot) = wanted.iter().position(|&section| section as u8 == tag) else {
+            return Err(format!("container holds an unexpected section (tag {tag})"));
+        };
+        if picked[slot].replace(bytes).is_some() {
+            return Err(format!("container holds its {:?} section twice", wanted[slot]));
+        }
+    }
+    if let Some(slot) = picked.iter().position(Option::is_none) {
+        return Err(format!("container is missing its {:?} section", wanted[slot]));
+    }
+    Ok(picked.map(|bytes| bytes.expect("checked above")))
+}
 
 /// The refusal of a frame that does not restore, naming its structure.
 fn in_section(name: &'static str) -> impl Fn(CoreError) -> ServeError {
@@ -117,8 +154,8 @@ impl AuxSet {
         self.rarity.merge_from(&other.rarity)
     }
 
-    /// One snapshot frame per family.
-    pub(crate) fn frames(&self) -> AuxFrames {
+    /// The `F_0` and rarity snapshot frames, in that order.
+    pub(crate) fn frames(&self) -> [Vec<u8>; 2] {
         [self.f0.snapshot(), self.rarity.snapshot()]
     }
 
@@ -133,32 +170,12 @@ impl AuxSet {
     }
 }
 
-/// Seal a full replication container: the `F_2` frame plus the two
-/// auxiliary frames under `header`, each in its tagged section.
-pub(crate) fn seal_full(header: &DeltaHeader, f2: &[u8], aux: &AuxFrames) -> Vec<u8> {
-    let [f0, rarity] = aux;
-    let mut frame = Vec::new();
-    seal_delta_into(
-        header,
-        &[
-            (REPL_SECTION_F2, f2),
-            (REPL_SECTION_F0, f0),
-            (REPL_SECTION_RARITY, rarity),
-        ],
-        &mut frame,
-    );
-    frame
-}
-
 /// Seal an incremental replication container: one batches section holding
-/// `u64 count`, then `count × (u64 x, u64 y)`, little-endian, in ack order.
-pub(crate) fn seal_batches(header: &DeltaHeader, tuples: &[(u64, u64)]) -> Vec<u8> {
-    let words = tuples.iter().flat_map(|&(x, y)| [x, y]);
-    let section: Vec<u8> =
-        std::iter::once(tuples.len() as u64).chain(words).flat_map(u64::to_le_bytes).collect();
-    let mut frame = Vec::new();
-    seal_delta_into(header, &[(REPL_SECTION_BATCHES, &section)], &mut frame);
-    frame
+/// `tuples`, in ack order, as a batch payload without timestamps or pair.
+pub(crate) fn seal_batches(header: &SectionsHeader, tuples: &[(u64, u64)]) -> Vec<u8> {
+    let mut batch = Vec::new();
+    encode_ingest_into(tuples, &[], None, &mut batch);
+    seal_sections(header, [Section::Batches], [&batch])
 }
 
 /// What one opened replication container carries, checked in full against
@@ -171,53 +188,30 @@ pub(crate) enum Shipped {
 }
 
 impl Shipped {
-    /// Decode an opened container's sections. A full container needs the
-    /// three sketch sections and an incremental one the batches section;
-    /// neither may carry the other kind (an incremental container with
-    /// sketch sections comes from a peer on the sketch-delta format).
+    /// Decode an opened container's sections: the three sketch sections of
+    /// a full container, or the batches section of an incremental one,
+    /// whose batch may carry neither timestamps nor a `(writer, seq)` pair.
     pub(crate) fn open(
         config: &ServeConfig,
         full: bool,
         sections: &[(u8, &[u8])],
     ) -> Result<Self, String> {
-        if sections.iter().any(|&(tag, _)| (tag == REPL_SECTION_BATCHES) == full) {
-            return Err("container mixes full and incremental sections (another format?)".into());
+        if full {
+            let frames = pick_sections(sections, SKETCH_SECTIONS)?;
+            let set = SketchSet::restore(config, frames).map_err(|e| e.to_string())?;
+            return Ok(Self::Full(Box::new(set)));
         }
-        let section = |tag: u8, name: &str| {
-            let found = sections.iter().find(|&&(t, _)| t == tag).map(|&(_, bytes)| bytes);
-            found.ok_or_else(|| format!("replication container is missing its {name} section"))
-        };
-        if !full {
-            let batches = section(REPL_SECTION_BATCHES, "batches")?;
-            return decode_batches(batches, config.y_max).map(Self::Batches);
+        let [batch] = pick_sections(sections, [Section::Batches])?;
+        let (mut tuples, mut ts) = (Vec::new(), Vec::new());
+        let meta = decode_ingest_into(batch, &mut tuples, &mut ts)?;
+        if meta != (IngestMeta { has_ts: false, seq: None }) {
+            return Err("batches section carries timestamps or a sequence pair".into());
         }
-        let frames = [
-            section(REPL_SECTION_F2, "F2")?,
-            section(REPL_SECTION_F0, "F0")?,
-            section(REPL_SECTION_RARITY, "rarity")?,
-        ];
-        let set = SketchSet::restore(config, frames).map_err(|e| e.to_string())?;
-        Ok(Self::Full(Box::new(set)))
+        if let Some(&(_, y)) = tuples.iter().find(|&&(_, y)| y > config.y_max) {
+            return Err(format!("batches section holds y {y} above y_max {}", config.y_max));
+        }
+        Ok(Self::Batches(tuples))
     }
-}
-
-/// The tuples of a batches section, refused unless its length is exactly
-/// `8 + count × 16` and every `y ≤ y_max`.
-fn decode_batches(bytes: &[u8], y_max: u64) -> Result<Vec<(u64, u64)>, String> {
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-    let (count, body) = bytes.split_at(bytes.len().min(8));
-    if count.len() < 8 || word(count).checked_mul(16) != Some(body.len() as u64) {
-        return Err(format!(
-            "batches section of {} bytes does not hold the count × 16 bytes it declares",
-            bytes.len()
-        ));
-    }
-    let tuples: Vec<(u64, u64)> =
-        body.chunks_exact(16).map(|t| (word(&t[..8]), word(&t[8..]))).collect();
-    if let Some(&(_, y)) = tuples.iter().find(|&&(_, y)| y > y_max) {
-        return Err(format!("batches section holds y {y} above y_max {y_max}"));
-    }
-    Ok(tuples)
 }
 
 /// The correlated-`F_2` structure plus the auxiliary families — an
@@ -237,8 +231,8 @@ impl SketchSet {
         })
     }
 
-    /// Rebuild the set from a full container's or a bundle's `F_2`, `F_0`
-    /// and rarity frames, refused unless all three restore and are what
+    /// Rebuild the set from the [`SKETCH_SECTIONS`] of a full cut or a
+    /// bundle, refused unless all three restore and are what
     /// `config` would build fresh (the `F_2` frame's aggregate fingerprint
     /// covers `phi`), so nothing a bad set would replace is touched.
     pub(crate) fn restore(

@@ -1,11 +1,10 @@
-//! The length-prefixed binary wire protocol.
+//! The length-prefixed binary wire protocol, and the one batch codec.
 //!
 //! Newline-JSON (see [`crate::protocol`]) is friendly to `netcat` and
 //! debuggers, but it taxes the bulk paths: an ingest batch rendered to
 //! decimal text is reparsed and reassembled into vectors. Binary frames
 //! carry the two bulk payloads — the `(x, y)` tuples of `ingest` and the
-//! sealed container of `repl_delta` — as little-endian bytes built on the
-//! snapshot codec primitives ([`ByteWriter`]/[`ByteReader`]), so a 1 000-tuple
+//! sealed container of `repl_delta` — as little-endian bytes, so a 1 000-tuple
 //! ingest is one `memcpy`-shaped decode instead of ~2 000 integer parses.
 //! Every other op is small: its frame carries the op's JSON line, encoded
 //! and parsed by the one codec in [`crate::protocol`]. Every reply frame
@@ -18,7 +17,7 @@
 //!  offset  size  field
 //!  ------  ----  ---------------------------------------------------------
 //!       0     1  magic     0xCB
-//!       1     1  version   2
+//!       1     1  version   3
 //!       2     1  opcode    how to read the payload (below); a reply echoes
 //!                          its request's opcode
 //!       3     1  flags     request: bit 0 = NO_ACK (suppress the success
@@ -33,7 +32,7 @@
 //! | opcode | name         | request payload                                  |
 //! |--------|--------------|--------------------------------------------------|
 //! | 0x01   | [`REQUEST`]    | the op's JSON request line (UTF-8, no newline), read by [`Request::parse`] |
-//! | 0x02   | [`INGEST`]     | `u32 n`, `u8 meta`, `[u64 writer, u64 seq]`, `n×u64 xs`, `n×u64 ys`, `[n×u64 ts]` |
+//! | 0x02   | [`INGEST`]     | one batch payload (below) |
 //! | 0x03   | [`REPL_DELTA`] | `str stream` (u64 length + UTF-8), then a sealed container, full when `g_from = 0` |
 //!
 //! The payload of every reply frame is the reply's JSON line: what the line
@@ -41,12 +40,21 @@
 //! for a failure. A `REQUEST` frame may carry any op's JSON line but
 //! `repl_delta`'s, whose container JSON cannot hold.
 //!
-//! The ingest `meta` byte carries bit 0 = explicit timestamps follow the y
-//! lane, bit 1 = a `(writer, seq)` idempotency pair precedes the x lane
-//! (see [`crate::protocol::Request::Ingest`]); other bits are rejected. A
-//! full replication container is still one frame, so replicated state is
-//! capped at [`MAX_FRAME_BYTES`] (16 MiB) — far above any sketch-only
-//! bundle, but a hard error (not silent truncation) if exceeded.
+//! ## The batch payload
+//!
+//! A batch has one encoding, [`encode_ingest_into`] / [`decode_ingest_into`]:
+//! the `INGEST` payload, a journal record's payload ([`crate::journal`]) and
+//! an incremental replication cut's batches section (`crate::sketches`).
+//!
+//! ```text
+//! u8 meta | [u64 writer, u64 seq] | u32 n | n×u64 xs | n×u64 ys | [n×u64 ts]
+//! ```
+//!
+//! Meta bit 0 marks the timestamp lane (without it the batch takes arrival
+//! ticks), bit 1 the `(writer, seq)` idempotency pair of
+//! [`crate::protocol::Request::Ingest`]; other bits are refused. A full
+//! replication container is one frame, so replicated state is capped at
+//! [`MAX_FRAME_BYTES`] (16 MiB): a hard error, not silent truncation.
 //!
 //! ## Negotiation
 //!
@@ -71,19 +79,19 @@
 //! reply). This is what closes the per-batch round-trip tax on bulk loads.
 
 use crate::protocol::{Reply, Request};
-use cora_sketch::codec::{ByteReader, ByteWriter};
+use cora_sketch::codec::{ByteReader, CodecError};
 
-/// Ingest `meta` bit: explicit per-tuple timestamps follow the y lane.
-const INGEST_HAS_TS: u8 = 1;
-/// Ingest `meta` bit: a `(writer, seq)` pair precedes the x lane.
-const INGEST_HAS_SEQ: u8 = 2;
+/// Batch `meta` bit: explicit per-tuple timestamps follow the y lane.
+const BATCH_HAS_TS: u8 = 1;
+/// Batch `meta` bit: a `(writer, seq)` pair follows the meta byte.
+const BATCH_HAS_SEQ: u8 = 2;
 
 /// First byte of every binary frame — also the negotiation byte (JSON lines
 /// start with `{`).
 pub const MAGIC: u8 = 0xCB;
 
 /// Protocol version carried in every frame.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 /// Fixed frame header size in bytes.
 pub const HEADER_BYTES: usize = 8;
@@ -162,17 +170,55 @@ pub fn parse_header(bytes: &[u8; HEADER_BYTES]) -> Result<Header, HeaderError> {
     })
 }
 
+/// Append a frame header announcing a `len`-byte payload to `out`.
+fn push_header(out: &mut Vec<u8>, opcode: u8, flags: u8, len: usize) {
+    debug_assert!(len <= MAX_FRAME_BYTES);
+    out.extend_from_slice(&[MAGIC, VERSION, opcode, flags]);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+}
+
 /// One complete frame: the header, then `payload`.
 pub fn frame(opcode: u8, flags: u8, payload: &[u8]) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_FRAME_BYTES);
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
-    out.push(MAGIC);
-    out.push(VERSION);
-    out.push(opcode);
-    out.push(flags);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    push_header(&mut out, opcode, flags, payload.len());
     out.extend_from_slice(payload);
     out
+}
+
+/// Byte length of a batch payload of `n` tuples.
+fn ingest_len(n: usize, has_ts: bool, has_seq: bool) -> usize {
+    let lanes = if has_ts { 3 } else { 2 };
+    1 + if has_seq { 16 } else { 0 } + 4 + n * 8 * lanes
+}
+
+/// Append one batch payload to `out`: the [`INGEST`] payload, a journal
+/// record's payload and an incremental replication section are all this
+/// layout (see the module docs). An empty `ts` writes no timestamp lane:
+/// the batch takes arrival ticks.
+pub fn encode_ingest_into(
+    tuples: &[(u64, u64)],
+    ts: &[u64],
+    seq: Option<(u64, u64)>,
+    out: &mut Vec<u8>,
+) {
+    debug_assert!(ts.is_empty() || ts.len() == tuples.len());
+    let (has_ts, has_seq) = (!ts.is_empty(), seq.is_some());
+    out.reserve(ingest_len(tuples.len(), has_ts, has_seq));
+    out.push(if has_ts { BATCH_HAS_TS } else { 0 } | if has_seq { BATCH_HAS_SEQ } else { 0 });
+    if let Some((writer, seq)) = seq {
+        out.extend_from_slice(&writer.to_le_bytes());
+        out.extend_from_slice(&seq.to_le_bytes());
+    }
+    out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
+    for &(x, _) in tuples {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+    for &(_, y) in tuples {
+        out.extend_from_slice(&y.to_le_bytes());
+    }
+    for &t in ts {
+        out.extend_from_slice(&t.to_le_bytes());
+    }
 }
 
 /// Encode an ingest request frame directly from tuple slices (no
@@ -184,36 +230,15 @@ pub fn encode_ingest(
     seq: Option<(u64, u64)>,
     flags: u8,
 ) -> Vec<u8> {
-    debug_assert!(ts.map_or(true, |ts| ts.len() == tuples.len()));
-    let mut w = ByteWriter::new();
-    w.put_u32(tuples.len() as u32);
-    let mut meta = 0u8;
-    if ts.is_some() {
-        meta |= INGEST_HAS_TS;
-    }
-    if seq.is_some() {
-        meta |= INGEST_HAS_SEQ;
-    }
-    w.put_u8(meta);
-    if let Some((writer, seq)) = seq {
-        w.put_u64(writer);
-        w.put_u64(seq);
-    }
-    for &(x, _) in tuples {
-        w.put_u64(x);
-    }
-    for &(_, y) in tuples {
-        w.put_u64(y);
-    }
-    if let Some(ts) = ts {
-        for &t in ts {
-            w.put_u64(t);
-        }
-    }
-    frame(INGEST, flags, w.as_bytes())
+    let ts = ts.unwrap_or_default();
+    let len = ingest_len(tuples.len(), !ts.is_empty(), seq.is_some());
+    let mut out = Vec::with_capacity(HEADER_BYTES + len);
+    push_header(&mut out, INGEST, flags, len);
+    encode_ingest_into(tuples, ts, seq, &mut out);
+    out
 }
 
-/// What an ingest payload carried besides the tuples themselves.
+/// What a batch payload carried besides the tuples themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestMeta {
     /// Explicit per-tuple timestamps were present.
@@ -222,8 +247,9 @@ pub struct IngestMeta {
     pub seq: Option<(u64, u64)>,
 }
 
-/// Decode an ingest payload into reusable scratch buffers — the server's
-/// zero-per-tuple-allocation path (`tuples`/`ts` are cleared, then filled).
+/// Decode a batch payload into reusable scratch buffers (`tuples`/`ts` are
+/// cleared, then filled), refusing an unknown meta bit and a count that
+/// disagrees with the byte count.
 pub fn decode_ingest_into(
     payload: &[u8],
     tuples: &mut Vec<(u64, u64)>,
@@ -232,31 +258,29 @@ pub fn decode_ingest_into(
     tuples.clear();
     ts.clear();
     let mut r = ByteReader::new(payload);
-    let n = r.get_u32().map_err(|e| e.to_string())? as usize;
-    let meta = r.get_u8().map_err(|e| e.to_string())?;
-    if meta & !(INGEST_HAS_TS | INGEST_HAS_SEQ) != 0 {
-        return Err(format!("invalid ingest meta byte 0x{meta:02X}"));
+    let e = |err: CodecError| err.to_string();
+    let meta = r.get_u8().map_err(e)?;
+    if meta & !(BATCH_HAS_TS | BATCH_HAS_SEQ) != 0 {
+        return Err(format!("invalid batch meta byte 0x{meta:02X}"));
     }
-    let has_ts = meta & INGEST_HAS_TS != 0;
-    let seq = if meta & INGEST_HAS_SEQ != 0 {
-        Some((
-            r.get_u64().map_err(|e| e.to_string())?,
-            r.get_u64().map_err(|e| e.to_string())?,
-        ))
+    let has_ts = meta & BATCH_HAS_TS != 0;
+    let seq = if meta & BATCH_HAS_SEQ != 0 {
+        Some((r.get_u64().map_err(e)?, r.get_u64().map_err(e)?))
     } else {
         None
     };
+    let n = r.get_u32().map_err(e)? as usize;
     let lanes = if has_ts { 3 } else { 2 };
     if r.remaining() != n * 8 * lanes {
         return Err(format!(
-            "ingest payload declares {n} tuples ({} value bytes) but carries {}",
+            "batch declares {n} tuples ({} value bytes) but carries {}",
             n * 8 * lanes,
             r.remaining()
         ));
     }
     tuples.reserve(n);
-    let xs = r.take(n * 8).map_err(|e| e.to_string())?;
-    let ys = r.take(n * 8).map_err(|e| e.to_string())?;
+    let xs = r.take(n * 8).map_err(e)?;
+    let ys = r.take(n * 8).map_err(e)?;
     for (xc, yc) in xs.chunks_exact(8).zip(ys.chunks_exact(8)) {
         tuples.push((
             u64::from_le_bytes(xc.try_into().expect("8-byte chunk")),
@@ -265,8 +289,7 @@ pub fn decode_ingest_into(
     }
     if has_ts {
         ts.reserve(n);
-        let tsb = r.take(n * 8).map_err(|e| e.to_string())?;
-        for tc in tsb.chunks_exact(8) {
+        for tc in r.take(n * 8).map_err(e)?.chunks_exact(8) {
             ts.push(u64::from_le_bytes(tc.try_into().expect("8-byte chunk")));
         }
     }
@@ -274,12 +297,15 @@ pub fn decode_ingest_into(
 }
 
 /// Encode a `repl_delta` request frame: the stream name, then the sealed
-/// container as is.
+/// container as is, copied once into a buffer of the frame's final size.
 pub fn encode_repl_delta(stream: &str, container: &[u8]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_str(stream);
-    w.put_bytes(container);
-    frame(REPL_DELTA, 0, w.as_bytes())
+    let len = 8 + stream.len() + container.len();
+    let mut out = Vec::with_capacity(HEADER_BYTES + len);
+    push_header(&mut out, REPL_DELTA, 0, len);
+    out.extend_from_slice(&(stream.len() as u64).to_le_bytes());
+    out.extend_from_slice(stream.as_bytes());
+    out.extend_from_slice(container);
+    out
 }
 
 /// Decode a `repl_delta` payload into its request.
@@ -376,26 +402,27 @@ mod tests {
         let f2 = frame(REQUEST, 0, Request::QueryF2 { c: 100 }.encode().as_bytes());
         assert_eq!(
             hex(&f2),
-            format!("cb02010013000000{}", hex(br#"{"op":"f2","c":100}"#))
+            format!("cb03010013000000{}", hex(br#"{"op":"f2","c":100}"#))
         );
         let ingest = encode_ingest(&[(1, 2)], Some(&[3]), Some((4, 5)), FLAG_NO_ACK);
         assert_eq!(
             hex(&ingest),
-            "cb0202012d000000\
-             0100000003\
+            "cb0302012d000000\
+             03\
              0400000000000000\
              0500000000000000\
+             01000000\
              0100000000000000\
              0200000000000000\
              0300000000000000"
         );
         let delta = encode_repl_delta("a", &[0xDE, 0xAD]);
-        assert_eq!(hex(&delta), "cb0203000b000000010000000000000061dead");
+        assert_eq!(hex(&delta), "cb0303000b000000010000000000000061dead");
         let error = reply_frame(INGEST, &Reply::request_error("bad"));
         assert_eq!(
             hex(&error),
             format!(
-                "cb0202002b000000{}",
+                "cb0302002b000000{}",
                 hex(br#"{"ok":false,"error":"bad","kind":"request"}"#)
             )
         );
@@ -417,10 +444,10 @@ mod tests {
         assert_eq!(meta.seq, Some((42, 7)));
         assert_eq!(got_tuples, tuples);
         assert_eq!(got_ts, ts);
-        // Without the pair the meta byte degrades to the original has_ts
-        // values 0/1, so pre-seq frames decode unchanged.
+        // Without timestamps or the pair the meta byte, first in the
+        // payload, is 0.
         let bytes = encode_ingest(&tuples, None, None, 0);
-        assert_eq!(bytes[HEADER_BYTES + 4], 0);
+        assert_eq!(bytes[HEADER_BYTES], 0);
         let meta =
             decode_ingest_into(&bytes[HEADER_BYTES..], &mut got_tuples, &mut got_ts).unwrap();
         assert_eq!(meta, IngestMeta { has_ts: false, seq: None });
@@ -501,11 +528,11 @@ mod tests {
         // A declared count that disagrees with the byte count is rejected
         // without allocating for the phantom tuples.
         let mut lying = payload.to_vec();
-        lying[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        lying[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_ingest_into(&lying, &mut tuples, &mut ts).is_err());
         // A meta byte with an unknown bit is rejected.
         let mut odd = payload.to_vec();
-        odd[4] = 4;
+        odd[0] = 4;
         assert!(decode_ingest_into(&odd, &mut tuples, &mut ts).is_err());
         // A repl_delta payload cut inside its stream name errors; past the
         // name every cut is a (shorter) container, which the aggregator's

@@ -11,10 +11,12 @@
 //! bit-identically to it.
 
 use cora_serve::client::{ClientError, ServeClient};
+use cora_serve::protocol::Response;
 use cora_serve::server::{start, start_with_storage, DurabilityConfig, ServeConfig};
 use cora_serve::{DiskStorage, FaultPlan, FaultyStorage};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn sketch_config() -> ServeConfig {
     ServeConfig {
@@ -308,5 +310,149 @@ fn recovery_is_bit_identical_to_uninterrupted_reference() {
 
     second.shutdown();
     reference.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable directory whose newest journal is `newest`: one acked batch in
+/// journal 0 (restored through snapshot 0), then `newest` written as
+/// `journal-1.cjl` as a crash or a foreign build would leave it. Returns
+/// the outcome of starting durably on it.
+fn start_over_newest_journal(tag: &str, newest: &[u8]) -> Result<(), String> {
+    let dir = temp_dir(tag);
+    {
+        let server = start(durable_config(&dir), "127.0.0.1:0").unwrap();
+        let mut client = ServeClient::connect_binary(server.local_addr()).unwrap();
+        client.ingest(&batch(0, 20)).unwrap();
+        drop(client);
+        server.shutdown();
+    }
+    std::fs::write(dir.join("journal-1.cjl"), newest).unwrap();
+    let outcome = start(durable_config(&dir), "127.0.0.1:0").map(|s| s.shutdown());
+    let _ = std::fs::remove_dir_all(&dir);
+    outcome.map_err(|e| e.to_string())
+}
+
+/// A journal header (`CJRN`, version, generation) followed by a few bytes
+/// of a record.
+fn journal_header(version: u16, generation: u64) -> Vec<u8> {
+    let mut bytes = cora_serve::journal::JOURNAL_MAGIC.to_vec();
+    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend_from_slice(&generation.to_le_bytes());
+    bytes.extend_from_slice(&[21, 0, 0, 0, 0, 1, 0]);
+    bytes
+}
+
+/// Only a newest journal torn inside its header (a crash inside
+/// `JournalWriter::create`) may be skipped: one whose complete header names
+/// another format version could hold acked batches this build cannot read,
+/// so the start is refused and names the version.
+#[test]
+fn a_newest_journal_of_another_version_refuses_to_start() {
+    assert_eq!(start_over_newest_journal("newest_torn", b"CJRN\x01"), Ok(()));
+    assert_eq!(start_over_newest_journal("newest_magic", b"XXXXXXXXXXXXXXXXXX"), Ok(()));
+    let refused = start_over_newest_journal("newest_version", &journal_header(2, 1))
+        .expect_err("a newest journal of version 2 must refuse the start");
+    assert!(refused.contains("journal version 2"), "{refused}");
+}
+
+/// The same for a newest journal whose complete header names another
+/// generation than its file name: its records are not this generation's.
+#[test]
+fn a_newest_journal_of_another_generation_refuses_to_start() {
+    let refused = start_over_newest_journal("newest_generation", &journal_header(1, 7))
+        .expect_err("a mislabeled newest journal must refuse the start");
+    assert!(refused.contains("header generation 7"), "{refused}");
+}
+
+/// Poll `stats` until `done` holds, failing after ten seconds.
+fn wait_for(client: &mut ServeClient, what: &str, done: impl Fn(&Response) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done(&client.stats().unwrap()) {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// Snapshot and journal generations on disk, both ascending.
+fn generations_on_disk(dir: &Path) -> (Vec<u64>, Vec<u64>) {
+    let (mut snaps, mut journals) = (Vec::new(), Vec::new());
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        let generation = |prefix: &str, suffix: &str| -> Option<u64> {
+            name.strip_prefix(prefix)?.strip_suffix(suffix)?.parse().ok()
+        };
+        snaps.extend(generation("snap-", ".csrv"));
+        journals.extend(generation("journal-", ".cjl"));
+    }
+    snaps.sort_unstable();
+    journals.sort_unstable();
+    (snaps, journals)
+}
+
+/// The f2, f0, rarity and window_f2 answers over a spread of thresholds,
+/// as bits, after a flush.
+fn answer_bits(client: &mut ServeClient) -> Vec<u64> {
+    client.flush().unwrap();
+    let mut bits = Vec::new();
+    for c in [0, 1, 100, 500, 1023] {
+        bits.push(client.query_f2(c).unwrap().to_bits());
+        bits.push(client.query_f0(c).unwrap().to_bits());
+        bits.push(client.query_rarity(c).unwrap().to_bits());
+        let window = client.query_window_f2(256, c).unwrap();
+        bits.extend([window.value.to_bits(), window.resolved_lo, window.resolved_hi]);
+    }
+    bits
+}
+
+/// The tuple trigger end to end: the snapshotter thread rotates every 2 000
+/// journaled tuples, prunes the directory down to the newest generation and
+/// one fallback, rotates a poisoned journal out with no `snapshot` op, and
+/// a restart on the directory answers bit-identically.
+#[test]
+fn tuple_triggered_rotation_prunes_heals_and_recovers() {
+    let dir = temp_dir("tuple_trigger");
+    let config = ServeConfig {
+        durability: Some(DurabilityConfig {
+            dir: dir.clone(),
+            snapshot_every_tuples: 2_000,
+            fsync_each_batch: true,
+        }),
+        ..sketch_config()
+    };
+    let storage = faulty();
+    let server = start_with_storage(config.clone(), "127.0.0.1:0", storage.clone()).unwrap();
+    let mut client = ServeClient::connect_binary(server.local_addr()).unwrap();
+    let auto_snapshots = |stats: &Response| stats.u64_field("auto_snapshots").unwrap();
+    // 6k tuples in 1k batches; each 2k crosses the trigger, and the next
+    // 2k wait for its rotation so that every crossing gets its own.
+    for round in 1..=3 {
+        for i in 0..2 {
+            assert_eq!(client.ingest(&batch((2 * round + i) * 1_000, 1_000)).unwrap(), 1_000);
+        }
+        wait_for(&mut client, "a tuple-triggered rotation", |s| auto_snapshots(s) >= round);
+    }
+    // Generation 0 was published at start; three rotations later only the
+    // newest generation and its fallback are left.
+    assert_eq!(generations_on_disk(&dir), (vec![2, 3], vec![2, 3]));
+
+    // A failed append poisons the journal; the snapshotter rotates it out.
+    storage.set_plan(FaultPlan { fail_append_at: Some(1), ..FaultPlan::default() });
+    assert_io_error(client.ingest(&batch(8_000, 1_000)).unwrap_err(), "poisoning ingest");
+    storage.clear();
+    wait_for(&mut client, "the poisoned journal to be rotated out", |s| {
+        s.u64_field("journal_poisoned").unwrap() == 0
+    });
+    assert_eq!(auto_snapshots(&client.stats().unwrap()), 4);
+    assert_eq!(client.ingest(&batch(9_000, 1_000)).unwrap(), 1_000);
+    let before = answer_bits(&mut client);
+    drop(client);
+    server.shutdown();
+
+    let restarted = start(config, "127.0.0.1:0").unwrap();
+    let mut recovered = ServeClient::connect_binary(restarted.local_addr()).unwrap();
+    assert_eq!(answer_bits(&mut recovered), before);
+    assert_eq!(recovered.stats().unwrap().u64_field("items_accepted").unwrap(), 7_000);
+    drop(recovered);
+    restarted.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,8 +13,8 @@
 //! large-scale `ε`-equivalence story is exercised by the
 //! `replication_demo` example instead.
 
-use cora_core::snapshot::{open_delta, seal_delta_into};
-use cora_core::DeltaHeader;
+use cora_core::snapshot::{open_sections, seal_sections_into};
+use cora_core::SectionsHeader;
 use cora_serve::client::{ClientError, ServeClient};
 use cora_serve::cluster::start_aggregator_seeded;
 use cora_serve::protocol::SetOp;
@@ -125,7 +125,7 @@ fn sync_replication(server: &RunningServer) {
 
 #[test]
 fn delta_container_round_trips_and_rejects_damage() {
-    let header = DeltaHeader {
+    let header = SectionsHeader {
         g_from: 3,
         g_to: 9,
         fingerprint: 0xfeed_beef_dead_cafe,
@@ -136,9 +136,9 @@ fn delta_container_round_trips_and_rejects_damage() {
         (7, &[0xAB; 300]),
     ];
     let mut frame = Vec::new();
-    seal_delta_into(&header, &sections, &mut frame);
+    seal_sections_into(&header, &sections, &mut frame);
 
-    let (opened_header, opened_sections) = open_delta(&frame).expect("round trip");
+    let (opened_header, opened_sections) = open_sections(&frame).expect("round trip");
     assert_eq!(opened_header, header);
     assert_eq!(opened_sections.len(), sections.len());
     for ((tag, bytes), (want_tag, want_bytes)) in opened_sections.iter().zip(&sections) {
@@ -149,7 +149,7 @@ fn delta_container_round_trips_and_rejects_damage() {
     // Torn writes: every proper prefix must be rejected, never misread.
     for cut in 0..frame.len() {
         assert!(
-            open_delta(&frame[..cut]).is_err(),
+            open_sections(&frame[..cut]).is_err(),
             "torn frame of {cut} bytes was accepted"
         );
     }
@@ -160,7 +160,7 @@ fn delta_container_round_trips_and_rejects_damage() {
         for bit in 0..8 {
             let mut bent = frame.clone();
             bent[byte] ^= 1 << bit;
-            if let Ok((h, s)) = open_delta(&bent) {
+            if let Ok((h, s)) = open_sections(&bent) {
                 assert_eq!(h, header, "corrupt byte {byte} bit {bit} changed header");
                 assert_eq!(s.len(), sections.len());
             }
@@ -168,14 +168,14 @@ fn delta_container_round_trips_and_rejects_damage() {
     }
 
     // A backwards generation span is structurally invalid.
-    let backwards = DeltaHeader {
+    let backwards = SectionsHeader {
         g_from: 9,
         g_to: 3,
         fingerprint: 1,
     };
     let mut bad = Vec::new();
-    seal_delta_into(&backwards, &[], &mut bad);
-    assert!(open_delta(&bad).is_err(), "g_from > g_to was accepted");
+    seal_sections_into(&backwards, &[], &mut bad);
+    assert!(open_sections(&bad).is_err(), "g_from > g_to was accepted");
 }
 
 // ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ fn a_json_repl_delta_is_refused_by_the_aggregator() {
     let mut json = ServeClient::connect(agg.local_addr()).expect("connect");
     let fingerprint = sketch_config().replication_fingerprint();
     assert_eq!(json.repl_hello("a", fingerprint).expect("JSON handshake"), 0);
-    match json.repl_delta("a", vec![1, 2, 3]) {
+    match json.repl_delta("a", &[1, 2, 3]) {
         Err(ClientError::Server(e)) => {
             assert_eq!(e.kind, "request", "{e}");
             assert!(e.message.contains("binary protocol"), "{e}");
