@@ -29,6 +29,7 @@
 
 use crate::protocol::{Request, Response, SetOp};
 use crate::wire;
+use cora_stream::json;
 use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -257,7 +258,11 @@ impl ServeClient {
     }
 
     fn request_json(&mut self, request: &Request) -> ClientResult<Response> {
-        let line = request.encode();
+        self.line_round_trip(&request.encode())
+    }
+
+    /// Send one JSON line and read its response line.
+    fn line_round_trip(&mut self, line: &str) -> ClientResult<Response> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;
         let mut response_line = String::new();
@@ -580,10 +585,10 @@ impl ServeClient {
         let response = match self.mode {
             Mode::Binary => self.round_trip(wire::encode_repl_delta(stream, container))?,
             // The line names the op without its container, and is refused.
-            Mode::Json => self.request_json(&Request::ReplDelta {
-                stream: stream.to_string(),
-                frame: Vec::new(),
-            })?,
+            Mode::Json => self.line_round_trip(&format!(
+                r#"{{"op":"repl_delta","stream":{}}}"#,
+                json::escape(stream)
+            ))?,
         };
         response.u64_field("high_water").map_err(ClientError::Protocol)
     }

@@ -43,10 +43,18 @@
 //! replacement, which applies at any high water. The aggregator accepts an
 //! incremental container only when `g_from` equals its high-water
 //! generation for that stream; anything else is answered with a `request`
-//! error and the replica falls back to a **full resync**. A replica whose
-//! unacked backlog reaches `MAX_PENDING_CUTS` (32) cuts, or holds more
-//! tuple bytes than its last full cut, collapses the backlog into one full
-//! resync instead of queueing unboundedly.
+//! error and the replica falls back to a **full resync**.
+//!
+//! The replica keeps two things: `acked`, the high water the aggregator
+//! last acknowledged (0 = a full cut is due), and the tuples taken from the
+//! node since then, which no acknowledged container holds. Each pass takes
+//! the node's tail, connects and handshakes only when there is no session
+//! (a high water other than `acked`, say after a lost acknowledgement, makes
+//! a full cut due), then ships one container: a full cut when one is due,
+//! else the unacknowledged tuples as `(acked, g]`. A full cut is thus taken
+//! only over a live session, never for a link that is down, and unacked
+//! tuples that outgrow the last full cut are dropped for a resync instead
+//! of piling up.
 //!
 //! ## Warm standby
 //!
@@ -71,14 +79,13 @@
 use crate::client::{ClientError, ServeClient};
 use crate::protocol::{Reply, Request, SetOp, Value};
 use crate::server::{
-    recover, ReplCut, ReplicateConfig, RunningServer, ServeConfig, ServeError, ServerCore,
-    StatePoisoned,
+    recover, ReplicateConfig, RunningServer, ServeConfig, ServeError, ServerCore, StatePoisoned,
 };
-use crate::sketches::{Shipped, SketchSet};
+use crate::sketches::{seal_batches, seal_sections, Shipped, SketchSet, SKETCH_SECTIONS};
 use crate::transport::{spawn_acceptor, ServiceCore};
 use cora_core::snapshot::open_sections;
-use cora_core::CoreError;
-use std::collections::{BTreeMap, VecDeque};
+use cora_core::{CoreError, SectionsHeader};
+use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -404,7 +411,6 @@ impl AggCore {
                 ])
             }
             Request::ReplHello { stream, fingerprint } => self.repl_hello(&stream, fingerprint)?,
-            Request::ReplDelta { stream, frame } => self.repl_apply(&stream, &frame)?,
             Request::Stats => {
                 let state = self.state()?;
                 let high_water_sum = state.streams.values().map(|s| s.high_water).sum::<u64>();
@@ -451,6 +457,10 @@ impl ServiceCore for AggCore {
             "an aggregator does not accept ingest; send tuples to an ingest node and let \
              replication fan them in",
         )
+    }
+
+    fn repl_delta(&self, stream: &str, container: &[u8]) -> Reply {
+        self.repl_apply(stream, container).unwrap_or_else(Reply::from)
     }
 }
 
@@ -583,9 +593,9 @@ enum Wake {
 }
 
 /// Spawn the per-upstream replication thread: every `interval_ms` (or on a
-/// sync barrier) it cuts the tuples acked since the last cut and ships
-/// them, falling back
-/// to a full resync whenever the chain breaks (see the module docs).
+/// sync barrier) it ships the tuples acked since its last acknowledged
+/// container, falling back to a full resync whenever the chain breaks (see
+/// the module docs).
 pub(crate) fn spawn_replicator(
     core: Arc<ServerCore>,
     cfg: ReplicateConfig,
@@ -605,12 +615,12 @@ pub(crate) fn spawn_replicator(
     ReplicatorHandle { shared, thread }
 }
 
-/// Unacknowledged cuts a replica queues while the link is down before it
-/// collapses the backlog into one full resync (bounding replica memory, as
-/// does a backlog of more bytes than a full cut).
-const MAX_PENDING_CUTS: usize = 32;
+/// The bytes one tuple takes in an incremental container's batch.
+const TUPLE_BYTES: usize = 16;
 
-/// The replica-side state machine living on the replication thread.
+/// The replica-side state machine living on the replication thread. It
+/// holds no sealed container: each pass seals at most one, from `acked`
+/// and `unacked`, and drops it once shipped.
 struct Replicator {
     core: Arc<ServerCore>,
     cfg: ReplicateConfig,
@@ -618,16 +628,21 @@ struct Replicator {
     shared: Arc<ReplShared>,
     fingerprint: u64,
     session: Option<ServeClient>,
-    /// Cut-but-unacknowledged containers, oldest first. Bounded by
-    /// [`MAX_PENDING_CUTS`] and `full_bytes`; overflow becomes one full
-    /// resync.
-    pending: VecDeque<ReplCut>,
-    /// Size of the last full cut: queued tuple tails that outgrow it are
-    /// replaced by a full resync, which ships the same state in fewer bytes.
+    /// The aggregator's high water for this stream as this replica last
+    /// saw it acknowledged; 0 = a full cut is due (initially: the base
+    /// state, empty or restored, predates the replication tail).
+    acked: u64,
+    /// The tuples taken from the node's tail that no acknowledged container
+    /// holds yet, in ack order. Empty while a full cut is due (the cut
+    /// covers them), and never more bytes than the last full cut.
+    unacked: Vec<(u64, u64)>,
+    /// The last generation sealed. Every container gets a fresh `g_to`, so
+    /// a high water equal to `acked` means the aggregator holds exactly the
+    /// acknowledged chain.
+    generation: u64,
+    /// Size of the last full cut: unacked tuples that outgrow it are
+    /// dropped for a full resync, which ships the same state in fewer bytes.
     full_bytes: usize,
-    /// The next pass must ship a full replacement (initially true: the
-    /// base state — empty or restored — predates the replication tail).
-    need_full: bool,
     /// Consecutive failed passes, for backoff.
     failures: u32,
 }
@@ -647,9 +662,10 @@ impl Replicator {
             shared,
             fingerprint,
             session: None,
-            pending: VecDeque::new(),
+            acked: 0,
+            unacked: Vec::new(),
+            generation: 0,
             full_bytes: 0,
-            need_full: true,
             failures: 0,
         }
     }
@@ -720,147 +736,101 @@ impl Replicator {
         }
     }
 
-    /// One replication pass: cut, then ship everything pending. Success
-    /// means the aggregator acknowledged every cut taken so far.
+    /// Drop the unacknowledged tuples and make a full cut due.
+    fn resync(&mut self) {
+        self.acked = 0;
+        self.unacked.clear();
+    }
+
+    /// One replication pass: take the node's tail, make sure of a session,
+    /// then ship the one due container. Success means the aggregator
+    /// acknowledged every tuple taken so far.
     fn pass(&mut self) -> Result<(), String> {
-        // A second attempt covers exactly one in-session chain rejection
-        // (the aggregator restarted between passes): the retry ships the
-        // full resync the rejection asked for.
-        let mut chain_detail = String::new();
+        // A second attempt covers exactly one in-session refusal (the
+        // aggregator restarted, or another replica reset the stream): the
+        // retry ships the full resync the refusal made due.
+        let mut refusal = String::new();
         for _ in 0..2 {
-            self.cut()?;
-            if self.pending.is_empty() {
-                return Ok(());
-            }
-            match self.ship() {
-                Ok(()) => return Ok(()),
-                Err(ShipError::Chain(detail)) => chain_detail = detail,
-                Err(ShipError::Conn(e)) => return Err(e),
-            }
-        }
-        Err(format!(
-            "replication chain rejected twice in one pass: {chain_detail}"
-        ))
-    }
-
-    /// Take the due cut (incremental, or full when `need_full`), enforcing
-    /// the backlog bound.
-    fn cut(&mut self) -> Result<(), String> {
-        let tails = self.pending.iter().filter(|cut| cut.g_from != 0);
-        let tail_bytes: usize = tails.map(|cut| cut.frame.len()).sum();
-        if self.pending.len() >= MAX_PENDING_CUTS || tail_bytes > self.full_bytes {
-            self.need_full = true;
-        }
-        if self.need_full {
-            // One full replacement subsumes every queued container.
-            self.pending.clear();
-            let cut = self
-                .core
-                .repl_cut(true)
-                .map_err(|e| format!("full replication cut failed: {e}"))?
-                .expect("a full cut is never skipped as idle");
-            self.full_bytes = cut.frame.len();
-            self.pending.push_back(cut);
-            self.need_full = false;
-        } else if let Some(cut) = self
-            .core
-            .repl_cut(false)
-            .map_err(|e| format!("replication cut failed: {e}"))?
-        {
-            self.pending.push_back(cut);
-        }
-        Ok(())
-    }
-
-    /// Ship every pending container over the (re)established session.
-    fn ship(&mut self) -> Result<(), ShipError> {
-        let mut session = match self.session.take() {
-            Some(session) => session,
-            None => self.establish()?,
-        };
-        while let Some(front) = self.pending.front() {
-            match session.repl_delta(&self.cfg.stream, &front.frame) {
-                Ok(_high_water) => {
-                    let acked = self.pending.pop_front().expect("front exists");
-                    self.shared.progress().acked_gen = acked.g_to;
+            // A due full cut covers the tail, so it is dropped.
+            let tail = self.core.repl_take_tail().map_err(|e| format!("replication tail: {e}"))?;
+            if self.acked != 0 {
+                self.unacked.extend_from_slice(&tail);
+                if self.unacked.len() * TUPLE_BYTES > self.full_bytes {
+                    self.resync();
+                } else if self.unacked.is_empty() {
+                    return Ok(());
                 }
-                // A `request` rejection means the chain broke (the
-                // aggregator restarted or another replica reset the
-                // stream); the connection itself is fine, so keep it and
-                // resync in-session. Anything else kills the session.
-                Err(ClientError::Server(ref server)) if server.kind == "request" => {
-                    self.need_full = true;
-                    let detail = format!("aggregator rejected the container: {}", server.message);
-                    self.session = Some(session);
-                    return Err(ShipError::Chain(detail));
+            }
+            if self.session.is_none() {
+                self.session = Some(self.establish()?);
+            }
+            let g_from = self.acked;
+            self.generation += 1;
+            let header =
+                SectionsHeader { g_from, g_to: self.generation, fingerprint: self.fingerprint };
+            let container = if g_from == 0 {
+                let [f2, f0, rarity] = self
+                    .core
+                    .repl_snapshot()
+                    .map_err(|e| format!("full replication cut failed: {e}"))?;
+                let full = seal_sections(&header, SKETCH_SECTIONS, [&f2, &f0, &rarity]);
+                self.full_bytes = full.len();
+                full
+            } else {
+                seal_batches(&header, &self.unacked)
+            };
+            let session = self.session.as_mut().expect("established above");
+            match session.repl_delta(&self.cfg.stream, &container) {
+                Ok(_high_water) => {
+                    self.acked = header.g_to;
+                    self.unacked.clear();
+                    self.shared.progress().acked_gen = header.g_to;
+                    return Ok(());
+                }
+                // A `request` refusal means the chain broke; the connection
+                // itself is fine, so keep it and resync in-session.
+                // Anything else kills the session.
+                Err(ClientError::Server(server)) if server.kind == "request" => {
+                    self.resync();
+                    refusal = format!("aggregator rejected the container: {}", server.message);
                 }
                 Err(e) => {
-                    return Err(ShipError::Conn(format!(
-                        "shipping to {}: {e}",
-                        self.cfg.target
-                    )))
+                    self.session = None;
+                    return Err(format!("shipping to {}: {e}", self.cfg.target));
                 }
             }
         }
-        self.session = Some(session);
-        Ok(())
+        Err(format!("replication chain rejected twice in one pass: {refusal}"))
     }
 
-    /// Connect, authenticate, and handshake. On a chain mismatch (the
-    /// aggregator's high water is not where our pending queue resumes) the
-    /// next cut is forced full.
-    fn establish(&mut self) -> Result<ServeClient, ShipError> {
-        let conn_err = |e: String| ShipError::Conn(e);
-        let mut session = ServeClient::connect_binary_timeout(
-            &self.cfg.target,
-            Duration::from_secs(5),
-        )
-        .map_err(|e| conn_err(format!("connect to {}: {e}", self.cfg.target)))?;
+    /// Connect, authenticate, and handshake. A high water other than
+    /// `acked` (the aggregator restarted, or applied a container whose
+    /// acknowledgement was lost) makes a full cut due.
+    fn establish(&mut self) -> Result<ServeClient, String> {
+        let target = &self.cfg.target;
+        let mut session = ServeClient::connect_binary_timeout(target, Duration::from_secs(5))
+            .map_err(|e| format!("connect to {target}: {e}"))?;
         session
             .set_timeouts(Some(Duration::from_secs(10)), Some(Duration::from_secs(10)))
-            .map_err(|e| conn_err(format!("socket timeouts: {e}")))?;
+            .map_err(|e| format!("socket timeouts: {e}"))?;
         if let Some(token) = &self.cfg.auth_token {
             session
                 .auth(token)
-                .map_err(|e| conn_err(format!("authentication with the aggregator: {e}")))?;
+                .map_err(|e| format!("authentication with the aggregator: {e}"))?;
         }
-        let chain_gen = self.pending.back().map_or(0, |cut| cut.g_to);
         let high_water = session
             .repl_hello(&self.cfg.stream, self.fingerprint)
-            .map_err(|e| conn_err(format!("replication handshake: {e}")))?;
-        let resumes = match self.pending.front() {
-            // A full container applies anywhere; a delta must chain.
-            Some(front) => front.g_from == 0 || front.g_from == high_water,
-            // Idle queue: only valid if the aggregator already holds our
-            // whole chain (a fresh aggregator reports 0 and needs the base).
-            None => high_water == chain_gen && high_water != 0,
-        };
-        if !resumes {
-            self.need_full = true;
-            self.session = Some(session);
-            return Err(ShipError::Chain(format!(
-                "aggregator stands at generation {high_water}, local chain at {chain_gen}"
-            )));
+            .map_err(|e| format!("replication handshake: {e}"))?;
+        if high_water != self.acked {
+            self.resync();
         }
         Ok(session)
     }
-
-}
-
-/// Why a shipping attempt stopped.
-enum ShipError {
-    /// The aggregator rejected the chain; retry with a full resync over
-    /// the same session.
-    Chain(String),
-    /// The session is unusable; reconnect with backoff.
-    Conn(String),
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sketches::{seal_sections, SKETCH_SECTIONS};
-    use cora_core::SectionsHeader;
 
     #[test]
     fn stream_names_are_validated() {
@@ -1054,9 +1024,9 @@ mod tests {
     }
 
     /// A replicating node fed `preload`, cut in full, then fed `rest` in
-    /// 500-tuple batches with an incremental cut after every `per_cut`
-    /// tuples; every cut is applied to stream "a" of an aggregator. Returns
-    /// the node, the aggregator and the full container.
+    /// 500-tuple batches with its tail shipped after every `per_cut`
+    /// tuples; every container is applied to stream "a" of an aggregator.
+    /// Returns the node, the aggregator and the full container.
     fn replicate(
         config: &ServeConfig,
         preload: &[(u64, u64)],
@@ -1065,23 +1035,29 @@ mod tests {
     ) -> (ServerCore, AggCore, Vec<u8>) {
         let node = ServerCore::build(config.clone(), None).unwrap();
         let agg = AggCore::new(config.clone()).unwrap();
-        agg.repl_hello("a", config.replication_fingerprint()).unwrap();
-        let ship = |cut: ReplCut| {
-            let reply = agg.repl_apply("a", &cut.frame).unwrap();
-            assert_eq!(reply, Reply::Ok(vec![("high_water", Value::U64(cut.g_to))]));
-            cut.frame
+        let fingerprint = config.replication_fingerprint();
+        agg.repl_hello("a", fingerprint).unwrap();
+        let header = |g_from| SectionsHeader { g_from, g_to: g_from + 1, fingerprint };
+        let ship = |g_to: u64, container: &[u8]| {
+            let reply = agg.repl_apply("a", container).unwrap();
+            assert_eq!(reply, Reply::Ok(vec![("high_water", Value::U64(g_to))]));
         };
-        for batch in preload.chunks(500) {
-            assert!(matches!(node.ingest_binary(batch, &[], None), Reply::Ok(_)));
-        }
-        let full = ship(node.repl_cut(true).unwrap().expect("a full cut is never idle"));
-        for part in rest.chunks(per_cut) {
-            for batch in part.chunks(500) {
+        let ingest = |tuples: &[(u64, u64)]| {
+            for batch in tuples.chunks(500) {
                 assert!(matches!(node.ingest_binary(batch, &[], None), Reply::Ok(_)));
             }
-            ship(node.repl_cut(false).unwrap().expect("new tuples since the last cut"));
+        };
+        ingest(preload);
+        let [f2, f0, rarity] = node.repl_snapshot().unwrap();
+        let full = seal_sections(&header(0), SKETCH_SECTIONS, [&f2, &f0, &rarity]);
+        ship(1, &full);
+        for (g_from, part) in (1..).zip(rest.chunks(per_cut)) {
+            ingest(part);
+            let tail = node.repl_take_tail().unwrap();
+            assert_eq!(tail, part, "the tail is exactly the tuples since the last take");
+            ship(g_from + 1, &seal_batches(&header(g_from), &tail));
         }
-        assert!(node.repl_cut(false).unwrap().is_none(), "nothing new: no cut");
+        assert!(node.repl_take_tail().unwrap().is_empty(), "nothing new: an empty tail");
         (node, agg, full)
     }
 
@@ -1173,35 +1149,117 @@ mod tests {
         assert!(worst <= 0.10, "aggregator worst F2 relative error {worst}");
     }
 
+    /// The aggregator's `(snapshots_applied, deltas_applied)`.
+    fn applied(client: &mut ServeClient) -> (u64, u64) {
+        let stats = client.stats().unwrap();
+        let count = |name| stats.u64_field(name).unwrap();
+        (count("snapshots_applied"), count("deltas_applied"))
+    }
+
     #[test]
-    fn queued_tails_larger_than_a_full_cut_collapse_into_one() {
+    fn an_outage_takes_no_snapshot_and_ends_in_one_full_cut() {
         let node = Arc::new(ServerCore::build(test_config(), None).unwrap());
+        let agg = start_aggregator(test_config(), "127.0.0.1:0").unwrap();
+        let live = agg.local_addr().to_string();
+        let mut stats = ServeClient::connect_binary(&live).unwrap();
         let shared = Arc::new(ReplShared {
             progress: Mutex::new(ReplProgress::default()),
             cvar: Condvar::new(),
         });
-        // Nothing ships: the aggregator is never contacted, as in an outage.
-        let cfg = ReplicateConfig::new("127.0.0.1:1", "a");
+        // Nothing listens here: every pass fails to connect, as in an outage.
+        let down = "127.0.0.1:1";
+        let cfg = ReplicateConfig::new(down, "a");
         let stop = Arc::new(AtomicBool::new(false));
         let mut replicator = Replicator::new(Arc::clone(&node), cfg, stop, shared);
-        node.ingest_binary(&tuples(100), &[], None);
-        replicator.cut().unwrap();
-        assert_eq!((replicator.pending.len(), replicator.pending[0].g_from), (1, 0));
-        let full = replicator.full_bytes;
-        for round in 1..MAX_PENDING_CUTS {
-            let tails = replicator.pending.iter().filter(|cut| cut.g_from != 0);
-            let tail_bytes: usize = tails.map(|cut| cut.frame.len()).sum();
-            assert!(matches!(node.ingest_binary(&tuples(500), &[], None), Reply::Ok(_)));
-            replicator.cut().unwrap();
-            if tail_bytes > full {
-                // One full cut replaces the whole backlog.
-                assert_eq!(replicator.pending.len(), 1, "round {round}");
-                assert_eq!(replicator.pending[0].g_from, 0, "round {round}");
-                return;
-            }
-            assert_eq!(replicator.pending.len(), round + 1, "round {round}");
+        let ingest = || assert!(matches!(node.ingest_binary(&tuples(500), &[], None), Reply::Ok(_)));
+
+        // Down from the start: no container is sealed (so no snapshot
+        // taken), and the node keeps no tail for a replica that never cut.
+        for _ in 0..5 {
+            ingest();
+            assert!(replicator.pass().is_err());
+            assert_eq!((replicator.generation, replicator.unacked.len()), (0, 0));
         }
-        panic!("tails of more than {full} bytes never collapsed into a full cut");
+        // The link comes up: one full cut, then incrementals.
+        replicator.cfg.target = live.clone();
+        replicator.pass().unwrap();
+        assert_eq!(applied(&mut stats), (1, 0));
+        ingest();
+        replicator.pass().unwrap();
+        assert_eq!(applied(&mut stats), (1, 1));
+
+        // The link drops. Tuples pile up in `unacked` until they outgrow
+        // the last full cut, then go for a resync; nothing is sealed.
+        replicator.session = None;
+        replicator.cfg.target = down.to_string();
+        let (generation, full_bytes) = (replicator.generation, replicator.full_bytes);
+        let mut rounds = 0;
+        while replicator.acked != 0 {
+            ingest();
+            assert!(replicator.pass().is_err());
+            assert_eq!(replicator.generation, generation, "round {rounds}: a container sealed");
+            assert!(replicator.unacked.len() * TUPLE_BYTES <= full_bytes, "round {rounds}");
+            rounds += 1;
+            assert!(rounds < 1_000, "{full_bytes} bytes of tuples never outgrew the full cut");
+        }
+        assert!(rounds > 1, "the unacked tuples were held across passes");
+        for _ in 0..3 {
+            ingest();
+            assert!(replicator.pass().is_err());
+            assert_eq!((replicator.generation, replicator.unacked.len()), (generation, 0));
+        }
+        // The link returns: exactly one full cut, then incrementals again.
+        replicator.cfg.target = live;
+        replicator.pass().unwrap();
+        assert_eq!(applied(&mut stats), (2, 1));
+        ingest();
+        replicator.pass().unwrap();
+        assert_eq!(applied(&mut stats), (2, 2));
+        agg.shutdown();
+    }
+
+    #[test]
+    fn an_unauthenticated_repl_delta_frame_moves_nothing() {
+        let config = ServeConfig { auth_token: Some("sesame".into()), ..test_config() };
+        let fingerprint = config.replication_fingerprint();
+        let core = Arc::new(AggCore::new(config.clone()).unwrap());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let acceptor = spawn_acceptor(Arc::clone(&core), listener, Arc::clone(&shutdown), 4);
+        let agg = RunningServer {
+            addr,
+            shutdown,
+            acceptor: Some(acceptor.unwrap()),
+            snapshotter: None,
+            replicator: None,
+        };
+        let header = |g_from| SectionsHeader { g_from, g_to: g_from + 1, fingerprint };
+        let mut authed = ServeClient::connect_binary(addr).unwrap();
+        authed.auth("sesame").unwrap();
+        authed.repl_hello("a", fingerprint).unwrap();
+        let base = full_container(&config, &header(0), 3_000);
+        assert_eq!(authed.repl_delta("a", &base).unwrap(), 1);
+        let mut seen = || {
+            let stats = authed.stats().unwrap();
+            (observable(&core, "a"), stats.u64_field("high_water_sum").unwrap())
+        };
+        let before = seen();
+
+        // The next incremental and a full replacement, each of which an
+        // authenticated connection would apply.
+        let delta = seal_batches(&header(1), &tuples(500));
+        let full = full_container(&config, &header(0), 500);
+        let mut stranger = ServeClient::connect_binary(addr).unwrap();
+        for container in [&delta, &full] {
+            match stranger.repl_delta("a", container) {
+                Err(ClientError::Server(e)) => assert_eq!(e.kind, "request", "{e}"),
+                other => panic!("expected the auth gate's refusal, got {other:?}"),
+            }
+            assert_eq!(seen(), before);
+        }
+        assert_eq!(authed.repl_delta("a", &delta).unwrap(), 2);
+        agg.shutdown();
     }
 
     #[test]

@@ -98,17 +98,6 @@ impl FaultyStorage {
     pub fn clear(&self) {
         self.set_plan(FaultPlan::default());
     }
-
-    /// Appends observed since the plan was last armed.
-    pub fn appends_seen(&self) -> u64 {
-        self.state.appends.load(Ordering::SeqCst)
-    }
-
-    /// Atomic writes (snapshot publishes) observed since the plan was last
-    /// armed.
-    pub fn atomic_writes_seen(&self) -> u64 {
-        self.state.atomic_writes.load(Ordering::SeqCst)
-    }
 }
 
 struct FaultyAppend {

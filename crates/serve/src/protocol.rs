@@ -198,14 +198,6 @@ pub enum Request {
         /// aggregator's or the handshake is refused (non-mergeable state).
         fingerprint: u64,
     },
-    /// Ship one replication container (binary protocol only).
-    ReplDelta {
-        /// Upstream stream name.
-        stream: String,
-        /// The sealed `SnapshotKind::Sections` container: a full replacement
-        /// when its `g_from` is 0, an incremental cut otherwise.
-        frame: Vec<u8>,
-    },
 }
 
 /// Emit a JSON array of unsigned integers (lossless, unlike float arrays).
@@ -287,13 +279,6 @@ impl Request {
             Request::Streams => r#"{"op":"streams"}"#.to_string(),
             Request::ReplHello { stream, fingerprint } => format!(
                 r#"{{"op":"repl_hello","stream":{},"fingerprint":{fingerprint}}}"#,
-                json::escape(stream)
-            ),
-            // The payload op cannot travel as JSON (its container is raw
-            // binary); rendering just the op name lets the server answer
-            // with its structured binary-only refusal.
-            Request::ReplDelta { stream, .. } => format!(
-                r#"{{"op":"repl_delta","stream":{}}}"#,
                 json::escape(stream)
             ),
         }
@@ -707,8 +692,7 @@ mod tests {
 
     #[test]
     fn repl_payload_ops_are_binary_only_over_json() {
-        let request = Request::ReplDelta { stream: "a".into(), frame: vec![1, 2, 3] };
-        let e = Request::parse(&request.encode()).unwrap_err();
+        let e = Request::parse(r#"{"op":"repl_delta","stream":"a"}"#).unwrap_err();
         assert!(e.contains("binary protocol"), "{e}");
         for op in ["union", "intersect", "diff"] {
             assert_eq!(SetOp::parse(op).unwrap().as_str(), op);

@@ -101,10 +101,7 @@ use crate::journal::{
 };
 use crate::merger::BackgroundMerger;
 use crate::protocol::{Reply, Request, Value};
-use crate::sketches::{
-    f0_matches, f2_answer, pick_sections, seal_batches, seal_sections, AuxSet, Section,
-    SKETCH_SECTIONS,
-};
+use crate::sketches::{f0_matches, f2_answer, pick_sections, seal_sections, AuxSet, Section};
 use crate::transport::{spawn_acceptor, ServiceCore};
 use crate::windows::{Rings, WindowFeed, WindowRings};
 use cora_core::heavy_hitters::F2HeavyAggregate;
@@ -368,15 +365,13 @@ struct NodeState {
     sharded: ShardedIngest<F2HeavyAggregate>,
     /// `F_0` and rarity, updated inline on every ingest.
     aux: AuxSet,
-    /// The tuples acked since the last replication cut, in ack order;
-    /// `None` until the first cut, which is always full and so covers every
-    /// earlier tuple. [`ServerCore::repl_cut`] takes them, so each
-    /// incremental cut ships exactly the tuples between two cuts, and the
-    /// aggregator replays them the way recovery replays the journal.
+    /// The tuples acked since the replicator last took them, in ack order;
+    /// `None` until the first full cut, which covers every earlier tuple.
+    /// [`ServerCore::repl_take_tail`] hands them over and
+    /// [`ServerCore::repl_snapshot`] restarts them, so the replicator ships
+    /// exactly the tuples after its last full cut, and the aggregator
+    /// replays them the way recovery replays the journal.
     repl_tail: Option<Vec<(u64, u64)>>,
-    /// Replication cuts taken so far; the next one covers
-    /// `(repl_gen, repl_gen + 1]`.
-    repl_gen: u64,
     /// The tick clock and the window worker's FIFO.
     windows: WindowFeed,
     /// Per-writer ingest sequence high-water marks: a batch tagged
@@ -425,21 +420,6 @@ pub(crate) struct ServerCore {
     journal_bytes: AtomicU64,
     auto_snapshots: AtomicU64,
     snapshot_errors: AtomicU64,
-}
-
-/// One replication cut: a sealed [`SnapshotKind::Sections`] container plus the
-/// generation span `(g_from, g_to]` it covers. `g_from == 0` marks a full
-/// replacement snapshot, anything else an incremental delta that must chain
-/// onto the aggregator's high water; both ship as `repl_delta`.
-pub(crate) struct ReplCut {
-    /// Exclusive lower generation bound (0 = full replacement).
-    pub g_from: u64,
-    /// Inclusive upper generation bound — the aggregator's high water after
-    /// applying this cut.
-    pub g_to: u64,
-    /// The sealed container (checksummed outer frame; per-structure sections
-    /// when full, the batches section otherwise).
-    pub frame: Vec<u8>,
 }
 
 /// A snapshot bundle's sections, in the order they are written.
@@ -628,7 +608,6 @@ impl ServerCore {
                 sharded,
                 aux,
                 repl_tail: None,
-                repl_gen: 0,
                 windows,
                 seqs,
                 durable: None,
@@ -690,38 +669,23 @@ impl ServerCore {
         Ok(self.rings.caught_up()?)
     }
 
-    /// Cut one replication unit. The state lock is held only to take the
-    /// tail (and, for a full cut, to snapshot the live structures), so the
-    /// cut is atomic with respect to batches: every tuple lands entirely in
-    /// this cut or entirely in the next one. Sealing runs outside the lock.
-    ///
-    /// `full` builds a replacement snapshot of the live structures
-    /// (`g_from = 0`), and the replicator's first cut always is one; every
-    /// other cut is an incremental container carrying exactly the tuples
-    /// acked since the previous cut. Returns `Ok(None)` when the
-    /// tail is empty and `full` is false — the generation counter does not
-    /// advance, so an idle server never creates a hole in the delta chain.
-    pub(crate) fn repl_cut(&self, full: bool) -> Result<Option<ReplCut>, ServeError> {
-        let fingerprint = self.config.replication_fingerprint();
+    /// A full replication cut's [`crate::sketches::SKETCH_SECTIONS`] frames,
+    /// snapshot from the live structures under the same lock hold that
+    /// restarts the replication tail empty: every acked tuple is in the
+    /// snapshot or in a later tail, and no batch is split.
+    pub(crate) fn repl_snapshot(&self) -> Result<[Vec<u8>; 3], ServeError> {
         let mut state = self.state()?;
-        if !full && state.repl_tail.get_or_insert_with(Vec::new).is_empty() {
-            return Ok(None);
-        }
-        // Snapshot before taking the tail, so a failed snapshot leaves the
-        // tail and the generation counter untouched.
-        let frames = if full { Some(state.sketch_frames()?) } else { None };
-        let NodeState { repl_tail, repl_gen, .. } = &mut *state;
-        let tuples = std::mem::take(repl_tail.get_or_insert_with(Vec::new));
-        let g_to = *repl_gen + 1;
-        let g_from = if full { 0 } else { *repl_gen };
-        *repl_gen = g_to;
-        drop(state);
-        let header = SectionsHeader { g_from, g_to, fingerprint };
-        let frame = match frames {
-            Some([f2, f0, rarity]) => seal_sections(&header, SKETCH_SECTIONS, [&f2, &f0, &rarity]),
-            None => seal_batches(&header, &tuples),
-        };
-        Ok(Some(ReplCut { g_from, g_to, frame }))
+        let frames = state.sketch_frames()?;
+        state.repl_tail = Some(Vec::new());
+        Ok(frames)
+    }
+
+    /// Hand the replication tail over: the tuples acked since the previous
+    /// take, in ack order (none before the first full cut, which covers
+    /// them).
+    pub(crate) fn repl_take_tail(&self) -> Result<Vec<(u64, u64)>, ServeError> {
+        let mut state = self.state()?;
+        Ok(state.repl_tail.as_mut().map(std::mem::take).unwrap_or_default())
     }
 
     /// The plain `snapshot` op's bundle (a durable rotation encodes its own,
@@ -896,8 +860,9 @@ impl ServerCore {
         if let Err(e) = aux.insert_batch(tuples) {
             return fail(format!("auxiliary sketch rejected a tuple: {e}"));
         }
-        // The replication tail (present once replication has cut) takes the
-        // batch under the same lock hold — a cut can never split a batch.
+        // The replication tail (present once replication has cut in full)
+        // takes the batch under the same lock hold — a cut can never split
+        // a batch.
         if let Some(tail) = repl_tail {
             tail.extend_from_slice(tuples);
         }
@@ -1055,10 +1020,7 @@ impl ServerCore {
                 "set-expression queries are answered by an aggregator node \
                  (cora_serve_agg), not by an ingest server",
             ),
-            Request::ReplHello { .. } | Request::ReplDelta { .. } => Reply::request_error(
-                "replication frames are accepted by an aggregator node \
-                 (cora_serve_agg), not by an ingest server",
-            ),
+            Request::ReplHello { .. } => Reply::request_error(NOT_AN_AGGREGATOR),
         })
     }
 }
@@ -1081,7 +1043,16 @@ impl ServiceCore for ServerCore {
     fn ingest_binary(&self, tuples: &[(u64, u64)], ts: &[u64], seq: Option<(u64, u64)>) -> Reply {
         self.ingest_tuples(tuples, ts, seq)
     }
+
+    fn repl_delta(&self, _stream: &str, _container: &[u8]) -> Reply {
+        Reply::request_error(NOT_AN_AGGREGATOR)
+    }
 }
+
+/// An ingest node's refusal of the replication ops.
+const NOT_AN_AGGREGATOR: &str =
+    "replication frames are accepted by an aggregator node (cora_serve_agg), not by an ingest \
+     server";
 
 /// How often [`RunningServer::wait`] re-reads the shutdown flag.
 const WAIT_TICK: Duration = Duration::from_millis(50);
@@ -1357,6 +1328,7 @@ fn start_inner(
 mod tests {
     use super::*;
     use crate::protocol;
+    use crate::sketches::{seal_batches, SKETCH_SECTIONS};
     use std::time::Instant;
 
     #[test]
@@ -1448,11 +1420,17 @@ mod tests {
                 assert_eq!(reply, Reply::Ok(vec![("accepted", Value::U64(1000))]));
             }
         };
-        ingest(0..14);
-        let full = core.repl_cut(true).unwrap().expect("a full cut is never idle");
-        ingest(14..20);
-        let delta = core.repl_cut(false).unwrap().expect("six new batches");
+        // The replicator's first two containers: a full cut `(0, 1]`, then
+        // the tuples acked since as `(1, 2]`.
         let fingerprint = core.config.replication_fingerprint();
+        let header = |g_from| SectionsHeader { g_from, g_to: g_from + 1, fingerprint };
+        ingest(0..14);
+        let [f2, f0, rarity] = core.repl_snapshot().unwrap();
+        let full = seal_sections(&header(0), SKETCH_SECTIONS, [&f2, &f0, &rarity]);
+        ingest(14..20);
+        let tail = core.repl_take_tail().unwrap();
+        assert_eq!(tail.len(), 6_000);
+        let delta = seal_batches(&header(1), &tail);
         let bundle = core.state().unwrap().bundle_bytes(fingerprint).unwrap();
         // 20k tuples over 16 y values: every singleton bucket is far past the
         // 384 distinct items at which an ε = 0.25 F2 bucket spills to its
@@ -1465,11 +1443,10 @@ mod tests {
             .with_composed(15, |store| !store.is_exact())
             .unwrap();
         assert!(sketched, "the pinned stream must exercise sketched buckets");
-        assert_eq!((full.g_from, delta.g_from, delta.g_to), (0, full.g_to, full.g_to + 1));
         let fnv = cora_sketch::codec::fnv1a64;
         for (name, bytes, len, pin) in [
-            ("full cut", &full.frame, 976_834, 0xa92f_e064_66c0_8f34_u64),
-            ("delta container", &delta.frame, 96_065, 0x973d_674c_68eb_8c4e),
+            ("full cut", &full, 976_834, 0xa92f_e064_66c0_8f34_u64),
+            ("delta container", &delta, 96_065, 0x973d_674c_68eb_8c4e),
             ("snapshot bundle", &bundle, 3_658_105, 0xb11f_6ed8_7489_5bc9),
         ] {
             assert_eq!(bytes.len(), len, "{name} length");
@@ -1570,7 +1547,8 @@ mod tests {
             ];
             if case == "state" {
                 refused.push(Request::QueryF0 { c: 1023 });
-                assert!(core.repl_cut(true).is_err(), "a poisoned cut must not seal anything");
+                assert!(core.repl_snapshot().is_err(), "a poisoned cut must not snapshot");
+                assert!(core.repl_take_tail().is_err(), "a poisoned tail must not be taken");
             }
             for request in refused {
                 let (reply, stop) = core.handle(request);

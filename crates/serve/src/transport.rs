@@ -48,6 +48,9 @@ pub(crate) trait ServiceCore: Send + Sync + 'static {
     fn handle(&self, request: Request) -> (Reply, bool);
     /// The binary ingest fast path (tuples decoded into connection scratch).
     fn ingest_binary(&self, tuples: &[(u64, u64)], ts: &[u64], seq: Option<(u64, u64)>) -> Reply;
+    /// Apply one `repl_delta` container, borrowed from the connection's
+    /// input buffer.
+    fn repl_delta(&self, stream: &str, container: &[u8]) -> Reply;
 }
 
 /// Compare a presented auth token against the configured one without an
@@ -319,7 +322,7 @@ impl Conn {
                     let (reply, stop) = match header.opcode {
                         // The hot path: decode straight into this
                         // connection's scratch, no per-tuple allocation.
-                        // Unauthenticated ingest is refused undecoded.
+                        // Unauthenticated payloads are refused undecoded.
                         wire::INGEST if self.authed => {
                             let (tuples, ts) = (&mut self.tuples, &mut self.ts);
                             let reply = match wire::decode_ingest_into(payload, tuples, ts) {
@@ -331,7 +334,20 @@ impl Conn {
                             };
                             (reply, false)
                         }
-                        wire::INGEST => {
+                        // The container is handed over where it lies.
+                        wire::REPL_DELTA if self.authed => {
+                            let reply = match wire::decode_repl_delta(payload) {
+                                Ok((stream, container)) => {
+                                    core.note_request();
+                                    core.repl_delta(stream, container)
+                                }
+                                Err(e) => {
+                                    Reply::request_error(format!("bad repl_delta frame: {e}"))
+                                }
+                            };
+                            (reply, false)
+                        }
+                        wire::INGEST | wire::REPL_DELTA => {
                             core.note_request();
                             (Reply::request_error(UNAUTHENTICATED), false)
                         }
@@ -341,7 +357,6 @@ impl Conn {
                                 .and_then(Request::parse);
                             self.answer(core, parsed)
                         }
-                        wire::REPL_DELTA => self.answer(core, wire::decode_repl_delta(payload)),
                         other => self.answer(core, Err(format!("unknown opcode 0x{other:02X}"))),
                     };
                     // NO_ACK suppresses only a success; errors are always
@@ -452,6 +467,9 @@ mod tests {
             (Reply::ok(), false)
         }
         fn ingest_binary(&self, _: &[(u64, u64)], _: &[u64], _: Option<(u64, u64)>) -> Reply {
+            Reply::ok()
+        }
+        fn repl_delta(&self, _: &str, _: &[u8]) -> Reply {
             Reply::ok()
         }
     }

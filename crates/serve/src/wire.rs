@@ -31,7 +31,7 @@
 //!
 //! | opcode | name         | request payload                                  |
 //! |--------|--------------|--------------------------------------------------|
-//! | 0x01   | [`REQUEST`]    | the op's JSON request line (UTF-8, no newline), read by [`Request::parse`] |
+//! | 0x01   | [`REQUEST`]    | the op's JSON request line (UTF-8, no newline), read by [`crate::protocol::Request::parse`] |
 //! | 0x02   | [`INGEST`]     | one batch payload (below) |
 //! | 0x03   | [`REPL_DELTA`] | `str stream` (u64 length + UTF-8), then a sealed container, full when `g_from = 0` |
 //!
@@ -78,7 +78,7 @@
 //! the pipe (`INGEST` error frames from failed batches, then that request's
 //! reply). This is what closes the per-batch round-trip tax on bulk loads.
 
-use crate::protocol::{Reply, Request};
+use crate::protocol::Reply;
 use cora_sketch::codec::{ByteReader, CodecError};
 
 /// Batch `meta` bit: explicit per-tuple timestamps follow the y lane.
@@ -308,12 +308,14 @@ pub fn encode_repl_delta(stream: &str, container: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode a `repl_delta` payload into its request.
-pub fn decode_repl_delta(payload: &[u8]) -> Result<Request, String> {
+/// Split a `repl_delta` payload into its stream name and its container,
+/// both borrowed from the payload.
+pub fn decode_repl_delta(payload: &[u8]) -> Result<(&str, &[u8]), String> {
     let mut r = ByteReader::new(payload);
-    let stream = r.get_str().map_err(|e| e.to_string())?;
-    let container = r.take(r.remaining()).map_err(|e| e.to_string())?;
-    Ok(Request::ReplDelta { stream, frame: container.to_vec() })
+    let len = r.get_len().map_err(|e| e.to_string())?;
+    let name = r.take(len).map_err(|e| e.to_string())?;
+    let stream = std::str::from_utf8(name).map_err(|e| format!("stream name: {e}"))?;
+    Ok((stream, r.take(r.remaining()).map_err(|e| e.to_string())?))
 }
 
 /// One complete reply frame echoing `opcode`: the reply's JSON line.
@@ -324,7 +326,7 @@ pub fn reply_frame(opcode: u8, reply: &Reply) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Response, SetOp, Value};
+    use crate::protocol::{Request, Response, SetOp, Value};
 
     /// Split a frame into its checked header and its payload.
     fn open(bytes: &[u8]) -> (Header, &[u8]) {
@@ -387,10 +389,7 @@ mod tests {
             let bytes = encode_repl_delta("node-a", &container);
             let (header, payload) = open(&bytes);
             assert_eq!(header.opcode, REPL_DELTA);
-            assert_eq!(
-                decode_repl_delta(payload).expect("decode"),
-                Request::ReplDelta { stream: "node-a".to_string(), frame: container }
-            );
+            assert_eq!(decode_repl_delta(payload).expect("decode"), ("node-a", &container[..]));
         }
     }
 

@@ -182,8 +182,8 @@ fn unknown_opcode_keeps_the_connection_usable() {
 fn an_unreadable_request_frame_keeps_the_connection_usable() {
     let server = start(test_config(), "127.0.0.1:0").unwrap();
     let mut stream = connect_raw(&server);
-    let repl_delta = Request::ReplDelta { stream: "a".to_string(), frame: vec![1, 2, 3] }.encode();
-    let bodies: [&[u8]; 3] = [&[0xFF, 0xFE, b'{'], b"not json", repl_delta.as_bytes()];
+    let repl_delta = br#"{"op":"repl_delta","stream":"a"}"#;
+    let bodies: [&[u8]; 3] = [&[0xFF, 0xFE, b'{'], b"not json", repl_delta];
     for body in bodies {
         stream.write_all(&wire::frame(wire::REQUEST, 0, body)).unwrap();
         let (header, reply) = read_reply_frame(&mut stream);

@@ -1,7 +1,8 @@
 //! Integration tests for the distributed fan-in subsystem: the delta
 //! container, the auth gate, node→aggregator replication against a
-//! single-server oracle, set-expression queries, warm standby, and a
-//! mid-delta link kill with bit-identical convergence.
+//! single-server oracle, set-expression queries, warm standby, a
+//! mid-delta link kill with bit-identical convergence, and a lost
+//! acknowledgement that costs one full resync.
 //!
 //! The oracle discipline throughout: a plain single server ingests the
 //! concatenation of every upstream's tuples, and the aggregator's union
@@ -21,7 +22,7 @@ use cora_serve::protocol::SetOp;
 use cora_serve::server::{
     start, DurabilityConfig, ReplicateConfig, RunningServer, ServeConfig,
 };
-use cora_serve::start_aggregator;
+use cora_serve::{start_aggregator, wire};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -489,6 +490,113 @@ fn link_kill_mid_delta_converges_bit_identically() {
 
     // The aggregator survived the broken frames without inventing streams.
     assert_eq!(cagg.streams().expect("streams"), vec!["a".to_string()]);
+
+    proxy_stop.store(true, Ordering::Relaxed);
+    agg.shutdown();
+    node.shutdown();
+    oracle.shutdown();
+}
+
+/// Read one whole binary frame, header included; `None` once the peer
+/// closes.
+fn read_frame(stream: &mut TcpStream) -> Option<Vec<u8>> {
+    let mut frame = vec![0u8; wire::HEADER_BYTES];
+    stream.read_exact(&mut frame).ok()?;
+    let header = wire::parse_header(frame[..].try_into().expect("header size")).ok()?;
+    frame.resize(wire::HEADER_BYTES + header.len, 0);
+    stream.read_exact(&mut frame[wire::HEADER_BYTES..]).ok()?;
+    Some(frame)
+}
+
+/// A frame-by-frame TCP proxy for the replica link. It forwards every
+/// request frame whole and every reply, except the reply to the first
+/// incremental `repl_delta` (`g_from ≠ 0`): the aggregator has applied that
+/// container, but the proxy closes both sockets instead, so the replica
+/// never hears the acknowledgement. Returns the proxy's address, its stop
+/// flag, and whether it has dropped a reply yet.
+fn ack_dropping_proxy(target: String) -> (String, Arc<AtomicBool>, Arc<AtomicBool>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("proxy bind");
+    let addr = listener.local_addr().expect("proxy addr").to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let dropped = Arc::new(AtomicBool::new(false));
+    let (stop_accept, dropped_any) = (Arc::clone(&stop), Arc::clone(&dropped));
+    std::thread::spawn(move || {
+        listener.set_nonblocking(true).expect("nonblocking accept");
+        while !stop_accept.load(Ordering::Relaxed) {
+            let mut client = match listener.accept() {
+                Ok((client, _)) => client,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(5));
+                    continue;
+                }
+                Err(_) => return,
+            };
+            let Ok(mut server) = TcpStream::connect(&target) else {
+                continue;
+            };
+            client.set_nonblocking(false).expect("blocking relay");
+            let dropped = Arc::clone(&dropped_any);
+            // The link is strictly request/reply, so one thread relays it.
+            std::thread::spawn(move || {
+                while let Some(request) = read_frame(&mut client) {
+                    let payload = &request[wire::HEADER_BYTES..];
+                    let incremental = request[2] == wire::REPL_DELTA
+                        && wire::decode_repl_delta(payload)
+                            .ok()
+                            .and_then(|(_, container)| open_sections(container).ok())
+                            .is_some_and(|(header, _)| header.g_from != 0);
+                    let forwarded = server.write_all(&request).ok();
+                    let Some(reply) = forwarded.and_then(|()| read_frame(&mut server)) else {
+                        break;
+                    };
+                    if incremental && !dropped.swap(true, Ordering::Relaxed) {
+                        break;
+                    }
+                    if client.write_all(&reply).is_err() {
+                        break;
+                    }
+                }
+                let _ = client.shutdown(std::net::Shutdown::Both);
+                let _ = server.shutdown(std::net::Shutdown::Both);
+            });
+        }
+    });
+    (addr, stop, dropped)
+}
+
+#[test]
+fn a_lost_ack_costs_one_full_resync_and_counts_nothing_twice() {
+    let agg = start_aggregator(sketch_config(), "127.0.0.1:0").expect("aggregator");
+    let (proxy_addr, proxy_stop, dropped) = ack_dropping_proxy(agg.local_addr().to_string());
+
+    let node = start(node_config(&proxy_addr, "a"), "127.0.0.1:0").expect("node");
+    let oracle = start(sketch_config(), "127.0.0.1:0").expect("oracle");
+    let mut cn = ServeClient::connect(node.local_addr()).expect("connect node");
+    let mut co = ServeClient::connect(oracle.local_addr()).expect("connect oracle");
+
+    // A full cut, then incrementals; the first incremental is applied but
+    // its acknowledgement never reaches the node. The node's next handshake
+    // finds the aggregator past its acknowledged generation and resyncs in
+    // full, replacing the stream instead of replaying those tuples again.
+    for round in 0..3 {
+        let batch = tuples(round, 500);
+        cn.ingest(&batch).expect("ingest");
+        co.ingest(&batch).expect("oracle ingest");
+        cn.flush().expect("flush");
+        sync_replication(&node);
+    }
+    co.flush().expect("oracle flush");
+    assert!(dropped.load(Ordering::Relaxed), "no incremental container was shipped");
+
+    let mut cagg = ServeClient::connect(agg.local_addr()).expect("connect agg");
+    assert_eq!(probe(&mut cagg), probe(&mut co));
+    let stats = cagg.stats().expect("stats");
+    let snapshots = stats.u64_field("snapshots_applied").expect("snapshots_applied");
+    assert_eq!(snapshots, 2, "the first full cut and exactly one resync");
+    assert!(stats.u64_field("deltas_applied").expect("deltas_applied") >= 1);
+    // The handshake found the aggregator past the acknowledged generation,
+    // so no container had to be refused to find out.
+    assert_eq!(stats.u64_field("repl_rejected").expect("repl_rejected"), 0);
 
     proxy_stop.store(true, Ordering::Relaxed);
     agg.shutdown();

@@ -106,11 +106,6 @@ impl ByteWriter {
         self.buf.push(u8::from(v));
     }
 
-    /// Append a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -210,11 +205,6 @@ impl<'a> ByteReader<'a> {
             1 => Ok(true),
             other => Err(CodecError::Corrupt(format!("invalid bool byte {other}"))),
         }
-    }
-
-    /// Read a `u16`.
-    pub fn get_u16(&mut self) -> CodecResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("take(2)")))
     }
 
     /// Read a `u32`.

@@ -254,11 +254,6 @@ where
         self
     }
 
-    /// Number of ingest workers.
-    pub fn shard_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The configuration every shard sketch was built with.
     pub fn config(&self) -> &CorrelatedConfig {
         &self.config
@@ -389,27 +384,9 @@ where
         self.query(self.padded_y_max)
     }
 
-    /// A clone of the merged composite sketch, for callers that need the
-    /// full query surface (stats, compose-level access) detached from the
-    /// front-end.
-    pub fn composite_sketch(&self) -> Result<CorrelatedSketch<A>> {
-        self.with_composite(Clone::clone)
-    }
-
     /// Structure statistics of the merged composite.
     pub fn stats(&self) -> Result<SketchStats> {
         self.with_composite(CorrelatedSketch::stats)
-    }
-
-    /// Whether the shards are tracking per-shard replication deltas.
-    pub fn delta_tracking_enabled(&self) -> bool {
-        self.delta_tracking
-    }
-
-    /// The replication generation: how many delta cuts have been taken. The
-    /// next [`Self::take_delta`] covers `(delta_generation(), +1]`.
-    pub fn delta_generation(&self) -> u64 {
-        self.delta_gen
     }
 
     /// Start tracking replication deltas: each shard gets a second
@@ -806,9 +783,7 @@ mod tests {
         }
         sharded.enable_delta_tracking().unwrap();
         sharded.enable_delta_tracking().unwrap();
-        assert!(sharded.delta_tracking_enabled());
-        assert_eq!(sharded.delta_generation(), 0);
-        let base = sharded.composite_sketch().unwrap();
+        let (_, base) = sharded.reader().build_composite().unwrap();
 
         // Replay the base + each delta into an independent replica and check
         // it matches the live front-end exactly (small stream: exact stores,
