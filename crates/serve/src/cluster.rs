@@ -3,11 +3,11 @@
 //! ## Topology
 //!
 //! ```text
-//!   ingest node A ──┐  repl_hello, then one repl_delta per cut
+//!   ingest node A ──┐  per pass: repl_hello, then at most one repl_delta
 //!   (ServeConfig::  ├─────────────► aggregator (start_aggregator)
 //!    replicate)     │                 stream "A": F2/HH + F0 + rarity
 //!   ingest node B ──┘                 stream "B": F2/HH + F0 + rarity
-//!                                     union composite (lazy, epoch-cached)
+//!                                     union composite (lazy, cached)
 //!        queries (f2/f0/rarity/hh) ───► answered over the union
 //!        set_f0 a=A b=B op=union|intersect|diff ───► inclusion–exclusion
 //! ```
@@ -47,14 +47,17 @@
 //!
 //! The replica keeps two things: `acked`, the high water the aggregator
 //! last acknowledged (0 = a full cut is due), and the tuples taken from the
-//! node since then, which no acknowledged container holds. Each pass takes
-//! the node's tail, connects and handshakes only when there is no session
-//! (a high water other than `acked`, say after a lost acknowledgement, makes
-//! a full cut due), then ships one container: a full cut when one is due,
-//! else the unacknowledged tuples as `(acked, g]`. A full cut is thus taken
-//! only over a live session, never for a link that is down, and unacked
-//! tuples that outgrow the last full cut are dropped for a resync instead
-//! of piling up.
+//! node since then, which no acknowledged container holds. Every pass takes
+//! the node's tail, connects only when there is no session, and sends
+//! `repl_hello`, idle or not: a high water other than `acked` (the
+//! aggregator restarted, or applied a container whose acknowledgement was
+//! lost) makes a full cut due. It then ships at most one container: a full
+//! cut when one is due, else the unacknowledged tuples as `(acked, g]`, and
+//! nothing when there are none. A refused container makes a full cut due
+//! for the next pass, over the same session. A full cut is thus taken only
+//! over a live session, never for a link that is down, and unacked tuples
+//! that outgrow the last full cut are dropped for a resync instead of
+//! piling up.
 //!
 //! ## Warm standby
 //!
@@ -119,22 +122,17 @@ struct StreamState {
     high_water: u64,
 }
 
-/// The cross-stream union composite, rebuilt lazily: `epoch` names the
-/// aggregator state it was built from, so queries between replication
-/// events reuse it without any merging.
-struct UnionCache {
-    epoch: u64,
-    set: SketchSet,
-}
-
 /// Registered streams plus the union cache, under one lock (replication
 /// applies and queries serialize: a query waits for the replay of any cut
 /// being applied — see the module docs for its cost).
 struct AggState {
     streams: BTreeMap<String, StreamState>,
-    /// Bumped on every applied container; invalidates `union`.
+    /// Bumped on every applied container (reported by `stats`).
     epoch: u64,
-    union: Option<UnionCache>,
+    /// The cross-stream union composite, built by the first query after
+    /// any stream changed and cleared with every `epoch` bump, so queries
+    /// between replication events reuse it without any merging.
+    union: Option<SketchSet>,
 }
 
 /// The aggregator's service core: answers the query surface of an ingest
@@ -183,8 +181,8 @@ impl AggCore {
     /// rebuilding it first if any stream changed since it was cached.
     fn union_answer(&self, request: &Request) -> Result<Reply, StatePoisoned> {
         let mut state = self.state()?;
-        let AggState { streams, epoch, union } = &mut *state;
-        if union.as_ref().map(|u| u.epoch) != Some(*epoch) {
+        let AggState { streams, union, .. } = &mut *state;
+        if union.is_none() {
             let merged = SketchSet::fresh(&self.config).and_then(|mut set| {
                 streams
                     .values()
@@ -192,12 +190,12 @@ impl AggCore {
                     .map(|()| set)
             });
             match merged {
-                Ok(set) => *union = Some(UnionCache { epoch: *epoch, set }),
+                Ok(set) => *union = Some(set),
                 Err(e) => return Ok(Reply::sketch_error(e.to_string())),
             }
         }
         let union = union.as_ref().expect("just built");
-        Ok(union.set.answer(request, self.config.y_max))
+        Ok(union.answer(request, self.config.y_max))
     }
 
     /// `set_f0`: inclusion–exclusion over two streams' distinct samplers
@@ -516,6 +514,7 @@ struct ReplProgress {
     stop: bool,
 }
 
+#[derive(Default)]
 struct ReplShared {
     progress: Mutex<ReplProgress>,
     cvar: Condvar,
@@ -582,34 +581,17 @@ impl ReplicatorHandle {
     }
 }
 
-/// What woke the replication loop.
-enum Wake {
-    /// The shipping interval elapsed.
-    Tick,
-    /// A [`ReplicatorHandle::sync`] barrier wants a pass; carries its
-    /// ticket.
-    Sync(u64),
-    Stop,
-}
-
 /// Spawn the per-upstream replication thread: every `interval_ms` (or on a
-/// sync barrier) it ships the tuples acked since its last acknowledged
-/// container, falling back to a full resync whenever the chain breaks (see
-/// the module docs).
-pub(crate) fn spawn_replicator(
-    core: Arc<ServerCore>,
-    cfg: ReplicateConfig,
-    shutdown: Arc<AtomicBool>,
-) -> ReplicatorHandle {
-    let shared = Arc::new(ReplShared {
-        progress: Mutex::new(ReplProgress::default()),
-        cvar: Condvar::new(),
-    });
+/// sync barrier) it handshakes and ships the tuples acked since its last
+/// acknowledged container, falling back to a full resync whenever the chain
+/// breaks (see the module docs).
+pub(crate) fn spawn_replicator(core: Arc<ServerCore>, cfg: ReplicateConfig) -> ReplicatorHandle {
+    let shared = Arc::new(ReplShared::default());
     let thread = {
         let shared = Arc::clone(&shared);
         thread::Builder::new()
             .name("cora-serve-repl".into())
-            .spawn(move || Replicator::new(core, cfg, shutdown, shared).run())
+            .spawn(move || Replicator::new(core, cfg, shared).run())
             .ok()
     };
     ReplicatorHandle { shared, thread }
@@ -624,7 +606,6 @@ const TUPLE_BYTES: usize = 16;
 struct Replicator {
     core: Arc<ServerCore>,
     cfg: ReplicateConfig,
-    shutdown: Arc<AtomicBool>,
     shared: Arc<ReplShared>,
     fingerprint: u64,
     session: Option<ServeClient>,
@@ -648,17 +629,11 @@ struct Replicator {
 }
 
 impl Replicator {
-    fn new(
-        core: Arc<ServerCore>,
-        cfg: ReplicateConfig,
-        shutdown: Arc<AtomicBool>,
-        shared: Arc<ReplShared>,
-    ) -> Self {
+    fn new(core: Arc<ServerCore>, cfg: ReplicateConfig, shared: Arc<ReplShared>) -> Self {
         let fingerprint = core.config().replication_fingerprint();
         Self {
             core,
             cfg,
-            shutdown,
             shared,
             fingerprint,
             session: None,
@@ -671,16 +646,7 @@ impl Replicator {
     }
 
     fn run(mut self) {
-        loop {
-            let wait = self.wait_duration();
-            let wake = self.wait(wait);
-            if matches!(wake, Wake::Stop) || self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let ticket = match wake {
-                Wake::Sync(ticket) => Some(ticket),
-                _ => None,
-            };
+        while let Some(ticket) = self.wait(self.wait_duration()) {
             let result = self.pass();
             let mut progress = self.shared.progress();
             match result {
@@ -693,9 +659,7 @@ impl Replicator {
                     progress.last_error = Some(e);
                 }
             }
-            if let Some(ticket) = ticket {
-                progress.sync_completions = progress.sync_completions.max(ticket);
-            }
+            progress.sync_completions = ticket;
             self.shared.cvar.notify_all();
         }
     }
@@ -712,20 +676,18 @@ impl Replicator {
         interval.saturating_add(backoff)
     }
 
-    /// Sleep until the next tick, a sync barrier, or stop.
-    fn wait(&self, wait: Duration) -> Wake {
+    /// Sleep until the next tick or a sync barrier, and return the newest
+    /// sync ticket, which the pass that follows covers; `None` on stop.
+    fn wait(&self, wait: Duration) -> Option<u64> {
         let mut progress = self.shared.progress();
         let deadline = Instant::now() + wait;
         loop {
             if progress.stop {
-                return Wake::Stop;
-            }
-            if progress.sync_requests > progress.sync_completions {
-                return Wake::Sync(progress.sync_requests);
+                return None;
             }
             let now = Instant::now();
-            if now >= deadline {
-                return Wake::Tick;
+            if progress.sync_requests > progress.sync_completions || now >= deadline {
+                return Some(progress.sync_requests);
             }
             let (guard, _) = self
                 .shared
@@ -743,70 +705,72 @@ impl Replicator {
     }
 
     /// One replication pass: take the node's tail, make sure of a session,
-    /// then ship the one due container. Success means the aggregator
-    /// acknowledged every tuple taken so far.
+    /// handshake, then ship the one due container, if any. Success means
+    /// the aggregator holds every tuple taken so far.
     fn pass(&mut self) -> Result<(), String> {
-        // A second attempt covers exactly one in-session refusal (the
-        // aggregator restarted, or another replica reset the stream): the
-        // retry ships the full resync the refusal made due.
-        let mut refusal = String::new();
-        for _ in 0..2 {
-            // A due full cut covers the tail, so it is dropped.
-            let tail = self.core.repl_take_tail().map_err(|e| format!("replication tail: {e}"))?;
-            if self.acked != 0 {
-                self.unacked.extend_from_slice(&tail);
-                if self.unacked.len() * TUPLE_BYTES > self.full_bytes {
-                    self.resync();
-                } else if self.unacked.is_empty() {
-                    return Ok(());
-                }
-            }
-            if self.session.is_none() {
-                self.session = Some(self.establish()?);
-            }
-            let g_from = self.acked;
-            self.generation += 1;
-            let header =
-                SectionsHeader { g_from, g_to: self.generation, fingerprint: self.fingerprint };
-            let container = if g_from == 0 {
-                let [f2, f0, rarity] = self
-                    .core
-                    .repl_snapshot()
-                    .map_err(|e| format!("full replication cut failed: {e}"))?;
-                let full = seal_sections(&header, SKETCH_SECTIONS, [&f2, &f0, &rarity]);
-                self.full_bytes = full.len();
-                full
-            } else {
-                seal_batches(&header, &self.unacked)
-            };
-            let session = self.session.as_mut().expect("established above");
-            match session.repl_delta(&self.cfg.stream, &container) {
-                Ok(_high_water) => {
-                    self.acked = header.g_to;
-                    self.unacked.clear();
-                    self.shared.progress().acked_gen = header.g_to;
-                    return Ok(());
-                }
-                // A `request` refusal means the chain broke; the connection
-                // itself is fine, so keep it and resync in-session.
-                // Anything else kills the session.
-                Err(ClientError::Server(server)) if server.kind == "request" => {
-                    self.resync();
-                    refusal = format!("aggregator rejected the container: {}", server.message);
-                }
-                Err(e) => {
-                    self.session = None;
-                    return Err(format!("shipping to {}: {e}", self.cfg.target));
-                }
+        // A due full cut covers the tail, so it is dropped.
+        let tail = self.core.repl_take_tail().map_err(|e| format!("replication tail: {e}"))?;
+        if self.acked != 0 {
+            self.unacked.extend_from_slice(&tail);
+            if self.unacked.len() * TUPLE_BYTES > self.full_bytes {
+                self.resync();
             }
         }
-        Err(format!("replication chain rejected twice in one pass: {refusal}"))
+        if self.session.is_none() {
+            self.session = Some(self.connect()?);
+        }
+        let session = self.session.as_mut().expect("connected above");
+        // Every pass handshakes, idle or not: a high water other than
+        // `acked` makes a full cut due.
+        match session.repl_hello(&self.cfg.stream, self.fingerprint) {
+            Ok(high_water) if high_water == self.acked => {}
+            Ok(_) => self.resync(),
+            Err(e) => {
+                self.session = None;
+                return Err(format!("replication handshake: {e}"));
+            }
+        }
+        if self.acked != 0 && self.unacked.is_empty() {
+            return Ok(());
+        }
+        let g_from = self.acked;
+        self.generation += 1;
+        let header = SectionsHeader { g_from, g_to: self.generation, fingerprint: self.fingerprint };
+        let container = if g_from == 0 {
+            let [f2, f0, rarity] = self
+                .core
+                .repl_snapshot()
+                .map_err(|e| format!("full replication cut failed: {e}"))?;
+            let full = seal_sections(&header, SKETCH_SECTIONS, [&f2, &f0, &rarity]);
+            self.full_bytes = full.len();
+            full
+        } else {
+            seal_batches(&header, &self.unacked)
+        };
+        let session = self.session.as_mut().expect("kept by the handshake");
+        match session.repl_delta(&self.cfg.stream, &container) {
+            Ok(_high_water) => {
+                self.acked = header.g_to;
+                self.unacked.clear();
+                self.shared.progress().acked_gen = header.g_to;
+                Ok(())
+            }
+            // A `request` refusal means the chain broke; the connection
+            // itself is fine, so keep it and resync on the next pass.
+            // Anything else kills the session.
+            Err(ClientError::Server(server)) if server.kind == "request" => {
+                self.resync();
+                Err(format!("aggregator rejected the container: {}", server.message))
+            }
+            Err(e) => {
+                self.session = None;
+                Err(format!("shipping to {}: {e}", self.cfg.target))
+            }
+        }
     }
 
-    /// Connect, authenticate, and handshake. A high water other than
-    /// `acked` (the aggregator restarted, or applied a container whose
-    /// acknowledgement was lost) makes a full cut due.
-    fn establish(&mut self) -> Result<ServeClient, String> {
+    /// Connect to the aggregator and authenticate.
+    fn connect(&self) -> Result<ServeClient, String> {
         let target = &self.cfg.target;
         let mut session = ServeClient::connect_binary_timeout(target, Duration::from_secs(5))
             .map_err(|e| format!("connect to {target}: {e}"))?;
@@ -817,12 +781,6 @@ impl Replicator {
             session
                 .auth(token)
                 .map_err(|e| format!("authentication with the aggregator: {e}"))?;
-        }
-        let high_water = session
-            .repl_hello(&self.cfg.stream, self.fingerprint)
-            .map_err(|e| format!("replication handshake: {e}"))?;
-        if high_water != self.acked {
-            self.resync();
         }
         Ok(session)
     }
@@ -1150,27 +1108,44 @@ mod tests {
     }
 
     /// The aggregator's `(snapshots_applied, deltas_applied)`.
-    fn applied(client: &mut ServeClient) -> (u64, u64) {
-        let stats = client.stats().unwrap();
-        let count = |name| stats.u64_field(name).unwrap();
-        (count("snapshots_applied"), count("deltas_applied"))
+    fn applied(agg: &AggCore) -> (u64, u64) {
+        let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        (count(&agg.snapshots_applied), count(&agg.deltas_applied))
+    }
+
+    /// An aggregator core served on a loopback port, kept in reach so a
+    /// test can read its counters and state directly.
+    fn serve_agg(config: ServeConfig) -> (Arc<AggCore>, RunningServer) {
+        let core = Arc::new(AggCore::new(config).unwrap());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let acceptor = spawn_acceptor(Arc::clone(&core), listener, Arc::clone(&shutdown), 4);
+        let server = RunningServer {
+            addr,
+            shutdown,
+            acceptor: Some(acceptor.unwrap()),
+            snapshotter: None,
+            replicator: None,
+        };
+        (core, server)
+    }
+
+    /// A replicator shipping `node` to `target` as stream "a", driven pass
+    /// by pass instead of on its thread.
+    fn replicator(node: &Arc<ServerCore>, target: &str) -> Replicator {
+        let cfg = ReplicateConfig::new(target, "a");
+        Replicator::new(Arc::clone(node), cfg, Arc::new(ReplShared::default()))
     }
 
     #[test]
     fn an_outage_takes_no_snapshot_and_ends_in_one_full_cut() {
         let node = Arc::new(ServerCore::build(test_config(), None).unwrap());
-        let agg = start_aggregator(test_config(), "127.0.0.1:0").unwrap();
-        let live = agg.local_addr().to_string();
-        let mut stats = ServeClient::connect_binary(&live).unwrap();
-        let shared = Arc::new(ReplShared {
-            progress: Mutex::new(ReplProgress::default()),
-            cvar: Condvar::new(),
-        });
+        let (agg, server) = serve_agg(test_config());
+        let live = server.local_addr().to_string();
         // Nothing listens here: every pass fails to connect, as in an outage.
         let down = "127.0.0.1:1";
-        let cfg = ReplicateConfig::new(down, "a");
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut replicator = Replicator::new(Arc::clone(&node), cfg, stop, shared);
+        let mut replicator = replicator(&node, down);
         let ingest = || assert!(matches!(node.ingest_binary(&tuples(500), &[], None), Reply::Ok(_)));
 
         // Down from the start: no container is sealed (so no snapshot
@@ -1183,10 +1158,10 @@ mod tests {
         // The link comes up: one full cut, then incrementals.
         replicator.cfg.target = live.clone();
         replicator.pass().unwrap();
-        assert_eq!(applied(&mut stats), (1, 0));
+        assert_eq!(applied(&agg), (1, 0));
         ingest();
         replicator.pass().unwrap();
-        assert_eq!(applied(&mut stats), (1, 1));
+        assert_eq!(applied(&agg), (1, 1));
 
         // The link drops. Tuples pile up in `unacked` until they outgrow
         // the last full cut, then go for a resync; nothing is sealed.
@@ -1211,29 +1186,40 @@ mod tests {
         // The link returns: exactly one full cut, then incrementals again.
         replicator.cfg.target = live;
         replicator.pass().unwrap();
-        assert_eq!(applied(&mut stats), (2, 1));
+        assert_eq!(applied(&agg), (2, 1));
         ingest();
         replicator.pass().unwrap();
-        assert_eq!(applied(&mut stats), (2, 2));
-        agg.shutdown();
+        assert_eq!(applied(&agg), (2, 2));
+        server.shutdown();
+    }
+
+    #[test]
+    fn idle_passes_handshake_and_seal_nothing() {
+        let node = Arc::new(ServerCore::build(test_config(), None).unwrap());
+        let (agg, server) = serve_agg(test_config());
+        let mut replicator = replicator(&node, &server.local_addr().to_string());
+        assert!(matches!(node.ingest_binary(&tuples(500), &[], None), Reply::Ok(_)));
+        replicator.pass().unwrap();
+        assert_eq!(applied(&agg), (1, 0));
+        let generation = replicator.generation;
+        // With nothing ingested, each pass is one `repl_hello` and no cut.
+        for round in 0..5 {
+            let requests = agg.requests.load(Ordering::Relaxed);
+            replicator.pass().unwrap();
+            assert_eq!(replicator.generation, generation, "round {round}: a container sealed");
+            assert_eq!(applied(&agg), (1, 0), "round {round}");
+            let handshakes = agg.requests.load(Ordering::Relaxed) - requests;
+            assert_eq!(handshakes, 1, "round {round}");
+        }
+        server.shutdown();
     }
 
     #[test]
     fn an_unauthenticated_repl_delta_frame_moves_nothing() {
         let config = ServeConfig { auth_token: Some("sesame".into()), ..test_config() };
         let fingerprint = config.replication_fingerprint();
-        let core = Arc::new(AggCore::new(config.clone()).unwrap());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let acceptor = spawn_acceptor(Arc::clone(&core), listener, Arc::clone(&shutdown), 4);
-        let agg = RunningServer {
-            addr,
-            shutdown,
-            acceptor: Some(acceptor.unwrap()),
-            snapshotter: None,
-            replicator: None,
-        };
+        let (core, agg) = serve_agg(config.clone());
+        let addr = agg.local_addr();
         let header = |g_from| SectionsHeader { g_from, g_to: g_from + 1, fingerprint };
         let mut authed = ServeClient::connect_binary(addr).unwrap();
         authed.auth("sesame").unwrap();

@@ -14,8 +14,8 @@
 //! * readers call [`read`](BackgroundMerger::read), which clones that `Arc`
 //!   — a reader arriving mid-rebuild normally gets the previous epoch at
 //!   once instead of waiting for the merge (pinned by
-//!   `query_during_slow_rebuild_does_not_block` below, using the
-//!   [`slow-merge hook`](BackgroundMerger::spawn_with_hook)).
+//!   `query_during_slow_rebuild_does_not_block` below, using a crate-only
+//!   hook that slows each build down).
 //!
 //! ## Rebuild policy: builds follow readers, not the clock
 //!
@@ -67,13 +67,14 @@ pub const STALENESS_FLOOR: Duration = Duration::from_millis(250);
 
 /// Test/ops instrumentation invoked between building a composite and
 /// publishing it (e.g. an artificial delay proving readers don't block).
-pub type MergeHook = Arc<dyn Fn() + Send + Sync>;
+pub(crate) type MergeHook = Arc<dyn Fn() + Send + Sync>;
 
 /// One published composite: the merged sketch, the per-shard generation
 /// vector it was built from, when that vector was read, and its epoch.
 #[derive(Debug)]
 pub struct EpochComposite<A: CorrelatedAggregate> {
     sketch: CorrelatedSketch<A>,
+    /// Per-shard applied-batch counters the composite was built from.
     built_from: Vec<u64>,
     epoch: u64,
     built_at: Instant,
@@ -85,17 +86,12 @@ impl<A: CorrelatedAggregate> EpochComposite<A> {
         &self.sketch
     }
 
-    /// Per-shard applied-batch counters the composite was built from.
-    pub fn built_from(&self) -> &[u64] {
-        &self.built_from
-    }
-
     /// Monotone publish counter (0 = the initial empty composite).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// When the generations in [`Self::built_from`] were read.
+    /// When the per-shard generations it was built from were read.
     pub fn built_at(&self) -> Instant {
         self.built_at
     }
@@ -241,7 +237,7 @@ where
     /// [`Self::spawn`] with a hook run between each rebuild and its publish
     /// — test instrumentation (an artificially slow merge proves readers
     /// never wait on one).
-    pub fn spawn_with_hook(reader: ShardReader<A>, hook: Option<MergeHook>) -> Result<Self> {
+    pub(crate) fn spawn_with_hook(reader: ShardReader<A>, hook: Option<MergeHook>) -> Result<Self> {
         let built_at = Instant::now();
         let (built_from, sketch) = reader.build_composite()?;
         let shared = Arc::new(Shared {

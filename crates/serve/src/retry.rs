@@ -126,11 +126,6 @@ impl RetryingClient {
         self.pending.len()
     }
 
-    /// The sequence number the next ingest batch will carry.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     fn drop_conn(&mut self) {
         self.conn = None;
         self.sent_on_current = 0;
@@ -236,19 +231,9 @@ impl RetryingClient {
         result
     }
 
-    /// Acked ingest with retry: the batch is sequence-tagged, so resending
-    /// it after a reconnect cannot double-count. Returns the accepted tuple
-    /// count (0 when the server had already applied this sequence number).
-    pub fn ingest(&mut self, tuples: &[(u64, u64)]) -> ClientResult<u64> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let writer = self.writer;
-        self.with_retry(|conn| conn.ingest_seq(tuples, Some((writer, seq))))
-    }
-
     /// Run `op` against the connection, reconnecting with backoff on socket
-    /// failures. Only safe for idempotent operations — which every protocol
-    /// op is (queries repeat; sequence-tagged ingest dedupes).
+    /// failures. Only safe for idempotent operations, such as the barriers
+    /// and queries below.
     fn with_retry<T>(
         &mut self,
         mut op: impl FnMut(&mut ServeClient) -> ClientResult<T>,
@@ -279,11 +264,6 @@ impl RetryingClient {
         self.with_retry(|conn| conn.flush())
     }
 
-    /// Liveness check, with retry.
-    pub fn ping(&mut self) -> ClientResult<()> {
-        self.with_retry(|conn| conn.ping())
-    }
-
     /// Correlated `F_2` at threshold `c`, with retry.
     pub fn query_f2(&mut self, c: u64) -> ClientResult<f64> {
         self.with_retry(|conn| conn.query_f2(c))
@@ -292,11 +272,6 @@ impl RetryingClient {
     /// Service statistics, with retry.
     pub fn stats(&mut self) -> ClientResult<Response> {
         self.with_retry(|conn| conn.stats())
-    }
-
-    /// Force a durable snapshot rotation, with retry.
-    pub fn snapshot_rotate(&mut self) -> ClientResult<u64> {
-        self.with_retry(|conn| conn.snapshot_rotate())
     }
 
     /// Ask the server to stop. Not retried — a dead connection here most

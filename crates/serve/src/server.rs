@@ -212,9 +212,10 @@ pub struct ReplicateConfig {
     /// Stream name this node registers under on the aggregator
     /// (`[A-Za-z0-9_.-]`, at most 64 bytes).
     pub stream: String,
-    /// Milliseconds between delta cuts while new tuples keep arriving
-    /// (idle periods cut nothing — the generation counter only advances
-    /// when a delta actually ships).
+    /// Milliseconds between replication passes. Every pass handshakes, so
+    /// an aggregator that restarted is resynced even while this node is
+    /// idle; an idle pass cuts nothing (the generation counter only
+    /// advances when a container actually ships).
     pub interval_ms: u64,
     /// Auth token presented to the aggregator, when it requires one.
     pub auth_token: Option<String>,
@@ -1311,9 +1312,8 @@ fn start_inner(
         }
         _ => None,
     };
-    let replicator = config_replicate.map(|replicate| {
-        crate::cluster::spawn_replicator(Arc::clone(&core), replicate, Arc::clone(&shutdown))
-    });
+    let replicator = config_replicate
+        .map(|replicate| crate::cluster::spawn_replicator(Arc::clone(&core), replicate));
     let acceptor = spawn_acceptor(core, listener, Arc::clone(&shutdown), max_connections)?;
     Ok(RunningServer {
         addr,

@@ -22,7 +22,7 @@
 //! on every open socket, so shutdown closes them under their parked readers
 //! instead of waiting for the clients to go away.
 
-use crate::protocol::{self, Reply, Request};
+use crate::protocol::{Reply, Request};
 use crate::server::ServeError;
 use crate::wire;
 use std::io::{ErrorKind, Read, Write};
@@ -257,11 +257,12 @@ impl Conn {
                         wire::MAGIC => self.mode = ConnMode::Binary,
                         b'{' => self.mode = ConnMode::Json,
                         other => {
-                            self.queue_json_line(&protocol::error(&format!(
+                            let refusal = Reply::request_error(format!(
                                 "unrecognized protocol: first byte 0x{other:02X} is neither \
                                  JSON ('{{') nor a binary frame (0x{:02X})",
                                 wire::MAGIC
-                            )));
+                            ));
+                            self.queue_json_line(&refusal.render_json());
                             break Next::Close;
                         }
                     }
@@ -273,10 +274,11 @@ impl Conn {
                     else {
                         self.scanned = self.filled - pos;
                         if self.scanned > wire::MAX_FRAME_BYTES {
-                            self.queue_json_line(&protocol::error(&format!(
+                            let refusal = Reply::request_error(format!(
                                 "request line exceeds the {}-byte cap",
                                 wire::MAX_FRAME_BYTES
-                            )));
+                            ));
+                            self.queue_json_line(&refusal.render_json());
                             break Next::Close;
                         }
                         break Next::Read;
@@ -418,14 +420,10 @@ pub(crate) fn spawn_acceptor<C: ServiceCore>(
                     // and close, instead of silently queueing in the accept
                     // backlog. (Binary clients see a failed handshake — the
                     // reply is not a frame — and close too.)
-                    let refusal = protocol::error_with_kind(
-                        protocol::ErrorKind::Server,
-                        &format!(
-                            "connection limit reached \
-                             (max_connections = {max_connections})"
-                        ),
-                    );
-                    let _ = stream.write_all(refusal.as_bytes());
+                    let refusal = Reply::server_error(format!(
+                        "connection limit reached (max_connections = {max_connections})"
+                    ));
+                    let _ = stream.write_all(refusal.render_json().as_bytes());
                     let _ = stream.write_all(b"\n");
                     continue;
                 }

@@ -1,8 +1,9 @@
 //! Integration tests for the distributed fan-in subsystem: the delta
 //! container, the auth gate, node→aggregator replication against a
 //! single-server oracle, set-expression queries, warm standby, a
-//! mid-delta link kill with bit-identical convergence, and a lost
-//! acknowledgement that costs one full resync.
+//! mid-delta link kill with bit-identical convergence, a lost
+//! acknowledgement that costs one full resync, and an idle node resynced
+//! after its aggregator restarts.
 //!
 //! The oracle discipline throughout: a plain single server ingests the
 //! concatenation of every upstream's tuples, and the aggregator's union
@@ -599,6 +600,39 @@ fn a_lost_ack_costs_one_full_resync_and_counts_nothing_twice() {
     assert_eq!(stats.u64_field("repl_rejected").expect("repl_rejected"), 0);
 
     proxy_stop.store(true, Ordering::Relaxed);
+    agg.shutdown();
+    node.shutdown();
+    oracle.shutdown();
+}
+
+#[test]
+fn an_idle_node_resyncs_after_its_aggregator_restarts() {
+    let agg = start_aggregator(sketch_config(), "127.0.0.1:0").expect("aggregator");
+    let addr = agg.local_addr().to_string();
+    let node = start(node_config(&addr, "a"), "127.0.0.1:0").expect("node");
+    let oracle = start(sketch_config(), "127.0.0.1:0").expect("oracle");
+    let mut cn = ServeClient::connect(node.local_addr()).expect("connect node");
+    let mut co = ServeClient::connect(oracle.local_addr()).expect("connect oracle");
+    for round in 0..4 {
+        let batch = tuples(round, 500);
+        cn.ingest(&batch).expect("ingest");
+        co.ingest(&batch).expect("oracle ingest");
+    }
+    cn.flush().expect("flush");
+    co.flush().expect("oracle flush");
+    sync_replication(&node);
+
+    // The aggregator restarts on the same address (std's listener sets
+    // SO_REUSEADDR) while the node ingests nothing. The node's next pass
+    // still handshakes, finds high water 0, and ships a full cut.
+    agg.shutdown();
+    let agg = start_aggregator(sketch_config(), &addr).expect("restarted aggregator");
+    sync_replication(&node);
+
+    let mut cagg = ServeClient::connect(agg.local_addr()).expect("connect agg");
+    assert_eq!(probe(&mut cagg), probe(&mut co));
+    assert_eq!(cagg.streams().expect("streams"), vec!["a".to_string()]);
+
     agg.shutdown();
     node.shutdown();
     oracle.shutdown();
