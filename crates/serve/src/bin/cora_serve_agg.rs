@@ -82,7 +82,7 @@ fn main() -> ExitCode {
         .iter()
         .map(|(name, dir)| (name.as_str(), dir.as_path()))
         .collect();
-    let server = match start_aggregator_seeded(config, &bind, &seed_refs) {
+    let mut server = match start_aggregator_seeded(config, &bind, &seed_refs) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("error: could not start: {e}");

@@ -117,7 +117,7 @@ fn main() -> ExitCode {
         ..ServeConfig::default()
     };
 
-    let server = match start(config, &bind) {
+    let mut server = match start(config, &bind) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("error: could not start: {e}");

@@ -494,7 +494,6 @@ pub fn start_aggregator_seeded(
         addr,
         shutdown,
         acceptor: Some(acceptor),
-        snapshotter: None,
         replicator: None,
     })
 }
@@ -1125,8 +1124,7 @@ mod tests {
             addr,
             shutdown,
             acceptor: Some(acceptor.unwrap()),
-            snapshotter: None,
-            replicator: None,
+                replicator: None,
         };
         (core, server)
     }

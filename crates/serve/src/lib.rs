@@ -22,13 +22,13 @@
 //!   [`server::start_restored`] boots a server from it with bit-identical
 //!   answers. With [`server::DurabilityConfig`] set, a
 //!   write-ahead [`journal`] makes every acked ingest batch crash-safe:
-//!   batches are journaled (fsync'd) before they are applied, a background
-//!   thread rotates snapshot generations, and recovery-on-start restores
-//!   the newest readable snapshot plus the journal tail — proven by a
-//!   deterministic fault-injection harness ([`faults`]) and `SIGKILL`
-//!   process tests. [`retry::RetryingClient`] completes the story
-//!   client-side with reconnect, exponential backoff, and idempotent
-//!   sequence-numbered replay;
+//!   batches are journaled (fsync'd) before they are applied, the ingest
+//!   that makes a rotation due publishes the next snapshot generation, and
+//!   recovery-on-start restores the newest readable snapshot plus the
+//!   journal tail — proven by a deterministic fault-injection harness
+//!   ([`faults`]) and `SIGKILL` process tests. [`retry::RetryingClient`]
+//!   completes the story client-side with reconnect, exponential backoff,
+//!   and idempotent sequence-numbered replay;
 //! * [`server`] / [`client`] / [`wire`] — a `std::net::TcpListener` server
 //!   speaking **two wire protocols**, negotiated per connection by its
 //!   first byte: newline-delimited JSON (reusing `cora_stream::json`) and

@@ -57,7 +57,10 @@ use std::time::{Duration, Instant};
 /// request. Both also unpark it, yet it keeps polling on purpose: a merger
 /// that parked until unparked used the same CPU, but `f2` / `f0` p50 rose
 /// 23% / 31% on a 2-vCPU VM, where waking a fully idle vCPU costs a query
-/// about 20 µs. It is the only timer an idle node still runs.
+/// about 20 µs. An idle ingest node runs two timers: this one, and, when it
+/// replicates, the replicator's pass every `ReplicateConfig::interval_ms`.
+/// Its other threads block until a connection, a batch or a barrier wakes
+/// them; a rotation runs on the ingest that makes it due.
 const POLL_INTERVAL: Duration = Duration::from_micros(500);
 
 /// Freshness floor: a reader that finds the published composite missing an

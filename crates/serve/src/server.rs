@@ -24,12 +24,13 @@
 //!
 //! Everything a batch mutates lives in one `NodeState` behind one mutex,
 //! reached through one accessor. Ingest holds it for the whole batch —
-//! dedupe, journal append, every structure's insert — so the batch is
-//! visible everywhere or nowhere, and a snapshot, a rotation or a replication
-//! cut (which take the same lock) can never see the structures at different
-//! stream prefixes. A panic under the lock poisons it, and a poisoned lock is
-//! never entered: every op that needs the state then answers a `server`
-//! error until a restart recovers the acked batches from the journal.
+//! dedupe, journal append, every structure's insert, and any rotation the
+//! batch makes due — so the batch is visible everywhere or nowhere, and a
+//! snapshot, a rotation or a replication cut (which run under the same lock)
+//! can never see the structures at different stream prefixes. A panic under
+//! the lock poisons it, and a poisoned lock is never entered: every op that
+//! needs the state then answers a `server` error until a restart recovers
+//! the acked batches from the journal.
 //!
 //! The two pane rings are the exception to "every structure's insert": the
 //! ack path stamps each batch with the tick clock and queues it, still under
@@ -81,18 +82,20 @@
 //! With [`ServeConfig::durability`] set, the server journals every accepted
 //! ingest batch to a write-ahead log *before* applying it (`crate::journal`),
 //! fsyncing by default, so the ack a client receives is a durability
-//! receipt. A background thread rotates generations — publish snapshot
-//! `snap-<g>.csrv` atomically, open journal `journal-<g>.cjl` for the
-//! batches after it — once [`DurabilityConfig::snapshot_every_tuples`]
-//! tuples have been journaled; the `snapshot` op with an empty `path`
-//! forces a rotation. A failed append poisons the journal until the next
-//! rotation: the snapshotter rotates a poisoned journal out at once, and
-//! with the tuple trigger off that takes the `snapshot` op. On start the server
-//! recovers: newest readable snapshot (falling back past torn or corrupt
-//! ones to the previous generation), then valid-prefix replay of every
-//! journal at or after it. Acked batches survive `SIGKILL`; unsynced ones
-//! are bounded by the journal's fsync policy. All storage goes through the
-//! injectable [`Storage`] trait so the fault-injection suite
+//! receipt. A rotation publishes a generation — open journal
+//! `journal-<g>.cjl` for the batches after it, publish snapshot
+//! `snap-<g>.csrv` atomically. While the tuple trigger
+//! ([`DurabilityConfig::snapshot_every_tuples`]) is set, the ingest that
+//! makes a rotation due runs it under its own state-lock hold, before its
+//! reply: the one that brings the tuples journaled since the last snapshot
+//! to the trigger, and the one whose failed append poisons the journal.
+//! With the trigger off, a poisoned journal refuses ingest until the
+//! `snapshot` op with an empty `path`, which forces a rotation at any time.
+//! On start the server recovers: newest readable snapshot (falling back
+//! past torn or corrupt ones to the previous generation), then valid-prefix
+//! replay of every journal at or after it. Acked batches survive `SIGKILL`;
+//! unsynced ones are bounded by the journal's fsync policy. All storage goes
+//! through the injectable [`Storage`] trait so the fault-injection suite
 //! (`crate::faults`) can prove the recovery paths deterministically.
 
 use crate::journal::{
@@ -234,15 +237,16 @@ impl ReplicateConfig {
     }
 }
 
-/// Durability parameters: where the journal and snapshots live and when the
-/// background thread rotates generations.
+/// Durability parameters: where the journal and snapshots live and when an
+/// ingest rotates generations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Directory holding `snap-<g>.csrv` / `journal-<g>.cjl` generation
     /// files (created if missing).
     pub dir: PathBuf,
-    /// Rotate once this many tuples have been journaled since the last
-    /// snapshot. 0 turns the background snapshotter off: rotations then come
+    /// The ingest that brings the tuples journaled since the last snapshot
+    /// to this many rotates before its ack, and so does one whose append
+    /// poisons the journal. 0 turns the trigger off: rotations then come
     /// only from the `snapshot` op with an empty path.
     pub snapshot_every_tuples: u64,
     /// Fsync the journal after every batch append. `true` (the default)
@@ -349,15 +353,51 @@ impl ServeConfig {
 /// The live durability machinery: the open journal plus rotation state.
 struct DurableState {
     storage: Arc<dyn Storage>,
-    dir: PathBuf,
-    fsync: bool,
+    config: DurabilityConfig,
+    /// The journal of the newest published generation, whose snapshot is
+    /// the retention floor of the next rotation.
     journal: JournalWriter,
-    /// Generation of the newest successfully published snapshot — the
-    /// retention floor (everything older than the *previous* good snapshot
-    /// is deleted after a rotation, keeping one fallback generation).
-    last_good: u64,
     /// Tuples journaled since the last snapshot (the rotation trigger).
     tuples_since: u64,
+}
+
+impl DurableState {
+    /// Whether the tuple trigger is set and due: the tuples journaled since
+    /// the last snapshot reached it, or the journal is poisoned.
+    fn rotation_due(&self) -> bool {
+        let every = self.config.snapshot_every_tuples;
+        every > 0 && (self.tuples_since >= every || self.journal.is_poisoned())
+    }
+}
+
+/// Publish generation `g` of a durable directory and return its journal:
+/// create `journal-<g>` first, write `snap-<g>` (the `bundle`) second, then
+/// prune every generation older than `floor`, the previous good snapshot,
+/// which stays as the fallback. A crash between the first two leaves
+/// `snap-<floor>`, its full journal and an empty `journal-<g>`, which
+/// recovery replays losslessly; the reverse order would strand batches in a
+/// journal older than the restored snapshot. On failure the unused
+/// `journal-<g>` stays behind, replayed as empty, and the next attempt
+/// recreates it.
+fn publish_generation(
+    storage: &dyn Storage,
+    dir: &std::path::Path,
+    g: u64,
+    bundle: &[u8],
+    floor: u64,
+) -> Result<JournalWriter, ServeError> {
+    let journal = JournalWriter::create(storage, dir, g)?;
+    storage.write_atomic(&snapshot_path(dir, g), bundle)?;
+    // Best-effort retention.
+    if let Ok(listing) = list_generations(storage, dir) {
+        for &g in listing.snapshots.iter().filter(|&&g| g < floor) {
+            let _ = storage.remove(&snapshot_path(dir, g));
+        }
+        for &g in listing.journals.iter().filter(|&&g| g < floor) {
+            let _ = storage.remove(&journal_path(dir, g));
+        }
+    }
+    Ok(journal)
 }
 
 /// Everything a batch mutates, behind the core's one state lock (see the
@@ -525,17 +565,6 @@ impl NodeState {
         let frames: [&[u8]; 6] = [&f2, &f0, &rarity, &window_f2, &window_f0, &seqs];
         Ok(seal_sections(&header, BUNDLE_SECTIONS, frames))
     }
-
-    /// Whether the background snapshotter (which runs only while the tuple
-    /// trigger is set) should rotate now.
-    fn snapshot_due(&self, config: &DurabilityConfig) -> bool {
-        let Some(ds) = self.durable.as_ref() else {
-            return false;
-        };
-        // A poisoned journal is rotated out as soon as the snapshotter
-        // notices, restoring write availability without operator action.
-        ds.tuples_since >= config.snapshot_every_tuples || ds.journal.is_poisoned()
-    }
 }
 
 impl ServerCore {
@@ -697,11 +726,10 @@ impl ServerCore {
         Ok(bytes)
     }
 
-    /// Install the durability machinery: open the journal for the generation
-    /// past everything recovery found, publish the matching snapshot of the
-    /// current (recovered) state, and prune generations older than the
-    /// restored fallback. Called once at start, after recovery replay and
-    /// before any connection is served.
+    /// Install the durability machinery: publish the generation past
+    /// everything recovery found, with a snapshot of the current
+    /// (recovered) state, pruning below the restored fallback. Called once
+    /// at start, after recovery replay and before any connection is served.
     fn open_durable(
         &self,
         storage: &Arc<dyn Storage>,
@@ -710,38 +738,16 @@ impl ServerCore {
     ) -> Result<(), ServeError> {
         let generation = recovered.open_generation;
         let mut state = self.state()?;
-        // Journal before snapshot: if we crash between the two, recovery
-        // restores the previous snapshot and replays straight through this
-        // (empty) journal — no batch can land in a file recovery won't read.
-        let journal = JournalWriter::create(storage.as_ref(), &config.dir, generation)?;
         let bytes = self.snapshot_bundle(&mut state)?;
-        storage.write_atomic(&snapshot_path(&config.dir, generation), &bytes)?;
-        if let Some((floor, _)) = recovered.restored {
-            Self::prune_generations(storage, &config.dir, floor);
-        }
+        let floor = recovered.restored.as_ref().map_or(0, |(g, _)| *g);
+        let journal = publish_generation(storage.as_ref(), &config.dir, generation, &bytes, floor)?;
         state.durable = Some(DurableState {
             storage: Arc::clone(storage),
-            dir: config.dir.clone(),
-            fsync: config.fsync_each_batch,
+            config: config.clone(),
             journal,
-            last_good: generation,
             tuples_since: 0,
         });
         Ok(())
-    }
-
-    /// Best-effort retention: delete every generation file strictly older
-    /// than `floor` (the previous good snapshot stays as the fallback).
-    fn prune_generations(storage: &Arc<dyn Storage>, dir: &std::path::Path, floor: u64) {
-        let Ok(listing) = list_generations(storage.as_ref(), dir) else {
-            return;
-        };
-        for &g in listing.snapshots.iter().filter(|&&g| g < floor) {
-            let _ = storage.remove(&snapshot_path(dir, g));
-        }
-        for &g in listing.journals.iter().filter(|&&g| g < floor) {
-            let _ = storage.remove(&journal_path(dir, g));
-        }
     }
 
     /// Rotate the durable generation: publish a snapshot of the current
@@ -753,43 +759,26 @@ impl ServerCore {
     /// (in the new journal), never both. Failure leaves the previous
     /// generation fully in charge (the old journal keeps absorbing batches
     /// unless it was already poisoned) and is counted in `snapshot_errors`.
-    fn durable_snapshot(&self, state: &mut NodeState, auto: bool) -> Result<(u64, u64), ServeError> {
+    fn durable_snapshot(&self, state: &mut NodeState) -> Result<(u64, u64), ServeError> {
         if state.durable.is_none() {
             return Err(ServeError::Invalid(
                 "durability is not configured on this server".into(),
             ));
         }
         let rotated = Self::rotate(state, self.config.replication_fingerprint());
-        if rotated.is_ok() {
-            self.snapshots.fetch_add(1, Ordering::Relaxed);
-            if auto {
-                self.auto_snapshots.fetch_add(1, Ordering::Relaxed);
-            }
-        } else {
-            self.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-        }
+        let counter = if rotated.is_ok() { &self.snapshots } else { &self.snapshot_errors };
+        counter.fetch_add(1, Ordering::Relaxed);
         rotated
     }
 
     fn rotate(state: &mut NodeState, fingerprint: u64) -> Result<(u64, u64), ServeError> {
         let bytes = state.bundle_bytes(fingerprint)?;
         let ds = state.durable.as_mut().expect("checked by durable_snapshot");
-        let new_gen = ds.journal.generation() + 1;
-        let prev_good = ds.last_good;
-        // Fresh journal first, snapshot second: a crash between the two
-        // leaves snap-(prev) + a full journal-(old) + an empty
-        // journal-(new), which recovery replays losslessly. The reverse
-        // order would strand post-snapshot batches in a journal older than
-        // the restored snapshot.
-        let journal = JournalWriter::create(ds.storage.as_ref(), &ds.dir, new_gen)?;
-        // On failure the unused journal-(new) file stays behind; recovery
-        // replays it as empty and the next rotation attempt recreates it.
-        ds.storage.write_atomic(&snapshot_path(&ds.dir, new_gen), &bytes)?;
-        ds.journal = journal;
-        ds.last_good = new_gen;
+        let prev = ds.journal.generation();
+        let storage = ds.storage.as_ref();
+        ds.journal = publish_generation(storage, &ds.config.dir, prev + 1, &bytes, prev)?;
         ds.tuples_since = 0;
-        Self::prune_generations(&ds.storage, &ds.dir, prev_good);
-        Ok((new_gen, bytes.len() as u64))
+        Ok((prev + 1, bytes.len() as u64))
     }
 
     /// Ingest one validated batch into every hosted structure — the shared
@@ -805,7 +794,6 @@ impl ServerCore {
     /// or below the writer's high-water mark answers
     /// `accepted: 0, duplicate: 1` without being applied or journaled.
     fn ingest_tuples(&self, tuples: &[(u64, u64)], ts: &[u64], seq: Option<(u64, u64)>) -> Reply {
-        let fail = Reply::sketch_error;
         debug_assert!(ts.is_empty() || ts.len() == tuples.len());
         // Validate atomically against the *configured* y_max so all hosted
         // structures accept or reject a batch together.
@@ -820,7 +808,29 @@ impl ServerCore {
             Ok(state) => state,
             Err(poisoned) => return poisoned.into(),
         };
-        let NodeState { sharded, aux, repl_tail, windows, seqs, durable, .. } = &mut *state;
+        let reply = self.apply_batch(&mut state, tuples, ts, seq);
+        // The ingest that makes a rotation due runs it under the same lock
+        // hold: one that brought the journaled tuples to the trigger, or one
+        // whose append poisoned the journal. The batch's reply stands either
+        // way; a failed rotation is counted and the next ingest retries it.
+        if state.durable.as_ref().is_some_and(DurableState::rotation_due)
+            && self.durable_snapshot(&mut state).is_ok()
+        {
+            self.auto_snapshots.fetch_add(1, Ordering::Relaxed);
+        }
+        reply
+    }
+
+    /// [`ServerCore::ingest_tuples`] past validation, under its lock hold.
+    fn apply_batch(
+        &self,
+        state: &mut NodeState,
+        tuples: &[(u64, u64)],
+        ts: &[u64],
+        seq: Option<(u64, u64)>,
+    ) -> Reply {
+        let fail = Reply::sketch_error;
+        let NodeState { sharded, aux, repl_tail, windows, seqs, durable, .. } = state;
         // A batch the rings could no longer apply is refused before it is
         // journaled.
         if !windows.rings().usable() {
@@ -841,7 +851,7 @@ impl ServerCore {
         // applies nothing.
         if let Some(ds) = durable.as_mut() {
             let before = ds.journal.bytes();
-            if let Err(e) = ds.journal.append_batch(tuples, ts, seq, ds.fsync) {
+            if let Err(e) = ds.journal.append_batch(tuples, ts, seq, ds.config.fsync_each_batch) {
                 return Reply::io_error(format!("journal append failed: {e}"));
             }
             ds.tuples_since += tuples.len() as u64;
@@ -981,7 +991,7 @@ impl ServerCore {
             Request::Snapshot { path } if path.is_empty() => {
                 // Empty path = durable rotation: publish the next snapshot
                 // generation and swap in a fresh journal.
-                let rotated = self.durable_snapshot(&mut *self.state()?, false);
+                let rotated = self.durable_snapshot(&mut *self.state()?);
                 match rotated {
                     Ok((generation, bytes)) => Reply::Ok(vec![
                         ("generation", Value::U64(generation)),
@@ -1055,16 +1065,12 @@ const NOT_AN_AGGREGATOR: &str =
     "replication frames are accepted by an aggregator node (cora_serve_agg), not by an ingest \
      server";
 
-/// How often [`RunningServer::wait`] re-reads the shutdown flag.
-const WAIT_TICK: Duration = Duration::from_millis(50);
-
 /// A running server: the bound address plus shutdown plumbing. Dropping it
 /// shuts the listener down and joins every service thread.
 pub struct RunningServer {
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) acceptor: Option<thread::JoinHandle<()>>,
-    pub(crate) snapshotter: Option<thread::JoinHandle<()>>,
     pub(crate) replicator: Option<crate::cluster::ReplicatorHandle>,
 }
 
@@ -1089,12 +1095,13 @@ impl RunningServer {
         }
     }
 
-    /// Block until the server is asked to stop (the `shutdown` op or a
-    /// signal-driven [`RunningServer::shutdown`] from another thread). The
-    /// standalone `cora_serve_node` binary parks its main thread here.
-    pub fn wait(&self) {
-        while !self.shutdown.load(Ordering::Acquire) {
-            thread::sleep(WAIT_TICK);
+    /// Block until the `shutdown` op has stopped the listener and every
+    /// connection it served has closed. The standalone binaries park their
+    /// main thread here, then call [`RunningServer::shutdown`] to stop the
+    /// rest.
+    pub fn wait(&mut self) {
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
     }
 
@@ -1113,9 +1120,6 @@ impl RunningServer {
             // Wake a blocking accept with a throwaway connection.
             let _ = TcpStream::connect(self.addr);
             let _ = acceptor.join();
-        }
-        if let Some(snapshotter) = self.snapshotter.take() {
-            let _ = snapshotter.join();
         }
     }
 }
@@ -1281,37 +1285,6 @@ fn start_inner(
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    // The background snapshotter: polls the tuple trigger and the journal's
-    // health while the server runs. Spawned before the acceptor moves `core`.
-    let snapshotter = match core.config().durability.clone() {
-        Some(d) if d.snapshot_every_tuples > 0 => {
-            let core = Arc::clone(&core);
-            let shutdown = Arc::clone(&shutdown);
-            thread::Builder::new()
-                .name("cora-serve-snapshot".into())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        match core.state() {
-                            // Failures are counted in snapshot_errors and
-                            // retried on the next trigger; the previous
-                            // generation stays in charge meanwhile.
-                            Ok(mut state) if state.snapshot_due(&d) => {
-                                let _ = core.durable_snapshot(&mut state, true);
-                            }
-                            Ok(_) => {}
-                            // A poisoned core can never snapshot again.
-                            Err(StatePoisoned) => {
-                                core.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                                return;
-                            }
-                        }
-                        thread::sleep(Duration::from_millis(20));
-                    }
-                })
-                .ok()
-        }
-        _ => None,
-    };
     let replicator = config_replicate
         .map(|replicate| crate::cluster::spawn_replicator(Arc::clone(&core), replicate));
     let acceptor = spawn_acceptor(core, listener, Arc::clone(&shutdown), max_connections)?;
@@ -1319,7 +1292,6 @@ fn start_inner(
         addr,
         shutdown,
         acceptor: Some(acceptor),
-        snapshotter,
         replicator,
     })
 }
@@ -1485,6 +1457,38 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("cora_core_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A core with no listener and no thread of its own rotates on the
+    /// ingest that crosses the tuple trigger, before that ingest's ack.
+    #[test]
+    fn the_ingest_that_crosses_the_tuple_trigger_rotates_before_its_ack() {
+        let dir = temp_dir("ingest_rotates");
+        let config = ServeConfig {
+            y_max: 1023,
+            durability: Some(DurabilityConfig {
+                snapshot_every_tuples: 100,
+                ..DurabilityConfig::new(&dir)
+            }),
+            ..Default::default()
+        };
+        let core = ServerCore::open(config, None, None).unwrap();
+        let stats = || {
+            let reply = core.handle(Request::Stats).0.render_json();
+            let stats = protocol::Response::parse(&reply).unwrap();
+            let field = |name| stats.u64_field(name).unwrap();
+            (field("auto_snapshots"), field("generation"))
+        };
+        let accepted = Reply::Ok(vec![("accepted", Value::U64(60))]);
+        let batch = |b: u64| -> Vec<(u64, u64)> { (0..60).map(|i| (b * 60 + i, i)).collect() };
+        assert_eq!(core.ingest_tuples(&batch(0), &[], None), accepted);
+        assert_eq!(stats(), (0, 0), "60 of 100 tuples: no rotation yet");
+        assert_eq!(core.ingest_tuples(&batch(1), &[], None), accepted);
+        assert_eq!(stats(), (1, 1), "the crossing ingest rotated before its ack");
+        let listing = list_generations(&crate::journal::DiskStorage, &dir).unwrap();
+        assert_eq!((listing.snapshots.len(), listing.journals.len()), (2, 2));
+        drop(core);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// ROADMAP hole 5(b): a panic under the state lock, or under the rings
@@ -1835,7 +1839,6 @@ mod tests {
             addr,
             shutdown,
             acceptor: Some(acceptor.unwrap()),
-            snapshotter: None,
             replicator: None,
         };
         let clients = [

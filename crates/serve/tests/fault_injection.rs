@@ -16,7 +16,6 @@ use cora_serve::server::{start, start_with_storage, DurabilityConfig, ServeConfi
 use cora_serve::{DiskStorage, FaultPlan, FaultyStorage};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 fn sketch_config() -> ServeConfig {
     ServeConfig {
@@ -364,15 +363,6 @@ fn a_newest_journal_of_another_generation_refuses_to_start() {
     assert!(refused.contains("header generation 7"), "{refused}");
 }
 
-/// Poll `stats` until `done` holds, failing after ten seconds.
-fn wait_for(client: &mut ServeClient, what: &str, done: impl Fn(&Response) -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !done(&client.stats().unwrap()) {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 /// Snapshot and journal generations on disk, both ascending.
 fn generations_on_disk(dir: &Path) -> (Vec<u64>, Vec<u64>) {
     let (mut snaps, mut journals) = (Vec::new(), Vec::new());
@@ -404,10 +394,11 @@ fn answer_bits(client: &mut ServeClient) -> Vec<u64> {
     bits
 }
 
-/// The tuple trigger end to end: the snapshotter thread rotates every 2 000
-/// journaled tuples, prunes the directory down to the newest generation and
-/// one fallback, rotates a poisoned journal out with no `snapshot` op, and
-/// a restart on the directory answers bit-identically.
+/// The tuple trigger end to end: the ingest that brings the journaled tuples
+/// to 2 000 rotates before its ack, every rotation prunes the directory down
+/// to the newest generation and one fallback, the ingest whose append
+/// poisons the journal rotates it out with no `snapshot` op, and a restart
+/// on the directory answers bit-identically.
 #[test]
 fn tuple_triggered_rotation_prunes_heals_and_recovers() {
     let dir = temp_dir("tuple_trigger");
@@ -423,26 +414,25 @@ fn tuple_triggered_rotation_prunes_heals_and_recovers() {
     let server = start_with_storage(config.clone(), "127.0.0.1:0", storage.clone()).unwrap();
     let mut client = ServeClient::connect_binary(server.local_addr()).unwrap();
     let auto_snapshots = |stats: &Response| stats.u64_field("auto_snapshots").unwrap();
-    // 6k tuples in 1k batches; each 2k crosses the trigger, and the next
-    // 2k wait for its rotation so that every crossing gets its own.
+    // 6k tuples in 1k batches; every second ack comes after its rotation.
     for round in 1..=3 {
         for i in 0..2 {
             assert_eq!(client.ingest(&batch((2 * round + i) * 1_000, 1_000)).unwrap(), 1_000);
         }
-        wait_for(&mut client, "a tuple-triggered rotation", |s| auto_snapshots(s) >= round);
+        assert_eq!(auto_snapshots(&client.stats().unwrap()), round);
     }
     // Generation 0 was published at start; three rotations later only the
     // newest generation and its fallback are left.
     assert_eq!(generations_on_disk(&dir), (vec![2, 3], vec![2, 3]));
 
-    // A failed append poisons the journal; the snapshotter rotates it out.
+    // A failed append poisons the journal, and the same ingest rotates it
+    // out before its `io` error.
     storage.set_plan(FaultPlan { fail_append_at: Some(1), ..FaultPlan::default() });
     assert_io_error(client.ingest(&batch(8_000, 1_000)).unwrap_err(), "poisoning ingest");
     storage.clear();
-    wait_for(&mut client, "the poisoned journal to be rotated out", |s| {
-        s.u64_field("journal_poisoned").unwrap() == 0
-    });
-    assert_eq!(auto_snapshots(&client.stats().unwrap()), 4);
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.u64_field("journal_poisoned").unwrap(), 0);
+    assert_eq!(auto_snapshots(&stats), 4);
     assert_eq!(client.ingest(&batch(9_000, 1_000)).unwrap(), 1_000);
     let before = answer_bits(&mut client);
     drop(client);

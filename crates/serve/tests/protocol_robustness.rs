@@ -560,7 +560,7 @@ fn shutdown_returns_promptly_with_clients_parked_in_read() {
 
     // The `shutdown` op over the wire: its ack arrives, then the listener
     // stops and every parked client is closed.
-    let server = start(test_config(), "127.0.0.1:0").unwrap();
+    let mut server = start(test_config(), "127.0.0.1:0").unwrap();
     let mut idle = idle_clients(&server);
     let mut client = ServeClient::connect_binary(server.local_addr()).unwrap();
     client.shutdown_server().expect("the shutdown op's ack");

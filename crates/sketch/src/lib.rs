@@ -43,7 +43,7 @@ pub use fast_ams::{FastAmsBatch, FastAmsSketch};
 pub use fk::{FkPrepared, FkSketch};
 pub use quantiles::GkQuantiles;
 pub use space_saving::SpaceSaving;
-pub use traits::{Estimate, MergeableSketch, PointQuery, SharedUpdate, SketchFactory, SpaceUsage, StreamSketch};
+pub use traits::{Estimate, MergeableSketch, PointQuery, SharedUpdate, SpaceUsage, StreamSketch};
 
 #[cfg(test)]
 mod lib_tests {

@@ -69,7 +69,7 @@ pub trait SharedUpdate: StreamSketch {
     /// Compute the coordinates of every `(item, weight)` in `items` into
     /// `out`, reusing its allocations. The result must depend only on the
     /// sketch's dimensions and seed, never on its counter state, so it is
-    /// valid for every sketch produced by the same factory/aggregate.
+    /// valid for every sketch produced by the same aggregate.
     fn prepare_batch_into(&self, items: &[(u64, i64)], out: &mut Self::PreparedBatch);
 
     /// Apply tuples `range` (indices into the `items` slice the batch was
@@ -128,21 +128,6 @@ pub trait SpaceUsage {
 pub trait PointQuery {
     /// Estimate the (signed) frequency of `item`.
     fn frequency_estimate(&self, item: u64) -> f64;
-}
-
-/// Factory trait: build fresh, empty sketches that are all mutually mergeable.
-///
-/// The correlated framework instantiates *many* per-bucket sketches and must
-/// guarantee that any two of them can be composed at query time; it therefore
-/// holds a factory (sharing one seed / one set of hash functions) rather than
-/// constructing sketches ad hoc.
-pub trait SketchFactory {
-    /// The sketch type this factory builds.
-    type Sketch: StreamSketch + Estimate + MergeableSketch + SpaceUsage + Clone;
-
-    /// Create a new empty sketch. All sketches created by the same factory
-    /// must be mergeable with one another.
-    fn new_sketch(&self) -> Self::Sketch;
 }
 
 #[cfg(test)]
